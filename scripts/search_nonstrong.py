@@ -13,29 +13,31 @@ from blstate.constructors import direct_product, godel_chain, mv_chain, ordinal_
 from blstate.operators import enumerate_operator_tables, verify_operator
 
 
-def candidates(max_chain: int):
+def candidates(max_chain: int, max_size: int):
     chains = [mv_chain(n) for n in range(1, max_chain + 1)]
     chains += [godel_chain(n) for n in range(2, max_chain + 1)]
     for a in chains:
         yield a
     for a in chains:
         for b in chains:
-            if a.size * b.size <= 9:
+            if a.size * b.size <= max_size:
                 yield direct_product(a, b)
     for a in chains:
         for b in chains:
-            if a.is_linear and a.size + b.size - 1 <= 9:
+            if a.is_linear and a.size + b.size - 1 <= max_size:
                 yield ordinal_sum([a, b])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-chain", type=int, default=4)
+    parser.add_argument("--max-size", type=int, default=9,
+                        help="largest product or ordinal-sum carrier to search")
     args = parser.parse_args(argv)
 
     total_state = total_candidates = 0
     seen = set()
-    for a in candidates(args.max_chain):
+    for a in candidates(args.max_chain, args.max_size):
         key = (a.meet, a.join, a.prod, a.impl)
         if key in seen:
             continue

@@ -8,6 +8,7 @@ exact rationals printed as p/q.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from .document import (
 )
 from .filters import all_filters, classify_algebra, maximal_filters, radical
 from .operators import (
+    EnumerationStats,
     classify_state_algebra,
     enumerate_operator_tables,
     kernel_and_faithfulness,
@@ -137,10 +139,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     algebra, _ = _load(args.file)
-    tables = enumerate_operator_tables(algebra, args.cls)
+    stats = EnumerationStats() if args.stats else None
+    tables = enumerate_operator_tables(algebra, args.cls, stats=stats)
     print(f"{len(tables)} operator(s) of class {args.cls} on {algebra.size} elements")
     for t in tables:
         print(_fmt_map(algebra, t))
+    if stats is not None:
+        print(json.dumps(vars(stats)), file=sys.stderr)
     return 0
 
 
@@ -281,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--class", dest="cls", default="state",
                    choices=["state", "strong", "morphism", "endomorphism"])
+    p.add_argument("--stats", action="store_true",
+                   help="print search counters as one JSON line on stderr")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("filters", help="list filters, maximal filters and the radical")

@@ -63,10 +63,6 @@ def pair_index(a: FiniteBLAlgebra, b: FiniteBLAlgebra, i: int, j: int) -> int:
     return i * b.size + j
 
 
-def unpair_index(a: FiniteBLAlgebra, b: FiniteBLAlgebra, k: int) -> tuple[int, int]:
-    return divmod(k, b.size)
-
-
 def direct_product(a: FiniteBLAlgebra, b: FiniteBLAlgebra) -> FiniteBLAlgebra:
     """Componentwise product on the row-major paired carrier."""
     n = a.size * b.size
@@ -332,10 +328,6 @@ def diagonal_operator_table(algebra: FiniteBLAlgebra, which: int) -> tuple[int, 
             k = i if which == 1 else j
             out.append(k * n + k)
     return tuple(out)
-
-
-def diagonal_product(algebra: FiniteBLAlgebra) -> FiniteBLAlgebra:
-    return direct_product(algebra, algebra)
 
 
 def sigma_h_table(b: FiniteBLAlgebra, c: FiniteBLAlgebra, h: Homomorphism) -> tuple[int, ...]:

@@ -3,9 +3,13 @@
 An operator is a total unary map given as a value table.  ``verify_operator``
 grades a table into the classes none / state / strong / morphism and
 records a witness for each failed class.  ``enumerate_operator_tables``
-finds every operator of a class by pruned backtracking;
-``brute_force_operator_tables`` is the unpruned oracle used to
-cross-check it.
+finds every operator of a class by backtracking that propagates the
+class's axioms instance by instance: each equational axiom is unrolled
+into static instances ``s[l] == T[s[a]][s[b]]``, and an instance checks
+or forces ``s[l]`` as soon as ``s[a]`` and ``s[b]`` are assigned.
+``brute_force_operator_tables`` is the unpruned, vectorized oracle; it
+shares none of the enumerator's machinery and is kept as the
+deliberately independent cross-check.
 """
 
 from __future__ import annotations
@@ -211,20 +215,76 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
     )
 
 
-def identity_operator(algebra: FiniteBLAlgebra) -> StateOperator:
-    return verify_operator(algebra, identity_table(algebra))
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
 
+@dataclass
+class EnumerationStats:
+    """Search counters of ``enumerate_operator_tables``, summed over partitions."""
+
+    nodes: int = 0  # search-tree nodes visited, leaves included
+    leaves: int = 0  # complete tables reached
+    rejected: int = 0  # leaves refused by the full re-check
+
+
+# (l, a, b, k): the equation s[l] == T[s[a]][s[b]], T the k-th of
+# meet, join, prod, impl
+_Instance = tuple[int, int, int, int]
+
+
+def _watch_lists(algebra: FiniteBLAlgebra, cls: str) -> list[list[_Instance]]:
+    """Static axiom instances ``s[l] == T[s[a]][s[b]]`` of the class.
+
+    Entry ``w`` lists the instances with ``max(a, b) == w``: once ``w`` is
+    assigned, both arguments are known, so ``l`` is either checked or
+    forced.  Every instance is an equation of the class's own axioms,
+    which makes pruning on it sound.  Arguments of the commutative meet,
+    join and prod are sorted, so mirrored instances are kept once.
+    """
+    meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
+    neg, leq = algebra.neg_table, algebra.leq
+    tables = (meet, join, prod, impl)
+    keys: set[_Instance] = set()
+
+    def add(l: int, a: int, b: int, k: int) -> None:
+        if k != 3 and b < a:  # impl (k == 3) is the one that does not commute
+            a, b = b, a
+        # on comparable arguments a meet, join or impl instance says only
+        # s[a] <= s[b] (or the reverse), which the monotonicity check enforces
+        if k != 2 and (leq[a][b] or (k != 3 and leq[b][a])):
+            return
+        keys.add((l, a, b, k))
+
+    for x, y in iproduct(range(algebra.size), repeat=2):
+        if cls == "endomorphism":
+            for k, t in enumerate(tables):
+                add(t[x][y], x, y, k)
+            continue
+        add(impl[x][y], x, meet[x][y], 3)  # axiom 2
+        if cls == "state":
+            add(prod[x][y], x, impl[x][prod[x][y]], 2)  # axiom 3
+        elif cls == "strong":
+            add(prod[x][y], x, join[neg[x]][y], 2)  # axiom 3s
+        else:
+            add(prod[x][y], x, y, 2)  # axiom 6
+    watches: list[list[_Instance]] = [[] for _ in range(algebra.size)]
+    for key in sorted(keys):
+        watches[max(key[1], key[2])].append(key)
+    return watches
+
+
 def _enumerate_backtrack(
-    algebra: FiniteBLAlgebra, cls: str, pin: tuple[int, int] | None
+    algebra: FiniteBLAlgebra,
+    cls: str,
+    watches: list[list[_Instance]],
+    pin: tuple[int, int] | None,
+    stats: EnumerationStats,
 ) -> list[tuple[int, ...]]:
     """One backtracking search; ``pin`` preassigns a single element."""
     n = algebra.size
     meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
+    tables = (meet, join, prod, impl)
     leq = algebra.leq
     neg = algebra.neg_table
     fixpointy = cls != "endomorphism"
@@ -252,31 +312,17 @@ def _enumerate_backtrack(
                 return False
         if not force(neg[e], neg[v], trail):
             return False
+        for l, a, b, k in watches[e]:
+            if not force(l, tables[k][assign[a]][assign[b]], trail):
+                return False
         if fixpointy:
             if not force(v, v, trail):
                 return False
             for u in range(e + 1):
-                su = v if u == e else assign[u]
-                if su is None:
-                    continue
+                su = assign[u]
                 for z in (prod[su][v], impl[su][v], impl[v][su], meet[su][v], join[su][v]):
                     if not force(z, z, trail):
                         return False
-        else:
-            for u in range(e + 1):
-                su = v if u == e else assign[u]
-                for table in (meet, join, prod, impl):
-                    for p, q, sp, sq in ((u, e, su, v), (e, u, v, su)):
-                        r = table[p][q]
-                        val = table[sp][sq]
-                        if r == e:
-                            if v != val:
-                                return False
-                        elif assign[r] is not None:
-                            if assign[r] != val:
-                                return False
-                        elif not force(r, val, trail):
-                            return False
         return True
 
     root_trail: list[int] = []
@@ -289,10 +335,14 @@ def _enumerate_backtrack(
         return []
 
     def descend(e: int) -> None:
+        stats.nodes += 1
         if e == n:
+            stats.leaves += 1
             t = tuple(assign)  # type: ignore[arg-type]
             if satisfies_class(algebra, t, cls):
                 results.append(t)
+            else:
+                stats.rejected += 1
             return
         candidates = (forced[e],) if forced[e] is not None else range(n)
         for v in candidates:
@@ -309,40 +359,59 @@ def _enumerate_backtrack(
 
 
 def enumerate_operator_tables(
-    algebra: FiniteBLAlgebra, cls: str = "state", workers: int = 1
+    algebra: FiniteBLAlgebra,
+    cls: str = "state",
+    workers: int = 1,
+    stats: EnumerationStats | None = None,
 ) -> list[tuple[int, ...]]:
     """All operator tables of the class, in lexicographic order.
 
-    Backtracking assigns images in ascending element order and prunes
-    with consequences that are proved for every operator of the class:
-    bottom and top are fixed, the map is monotone, negations map to
-    negated images, and (for the three state classes) every image value
-    is a fixed point whose pairwise meet/join/prod/impl closure consists
-    of fixed points.  For the endomorphism class the pruner instead
-    propagates partial preservation constraints.  Every leaf is
-    re-checked against the full axiom set.
+    Backtracking assigns images in ascending element order and
+    propagates the class axioms instance by instance.  Each axiom is
+    unrolled once per call into static instances ``s[l] == T[s[a]][s[b]]``
+    (axioms 2 and 3 for ``state``, 2 and 3s for ``strong``, 2 and 6 for
+    ``morphism``, preservation of meet, join, prod and impl for
+    ``endomorphism``).  An instance is watched at ``max(a, b)``: when
+    that element is assigned, ``s[l]`` is checked if already assigned
+    and forced otherwise.  The pruner also uses consequences proved for
+    every operator of the class: bottom and top are fixed, the map is
+    monotone, negations map to negated images, and (for the three state
+    classes) every image value is a fixed point whose pairwise
+    meet/join/prod/impl closure consists of fixed points; that closure
+    covers the value-dependent axioms 4 and 5.  Every leaf is re-checked
+    against the full axiom set.  ``brute_force_operator_tables`` shares
+    none of this machinery and is the deliberately independent
+    cross-check.
 
     With ``workers`` > 1 the search tree is partitioned on the first
     free element's value; partitions are merged back in value order, so
-    the output is identical for every worker count.
+    the output is identical for every worker count.  ``stats``, when
+    given, receives the node, leaf and rejected-leaf counts.
     """
     if cls not in ("state", "strong", "morphism", "endomorphism"):
         raise ValueError(f"unknown operator class {cls!r}")
     n = algebra.size
+    watches = _watch_lists(algebra, cls)
     first_free = next(
         (e for e in range(n) if e not in (algebra.bottom, algebra.top)), None
     )
+    if stats is None:
+        stats = EnumerationStats()
     if workers <= 1 or first_free is None:
-        return _enumerate_backtrack(algebra, cls, None)
+        return _enumerate_backtrack(algebra, cls, watches, None, stats)
     from concurrent.futures import ThreadPoolExecutor
 
+    parts = [EnumerationStats() for _ in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         chunks = pool.map(
-            lambda v: _enumerate_backtrack(algebra, cls, (first_free, v)), range(n)
+            lambda v: _enumerate_backtrack(algebra, cls, watches, (first_free, v), parts[v]),
+            range(n),
         )
-    out: list[tuple[int, ...]] = []
-    for chunk in chunks:
-        out.extend(chunk)
+        out = [t for chunk in chunks for t in chunk]
+    for part in parts:
+        stats.nodes += part.nodes
+        stats.leaves += part.leaves
+        stats.rejected += part.rejected
     return out
 
 

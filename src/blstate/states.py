@@ -48,10 +48,6 @@ def format_fraction(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -312,10 +308,7 @@ def convex_coefficients(
             solved = solve_linear(rows, rhs)
             if solved is None:
                 continue
-            particular, basis = solved
-            if basis:
-                # free directions: try the particular solution only
-                pass
+            particular, _ = solved
             if all(v >= 0 for v in particular):
                 coeffs = [ZERO] * k
                 for j, idx in enumerate(support):

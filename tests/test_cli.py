@@ -72,6 +72,21 @@ def test_enumerate_operators_identity_only(capsys):
     assert lines[1] == "x0->x0, x1->x1, x2->x2, x3->x3"
 
 
+def test_enumerate_operators_stats_leave_stdout_unchanged(capsys):
+    for cls in ("state", "endomorphism"):
+        args = ("enumerate-operators", "godel_chain(4)", "--class", cls)
+        code, plain_out, plain_err = run(capsys, *args)
+        assert code == 0 and plain_err == ""
+        code, out, err = run(capsys, *args, "--stats")
+        assert code == 0
+        assert out == plain_out
+        assert len(err.splitlines()) == 1
+        stats = json.loads(err)
+        assert set(stats) == {"nodes", "leaves", "rejected"}
+        assert stats["leaves"] - stats["rejected"] == int(out.split()[0])
+        assert stats["nodes"] > stats["leaves"]
+
+
 def test_filters_command(capsys):
     code, out, _ = run(capsys, "filters", "example-3-4")
     assert code == 0

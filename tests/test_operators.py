@@ -36,7 +36,7 @@ from blstate.operators import (
     ShapeMismatchError,
 )
 
-from .strategies import linear_algebras
+from .strategies import algebras, linear_algebras
 
 
 def test_verify_example_sigma():
@@ -354,6 +354,45 @@ def test_pruned_matches_brute_for_all_classes_on_shaped():
     a = chain_product_sum(1, (1, 1)).algebra
     for cls in ("state", "strong", "morphism", "endomorphism"):
         assert enumerate_operator_tables(a, cls) == brute_force_operator_tables(a, cls)
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras.filter(lambda a: a.size <= 7))
+def test_pruned_matches_brute_force_on_constructor_algebras(a):
+    for cls in ("state", "strong", "morphism", "endomorphism"):
+        assert enumerate_operator_tables(a, cls) == brute_force_operator_tables(a, cls)
+
+
+LADDER = {
+    "g3xg4": ((godel_chain, 3), (godel_chain, 4)),
+    "mv2xmv2xmv1": ((mv_chain, 2), (mv_chain, 2), (mv_chain, 1)),
+    "s4xs4": ((mv_chain, 4), (mv_chain, 4)),
+    "g3xg3xg3": ((godel_chain, 3),) * 3,
+}
+
+
+def ladder_carrier(rung):
+    factors = [build(n) for build, n in LADDER[rung]]
+    a = factors[0]
+    for b in factors[1:]:
+        a = direct_product(a, b)
+    return a
+
+
+@pytest.mark.parametrize(
+    "rung, states, endos",
+    [("g3xg4", 15, 28), ("mv2xmv2xmv1", 6, 9), ("s4xs4", 3, 4), ("g3xg3xg3", 59, 216)],
+)
+def test_enumeration_ladder_counts(rung, states, endos):
+    a = ladder_carrier(rung)
+    state = enumerate_operator_tables(a, "state")
+    assert len(state) == states
+    assert len(enumerate_operator_tables(a, "endomorphism")) == endos
+    assert state == sorted(state)
+    if rung == "g3xg3xg3":
+        strong = enumerate_operator_tables(a, "strong")
+        morphism = enumerate_operator_tables(a, "morphism")
+        assert set(morphism) <= set(strong) <= set(state)
 
 
 def test_godel_floor_families():
