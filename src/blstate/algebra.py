@@ -156,6 +156,19 @@ class FiniteBLAlgebra:
     bottom: int
     top: int
 
+    # -- hashing -------------------------------------------------------
+
+    # Algebras key the lru caches of the filter and state layers; hashing
+    # the four n x n tables on every lookup costs O(n^2), so the hash is
+    # computed once.  Equality stays structural (the dataclass __eq__).
+    @cached_property
+    def _structural_hash(self) -> int:
+        tables = (self.meet, self.join, self.prod, self.impl)
+        return hash((self.size, self.labels, tables, self.bottom, self.top))
+
+    def __hash__(self) -> int:
+        return self._structural_hash
+
     # -- order ---------------------------------------------------------
 
     @cached_property

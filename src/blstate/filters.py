@@ -36,12 +36,14 @@ def filter_violation(algebra: FiniteBLAlgebra, members: frozenset[int]):
         return "top missing"
     if any(not (0 <= x < algebra.size) for x in members):
         return "element out of range"
+    leq = algebra.leq
     for x in members:
         for y in members:
             if algebra.prod[x][y] not in members:
                 return f"not closed under prod at ({x}, {y})"
+        above = leq[x]
         for y in range(algebra.size):
-            if algebra.le(x, y) and y not in members:
+            if above[y] and y not in members:
                 return f"not upward closed at ({x}, {y})"
     return None
 
@@ -90,6 +92,7 @@ def filter_generated(algebra: FiniteBLAlgebra, seed: Iterable[int]) -> frozenset
         raise ValueError("seed must be nonempty")
     members = set(xs)
     members.add(algebra.top)
+    leq = algebra.leq
     changed = True
     while changed:
         changed = False
@@ -101,8 +104,9 @@ def filter_generated(algebra: FiniteBLAlgebra, seed: Iterable[int]) -> frozenset
                     members.add(p)
                     changed = True
         for x in cur:
+            above = leq[x]
             for y in range(algebra.size):
-                if algebra.le(x, y) and y not in members:
+                if above[y] and y not in members:
                     members.add(y)
                     changed = True
     return frozenset(members)

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import FiniteBLAlgebra, InternalCheckError, verify_bl_axioms
 from .constructors import (
@@ -165,6 +166,31 @@ class StateOperator:
     @property
     def is_faithful(self) -> bool:
         return self.kernel == frozenset({self.algebra.top})
+
+    @cached_property
+    def sealed_image(self) -> tuple[FiniteBLAlgebra, Mapping[int, int], tuple[int, ...]]:
+        """(image, pos, fixed) of ``operator_image``, sealed on first use."""
+        if not self.is_state:
+            raise ValueError("image extraction requires a verified state operator")
+        fixed = self.fixed_points
+        if frozenset(fixed) != frozenset(self.table):
+            raise InternalCheckError("fixed points differ from the raw image")
+        pos = {orig: i for i, orig in enumerate(fixed)}
+        a = self.algebra
+
+        def restrict(table):
+            return [[pos[table[x][y]] for y in fixed] for x in fixed]
+
+        image = verify_bl_axioms(
+            [a.labels[x] for x in fixed],
+            restrict(a.meet),
+            restrict(a.join),
+            restrict(a.prod),
+            restrict(a.impl),
+            pos[a.bottom],
+            pos[a.top],
+        )
+        return image, MappingProxyType(pos), fixed
 
     def __repr__(self) -> str:
         return f"StateOperator({self.verified_class}, {self.table})"
@@ -525,6 +551,7 @@ def state_filter_generated(
     xs = sorted(set(seed))
     if not xs:
         raise ValueError("seed must be nonempty")
+    leq = algebra.leq
 
     gens = {algebra.prod[x][op.table[x]] for x in xs}
     monoid = set(gens)
@@ -539,7 +566,7 @@ def state_filter_generated(
         monoid |= new
         frontier = new
     by_formula = frozenset(
-        y for y in range(algebra.size) if any(algebra.le(m, y) for m in monoid)
+        y for y in range(algebra.size) if any(leq[m][y] for m in monoid)
     )
 
     members = set(xs) | {algebra.top}
@@ -556,8 +583,9 @@ def state_filter_generated(
                     members.add(algebra.prod[x][y])
                     changed = True
         for x in list(members):
+            above = leq[x]
             for y in range(algebra.size):
-                if algebra.le(x, y) and y not in members:
+                if above[y] and y not in members:
                     members.add(y)
                     changed = True
     by_fixpoint = frozenset(members)
@@ -579,8 +607,9 @@ def state_filter_generated_ext(
     g = algebra.prod[a][op.table[a]]
     powers = set(algebra.power_values(g))
     products = {algebra.prod[i][p] for i in members for p in powers}
+    leq = algebra.leq
     by_formula = frozenset(
-        y for y in range(algebra.size) if any(algebra.le(m, y) for m in products)
+        y for y in range(algebra.size) if any(leq[m][y] for m in products)
     )
     by_fixpoint = state_filter_generated(algebra, op, set(members) | {a})
     if by_formula != by_fixpoint:
@@ -629,33 +658,17 @@ def rad_sigma(algebra: FiniteBLAlgebra, op: StateOperator) -> frozenset[int]:
 # image subalgebra and the class-level theorems
 
 
-def operator_image(op: StateOperator) -> tuple[FiniteBLAlgebra, dict[int, int], tuple[int, ...]]:
+def operator_image(
+    op: StateOperator,
+) -> tuple[FiniteBLAlgebra, Mapping[int, int], tuple[int, ...]]:
     """The image subalgebra on the fixed points of a verified operator.
 
     Returns (image algebra, original->image index map, image->original).
-    Fixed points are relabeled in ascending original order.
+    Fixed points are relabeled in ascending original order.  The image
+    is sealed once per operator (``StateOperator.sealed_image``) and the
+    same tuple is returned on every call; its index map is read-only.
     """
-    if not op.is_state:
-        raise ValueError("image extraction requires a verified state operator")
-    fixed = op.fixed_points
-    if frozenset(fixed) != frozenset(op.table):
-        raise InternalCheckError("fixed points differ from the raw image")
-    pos = {orig: i for i, orig in enumerate(fixed)}
-    a = op.algebra
-
-    def restrict(table):
-        return [[pos[table[x][y]] for y in fixed] for x in fixed]
-
-    image = verify_bl_axioms(
-        [a.labels[x] for x in fixed],
-        restrict(a.meet),
-        restrict(a.join),
-        restrict(a.prod),
-        restrict(a.impl),
-        pos[a.bottom],
-        pos[a.top],
-    )
-    return image, pos, fixed
+    return op.sealed_image
 
 
 @dataclass(frozen=True)

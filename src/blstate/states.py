@@ -1,11 +1,16 @@
 """Rational-valued states: verification, extremal states, correspondences.
 
-All arithmetic is exact (`fractions.Fraction`); no floating point is
-used anywhere in this module.
+All arithmetic is exact; no floating point is used anywhere in this
+module.  ``check_state`` converts a candidate map once to integer
+numerators over one shared denominator (the lcm of its denominators)
+and runs every scan on those integers.  ``fractions.Fraction`` is kept
+at the edges: parsing input, ``RationalState`` values, error messages,
+and the linear algebra of the correspondence checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -50,66 +55,74 @@ def format_fraction(v: Fraction) -> str:
 
 # ---------------------------------------------------------------------------
 # verdicts
+#
+# The scans below read a candidate map as integer numerators ``p`` over
+# one shared denominator ``d`` (s(x) = p[x] / d, d > 0), so every test is
+# an exact identity between integers: s(x) == 1 becomes p[x] == d, and
+# 1 - s(x) + s(y) becomes d - p[x] + p[y].
 
 
-def bosbach_witness(algebra: FiniteBLAlgebra, values: Sequence[Fraction]):
+def bosbach_witness(algebra: FiniteBLAlgebra, p: Sequence[int], d: int):
     """First failure of the Bosbach identities, or None."""
-    if values[algebra.bottom] != 0:
+    if p[algebra.bottom] != 0:
         return ("bottom",)
-    if values[algebra.top] != 1:
+    if p[algebra.top] != d:
         return ("top",)
     impl = algebra.impl
     for x, y in iproduct(range(algebra.size), repeat=2):
-        if values[x] + values[impl[x][y]] != values[y] + values[impl[y][x]]:
+        if p[x] + p[impl[x][y]] != p[y] + p[impl[y][x]]:
             return (x, y)
     return None
 
 
-def riecan_witness(algebra: FiniteBLAlgebra, values: Sequence[Fraction]):
+def riecan_witness(algebra: FiniteBLAlgebra, p: Sequence[int], d: int):
     """First failure of additivity on orthogonal pairs, or None.
 
     Normalization: both s(0)=0 and s(1)=1 are required, so that the
     constant-zero map does not qualify and the Bosbach equivalence is
     well posed.
     """
-    if values[algebra.bottom] != 0:
+    if p[algebra.bottom] != 0:
         return ("bottom",)
-    if values[algebra.top] != 1:
+    if p[algebra.top] != d:
         return ("top",)
+    prod, bottom = algebra.prod, algebra.bottom
     for x, y in iproduct(range(algebra.size), repeat=2):
-        if not algebra.orthogonal(x, y):
+        if prod[x][y] != bottom:  # x and y are not orthogonal
             continue
-        if values[algebra.partial_sum(x, y)] != values[x] + values[y]:
+        if p[algebra.partial_sum(x, y)] != p[x] + p[y]:
             return (x, y)
     return None
 
 
-def state_morphism_witness(algebra: FiniteBLAlgebra, values: Sequence[Fraction]):
-    if values[algebra.bottom] != 0:
+def state_morphism_witness(algebra: FiniteBLAlgebra, p: Sequence[int], d: int):
+    if p[algebra.bottom] != 0:
         return ("bottom",)
+    impl = algebra.impl
     for x, y in iproduct(range(algebra.size), repeat=2):
-        expected = min(1 - values[x] + values[y], ONE)
-        if values[algebra.impl[x][y]] != expected:
+        if p[impl[x][y]] != min(d - p[x] + p[y], d):
             return (x, y)
     return None
 
 
-def max_join_witness(algebra: FiniteBLAlgebra, values: Sequence[Fraction]):
+def max_join_witness(algebra: FiniteBLAlgebra, p: Sequence[int]):
+    join = algebra.join
     for x, y in iproduct(range(algebra.size), repeat=2):
-        if values[algebra.join[x][y]] != max(values[x], values[y]):
+        if p[join[x][y]] != max(p[x], p[y]):
             return (x, y)
     return None
 
 
-def luk_mult_witness(algebra: FiniteBLAlgebra, values: Sequence[Fraction]):
+def luk_mult_witness(algebra: FiniteBLAlgebra, p: Sequence[int], d: int):
+    prod = algebra.prod
     for x, y in iproduct(range(algebra.size), repeat=2):
-        if values[algebra.prod[x][y]] != max(values[x] + values[y] - 1, ZERO):
+        if p[prod[x][y]] != max(p[x] + p[y] - d, 0):
             return (x, y)
     return None
 
 
-def kernel_is_maximal_filter(algebra: FiniteBLAlgebra, values: Sequence[Fraction]) -> bool:
-    ker = frozenset(x for x in range(algebra.size) if values[x] == 1)
+def kernel_is_maximal_filter(algebra: FiniteBLAlgebra, p: Sequence[int], d: int) -> bool:
+    ker = frozenset(x for x in range(algebra.size) if p[x] == d)
     return ker in maximal_filters(algebra)
 
 
@@ -139,20 +152,27 @@ class StateVerdict:
 
 
 def check_state(algebra: FiniteBLAlgebra, values: Sequence[Fraction]) -> StateVerdict:
-    """Exhaustive verdict over all pairs; asserts Bosbach iff Riecan."""
+    """Exhaustive verdict over all pairs; asserts Bosbach iff Riecan.
+
+    The values are converted once to integer numerators ``p`` over their
+    least common denominator ``d``; all five scans and the kernel test
+    run on those integers.
+    """
     vals = tuple(Fraction(v) for v in values)
     if len(vals) != algebra.size:
         raise ValueError("wrong number of values")
-    wb = bosbach_witness(algebra, vals)
-    wr = riecan_witness(algebra, vals)
+    d = math.lcm(*(v.denominator for v in vals))
+    p = tuple(v.numerator * (d // v.denominator) for v in vals)
+    wb = bosbach_witness(algebra, p, d)
+    wr = riecan_witness(algebra, p, d)
     if (wb is None) != (wr is None):
         raise InternalCheckError(
             f"Bosbach/Riecan verdicts disagree: bosbach={wb} riecan={wr} values={vals}"
         )
-    wm = state_morphism_witness(algebra, vals)
-    wj = max_join_witness(algebra, vals)
-    wl = luk_mult_witness(algebra, vals)
-    km = kernel_is_maximal_filter(algebra, vals)
+    wm = state_morphism_witness(algebra, p, d)
+    wj = max_join_witness(algebra, p)
+    wl = luk_mult_witness(algebra, p, d)
+    km = kernel_is_maximal_filter(algebra, p, d)
     witnesses = tuple(
         (name, w)
         for name, w in (

@@ -26,6 +26,14 @@ def test_two_element_boolean_verifies():
     assert a.neg(0) == 1 and a.neg(1) == 0
 
 
+def test_equality_and_hash_stay_structural():
+    a, b = mv_chain(3), mv_chain(3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, godel_chain(4)}) == 2
+    renamed = a.relabeled(["z", "y", "x", "w"])
+    assert renamed != a and renamed.same_tables(a)
+
+
 def test_four_element_example_is_bl_but_not_mv():
     a, _sigma = four_element_example()
     flags = classify_variety(a)

@@ -5,6 +5,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings
 
+from blstate.algebra import verify_bl_axioms
 from blstate.constructors import (
     diagonal_operator_table,
     direct_product,
@@ -208,6 +209,32 @@ def test_operator_image_and_classification():
     assert not report.failed()
     # kernel is maximal: positive instance of the simple<->kernel-maximal law
     assert report.ker in maximal_filters(a)
+
+
+def test_operator_image_is_sealed_once(monkeypatch):
+    import blstate.operators as operators
+
+    seals = []
+
+    def counting_verify(*args, **kwargs):
+        seals.append(args[0])
+        return verify_bl_axioms(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "verify_bl_axioms", counting_verify)
+    a, sigma = four_element_example()
+    op = verify_operator(a, sigma)
+    first = operator_image(op)
+    assert operator_image(op) is first and operator_image(op) is first
+    assert len(seals) == 1
+    image, pos, fixed = first
+    assert dict(pos) == {0: 0, 1: 1, 3: 2}
+    with pytest.raises(TypeError):
+        pos[2] = 0
+    not_state = verify_operator(a, [a.top] * a.size)
+    assert not not_state.is_state
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            operator_image(not_state)
 
 
 def test_identity_on_product_is_not_simple():

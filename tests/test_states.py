@@ -4,7 +4,9 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from blstate.algebra import InternalCheckError
 from blstate.constructors import (
     diagonal_operator_table,
     direct_product,
@@ -12,10 +14,12 @@ from blstate.constructors import (
     godel_chain,
     mv_chain,
 )
+from blstate.filters import maximal_filters
 from blstate.operators import identity_table, verify_operator
 from blstate.states import (
     NotAStateError,
     RationalState,
+    StateVerdict,
     bosbach_solution_space,
     check_state,
     convex_coefficients,
@@ -28,6 +32,8 @@ from blstate.states import (
     solve_linear,
     state_to_image,
 )
+
+from .strategies import algebras
 
 F = Fraction
 
@@ -203,3 +209,116 @@ def test_random_extremal_mixtures_stay_in_the_hull(corpus):
             mixed = mix_states(ext, weights)
             assert check_state(a, mixed.values).bosbach
             assert convex_coefficients(points, mixed.values) is not None
+
+
+# ---------------------------------------------------------------------------
+# check_state against a Fraction reference written from the definitions
+
+
+def _first_pair(algebra, holds):
+    for x, y in iproduct(range(algebra.size), repeat=2):
+        if not holds(x, y):
+            return (x, y)
+    return None
+
+
+def reference_check_state(algebra, values) -> StateVerdict:
+    """The five scans and the kernel test on Fractions, as the definitions read."""
+    s = tuple(F(v) for v in values)
+    assert len(s) == algebra.size
+    impl, join, prod = algebra.impl, algebra.join, algebra.prod
+
+    def pinned(both):
+        if s[algebra.bottom] != 0:
+            return ("bottom",)
+        if both and s[algebra.top] != 1:
+            return ("top",)
+        return None
+
+    wb = pinned(True) or _first_pair(
+        algebra, lambda x, y: s[x] + s[impl[x][y]] == s[y] + s[impl[y][x]]
+    )
+    wr = pinned(True) or _first_pair(
+        algebra,
+        lambda x, y: not algebra.orthogonal(x, y)
+        or s[algebra.partial_sum(x, y)] == s[x] + s[y],
+    )
+    if (wb is None) != (wr is None):
+        raise InternalCheckError("Bosbach/Riecan verdicts disagree")
+    wm = pinned(False) or _first_pair(
+        algebra, lambda x, y: s[impl[x][y]] == min(1 - s[x] + s[y], F(1))
+    )
+    wj = _first_pair(algebra, lambda x, y: s[join[x][y]] == max(s[x], s[y]))
+    wl = _first_pair(algebra, lambda x, y: s[prod[x][y]] == max(s[x] + s[y] - 1, F(0)))
+    kernel = frozenset(x for x in range(algebra.size) if s[x] == 1)
+    named = (
+        ("bosbach", wb),
+        ("riecan", wr),
+        ("state_morphism", wm),
+        ("max_join", wj),
+        ("luk_mult", wl),
+    )
+    return StateVerdict(
+        bosbach=wb is None,
+        riecan=wr is None,
+        state_morphism=wm is None,
+        max_join=wj is None,
+        luk_mult=wl is None,
+        kernel_maximal=kernel in maximal_filters(algebra),
+        witnesses=tuple((name, w) for name, w in named if w is not None),
+    )
+
+
+def _outcome(check, algebra, values):
+    try:
+        return check(algebra, values)
+    except InternalCheckError:
+        return InternalCheckError
+
+
+def assert_matches_reference(algebra, values):
+    assert _outcome(check_state, algebra, values) == _outcome(
+        reference_check_state, algebra, values
+    )
+
+
+_fractions = st.integers(1, 12).flatmap(
+    lambda den: st.integers(-den, 2 * den).map(lambda num: F(num, den))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_check_state_matches_fraction_reference(data):
+    """Random rationals (mixed denominators, outside [0, 1], s(0) and s(1)
+    pinned or not) and mixtures of extremal states get the reference's
+    verdict, witnesses included."""
+    a = data.draw(algebras)
+    kind = data.draw(st.sampled_from(["random", "pinned", "mixture"]))
+    if kind == "mixture" and a.size >= 2:
+        ext = extremal_states(a)
+        raw = data.draw(st.lists(st.integers(0, 6), min_size=len(ext), max_size=len(ext)))
+        if sum(raw) == 0:
+            raw[0] = 1
+        values = list(mix_states(ext, [F(w, sum(raw)) for w in raw]).values)
+        if data.draw(st.booleans()):  # nudge one value off the state
+            x = data.draw(st.integers(0, a.size - 1))
+            values[x] += data.draw(_fractions)
+    else:
+        values = data.draw(st.lists(_fractions, min_size=a.size, max_size=a.size))
+        if kind == "pinned":
+            values[a.bottom], values[a.top] = F(0), F(1)
+    assert_matches_reference(a, values)
+
+
+def test_check_state_matches_reference_on_corpus_states(corpus):
+    """Extremal states and their uniform mixture on every default-corpus instance."""
+    for inst in corpus:
+        a = inst.algebra
+        if a.size < 2:
+            continue
+        ext = extremal_states(a)
+        candidates = [s.values for s in ext]
+        candidates.append(mix_states(ext, [F(1, len(ext))] * len(ext)).values)
+        for values in candidates:
+            assert_matches_reference(a, values)
