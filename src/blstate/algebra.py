@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
@@ -76,6 +76,26 @@ def _check_shape(labels, tables: dict[str, Table], bottom: int, top: int) -> Non
         raise ValueError("bottom/top out of range")
 
 
+def memoized(fn):
+    """Memoize ``fn(obj, *args)`` in ``obj.__dict__``, keyed by ``args``.
+
+    The values are freed together with ``obj``.  A call that raises
+    stores nothing.  Threads racing on a first call may each compute,
+    but every caller gets the first value stored.
+    """
+
+    @wraps(fn)
+    def wrapper(obj, *args):
+        memo = obj.__dict__.setdefault("_memo", {})
+        key = (fn, *args)
+        try:
+            return memo[key]
+        except KeyError:
+            return memo.setdefault(key, fn(obj, *args))
+
+    return wrapper
+
+
 def find_axiom_violation(
     meet: Table, join: Table, prod: Table, impl: Table, bottom: int, top: int
 ) -> AxiomViolation | None:
@@ -125,12 +145,10 @@ def find_axiom_violation(
         if prod[a][top] != a:
             return AxiomViolation("monoid", (a,), "top is not the monoid unit")
 
-    def le(x: int, y: int) -> bool:
-        return meet[x][y] == x
-
     # adjointness: c <= impl(a,b)  iff  prod(a,c) <= b
     for a, b, c in iproduct(rng, rng, rng):
-        if le(c, impl[a][b]) != le(prod[a][c], b):
+        p = prod[a][c]
+        if (meet[c][impl[a][b]] == c) != (meet[p][b] == p):
             return AxiomViolation("adjointness", (a, b, c))
 
     for a, b in iproduct(rng, rng):
@@ -155,19 +173,6 @@ class FiniteBLAlgebra:
     impl: Table
     bottom: int
     top: int
-
-    # -- hashing -------------------------------------------------------
-
-    # Algebras key the lru caches of the filter and state layers; hashing
-    # the four n x n tables on every lookup costs O(n^2), so the hash is
-    # computed once.  Equality stays structural (the dataclass __eq__).
-    @cached_property
-    def _structural_hash(self) -> int:
-        tables = (self.meet, self.join, self.prod, self.impl)
-        return hash((self.size, self.labels, tables, self.bottom, self.top))
-
-    def __hash__(self) -> int:
-        return self._structural_hash
 
     # -- order ---------------------------------------------------------
 

@@ -14,6 +14,7 @@ from .algebra import (
     FiniteBLAlgebra,
     InternalCheckError,
     Table,
+    memoized,
     verify_bl_axioms,
 )
 
@@ -243,11 +244,17 @@ def quotient_by_filter(
 
     Returns the quotient algebra and the projection table.  Classes are
     numbered by ascending smallest representative.  x/F = 1/F iff x in F
-    (cross-checked).  Raises ``NotAFilterError`` for a malformed F.
+    (cross-checked).  Raises ``NotAFilterError`` for a malformed F.  The
+    quotient is sealed once per (algebra, F) and memoized on the
+    algebra, so later calls return the same tuple.
     """
+    return _sealed_quotient(algebra, frozenset(members))
+
+
+@memoized
+def _sealed_quotient(algebra: FiniteBLAlgebra, f: frozenset[int]):
     from .filters import filter_violation  # local import to avoid a cycle
 
-    f = frozenset(members)
     bad = filter_violation(algebra, f)
     if bad is not None:
         raise NotAFilterError(bad)
@@ -295,6 +302,19 @@ class Homomorphism:
     table: tuple[int, ...]
 
 
+def preservation_witness(
+    t: Sequence[int], source_table: Table, target_table: Table
+) -> tuple[int, int] | None:
+    """First pair (x, y), lexicographic, where ``t`` fails to carry the
+    operation ``source_table`` to ``target_table``, or None."""
+    for x, row in enumerate(source_table):
+        tx = target_table[t[x]]
+        for y, v in enumerate(row):
+            if t[v] != tx[t[y]]:
+                return (x, y)
+    return None
+
+
 def homomorphism(
     source: FiniteBLAlgebra, target: FiniteBLAlgebra, table: Sequence[int]
 ) -> Homomorphism:
@@ -311,9 +331,9 @@ def homomorphism(
         ("impl", source.impl, target.impl),
     ]
     for name, ts, tt in pairs:
-        for x, y in iproduct(range(source.size), repeat=2):
-            if t[ts[x][y]] != tt[t[x]][t[y]]:
-                raise NotAHomomorphismError(f"{name} not preserved at ({x}, {y})")
+        w = preservation_witness(t, ts, tt)
+        if w is not None:
+            raise NotAHomomorphismError(f"{name} not preserved at ({w[0]}, {w[1]})")
     return Homomorphism(source, target, t)
 
 

@@ -2,20 +2,22 @@
 
 Filters are plain ``frozenset[int]`` values over a sealed algebra's
 carrier.  Deterministic orderings sort by (size, bit pattern) where the
-bit pattern treats element ``i`` as bit ``i``.
+bit pattern treats element ``i`` as bit ``i``.  Derived filter data is
+memoized on the algebra (``algebra.memoized``) and freed with it.
+
+Two pairs of routes are kept on purpose as independent cross-checks
+that must agree: the radical as an intersection of maximal filters vs
+the co-infinitesimal formula (``radical_by_formula``), and maximality
+by inclusion vs the power criterion (``is_maximal_by_power_criterion``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as iproduct
+from itertools import compress, product as iproduct
 from typing import Iterable, Sequence
 
-from .algebra import FiniteBLAlgebra, INFINITE_ORDER, InternalCheckError
-
-Filter = frozenset
-
+from .algebra import FiniteBLAlgebra, INFINITE_ORDER, InternalCheckError, memoized
 
 def subset_mask(members: Iterable[int]) -> int:
     m = 0
@@ -48,81 +50,59 @@ def filter_violation(algebra: FiniteBLAlgebra, members: frozenset[int]):
     return None
 
 
-def is_filter(algebra: FiniteBLAlgebra, members: frozenset[int]) -> bool:
-    return filter_violation(algebra, members) is None
-
-
-def _filters_by_subset_scan(algebra: FiniteBLAlgebra) -> list[frozenset[int]]:
-    n = algebra.size
-    top_bit = 1 << algebra.top
-    found = []
-    for mask in range(1 << n):
-        if not mask & top_bit:
-            continue
-        members = frozenset(i for i in range(n) if mask >> i & 1)
-        if is_filter(algebra, members):
-            found.append(members)
-    return found
-
-
-def _filters_by_idempotents(algebra: FiniteBLAlgebra) -> list[frozenset[int]]:
-    # in a finite BL-algebra every filter is the upset of an idempotent
-    return sorted({algebra.upset(a) for a in algebra.idempotents}, key=filter_sort_key)
-
-
-@lru_cache(maxsize=None)
+@memoized
 def all_filters(algebra: FiniteBLAlgebra) -> tuple[frozenset[int], ...]:
     """Every filter, ordered by size then bit pattern.
 
-    Uses the exhaustive subset scan for carriers of at most 16 elements
-    and the idempotent-upset construction beyond that; the two routes
-    are cross-checked by the test suite for small carriers.
+    In a finite BL-algebra a filter contains the meet m of its members,
+    m * m lies in it and below m, so m is idempotent and the filter is
+    the upset of m; conversely the upset of an idempotent is a filter.
+    The filters are therefore the upsets of the idempotents.  The test
+    suite checks this against an exhaustive subset scan.
     """
-    if algebra.size <= 16:
-        found = _filters_by_subset_scan(algebra)
-    else:
-        found = _filters_by_idempotents(algebra)
-    return tuple(sorted(found, key=filter_sort_key))
+    return tuple(
+        sorted({algebra.upset(a) for a in algebra.idempotents}, key=filter_sort_key)
+    )
 
 
 def filter_generated(algebra: FiniteBLAlgebra, seed: Iterable[int]) -> frozenset[int]:
-    """Least filter containing ``seed``: up-closure of finite products."""
-    xs = set(seed)
-    if not xs:
+    """Least filter containing ``seed``: up-closure of finite products.
+
+    A worklist closure: each member is taken up once, multiplied with
+    the members found so far (itself included) and joined by its upset;
+    a pair of members is covered when the later of the two is taken up.
+    """
+    members = set(seed)
+    if not members:
         raise ValueError("seed must be nonempty")
-    members = set(xs)
     members.add(algebra.top)
-    leq = algebra.leq
-    changed = True
-    while changed:
-        changed = False
-        cur = list(members)
-        for x in cur:
-            for y in cur:
-                p = algebra.prod[x][y]
-                if p not in members:
-                    members.add(p)
-                    changed = True
-        for x in cur:
-            above = leq[x]
-            for y in range(algebra.size):
-                if above[y] and y not in members:
-                    members.add(y)
-                    changed = True
+    prod, leq, rng = algebra.prod, algebra.leq, range(algebra.size)
+    work = list(members)
+    while work:
+        x = work.pop()
+        new = set(map(prod[x].__getitem__, members))
+        new.update(compress(rng, leq[x]))
+        new -= members
+        members |= new
+        work += new
     return frozenset(members)
+
+
+def has_power_negation_in(algebra: FiniteBLAlgebra, members: frozenset[int], y: int) -> bool:
+    """Whether (y^n)- lies in ``members`` for some n >= 1."""
+    neg = algebra.neg_table
+    return any(neg[p] in members for p in algebra.power_values(y))
 
 
 def is_maximal_by_power_criterion(algebra: FiniteBLAlgebra, members: frozenset[int]) -> bool:
     """x not in F implies (x^n)- in F for some n, for every element x."""
-    for x in range(algebra.size):
-        if x in members:
-            continue
-        if not any(algebra.neg(p) in members for p in algebra.power_values(x)):
-            return False
-    return True
+    return all(
+        x in members or has_power_negation_in(algebra, members, x)
+        for x in range(algebra.size)
+    )
 
 
-@lru_cache(maxsize=None)
+@memoized
 def maximal_filters(algebra: FiniteBLAlgebra) -> tuple[frozenset[int], ...]:
     """Maximal proper filters, with the power-criterion cross-check."""
     everything = frozenset(range(algebra.size))
@@ -148,7 +128,7 @@ def radical_by_formula(algebra: FiniteBLAlgebra) -> frozenset[int]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def radical(algebra: FiniteBLAlgebra) -> frozenset[int]:
     """Intersection of maximal filters, cross-checked against the
     co-infinitesimal formula."""
@@ -168,15 +148,12 @@ def radical(algebra: FiniteBLAlgebra) -> frozenset[int]:
 def is_primary(algebra: FiniteBLAlgebra, members: frozenset[int]) -> bool:
     """(a*b)- in P implies (a^n)- in P or (b^n)- in P for some n."""
     n = algebra.size
-    for a, b in iproduct(range(n), range(n)):
-        if algebra.neg(algebra.prod[a][b]) not in members:
-            continue
-        ok = any(algebra.neg(p) in members for p in algebra.power_values(a)) or any(
-            algebra.neg(p) in members for p in algebra.power_values(b)
-        )
-        if not ok:
-            return False
-    return True
+    return all(
+        algebra.neg(algebra.prod[a][b]) not in members
+        or has_power_negation_in(algebra, members, a)
+        or has_power_negation_in(algebra, members, b)
+        for a, b in iproduct(range(n), range(n))
+    )
 
 
 @dataclass(frozen=True)
@@ -266,7 +243,7 @@ def classify_algebra(algebra: FiniteBLAlgebra) -> AlgebraClassification:
     )
 
 
-@lru_cache(maxsize=None)
+@memoized
 def state_filters(
     algebra: FiniteBLAlgebra, sigma: tuple[int, ...]
 ) -> tuple[frozenset[int], ...]:

@@ -7,9 +7,13 @@ finds every operator of a class by backtracking that propagates the
 class's axioms instance by instance: each equational axiom is unrolled
 into static instances ``s[l] == T[s[a]][s[b]]``, and an instance checks
 or forces ``s[l]`` as soon as ``s[a]`` and ``s[b]`` are assigned.
-``brute_force_operator_tables`` is the unpruned, vectorized oracle; it
-shares none of the enumerator's machinery and is kept as the
-deliberately independent cross-check.
+
+Three pairs of routes are kept on purpose as independent cross-checks
+that must agree: the pruned enumerator vs ``brute_force_operator_tables``
+(an unpruned, vectorized oracle sharing none of its machinery), the
+state-filter closure formula vs the fixpoint of ``filter_generated`` and
+sigma-images, and maximal state-filters by inclusion vs the power
+criterion on sigma-images.
 """
 
 from __future__ import annotations
@@ -26,9 +30,12 @@ from .constructors import (
     mv_chain,
     ordinal_sum,
     ordinal_summand_slices,
+    preservation_witness,
 )
 from .filters import (
+    filter_generated,
     filter_violation,
+    has_power_negation_in,
     maximal_filters,
     radical,
     state_filters,
@@ -112,11 +119,10 @@ def is_endomorphism(algebra: FiniteBLAlgebra, table: Sequence[int]) -> bool:
     s = table
     if s[algebra.bottom] != algebra.bottom or s[algebra.top] != algebra.top:
         return False
-    for t in (algebra.meet, algebra.join, algebra.prod, algebra.impl):
-        for x, y in iproduct(range(algebra.size), repeat=2):
-            if s[t[x][y]] != t[s[x]][s[y]]:
-                return False
-    return True
+    return all(
+        preservation_witness(s, t, t) is None
+        for t in (algebra.meet, algebra.join, algebra.prod, algebra.impl)
+    )
 
 
 @dataclass(frozen=True)
@@ -545,8 +551,8 @@ def state_filter_generated(
 
     Computed twice: by the closure formula (upset of the submonoid
     generated by the elements x * sigma(x), x in seed) and by a plain
-    fixpoint closure under sigma-images, products and upsets.  The two
-    must agree.
+    fixpoint that alternates ``filter_generated`` with adding
+    sigma-images until nothing new appears.  The two must agree.
     """
     xs = sorted(set(seed))
     if not xs:
@@ -569,26 +575,12 @@ def state_filter_generated(
         y for y in range(algebra.size) if any(leq[m][y] for m in monoid)
     )
 
-    members = set(xs) | {algebra.top}
-    changed = True
-    while changed:
-        changed = False
-        for x in list(members):
-            if op.table[x] not in members:
-                members.add(op.table[x])
-                changed = True
-        for x in list(members):
-            for y in list(members):
-                if algebra.prod[x][y] not in members:
-                    members.add(algebra.prod[x][y])
-                    changed = True
-        for x in list(members):
-            above = leq[x]
-            for y in range(algebra.size):
-                if above[y] and y not in members:
-                    members.add(y)
-                    changed = True
-    by_fixpoint = frozenset(members)
+    by_fixpoint = filter_generated(algebra, xs)
+    while True:
+        images = {op.table[x] for x in by_fixpoint} - by_fixpoint
+        if not images:
+            break
+        by_fixpoint = filter_generated(algebra, by_fixpoint | images)
 
     if by_formula != by_fixpoint:
         raise InternalCheckError(
@@ -621,14 +613,10 @@ def maximal_state_filter_criterion(
     algebra: FiniteBLAlgebra, op: StateOperator, members: frozenset[int]
 ) -> bool:
     """For every a outside F some power of sigma(a) has its negation in F."""
-    for a in range(algebra.size):
-        if a in members:
-            continue
-        if not any(
-            algebra.neg(p) in members for p in algebra.power_values(op.table[a])
-        ):
-            return False
-    return True
+    return all(
+        a in members or has_power_negation_in(algebra, members, op.table[a])
+        for a in range(algebra.size)
+    )
 
 
 def maximal_state_filters(

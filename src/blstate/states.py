@@ -6,6 +6,11 @@ numerators over one shared denominator (the lcm of its denominators)
 and runs every scan on those integers.  ``fractions.Fraction`` is kept
 at the edges: parsing input, ``RationalState`` values, error messages,
 and the linear algebra of the correspondence checks.
+
+The Bosbach and Riecan scans are kept on purpose as two independent
+routes to "is a state" and must agree on every map; likewise the four
+extremality criteria (state-morphism, max-join, Lukasiewicz product,
+maximal kernel) must agree on every state.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Sequence
 
-from .algebra import FiniteBLAlgebra, InternalCheckError
+from .algebra import FiniteBLAlgebra, InternalCheckError, memoized
 from .constructors import quotient_by_filter
 from .filters import maximal_filters
 from .operators import StateOperator, operator_image
@@ -199,13 +204,15 @@ def check_state(algebra: FiniteBLAlgebra, values: Sequence[Fraction]) -> StateVe
 # extremal states via maximal-filter quotients
 
 
-def extremal_states(algebra: FiniteBLAlgebra) -> list[RationalState]:
+@memoized
+def extremal_states(algebra: FiniteBLAlgebra) -> tuple[RationalState, ...]:
     """One extremal state per maximal filter, in filter order.
 
     The quotient by a maximal filter is simple, hence a linear chain;
     ranking its elements embeds it into the rationals as i/k.  Each
     resulting state is cross-checked to pass all extremality criteria,
-    and distinct filters must give distinct states.
+    and distinct filters must give distinct states.  The tuple is
+    memoized on the algebra.
     """
     if algebra.size < 2:
         raise ValueError("need at least two elements")
@@ -225,7 +232,7 @@ def extremal_states(algebra: FiniteBLAlgebra) -> list[RationalState]:
         if any(st.values == other.values for other in out):
             raise InternalCheckError("distinct maximal filters produced equal states")
         out.append(st)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +464,7 @@ def sigma_compatible_correspondence(
         if others and convex_coefficients(others, tuple(pulled[i].values)) is not None:
             independent = False
     return CorrespondenceReport(
-        image_extremal=tuple(image_ext),
+        image_extremal=image_ext,
         compatible_extremal=tuple(pulled),
         round_trip_ok=round_trip,
         affine_ok=affine_ok,

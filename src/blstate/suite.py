@@ -13,13 +13,12 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iproduct
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
-from .algebra import FiniteBLAlgebra, INFINITE_ORDER, InternalCheckError
-from .constructors import quotient_by_filter, swap_table
+from .algebra import FiniteBLAlgebra, INFINITE_ORDER, InternalCheckError, memoized
+from .constructors import preservation_witness, quotient_by_filter, swap_table
 from .corpus import CorpusInstance
 from .filters import (
     all_filters,
@@ -103,9 +102,9 @@ class SuiteReport:
 # helpers
 
 
-@lru_cache(maxsize=None)
-def _state_classification(algebra: FiniteBLAlgebra, op: StateOperator):
-    return classify_state_algebra(algebra, op)
+@memoized
+def _state_classification(op: StateOperator):
+    return classify_state_algebra(op.algebra, op)
 
 
 def _lbl(algebra: FiniteBLAlgebra, x: int) -> str:
@@ -557,26 +556,20 @@ def _l310_1(a, op):
     return None
 
 
-def _preserves(a, t, table) -> bool:
-    return all(
-        t[table[x][y]] == table[t[x]][t[y]]
-        for x, y in iproduct(range(a.size), repeat=2)
-    )
-
-
 def _l310_2(a, op):
-    pres_impl = _preserves(a, op.table, a.impl)
-    pres_join = _preserves(a, op.table, a.join)
+    pres_impl = preservation_witness(op.table, a.impl, a.impl) is None
+    pres_join = preservation_witness(op.table, a.join, a.join) is None
     if pres_impl != pres_join:
         return f"global impl/join equivalence: impl={pres_impl} join={pres_join}"
     return None
 
 
 def _l310_3(a, op):
-    if _preserves(a, op.table, a.impl):
-        if not _preserves(a, op.table, a.prod):
+    t = op.table
+    if preservation_witness(t, a.impl, a.impl) is None:
+        if preservation_witness(t, a.prod, a.prod) is not None:
             return "impl-preserving but not prod-preserving"
-        if not (_preserves(a, op.table, a.meet) and _preserves(a, op.table, a.join)):
+        if any(preservation_witness(t, tb, tb) is not None for tb in (a.meet, a.join)):
             return "impl-preserving but not an endomorphism"
     return None
 
@@ -584,9 +577,9 @@ def _l310_3(a, op):
 def _lemma_3_11(inst):
     a = inst.algebra
     for name, op in _pool(inst):
-        if not _preserves(a, op.table, a.impl):
+        if preservation_witness(op.table, a.impl, a.impl) is not None:
             return CheckResult(FAIL, f"{name}: does not preserve impl on a chain")
-        if op.is_strong and not _preserves(a, op.table, a.prod):
+        if op.is_strong and preservation_witness(op.table, a.prod, a.prod) is not None:
             return CheckResult(FAIL, f"{name}: strong but does not preserve prod")
     return CheckResult(PASS)
 
@@ -707,7 +700,7 @@ def _prop_4_9(inst):
     for name, op in _ops_for_structure(inst):
         if not op.is_state:
             continue
-        if not _preserves(a, op.table, a.prod) or not _preserves(a, op.table, a.impl):
+        if any(preservation_witness(op.table, tb, tb) is not None for tb in (a.prod, a.impl)):
             return CheckResult(FAIL, f"{name}: not an endomorphism on a chain")
         if any(op.table[op.table[x]] != op.table[x] for x in range(a.size)):
             return CheckResult(FAIL, f"{name}: not idempotent")
@@ -724,7 +717,7 @@ def _prop_4_10(inst):
     a = inst.algebra
     for name, op in _pool(inst):
         for table in (a.meet, a.join, a.prod, a.impl):
-            if not _preserves(a, op.table, table):
+            if preservation_witness(op.table, table, table) is not None:
                 return CheckResult(FAIL, f"{name}: not an endomorphism on x^2=x carrier")
     return CheckResult(PASS)
 
@@ -835,7 +828,7 @@ def _check_named(inst, names, min_class="state", require=None):
     for op_name, op in _pool(inst, min_class):
         if require is not None and not require(op):
             continue
-        cls = _state_classification(inst.algebra, op)
+        cls = _state_classification(op)
         for outcome in cls.checks:
             if outcome.claim in names:
                 if outcome.holds is False:
@@ -858,12 +851,9 @@ def _prop_5_8(inst):
     for name, op in _pool(inst):
         for f in maximal_state_filters(a, op):
             quotient, proj = quotient_by_filter(a, f)
+            coinfinitesimal = radical_by_formula(quotient)
             for elem in range(a.size):
-                q = proj[op.table[elem]]
-                coinf = all(
-                    quotient.le(quotient.neg(p), q) for p in quotient.power_values(q)
-                )
-                if coinf and op.table[elem] not in f:
+                if proj[op.table[elem]] in coinfinitesimal and op.table[elem] not in f:
                     return CheckResult(
                         FAIL, f"{name}: co-infinitesimal image outside {sorted(f)}"
                     )
@@ -982,7 +972,7 @@ def _thm_7_8(inst):
         inst,
         {"local-iff-image-local"},
         "morphism",
-        require=lambda op: _state_classification(inst.algebra, op).radical_faithful,
+        require=lambda op: _state_classification(op).radical_faithful,
     )
 
 
@@ -991,7 +981,7 @@ def _thm_7_9(inst):
         inst,
         {"simple-iff-local-and-kernel-radical"},
         "morphism",
-        require=lambda op: _state_classification(inst.algebra, op).radical_faithful,
+        require=lambda op: _state_classification(op).radical_faithful,
     )
 
 

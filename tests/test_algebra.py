@@ -1,6 +1,9 @@
 """Core algebra: axioms, residuation, derived operations, variety flags."""
 
+import threading
+import time
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from blstate.algebra import (
     NoResiduumError,
     classify_variety,
     find_axiom_violation,
+    memoized,
     residuum_from_monoid,
     verify_bl_axioms,
 )
@@ -32,6 +36,35 @@ def test_equality_and_hash_stay_structural():
     assert len({a, b, godel_chain(4)}) == 2
     renamed = a.relabeled(["z", "y", "x", "w"])
     assert renamed != a and renamed.same_tables(a)
+
+
+def test_memoized_stores_values_not_exceptions_and_one_value_per_race():
+    calls = []
+
+    @memoized
+    def fresh(owner, key):
+        calls.append(key)
+        time.sleep(0.01)  # every racing thread starts computing before any stores
+        if key < 0:
+            raise ValueError(key)
+        return object()
+
+    owner = SimpleNamespace()
+    got = []
+    threads = [
+        threading.Thread(target=lambda: got.append(fresh(owner, 1))) for _ in range(4)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 and all(g is got[0] for g in got)
+    assert fresh(owner, 1) is got[0] and fresh(owner, 2) is not got[0]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fresh(owner, -1)
+    assert calls.count(-1) == 2
 
 
 def test_four_element_example_is_bl_but_not_mv():

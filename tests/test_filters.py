@@ -1,4 +1,8 @@
 """Filters, radical, classification predicates, subdirect irreducibility."""
+import gc
+import weakref
+
+import pytest
 from hypothesis import given, settings
 
 from blstate.algebra import INFINITE_ORDER
@@ -11,8 +15,6 @@ from blstate.constructors import (
     quotient_by_filter,
 )
 from blstate.filters import (
-    _filters_by_idempotents,
-    _filters_by_subset_scan,
     all_filters,
     classify_algebra,
     filter_generated,
@@ -26,6 +28,7 @@ from blstate.filters import (
 )
 from blstate.operators import identity_table, verify_operator
 from blstate.constructors import diagonal_operator_table
+from blstate.states import extremal_states
 
 from .strategies import algebras
 
@@ -60,9 +63,38 @@ def test_filters_of_two_element_algebra():
 def test_subset_scan_equals_idempotent_route(a):
     if a.size > 12:
         return
-    assert sorted(_filters_by_subset_scan(a), key=filter_sort_key) == list(
-        _filters_by_idempotents(a)
-    )
+    assert list(all_filters(a)) == brute_force_filters(a)
+
+
+def test_idempotent_route_on_corpus_carriers(corpus):
+    small = [inst.algebra for inst in corpus if inst.algebra.size <= 16]
+    assert small
+    for a in small:
+        assert list(all_filters(a)) == brute_force_filters(a)
+
+
+def test_derived_structure_dies_with_its_algebra():
+    a = direct_product(mv_chain(2), godel_chain(3))
+    all_filters(a)
+    radical(a)
+    quotient_by_filter(a, maximal_filters(a)[0])
+    extremal_states(a)
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+
+
+def test_quotients_and_extremal_states_are_built_once():
+    a = direct_product(mv_chain(2), godel_chain(3))
+    for f in all_filters(a):
+        assert quotient_by_filter(a, f) is quotient_by_filter(a, set(f))
+    assert extremal_states(a) is extremal_states(a)
+    assert isinstance(extremal_states(a), tuple)
+    one, _ = quotient_by_filter(a, frozenset(range(a.size)))
+    for _ in range(2):  # the error is raised again, not remembered
+        with pytest.raises(ValueError):
+            extremal_states(one)
 
 
 def test_filter_generated():
