@@ -47,10 +47,8 @@ from .operators import (
     enumerate_state_operators,
     interval_collapse_table,
     kernel_and_faithfulness,
-    maximal_state_filters,
     mv_equivalence_check,
     operator_image,
-    rad_sigma,
     sigma_j_table,
     state_filter_generated,
     verify_operator,

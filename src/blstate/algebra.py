@@ -354,6 +354,7 @@ class VarietyFlags:
         return None
 
 
+@memoized
 def classify_variety(algebra: FiniteBLAlgebra) -> VarietyFlags:
     """Check x--=x, x^2=x, linearity and x->(x*y) = -x v y pointwise."""
     n = algebra.size

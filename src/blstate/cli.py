@@ -237,8 +237,7 @@ def _cmd_search_nonstrong(args) -> int:
         f" {len(candidates)} candidate(s) that are state but not strong"
     )
     for t in candidates:
-        op = verify_operator(algebra, t)
-        ax, w = next((pair for pair in op.witnesses if pair[0] == "3s"))
+        w = verify_operator(algebra, t).witness_for("3s")
         print(f"candidate (not a proof): {_fmt_map(algebra, t)}; strong axiom fails at {w}")
     return 0
 

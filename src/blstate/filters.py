@@ -5,10 +5,17 @@ carrier.  Deterministic orderings sort by (size, bit pattern) where the
 bit pattern treats element ``i`` as bit ``i``.  Derived filter data is
 memoized on the algebra (``algebra.memoized``) and freed with it.
 
+A state-filter of (A, sigma) is a filter closed under the operator
+table sigma (``state_filters``); with sigma the identity it is just a
+filter.  So one implementation serves both: ``maximal_filters``,
+``is_maximal_by_power_criterion`` and ``radical`` take an optional
+table ``sigma``, and omitting it means the identity.
+
 Two pairs of routes are kept on purpose as independent cross-checks
 that must agree: the radical as an intersection of maximal filters vs
-the co-infinitesimal formula (``radical_by_formula``), and maximality
-by inclusion vs the power criterion (``is_maximal_by_power_criterion``).
+the co-infinitesimal formula (``radical_by_formula``, plain radical
+only), and maximality by inclusion vs the power criterion
+(``is_maximal_by_power_criterion``, on sigma-images for state-filters).
 """
 
 from __future__ import annotations
@@ -65,6 +72,16 @@ def all_filters(algebra: FiniteBLAlgebra) -> tuple[frozenset[int], ...]:
     )
 
 
+@memoized
+def state_filters(
+    algebra: FiniteBLAlgebra, sigma: tuple[int, ...]
+) -> tuple[frozenset[int], ...]:
+    """Filters closed under the operator table ``sigma``."""
+    return tuple(
+        f for f in all_filters(algebra) if all(sigma[x] in f for x in f)
+    )
+
+
 def filter_generated(algebra: FiniteBLAlgebra, seed: Iterable[int]) -> frozenset[int]:
     """Least filter containing ``seed``: up-closure of finite products.
 
@@ -94,25 +111,36 @@ def has_power_negation_in(algebra: FiniteBLAlgebra, members: frozenset[int], y: 
     return any(neg[p] in members for p in algebra.power_values(y))
 
 
-def is_maximal_by_power_criterion(algebra: FiniteBLAlgebra, members: frozenset[int]) -> bool:
-    """x not in F implies (x^n)- in F for some n, for every element x."""
+def is_maximal_by_power_criterion(
+    algebra: FiniteBLAlgebra, members: frozenset[int], sigma: tuple[int, ...] | None = None
+) -> bool:
+    """x not in F implies (sigma(x)^n)- in F for some n, for every element x.
+
+    ``sigma`` is an operator table; omitted, it is the identity.
+    """
     return all(
-        x in members or has_power_negation_in(algebra, members, x)
+        x in members
+        or has_power_negation_in(algebra, members, x if sigma is None else sigma[x])
         for x in range(algebra.size)
     )
 
 
 @memoized
-def maximal_filters(algebra: FiniteBLAlgebra) -> tuple[frozenset[int], ...]:
-    """Maximal proper filters, with the power-criterion cross-check."""
+def maximal_filters(
+    algebra: FiniteBLAlgebra, sigma: tuple[int, ...] | None = None
+) -> tuple[frozenset[int], ...]:
+    """Maximal proper (state-)filters, with the power-criterion cross-check.
+
+    With an operator table ``sigma`` only the filters closed under it
+    count (``state_filters``); omitted, every filter does.  Pass
+    ``sigma`` positionally: the memo keys on positional arguments.
+    """
+    family = all_filters(algebra) if sigma is None else state_filters(algebra, sigma)
     everything = frozenset(range(algebra.size))
-    proper = [f for f in all_filters(algebra) if f != everything]
-    out = []
+    proper = [f for f in family if f != everything]
+    out = [f for f in proper if not any(f < g for g in proper)]
     for f in proper:
-        if not any(f < g for g in proper):
-            out.append(f)
-    for f in proper:
-        if (f in out) != is_maximal_by_power_criterion(algebra, f):
+        if (f in out) != is_maximal_by_power_criterion(algebra, f, sigma):
             raise InternalCheckError(
                 f"maximality criterion disagrees with inclusion order on {sorted(f)}"
             )
@@ -129,19 +157,23 @@ def radical_by_formula(algebra: FiniteBLAlgebra) -> frozenset[int]:
 
 
 @memoized
-def radical(algebra: FiniteBLAlgebra) -> frozenset[int]:
-    """Intersection of maximal filters, cross-checked against the
-    co-infinitesimal formula."""
-    maxes = maximal_filters(algebra)
-    if maxes:
-        inter = frozenset.intersection(*maxes)
-    else:
-        inter = frozenset(range(algebra.size))
-    formula = radical_by_formula(algebra)
-    if inter != formula:
-        raise InternalCheckError(
-            f"radical mismatch: intersection {sorted(inter)} vs formula {sorted(formula)}"
-        )
+def radical(
+    algebra: FiniteBLAlgebra, sigma: tuple[int, ...] | None = None
+) -> frozenset[int]:
+    """Intersection of the maximal (state-)filters (Rad, or Rad_sigma).
+
+    Only the plain radical has a closed form, so only it is
+    cross-checked against the co-infinitesimal formula.
+    """
+    # an explicit None would be a second memo entry of maximal_filters
+    maxes = maximal_filters(algebra) if sigma is None else maximal_filters(algebra, sigma)
+    inter = frozenset(range(algebra.size)).intersection(*maxes)
+    if sigma is None:
+        formula = radical_by_formula(algebra)
+        if inter != formula:
+            raise InternalCheckError(
+                f"radical mismatch: intersection {sorted(inter)} vs formula {sorted(formula)}"
+            )
     return inter
 
 
@@ -243,16 +275,6 @@ def classify_algebra(algebra: FiniteBLAlgebra) -> AlgebraClassification:
     )
 
 
-@memoized
-def state_filters(
-    algebra: FiniteBLAlgebra, sigma: tuple[int, ...]
-) -> tuple[frozenset[int], ...]:
-    """Filters closed under the operator table ``sigma``."""
-    return tuple(
-        f for f in all_filters(algebra) if all(sigma[x] in f for x in f)
-    )
-
-
 def least_nontrivial(
     filters: Sequence[frozenset[int]], top: int
 ) -> frozenset[int] | None:
@@ -270,12 +292,9 @@ def subdirectly_irreducible(
 ) -> tuple[bool, frozenset[int] | None]:
     """Whether the nontrivial (state-)filters have a unique minimum.
 
-    With ``sigma`` given (an operator table or a verified operator),
-    only filters closed under it count.  Returns the least nontrivial
-    (state-)filter when it exists.
+    With an operator table ``sigma`` only filters closed under it count.
+    Returns the least nontrivial (state-)filter when it exists.
     """
-    if sigma is not None and hasattr(sigma, "table"):
-        sigma = sigma.table
     fams = state_filters(algebra, tuple(sigma)) if sigma is not None else all_filters(algebra)
     least = least_nontrivial(fams, algebra.top)
     return (least is not None, least)

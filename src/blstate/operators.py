@@ -8,12 +8,14 @@ class's axioms instance by instance: each equational axiom is unrolled
 into static instances ``s[l] == T[s[a]][s[b]]``, and an instance checks
 or forces ``s[l]`` as soon as ``s[a]`` and ``s[b]`` are assigned.
 
-Three pairs of routes are kept on purpose as independent cross-checks
+Two pairs of routes are kept on purpose as independent cross-checks
 that must agree: the pruned enumerator vs ``brute_force_operator_tables``
-(an unpruned, vectorized oracle sharing none of its machinery), the
+(an unpruned, vectorized oracle sharing none of its machinery), and the
 state-filter closure formula vs the fixpoint of ``filter_generated`` and
-sigma-images, and maximal state-filters by inclusion vs the power
-criterion on sigma-images.
+sigma-images.  State-filters, their maximal members and Rad_sigma are
+the filter family, maximal filters and radical of ``filters`` with the
+operator table as ``sigma``; the maximality cross-check (inclusion vs
+the power criterion on sigma-images) lives there.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import product as iproduct
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import FiniteBLAlgebra, InternalCheckError, verify_bl_axioms
+from .algebra import FiniteBLAlgebra, InternalCheckError, classify_variety, verify_bl_axioms
 from .constructors import (
     direct_product,
     mv_chain,
@@ -32,14 +34,7 @@ from .constructors import (
     ordinal_summand_slices,
     preservation_witness,
 )
-from .filters import (
-    filter_generated,
-    filter_violation,
-    has_power_negation_in,
-    maximal_filters,
-    radical,
-    state_filters,
-)
+from .filters import filter_generated, filter_violation, maximal_filters, radical, state_filters
 
 
 class ShapeMismatchError(Exception):
@@ -78,6 +73,10 @@ def axiom_witness(
     meet, prod, impl = algebra.meet, algebra.prod, algebra.impl
     if axiom == "1":
         return None if s[algebra.bottom] == algebra.bottom else (algebra.bottom,)
+    if axiom == "6":
+        return preservation_witness(s, prod, prod)
+    if axiom == "7":
+        return preservation_witness(s, impl, impl)
     for x, y in iproduct(range(algebra.size), repeat=2):
         if axiom == "2":
             ok = s[impl[x][y]] == impl[s[x]][s[meet[x][y]]]
@@ -91,10 +90,6 @@ def axiom_witness(
         elif axiom == "5":
             t = impl[s[x]][s[y]]
             ok = s[t] == t
-        elif axiom == "6":
-            ok = s[prod[x][y]] == prod[s[x]][s[y]]
-        elif axiom == "7":
-            ok = s[impl[x][y]] == impl[s[x]][s[y]]
         else:
             raise ValueError(f"unknown axiom {axiom}")
         if not ok:
@@ -538,12 +533,6 @@ def kernel_and_faithfulness(op: StateOperator) -> tuple[frozenset[int], bool, bo
     return ker, op.is_faithful, radical_faithful
 
 
-def is_state_filter(algebra: FiniteBLAlgebra, op: StateOperator, members: frozenset[int]) -> bool:
-    return filter_violation(algebra, members) is None and all(
-        op.table[x] in members for x in members
-    )
-
-
 def state_filter_generated(
     algebra: FiniteBLAlgebra, op: StateOperator, seed: Iterable[int]
 ) -> frozenset[int]:
@@ -594,7 +583,7 @@ def state_filter_generated_ext(
     algebra: FiniteBLAlgebra, op: StateOperator, members: frozenset[int], a: int
 ) -> frozenset[int]:
     """Least state-filter containing the state-filter ``members`` and ``a``."""
-    if not is_state_filter(algebra, op, members):
+    if members not in state_filters(algebra, op.table):
         raise NotAStateFilterError(f"{sorted(members)} is not a state-filter")
     g = algebra.prod[a][op.table[a]]
     powers = set(algebra.power_values(g))
@@ -607,39 +596,6 @@ def state_filter_generated_ext(
     if by_formula != by_fixpoint:
         raise InternalCheckError("state-filter extension closure mismatch")
     return by_formula
-
-
-def maximal_state_filter_criterion(
-    algebra: FiniteBLAlgebra, op: StateOperator, members: frozenset[int]
-) -> bool:
-    """For every a outside F some power of sigma(a) has its negation in F."""
-    return all(
-        a in members or has_power_negation_in(algebra, members, op.table[a])
-        for a in range(algebra.size)
-    )
-
-
-def maximal_state_filters(
-    algebra: FiniteBLAlgebra, op: StateOperator
-) -> list[frozenset[int]]:
-    """Maximal proper state-filters, cross-checked by the power criterion."""
-    everything = frozenset(range(algebra.size))
-    proper = [f for f in state_filters(algebra, op.table) if f != everything]
-    out = [f for f in proper if not any(f < g for g in proper)]
-    for f in proper:
-        if (f in out) != maximal_state_filter_criterion(algebra, op, f):
-            raise InternalCheckError(
-                f"state-filter maximality criterion disagrees on {sorted(f)}"
-            )
-    return out
-
-
-def rad_sigma(algebra: FiniteBLAlgebra, op: StateOperator) -> frozenset[int]:
-    """Intersection of all maximal state-filters."""
-    maxes = maximal_state_filters(algebra, op)
-    if not maxes:
-        return frozenset(range(algebra.size))
-    return frozenset.intersection(*maxes)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +653,7 @@ def classify_state_algebra(
     ker, faithful, radical_faithful = kernel_and_faithfulness(op)
     base = classify_algebra(algebra)
     img_cls = classify_algebra(image)
-    rad_s = rad_sigma(algebra, op)
+    rad_s = radical(algebra, op.table)
 
     rad_image_orig = frozenset(fixed[z] for z in img_cls.radical)
     sigma_rad = frozenset(op.table[x] for x in base.radical)
@@ -960,10 +916,6 @@ class MVEquivalenceReport:
     additive_on_orthogonal: bool
     witnesses: tuple[tuple[str, tuple[int, ...]], ...]
 
-    @property
-    def verdicts_agree(self) -> bool:
-        return self.bl_state == self.mv_state
-
 
 def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> MVEquivalenceReport:
     """Compare the MV-operator axioms with the BL-operator axioms.
@@ -971,8 +923,6 @@ def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> MVEq
     Requires an MV carrier (x-- = x everywhere).  For maps passing both,
     also checks strongness and additivity on orthogonal pairs.
     """
-    from .algebra import classify_variety
-
     if not classify_variety(algebra).is_mv:
         raise NotMVError("carrier does not satisfy double-negation")
     t = tuple(int(v) for v in table)

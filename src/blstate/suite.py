@@ -39,7 +39,6 @@ from .operators import (
     godel_strict_floor_table,
     interval_collapse_table,
     identity_table,
-    maximal_state_filters,
     mv_equivalence_check,
     operator_image,
     sigma_j_table,
@@ -799,7 +798,7 @@ def _prop_5_4(inst):
                 for elem in range(a.size):
                     if elem not in f:
                         state_filter_generated_ext(a, op, f, elem)
-            maximal_state_filters(a, op)  # includes the criterion cross-check
+            maximal_filters(a, op.table)  # includes the criterion cross-check
         except InternalCheckError as exc:
             return CheckResult(FAIL, f"{name}: {exc}")
     return CheckResult(PASS)
@@ -849,7 +848,7 @@ def _prop_5_7(inst):
 def _prop_5_8(inst):
     a = inst.algebra
     for name, op in _pool(inst):
-        for f in maximal_state_filters(a, op):
+        for f in maximal_filters(a, op.table):
             quotient, proj = quotient_by_filter(a, f)
             coinfinitesimal = radical_by_formula(quotient)
             for elem in range(a.size):
@@ -865,7 +864,7 @@ def _prop_5_9(inst):
     for name, op in _pool(inst):
         image, pos, fixed = operator_image(op)
         image_max = set(maximal_filters(image))
-        max_state = set(maximal_state_filters(a, op))
+        max_state = set(maximal_filters(a, op.table))
         for i_filter in state_filters(a, op.table):
             sig_i = frozenset(op.table[x] for x in i_filter)
             if sig_i != i_filter & frozenset(fixed):
@@ -1188,22 +1187,30 @@ def run_suite(
     return SuiteReport(records)
 
 
+def _shown(report: SuiteReport, keep_going: bool):
+    """The records to render, whether rendering stopped at the first
+    failure, and the verdict counts of the rendered records."""
+    shown, stopped = report.records, False
+    if not keep_going:
+        for i, r in enumerate(shown):
+            if r.verdict == FAIL:
+                shown, stopped = shown[: i + 1], True
+                break
+    counts = {PASS: 0, FAIL: 0, DISCREPANCY: 0}
+    for r in shown:
+        counts[r.verdict] += 1
+    return shown, stopped, counts
+
+
 def render_text(report: SuiteReport, keep_going: bool = True, timings: bool = False) -> str:
+    shown, stopped, counts = _shown(report, keep_going)
     lines = []
-    stopped = False
-    for r in report.records:
+    for r in shown:
         suffix = f" [{r.elapsed:.3f}s]" if timings else ""
         witness = f": {r.witness}" if r.witness else ""
         lines.append(f"{r.verdict.upper():11s} {r.claim_id} @ {r.instance}{witness}{suffix}")
-        if r.verdict == FAIL and not keep_going:
-            stopped = True
-            break
-    shown = len(lines)
-    counts = {PASS: 0, FAIL: 0, DISCREPANCY: 0}
-    for r in report.records[:shown]:
-        counts[r.verdict] += 1
     summary = (
-        f"# {shown} records: {counts[PASS]} pass, {counts[FAIL]} fail, "
+        f"# {len(shown)} records: {counts[PASS]} pass, {counts[FAIL]} fail, "
         f"{counts[DISCREPANCY]} discrepancy"
     )
     if stopped:
@@ -1213,9 +1220,9 @@ def render_text(report: SuiteReport, keep_going: bool = True, timings: bool = Fa
 
 
 def render_json(report: SuiteReport, keep_going: bool = True, timings: bool = False) -> str:
+    shown, stopped, counts = _shown(report, keep_going)
     records = []
-    stopped = False
-    for r in report.records:
+    for r in shown:
         entry = {
             "claim": r.claim_id,
             "instance": r.instance,
@@ -1225,12 +1232,6 @@ def render_json(report: SuiteReport, keep_going: bool = True, timings: bool = Fa
         if timings:
             entry["elapsed"] = round(r.elapsed, 6)
         records.append(entry)
-        if r.verdict == FAIL and not keep_going:
-            stopped = True
-            break
-    counts = {PASS: 0, FAIL: 0, DISCREPANCY: 0}
-    for r in report.records[: len(records)]:
-        counts[r.verdict] += 1
     payload = {
         "format": "blstate-suite/1",
         "records": records,

@@ -5,7 +5,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from blstate.algebra import INFINITE_ORDER
+from blstate.algebra import INFINITE_ORDER, classify_variety
 from blstate.constructors import (
     direct_product,
     four_element_example,
@@ -26,7 +26,7 @@ from blstate.filters import (
     state_filters,
     subdirectly_irreducible,
 )
-from blstate.operators import identity_table, verify_operator
+from blstate.operators import enumerate_operator_tables, identity_table, verify_operator
 from blstate.constructors import diagonal_operator_table
 from blstate.states import extremal_states
 
@@ -66,6 +66,21 @@ def test_subset_scan_equals_idempotent_route(a):
     assert list(all_filters(a)) == brute_force_filters(a)
 
 
+@settings(max_examples=30, deadline=None)
+@given(algebras)
+def test_sigma_maximal_filters_and_radical_match_subset_scan(a):
+    if a.size > 12:
+        return
+    everything = frozenset(range(a.size))
+    filters = brute_force_filters(a)
+    for t in enumerate_operator_tables(a, "state"):
+        proper = [f for f in filters if f != everything and all(t[x] in f for x in f)]
+        maxes = [f for f in proper if not any(f < g for g in proper)]
+        assert list(maximal_filters(a, t)) == maxes
+        assert radical(a, t) == everything.intersection(*maxes)
+    assert maximal_filters(a, identity_table(a)) == maximal_filters(a)
+
+
 def test_idempotent_route_on_corpus_carriers(corpus):
     small = [inst.algebra for inst in corpus if inst.algebra.size <= 16]
     assert small
@@ -91,6 +106,7 @@ def test_quotients_and_extremal_states_are_built_once():
         assert quotient_by_filter(a, f) is quotient_by_filter(a, set(f))
     assert extremal_states(a) is extremal_states(a)
     assert isinstance(extremal_states(a), tuple)
+    assert classify_variety(a) is classify_variety(a)
     one, _ = quotient_by_filter(a, frozenset(range(a.size)))
     for _ in range(2):  # the error is raised again, not remembered
         with pytest.raises(ValueError):

@@ -25,10 +25,8 @@ from blstate.operators import (
     identity_table,
     interval_collapse_table,
     kernel_and_faithfulness,
-    maximal_state_filters,
     mv_equivalence_check,
     operator_image,
-    rad_sigma,
     sigma_j_table,
     state_filter_generated,
     state_filter_generated_ext,
@@ -186,15 +184,15 @@ def test_state_filter_generation():
     assert ext == frozenset({2, 3})
 
 
-def test_maximal_state_filters_and_rad_sigma():
+def test_sigma_maximal_filters_and_radical():
     a, sigma = four_element_example()
     op = verify_operator(a, sigma)
-    assert [sorted(f) for f in maximal_state_filters(a, op)] == [[2, 3]]
-    assert rad_sigma(a, op) == frozenset({2, 3})
+    assert [sorted(f) for f in maximal_filters(a, op.table)] == [[2, 3]]
+    assert radical(a, op.table) == frozenset({2, 3})
     # identity: state data equals plain data
     ident = verify_operator(a, identity_table(a))
-    assert set(maximal_state_filters(a, ident)) == set(maximal_filters(a))
-    assert rad_sigma(a, ident) == radical(a)
+    assert set(maximal_filters(a, ident.table)) == set(maximal_filters(a))
+    assert radical(a, ident.table) == radical(a)
 
 
 def test_operator_image_and_classification():

@@ -84,6 +84,17 @@ def test_fail_fast_rendering():
     full = render_text(rep, keep_going=True)
     assert "C @ x" in full
 
+    import json
+
+    payload = json.loads(render_json(rep, keep_going=False))
+    assert [r["claim"] for r in payload["records"]] == ["A", "B"]
+    summary = payload["summary"]
+    assert summary["stopped_early"] is True
+    assert (summary["records"], summary["pass"], summary["fail"]) == (2, 1, 1)
+    full = json.loads(render_json(rep, keep_going=True))
+    assert [r["claim"] for r in full["records"]] == ["A", "B", "C"]
+    assert full["summary"]["stopped_early"] is False
+
 
 def test_descriptions_present():
     for claim in REGISTRY:
