@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import product as iproduct
+from itertools import compress, product as iproduct
 from typing import Iterable, Sequence
 
 Table = tuple[tuple[int, ...], ...]
@@ -247,8 +247,14 @@ class FiniteBLAlgebra:
     def idempotents(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.size) if self.prod[x][x] == x)
 
+    @cached_property
+    def upsets(self) -> tuple[frozenset[int], ...]:
+        """Row x is the upset {y : x <= y}, built once per algebra."""
+        rng = range(self.size)
+        return tuple(frozenset(compress(rng, row)) for row in self.leq)
+
     def upset(self, x: int) -> frozenset[int]:
-        return frozenset(y for y in range(self.size) if self.le(x, y))
+        return self.upsets[x]
 
     def same_tables(self, other: "FiniteBLAlgebra") -> bool:
         """Structural equality ignoring labels."""

@@ -21,7 +21,7 @@ only), and maximality by inclusion vs the power criterion
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product as iproduct
+from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 from .algebra import FiniteBLAlgebra, INFINITE_ORDER, InternalCheckError, memoized
@@ -93,12 +93,11 @@ def filter_generated(algebra: FiniteBLAlgebra, seed: Iterable[int]) -> frozenset
     if not members:
         raise ValueError("seed must be nonempty")
     members.add(algebra.top)
-    prod, leq, rng = algebra.prod, algebra.leq, range(algebra.size)
+    prod, upsets = algebra.prod, algebra.upsets
     work = list(members)
     while work:
         x = work.pop()
-        new = set(map(prod[x].__getitem__, members))
-        new.update(compress(rng, leq[x]))
+        new = upsets[x].union(map(prod[x].__getitem__, members))
         new -= members
         members |= new
         work += new

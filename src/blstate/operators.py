@@ -10,9 +10,11 @@ or forces ``s[l]`` as soon as ``s[a]`` and ``s[b]`` are assigned.
 
 Two pairs of routes are kept on purpose as independent cross-checks
 that must agree: the pruned enumerator vs ``brute_force_operator_tables``
-(an unpruned, vectorized oracle sharing none of its machinery), and the
-state-filter closure formula vs the fixpoint of ``filter_generated`` and
-sigma-images.  State-filters, their maximal members and Rad_sigma are
+(an unpruned, vectorized oracle sharing none of its machinery), and, in
+each of ``state_filter_generated`` and ``state_filter_generated_ext``,
+the closure formula (a union of the algebra's cached upset rows) vs the
+plain fixpoint of ``filter_generated`` and sigma-images, which both
+closures share.  State-filters, their maximal members and Rad_sigma are
 the filter family, maximal filters and radical of ``filters`` with the
 operator table as ``sigma``; the maximality cross-check (inclusion vs
 the power criterion on sigma-images) lives there.
@@ -533,44 +535,53 @@ def kernel_and_faithfulness(op: StateOperator) -> tuple[frozenset[int], bool, bo
     return ker, op.is_faithful, radical_faithful
 
 
+def _state_filter_fixpoint(
+    algebra: FiniteBLAlgebra, sigma: tuple[int, ...], seed: Iterable[int]
+) -> frozenset[int]:
+    """Least state-filter containing ``seed`` by the plain fixpoint.
+
+    Alternates ``filter_generated`` with adding sigma-images until
+    nothing new appears.  It uses neither closure formula, so it is the
+    independent side of both cross-checks.
+    """
+    members = filter_generated(algebra, seed)
+    while True:
+        images = {sigma[x] for x in members} - members
+        if not images:
+            return members
+        members = filter_generated(algebra, members | images)
+
+
 def state_filter_generated(
     algebra: FiniteBLAlgebra, op: StateOperator, seed: Iterable[int]
 ) -> frozenset[int]:
-    """Least state-filter containing ``seed``.
+    """Least state-filter containing ``seed`` (Prop. 5.4).
 
-    Computed twice: by the closure formula (upset of the submonoid
-    generated by the elements x * sigma(x), x in seed) and by a plain
-    fixpoint that alternates ``filter_generated`` with adding
-    sigma-images until nothing new appears.  The two must agree.
+    Computed twice: by the closure formula (the union of the upsets of
+    the submonoid generated by the elements x * sigma(x), x in seed) and
+    by the plain fixpoint of ``filter_generated`` and sigma-images.  The
+    two must agree.
     """
     xs = sorted(set(seed))
     if not xs:
         raise ValueError("seed must be nonempty")
-    leq = algebra.leq
+    prod = algebra.prod
 
-    gens = {algebra.prod[x][op.table[x]] for x in xs}
+    gens = {prod[x][op.table[x]] for x in xs}
     monoid = set(gens)
     frontier = set(gens)
     while frontier:
         new = set()
         for a in frontier:
             for g in gens:
-                p = algebra.prod[a][g]
+                p = prod[a][g]
                 if p not in monoid:
                     new.add(p)
         monoid |= new
         frontier = new
-    by_formula = frozenset(
-        y for y in range(algebra.size) if any(leq[m][y] for m in monoid)
-    )
+    by_formula = frozenset().union(*map(algebra.upsets.__getitem__, monoid))
 
-    by_fixpoint = filter_generated(algebra, xs)
-    while True:
-        images = {op.table[x] for x in by_fixpoint} - by_fixpoint
-        if not images:
-            break
-        by_fixpoint = filter_generated(algebra, by_fixpoint | images)
-
+    by_fixpoint = _state_filter_fixpoint(algebra, op.table, xs)
     if by_formula != by_fixpoint:
         raise InternalCheckError(
             f"state-filter closure mismatch: formula {sorted(by_formula)}"
@@ -582,17 +593,19 @@ def state_filter_generated(
 def state_filter_generated_ext(
     algebra: FiniteBLAlgebra, op: StateOperator, members: frozenset[int], a: int
 ) -> frozenset[int]:
-    """Least state-filter containing the state-filter ``members`` and ``a``."""
+    """Least state-filter containing the state-filter ``members`` and ``a``.
+
+    Computed twice: by the extension formula (the union of the upsets of
+    i * g^n, i in ``members``, n >= 1, g = a * sigma(a)) and by the same
+    plain fixpoint as ``state_filter_generated``.  The two must agree.
+    """
     if members not in state_filters(algebra, op.table):
         raise NotAStateFilterError(f"{sorted(members)} is not a state-filter")
-    g = algebra.prod[a][op.table[a]]
-    powers = set(algebra.power_values(g))
-    products = {algebra.prod[i][p] for i in members for p in powers}
-    leq = algebra.leq
-    by_formula = frozenset(
-        y for y in range(algebra.size) if any(leq[m][y] for m in products)
-    )
-    by_fixpoint = state_filter_generated(algebra, op, set(members) | {a})
+    prod = algebra.prod
+    powers = algebra.power_values(prod[a][op.table[a]])
+    products = {prod[i][p] for i in members for p in powers}
+    by_formula = frozenset().union(*map(algebra.upsets.__getitem__, products))
+    by_fixpoint = _state_filter_fixpoint(algebra, op.table, members | {a})
     if by_formula != by_fixpoint:
         raise InternalCheckError("state-filter extension closure mismatch")
     return by_formula

@@ -414,6 +414,17 @@ def state_to_image(op: StateOperator, state: RationalState) -> tuple[Fraction, .
     return tuple(state.values[orig] for orig in fixed)
 
 
+@memoized
+def pulled_back_extremal_states(op: StateOperator) -> tuple[RationalState, ...]:
+    """The image's extremal states pulled back through the operator.
+
+    One ``pull_back_state`` per extremal state of the image subalgebra,
+    in ``extremal_states`` order; the tuple is memoized on the operator.
+    """
+    image, _, _ = operator_image(op)
+    return tuple(pull_back_state(op, s.values) for s in extremal_states(image))
+
+
 def sigma_compatible_correspondence(
     algebra: FiniteBLAlgebra, op: StateOperator
 ) -> CorrespondenceReport:
@@ -424,11 +435,18 @@ def sigma_compatible_correspondence(
     through the operator.  The check covers the extremal generators, a
     deterministic set of rational mixtures, and the affine behaviour of
     both maps.  Topological content is out of scope: this certifies the
-    bijection and its affineness on finite data only.
+    bijection and its affineness on finite data only.  The report
+    depends on the operator alone (``algebra`` is its carrier) and is
+    memoized on it.
     """
+    return _correspondence(op)
+
+
+@memoized
+def _correspondence(op: StateOperator) -> CorrespondenceReport:
     image, pos, fixed = operator_image(op)
     image_ext = extremal_states(image)
-    pulled = [pull_back_state(op, s.values) for s in image_ext]
+    pulled = pulled_back_extremal_states(op)
     for st in pulled:
         if not is_compatible(op, st):
             raise InternalCheckError("pull-back is not compatible with the operator")
@@ -465,7 +483,7 @@ def sigma_compatible_correspondence(
             independent = False
     return CorrespondenceReport(
         image_extremal=image_ext,
-        compatible_extremal=tuple(pulled),
+        compatible_extremal=pulled,
         round_trip_ok=round_trip,
         affine_ok=affine_ok,
         extremal_independent=independent,

@@ -53,6 +53,7 @@ from .states import (
     extremal_states,
     mix_states,
     pull_back_state,
+    pulled_back_extremal_states,
     sigma_compatible_correspondence,
 )
 
@@ -163,9 +164,12 @@ def _uniform_weights(k: int) -> list[Fraction]:
 def _prop_2_2_1(inst):
     a = inst.algebra
     pairs = _leq_pairs(a)
-    for (x, y), (c, d) in iproduct(pairs, pairs):
-        if not a.le(a.prod[x][c], a.prod[y][d]):
-            return _bool_result(False, f"monotonicity of prod at {x},{y},{c},{d}")
+    leq = a.leq
+    for x, y in pairs:
+        px, py = a.prod[x], a.prod[y]
+        for c, d in pairs:
+            if not leq[px[c]][py[d]]:
+                return _bool_result(False, f"monotonicity of prod at {x},{y},{c},{d}")
     return _bool_result(True)
 
 
@@ -894,20 +898,16 @@ def _prop_5_10(inst):
 # section 6 claims
 
 
-def _image_state_samples(op) -> list[tuple[Fraction, ...]]:
-    image, _, _ = operator_image(op)
-    ext = extremal_states(image)
-    out = [st.values for st in ext]
-    if len(ext) >= 2:
-        out.append(mix_states(ext, _uniform_weights(len(ext))).values)
-    return out
-
-
 def _prop_6_1(inst):
+    # the extremal image states are pulled back once per operator; the
+    # uniform mixture of them is pulled back here
     for name, op in _pool(inst):
         try:
-            for values in _image_state_samples(op):
-                pull_back_state(op, values)
+            pulled_back_extremal_states(op)
+            image, _, _ = operator_image(op)
+            ext = extremal_states(image)
+            if len(ext) >= 2:
+                pull_back_state(op, mix_states(ext, _uniform_weights(len(ext))).values)
         except InternalCheckError as exc:
             return CheckResult(FAIL, f"{name}: {exc}")
     return CheckResult(PASS)
@@ -916,9 +916,7 @@ def _prop_6_1(inst):
 def _prop_6_2(inst):
     a = inst.algebra
     for name, op in _pool(inst, "morphism"):
-        image, _, _ = operator_image(op)
-        for st in extremal_states(image):
-            pulled = pull_back_state(op, st.values)
+        for pulled in pulled_back_extremal_states(op):
             if not check_state(a, pulled.values).extremal:
                 return CheckResult(FAIL, f"{name}: pulled extremal state is not extremal")
     return CheckResult(PASS)

@@ -26,9 +26,16 @@ from blstate.filters import (
     state_filters,
     subdirectly_irreducible,
 )
+from blstate import states
+from blstate.corpus import default_corpus
 from blstate.operators import enumerate_operator_tables, identity_table, verify_operator
 from blstate.constructors import diagonal_operator_table
-from blstate.states import extremal_states
+from blstate.states import (
+    extremal_states,
+    pulled_back_extremal_states,
+    sigma_compatible_correspondence,
+)
+from blstate.suite import run_suite
 
 from .strategies import algebras
 
@@ -94,10 +101,13 @@ def test_derived_structure_dies_with_its_algebra():
     radical(a)
     quotient_by_filter(a, maximal_filters(a)[0])
     extremal_states(a)
-    ref = weakref.ref(a)
-    del a
+    op = verify_operator(a, enumerate_operator_tables(a, "state")[0])
+    sigma_compatible_correspondence(a, op)
+    pulled_back_extremal_states(op)
+    refs = (weakref.ref(a), weakref.ref(op))
+    del a, op
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_quotients_and_extremal_states_are_built_once():
@@ -107,10 +117,34 @@ def test_quotients_and_extremal_states_are_built_once():
     assert extremal_states(a) is extremal_states(a)
     assert isinstance(extremal_states(a), tuple)
     assert classify_variety(a) is classify_variety(a)
+    assert all(a.upsets[x] is a.upset(x) for x in range(a.size))
+    for t in enumerate_operator_tables(a, "state"):
+        op = verify_operator(a, t)
+        report = sigma_compatible_correspondence(a, op)
+        assert sigma_compatible_correspondence(a, op) is report
+        assert pulled_back_extremal_states(op) is pulled_back_extremal_states(op)
+        assert report.compatible_extremal is pulled_back_extremal_states(op)
     one, _ = quotient_by_filter(a, frozenset(range(a.size)))
     for _ in range(2):  # the error is raised again, not remembered
         with pytest.raises(ValueError):
             extremal_states(one)
+
+
+def test_correspondence_is_built_once_per_operator_in_a_suite_run(monkeypatch):
+    corpus = default_corpus()  # fresh operators, so no memo is filled yet
+    built = []
+    real = states.CorrespondenceReport
+
+    def counting(**fields):
+        built.append(fields)
+        return real(**fields)
+
+    monkeypatch.setattr(states, "CorrespondenceReport", counting)
+    report = run_suite(corpus, ["Thm-6.4", "Cor-6.5"])
+    assert {r.verdict for r in report.records} == {"pass"}
+    ran = {r.instance for r in report.records}
+    ops = {id(op) for inst in corpus if inst.name in ran for _, op in inst.pool()}
+    assert len(built) == len(ops) > 0
 
 
 def test_filter_generated():

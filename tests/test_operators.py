@@ -36,6 +36,7 @@ from blstate.operators import (
 )
 
 from .strategies import algebras, linear_algebras
+from .test_filters import brute_force_filters
 
 
 def test_verify_example_sigma():
@@ -182,6 +183,36 @@ def test_state_filter_generation():
     assert state_filter_generated(a, op, {1}) == frozenset(range(4))
     ext = state_filter_generated_ext(a, op, frozenset({3}), 2)
     assert ext == frozenset({2, 3})
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebras)
+def test_state_filter_closures_match_subset_scan(a):
+    if a.size > 12:
+        return
+    everything = frozenset(range(a.size))
+    filters = brute_force_filters(a)
+
+    def least_closed(closed, seed):
+        containing = [f for f in closed if seed <= f]
+        assert all(containing[0] <= f for f in containing)
+        return containing[0]
+
+    for t in enumerate_operator_tables(a, "state"):
+        op = verify_operator(a, t)
+        closed = [f for f in filters if all(t[x] in f for x in f)]
+        for x in range(a.size):
+            seed = frozenset({x})
+            assert state_filter_generated(a, op, seed) == least_closed(closed, seed)
+            for y in range(x + 1, a.size):
+                seed = frozenset({x, y})
+                assert state_filter_generated(a, op, seed) == least_closed(closed, seed)
+        for f in closed:
+            if f == everything:
+                continue
+            for elem in everything - f:
+                expected = least_closed(closed, f | {elem})
+                assert state_filter_generated_ext(a, op, f, elem) == expected
 
 
 def test_sigma_maximal_filters_and_radical():
