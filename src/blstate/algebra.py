@@ -6,6 +6,12 @@ The lattice order is derived from the meet table (``a <= b`` iff
 algebra is sealed.  A sealed algebra is immutable and safe to share
 between workers; every downstream module assumes its input passed
 ``verify_bl_axioms``.
+
+Sealing has two parts: the table check decides; the element scan names
+the witness.  On carriers of at most 256 elements (a property of the
+input: each table row then fits in ``bytes``) the laws are decided on
+whole tables with ``bytes.translate``; the element scan runs only on a
+failure, or on a larger carrier, and names the first violation.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import compress, product as iproduct
+from operator import getitem
 from typing import Iterable, Sequence
 
 Table = tuple[tuple[int, ...], ...]
@@ -96,7 +103,83 @@ def memoized(fn):
     return wrapper
 
 
+def _laws_hold(
+    meet: Table, join: Table, prod: Table, impl: Table, bottom: int, top: int
+) -> bool:
+    """Whether every BL law holds, decided on whole tables in C.
+
+    Each table row becomes a ``bytes`` object, which needs a carrier of
+    at most 256 elements.  ``flat.translate(row + pad)`` maps every entry
+    of a flattened table through one row: it composes the table with
+    that row in a single call.  The checks run in scan order, and a
+    check may assume the laws before it.  Two laws of the scan are not
+    checked again, because the others imply them: meet and join induce
+    one order (commutativity and absorption), and top is the unit of
+    prod (adjointness gives impl(a, top) == top, and divisibility then
+    gives prod(a, top) == meet(a, top) == a).
+    """
+    n = len(meet)
+    rng = range(n)
+    pad = bytes(256 - n)
+    m, j, p, i = tables = [[bytes(row) for row in t] for t in (meet, join, prod, impl)]
+    fm, fj, fp, fi = (b"".join(t) for t in tables)
+
+    def transposed(flat: bytes) -> bytes:
+        return b"".join(flat[c::n] for c in rng)
+
+    def associative(rows: list[bytes], flat: bytes) -> bool:
+        # row t(a, b) equals row b mapped through row a, for every b
+        return all(
+            flat.translate(rows[a] + pad) == b"".join(map(rows.__getitem__, rows[a]))
+            for a in rng
+        )
+
+    def absorbs(outer: list[bytes], inner: list[bytes]) -> bool:
+        return all(inner[a].translate(outer[a] + pad) == bytes((a,)) * n for a in rng)
+
+    # leq[x][y] is 1 where meet(x, y) == x: row x of meet marked at value x
+    leq = [m[x].translate(bytes(x) + b"\1" + bytes(255 - x)) for x in rng]
+    return (
+        fm == transposed(fm)
+        and fj == transposed(fj)
+        and associative(m, fm)
+        and associative(j, fj)
+        and absorbs(m, j)
+        and absorbs(j, m)
+        and m[bottom] == bytes((bottom,)) * n
+        and j[top] == bytes((top,)) * n
+        and fp == transposed(fp)
+        and associative(p, fp)
+        # adjointness at fixed c, over (a, b): c <= impl(a, b) iff prod(c, a) <= b
+        and all(
+            fi.translate(leq[c] + pad) == b"".join(map(leq.__getitem__, p[c])) for c in rng
+        )
+        and all(i[a].translate(p[a] + pad) == m[a] for a in rng)
+        # prelinearity: join(impl(a, b), impl(b, a)) == top
+        and bytes(map(getitem, map(j.__getitem__, fi), transposed(fi)))
+        == bytes((top,)) * (n * n)
+    )
+
+
 def find_axiom_violation(
+    meet: Table, join: Table, prod: Table, impl: Table, bottom: int, top: int
+) -> AxiomViolation | None:
+    """First failure of the BL laws in the documented scan order, or None.
+
+    The table check decides; the element scan names the witness.  The
+    tables must be n x n with entries, ``bottom`` and ``top`` in
+    ``range(n)`` (``verify_bl_axioms`` checks this first).  On a carrier
+    of at most 256 elements ``_laws_hold`` decides every law on whole
+    tables, and a pass returns None at once.  The element scan
+    (``_first_violation``) runs only when that check fails or n > 256,
+    so every violation returned is the one the scan names.
+    """
+    if len(meet) <= 256 and _laws_hold(meet, join, prod, impl, bottom, top):
+        return None
+    return _first_violation(meet, join, prod, impl, bottom, top)
+
+
+def _first_violation(
     meet: Table, join: Table, prod: Table, impl: Table, bottom: int, top: int
 ) -> AxiomViolation | None:
     """Scan the six invariant groups in a fixed deterministic order.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .algebra import FiniteBLAlgebra, INFINITE_ORDER, InternalCheckError, memoized
@@ -85,22 +86,30 @@ def state_filters(
 def filter_generated(algebra: FiniteBLAlgebra, seed: Iterable[int]) -> frozenset[int]:
     """Least filter containing ``seed``: up-closure of finite products.
 
-    A worklist closure: each member is taken up once, multiplied with
-    the members found so far (itself included) and joined by its upset;
-    a pair of members is covered when the later of the two is taken up.
+    A semi-naive closure: each round multiplies only the members found
+    in the round before with every member (one ``itemgetter`` over the
+    members per round) and joins their upsets, so every pair of members
+    is multiplied in the round after the later of the two is found.  It
+    is a plain closure under products and upsets and uses neither the
+    Prop-5.4 formula nor the upsets of idempotents, so it stays an
+    independent side of both cross-checks.  It works for any carrier
+    size and stores nothing on the algebra.
     """
     members = set(seed)
     if not members:
         raise ValueError("seed must be nonempty")
-    members.add(algebra.top)
+    top = algebra.top
+    members.add(top)
     prod, upsets = algebra.prod, algebra.upsets
-    work = list(members)
-    while work:
-        x = work.pop()
-        new = upsets[x].union(map(prod[x].__getitem__, members))
-        new -= members
+    new = members
+    while new:
+        pick = itemgetter(top, *members)  # top repeats a member: always a tuple
+        found = set()
+        for x in new:
+            found.update(pick(prod[x]))
+            found |= upsets[x]
+        new = found - members
         members |= new
-        work += new
     return frozenset(members)
 
 
@@ -200,6 +209,7 @@ class AlgebraClassification:
     perfect_witness: tuple[int, ...] | None = None
 
 
+@memoized
 def classify_algebra(algebra: FiniteBLAlgebra) -> AlgebraClassification:
     """All classification flags with their internal cross-checks.
 

@@ -6,21 +6,31 @@ from itertools import product as iproduct
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from blstate.algebra import (
     BLAxiomError,
     INFINITE_ORDER,
     NoResiduumError,
+    _first_violation,
+    _laws_hold,
+    as_table,
     classify_variety,
     find_axiom_violation,
     memoized,
     residuum_from_monoid,
     verify_bl_axioms,
 )
-from blstate.constructors import four_element_example, godel_chain, mv_chain
+from blstate.constructors import (
+    direct_product,
+    four_element_example,
+    godel_chain,
+    mv_chain,
+    pair_index,
+)
 
 from .strategies import algebras
+from .test_operators import LADDER, ladder_carrier
 
 
 def test_two_element_boolean_verifies():
@@ -201,3 +211,111 @@ def test_orthogonality_forms_agree(a):
         assert c1 == c2 == c3
         if c3:
             assert a.partial_sum(x, y) == a.partial_sum(y, x)
+
+
+# The enumeration-ladder carriers, mv7xg4 (32 elements) and the
+# one-element carrier.
+SEAL_CARRIERS = (
+    *map(ladder_carrier, LADDER),
+    direct_product(mv_chain(7), godel_chain(4)),
+    verify_bl_axioms(["0"], [[0]], [[0]], [[0]], [[0]], 0, 0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(algebras, st.sampled_from(SEAL_CARRIERS)), st.data())
+def test_table_check_agrees_with_element_scan(a, data):
+    tables = [a.meet, a.join, a.prod, a.impl]
+    sealed = (*tables, a.bottom, a.top)
+    assert _laws_hold(*sealed)
+    assert find_axiom_violation(*sealed) is None and _first_violation(*sealed) is None
+
+    # change 1-2 entries of one table, mirrored across the diagonal on
+    # request so that commutativity holds and later laws are reached
+    which = data.draw(st.integers(0, 3))
+    rows = [list(r) for r in tables[which]]
+    entry = st.integers(0, a.size - 1)
+    for _ in range(data.draw(st.integers(1, 2))):
+        x, y, v = data.draw(entry), data.draw(entry), data.draw(entry)
+        rows[x][y] = v
+        if data.draw(st.booleans()):
+            rows[y][x] = v
+    tables[which] = as_table(rows)
+    perturbed = (*tables, a.bottom, a.top)
+    scan = _first_violation(*perturbed)
+    assert find_axiom_violation(*perturbed) == scan
+    assert _laws_hold(*perturbed) == (scan is None)
+
+
+def lattice_tables(leq):
+    """Meet and join tables of a finite lattice given by its order."""
+    n = len(leq)
+
+    def best(common, le):
+        return next(z for z in common if all(le(w, z) for w in common))
+
+    def meet(x, y):
+        return best([z for z in range(n) if leq[z][x] and leq[z][y]], lambda w, z: leq[w][z])
+
+    def join(x, y):
+        return best([z for z in range(n) if leq[x][z] and leq[y][z]], lambda w, z: leq[z][w])
+
+    rng = range(n)
+    return as_table([[meet(x, y) for y in rng] for x in rng]), as_table(
+        [[join(x, y) for y in rng] for x in rng]
+    )
+
+
+def test_table_check_catches_a_law_that_fails_alone():
+    # join associativity alone: one mirrored join entry of mv1 x g3
+    a = direct_product(mv_chain(1), godel_chain(3))
+    join = [list(r) for r in a.join]
+    join[1][3] = join[3][1] = 5
+    join_assoc = (a.meet, as_table(join), a.prod, a.impl, a.bottom, a.top)
+
+    # prod associativity alone: a commutative, residuated, divisible but
+    # not associative product on the chain 0 < 1 < 2 < 3
+    chain = [[x <= y for y in range(4)] for x in range(4)]
+    groupoid = as_table([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 1, 2], [0, 1, 2, 3]])
+    prod_assoc = (
+        *lattice_tables(chain), groupoid, residuum_from_monoid(chain, groupoid), 0, 3
+    )
+
+    # adjointness alone: on the Boolean square, 0 -> (0,1) := (0,1) keeps
+    # divisibility (0 * z = 0) and prelinearity ((0,1) v (1,0) = 1)
+    b = mv_chain(1)
+    sq = direct_product(b, b)
+    impl = [list(r) for r in sq.impl]
+    impl[sq.bottom][pair_index(b, b, 0, 1)] = pair_index(b, b, 0, 1)
+    adjointness = (sq.meet, sq.join, sq.prod, as_table(impl), sq.bottom, sq.top)
+
+    # divisibility alone: the nilpotent minimum on the chain
+    neg = (3, 2, 1, 0)
+    nm = as_table(
+        [[0 if x <= neg[y] else min(x, y) for y in range(4)] for x in range(4)]
+    )
+    divisibility = (*lattice_tables(chain), nm, residuum_from_monoid(chain, nm), 0, 3)
+
+    # prelinearity alone: the Heyting algebra 0 < a, b < c < 1, a and b
+    # incomparable, where (a -> b) v (b -> a) = b v a = c
+    up = ({0, 1, 2, 3, 4}, {1, 3, 4}, {2, 3, 4}, {3, 4}, {4})
+    heyting = [[y in up[x] for y in range(5)] for x in range(5)]
+    meet, join = lattice_tables(heyting)
+    prelinearity = (meet, join, meet, residuum_from_monoid(heyting, meet), 0, 4)
+
+    # the bottom bound alone: a sealed chain given a wrong bottom
+    ex, _ = four_element_example()
+    wrong_bottom = (ex.meet, ex.join, ex.prod, ex.impl, 1, ex.top)
+
+    for axiom, detail, tables in (
+        ("lattice", "join not associative", join_assoc),
+        ("lattice", "bottom is not the least element", wrong_bottom),
+        ("monoid", "prod not associative", prod_assoc),
+        ("adjointness", "", adjointness),
+        ("divisibility", "", divisibility),
+        ("prelinearity", "", prelinearity),
+    ):
+        assert not _laws_hold(*tables)
+        violation = find_axiom_violation(*tables)
+        assert violation == _first_violation(*tables)
+        assert (violation.axiom, violation.detail) == (axiom, detail)

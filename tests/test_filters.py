@@ -117,6 +117,7 @@ def test_quotients_and_extremal_states_are_built_once():
     assert extremal_states(a) is extremal_states(a)
     assert isinstance(extremal_states(a), tuple)
     assert classify_variety(a) is classify_variety(a)
+    assert classify_algebra(a) is classify_algebra(a)
     assert all(a.upsets[x] is a.upset(x) for x in range(a.size))
     for t in enumerate_operator_tables(a, "state"):
         op = verify_operator(a, t)
@@ -152,6 +153,35 @@ def test_filter_generated():
     assert filter_generated(a, {a.top}) == frozenset({3})
     assert filter_generated(a, {2}) == frozenset({2, 3})
     assert filter_generated(a, {1}) == frozenset({0, 1, 2, 3})  # a*a = 0
+
+
+def filter_by_definition(a, seed):
+    """Add every pairwise product and every upper bound until nothing changes."""
+    members = set(seed)
+    while True:
+        grown = members | {a.prod[x][y] for x in members for y in members}
+        grown |= {y for x in members for y in range(a.size) if a.le(x, y)}
+        if grown == members:
+            return frozenset(members)
+        members = grown
+
+
+def small_seeds(a):
+    rng = range(a.size)
+    return [{x} for x in rng] + [{x, y} for x in rng for y in rng if x < y]
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras)
+def test_filter_generated_matches_the_definition(a):
+    for seed in small_seeds(a):
+        assert filter_generated(a, seed) == filter_by_definition(a, seed)
+
+
+def test_filter_generated_matches_the_definition_on_mv7xg4():
+    a = direct_product(mv_chain(7), godel_chain(4))
+    for seed in small_seeds(a):
+        assert filter_generated(a, seed) == filter_by_definition(a, seed)
 
 
 def test_maximal_filters_and_radical():
