@@ -3,15 +3,21 @@
 
 Prints one row per algebra with the number of state / strong / morphism
 operators and BL-endomorphisms, cross-checking the pruned enumerator
-against unpruned brute force wherever that is affordable.
+against unpruned brute force wherever that is affordable.  The brute
+force is the test suite's numpy oracle (``tests/oracles.py``, imported
+from the checkout this script lives in), so it needs the ``test`` extra.
 """
 
 import argparse
 import sys
+from pathlib import Path
 from time import perf_counter
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from blstate.constructors import direct_product, godel_chain, mv_chain, ordinal_sum
-from blstate.operators import brute_force_operator_tables, enumerate_operator_tables
+from blstate.operators import enumerate_operator_tables
+from tests.oracles import brute_force_operator_tables
 
 
 def sweep():

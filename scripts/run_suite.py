@@ -17,11 +17,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--corpus", help="directory of .json documents")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
     corpus = load_corpus_dir(args.corpus) if args.corpus else default_corpus()
-    report = run_suite(corpus, workers=args.workers)
+    report = run_suite(corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "suite.txt").write_text(render_text(report), encoding="utf-8")

@@ -40,7 +40,6 @@ from .filters import (
 from .operators import (
     ChainProductSum,
     StateOperator,
-    brute_force_operator_tables,
     chain_product_sum,
     classify_state_algebra,
     enumerate_operator_tables,

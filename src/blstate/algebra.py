@@ -4,7 +4,7 @@ Elements are dense indices ``0..n-1``; labels are presentation-only.
 The lattice order is derived from the meet table (``a <= b`` iff
 ``meet(a, b) == a``) and cross-checked against the join table while an
 algebra is sealed.  A sealed algebra is immutable and safe to share
-between workers; every downstream module assumes its input passed
+between threads; every downstream module assumes its input passed
 ``verify_bl_axioms``.
 
 Sealing has two parts: the table check decides; the element scan names

@@ -255,7 +255,7 @@ def _cmd_paper_suite(args) -> int:
         if unknown:
             print(f"unknown claim ids: {sorted(unknown)}", file=sys.stderr)
             return 2
-    report = run_suite(corpus, claim_ids, workers=args.workers)
+    report = run_suite(corpus, claim_ids)
     render = render_json if args.format == "json" else render_text
     text = render(report, keep_going=args.keep_going, timings=args.timings)
     if args.out:
@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", help="comma-separated claim ids")
     p.add_argument("--corpus", help="directory of .json documents")
     p.add_argument("--keep-going", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed times (report no longer canonical)")
@@ -332,7 +331,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, ValueError, NonLinearSummandError, BLAxiomError) as exc:

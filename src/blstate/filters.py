@@ -257,9 +257,6 @@ def classify_algebra(algebra: FiniteBLAlgebra) -> AlgebraClassification:
         if all_primary != local:
             raise InternalCheckError("local flag disagrees with the primary-filter criterion")
         # radical closure facts
-        for x in rad:
-            if algebra.neg(x) not in rad_neg:
-                raise InternalCheckError("x in Rad does not give x- in Rad-")
         for x in rad_neg:
             if algebra.neg(x) not in rad:
                 raise InternalCheckError("x in Rad- does not give x- in Rad")

@@ -8,16 +8,18 @@ class's axioms instance by instance: each equational axiom is unrolled
 into static instances ``s[l] == T[s[a]][s[b]]``, and an instance checks
 or forces ``s[l]`` as soon as ``s[a]`` and ``s[b]`` are assigned.
 
-Two pairs of routes are kept on purpose as independent cross-checks
-that must agree: the pruned enumerator vs ``brute_force_operator_tables``
-(an unpruned, vectorized oracle sharing none of its machinery), and, in
-each of ``state_filter_generated`` and ``state_filter_generated_ext``,
-the closure formula (a union of the algebra's cached upset rows) vs the
-plain fixpoint of ``filter_generated`` and sigma-images, which both
-closures share.  State-filters, their maximal members and Rad_sigma are
-the filter family, maximal filters and radical of ``filters`` with the
-operator table as ``sigma``; the maximality cross-check (inclusion vs
-the power criterion on sigma-images) lives there.
+Two pairs of routes are kept on purpose as independent cross-checks that
+must agree: the pruned enumerator vs ``brute_force_operator_tables`` (an
+unpruned, vectorized numpy oracle sharing none of its machinery; it
+lives in the tests, ``tests/oracles.py``, so numpy is no runtime
+dependency), and, in each of ``state_filter_generated`` and
+``state_filter_generated_ext``, the closure formula (a union of the
+algebra's cached upset rows) vs the plain fixpoint of
+``filter_generated`` and sigma-images, which both closures share.
+State-filters, their maximal members and Rad_sigma are the filter
+family, maximal filters and radical of ``filters`` with the operator
+table as ``sigma``; the maximality cross-check (inclusion vs the power
+criterion on sigma-images) lives there.
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
 
 @dataclass
 class EnumerationStats:
-    """Search counters of ``enumerate_operator_tables``, summed over partitions."""
+    """Search counters of ``enumerate_operator_tables``."""
 
     nodes: int = 0  # search-tree nodes visited, leaves included
     leaves: int = 0  # complete tables reached
@@ -307,10 +309,9 @@ def _enumerate_backtrack(
     algebra: FiniteBLAlgebra,
     cls: str,
     watches: list[list[_Instance]],
-    pin: tuple[int, int] | None,
     stats: EnumerationStats,
 ) -> list[tuple[int, ...]]:
-    """One backtracking search; ``pin`` preassigns a single element."""
+    """The backtracking search over the class's watched instances."""
     n = algebra.size
     meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
     tables = (meet, join, prod, impl)
@@ -358,8 +359,6 @@ def _enumerate_backtrack(
     ok = force(algebra.bottom, algebra.bottom, root_trail) and force(
         algebra.top, algebra.top, root_trail
     )
-    if ok and pin is not None:
-        ok = force(pin[0], pin[1], root_trail)
     if not ok:
         return []
 
@@ -390,6 +389,7 @@ def _enumerate_backtrack(
 def enumerate_operator_tables(
     algebra: FiniteBLAlgebra,
     cls: str = "state",
+    *,
     workers: int = 1,
     stats: EnumerationStats | None = None,
 ) -> list[tuple[int, ...]]:
@@ -408,40 +408,21 @@ def enumerate_operator_tables(
     classes) every image value is a fixed point whose pairwise
     meet/join/prod/impl closure consists of fixed points; that closure
     covers the value-dependent axioms 4 and 5.  Every leaf is re-checked
-    against the full axiom set.  ``brute_force_operator_tables`` shares
-    none of this machinery and is the deliberately independent
-    cross-check.
+    against the full axiom set.  ``brute_force_operator_tables`` in
+    ``tests/oracles.py`` shares none of this machinery and is the
+    deliberately independent cross-check.
 
-    With ``workers`` > 1 the search tree is partitioned on the first
-    free element's value; partitions are merged back in value order, so
-    the output is identical for every worker count.  ``stats``, when
-    given, receives the node, leaf and rejected-leaf counts.
+    The search runs single-threaded.  ``stats``, when given, receives
+    the node, leaf and rejected-leaf counts.
     """
+    # ``workers`` stays only for perfbench, which passes workers=1; drop both together
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     if cls not in ("state", "strong", "morphism", "endomorphism"):
         raise ValueError(f"unknown operator class {cls!r}")
-    n = algebra.size
-    watches = _watch_lists(algebra, cls)
-    first_free = next(
-        (e for e in range(n) if e not in (algebra.bottom, algebra.top)), None
-    )
     if stats is None:
         stats = EnumerationStats()
-    if workers <= 1 or first_free is None:
-        return _enumerate_backtrack(algebra, cls, watches, None, stats)
-    from concurrent.futures import ThreadPoolExecutor
-
-    parts = [EnumerationStats() for _ in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(
-            lambda v: _enumerate_backtrack(algebra, cls, watches, (first_free, v), parts[v]),
-            range(n),
-        )
-        out = [t for chunk in chunks for t in chunk]
-    for part in parts:
-        stats.nodes += part.nodes
-        stats.leaves += part.leaves
-        stats.rejected += part.rejected
-    return out
+    return _enumerate_backtrack(algebra, cls, _watch_lists(algebra, cls), stats)
 
 
 def enumerate_state_operators(
@@ -450,71 +431,6 @@ def enumerate_state_operators(
     if cls == "endomorphism":
         raise ValueError("endomorphism tables are not graded; use enumerate_operator_tables")
     return [verify_operator(algebra, t) for t in enumerate_operator_tables(algebra, cls)]
-
-
-def brute_force_operator_tables(
-    algebra: FiniteBLAlgebra, cls: str = "state"
-) -> list[tuple[int, ...]]:
-    """Unpruned oracle: scan all n^n maps, applying the class axioms
-    directly as vectorized masks.  Intended for small carriers only."""
-    import numpy as np
-
-    n = algebra.size
-    total = n**n
-    if total > 40_000_000:
-        raise ValueError(f"brute force over {total} maps is not reasonable")
-    ks = np.arange(total, dtype=np.int64)
-    cols = [(ks // (n ** (n - 1 - i))) % n for i in range(n)]
-    maps = np.stack(cols, axis=1).astype(np.int16)
-    del ks, cols
-
-    meet = np.array(algebra.meet, dtype=np.int16)
-    join = np.array(algebra.join, dtype=np.int16)
-    prod = np.array(algebra.prod, dtype=np.int16)
-    impl = np.array(algebra.impl, dtype=np.int16)
-    neg = np.array(algebra.neg_table, dtype=np.int16)
-
-    def gather(m, idx):
-        return np.take_along_axis(m, idx[:, None].astype(np.int64), axis=1)[:, 0]
-
-    def apply_axiom(m, ax):
-        keep = np.ones(len(m), dtype=bool)
-        if ax == "1":
-            return m[m[:, algebra.bottom] == algebra.bottom]
-        for x, y in iproduct(range(n), repeat=2):
-            if ax == "2":
-                cond = m[:, impl[x][y]] == impl[m[:, x], m[:, meet[x][y]]]
-            elif ax == "3":
-                cond = m[:, prod[x][y]] == prod[m[:, x], m[:, impl[x][prod[x][y]]]]
-            elif ax == "3s":
-                cond = m[:, prod[x][y]] == prod[m[:, x], m[:, join[neg[x]][y]]]
-            elif ax == "4":
-                t = prod[m[:, x], m[:, y]]
-                cond = gather(m, t) == t
-            elif ax == "5":
-                t = impl[m[:, x], m[:, y]]
-                cond = gather(m, t) == t
-            elif ax == "6":
-                cond = m[:, prod[x][y]] == prod[m[:, x], m[:, y]]
-            elif ax == "7":
-                cond = m[:, impl[x][y]] == impl[m[:, x], m[:, y]]
-            else:
-                raise ValueError(ax)
-            keep &= cond
-        return m[keep]
-
-    if cls == "endomorphism":
-        maps = maps[maps[:, algebra.bottom] == algebra.bottom]
-        maps = maps[maps[:, algebra.top] == algebra.top]
-        for table in (meet, join, prod, impl):
-            keep = np.ones(len(maps), dtype=bool)
-            for x, y in iproduct(range(n), repeat=2):
-                keep &= maps[:, table[x][y]] == table[maps[:, x], maps[:, y]]
-            maps = maps[keep]
-    else:
-        for ax in CLASS_AXIOMS[cls]:
-            maps = apply_axiom(maps, ax)
-    return [tuple(int(v) for v in row) for row in maps]
 
 
 # ---------------------------------------------------------------------------

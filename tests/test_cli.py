@@ -62,6 +62,8 @@ def test_verify_parse_error_exit_2(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "verify", str(missing))
     assert code == 2
+    code, _, err = run(capsys, "verify", str(tmp_path))  # a directory
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_enumerate_operators_identity_only(capsys):
@@ -156,3 +158,4 @@ def test_paper_suite_corpus_dir(capsys, tmp_path):
 def test_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+    assert main(["paper-suite", "--workers", "2"]) == 2

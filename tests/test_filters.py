@@ -18,7 +18,6 @@ from blstate.filters import (
     all_filters,
     classify_algebra,
     filter_generated,
-    filter_sort_key,
     is_primary,
     maximal_filters,
     radical,
@@ -37,20 +36,8 @@ from blstate.states import (
 )
 from blstate.suite import run_suite
 
+from .oracles import brute_force_filters
 from .strategies import algebras
-
-
-def brute_force_filters(a):
-    """Independent oracle: scan every subset against the two filter axioms."""
-    found = []
-    n = a.size
-    for mask in range(1, 1 << n):
-        s = frozenset(i for i in range(n) if mask >> i & 1)
-        closed = all(a.prod[x][y] in s for x in s for y in s)
-        upward = all(y in s for x in s for y in range(n) if a.le(x, y))
-        if closed and upward and a.top in s:
-            found.append(s)
-    return sorted(found, key=filter_sort_key)
 
 
 def test_filters_of_example_3_4():

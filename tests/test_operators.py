@@ -16,7 +16,6 @@ from blstate.constructors import (
 )
 from blstate.filters import maximal_filters, radical, state_filters
 from blstate.operators import (
-    brute_force_operator_tables,
     chain_product_sum,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -35,8 +34,8 @@ from blstate.operators import (
     ShapeMismatchError,
 )
 
+from .oracles import brute_force_filters, brute_force_operator_tables
 from .strategies import algebras, linear_algebras
-from .test_filters import brute_force_filters
 
 
 def test_verify_example_sigma():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from blstate.corpus import default_corpus
+from blstate.operators import enumerate_operator_tables
 from blstate.suite import (
     CLAIM_IDS,
     REGISTRY,
@@ -35,12 +37,19 @@ def test_records_are_sorted(report):
     assert keys == sorted(keys)
 
 
-def test_worker_counts_produce_identical_reports(corpus):
+def test_runs_produce_identical_reports(corpus):
     ids = ["Lemma-3.5-a", "Prop-2.10", "Thm-7.3", "Rem-4.5"]
-    r1 = run_suite(corpus, ids, workers=1)
-    r3 = run_suite(corpus, ids, workers=3)
-    assert render_text(r1) == render_text(r3)
-    assert render_json(r1) == render_json(r3)
+    r1 = run_suite(corpus, ids)
+    r2 = run_suite(default_corpus(), ids)  # fresh instances: every memo is cold
+    assert render_text(r1) == render_text(r2)
+    assert render_json(r1) == render_json(r2)
+
+
+def test_more_than_one_worker_is_rejected(corpus):
+    with pytest.raises(ValueError):
+        run_suite(corpus, workers=2)
+    with pytest.raises(ValueError):
+        enumerate_operator_tables(corpus[0].algebra, "state", workers=2)
 
 
 def test_unknown_claim_rejected(corpus):
