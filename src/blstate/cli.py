@@ -243,11 +243,7 @@ def _cmd_search_nonstrong(args) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
-    try:
-        corpus = load_corpus_dir(args.corpus) if args.corpus else default_corpus()
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    corpus = load_corpus_dir(args.corpus) if args.corpus else default_corpus()
     claim_ids = None
     if args.claims:
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
@@ -328,13 +324,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, NonLinearSummandError, BLAxiomError) as exc:
+    except (
+        ParseError, ValidationError, OSError, KeyError, ValueError,
+        NonLinearSummandError, BLAxiomError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

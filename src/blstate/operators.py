@@ -38,7 +38,14 @@ from .constructors import (
     ordinal_summand_slices,
     preservation_witness,
 )
-from .filters import filter_generated, filter_violation, maximal_filters, radical, state_filters
+from .filters import (
+    classify_algebra,
+    filter_generated,
+    filter_violation,
+    maximal_filters,
+    radical,
+    state_filters,
+)
 
 
 class ShapeMismatchError(Exception):
@@ -576,8 +583,6 @@ def classify_state_algebra(
     equivalence is evaluated for every state operator but a mismatch is
     logged as a discrepancy rather than failed.
     """
-    from .filters import classify_algebra  # deferred: keeps import order simple
-
     image, pos, fixed = operator_image(op)
     ker, faithful, radical_faithful = kernel_and_faithfulness(op)
     base = classify_algebra(algebra)

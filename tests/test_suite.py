@@ -2,7 +2,9 @@
 
 import pytest
 
-from blstate.corpus import default_corpus
+from blstate import filters, states, suite
+from blstate.constructors import mv_chain
+from blstate.corpus import CorpusInstance, default_corpus
 from blstate.operators import enumerate_operator_tables
 from blstate.suite import (
     CLAIM_IDS,
@@ -108,3 +110,47 @@ def test_fail_fast_rendering():
 def test_descriptions_present():
     for claim in REGISTRY:
         assert claim.description
+
+
+@pytest.mark.parametrize(
+    "claim_id, module, name, broken",
+    [
+        ("Prop-2.6", filters, "is_maximal_by_power_criterion", lambda *args: False),
+        ("Prop-2.10", filters, "radical_by_formula", lambda a: frozenset()),
+        ("Rem-2.15", states, "luk_mult_witness", lambda a, p, d: (0, 0)),
+    ],
+)
+def test_claim_fails_through_its_library_cross_check(
+    monkeypatch, claim_id, module, name, broken
+):
+    # these claims only call the library function that asserts their law;
+    # a fresh algebra has no memo, so the broken check is reached
+    inst = CorpusInstance(name="mv_chain(3)", algebra=mv_chain(3))
+    monkeypatch.setattr(module, name, broken)
+    report = run_suite([inst], [claim_id, "Prop-2.2-1"])
+    verdicts = {r.claim_id: (r.verdict, r.witness) for r in report.records}
+    verdict, witness = verdicts[claim_id]
+    assert verdict == "fail"
+    assert witness.startswith("internal cross-check: ")
+    assert verdicts["Prop-2.2-1"] == ("pass", "")
+
+
+def test_extremal_claims_do_not_recheck_states(monkeypatch):
+    # extremal states and their pull-backs are checked once, when built;
+    # a second run over the same corpus finds them memoized
+    corpus = default_corpus()
+    ids = ["Rem-2.15", "Prop-6.2"]
+    run_suite(corpus, ids)
+    calls = []
+    real = states.check_state
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(states, "check_state", counting)
+    monkeypatch.setattr(suite, "check_state", counting)
+    report = run_suite(corpus, ids)
+    assert {r.verdict for r in report.records} == {"pass"}
+    assert {r.claim_id for r in report.records} == set(ids)
+    assert calls == []
