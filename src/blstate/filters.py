@@ -83,17 +83,21 @@ def state_filters(
     )
 
 
-def filter_generated(algebra: FiniteBLAlgebra, seed: Iterable[int]) -> frozenset[int]:
+def filter_generated(
+    algebra: FiniteBLAlgebra, seed: Iterable[int], sigma: tuple[int, ...] | None = None
+) -> frozenset[int]:
     """Least filter containing ``seed``: up-closure of finite products.
 
-    A semi-naive closure: each round multiplies only the members found
-    in the round before with every member (one ``itemgetter`` over the
-    members per round) and joins their upsets, so every pair of members
-    is multiplied in the round after the later of the two is found.  It
-    is a plain closure under products and upsets and uses neither the
-    Prop-5.4 formula nor the upsets of idempotents, so it stays an
-    independent side of both cross-checks.  It works for any carrier
-    size and stores nothing on the algebra.
+    With an operator table ``sigma`` it is the least state-filter: the
+    closure also takes sigma-images.  A semi-naive closure: each round
+    multiplies only the members found in the round before with every
+    member (one ``itemgetter`` over the members per round), joins their
+    upsets and adds their sigma-images, so every pair of members is
+    multiplied in the round after the later of the two is found.  It
+    is a plain closure and uses neither the Prop-5.4 formulas nor the
+    upsets of idempotents, so it stays an independent side of those
+    cross-checks.  It works for any carrier size and stores nothing on
+    the algebra.
     """
     members = set(seed)
     if not members:
@@ -108,6 +112,8 @@ def filter_generated(algebra: FiniteBLAlgebra, seed: Iterable[int]) -> frozenset
         for x in new:
             found.update(pick(prod[x]))
             found |= upsets[x]
+        if sigma is not None:
+            found.update(map(sigma.__getitem__, new))
         new = found - members
         members |= new
     return frozenset(members)
@@ -214,8 +220,10 @@ def classify_algebra(algebra: FiniteBLAlgebra) -> AlgebraClassification:
     """All classification flags with their internal cross-checks.
 
     The one-element algebra is degenerate: it is reported as not simple
-    (it has a single filter), not local, not locally finite and trivially
-    semisimple; the equivalence cross-checks are skipped for it.
+    (it has a single filter) and not local (it has no proper filter),
+    but locally finite (no element other than the top exists), and
+    trivially semisimple and perfect; the equivalence cross-checks are
+    skipped for it.
     """
     n = algebra.size
     everything = frozenset(range(n))

@@ -14,8 +14,8 @@ unpruned, vectorized numpy oracle sharing none of its machinery; it
 lives in the tests, ``tests/oracles.py``, so numpy is no runtime
 dependency), and, in each of ``state_filter_generated`` and
 ``state_filter_generated_ext``, the closure formula (a union of the
-algebra's cached upset rows) vs the plain fixpoint of
-``filter_generated`` and sigma-images, which both closures share.
+algebra's cached upset rows) vs the plain closure ``filter_generated``
+under sigma, which both closures share.
 State-filters, their maximal members and Rad_sigma are the filter
 family, maximal filters and radical of ``filters`` with the operator
 table as ``sigma``; the maximality cross-check (inclusion vs the power
@@ -458,23 +458,6 @@ def kernel_and_faithfulness(op: StateOperator) -> tuple[frozenset[int], bool, bo
     return ker, op.is_faithful, radical_faithful
 
 
-def _state_filter_fixpoint(
-    algebra: FiniteBLAlgebra, sigma: tuple[int, ...], seed: Iterable[int]
-) -> frozenset[int]:
-    """Least state-filter containing ``seed`` by the plain fixpoint.
-
-    Alternates ``filter_generated`` with adding sigma-images until
-    nothing new appears.  It uses neither closure formula, so it is the
-    independent side of both cross-checks.
-    """
-    members = filter_generated(algebra, seed)
-    while True:
-        images = {sigma[x] for x in members} - members
-        if not images:
-            return members
-        members = filter_generated(algebra, members | images)
-
-
 def state_filter_generated(
     algebra: FiniteBLAlgebra, op: StateOperator, seed: Iterable[int]
 ) -> frozenset[int]:
@@ -482,8 +465,8 @@ def state_filter_generated(
 
     Computed twice: by the closure formula (the union of the upsets of
     the submonoid generated by the elements x * sigma(x), x in seed) and
-    by the plain fixpoint of ``filter_generated`` and sigma-images.  The
-    two must agree.
+    by the plain closure ``filter_generated`` under sigma.  The two must
+    agree.
     """
     xs = sorted(set(seed))
     if not xs:
@@ -504,11 +487,11 @@ def state_filter_generated(
         frontier = new
     by_formula = frozenset().union(*map(algebra.upsets.__getitem__, monoid))
 
-    by_fixpoint = _state_filter_fixpoint(algebra, op.table, xs)
-    if by_formula != by_fixpoint:
+    by_closure = filter_generated(algebra, xs, op.table)
+    if by_formula != by_closure:
         raise InternalCheckError(
             f"state-filter closure mismatch: formula {sorted(by_formula)}"
-            f" vs fixpoint {sorted(by_fixpoint)}"
+            f" vs fixpoint {sorted(by_closure)}"
         )
     return by_formula
 
@@ -520,7 +503,7 @@ def state_filter_generated_ext(
 
     Computed twice: by the extension formula (the union of the upsets of
     i * g^n, i in ``members``, n >= 1, g = a * sigma(a)) and by the same
-    plain fixpoint as ``state_filter_generated``.  The two must agree.
+    plain closure as ``state_filter_generated``.  The two must agree.
     """
     if members not in state_filters(algebra, op.table):
         raise NotAStateFilterError(f"{sorted(members)} is not a state-filter")
@@ -528,8 +511,7 @@ def state_filter_generated_ext(
     powers = algebra.power_values(prod[a][op.table[a]])
     products = {prod[i][p] for i in members for p in powers}
     by_formula = frozenset().union(*map(algebra.upsets.__getitem__, products))
-    by_fixpoint = _state_filter_fixpoint(algebra, op.table, members | {a})
-    if by_formula != by_fixpoint:
+    if by_formula != filter_generated(algebra, members | {a}, op.table):
         raise InternalCheckError("state-filter extension closure mismatch")
     return by_formula
 

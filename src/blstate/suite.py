@@ -5,6 +5,17 @@ README lists the full catalog).  A suite run produces one record per
 (claim, instance); reports are byte-identical across runs because
 records are emitted in (claim, instance) order and timings are excluded
 unless explicitly requested.
+
+A claim checks either a whole instance, ``check(instance) ->
+CheckResult``, or one operator, ``check(algebra, op) -> witness | None``.
+A per-operator claim's ``over`` names the pool class it covers
+(``state``, ``strong`` or ``morphism``); ``_over_pool`` grades it over
+that part of the instance's pool and names the operator in the witness.
+A library cross-check that raises ``InternalCheckError`` fails only its
+claim: ``<operator>: internal cross-check: <message>`` from
+``_over_pool``, ``internal cross-check: <message>`` from ``run_suite``
+(an instance check or an ``applies`` filter).  ``_check_named``, the
+only source of a ``discrepancy``, is the one other loop over the pool.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
@@ -71,7 +82,8 @@ class Claim:
     claim_id: str
     description: str
     applies: Callable[[CorpusInstance], bool]
-    check: Callable[[CorpusInstance], CheckResult]
+    check: Callable
+    over: str | None = None  # the pool class of a per-operator check
 
 
 @dataclass(frozen=True)
@@ -109,19 +121,26 @@ def _lbl(algebra: FiniteBLAlgebra, x: int) -> str:
     return algebra.labels[x]
 
 
-def _pool(inst: CorpusInstance, min_class: str = "state"):
+def _pool(inst: CorpusInstance, over: str):
     for name, op in inst.pool():
-        if min_class == "strong" and not op.is_strong:
+        if over == "strong" and not op.is_strong:
             continue
-        if min_class == "morphism" and not op.is_morphism:
+        if over == "morphism" and not op.is_morphism:
             continue
         yield name, op
 
 
-def _over_pool(inst: CorpusInstance, fn, min_class: str = "state") -> CheckResult:
-    """fn(algebra, op) -> witness string or None; first failure wins."""
-    for name, op in _pool(inst, min_class):
-        w = fn(inst.algebra, op)
+def _over_pool(inst: CorpusInstance, check, over: str = "state") -> CheckResult:
+    """Grade check(algebra, op) -> witness or None over the ``over`` pool.
+
+    The first failure wins and is named by its operator; a cross-check
+    raised for one operator is that operator's failure.
+    """
+    for name, op in _pool(inst, over):
+        try:
+            w = check(inst.algebra, op)
+        except InternalCheckError as exc:
+            w = f"internal cross-check: {exc}"
         if w:
             return CheckResult(FAIL, f"{name}: {w}")
     return CheckResult(PASS)
@@ -235,11 +254,7 @@ def _s2_partial_sum(inst):
 def _thm_2_5(inst):
     # extremal_states asserts .extremal on each extremal state it builds
     for st in _sample_states(inst):
-        verdict = check_state(inst.algebra, st.values)
-        try:
-            verdict.extremal  # raises if the four criteria disagree
-        except InternalCheckError as exc:
-            return _bool_result(False, str(exc))
+        check_state(inst.algebra, st.values).extremal  # raises if the criteria disagree
     return _bool_result(True)
 
 
@@ -545,14 +560,12 @@ def _l310_3(a, op):
     return None
 
 
-def _lemma_3_11(inst):
-    a = inst.algebra
-    for name, op in _pool(inst):
-        if preservation_witness(op.table, a.impl, a.impl) is not None:
-            return CheckResult(FAIL, f"{name}: does not preserve impl on a chain")
-        if op.is_strong and preservation_witness(op.table, a.prod, a.prod) is not None:
-            return CheckResult(FAIL, f"{name}: strong but does not preserve prod")
-    return CheckResult(PASS)
+def _lemma_3_11(a, op):
+    if preservation_witness(op.table, a.impl, a.impl) is not None:
+        return "does not preserve impl on a chain"
+    if op.is_strong and preservation_witness(op.table, a.prod, a.prod) is not None:
+        return "strong but does not preserve prod"
+    return None
 
 
 def _prop_3_8_3_16(inst):
@@ -569,14 +582,11 @@ def _prop_3_13(inst):
 
     a = inst.algebra
     rng = random.Random(20240801)
-    samples = [op.table for _, op in _pool(inst)]
+    samples = [op.table for _, op in inst.pool()]
     for _ in range(40):
         samples.append(tuple(rng.randrange(a.size) for _ in range(a.size)))
     for t in samples:
-        try:
-            report = mv_equivalence_check(a, t)
-        except InternalCheckError as exc:
-            return CheckResult(FAIL, str(exc))
+        report = mv_equivalence_check(a, t)
         if report.bl_state and not report.additive_on_orthogonal:
             return CheckResult(FAIL, f"additivity fails for {t}")
     return CheckResult(PASS)
@@ -586,23 +596,21 @@ def _prop_3_13(inst):
 # section 4 claims
 
 
-def _ops_for_structure(inst: CorpusInstance):
-    if inst.enumerated is not None:
-        return [(f"enum_{i}", op) for i, op in enumerate(inst.enumerated)]
-    return list(_pool(inst))
-
-
 def _lemma_4_2(inst):
+    # per operator, but the summands come from the instance's shape
     shape = inst.shape
-    upper = set(shape.upper_ids)
-    for name, op in _ops_for_structure(inst):
+    upper = frozenset(shape.upper_ids)
+
+    def keeps_summands(a, op):
         for c in shape.chain_ids:
             if op.table[c] != c:
-                return CheckResult(FAIL, f"{name}: does not fix the bottom chain at {c}")
+                return f"does not fix the bottom chain at {c}"
         for u in shape.upper_ids:
             if op.table[u] not in upper:
-                return CheckResult(FAIL, f"{name}: leaves the top summand at {u}")
-    return CheckResult(PASS)
+                return f"leaves the top summand at {u}"
+        return None
+
+    return _over_pool(inst, keeps_summands)
 
 
 def _lemma_4_3(inst):
@@ -666,29 +674,33 @@ def _rem_4_5(inst):
     return CheckResult(PASS)
 
 
+def _idempotent_endomorphism(a, op):
+    if any(preservation_witness(op.table, tb, tb) is not None for tb in (a.prod, a.impl)):
+        return "not an endomorphism on a chain"
+    if any(op.table[op.table[x]] != op.table[x] for x in range(a.size)):
+        return "not idempotent"
+    return None
+
+
 def _prop_4_9(inst):
+    # per operator, then the converse over the enumerated carrier
     a = inst.algebra
-    for name, op in _ops_for_structure(inst):
-        if any(preservation_witness(op.table, tb, tb) is not None for tb in (a.prod, a.impl)):
-            return CheckResult(FAIL, f"{name}: not an endomorphism on a chain")
-        if any(op.table[op.table[x]] != op.table[x] for x in range(a.size)):
-            return CheckResult(FAIL, f"{name}: not idempotent")
-    if inst.enumerated is not None and a.size <= 6:
-        endos = enumerate_operator_tables(a, "endomorphism")
-        idem = {t for t in endos if all(t[t[x]] == t[x] for x in range(a.size))}
-        states = {op.table for op in inst.enumerated}
-        if idem != states:
-            return CheckResult(FAIL, "state operators differ from idempotent endomorphisms")
+    result = _over_pool(inst, _idempotent_endomorphism)
+    if result.verdict != PASS or inst.enumerated is None or a.size > 6:
+        return result
+    endos = enumerate_operator_tables(a, "endomorphism")
+    idem = {t for t in endos if all(t[t[x]] == t[x] for x in range(a.size))}
+    states = {op.table for op in inst.enumerated}
+    if idem != states:
+        return CheckResult(FAIL, "state operators differ from idempotent endomorphisms")
     return CheckResult(PASS)
 
 
-def _prop_4_10(inst):
-    a = inst.algebra
-    for name, op in _pool(inst):
-        for table in (a.meet, a.join, a.prod, a.impl):
-            if preservation_witness(op.table, table, table) is not None:
-                return CheckResult(FAIL, f"{name}: not an endomorphism on x^2=x carrier")
-    return CheckResult(PASS)
+def _prop_4_10(a, op):
+    for table in (a.meet, a.join, a.prod, a.impl):
+        if preservation_witness(op.table, table, table) is not None:
+            return "not an endomorphism on x^2=x carrier"
+    return None
 
 
 def _ex_4_11(inst):
@@ -752,49 +764,41 @@ def _ex_5_3(inst):
     return CheckResult(PASS)
 
 
-def _prop_5_4(inst):
-    a = inst.algebra
+def _prop_5_4(a, op):
+    # both closures assert formula == filter_generated under sigma;
+    # maximal_filters asserts inclusion order == power criterion
+    for x in range(a.size):
+        state_filter_generated(a, op, {x})
+    for x, y in combinations(range(a.size), 2):
+        state_filter_generated(a, op, {x, y})
     everything = frozenset(range(a.size))
-    for name, op in _pool(inst):
-        try:
-            for x in range(a.size):
-                state_filter_generated(a, op, {x})
-            for x, y in iproduct(range(a.size), repeat=2):
-                if x < y:
-                    state_filter_generated(a, op, {x, y})
-            for f in state_filters(a, op.table):
-                if f == everything:
-                    continue
-                for elem in range(a.size):
-                    if elem not in f:
-                        state_filter_generated_ext(a, op, f, elem)
-            maximal_filters(a, op.table)  # includes the criterion cross-check
-        except InternalCheckError as exc:
-            return CheckResult(FAIL, f"{name}: {exc}")
-    return CheckResult(PASS)
+    for f in state_filters(a, op.table):
+        if f == everything:
+            continue
+        for elem in range(a.size):
+            if elem not in f:
+                state_filter_generated_ext(a, op, f, elem)
+    maximal_filters(a, op.table)
+    return None
 
 
-def _thm_5_5(inst):
-    a = inst.algebra
-    for name, op in _pool(inst):
-        irr, _ = subdirectly_irreducible(a, op.table)
-        if irr:
-            image, _, _ = operator_image(op)
-            if not image.is_linear:
-                return CheckResult(FAIL, f"{name}: irreducible but image not linear")
-        if op.is_faithful:
-            image, _, _ = operator_image(op)
-            image_irr, _ = subdirectly_irreducible(image)
-            if irr != image_irr:
-                return CheckResult(
-                    FAIL, f"{name}: faithful irreducibility mismatch ({irr} vs {image_irr})"
-                )
-    return CheckResult(PASS)
+def _thm_5_5(a, op):
+    irr, _ = subdirectly_irreducible(a, op.table)
+    if irr:
+        image, _, _ = operator_image(op)
+        if not image.is_linear:
+            return "irreducible but image not linear"
+    if op.is_faithful:
+        image, _, _ = operator_image(op)
+        image_irr, _ = subdirectly_irreducible(image)
+        if irr != image_irr:
+            return f"faithful irreducibility mismatch ({irr} vs {image_irr})"
+    return None
 
 
-def _check_named(inst, names, min_class="state"):
+def _check_named(inst, names, over="state"):
     """Evaluate classification checks with the given names over the pool."""
-    for op_name, op in _pool(inst, min_class):
+    for op_name, op in _pool(inst, over):
         cls = _state_classification(op)
         for outcome in cls.checks:
             if outcome.claim in names:
@@ -813,45 +817,39 @@ def _prop_5_7(inst):
     )
 
 
-def _prop_5_8(inst):
-    a = inst.algebra
-    for name, op in _pool(inst):
-        for f in maximal_filters(a, op.table):
-            quotient, proj = quotient_by_filter(a, f)
-            coinfinitesimal = radical_by_formula(quotient)
-            for elem in range(a.size):
-                if proj[op.table[elem]] in coinfinitesimal and op.table[elem] not in f:
-                    return CheckResult(
-                        FAIL, f"{name}: co-infinitesimal image outside {sorted(f)}"
-                    )
-    return CheckResult(PASS)
+def _prop_5_8(a, op):
+    for f in maximal_filters(a, op.table):
+        quotient, proj = quotient_by_filter(a, f)
+        coinfinitesimal = radical_by_formula(quotient)
+        for elem in range(a.size):
+            if proj[op.table[elem]] in coinfinitesimal and op.table[elem] not in f:
+                return f"co-infinitesimal image outside {sorted(f)}"
+    return None
 
 
-def _prop_5_9(inst):
-    a = inst.algebra
-    for name, op in _pool(inst):
-        image, pos, fixed = operator_image(op)
-        image_max = set(maximal_filters(image))
-        max_state = set(maximal_filters(a, op.table))
-        for i_filter in state_filters(a, op.table):
-            sig_i = frozenset(op.table[x] for x in i_filter)
-            if sig_i != i_filter & frozenset(fixed):
-                return CheckResult(FAIL, f"{name}: sigma(I) != I n sigma(A)")
-            as_image = frozenset(pos[x] for x in sig_i)
-            if as_image not in all_filters(image):
-                return CheckResult(FAIL, f"{name}: sigma(I) is not a filter of the image")
-            if i_filter in max_state and as_image not in image_max:
-                return CheckResult(FAIL, f"{name}: sigma(I) loses maximality")
-        for j_filter in all_filters(image):
-            j_orig = frozenset(fixed[z] for z in j_filter)
-            preimage = frozenset(x for x in range(a.size) if op.table[x] in j_orig)
-            if preimage not in state_filters(a, op.table):
-                return CheckResult(FAIL, f"{name}: preimage is not a state-filter")
-            if frozenset(op.table[x] for x in preimage) != j_orig:
-                return CheckResult(FAIL, f"{name}: preimage does not restrict back")
-            if j_filter in image_max and preimage not in max_state:
-                return CheckResult(FAIL, f"{name}: preimage loses maximality")
-    return CheckResult(PASS)
+def _prop_5_9(a, op):
+    image, pos, fixed = operator_image(op)
+    image_max = set(maximal_filters(image))
+    max_state = set(maximal_filters(a, op.table))
+    for i_filter in state_filters(a, op.table):
+        sig_i = frozenset(op.table[x] for x in i_filter)
+        if sig_i != i_filter & frozenset(fixed):
+            return "sigma(I) != I n sigma(A)"
+        as_image = frozenset(pos[x] for x in sig_i)
+        if as_image not in all_filters(image):
+            return "sigma(I) is not a filter of the image"
+        if i_filter in max_state and as_image not in image_max:
+            return "sigma(I) loses maximality"
+    for j_filter in all_filters(image):
+        j_orig = frozenset(fixed[z] for z in j_filter)
+        preimage = frozenset(x for x in range(a.size) if op.table[x] in j_orig)
+        if preimage not in state_filters(a, op.table):
+            return "preimage is not a state-filter"
+        if frozenset(op.table[x] for x in preimage) != j_orig:
+            return "preimage does not restrict back"
+        if j_filter in image_max and preimage not in max_state:
+            return "preimage loses maximality"
+    return None
 
 
 def _prop_5_10(inst):
@@ -862,51 +860,42 @@ def _prop_5_10(inst):
 # section 6 claims
 
 
-def _prop_6_1(inst):
-    # the extremal image states are pulled back once per operator; the
-    # uniform mixture of them is pulled back here
-    for name, op in _pool(inst):
-        try:
-            pulled_back_extremal_states(op)
-            image, _, _ = operator_image(op)
-            ext = extremal_states(image)
-            if len(ext) >= 2:
-                pull_back_state(op, mix_states(ext, _uniform_weights(len(ext))).values)
-        except InternalCheckError as exc:
-            return CheckResult(FAIL, f"{name}: {exc}")
-    return CheckResult(PASS)
+def _prop_6_1(a, op):
+    # pull_back_state asserts each pull-back is a state; the extremal
+    # image states are pulled back once per operator, their uniform
+    # mixture here
+    pulled_back_extremal_states(op)
+    image, _, _ = operator_image(op)
+    ext = extremal_states(image)
+    if len(ext) >= 2:
+        pull_back_state(op, mix_states(ext, _uniform_weights(len(ext))).values)
+    return None
 
 
-def _prop_6_2(inst):
-    for _, op in _pool(inst, "morphism"):
-        pulled_back_extremal_states(op)  # asserts morphisms keep extremality
-    return CheckResult(PASS)
+def _prop_6_2(a, op):
+    pulled_back_extremal_states(op)  # asserts morphisms keep extremality
+    return None
 
 
-def _thm_6_4(inst):
-    for name, op in _pool(inst):
-        report = sigma_compatible_correspondence(inst.algebra, op)
-        if not report.bijection_ok:
-            return CheckResult(FAIL, f"{name}: correspondence fails")
-    return CheckResult(PASS)
+def _thm_6_4(a, op):
+    if not sigma_compatible_correspondence(a, op).bijection_ok:
+        return "correspondence fails"
+    return None
 
 
-def _cor_6_5(inst):
+def _cor_6_5(a, op):
     # finite-instance content only: compatible mixtures lie in the hull
     # of the extremal compatible states (no topology is certified)
-    for name, op in _pool(inst):
-        report = sigma_compatible_correspondence(inst.algebra, op)
-        points = [st.values for st in report.compatible_extremal]
-        k = len(points)
-        mixtures = [report.compatible_extremal[0].values] if k == 1 else []
-        if k >= 2:
-            mixtures.append(
-                mix_states(list(report.compatible_extremal), _uniform_weights(k)).values
-            )
-        for target in mixtures:
-            if convex_coefficients(points, target) is None:
-                return CheckResult(FAIL, f"{name}: mixture escapes the hull")
-    return CheckResult(PASS)
+    report = sigma_compatible_correspondence(a, op)
+    points = [st.values for st in report.compatible_extremal]
+    k = len(points)
+    mixtures = [report.compatible_extremal[0].values] if k == 1 else []
+    if k >= 2:
+        mixtures.append(mix_states(list(report.compatible_extremal), _uniform_weights(k)).values)
+    for target in mixtures:
+        if convex_coefficients(points, target) is None:
+            return "mixture escapes the hull"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -987,8 +976,8 @@ def _is_linear_godel(inst):
 def build_registry() -> list[Claim]:
     claims: list[Claim] = []
 
-    def add(cid, desc, applies, check):
-        claims.append(Claim(cid, desc, applies, check))
+    def add(cid, desc, applies, check, over=None):
+        claims.append(Claim(cid, desc, applies, check, over))
 
     add("Prop-2.2-1", "prod is monotone in both arguments", _always, _prop_2_2_1)
     add("Prop-2.2-2", "impl is monotone in its second argument", _always, _prop_2_2_2)
@@ -1011,27 +1000,17 @@ def build_registry() -> list[Claim]:
     add("Rem-2.15", "maximal-filter quotients give extremal state-morphisms", _always, _rem_2_15)
 
     for key, fn in LEMMA_3_5.items():
-        add(
-            f"Lemma-3.5-{key}",
-            f"state-operator fact ({key})",
-            _always,
-            (lambda f: lambda inst: _over_pool(inst, f))(fn),
-        )
+        add(f"Lemma-3.5-{key}", f"state-operator fact ({key})", _always, fn, "state")
     for key, fn in (("a", _l39_a), ("b", _l39_b), ("c", _l39_c)):
-        add(
-            f"Lemma-3.9-{key}",
-            f"strong-operator fact ({key})",
-            _always,
-            (lambda f: lambda inst: _over_pool(inst, f, "strong"))(fn),
-        )
+        add(f"Lemma-3.9-{key}", f"strong-operator fact ({key})", _always, fn, "strong")
     add("Lemma-3.10-1", "pointwise impl equality iff meet equality",
-        _always, lambda inst: _over_pool(inst, _l310_1))
+        _always, _l310_1, "state")
     add("Lemma-3.10-2", "global impl preservation iff join preservation",
-        _always, lambda inst: _over_pool(inst, _l310_2))
+        _always, _l310_2, "state")
     add("Lemma-3.10-3", "impl preservation makes an endomorphism",
-        _always, lambda inst: _over_pool(inst, _l310_3))
+        _always, _l310_3, "state")
     add("Lemma-3.11", "operators on chains preserve impl; strong ones preserve prod",
-        _is_linear, _lemma_3_11)
+        _is_linear, _lemma_3_11, "state")
     add("Prop-3.8", "strong operators are state operators", _always, _prop_3_8_3_16)
     add("Prop-3.16", "morphism operators are strong", _always, _prop_3_8_3_16)
     add("Prop-3.13", "MV and BL operator axioms agree; MV state ops are strong",
@@ -1048,7 +1027,7 @@ def build_registry() -> list[Claim]:
     add("Prop-4.9", "operators on chains are idempotent endomorphisms",
         _is_linear, _prop_4_9)
     add("Prop-4.10", "operators on x^2=x carriers are endomorphisms",
-        _is_godel, _prop_4_10)
+        _is_godel, _prop_4_10, "state")
     add("Ex-4.11", "floor collapses exhaust the operators on Godel chains",
         _is_linear_godel, _ex_4_11)
     add("Prop-4.12", "the identity is the only operator on locally finite carriers",
@@ -1059,24 +1038,24 @@ def build_registry() -> list[Claim]:
     add("Ex-5.3", "graph operators of homomorphisms have kernel {1} x C",
         _has_hom, _ex_5_3)
     add("Prop-5.4", "generated state-filters match the closure formula",
-        _always, _prop_5_4)
+        _always, _prop_5_4, "state")
     add("Thm-5.5", "irreducible state algebras have linear images",
-        _always, _thm_5_5)
+        _always, _thm_5_5, "state")
     add("Prop-5.7", "image radical sits inside the operator image of the radical",
         _always, _prop_5_7)
     add("Prop-5.8", "co-infinitesimal images belong to maximal state-filters",
-        _always, _prop_5_8)
-    add("Prop-5.9", "state-filters correspond to image filters", _always, _prop_5_9)
+        _always, _prop_5_8, "state")
+    add("Prop-5.9", "state-filters correspond to image filters", _always, _prop_5_9, "state")
     add("Prop-5.10", "sigma of the state radical is the image radical",
         _always, _prop_5_10)
 
-    add("Prop-6.1", "states on the image pull back to states", _always, _prop_6_1)
+    add("Prop-6.1", "states on the image pull back to states", _always, _prop_6_1, "state")
     add("Prop-6.2", "extremal states pull back extremally through morphisms",
-        _always, _prop_6_2)
+        _always, _prop_6_2, "morphism")
     add("Thm-6.4", "compatible states correspond affinely to image states",
-        _always, _thm_6_4)
+        _always, _thm_6_4, "state")
     add("Cor-6.5", "compatible mixtures stay inside the extremal hull",
-        _always, _cor_6_5)
+        _always, _cor_6_5, "state")
 
     add("Thm-7.3", "simple iff the kernel is a maximal filter", _always, _thm_7_3)
     add("Thm-7.5", "semisimple iff the radical sits inside the kernel", _always, _thm_7_5)
@@ -1110,30 +1089,40 @@ def run_suite(
         unknown = wanted - set(CLAIM_IDS)
         if unknown:
             raise KeyError(f"unknown claim ids: {sorted(unknown)}")
-    tasks = [
-        (claim, inst)
-        for claim in REGISTRY
-        if wanted is None or claim.claim_id in wanted
-        for inst in corpus
-        if claim.applies(inst)
-    ]
+    # every filter runs before any check, so a check's time never holds
+    # the classify_algebra work that an ``applies`` filter does first;
+    # a cross-check that fails inside a filter fails that claim only
+    tasks = []
+    for claim in REGISTRY:
+        if wanted is not None and claim.claim_id not in wanted:
+            continue
+        for inst in corpus:
+            try:
+                if claim.applies(inst):
+                    tasks.append((claim, inst, None))
+            except InternalCheckError as exc:
+                tasks.append((claim, inst, CheckResult(FAIL, f"internal cross-check: {exc}")))
 
-    def run_one(pair):
-        claim, inst = pair
+    records = []
+    for claim, inst, result in tasks:
         start = perf_counter()
-        try:
-            result = claim.check(inst)
-        except InternalCheckError as exc:
-            result = CheckResult(FAIL, f"internal cross-check: {exc}")
-        return SuiteRecord(
-            claim_id=claim.claim_id,
-            instance=inst.name,
-            verdict=result.verdict,
-            witness=result.witness,
-            elapsed=perf_counter() - start,
+        if result is None:
+            try:
+                if claim.over is None:
+                    result = claim.check(inst)
+                else:
+                    result = _over_pool(inst, claim.check, claim.over)
+            except InternalCheckError as exc:
+                result = CheckResult(FAIL, f"internal cross-check: {exc}")
+        records.append(
+            SuiteRecord(
+                claim_id=claim.claim_id,
+                instance=inst.name,
+                verdict=result.verdict,
+                witness=result.witness,
+                elapsed=perf_counter() - start,
+            )
         )
-
-    records = [run_one(t) for t in tasks]
     records.sort(key=lambda r: (r.claim_id, r.instance))
     return SuiteReport(records)
 

@@ -23,7 +23,7 @@ from blstate.constructors import (
     sigma_h_table,
     swap_table,
 )
-from blstate.filters import all_filters
+from blstate.filters import all_filters, classify_algebra
 from blstate.operators import verify_operator
 
 from .strategies import _small_chain
@@ -115,6 +115,10 @@ def test_quotient_by_filter():
     assert q_id.size == 4 and proj_id == (0, 1, 2, 3)
     q_triv, _ = quotient_by_filter(a, frozenset(range(4)))
     assert q_triv.size == 1
+    # one filter, no proper one, no element besides the top
+    cls = classify_algebra(q_triv)
+    flags = (cls.simple, cls.semisimple, cls.local, cls.perfect, cls.locally_finite)
+    assert flags == (False, True, False, True, True)
     with pytest.raises(NotAFilterError):
         quotient_by_filter(a, frozenset({1, 3}))  # not prod-closed (a*a=0)
 

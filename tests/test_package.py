@@ -1,4 +1,5 @@
-"""Package shape: the library runs single-threaded on the standard library."""
+"""Package shape: the library runs single-threaded on the standard library,
+and the suite grades library cross-checks in one place."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,27 @@ def test_no_module_imports_numpy_or_threads():
                 assert name != banned and not name.startswith(banned + "."), (
                     f"{path.name} imports {name}"
                 )
+
+
+
+def _may_catch(handler, name):
+    """Whether an except clause can catch the exception class ``name``."""
+    if handler.type is None:
+        return True
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    names = {t.id for t in types if isinstance(t, ast.Name)}
+    return bool(names & {name, "Exception", "BaseException"})
+
+
+def test_suite_catches_cross_checks_only_in_its_graders():
+    # claims let InternalCheckError through, so a failing library
+    # cross-check gets one of the two witness forms the graders write
+    path = Path(blstate.__file__).parent / "suite.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    catching = {
+        getattr(node, "name", None)  # None: a handler outside any def or class
+        for node in tree.body
+        for handler in ast.walk(node)
+        if isinstance(handler, ast.ExceptHandler) and _may_catch(handler, "InternalCheckError")
+    }
+    assert catching == {"_over_pool", "run_suite"}

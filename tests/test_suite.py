@@ -2,9 +2,8 @@
 
 import pytest
 
-from blstate import filters, states, suite
-from blstate.constructors import mv_chain
-from blstate.corpus import CorpusInstance, default_corpus
+from blstate import filters, operators, states, suite
+from blstate.corpus import _mv_instance, default_corpus
 from blstate.operators import enumerate_operator_tables
 from blstate.suite import (
     CLAIM_IDS,
@@ -113,25 +112,35 @@ def test_descriptions_present():
 
 
 @pytest.mark.parametrize(
-    "claim_id, module, name, broken",
+    "claim_id, module, name, broken, prefix",
     [
-        ("Prop-2.6", filters, "is_maximal_by_power_criterion", lambda *args: False),
-        ("Prop-2.10", filters, "radical_by_formula", lambda a: frozenset()),
-        ("Rem-2.15", states, "luk_mult_witness", lambda a, p, d: (0, 0)),
+        ("Prop-2.6", filters, "is_maximal_by_power_criterion", lambda *args: False,
+         "internal cross-check: "),
+        ("Prop-2.10", filters, "radical_by_formula", lambda a: frozenset(),
+         "internal cross-check: "),
+        ("Rem-2.15", states, "luk_mult_witness", lambda a, p, d: (0, 0),
+         "internal cross-check: "),
+        # a per-operator claim names the operator whose cross-check failed
+        ("Prop-5.4", operators, "filter_generated",
+         lambda a, seed, sigma=None: frozenset(range(a.size)),
+         "identity: internal cross-check: state-filter closure mismatch"),
+        # the applies filter of Prop-4.12 is the first to classify the carrier
+        ("Prop-4.12", filters, "radical_by_formula", lambda a: frozenset(),
+         "internal cross-check: radical mismatch"),
     ],
 )
 def test_claim_fails_through_its_library_cross_check(
-    monkeypatch, claim_id, module, name, broken
+    monkeypatch, claim_id, module, name, broken, prefix
 ):
     # these claims only call the library function that asserts their law;
-    # a fresh algebra has no memo, so the broken check is reached
-    inst = CorpusInstance(name="mv_chain(3)", algebra=mv_chain(3))
+    # a fresh instance has no memo, so the broken check is reached
     monkeypatch.setattr(module, name, broken)
+    inst = _mv_instance(3)  # carries the identity and its enumeration
     report = run_suite([inst], [claim_id, "Prop-2.2-1"])
     verdicts = {r.claim_id: (r.verdict, r.witness) for r in report.records}
     verdict, witness = verdicts[claim_id]
     assert verdict == "fail"
-    assert witness.startswith("internal cross-check: ")
+    assert witness.startswith(prefix)
     assert verdicts["Prop-2.2-1"] == ("pass", "")
 
 
