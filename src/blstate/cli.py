@@ -40,7 +40,12 @@ from .operators import (
     kernel_and_faithfulness,
     verify_operator,
 )
-from .states import extremal_states, format_fraction, sigma_compatible_correspondence
+from .states import (
+    check_state,
+    extremal_states,
+    format_fraction,
+    sigma_compatible_correspondence,
+)
 from .suite import CLAIM_IDS, render_json, render_text, run_suite
 
 _BUILTIN = re.compile(r"^(mv_chain|godel_chain)\((\d+)\)$")
@@ -134,6 +139,13 @@ def _cmd_verify(args) -> int:
             ax, w = op.witnesses[0]
             print(f"FAIL operator {name} is not a state operator (axiom {ax} at {w})")
             return 1
+    for name, values in doc.states.items():
+        verdict = check_state(algebra, values)
+        if not verdict.is_state:
+            scan, w = verdict.witnesses[0]
+            print(f"FAIL state {name} is not a state ({scan} at {w})")
+            return 1
+        print(f"state {name}: extremal={verdict.extremal}")
     return 0
 
 

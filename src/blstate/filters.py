@@ -7,9 +7,12 @@ memoized on the algebra (``algebra.memoized``) and freed with it.
 
 A state-filter of (A, sigma) is a filter closed under the operator
 table sigma (``state_filters``); with sigma the identity it is just a
-filter.  So one implementation serves both: ``maximal_filters``,
-``is_maximal_by_power_criterion`` and ``radical`` take an optional
-table ``sigma``, and omitting it means the identity.
+filter.  So one implementation serves both: ``filter_generated``,
+``maximal_filters``, ``is_maximal_by_power_criterion`` and ``radical``
+take an optional table ``sigma``, and omitting it means the identity.
+The generated (state-)filter is read off that memoized family: it is
+the meet of the members that contain the seed.  The Prop-5.4 formulas
+in ``operators`` are the independent route it is checked against.
 
 Two pairs of routes are kept on purpose as independent cross-checks
 that must agree: the radical as an intersection of maximal filters vs
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .algebra import FiniteBLAlgebra, INFINITE_ORDER, InternalCheckError, memoized
@@ -86,37 +88,23 @@ def state_filters(
 def filter_generated(
     algebra: FiniteBLAlgebra, seed: Iterable[int], sigma: tuple[int, ...] | None = None
 ) -> frozenset[int]:
-    """Least filter containing ``seed``: up-closure of finite products.
+    """Least filter containing ``seed``, read off the filter lattice.
 
-    With an operator table ``sigma`` it is the least state-filter: the
-    closure also takes sigma-images.  A semi-naive closure: each round
-    multiplies only the members found in the round before with every
-    member (one ``itemgetter`` over the members per round), joins their
-    upsets and adds their sigma-images, so every pair of members is
-    multiplied in the round after the later of the two is found.  It
-    is a plain closure and uses neither the Prop-5.4 formulas nor the
-    upsets of idempotents, so it stays an independent side of those
-    cross-checks.  It works for any carrier size and stores nothing on
-    the algebra.
+    With an operator table ``sigma`` it is the least state-filter.  The
+    (state-)filters of a finite BL-algebra are closed under
+    intersection and include the whole carrier, so the least one
+    containing ``seed`` is the intersection of the members of the
+    memoized family (``all_filters`` or ``state_filters``) that contain
+    it.
     """
-    members = set(seed)
+    members = frozenset(seed)
     if not members:
         raise ValueError("seed must be nonempty")
-    top = algebra.top
-    members.add(top)
-    prod, upsets = algebra.prod, algebra.upsets
-    new = members
-    while new:
-        pick = itemgetter(top, *members)  # top repeats a member: always a tuple
-        found = set()
-        for x in new:
-            found.update(pick(prod[x]))
-            found |= upsets[x]
-        if sigma is not None:
-            found.update(map(sigma.__getitem__, new))
-        new = found - members
-        members |= new
-    return frozenset(members)
+    everything = frozenset(range(algebra.size))
+    if not members <= everything:
+        raise ValueError("seed element out of range")
+    family = all_filters(algebra) if sigma is None else state_filters(algebra, sigma)
+    return everything.intersection(*(f for f in family if members <= f))
 
 
 def has_power_negation_in(algebra: FiniteBLAlgebra, members: frozenset[int], y: int) -> bool:

@@ -13,9 +13,10 @@ must agree: the pruned enumerator vs ``brute_force_operator_tables`` (an
 unpruned, vectorized numpy oracle sharing none of its machinery; it
 lives in the tests, ``tests/oracles.py``, so numpy is no runtime
 dependency), and, in each of ``state_filter_generated`` and
-``state_filter_generated_ext``, the closure formula (a union of the
-algebra's cached upset rows) vs the plain closure ``filter_generated``
-under sigma, which both closures share.
+``state_filter_generated_ext``, the Prop-5.4 formula (a union of the
+algebra's cached upset rows over a monoid generated by the x * sigma(x))
+vs the filter lattice: ``filter_generated`` under sigma, the meet of
+the sigma-closed upsets of idempotents that contain the seed.
 State-filters, their maximal members and Rad_sigma are the filter
 family, maximal filters and radical of ``filters`` with the operator
 table as ``sigma``; the maximality cross-check (inclusion vs the power
@@ -41,7 +42,6 @@ from .constructors import (
 from .filters import (
     classify_algebra,
     filter_generated,
-    filter_violation,
     maximal_filters,
     radical,
     state_filters,
@@ -447,10 +447,8 @@ def enumerate_state_operators(
 def kernel_and_faithfulness(op: StateOperator) -> tuple[frozenset[int], bool, bool]:
     """Kernel state-filter, faithfulness, radical-faithfulness."""
     ker = op.kernel
-    if filter_violation(op.algebra, ker) is not None:
-        raise InternalCheckError("operator kernel is not a filter")
-    if any(op.table[x] not in ker for x in ker):
-        raise InternalCheckError("operator kernel is not closed under the operator")
+    if ker not in state_filters(op.algebra, op.table):
+        raise InternalCheckError("operator kernel is not a state-filter")
     rad = radical(op.algebra)
     radical_faithful = all(
         x in rad for x in range(op.algebra.size) if op.table[x] in rad
@@ -465,8 +463,8 @@ def state_filter_generated(
 
     Computed twice: by the closure formula (the union of the upsets of
     the submonoid generated by the elements x * sigma(x), x in seed) and
-    by the plain closure ``filter_generated`` under sigma.  The two must
-    agree.
+    by the filter lattice, ``filter_generated`` under sigma (the meet of
+    the state-filters that contain the seed).  The two must agree.
     """
     xs = sorted(set(seed))
     if not xs:
@@ -487,11 +485,11 @@ def state_filter_generated(
         frontier = new
     by_formula = frozenset().union(*map(algebra.upsets.__getitem__, monoid))
 
-    by_closure = filter_generated(algebra, xs, op.table)
-    if by_formula != by_closure:
+    by_lattice = filter_generated(algebra, xs, op.table)
+    if by_formula != by_lattice:
         raise InternalCheckError(
             f"state-filter closure mismatch: formula {sorted(by_formula)}"
-            f" vs fixpoint {sorted(by_closure)}"
+            f" vs lattice {sorted(by_lattice)}"
         )
     return by_formula
 
@@ -502,8 +500,8 @@ def state_filter_generated_ext(
     """Least state-filter containing the state-filter ``members`` and ``a``.
 
     Computed twice: by the extension formula (the union of the upsets of
-    i * g^n, i in ``members``, n >= 1, g = a * sigma(a)) and by the same
-    plain closure as ``state_filter_generated``.  The two must agree.
+    i * g^n, i in ``members``, n >= 1, g = a * sigma(a)) and by the
+    filter lattice, as in ``state_filter_generated``.  The two must agree.
     """
     if members not in state_filters(algebra, op.table):
         raise NotAStateFilterError(f"{sorted(members)} is not a state-filter")

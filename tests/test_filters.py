@@ -140,14 +140,20 @@ def test_filter_generated():
     assert filter_generated(a, {a.top}) == frozenset({3})
     assert filter_generated(a, {2}) == frozenset({2, 3})
     assert filter_generated(a, {1}) == frozenset({0, 1, 2, 3})  # a*a = 0
+    for seed in (set(), {4}, {-1}):
+        with pytest.raises(ValueError):
+            filter_generated(a, seed)
 
 
-def filter_by_definition(a, seed):
-    """Add every pairwise product and every upper bound until nothing changes."""
+def filter_by_definition(a, seed, sigma=None):
+    """Add every pairwise product and every upper bound until nothing
+    changes; with an operator table ``sigma`` also every sigma-image."""
     members = set(seed)
     while True:
         grown = members | {a.prod[x][y] for x in members for y in members}
         grown |= {y for x in members for y in range(a.size) if a.le(x, y)}
+        if sigma is not None:
+            grown |= {sigma[x] for x in members}
         if grown == members:
             return frozenset(members)
         members = grown
@@ -161,8 +167,11 @@ def small_seeds(a):
 @settings(max_examples=40, deadline=None)
 @given(algebras)
 def test_filter_generated_matches_the_definition(a):
+    tables = enumerate_operator_tables(a, "state")
     for seed in small_seeds(a):
         assert filter_generated(a, seed) == filter_by_definition(a, seed)
+        for t in tables:
+            assert filter_generated(a, seed, t) == filter_by_definition(a, seed, t)
 
 
 def test_filter_generated_matches_the_definition_on_mv7xg4():

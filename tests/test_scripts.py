@@ -1,7 +1,6 @@
 """Smoke tests: each script under scripts/ runs end to end through main()."""
 
 import importlib.util
-import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -26,13 +25,3 @@ def test_search_nonstrong(capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("searched ")
     assert last.endswith(" 0 candidate(s) that are state but not strong")
-
-
-def test_run_suite(tmp_path, capsys):
-    assert _script("run_suite").main(["--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.rstrip().endswith("all claims pass")
-    payload = json.loads((tmp_path / "suite.json").read_text(encoding="utf-8"))
-    assert payload["summary"]["fail"] == 0
-    text = (tmp_path / "suite.txt").read_text(encoding="utf-8")
-    assert text.splitlines()[-1].startswith(f"# {payload['summary']['records']} records:")
-    assert (tmp_path / "suite_timed.txt").exists()

@@ -3,7 +3,8 @@
 import pytest
 
 from blstate import filters, operators, states, suite
-from blstate.corpus import _mv_instance, default_corpus
+from blstate.constructors import mv_chain, quotient_by_filter
+from blstate.corpus import CorpusInstance, _mv_instance, default_corpus
 from blstate.operators import enumerate_operator_tables
 from blstate.suite import (
     CLAIM_IDS,
@@ -118,6 +119,8 @@ def test_descriptions_present():
          "internal cross-check: "),
         ("Prop-2.10", filters, "radical_by_formula", lambda a: frozenset(),
          "internal cross-check: "),
+        ("Prop-2.7", filters, "is_primary", lambda a, f: False,
+         "internal cross-check: local flag disagrees with the primary-filter criterion"),
         ("Rem-2.15", states, "luk_mult_witness", lambda a, p, d: (0, 0),
          "internal cross-check: "),
         # a per-operator claim names the operator whose cross-check failed
@@ -163,3 +166,14 @@ def test_extremal_claims_do_not_recheck_states(monkeypatch):
     assert {r.verdict for r in report.records} == {"pass"}
     assert {r.claim_id for r in report.records} == set(ids)
     assert calls == []
+
+
+def test_classification_claims_do_not_apply_to_the_one_element_algebra():
+    # classify_algebra's flags are degenerate at n = 1 and it skips the
+    # equivalences there, so the claims that read them skip it too
+    a = mv_chain(2)
+    one, _ = quotient_by_filter(a, frozenset(range(a.size)))
+    assert one.size == 1
+    inst = CorpusInstance(name="one", algebra=one)
+    report = run_suite([inst], ["Prop-2.7", "Prop-2.8", "Lemma-2.14", "Prop-2.6"])
+    assert [(r.claim_id, r.verdict) for r in report.records] == [("Prop-2.6", "pass")]
