@@ -331,6 +331,15 @@ class FiniteBLAlgebra:
         return tuple(x for x in range(self.size) if self.prod[x][x] == x)
 
     @cached_property
+    def byte_rows(self) -> tuple[tuple[bytes, ...], ...]:
+        """meet, join, prod and impl with every row as ``bytes``.
+
+        Only for carriers of at most 256 elements; the table kernels
+        (``operators``, ``constructors.table_preserves``) read them.
+        """
+        return tuple(tuple(map(bytes, t)) for t in (self.meet, self.join, self.prod, self.impl))
+
+    @cached_property
     def upsets(self) -> tuple[frozenset[int], ...]:
         """Row x is the upset {y : x <= y}, built once per algebra."""
         rng = range(self.size)

@@ -217,6 +217,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_states(args) -> int:
     algebra, operators = _load(args.file)
+    if algebra.size == 1:
+        # no state exists: s(0) = 0 and s(1) = 1, but here 0 = 1
+        print("0 extremal state(s)")
+        if args.operator:
+            _pick_operator(operators, args.operator)  # an unknown name is still an error
+        return 0
     ext = extremal_states(algebra)
     print(f"{len(ext)} extremal state(s)")
     for st in ext:

@@ -2,11 +2,16 @@
 
 An operator is a total unary map given as a value table.  ``verify_operator``
 grades a table into the classes none / state / strong / morphism and
-records a witness for each failed class.  ``enumerate_operator_tables``
+records a witness for each failed class.  As in sealing, the table check
+decides and the element scan names the witness: ``axiom_witness``
+decides an axiom on whole rows with ``bytes.translate`` (carriers of at
+most 256 elements) and scans only on a failure.  ``enumerate_operator_tables``
 finds every operator of a class by backtracking that propagates the
 class's axioms instance by instance: each equational axiom is unrolled
 into static instances ``s[l] == T[s[a]][s[b]]``, and an instance checks
-or forces ``s[l]`` as soon as ``s[a]`` and ``s[b]`` are assigned.
+or forces ``s[l]`` as soon as ``s[a]`` and ``s[b]`` are assigned.  The
+fixed-point closure of the image runs once per distinct image value on
+the search path, and every leaf is re-checked by the table kernels.
 
 Two pairs of routes are kept on purpose as independent cross-checks that
 must agree: the pruned enumerator vs ``brute_force_operator_tables`` (an
@@ -33,11 +38,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import FiniteBLAlgebra, InternalCheckError, classify_variety, verify_bl_axioms
 from .constructors import (
+    _preservation_scan,
     direct_product,
     mv_chain,
     ordinal_sum,
     ordinal_summand_slices,
     preservation_witness,
+    table_preserves,
 )
 from .filters import (
     classify_algebra,
@@ -79,15 +86,70 @@ AXIOM_TEXT = {
 def axiom_witness(
     algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str
 ) -> tuple[int, ...] | None:
-    """First pair (lexicographic) violating the axiom, or None."""
+    """First pair (lexicographic) violating the axiom, or None.
+
+    The table check decides; the element scan names the witness.  On a
+    carrier of at most 256 elements ``_axiom_holds`` decides the axiom on
+    whole rows, and a pass returns None at once.  The scan runs only when
+    that check fails or n > 256, so every witness returned is the scan's.
+    """
+    if algebra.size <= 256 and _axiom_holds(algebra, table, axiom):
+        return None
+    return _axiom_scan(algebra, table, axiom)
+
+
+def _axiom_holds(algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str) -> bool:
+    """Whether the axiom holds, decided on whole rows in C.
+
+    ``row`` is sigma as ``bytes`` and ``s`` the same padded to a
+    translation table, so ``r.translate(s)`` maps a whole row ``r``
+    through sigma, as ``algebra._laws_hold`` composes tables.  For each x
+    the two sides of an axiom are compared over every y at once.
+    """
+    if axiom == "1":
+        return table[algebra.bottom] == algebra.bottom
+    pad = bytes(256 - algebra.size)
+    row = bytes(table)
+    s = row + pad
+    meet, join, prod, impl = algebra.byte_rows
+    if axiom == "2":
+        return all(
+            impl[x].translate(s) == meet[x].translate(s).translate(impl[v] + pad)
+            for x, v in enumerate(row)
+        )
+    if axiom == "3":
+        return all(
+            prod[x].translate(s)
+            == prod[x].translate(impl[x] + pad).translate(s).translate(prod[v] + pad)
+            for x, v in enumerate(row)
+        )
+    if axiom == "3s":
+        neg = algebra.neg_table
+        return all(
+            prod[x].translate(s) == join[neg[x]].translate(s).translate(prod[v] + pad)
+            for x, v in enumerate(row)
+        )
+    if axiom in ("4", "5"):
+        # T(sigma(x), sigma(y)) is a fixed point, for each image value sigma(x)
+        ops = prod if axiom == "4" else impl
+        return all((t := row.translate(ops[v] + pad)).translate(s) == t for v in set(row))
+    if axiom in ("6", "7"):
+        ops = prod if axiom == "6" else impl
+        return table_preserves(row, ops, ops)
+    raise ValueError(f"unknown axiom {axiom}")
+
+
+def _axiom_scan(
+    algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str
+) -> tuple[int, ...] | None:
     s = table
     meet, prod, impl = algebra.meet, algebra.prod, algebra.impl
     if axiom == "1":
         return None if s[algebra.bottom] == algebra.bottom else (algebra.bottom,)
     if axiom == "6":
-        return preservation_witness(s, prod, prod)
+        return _preservation_scan(s, prod, prod)
     if axiom == "7":
-        return preservation_witness(s, impl, impl)
+        return _preservation_scan(s, impl, impl)
     for x, y in iproduct(range(algebra.size), repeat=2):
         if axiom == "2":
             ok = s[impl[x][y]] == impl[s[x]][s[meet[x][y]]]
@@ -125,6 +187,9 @@ def is_endomorphism(algebra: FiniteBLAlgebra, table: Sequence[int]) -> bool:
     s = table
     if s[algebra.bottom] != algebra.bottom or s[algebra.top] != algebra.top:
         return False
+    if algebra.size <= 256:
+        row = bytes(s)
+        return all(table_preserves(row, rows, rows) for rows in algebra.byte_rows)
     return all(
         preservation_witness(s, t, t) is None
         for t in (algebra.meet, algebra.join, algebra.prod, algebra.impl)
@@ -325,9 +390,14 @@ def _enumerate_backtrack(
     leq = algebra.leq
     neg = algebra.neg_table
     fixpointy = cls != "endomorphism"
+    # the earlier elements below and above each element
+    below = [[u for u in range(e) if leq[u][e]] for e in range(n)]
+    above = [[u for u in range(e) if leq[e][u]] for e in range(n)]
 
     assign: list[int | None] = [None] * n
     forced: list[int | None] = [None] * n
+    # the distinct image values on the search path, in order of appearance
+    images: list[int] = []
     results: list[tuple[int, ...]] = []
 
     def force(e: int, v: int, trail: list[int]) -> bool:
@@ -340,24 +410,20 @@ def _enumerate_backtrack(
         trail.append(e)
         return True
 
-    def consequences(e: int, v: int, trail: list[int]) -> bool:
-        for u in range(e):
-            su = assign[u]
-            if leq[u][e] and not leq[su][v]:
-                return False
-            if leq[e][u] and not leq[v][su]:
-                return False
+    def consequences(e: int, v: int, new_image: bool, trail: list[int]) -> bool:
         if not force(neg[e], neg[v], trail):
             return False
         for l, a, b, k in watches[e]:
             if not force(l, tables[k][assign[a]][assign[b]], trail):
                 return False
-        if fixpointy:
+        # a repeated image value adds no pair to the closure: the pairs of
+        # earlier image values were forced when their later member appeared,
+        # and those forces stay on an ancestor's trail
+        if new_image:
             if not force(v, v, trail):
                 return False
-            for u in range(e + 1):
-                su = assign[u]
-                for z in (prod[su][v], impl[su][v], impl[v][su], meet[su][v], join[su][v]):
+            for u in images:  # v is the last of them
+                for z in (prod[u][v], impl[u][v], impl[v][u], meet[u][v], join[u][v]):
                     if not force(z, z, trail):
                         return False
         return True
@@ -379,12 +445,27 @@ def _enumerate_backtrack(
             else:
                 stats.rejected += 1
             return
+        # monotonicity: sigma(e) lies between the join of the images of the
+        # earlier elements below e and the meet of those above e
+        lo, hi = algebra.bottom, algebra.top
+        for u in below[e]:
+            lo = join[lo][assign[u]]
+        for u in above[e]:
+            hi = meet[hi][assign[u]]
+        above_lo = leq[lo]
         candidates = (forced[e],) if forced[e] is not None else range(n)
         for v in candidates:
+            if not (above_lo[v] and leq[v][hi]):
+                continue
             trail: list[int] = []
             assign[e] = v
-            if consequences(e, v, trail):
+            new_image = fixpointy and v not in images
+            if new_image:
+                images.append(v)
+            if consequences(e, v, new_image, trail):
                 descend(e + 1)
+            if new_image:
+                images.pop()
             assign[e] = None
             for idx in trail:
                 forced[idx] = None
@@ -414,9 +495,14 @@ def enumerate_operator_tables(
     monotone, negations map to negated images, and (for the three state
     classes) every image value is a fixed point whose pairwise
     meet/join/prod/impl closure consists of fixed points; that closure
-    covers the value-dependent axioms 4 and 5.  Every leaf is re-checked
-    against the full axiom set.  ``brute_force_operator_tables`` in
-    ``tests/oracles.py`` shares none of this machinery and is the
+    covers the value-dependent axioms 4 and 5.  A node does only what
+    its assignment adds: monotonicity bounds the candidates by the join
+    of the images of the earlier elements below and the meet of those
+    above, and the closure runs only when a value new to the search path
+    appears, against the distinct image values already on it and itself.
+    Every leaf is re-checked against the full axiom set, decided on
+    whole tables (``satisfies_class``).  ``brute_force_operator_tables``
+    in ``tests/oracles.py`` shares none of this machinery and is the
     deliberately independent cross-check.
 
     The search runs single-threaded.  ``stats``, when given, receives

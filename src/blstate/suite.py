@@ -154,19 +154,20 @@ def _leq_pairs(a: FiniteBLAlgebra):
     return [(x, y) for x in range(a.size) for y in range(a.size) if a.le(x, y)]
 
 
-def _sample_states(inst: CorpusInstance) -> list[RationalState]:
-    """Deterministic states for state-level claims: mixtures of the
-    extremal states + any document-supplied state vectors."""
+def _sample_states(inst: CorpusInstance) -> list[tuple[str, RationalState]]:
+    """Deterministic named maps for state-level claims: mixtures of the
+    extremal states + any document-supplied state vectors, which need
+    not be states."""
     a = inst.algebra
     ext = extremal_states(a)
     out = []
     if len(ext) >= 2:
-        out.append(mix_states(ext, _uniform_weights(len(ext))))
+        out.append(("uniform mixture", mix_states(ext, _uniform_weights(len(ext)))))
         w = [Fraction(0)] * len(ext)
         w[0], w[1] = Fraction(1, 4), Fraction(3, 4)
-        out.append(mix_states(ext, w))
-    for values in inst.states.values():
-        out.append(RationalState(a, tuple(values)))
+        out.append(("1/4-3/4 mixture", mix_states(ext, w)))
+    for name, values in inst.states.items():
+        out.append((name, RationalState(a, tuple(values))))
     return out
 
 
@@ -253,8 +254,12 @@ def _s2_partial_sum(inst):
 
 def _thm_2_5(inst):
     # extremal_states asserts .extremal on each extremal state it builds
-    for st in _sample_states(inst):
-        check_state(inst.algebra, st.values).extremal  # raises if the criteria disagree
+    for name, st in _sample_states(inst):
+        verdict = check_state(inst.algebra, st.values)
+        if not verdict.is_state:
+            scan, w = verdict.witnesses[0]
+            return _bool_result(False, f"state {name} is not a state ({scan} at {w})")
+        verdict.extremal  # raises if the criteria disagree
     return _bool_result(True)
 
 

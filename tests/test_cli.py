@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+from blstate.algebra import verify_bl_axioms
 from blstate.cli import main
 from blstate.constructors import four_element_example, mv_chain
 from blstate.document import document_from_algebra, serialize_algebra
@@ -68,6 +69,18 @@ def test_verify_grades_document_states(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(bad))
     assert code == 1
     assert out.splitlines()[-1] == "FAIL state m is not a state (bosbach at ('bottom',))"
+
+
+def test_states_on_the_one_element_algebra(capsys, tmp_path):
+    one = verify_bl_axioms(["0"], [[0]], [[0]], [[0]], [[0]], 0, 0)
+    path = tmp_path / "one.json"
+    path.write_text(serialize_algebra(document_from_algebra(one, operators={"sigma": (0,)})))
+    code, out, _ = run(capsys, "states", str(path))
+    assert (code, out) == (0, "0 extremal state(s)\n")
+    code, out, _ = run(capsys, "states", str(path), "--operator", "sigma")
+    assert (code, out) == (0, "0 extremal state(s)\n")
+    code, _, _ = run(capsys, "states", str(path), "--operator", "nope")
+    assert code == 2
 
 
 def test_verify_parse_error_exit_2(capsys, tmp_path):

@@ -3,19 +3,25 @@
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from blstate.algebra import verify_bl_axioms
 from blstate.constructors import (
+    _preservation_scan,
     diagonal_operator_table,
     direct_product,
     four_element_example,
     godel_chain,
     mv_chain,
     pair_index,
+    preservation_witness,
 )
 from blstate.filters import maximal_filters, radical, state_filters
 from blstate.operators import (
+    EnumerationStats,
+    OPERATOR_AXIOMS,
+    _axiom_scan,
+    axiom_witness,
     chain_product_sum,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -23,6 +29,7 @@ from blstate.operators import (
     godel_strict_floor_table,
     identity_table,
     interval_collapse_table,
+    is_endomorphism,
     kernel_and_faithfulness,
     mv_equivalence_check,
     operator_image,
@@ -434,20 +441,56 @@ def ladder_carrier(rung):
     return a
 
 
+# (nodes, leaves, rejected) of the state and the endomorphism search:
+# a change to the pruning shows here even when the tables stay the same
+LADDER_SEARCH = {
+    "g3xg4": ((181, 15, 0), (298, 28, 0)),
+    "mv2xmv2xmv1": ((370, 6, 0), (190, 9, 0)),
+    "s4xs4": ((201, 3, 0), (163, 4, 0)),
+    "g3xg3xg3": ((2229, 59, 0), (5658, 216, 0)),
+}
+
+
 @pytest.mark.parametrize(
     "rung, states, endos",
     [("g3xg4", 15, 28), ("mv2xmv2xmv1", 6, 9), ("s4xs4", 3, 4), ("g3xg3xg3", 59, 216)],
 )
 def test_enumeration_ladder_counts(rung, states, endos):
     a = ladder_carrier(rung)
-    state = enumerate_operator_tables(a, "state")
-    assert len(state) == states
-    assert len(enumerate_operator_tables(a, "endomorphism")) == endos
+    found, searches = {}, []
+    for cls in ("state", "endomorphism"):
+        stats = EnumerationStats()
+        found[cls] = enumerate_operator_tables(a, cls, stats=stats)
+        searches.append((stats.nodes, stats.leaves, stats.rejected))
+    state = found["state"]
+    assert (len(state), len(found["endomorphism"])) == (states, endos)
+    assert tuple(searches) == LADDER_SEARCH[rung]
     assert state == sorted(state)
     if rung == "g3xg3xg3":
         strong = enumerate_operator_tables(a, "strong")
         morphism = enumerate_operator_tables(a, "morphism")
         assert set(morphism) <= set(strong) <= set(state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras.filter(lambda a: a.size <= 9), st.data())
+def test_table_kernels_agree_with_element_scans(a, data):
+    """``axiom_witness`` and ``preservation_witness`` decide on whole rows
+    and scan only to name a witness: both must return the scan's witness,
+    on enumerated tables and on the same tables with one entry changed."""
+    cls = data.draw(st.sampled_from(["state", "endomorphism"]))
+    tables = enumerate_operator_tables(a, cls)
+    table = list(data.draw(st.sampled_from(tables)))
+    if data.draw(st.booleans()):
+        entry = st.integers(0, a.size - 1)
+        table[data.draw(entry)] = data.draw(entry)
+    for axiom in OPERATOR_AXIOMS:
+        assert axiom_witness(a, table, axiom) == _axiom_scan(a, table, axiom)
+    scans = [_preservation_scan(table, op, op) for op in (a.meet, a.join, a.prod, a.impl)]
+    for op, scan in zip((a.meet, a.join, a.prod, a.impl), scans):
+        assert preservation_witness(table, op, op) == scan
+    fixes_bounds = table[a.bottom] == a.bottom and table[a.top] == a.top
+    assert is_endomorphism(a, table) == (fixes_bounds and scans == [None] * 4)
 
 
 def test_godel_floor_families():

@@ -1,10 +1,13 @@
 """Suite runner: claim coverage, verdicts, deterministic reports."""
 
+from fractions import Fraction
+
 import pytest
 
 from blstate import filters, operators, states, suite
 from blstate.constructors import mv_chain, quotient_by_filter
-from blstate.corpus import CorpusInstance, _mv_instance, default_corpus
+from blstate.corpus import CorpusInstance, _mv_instance, default_corpus, load_corpus_dir
+from blstate.document import document_from_algebra, serialize_algebra
 from blstate.operators import enumerate_operator_tables
 from blstate.suite import (
     CLAIM_IDS,
@@ -177,3 +180,13 @@ def test_classification_claims_do_not_apply_to_the_one_element_algebra():
     inst = CorpusInstance(name="one", algebra=one)
     report = run_suite([inst], ["Prop-2.7", "Prop-2.8", "Lemma-2.14", "Prop-2.6"])
     assert [(r.claim_id, r.verdict) for r in report.records] == [("Prop-2.6", "pass")]
+
+
+def test_thm_2_5_fails_a_document_map_that_is_not_a_state(tmp_path):
+    doc = document_from_algebra(mv_chain(2), states={"m": (Fraction(1, 2), Fraction(1, 2), 1)})
+    (tmp_path / "m.json").write_text(serialize_algebra(doc))
+    [record] = run_suite(load_corpus_dir(tmp_path), ["Thm-2.5"]).records
+    assert (record.verdict, record.witness) == (
+        "fail",
+        "state m is not a state (bosbach at ('bottom',))",
+    )
