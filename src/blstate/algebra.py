@@ -12,16 +12,21 @@ the witness.  On carriers of at most 256 elements (a property of the
 input: each table row then fits in ``bytes``) the laws are decided on
 whole tables with ``bytes.translate``; the element scan runs only on a
 failure, or on a larger carrier, and names the first violation.
+
+Pointwise laws are data, ``Law`` values (``classify_variety`` reads
+four).  One scanner, ``violation``, decides a law in C and only on a
+failure scans again, in lexicographic order, for the first failing tuple.
+A domain is kept with the algebra as columns, one byte per entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
-from itertools import compress, product as iproduct
+from functools import cached_property, lru_cache, wraps
+from itertools import chain, compress, product as iproduct, repeat
 from operator import getitem
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -95,10 +100,8 @@ def memoized(fn):
     def wrapper(obj, *args):
         memo = obj.__dict__.setdefault("_memo", {})
         key = (fn, *args)
-        try:
-            return memo[key]
-        except KeyError:
-            return memo.setdefault(key, fn(obj, *args))
+        value = memo.get(key, memo)  # the memo itself marks a miss
+        return memo.setdefault(key, fn(obj, *args)) if value is memo else value
 
     return wrapper
 
@@ -288,6 +291,11 @@ class FiniteBLAlgebra:
     def oplus(self, x: int, y: int) -> int:
         return self.neg(self.prod[self.neg(x)][self.neg(y)])
 
+    @cached_property
+    def oplus_table(self) -> Table:
+        neg = self.neg_table  # row x: y -> neg(prod(neg x, neg y))
+        return tuple(tuple(map(neg.__getitem__, map(self.prod[v].__getitem__, neg))) for v in neg)
+
     def ominus(self, x: int, y: int) -> int:
         return self.prod[x][self.neg(y)]
 
@@ -316,6 +324,11 @@ class FiniteBLAlgebra:
             if v == self.bottom:
                 return k
         return INFINITE_ORDER
+
+    @cached_property
+    def orders(self) -> tuple:
+        """``ord_of`` of every element."""
+        return tuple(map(self.ord_of, range(self.size)))
 
     def orthogonal(self, x: int, y: int) -> bool:
         return self.prod[x][y] == self.bottom
@@ -432,6 +445,125 @@ def residuum_from_monoid(leq: Sequence[Sequence[bool]], prod: Iterable[Iterable[
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# pointwise laws: ``Law`` data and the one scanner (see the module docstring)
+
+
+# builder parameter -> algebra attribute, where the two names differ
+_ATTRIBUTE = {"neg": "neg_table", "oplus": "oplus_table"}
+
+
+# eq=False: laws and domains are constants, hashed by identity as memo keys
+@dataclass(frozen=True, eq=False)
+class Domain:
+    """The tuples of ``arity`` elements where ``premise`` holds; ``premise``
+    builds its truth values over all of them, in lexicographic order."""
+
+    arity: int
+    premise: Callable | None = None
+
+
+ELEMENTS = Domain(1)
+PAIRS = Domain(2)
+TRIPLES = Domain(3)
+LEQ = Domain(2, lambda leq: chain.from_iterable(leq))  # the order pairs
+
+
+@dataclass(frozen=True, eq=False)
+class Law:
+    """``check`` holds at every tuple of ``over``; ``text`` names a failure.
+
+    ``check`` is a builder: called with the tables its parameters name
+    (``neg``, ``oplus``, ``a`` for the algebra itself, or any attribute of
+    the algebra such as ``prod``, ``leq`` or ``top``), it returns the
+    predicate on one tuple as a closure over them.  A per-operator law's
+    predicate takes the operator table ``t`` first.  Over several factors
+    it takes the first factor's tuple and returns the predicate on the rest.
+    """
+
+    text: str
+    check: Callable
+    over: Domain | tuple[Domain, ...] = PAIRS
+
+
+@lru_cache(maxsize=256)
+def _parameters(builder: Callable) -> tuple[str | None, ...]:
+    """The algebra attribute each parameter of ``builder`` names; None for ``a``."""
+    code = builder.__code__
+    return tuple(
+        None if name == "a" else _ATTRIBUTE.get(name, name)
+        for name in code.co_varnames[: code.co_argcount]
+    )
+
+
+def _arguments(algebra: FiniteBLAlgebra, builder: Callable) -> tuple:
+    return tuple(algebra if n is None else getattr(algebra, n) for n in _parameters(builder))
+
+
+def _column(values: Iterable[int], n: int) -> Sequence[int]:
+    # one byte per entry where the elements fit
+    return bytes(values) if n <= 256 else tuple(values)
+
+
+@lru_cache(maxsize=64)
+def _product_columns(n: int, k: int) -> tuple[Sequence[int], ...]:
+    """The columns of ``product(range(n), repeat=k)``: column i holds each
+    element n ** (k - 1 - i) times in a row, and that block n ** i times."""
+    return tuple(
+        _column(chain.from_iterable(map(repeat, range(n), repeat(n ** (k - 1 - i)))), n) * n**i
+        for i in range(k)
+    )
+
+
+@memoized
+def _columns(algebra: FiniteBLAlgebra, domain: Domain) -> tuple[Sequence[int], ...]:
+    columns = _product_columns(algebra.size, domain.arity)
+    if domain.premise is None:
+        return columns
+    mask = bytes(domain.premise(*_arguments(algebra, domain.premise)))
+    return tuple(_column(compress(column, mask), algebra.size) for column in columns)
+
+
+@memoized
+def _prepared(algebra: FiniteBLAlgebra, law: Law):
+    """The law's predicate on ``algebra`` and the columns of each factor."""
+    over = (law.over,) if isinstance(law.over, Domain) else law.over
+    return law.check(*_arguments(algebra, law.check)), [_columns(algebra, d) for d in over]
+
+
+def _first_failure(pred, head: tuple, tables: tuple, factors: list) -> tuple[int, ...] | None:
+    columns, rest = factors[0], factors[1:]
+    if rest:
+        for args in zip(*columns):
+            found = _first_failure(pred(*head, *args), (), (), rest)
+            if found is not None:
+                return args + found
+        return None
+    if all(map(pred, *tables, *columns)):
+        return None
+    return next(args for args in zip(*columns) if not pred(*head, *args))
+
+
+def violation(
+    laws: Law | Sequence[Law], algebra: FiniteBLAlgebra, table: Sequence[int] | None = None
+) -> tuple[Law, tuple[int, ...]] | None:
+    """The first failure ``(law, tuple)`` of ``laws``, or None.
+
+    A law is decided by ``all(map(predicate, *columns))``; only a failing
+    law is scanned again.  The laws share their variables: the
+    lexicographically first failing tuple wins, and at the same tuple
+    the earlier law.  ``table`` is the operator table of per-operator laws.
+    """
+    head, tables = ((), ()) if table is None else ((table,), (repeat(table),))
+    found = None
+    for law in (laws,) if isinstance(laws, Law) else laws:
+        pred, factors = _prepared(algebra, law)
+        failure = _first_failure(pred, head, tables, factors)
+        if failure is not None and (found is None or failure < found[1]):
+            found = (law, failure)
+    return found
+
+
 @dataclass(frozen=True)
 class VarietyFlags:
     """Identity-based classification of a sealed algebra.
@@ -452,48 +584,22 @@ class VarietyFlags:
         return None
 
 
+_VARIETY_LAWS = {
+    "is_mv": Law("x-- = x", lambda neg: lambda x: neg[neg[x]] == x, ELEMENTS),
+    "is_godel": Law("x*x = x", lambda prod: lambda x: prod[x][x] == x, ELEMENTS),
+    "is_linear": Law("x <= y or y <= x for x < y",
+                     lambda leq: lambda x, y: x >= y or leq[x][y] or leq[y][x]),
+    "mv_or_product_identity": Law(
+        "x->(x*y) = -x v y",
+        lambda join, prod, impl, neg: lambda x, y: impl[x][prod[x][y]] == join[neg[x]][y]),
+}
+
+
 @memoized
 def classify_variety(algebra: FiniteBLAlgebra) -> VarietyFlags:
     """Check x--=x, x^2=x, linearity and x->(x*y) = -x v y pointwise."""
-    n = algebra.size
-    witnesses: list[tuple[str, tuple[int, ...]]] = []
-
-    is_mv = True
-    for x in range(n):
-        if algebra.neg(algebra.neg(x)) != x:
-            is_mv = False
-            witnesses.append(("is_mv", (x,)))
-            break
-
-    is_godel = True
-    for x in range(n):
-        if algebra.prod[x][x] != x:
-            is_godel = False
-            witnesses.append(("is_godel", (x,)))
-            break
-
-    is_linear = True
-    for a in range(n):
-        done = False
-        for b in range(a + 1, n):
-            if not algebra.comparable(a, b):
-                is_linear = False
-                witnesses.append(("is_linear", (a, b)))
-                done = True
-                break
-        if done:
-            break
-
-    mv_or_product = True
-    for x in range(n):
-        done = False
-        for y in range(n):
-            if algebra.impl[x][algebra.prod[x][y]] != algebra.join[algebra.neg(x)][y]:
-                mv_or_product = False
-                witnesses.append(("mv_or_product_identity", (x, y)))
-                done = True
-                break
-        if done:
-            break
-
-    return VarietyFlags(is_mv, is_godel, is_linear, mv_or_product, tuple(witnesses))
+    found = {flag: violation(law, algebra) for flag, law in _VARIETY_LAWS.items()}
+    return VarietyFlags(
+        *(found[flag] is None for flag in _VARIETY_LAWS),
+        tuple((flag, f[1]) for flag, f in found.items() if f is not None),
+    )

@@ -2,10 +2,15 @@
 
 An operator is a total unary map given as a value table.  ``verify_operator``
 grades a table into the classes none / state / strong / morphism and
-records a witness for each failed class.  As in sealing, the table check
-decides and the element scan names the witness: ``axiom_witness``
-decides an axiom on whole rows with ``bytes.translate`` (carriers of at
-most 256 elements) and scans only on a failure.  ``enumerate_operator_tables``
+names the witness of each failed axiom when it is first read.  As in
+sealing, the table check decides and the element scan names the
+witness: ``axiom_holds`` decides an axiom on whole rows with
+``bytes.translate`` (carriers of at most 256 elements, ``_axiom_holds``
+and ``constructors.table_preserves``), and only ``axiom_witness`` and
+the witnesses of an operator scan.  The scan is the law engine
+(``algebra.violation``) over ``AXIOM_LAWS``.  The MV-operator axioms and
+additivity (``MV_LAWS``, ``ADDITIVITY``) have no kernel: the engine
+decides and names them.  ``enumerate_operator_tables``
 finds every operator of a class by backtracking that propagates the
 class's axioms instance by instance: each equational axiom is unrolled
 into static instances ``s[l] == T[s[a]][s[b]]``, and an instance checks
@@ -36,9 +41,16 @@ from itertools import product as iproduct
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import FiniteBLAlgebra, InternalCheckError, classify_variety, verify_bl_axioms
+from .algebra import (
+    ELEMENTS,
+    FiniteBLAlgebra,
+    InternalCheckError,
+    Law,
+    classify_variety,
+    verify_bl_axioms,
+    violation,
+)
 from .constructors import (
-    _preservation_scan,
     direct_product,
     mv_chain,
     ordinal_sum,
@@ -71,16 +83,34 @@ class NotAStateFilterError(Exception):
 # "6" is product preservation, "7" is impl preservation
 OPERATOR_AXIOMS = ("1", "2", "3", "3s", "4", "5", "6", "7")
 
-AXIOM_TEXT = {
-    "1": "sigma(bottom) = bottom",
-    "2": "sigma(x->y) = sigma(x) -> sigma(x^y)",
-    "3": "sigma(x*y) = sigma(x) * sigma(x -> x*y)",
-    "3s": "sigma(x*y) = sigma(x) * sigma(-x v y)",
-    "4": "sigma(sigma(x) * sigma(y)) = sigma(x) * sigma(y)",
-    "5": "sigma(sigma(x) -> sigma(y)) = sigma(x) -> sigma(y)",
-    "6": "sigma(x*y) = sigma(x) * sigma(y)",
-    "7": "sigma(x->y) = sigma(x) -> sigma(y)",
+AXIOM_LAWS = {
+    "1": Law("sigma(bottom) = bottom",
+             lambda bottom: lambda t, x: x != bottom or t[x] == x, ELEMENTS),
+    "2": Law("sigma(x->y) = sigma(x) -> sigma(x^y)",
+             lambda meet, impl: lambda t, x, y: t[impl[x][y]] == impl[t[x]][t[meet[x][y]]]),
+    "3": Law("sigma(x*y) = sigma(x) * sigma(x -> x*y)",
+             lambda prod, impl: lambda t, x, y: (
+                 t[prod[x][y]] == prod[t[x]][t[impl[x][prod[x][y]]]])),
+    "3s": Law("sigma(x*y) = sigma(x) * sigma(-x v y)",
+              lambda join, prod, neg: lambda t, x, y: (
+                  t[prod[x][y]] == prod[t[x]][t[join[neg[x]][y]]])),
+    "4": Law("sigma(sigma(x) * sigma(y)) = sigma(x) * sigma(y)",
+             lambda prod: lambda t, x, y: t[prod[t[x]][t[y]]] == prod[t[x]][t[y]]),
+    "5": Law("sigma(sigma(x) -> sigma(y)) = sigma(x) -> sigma(y)",
+             lambda impl: lambda t, x, y: t[impl[t[x]][t[y]]] == impl[t[x]][t[y]]),
+    "6": Law("sigma(x*y) = sigma(x) * sigma(y)",
+             lambda prod: lambda t, x, y: t[prod[x][y]] == prod[t[x]][t[y]]),
+    "7": Law("sigma(x->y) = sigma(x) -> sigma(y)",
+             lambda impl: lambda t, x, y: t[impl[x][y]] == impl[t[x]][t[y]]),
 }
+
+
+def axiom_holds(algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str) -> bool:
+    """Whether the axiom holds: on whole rows (``_axiom_holds``) on a
+    carrier of at most 256 elements, by the element scan otherwise."""
+    if algebra.size <= 256:
+        return _axiom_holds(algebra, table, axiom)
+    return _axiom_scan(algebra, table, axiom) is None
 
 
 def axiom_witness(
@@ -88,14 +118,10 @@ def axiom_witness(
 ) -> tuple[int, ...] | None:
     """First pair (lexicographic) violating the axiom, or None.
 
-    The table check decides; the element scan names the witness.  On a
-    carrier of at most 256 elements ``_axiom_holds`` decides the axiom on
-    whole rows, and a pass returns None at once.  The scan runs only when
-    that check fails or n > 256, so every witness returned is the scan's.
+    The table check decides (``axiom_holds``); the element scan runs only
+    when the axiom fails, and names the witness.
     """
-    if algebra.size <= 256 and _axiom_holds(algebra, table, axiom):
-        return None
-    return _axiom_scan(algebra, table, axiom)
+    return None if axiom_holds(algebra, table, axiom) else _axiom_scan(algebra, table, axiom)
 
 
 def _axiom_holds(algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str) -> bool:
@@ -142,33 +168,14 @@ def _axiom_holds(algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str) -> 
 def _axiom_scan(
     algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str
 ) -> tuple[int, ...] | None:
-    s = table
-    meet, prod, impl = algebra.meet, algebra.prod, algebra.impl
-    if axiom == "1":
-        return None if s[algebra.bottom] == algebra.bottom else (algebra.bottom,)
-    if axiom == "6":
-        return _preservation_scan(s, prod, prod)
-    if axiom == "7":
-        return _preservation_scan(s, impl, impl)
-    for x, y in iproduct(range(algebra.size), repeat=2):
-        if axiom == "2":
-            ok = s[impl[x][y]] == impl[s[x]][s[meet[x][y]]]
-        elif axiom == "3":
-            ok = s[prod[x][y]] == prod[s[x]][s[impl[x][prod[x][y]]]]
-        elif axiom == "3s":
-            ok = s[prod[x][y]] == prod[s[x]][s[algebra.join[algebra.neg(x)][y]]]
-        elif axiom == "4":
-            t = prod[s[x]][s[y]]
-            ok = s[t] == t
-        elif axiom == "5":
-            t = impl[s[x]][s[y]]
-            ok = s[t] == t
-        else:
-            raise ValueError(f"unknown axiom {axiom}")
-        if not ok:
-            return (x, y)
-    return None
+    """First tuple (lexicographic) violating the axiom, or None."""
+    if axiom not in AXIOM_LAWS:
+        raise ValueError(f"unknown axiom {axiom}")
+    found = violation(AXIOM_LAWS[axiom], algebra, table)
+    return None if found is None else found[1]
 
+
+IDEMPOTENT = Law("idempotence at {}", lambda: lambda t, x: t[t[x]] == t[x], ELEMENTS)
 
 CLASS_AXIOMS = {
     "state": ("1", "2", "3", "4", "5"),
@@ -180,7 +187,7 @@ CLASS_AXIOMS = {
 def satisfies_class(algebra: FiniteBLAlgebra, table: Sequence[int], cls: str) -> bool:
     if cls == "endomorphism":
         return is_endomorphism(algebra, table)
-    return all(axiom_witness(algebra, table, a) is None for a in CLASS_AXIOMS[cls])
+    return all(axiom_holds(algebra, table, a) for a in CLASS_AXIOMS[cls])
 
 
 def is_endomorphism(algebra: FiniteBLAlgebra, table: Sequence[int]) -> bool:
@@ -200,9 +207,9 @@ def is_endomorphism(algebra: FiniteBLAlgebra, table: Sequence[int]) -> bool:
 class StateOperator:
     """A graded unary operator on a sealed algebra.
 
-    ``verified_class`` is the strongest fully-holding class; the
-    ``witnesses`` tuple records the first failing pair for every axiom
-    that does not hold everywhere.
+    ``verified_class`` is the strongest fully-holding class; ``failed``
+    lists the axioms that do not hold everywhere, and ``witnesses`` names
+    the first failing pair of each when first read.
     """
 
     algebra: FiniteBLAlgebra
@@ -211,7 +218,7 @@ class StateOperator:
     is_strong: bool
     is_morphism: bool
     preserves_impl: bool
-    witnesses: tuple[tuple[str, tuple[int, ...]], ...]
+    failed: tuple[str, ...]
 
     @property
     def verified_class(self) -> str:
@@ -223,11 +230,12 @@ class StateOperator:
             return "state"
         return "none"
 
+    @cached_property
+    def witnesses(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        return tuple((ax, _axiom_scan(self.algebra, self.table, ax)) for ax in self.failed)
+
     def witness_for(self, axiom: str) -> tuple[int, ...] | None:
-        for name, w in self.witnesses:
-            if name == axiom:
-                return w
-        return None
+        return dict(self.witnesses)[axiom] if axiom in self.failed else None
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -287,13 +295,7 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
     t = tuple(int(v) for v in table)
     if len(t) != algebra.size or any(not (0 <= v < algebra.size) for v in t):
         raise ValueError("operator table must be total on the carrier")
-    witnesses = []
-    holds = {}
-    for ax in OPERATOR_AXIOMS:
-        w = axiom_witness(algebra, t, ax)
-        holds[ax] = w is None
-        if w is not None:
-            witnesses.append((ax, w))
+    holds = {ax: axiom_holds(algebra, t, ax) for ax in OPERATOR_AXIOMS}
     is_state = all(holds[a] for a in CLASS_AXIOMS["state"])
     is_strong = all(holds[a] for a in CLASS_AXIOMS["strong"])
     is_morphism = all(holds[a] for a in CLASS_AXIOMS["morphism"])
@@ -301,10 +303,8 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
         raise InternalCheckError("morphism operator failed the strong axioms")
     if is_strong and not is_state:
         raise InternalCheckError("strong operator failed the state axioms")
-    if is_state:
-        for x in range(algebra.size):
-            if t[t[x]] != t[x]:
-                raise InternalCheckError("verified operator is not idempotent")
+    if is_state and violation(IDEMPOTENT, algebra, t) is not None:
+        raise InternalCheckError("verified operator is not idempotent")
     if holds["7"] and is_state and not is_morphism:
         raise InternalCheckError("impl-preserving state operator must preserve prod")
     return StateOperator(
@@ -314,7 +314,7 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
         is_strong=is_strong,
         is_morphism=is_morphism,
         preserves_impl=holds["7"],
-        witnesses=tuple(witnesses),
+        failed=tuple(ax for ax in OPERATOR_AXIOMS if not holds[ax]),
     )
 
 
@@ -879,33 +879,19 @@ def godel_strict_floor_table(algebra: FiniteBLAlgebra, a: int) -> tuple[int, ...
 # MV equivalence
 
 
-def mv_axiom_witness(
-    algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str
-) -> tuple[int, ...] | None:
-    """MV-operator axioms evaluated with the derived oplus/ominus."""
-    s = table
-    a = algebra
-    if axiom == "mv1":
-        return None if s[a.top] == a.top else (a.top,)
-    for x, y in iproduct(range(a.size), repeat=2):
-        if axiom == "mv2":
-            ok = s[a.neg(x)] == a.neg(s[x])
-            if not ok:
-                return (x,)
-            continue
-        if axiom == "mv3":
-            ok = s[a.oplus(x, y)] == a.oplus(s[x], s[a.ominus(y, a.prod[x][y])])
-        elif axiom == "mv4":
-            t = a.oplus(s[x], s[y])
-            ok = s[t] == t
-        else:
-            raise ValueError(axiom)
-        if not ok:
-            return (x, y)
-    return None
-
-
-MV_AXIOMS = ("mv1", "mv2", "mv3", "mv4")
+# the MV-operator axioms in the derived oplus and ominus, and additivity
+MV_LAWS = {
+    "mv1": Law("sigma(1) = 1", lambda top: lambda t, x: x != top or t[x] == x, ELEMENTS),
+    "mv2": Law("sigma(x-) = sigma(x)-", lambda neg: lambda t, x: t[neg[x]] == neg[t[x]], ELEMENTS),
+    "mv3": Law("sigma(x+y) = sigma(x) + sigma(y - x*y)",
+               lambda prod, neg, oplus: lambda t, x, y: (
+                   t[oplus[x][y]] == oplus[t[x]][t[prod[y][neg[prod[x][y]]]]])),
+    "mv4": Law("sigma(sigma(x) + sigma(y)) = sigma(x) + sigma(y)",
+               lambda oplus: lambda t, x, y: t[oplus[t[x]][t[y]]] == oplus[t[x]][t[y]]),
+}
+ADDITIVITY = Law("sigma(x+y) = sigma(x) + sigma(y) for orthogonal x, y",
+                 lambda prod, bottom, oplus: lambda t, x, y: (
+                     prod[x][y] != bottom or t[oplus[x][y]] == oplus[t[x]][t[y]]))
 
 
 @dataclass(frozen=True)
@@ -927,12 +913,11 @@ def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> MVEq
         raise NotMVError("carrier does not satisfy double-negation")
     t = tuple(int(v) for v in table)
     witnesses = []
-    mv_ok = True
-    for ax in MV_AXIOMS:
-        w = mv_axiom_witness(algebra, t, ax)
-        if w is not None:
-            mv_ok = False
-            witnesses.append((ax, w))
+    for ax, law in MV_LAWS.items():
+        found = violation(law, algebra, t)
+        if found is not None:
+            witnesses.append((ax, found[1]))
+    mv_ok = not witnesses
     op = verify_operator(algebra, t)
     bl_ok = op.is_state
     if bl_ok != mv_ok:
@@ -942,21 +927,13 @@ def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> MVEq
     strong = op.is_strong
     if bl_ok and not strong:
         raise InternalCheckError("state operator on an MV carrier must be strong")
-    additive = True
-    if bl_ok:
-        for x, y in iproduct(range(algebra.size), repeat=2):
-            if not algebra.orthogonal(x, y):
-                continue
-            lhs = t[algebra.oplus(x, y)]
-            rhs = algebra.oplus(t[x], t[y])
-            if lhs != rhs:
-                additive = False
-                witnesses.append(("additivity", (x, y)))
-                break
+    found = violation(ADDITIVITY, algebra, t) if bl_ok else None
+    if found is not None:
+        witnesses.append(("additivity", found[1]))
     return MVEquivalenceReport(
         bl_state=bl_ok,
         mv_state=mv_ok,
         strong=strong,
-        additive_on_orthogonal=additive,
+        additive_on_orthogonal=found is None,
         witnesses=tuple(witnesses),
     )

@@ -16,6 +16,14 @@ claim: ``<operator>: internal cross-check: <message>`` from
 ``_over_pool``, ``internal cross-check: <message>`` from ``run_suite``
 (an instance check or an ``applies`` filter).  ``_check_named``, the
 only source of a ``discrepancy``, is the one other loop over the pool.
+
+A pointwise law (``Prop-2.2-*``, ``S2-*``, most of ``Lemma-3.5``,
+``Lemma-3.9``, ``Lemma-3.10-1``) is ``algebra.Law`` data, decided and named
+by the one scanner ``algebra.violation``: ``_instance_laws`` names the
+failing elements by index, ``_operator_laws`` by label.  Claims about
+preserving whole operations read the verdicts ``verify_operator``
+already computed on whole tables (``preserves_impl``, axiom 6) or call
+``is_endomorphism``; only join preservation (Lemma-3.10-2) is a law.
 """
 
 from __future__ import annotations
@@ -23,12 +31,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
-from .algebra import FiniteBLAlgebra, INFINITE_ORDER, InternalCheckError, memoized
-from .constructors import preservation_witness, quotient_by_filter, swap_table
+from .algebra import (
+    ELEMENTS,
+    INFINITE_ORDER,
+    LEQ,
+    TRIPLES,
+    InternalCheckError,
+    Law,
+    memoized,
+    violation,
+)
+from .constructors import quotient_by_filter, swap_table
 from .corpus import CorpusInstance
 from .filters import (
     all_filters,
@@ -41,6 +58,7 @@ from .filters import (
     subdirectly_irreducible,
 )
 from .operators import (
+    IDEMPOTENT,
     StateOperator,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -48,6 +66,7 @@ from .operators import (
     godel_strict_floor_table,
     interval_collapse_table,
     identity_table,
+    is_endomorphism,
     mv_equivalence_check,
     operator_image,
     sigma_j_table,
@@ -117,10 +136,6 @@ def _state_classification(op: StateOperator):
     return classify_state_algebra(op.algebra, op)
 
 
-def _lbl(algebra: FiniteBLAlgebra, x: int) -> str:
-    return algebra.labels[x]
-
-
 def _pool(inst: CorpusInstance, over: str):
     for name, op in inst.pool():
         if over == "strong" and not op.is_strong:
@@ -150,8 +165,29 @@ def _bool_result(ok: bool, witness: str = "") -> CheckResult:
     return CheckResult(PASS if ok else FAIL, "" if ok else witness)
 
 
-def _leq_pairs(a: FiniteBLAlgebra):
-    return [(x, y) for x in range(a.size) for y in range(a.size) if a.le(x, y)]
+def _instance_laws(*laws: Law):
+    """An instance check; a failure names its elements by index."""
+
+    def check(inst):
+        found = violation(laws, inst.algebra)
+        if found is None:
+            return CheckResult(PASS)
+        return CheckResult(FAIL, found[0].text.format(*found[1]))
+
+    return check
+
+
+def _operator_laws(*laws: Law, when=None):
+    """A per-operator check where ``when(a, op)`` holds (always if None);
+    a failure names its elements by label."""
+
+    def check(a, op):
+        if when is not None and not when(a, op):
+            return None
+        found = violation(laws, a, op.table)
+        return None if found is None else found[0].text.format(*map(a.labels.__getitem__, found[1]))
+
+    return check
 
 
 def _sample_states(inst: CorpusInstance) -> list[tuple[str, RationalState]]:
@@ -179,77 +215,39 @@ def _uniform_weights(k: int) -> list[Fraction]:
 # section 2 claims
 
 
-def _prop_2_2_1(inst):
-    a = inst.algebra
-    pairs = _leq_pairs(a)
-    leq = a.leq
-    for x, y in pairs:
-        px, py = a.prod[x], a.prod[y]
-        for c, d in pairs:
-            if not leq[px[c]][py[d]]:
-                return _bool_result(False, f"monotonicity of prod at {x},{y},{c},{d}")
-    return _bool_result(True)
+def _prod_monotone(prod, leq):
+    def at(x, y):
+        px, py = prod[x], prod[y]
+        return lambda c, d: leq[px[c]][py[d]]
+
+    return at
 
 
-def _prop_2_2_2(inst):
-    a = inst.algebra
-    for (x, y) in _leq_pairs(a):
-        for c in range(a.size):
-            if not a.le(a.impl[c][x], a.impl[c][y]):
-                return _bool_result(False, f"monotonicity of impl at {c},{x},{y}")
-    return _bool_result(True)
-
-
-def _prop_2_2_3(inst):
-    a = inst.algebra
-    for x, y in iproduct(range(a.size), repeat=2):
-        if a.impl[x][a.neg(y)] != a.neg(a.prod[x][y]):
-            return _bool_result(False, f"a->b- = (a*b)- fails at {x},{y}")
-    return _bool_result(True)
-
-
-def _prop_2_2_4(inst):
-    a = inst.algebra
-    for x, y in iproduct(range(a.size), repeat=2):
-        if a.impl[x][a.meet[x][y]] != a.impl[x][y]:
-            return _bool_result(False, f"a->(a^b) = a->b fails at {x},{y}")
-    return _bool_result(True)
-
-
-def _prop_2_2_5(inst):
-    a = inst.algebra
-    for x, y, c in iproduct(range(a.size), repeat=3):
-        if not a.le(a.impl[x][y], a.impl[a.prod[x][c]][a.prod[y][c]]):
-            return _bool_result(False, f"a->b <= a*c->b*c fails at {x},{y},{c}")
-    return _bool_result(True)
-
-
-def _prop_2_2_6(inst):
-    # the residuation law a->(b->c) = (a*b)->c
-    a = inst.algebra
-    for x, y, c in iproduct(range(a.size), repeat=3):
-        if a.impl[x][a.impl[y][c]] != a.impl[a.prod[x][y]][c]:
-            return _bool_result(False, f"residuation law fails at {x},{y},{c}")
-    return _bool_result(True)
-
-
-def _s2_orthogonality(inst):
-    a = inst.algebra
-    for x, y in iproduct(range(a.size), repeat=2):
-        c1 = a.le(a.neg(a.neg(x)), a.neg(y))
-        c2 = a.le(x, a.neg(y))
-        c3 = a.prod[x][y] == a.bottom
-        if not (c1 == c2 == c3):
-            return _bool_result(False, f"orthogonality forms disagree at {x},{y}")
-    return _bool_result(True)
-
-
-def _s2_partial_sum(inst):
-    a = inst.algebra
-    for x, y in iproduct(range(a.size), repeat=2):
-        if a.orthogonal(x, y) and a.partial_sum(x, y) != a.partial_sum(y, x):
-            return _bool_result(False, f"partial sum not symmetric at {x},{y}")
-    return _bool_result(True)
+_prop_2_2_1 = _instance_laws(Law("monotonicity of prod at {},{},{},{}", _prod_monotone, (LEQ, LEQ)))
+_prop_2_2_2 = _instance_laws(Law(
+    "monotonicity of impl at {2},{0},{1}",
+    lambda impl, leq: lambda x, y: lambda c: leq[impl[c][x]][impl[c][y]], (LEQ, ELEMENTS)))
+_prop_2_2_3 = _instance_laws(Law(
+    "a->b- = (a*b)- fails at {},{}",
+    lambda prod, impl, neg: lambda x, y: impl[x][neg[y]] == neg[prod[x][y]]))
+_prop_2_2_4 = _instance_laws(Law(
+    "a->(a^b) = a->b fails at {},{}",
+    lambda meet, impl: lambda x, y: impl[x][meet[x][y]] == impl[x][y]))
+_prop_2_2_5 = _instance_laws(Law(
+    "a->b <= a*c->b*c fails at {},{},{}",
+    lambda prod, impl, leq: lambda x, y, c: leq[impl[x][y]][impl[prod[x][c]][prod[y][c]]],
+    TRIPLES))
+_prop_2_2_6 = _instance_laws(Law(  # the residuation law a->(b->c) = (a*b)->c
+    "residuation law fails at {},{},{}",
+    lambda prod, impl: lambda x, y, c: impl[x][impl[y][c]] == impl[prod[x][y]][c], TRIPLES))
+_s2_orthogonality = _instance_laws(Law(
+    "orthogonality forms disagree at {},{}",
+    lambda prod, neg, leq, bottom: lambda x, y: (
+        leq[neg[neg[x]]][neg[y]] == leq[x][neg[y]] == (prod[x][y] == bottom))))
+_s2_partial_sum = _instance_laws(Law(  # x + y = y- -> x--, defined on orthogonal pairs
+    "partial sum not symmetric at {},{}",
+    lambda prod, impl, neg, bottom: lambda x, y: (
+        prod[x][y] != bottom or impl[neg[y]][neg[neg[x]]] == impl[neg[x]][neg[neg[y]]])))
 
 
 def _thm_2_5(inst):
@@ -296,7 +294,7 @@ def _rem_2_11(inst):
     rad_neg = frozenset(a.neg(x) for x in rad)
     for x in rad_neg:
         if a.neg(x) not in rad:
-            return _bool_result(False, f"neg closure (reverse) fails at {_lbl(a, x)}")
+            return _bool_result(False, f"neg closure (reverse) fails at {a.labels[x]}")
     return _bool_result(True)
 
 
@@ -340,98 +338,16 @@ def _l35_a(a, op):
     return None if op.table[a.top] == a.top else "sigma(top) != top"
 
 
-def _l35_b(a, op):
-    for x in range(a.size):
-        if op.table[a.neg(x)] != a.neg(op.table[x]):
-            return f"negation at {_lbl(a, x)}"
-    return None
-
-
-def _l35_c(a, op):
-    for x, y in _leq_pairs(a):
-        if not a.le(op.table[x], op.table[y]):
-            return f"monotone at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
-def _l35_d(a, op):
-    t = op.table
-    for x, y in iproduct(range(a.size), repeat=2):
-        p = a.prod[x][y]
-        if not a.le(a.prod[t[x]][t[y]], t[p]):
-            return f"prod bound at {_lbl(a,x)},{_lbl(a,y)}"
-        if p == a.bottom and t[p] != a.prod[t[x]][t[y]]:
-            return f"prod equality (orthogonal) at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
-def _l35_e(a, op):
-    t = op.table
-    for x, y in iproduct(range(a.size), repeat=2):
-        lhs = t[a.ominus(x, y)]
-        rhs = a.prod[t[x]][a.neg(t[y])]
-        if not a.le(rhs, lhs):
-            return f"ominus bound at {_lbl(a,x)},{_lbl(a,y)}"
-        if a.le(x, y) and lhs != rhs:
-            return f"ominus equality at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
-def _l35_f(a, op):
-    t = op.table
-    for x, y in iproduct(range(a.size), repeat=2):
-        if t[a.meet[x][y]] != a.prod[t[x]][t[a.impl[x][y]]]:
-            return f"meet identity at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
-def _l35_g(a, op):
-    t = op.table
-    for x, y in iproduct(range(a.size), repeat=2):
-        lhs = t[a.impl[x][y]]
-        rhs = a.impl[t[x]][t[y]]
-        if not a.le(lhs, rhs):
-            return f"impl bound at {_lbl(a,x)},{_lbl(a,y)}"
-        if a.comparable(x, y) and lhs != rhs:
-            return f"impl equality at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
-def _l35_h(a, op):
-    t = op.table
-    for x, y in iproduct(range(a.size), repeat=2):
-        lhs = a.prod[t[a.impl[x][y]]][t[a.impl[y][x]]]
-        if not a.le(lhs, a.dist(t[x], t[y])):
-            return f"distance bound at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
-def _l35_i(a, op):
-    t = op.table
-    for x, y in iproduct(range(a.size), repeat=2):
-        s = a.oplus(x, y)
-        if not a.le(t[s], a.oplus(t[x], t[y])):
-            return f"oplus bound at {_lbl(a,x)},{_lbl(a,y)}"
-        if s == a.top and a.oplus(t[x], t[y]) != a.top:
-            return f"oplus equality at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
-def _l35_j(a, op):
-    for x in range(a.size):
-        if op.table[op.table[x]] != op.table[x]:
-            return f"idempotence at {_lbl(a, x)}"
-    return None
-
-
 def _l35_k(a, op):
     image = frozenset(op.table)
     if a.bottom not in image or a.top not in image:
         return "image misses a bound"
+    members = sorted(image)
     for table in (a.meet, a.join, a.prod, a.impl):
-        for x, y in iproduct(sorted(image), repeat=2):
-            if table[x][y] not in image:
-                return f"image not closed at {_lbl(a,x)},{_lbl(a,y)}"
+        for x in members:
+            for y in members:
+                if table[x][y] not in image:
+                    return f"image not closed at {a.labels[x]},{a.labels[y]}"
     return None
 
 
@@ -441,52 +357,9 @@ def _l35_l(a, op):
     return None
 
 
-def _l35_m(a, op):
-    if a.size == 1:
-        return None
-    rad = radical(a)
-    for x in range(a.size):
-        o = a.ord_of(x)
-        if o == INFINITE_ORDER:
-            continue
-        if a.ord_of(op.table[x]) > o:
-            return f"order grows at {_lbl(a, x)}"
-        if op.table[x] in rad:
-            return f"finite-order image inside the radical at {_lbl(a, x)}"
-    return None
-
-
-def _l35_n(a, op):
-    t = op.table
-    for x, y in iproduct(range(a.size), repeat=2):
-        fwd = t[a.impl[x][y]] == a.impl[t[x]][t[y]]
-        bwd = t[a.impl[y][x]] == a.impl[t[y]][t[x]]
-        if fwd != bwd:
-            return f"impl-preservation symmetry at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
 def _l35_o(a, op):
     if frozenset(op.table) == frozenset(range(a.size)) and op.table != identity_table(a):
         return "surjective but not the identity"
-    return None
-
-
-def _l35_p(a, op):
-    if not op.is_faithful:
-        return None
-    for x, y in _leq_pairs(a):
-        if x != y and not (a.le(op.table[x], op.table[y]) and op.table[x] != op.table[y]):
-            return f"strict monotonicity at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
-def _l35_q(a, op):
-    if not op.is_faithful:
-        return None
-    for x in range(a.size):
-        if op.table[x] != x and a.comparable(op.table[x], x):
-            return f"comparable displacement at {_lbl(a, x)}"
     return None
 
 
@@ -496,69 +369,113 @@ def _l35_r(a, op):
     return None
 
 
+def _image_outside_radical(a, orders):
+    rad = radical(a)
+    return lambda t, x: orders[x] == INFINITE_ORDER or t[x] not in rad
+
+
+_JOIN_PRESERVED = Law("", lambda join: lambda t, x, y: t[join[x][y]] == join[t[x]][t[y]])
+
 LEMMA_3_5 = {
-    "a": _l35_a, "b": _l35_b, "c": _l35_c, "d": _l35_d, "e": _l35_e, "f": _l35_f,
-    "g": _l35_g, "h": _l35_h, "i": _l35_i, "j": _l35_j, "k": _l35_k, "l": _l35_l,
-    "m": _l35_m, "n": _l35_n, "o": _l35_o, "p": _l35_p, "q": _l35_q, "r": _l35_r,
+    "a": _l35_a,
+    "b": _operator_laws(
+        Law("negation at {}", lambda neg: lambda t, x: t[neg[x]] == neg[t[x]], ELEMENTS)),
+    "c": _operator_laws(Law("monotone at {},{}", lambda leq: lambda t, x, y: leq[t[x]][t[y]], LEQ)),
+    "d": _operator_laws(
+        Law("prod bound at {},{}",
+            lambda prod, leq: lambda t, x, y: leq[prod[t[x]][t[y]]][t[prod[x][y]]]),
+        Law("prod equality (orthogonal) at {},{}",
+            lambda prod, bottom: lambda t, x, y: (
+                prod[x][y] != bottom or t[prod[x][y]] == prod[t[x]][t[y]]))),
+    "e": _operator_laws(
+        Law("ominus bound at {},{}",
+            lambda prod, neg, leq: lambda t, x, y: leq[prod[t[x]][neg[t[y]]]][t[prod[x][neg[y]]]]),
+        Law("ominus equality at {},{}",
+            lambda prod, neg: lambda t, x, y: t[prod[x][neg[y]]] == prod[t[x]][neg[t[y]]], LEQ)),
+    "f": _operator_laws(Law(
+        "meet identity at {},{}",
+        lambda meet, prod, impl: lambda t, x, y: t[meet[x][y]] == prod[t[x]][t[impl[x][y]]])),
+    "g": _operator_laws(
+        Law("impl bound at {},{}",
+            lambda impl, leq: lambda t, x, y: leq[t[impl[x][y]]][impl[t[x]][t[y]]]),
+        Law("impl equality at {},{}",
+            lambda impl, leq: lambda t, x, y: (
+                not (leq[x][y] or leq[y][x]) or t[impl[x][y]] == impl[t[x]][t[y]]))),
+    "h": _operator_laws(Law(  # sigma(x->y) * sigma(y->x) <= d(sigma(x), sigma(y))
+        "distance bound at {},{}",
+        lambda prod, impl, leq: lambda t, x, y: (
+            leq[prod[t[impl[x][y]]][t[impl[y][x]]]][prod[impl[t[x]][t[y]]][impl[t[y]][t[x]]]]))),
+    "i": _operator_laws(
+        Law("oplus bound at {},{}",
+            lambda oplus, leq: lambda t, x, y: leq[t[oplus[x][y]]][oplus[t[x]][t[y]]]),
+        Law("oplus equality at {},{}",
+            lambda oplus, top: lambda t, x, y: oplus[x][y] != top or oplus[t[x]][t[y]] == top)),
+    "j": _operator_laws(IDEMPOTENT),
+    "k": _l35_k,
+    "l": _l35_l,
+    "m": _operator_laws(
+        Law("order grows at {}",
+            lambda orders: lambda t, x: orders[x] == INFINITE_ORDER or orders[t[x]] <= orders[x],
+            ELEMENTS),
+        Law("finite-order image inside the radical at {}", _image_outside_radical, ELEMENTS),
+        when=lambda a, op: a.size > 1),
+    "n": _operator_laws(Law(
+        "impl-preservation symmetry at {},{}",
+        lambda impl: lambda t, x, y: (
+            (t[impl[x][y]] == impl[t[x]][t[y]]) == (t[impl[y][x]] == impl[t[y]][t[x]])))),
+    "o": _l35_o,
+    "p": _operator_laws(
+        Law("strict monotonicity at {},{}",
+            lambda leq: lambda t, x, y: x == y or (leq[t[x]][t[y]] and t[x] != t[y]), LEQ),
+        when=lambda a, op: op.is_faithful),
+    "q": _operator_laws(
+        Law("comparable displacement at {}",
+            lambda leq: lambda t, x: t[x] == x or not (leq[t[x]][x] or leq[x][t[x]]), ELEMENTS),
+        when=lambda a, op: op.is_faithful),
+    "r": _l35_r,
 }
 
+LEMMA_3_9 = {
+    "a": _operator_laws(Law(
+        "strong prod equality at {},{}",
+        lambda prod, neg, leq: lambda t, x, y: (
+            not leq[neg[x]][y] or t[prod[x][y]] == prod[t[x]][t[y]]))),
+    "b": _operator_laws(Law(
+        "strong ominus equality at {},{}",
+        lambda prod, neg, leq: lambda t, x, y: (
+            not (leq[x][y] or leq[y][x]) or t[prod[x][neg[y]]] == prod[t[x]][neg[t[y]]]))),
+    "c": _operator_laws(Law(
+        "swap identity at {}",
+        lambda prod, neg: lambda t, x: t[prod[x][t[neg[x]]]] == t[prod[neg[x]][t[x]]], ELEMENTS)),
+}
 
-def _l39_a(a, op):
-    t = op.table
-    for x, y in iproduct(range(a.size), repeat=2):
-        if a.le(a.neg(x), y) and t[a.prod[x][y]] != a.prod[t[x]][t[y]]:
-            return f"strong prod equality at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
-def _l39_b(a, op):
-    t = op.table
-    for x, y in iproduct(range(a.size), repeat=2):
-        if a.comparable(x, y) and t[a.ominus(x, y)] != a.prod[t[x]][a.neg(t[y])]:
-            return f"strong ominus equality at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
-
-
-def _l39_c(a, op):
-    t = op.table
-    for x in range(a.size):
-        if t[a.prod[x][t[a.neg(x)]]] != t[a.prod[a.neg(x)][t[x]]]:
-            return f"swap identity at {_lbl(a, x)}"
-    return None
-
-
-def _l310_1(a, op):
-    t = op.table
-    for x, y in iproduct(range(a.size), repeat=2):
-        impl_eq = t[a.impl[x][y]] == a.impl[t[x]][t[y]]
-        meet_eq = t[a.meet[x][y]] == a.meet[t[x]][t[y]]
-        if impl_eq != meet_eq:
-            return f"pointwise impl/meet equivalence at {_lbl(a,x)},{_lbl(a,y)}"
-    return None
+_l310_1 = _operator_laws(Law(
+    "pointwise impl/meet equivalence at {},{}",
+    lambda meet, impl: lambda t, x, y: (
+        (t[impl[x][y]] == impl[t[x]][t[y]]) == (t[meet[x][y]] == meet[t[x]][t[y]]))))
 
 
 def _l310_2(a, op):
-    pres_impl = preservation_witness(op.table, a.impl, a.impl) is None
-    pres_join = preservation_witness(op.table, a.join, a.join) is None
+    pres_impl = op.preserves_impl
+    pres_join = violation(_JOIN_PRESERVED, a, op.table) is None
     if pres_impl != pres_join:
         return f"global impl/join equivalence: impl={pres_impl} join={pres_join}"
     return None
 
 
 def _l310_3(a, op):
-    t = op.table
-    if preservation_witness(t, a.impl, a.impl) is None:
-        if preservation_witness(t, a.prod, a.prod) is not None:
+    if op.preserves_impl:
+        if op.witness_for("6") is not None:
             return "impl-preserving but not prod-preserving"
-        if any(preservation_witness(t, tb, tb) is not None for tb in (a.meet, a.join)):
+        if not is_endomorphism(a, op.table):
             return "impl-preserving but not an endomorphism"
     return None
 
 
 def _lemma_3_11(a, op):
-    if preservation_witness(op.table, a.impl, a.impl) is not None:
+    if not op.preserves_impl:
         return "does not preserve impl on a chain"
-    if op.is_strong and preservation_witness(op.table, a.prod, a.prod) is not None:
+    if op.is_strong and op.witness_for("6") is not None:
         return "strong but does not preserve prod"
     return None
 
@@ -642,7 +559,7 @@ def _lemma_4_4(inst):
             op = verify_operator(a, t)
             if not (op.is_morphism and op.preserves_impl):
                 return CheckResult(
-                    FAIL, f"covered collapse at {_lbl(a, x)} is not a morphism operator"
+                    FAIL, f"covered collapse at {a.labels[x]} is not a morphism operator"
                 )
     low, covered = interval_collapse_table(a, shape.local_zero, shape.local_zero)
     if not covered or low != full:
@@ -663,16 +580,16 @@ def _rem_4_5(inst):
         got_sq = op.table[xx]
         got_prod = a.prod[op.table[x]][op.table[x]]
         if got_sq != pin.sigma_of_square or got_prod != pin.square_of_sigma:
-            return CheckResult(FAIL, f"pinned witness mismatch at {_lbl(a, x)}")
+            return CheckResult(FAIL, f"pinned witness mismatch at {a.labels[x]}")
         if got_sq == got_prod:
             return CheckResult(FAIL, "pinned witness does not separate the two sides")
     return CheckResult(PASS)
 
 
 def _idempotent_endomorphism(a, op):
-    if any(preservation_witness(op.table, tb, tb) is not None for tb in (a.prod, a.impl)):
+    if op.witness_for("6") is not None or not op.preserves_impl:
         return "not an endomorphism on a chain"
-    if any(op.table[op.table[x]] != op.table[x] for x in range(a.size)):
+    if violation(IDEMPOTENT, a, op.table) is not None:
         return "not idempotent"
     return None
 
@@ -684,7 +601,7 @@ def _prop_4_9(inst):
     if result.verdict != PASS or inst.enumerated is None or a.size > 6:
         return result
     endos = enumerate_operator_tables(a, "endomorphism")
-    idem = {t for t in endos if all(t[t[x]] == t[x] for x in range(a.size))}
+    idem = {t for t in endos if violation(IDEMPOTENT, a, t) is None}
     states = {op.table for op in inst.enumerated}
     if idem != states:
         return CheckResult(FAIL, "state operators differ from idempotent endomorphisms")
@@ -692,9 +609,8 @@ def _prop_4_9(inst):
 
 
 def _prop_4_10(a, op):
-    for table in (a.meet, a.join, a.prod, a.impl):
-        if preservation_witness(op.table, table, table) is not None:
-            return "not an endomorphism on x^2=x carrier"
+    if not is_endomorphism(a, op.table):
+        return "not an endomorphism on x^2=x carrier"
     return None
 
 
@@ -1001,7 +917,7 @@ def build_registry() -> list[Claim]:
 
     for key, fn in LEMMA_3_5.items():
         add(f"Lemma-3.5-{key}", f"state-operator fact ({key})", _always, fn, "state")
-    for key, fn in (("a", _l39_a), ("b", _l39_b), ("c", _l39_c)):
+    for key, fn in LEMMA_3_9.items():
         add(f"Lemma-3.9-{key}", f"strong-operator fact ({key})", _always, fn, "strong")
     add("Lemma-3.10-1", "pointwise impl equality iff meet equality",
         _always, _l310_1, "state")

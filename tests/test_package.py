@@ -1,5 +1,6 @@
 """Package shape: the library runs single-threaded on the standard library,
-and the suite grades library cross-checks in one place."""
+the suite grades library cross-checks in one place, and its pointwise
+laws go through the law engine."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,13 @@ def test_no_module_imports_numpy_or_threads():
                     f"{path.name} imports {name}"
                 )
 
+
+def test_suite_quantifies_pointwise_only_through_the_law_engine():
+    # a pointwise law in the suite is ``algebra.Law`` data; an
+    # ``itertools.product`` loop there would be a second scanner
+    path = Path(blstate.__file__).parent / "suite.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert "itertools.product" not in set(_imported_names(tree))
 
 
 def _may_catch(handler, name):
