@@ -61,20 +61,32 @@ class CorpusInstance:
     hom: Homomorphism | None = None
     pinned_rejection: PinnedRejection | None = None
     enumerated: tuple[StateOperator, ...] | None = None
+    # (key, sources, pool) of the last ``pool()``; see there
+    _pooled: tuple = field(default=(None, None, ()), init=False, repr=False, compare=False)
 
     @property
     def variety(self):
         return classify_variety(self.algebra)
 
-    def pool(self) -> list[tuple[str, StateOperator]]:
-        """Named verified operators plus any enumerated ones, deduplicated."""
-        out = [(name, op) for name, op in self.operators.items() if op.is_state]
-        seen = {op.table for _, op in out}
-        for i, op in enumerate(self.enumerated or ()):
-            if op.table not in seen:
-                out.append((f"enum_{i}", op))
-                seen.add(op.table)
-        return out
+    def pool(self) -> tuple[tuple[str, StateOperator], ...]:
+        """Named verified operators plus any enumerated ones, deduplicated.
+
+        The pool is built once and kept until ``operators`` or
+        ``enumerated`` changes.  It is keyed by the names and the ids of
+        the objects it was built from; it keeps those objects alive, so
+        no id in the key can be reused by another object.
+        """
+        sources = (tuple(self.operators.values()), self.enumerated)
+        key = (tuple(self.operators), tuple(map(id, sources[0])), id(self.enumerated))
+        if self._pooled[0] != key:
+            out = [(name, op) for name, op in self.operators.items() if op.is_state]
+            seen = {op.table for _, op in out}
+            for i, op in enumerate(self.enumerated or ()):
+                if op.table not in seen:
+                    out.append((f"enum_{i}", op))
+                    seen.add(op.table)
+            self._pooled = (key, sources, tuple(out))
+        return self._pooled[2]
 
 
 def _with_enumeration(inst: CorpusInstance) -> CorpusInstance:

@@ -180,14 +180,17 @@ def radical(
 
 
 def is_primary(algebra: FiniteBLAlgebra, members: frozenset[int]) -> bool:
-    """(a*b)- in P implies (a^n)- in P or (b^n)- in P for some n."""
-    n = algebra.size
-    return all(
-        algebra.neg(algebra.prod[a][b]) not in members
-        or has_power_negation_in(algebra, members, a)
-        or has_power_negation_in(algebra, members, b)
-        for a, b in iproduct(range(n), range(n))
-    )
+    """(a*b)- in P implies (a^n)- in P or (b^n)- in P for some n.
+
+    Each element's power-negation reach into P is computed once; the law
+    can only fail on a pair where neither element reaches P, so only
+    those pairs test (a*b)- in P.
+    """
+    unreached = [
+        x for x in range(algebra.size) if not has_power_negation_in(algebra, members, x)
+    ]
+    neg, prod = algebra.neg_table, algebra.prod
+    return all(neg[prod[a][b]] not in members for a, b in iproduct(unreached, repeat=2))
 
 
 @dataclass(frozen=True)

@@ -254,7 +254,11 @@ class StateOperator:
 
     @cached_property
     def sealed_image(self) -> tuple[FiniteBLAlgebra, Mapping[int, int], tuple[int, ...]]:
-        """(image, pos, fixed) of ``operator_image``, sealed on first use."""
+        """(image, pos, fixed) of ``operator_image``, sealed on first use.
+
+        When every element is fixed the image is the carrier itself, so
+        nothing is sealed and the carrier's memos serve the image.
+        """
         if not self.is_state:
             raise ValueError("image extraction requires a verified state operator")
         fixed = self.fixed_points
@@ -262,6 +266,8 @@ class StateOperator:
             raise InternalCheckError("fixed points differ from the raw image")
         pos = {orig: i for i, orig in enumerate(fixed)}
         a = self.algebra
+        if len(fixed) == a.size:
+            return a, MappingProxyType(pos), fixed
 
         def restrict(table):
             return [[pos[table[x][y]] for y in fixed] for x in fixed]
@@ -613,6 +619,8 @@ def operator_image(
     Fixed points are relabeled in ascending original order.  The image
     is sealed once per operator (``StateOperator.sealed_image``) and the
     same tuple is returned on every call; its index map is read-only.
+    An operator that fixes every element (the identity) has its carrier
+    as image: the same object, with the identity index map.
     """
     return op.sealed_image
 

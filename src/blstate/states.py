@@ -11,6 +11,13 @@ The Bosbach and Riecan scans are kept on purpose as two independent
 routes to "is a state" and must agree on every map; likewise the four
 extremality criteria (state-morphism, max-join, Lukasiewicz product,
 maximal kernel) must agree on every state.
+
+Each map is checked once per object: a ``RationalState`` caches its
+``check_state`` verdict on itself (``verdict``), and the library passes
+state objects along (``extremal_states`` -> ``pulled_back_extremal_states``
+-> the correspondence), so a state it built is never scanned again.
+``check_state`` keeps no memo: nothing is remembered per value, so
+memory does not grow with the number of distinct maps checked.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product as iproduct
 from typing import Sequence
 
@@ -49,6 +57,12 @@ class RationalState:
 
     def __call__(self, x: int) -> Fraction:
         return self.values[x]
+
+    @cached_property
+    def verdict(self) -> StateVerdict:
+        """``check_state`` of these values, run on first read and kept
+        on this object (and freed with it)."""
+        return check_state(self.algebra, self.values)
 
     def __repr__(self) -> str:
         return "RationalState(" + ", ".join(format_fraction(v) for v in self.values) + ")"
@@ -210,9 +224,9 @@ def extremal_states(algebra: FiniteBLAlgebra) -> tuple[RationalState, ...]:
 
     The quotient by a maximal filter is simple, hence a linear chain;
     ranking its elements embeds it into the rationals as i/k.  Each
-    resulting state is cross-checked to pass all extremality criteria,
-    and distinct filters must give distinct states.  The tuple is
-    memoized on the algebra.
+    resulting state is cross-checked to pass all extremality criteria
+    (its ``verdict``, which stays cached on it), and distinct filters
+    must give distinct states.  The tuple is memoized on the algebra.
     """
     if algebra.size < 2:
         raise ValueError("need at least two elements")
@@ -224,11 +238,9 @@ def extremal_states(algebra: FiniteBLAlgebra) -> tuple[RationalState, ...]:
         order = sorted(range(quotient.size), key=lambda c: sum(quotient.leq[c]), reverse=True)
         rank = {c: i for i, c in enumerate(order)}
         k = quotient.size - 1
-        values = tuple(Fraction(rank[proj[x]], k) for x in range(algebra.size))
-        verdict = check_state(algebra, values)
-        if not verdict.extremal:
+        st = RationalState(algebra, tuple(Fraction(rank[proj[x]], k) for x in range(algebra.size)))
+        if not st.verdict.extremal:
             raise InternalCheckError("quotient state failed an extremality criterion")
-        st = RationalState(algebra, values)
         if any(st.values == other.values for other in out):
             raise InternalCheckError("distinct maximal filters produced equal states")
         out.append(st)
@@ -363,26 +375,46 @@ def mix_states(
 # pulling states through an operator
 
 
-def pull_back_state(op: StateOperator, image_values: Sequence[Fraction]) -> RationalState:
+def pull_back_state(
+    op: StateOperator, image_state: RationalState | Sequence[Fraction]
+) -> RationalState:
     """Compose a state on the image subalgebra with the operator.
 
-    The input values are indexed by the image algebra (ascending fixed
-    points).  The result is verified to be a state on the full algebra;
-    when the operator is a morphism operator and the input is extremal,
-    the result is verified extremal.
+    The input is a ``RationalState`` on the image or its values, indexed
+    by the image algebra (ascending fixed points).  A state object on the
+    image is checked through its cached ``verdict``; raw values, or a
+    state on another algebra object, are checked here.
+    The result is verified to be a state on the full algebra; when the
+    operator is a morphism operator and the input is extremal, the
+    result is verified extremal.  When the image is the carrier itself
+    (``operator_image``), the pull-back is the input state, returned as
+    it is.
     """
     image, pos, fixed = operator_image(op)
-    vals = tuple(Fraction(v) for v in image_values)
-    verdict = check_state(image, vals)
+    if isinstance(image_state, RationalState) and image_state.algebra is image:
+        src, verdict = image_state, image_state.verdict
+    else:
+        if isinstance(image_state, RationalState):  # on another algebra object
+            image_state = image_state.values
+        vals = tuple(Fraction(v) for v in image_state)
+        verdict = check_state(image, vals)
+        src = None  # a non-state need not lie in [0, 1], so wrap only a state
     if not verdict.is_state:
         raise NotAStateError(f"input is not a state on the image: {verdict.witnesses}")
-    pulled = tuple(vals[pos[op.table[x]]] for x in range(op.algebra.size))
-    pulled_verdict = check_state(op.algebra, pulled)
-    if not pulled_verdict.is_state:
-        raise InternalCheckError("pull-back of a state failed the state identities")
-    if op.is_morphism and verdict.extremal and not pulled_verdict.extremal:
+    if src is None:
+        src = RationalState(image, vals)
+        src.__dict__["verdict"] = verdict  # the cached_property's slot
+    if image is op.algebra:
+        pulled = src
+    else:
+        pulled = RationalState(
+            op.algebra, tuple(src.values[pos[op.table[x]]] for x in range(op.algebra.size))
+        )
+        if not pulled.verdict.is_state:
+            raise InternalCheckError("pull-back of a state failed the state identities")
+    if op.is_morphism and src.verdict.extremal and not pulled.verdict.extremal:
         raise InternalCheckError("pull-back of an extremal state lost extremality")
-    return RationalState(op.algebra, pulled)
+    return pulled
 
 
 def is_compatible(op: StateOperator, state: RationalState) -> bool:
@@ -422,7 +454,7 @@ def pulled_back_extremal_states(op: StateOperator) -> tuple[RationalState, ...]:
     in ``extremal_states`` order; the tuple is memoized on the operator.
     """
     image, _, _ = operator_image(op)
-    return tuple(pull_back_state(op, s.values) for s in extremal_states(image))
+    return tuple(pull_back_state(op, s) for s in extremal_states(image))
 
 
 def sigma_compatible_correspondence(
@@ -468,7 +500,7 @@ def _correspondence(op: StateOperator) -> CorrespondenceReport:
     for weights in weights_menu:
         mixed_image = mix_states(image_ext, weights)
         mixed_pulled = mix_states(pulled, weights)
-        direct = pull_back_state(op, mixed_image.values)
+        direct = pull_back_state(op, mixed_image)
         if direct.values != mixed_pulled.values:
             affine_ok = False
         if state_to_image(op, mixed_pulled) != mixed_image.values:

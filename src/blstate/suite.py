@@ -779,7 +779,7 @@ def _prop_6_1(a, op):
     image, _, _ = operator_image(op)
     ext = extremal_states(image)
     if len(ext) >= 2:
-        pull_back_state(op, mix_states(ext, _uniform_weights(len(ext))).values)
+        pull_back_state(op, mix_states(ext, _uniform_weights(len(ext))))
     return None
 
 

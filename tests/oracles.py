@@ -3,13 +3,14 @@
 Each oracle answers a question by the definition alone and shares no
 machinery with the route it checks: ``brute_force_filters`` scans every
 subset, ``brute_force_operator_tables`` scans every map with numpy
-(a test dependency only).
+(a test dependency only), ``all_pairs_is_primary`` tests the primary
+law on every pair of elements.
 """
 
 from itertools import product as iproduct
 
 from blstate.algebra import FiniteBLAlgebra
-from blstate.filters import filter_sort_key
+from blstate.filters import filter_sort_key, has_power_negation_in
 from blstate.operators import CLASS_AXIOMS
 
 
@@ -24,6 +25,17 @@ def brute_force_filters(a):
         if closed and upward and a.top in s:
             found.append(s)
     return sorted(found, key=filter_sort_key)
+
+
+def all_pairs_is_primary(algebra: FiniteBLAlgebra, members: frozenset[int]) -> bool:
+    """(a*b)- in P implies (a^n)- in P or (b^n)- in P for some n."""
+    n = algebra.size
+    return all(
+        algebra.neg(algebra.prod[a][b]) not in members
+        or has_power_negation_in(algebra, members, a)
+        or has_power_negation_in(algebra, members, b)
+        for a, b in iproduct(range(n), range(n))
+    )
 
 
 def brute_force_operator_tables(

@@ -14,6 +14,7 @@ from blstate.constructors import (
     ordinal_sum,
     quotient_by_filter,
 )
+from blstate import filters
 from blstate.filters import (
     all_filters,
     classify_algebra,
@@ -36,7 +37,7 @@ from blstate.states import (
 )
 from blstate.suite import run_suite
 
-from .oracles import brute_force_filters
+from .oracles import all_pairs_is_primary, brute_force_filters
 from .strategies import algebras
 
 
@@ -217,6 +218,40 @@ def test_primary_and_quotient_local():
             continue
         quotient, _ = quotient_by_filter(a, f)
         assert is_primary(a, f) == (len(maximal_filters(quotient)) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras)
+def test_is_primary_matches_the_all_pairs_oracle(a):
+    for f in all_filters(a):
+        assert is_primary(a, f) == all_pairs_is_primary(a, f), sorted(f)
+
+
+def test_is_primary_matches_the_all_pairs_oracle_on_the_corpus(corpus):
+    verdicts = set()
+    for inst in corpus:
+        a = inst.algebra
+        for f in all_filters(a):
+            verdict = is_primary(a, f)
+            assert verdict == all_pairs_is_primary(a, f), (inst.name, sorted(f))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_is_primary_walks_powers_once_per_element(monkeypatch):
+    a = direct_product(mv_chain(2), godel_chain(3))
+    walks = []
+    real = filters.has_power_negation_in
+
+    def counting(algebra, members, y):
+        walks.append(y)
+        return real(algebra, members, y)
+
+    monkeypatch.setattr(filters, "has_power_negation_in", counting)
+    for f in all_filters(a):
+        walks.clear()
+        is_primary(a, f)
+        assert sorted(walks) == list(range(a.size))
 
 
 def test_ord_criterion_matches_local():

@@ -272,6 +272,29 @@ def test_operator_image_is_sealed_once(monkeypatch):
             operator_image(not_state)
 
 
+def test_identity_image_is_its_carrier(monkeypatch):
+    import blstate.operators as operators
+
+    seals = []
+
+    def counting_verify(*args, **kwargs):
+        seals.append(args[0])
+        return verify_bl_axioms(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "verify_bl_axioms", counting_verify)
+    a = direct_product(mv_chain(2), godel_chain(3))
+    op = verify_operator(a, identity_table(a))
+    image, pos, fixed = operator_image(op)
+    assert image is a and operator_image(op) is operator_image(op)
+    assert seals == []
+    assert fixed == tuple(range(a.size))
+    assert dict(pos) == {x: x for x in range(a.size)}
+    with pytest.raises(TypeError):
+        pos[0] = 1
+    # the carrier's memos serve the image
+    assert maximal_filters(image) is maximal_filters(a)
+
+
 def test_identity_on_product_is_not_simple():
     square = direct_product(mv_chain(1), mv_chain(1))
     ident = verify_operator(square, identity_table(square))

@@ -130,6 +130,60 @@ def test_pull_back_state():
         pull_back_state(op, (F(0), F(1, 3), F(1)))
 
 
+def test_a_state_is_checked_once_per_object(monkeypatch):
+    from blstate import states
+
+    scans = []
+    real = states.bosbach_witness
+
+    def counting(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(states, "bosbach_witness", counting)
+    a, _ = four_element_example()
+    st = RationalState(a, (F(0), F(1, 2), F(1), F(1)))
+    first = st.verdict
+    assert len(scans) == 1
+    assert st.verdict is first and first.extremal
+    assert len(scans) == 1
+    # a new object with the same values is checked again: nothing is
+    # memoized per value
+    assert RationalState(a, st.values).verdict == first
+    assert len(scans) == 2
+
+
+def test_pull_back_reuses_state_verdicts(monkeypatch):
+    from blstate import states
+
+    a = direct_product(mv_chain(1), mv_chain(1))
+    ident = verify_operator(a, identity_table(a))
+    ext = extremal_states(a)
+    scans = []
+    real = states.bosbach_witness
+
+    def counting(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(states, "bosbach_witness", counting)
+    for s in ext:
+        assert pull_back_state(ident, s) is s
+    mixed = mix_states(ext, [F(1, 2), F(1, 2)])
+    assert pull_back_state(ident, mixed) is mixed
+    assert len(scans) == 1  # the mixture, once
+    assert pull_back_state(ident, mixed) is mixed and len(scans) == 1
+    # raw values are checked on each call, and a non-state still raises
+    assert pull_back_state(ident, mixed.values).values == mixed.values
+    assert len(scans) == 2
+    with pytest.raises(NotAStateError):
+        pull_back_state(ident, (F(0), F(3), F(0), F(1)))
+    # a state on an equal algebra object is read by its values
+    twin = RationalState(direct_product(mv_chain(1), mv_chain(1)), mixed.values)
+    assert pull_back_state(ident, twin).values == mixed.values
+    assert len(scans) == 4  # one more each for the non-state and the twin
+
+
 def test_pull_back_through_diagonal():
     b = mv_chain(2)
     square = direct_product(b, b)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from blstate import filters, operators, states, suite
+from blstate import algebra, filters, operators, states, suite
 from blstate.constructors import mv_chain, quotient_by_filter
 from blstate.corpus import CorpusInstance, _mv_instance, default_corpus, load_corpus_dir
 from blstate.document import document_from_algebra, serialize_algebra
@@ -169,6 +169,57 @@ def test_extremal_claims_do_not_recheck_states(monkeypatch):
     assert {r.verdict for r in report.records} == {"pass"}
     assert {r.claim_id for r in report.records} == set(ids)
     assert calls == []
+
+
+def test_a_cold_run_checks_states_seals_images_and_walks_powers_once(monkeypatch):
+    # upper bounds measured on the default corpus, where each state object
+    # is scanned once, identity images reuse their carrier and is_primary
+    # walks each element's powers once per filter
+    corpus = default_corpus()
+    counted = {states: "bosbach_witness", algebra: "find_axiom_violation",
+               filters: "has_power_negation_in"}
+    counts = dict.fromkeys(counted.values(), 0)
+    for module, name in counted.items():
+
+        def counting(*args, _real=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    report = run_suite(corpus)
+    assert report.failures == []
+    assert counts["bosbach_witness"] <= 202
+    assert counts["find_axiom_violation"] <= 131
+    assert counts["has_power_negation_in"] <= 1820
+
+
+def test_pool_is_built_once_and_never_stale():
+    [inst] = [i for i in default_corpus() if i.name == "godel3xgodel3"]
+
+    def fresh():  # the pool of an instance that never built one
+        return CorpusInstance(
+            inst.name, inst.algebra, dict(inst.operators), enumerated=inst.enumerated
+        ).pool()
+
+    first = inst.pool()
+    assert inst.pool() is first and first == fresh()
+    names = [name for name, _ in first]
+    assert names[:4] == list(inst.operators) and "enum_2" in names
+    assert len({op.table for _, op in first}) == len(first)  # deduplicated
+    a = inst.algebra
+    inst.operators["top"] = operators.verify_operator(a, [a.top] * a.size)  # not a state
+    assert inst.pool() == first
+    extra = operators.verify_operator(a, operators.identity_table(a))
+    inst.operators["identity"] = extra  # an equal operator, a new object
+    assert inst.pool()[0][1] is extra and inst.pool() == fresh()
+    inst.operators["copy"] = extra
+    assert ("copy", extra) in inst.pool() and inst.pool() == fresh()
+    inst.enumerated = inst.enumerated[:3]
+    assert inst.pool() == fresh() and len(inst.pool()) < len(first)
+    inst.enumerated = None
+    del inst.operators["identity"]
+    assert inst.pool() == fresh()
+    assert [name for name, _ in inst.pool()][-1] == "copy"
 
 
 def test_classification_claims_do_not_apply_to_the_one_element_algebra():
