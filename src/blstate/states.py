@@ -1,11 +1,14 @@
 """Rational-valued states: verification, extremal states, correspondences.
 
 All arithmetic is exact; no floating point is used anywhere in this
-module.  ``check_state`` converts a candidate map once to integer
-numerators over one shared denominator (the lcm of its denominators)
-and runs every scan on those integers.  ``fractions.Fraction`` is kept
-at the edges: parsing input, ``RationalState`` values, error messages,
-and the linear algebra of the correspondence checks.
+module.  A ``RationalState`` keeps its map as integer numerators ``p``
+over one positive denominator ``d`` in lowest terms (``gcd(d, *p) ==
+1``), so s(x) = p[x] / d.  Every scan, pull-back, mixture and hull test
+runs on those integers, and the linear algebra eliminates fraction-free
+on integer rows.  ``fractions.Fraction`` is kept at the edges: parsing
+input, ``check_state`` on raw values, the public ``RationalState.values``
+(built on first read), the results of ``solve_linear`` and
+``convex_coefficients``, and messages.
 
 The Bosbach and Riecan scans are kept on purpose as two independent
 routes to "is a state" and must agree on every map; likewise the four
@@ -13,11 +16,15 @@ extremality criteria (state-morphism, max-join, Lukasiewicz product,
 maximal kernel) must agree on every state.
 
 Each map is checked once per object: a ``RationalState`` caches its
-``check_state`` verdict on itself (``verdict``), and the library passes
-state objects along (``extremal_states`` -> ``pulled_back_extremal_states``
--> the correspondence), so a state it built is never scanned again.
-``check_state`` keeps no memo: nothing is remembered per value, so
-memory does not grow with the number of distinct maps checked.
+``check_state`` verdict on itself (``verdict``).  The states that
+``extremal_states``, ``pull_back_state`` and ``mix_states`` build are
+looked up in a per-carrier table keyed by ``(p, d)``, so an equal map
+built twice on one carrier is one object and is scanned once.  The table
+is a ``weakref.WeakValueDictionary`` kept in the algebra's ``__dict__``:
+it holds only states that are alive elsewhere and is freed with the
+algebra.  ``check_state`` on raw values keeps nothing, and a state built
+by the public constructor enters no table, so memory does not grow with
+the number of distinct maps checked.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iproduct
+from operator import mul
 from typing import Sequence
+from weakref import WeakValueDictionary
 
 from .algebra import FiniteBLAlgebra, InternalCheckError, memoized
 from .constructors import quotient_by_filter
@@ -42,30 +51,91 @@ class NotAStateError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class RationalState:
-    """One exact rational value in [0, 1] per carrier element."""
+    """One exact rational value in [0, 1] per carrier element.
 
-    algebra: FiniteBLAlgebra
-    values: tuple[Fraction, ...]
+    The map is kept as integer numerators ``p`` over the denominator
+    ``d``, in lowest terms; ``values`` are its Fractions, built on first
+    read.  Two states are equal iff their algebras and values are equal.
+    """
 
-    def __post_init__(self):
-        if len(self.values) != self.algebra.size:
+    def __init__(self, algebra: FiniteBLAlgebra, values: Sequence[Fraction]):
+        vals = tuple(map(Fraction, values))
+        if len(vals) != algebra.size:
             raise ValueError("state must assign a value to every element")
-        if any(v < 0 or v > 1 for v in self.values):
+        if any(v < 0 or v > 1 for v in vals):
             raise ValueError("state values must lie in [0, 1]")
+        self.algebra = algebra
+        self.p, self.d = _numerators(vals)
+        self.values = vals
+
+    @classmethod
+    def _of(cls, algebra: FiniteBLAlgebra, p: tuple[int, ...], d: int) -> RationalState:
+        state = cls.__new__(cls)
+        state.algebra, state.p, state.d = algebra, p, d
+        return state
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        d = self.d
+        return tuple(Fraction(x, d) for x in self.p)
 
     def __call__(self, x: int) -> Fraction:
-        return self.values[x]
+        return Fraction(self.p[x], self.d)
 
     @cached_property
     def verdict(self) -> StateVerdict:
-        """``check_state`` of these values, run on first read and kept
-        on this object (and freed with it)."""
-        return check_state(self.algebra, self.values)
+        """``check_state`` of this map, run on first read and kept on
+        this object (and freed with it)."""
+        return check_state(self.algebra, self)
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalState):
+            return NotImplemented
+        return (
+            self.p == other.p
+            and self.d == other.d
+            and (self.algebra is other.algebra or self.algebra == other.algebra)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.d))
 
     def __repr__(self) -> str:
         return "RationalState(" + ", ".join(format_fraction(v) for v in self.values) + ")"
+
+
+def _numerators(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(p, d) of Fractions: numerators over the least common denominator,
+    which is in lowest terms."""
+    d = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
+
+
+def _as_numerators(values: RationalState | Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    if isinstance(values, RationalState):
+        return values.p, values.d
+    return _numerators(tuple(map(Fraction, values)))
+
+
+def _state(algebra: FiniteBLAlgebra, p: Sequence[int], d: int) -> RationalState:
+    """The live state object of the map p/d on this carrier, made on a miss.
+
+    ``p`` and ``d`` are reduced to lowest terms and looked up in the
+    carrier's weak table, so an equal map is one object while it lives.
+    """
+    g = math.gcd(d, *p)
+    if g != 1:
+        p, d = tuple(x // g for x in p), d // g
+    else:
+        p = tuple(p)
+    table = algebra.__dict__.get("_states")
+    if table is None:
+        table = algebra.__dict__.setdefault("_states", WeakValueDictionary())
+    state = table.get((p, d))
+    if state is None:
+        state = table[p, d] = RationalState._of(algebra, p, d)
+    return state
 
 
 def format_fraction(v: Fraction) -> str:
@@ -81,12 +151,26 @@ def format_fraction(v: Fraction) -> str:
 # 1 - s(x) + s(y) becomes d - p[x] + p[y].
 
 
+def range_witness(p: Sequence[int], d: int):
+    """("range", x) for the first value p[x] / d outside [0, 1], or None."""
+    if min(p) >= 0 and max(p) <= d:
+        return None
+    return ("range", next(x for x, v in enumerate(p) if not 0 <= v <= d))
+
+
 def bosbach_witness(algebra: FiniteBLAlgebra, p: Sequence[int], d: int):
-    """First failure of the Bosbach identities, or None."""
+    """First failure of the Bosbach identities, or None.
+
+    A state maps into [0, 1] with s(0)=0 and s(1)=1; these are tested
+    first, in that order: bottom, top, range.
+    """
     if p[algebra.bottom] != 0:
         return ("bottom",)
     if p[algebra.top] != d:
         return ("top",)
+    out = range_witness(p, d)
+    if out is not None:
+        return out
     impl = algebra.impl
     for x, y in iproduct(range(algebra.size), repeat=2):
         if p[x] + p[impl[x][y]] != p[y] + p[impl[y][x]]:
@@ -99,12 +183,15 @@ def riecan_witness(algebra: FiniteBLAlgebra, p: Sequence[int], d: int):
 
     Normalization: both s(0)=0 and s(1)=1 are required, so that the
     constant-zero map does not qualify and the Bosbach equivalence is
-    well posed.
+    well posed; so is the range [0, 1], as in ``bosbach_witness``.
     """
     if p[algebra.bottom] != 0:
         return ("bottom",)
     if p[algebra.top] != d:
         return ("top",)
+    out = range_witness(p, d)
+    if out is not None:
+        return out
     prod, bottom = algebra.prod, algebra.bottom
     for x, y in iproduct(range(algebra.size), repeat=2):
         if prod[x][y] != bottom:  # x and y are not orthogonal
@@ -170,23 +257,23 @@ class StateVerdict:
         return votes[0]
 
 
-def check_state(algebra: FiniteBLAlgebra, values: Sequence[Fraction]) -> StateVerdict:
+def check_state(
+    algebra: FiniteBLAlgebra, values: RationalState | Sequence[Fraction]
+) -> StateVerdict:
     """Exhaustive verdict over all pairs; asserts Bosbach iff Riecan.
 
-    The values are converted once to integer numerators ``p`` over their
-    least common denominator ``d``; all five scans and the kernel test
-    run on those integers.
+    A ``RationalState`` is read as its numerators ``p`` over ``d``; raw
+    values are converted once to numerators over their least common
+    denominator.  All five scans and the kernel test run on integers.
     """
-    vals = tuple(Fraction(v) for v in values)
-    if len(vals) != algebra.size:
+    p, d = _as_numerators(values)
+    if len(p) != algebra.size:
         raise ValueError("wrong number of values")
-    d = math.lcm(*(v.denominator for v in vals))
-    p = tuple(v.numerator * (d // v.denominator) for v in vals)
     wb = bosbach_witness(algebra, p, d)
     wr = riecan_witness(algebra, p, d)
     if (wb is None) != (wr is None):
         raise InternalCheckError(
-            f"Bosbach/Riecan verdicts disagree: bosbach={wb} riecan={wr} values={vals}"
+            f"Bosbach/Riecan verdicts disagree: bosbach={wb} riecan={wr} map={p}/{d}"
         )
     wm = state_morphism_witness(algebra, p, d)
     wj = max_join_witness(algebra, p)
@@ -223,7 +310,7 @@ def extremal_states(algebra: FiniteBLAlgebra) -> tuple[RationalState, ...]:
     """One extremal state per maximal filter, in filter order.
 
     The quotient by a maximal filter is simple, hence a linear chain;
-    ranking its elements embeds it into the rationals as i/k.  Each
+    ranking its elements embeds it into the rationals as rank/k.  Each
     resulting state is cross-checked to pass all extremality criteria
     (its ``verdict``, which stays cached on it), and distinct filters
     must give distinct states.  The tuple is memoized on the algebra.
@@ -237,11 +324,10 @@ def extremal_states(algebra: FiniteBLAlgebra) -> tuple[RationalState, ...]:
             raise InternalCheckError("maximal-filter quotient is not a chain")
         order = sorted(range(quotient.size), key=lambda c: sum(quotient.leq[c]), reverse=True)
         rank = {c: i for i, c in enumerate(order)}
-        k = quotient.size - 1
-        st = RationalState(algebra, tuple(Fraction(rank[proj[x]], k) for x in range(algebra.size)))
+        st = _state(algebra, [rank[c] for c in proj], quotient.size - 1)
         if not st.verdict.extremal:
             raise InternalCheckError("quotient state failed an extremality criterion")
-        if any(st.values == other.values for other in out):
+        if st in out:
             raise InternalCheckError("distinct maximal filters produced equal states")
         out.append(st)
     return tuple(out)
@@ -249,6 +335,47 @@ def extremal_states(algebra: FiniteBLAlgebra) -> tuple[RationalState, ...]:
 
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers
+#
+# Elimination runs fraction-free on integer rows: a row is scaled by the
+# lcm of its denominators, eliminating subtracts integer multiples, and
+# each new row is divided by the gcd of its entries.  Each pivot row ends
+# with a positive pivot and zeros in the other pivot columns, so divided
+# by its pivot it is a row of the reduced row echelon form, which is
+# unique: the results equal those of elimination on Fractions.
+
+
+def _eliminate(m: list[list[int]], n_cols: int) -> list[int] | None:
+    """Gauss-Jordan on the augmented integer rows ``m``, in place.
+
+    Returns the pivot columns, row i holding the positive pivot of
+    column ``piv_cols[i]``, or None when the system is inconsistent.
+    """
+    n_rows = len(m)
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        row = m[r]
+        a = row[c]
+        for i in range(n_rows):
+            f = m[i][c]
+            if i != r and f:
+                new = [a * x - f * y for x, y in zip(m[i], row)]
+                g = math.gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
+        piv_cols.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    if any(m[i][n_cols] for i in range(r, n_rows)):
+        return None
+    for i, c in enumerate(piv_cols):
+        if m[i][c] < 0:
+            m[i] = [-x for x in m[i]]
+    return piv_cols
 
 
 def solve_linear(
@@ -259,39 +386,20 @@ def solve_linear(
     Returns (particular solution, null-space basis) or None when the
     system is inconsistent.
     """
-    m = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    n_rows = len(m)
+    m = [_as_numerators([*row, b])[0] for row, b in zip(rows, rhs)]
     n_cols = len(rows[0]) if rows else 0
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        factor = m[r][c]
-        m[r] = [v / factor for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if m[i][n_cols] != 0:
-            return None
+    piv_cols = _eliminate(m, n_cols)
+    if piv_cols is None:
+        return None
     particular = [ZERO] * n_cols
-    for i, c in enumerate(piv_cols):
-        particular[c] = m[i][n_cols]
-    free_cols = [c for c in range(n_cols) if c not in piv_cols]
+    for row, c in zip(m, piv_cols):
+        particular[c] = Fraction(row[n_cols], row[c])
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(n_cols) if c not in piv_cols):
         vec = [ZERO] * n_cols
         vec[fc] = ONE
-        for i, c in enumerate(piv_cols):
-            vec[c] = -m[i][fc]
+        for row, c in zip(m, piv_cols):
+            vec[c] = Fraction(-row[fc], row[c])
         basis.append(vec)
     return particular, basis
 
@@ -301,25 +409,22 @@ def bosbach_solution_space(
 ) -> tuple[list[Fraction], list[list[Fraction]]]:
     """Affine solution space of the Bosbach identities with s(0)=0, s(1)=1."""
     n = algebra.size
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    row = [ZERO] * n
-    row[algebra.bottom] = ONE
-    rows.append(row)
-    rhs.append(ZERO)
-    row = [ZERO] * n
-    row[algebra.top] = ONE
-    rows.append(row)
-    rhs.append(ONE)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for pinned, value in ((algebra.bottom, 0), (algebra.top, 1)):
+        row = [0] * n
+        row[pinned] = 1
+        rows.append(row)
+        rhs.append(value)
     for x, y in iproduct(range(n), repeat=2):
-        row = [ZERO] * n
+        row = [0] * n
         row[x] += 1
         row[algebra.impl[x][y]] += 1
         row[y] -= 1
         row[algebra.impl[y][x]] -= 1
-        if any(v != 0 for v in row):
+        if any(row):
             rows.append(row)
-            rhs.append(ZERO)
+            rhs.append(0)
     solved = solve_linear(rows, rhs)
     if solved is None:
         raise InternalCheckError("Bosbach system inconsistent on a sealed algebra")
@@ -327,48 +432,54 @@ def bosbach_solution_space(
 
 
 def convex_coefficients(
-    points: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+    points: Sequence[RationalState | Sequence[Fraction]],
+    target: RationalState | Sequence[Fraction],
 ) -> tuple[Fraction, ...] | None:
     """Exact convex-combination coefficients, or None if outside the hull.
 
     Solves sum(l_i * p_i) = target with sum(l_i) = 1 and l_i >= 0 by
     scanning basic supports; fine for the handfuls of extremal states a
-    finite algebra has.
+    finite algebra has.  Points and target are states or value
+    sequences; the supports are solved on integer rows.
     """
     k = len(points)
     if k == 0:
         return None
-    dim = len(target)
+    maps = [_as_numerators(pt) for pt in points]
+    t, e = _as_numerators(target)
+    # one scale for every column: point j's numerators times lcm / d_j
+    scale = math.lcm(e, *(d for _, d in maps))
+    columns = [[x * (scale // d) for x in p] for p, d in maps]
+    goal = [x * (scale // e) for x in t]
     for size in range(1, k + 1):
         for support in combinations(range(k), size):
-            rows = [[points[j][c] for j in support] for c in range(dim)]
-            rows.append([ONE] * size)
-            rhs = list(target) + [ONE]
-            solved = solve_linear(rows, rhs)
-            if solved is None:
+            m = [[columns[j][c] for j in support] + [goal[c]] for c in range(len(goal))]
+            m.append([1] * (size + 1))
+            piv_cols = _eliminate(m, size)
+            if piv_cols is None or any(m[i][size] < 0 for i in range(len(piv_cols))):
                 continue
-            particular, _ = solved
-            if all(v >= 0 for v in particular):
-                coeffs = [ZERO] * k
-                for j, idx in enumerate(support):
-                    coeffs[idx] = particular[j]
-                return tuple(coeffs)
+            coeffs = [ZERO] * k
+            for row, c in zip(m, piv_cols):
+                coeffs[support[c]] = Fraction(row[size], row[c])
+            return tuple(coeffs)
     return None
 
 
 def mix_states(
     states: Sequence[RationalState], weights: Sequence[Fraction]
 ) -> RationalState:
+    """The convex combination sum(w_i * s_i), on the carrier of the first state."""
     if len(states) != len(weights) or not states:
         raise ValueError("need matching nonempty states/weights")
+    weights = [Fraction(w) for w in weights]
     if sum(weights) != 1 or any(w < 0 for w in weights):
         raise ValueError("weights must be a convex combination")
-    algebra = states[0].algebra
-    values = tuple(
-        sum((w * s.values[x] for s, w in zip(states, weights)), ZERO)
-        for x in range(algebra.size)
-    )
-    return RationalState(algebra, values)
+    # w_i * p_i / d_i over one denominator: integer coefficients c_i / d
+    terms = [(w / s.d, s.p) for s, w in zip(states, weights) if w]
+    d = math.lcm(*(c.denominator for c, _ in terms))
+    coeffs = [c.numerator * (d // c.denominator) for c, _ in terms]
+    p = [sum(map(mul, coeffs, col)) for col in zip(*(q for _, q in terms))]
+    return _state(states[0].algebra, p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -383,33 +494,30 @@ def pull_back_state(
     The input is a ``RationalState`` on the image or its values, indexed
     by the image algebra (ascending fixed points).  A state object on the
     image is checked through its cached ``verdict``; raw values, or a
-    state on another algebra object, are checked here.
+    state on another algebra object, are checked here, and only a state
+    is then kept as the image's state object.
     The result is verified to be a state on the full algebra; when the
     operator is a morphism operator and the input is extremal, the
     result is verified extremal.  When the image is the carrier itself
-    (``operator_image``), the pull-back is the input state, returned as
-    it is.
+    (``operator_image``), the pull-back is the image's state object.
+    Otherwise it is the carrier's state object of the pulled-back map,
+    so a map that is already alive there is not scanned again.
     """
     image, pos, fixed = operator_image(op)
     if isinstance(image_state, RationalState) and image_state.algebra is image:
         src, verdict = image_state, image_state.verdict
     else:
-        if isinstance(image_state, RationalState):  # on another algebra object
-            image_state = image_state.values
-        vals = tuple(Fraction(v) for v in image_state)
-        verdict = check_state(image, vals)
-        src = None  # a non-state need not lie in [0, 1], so wrap only a state
+        src, verdict = None, check_state(image, image_state)
     if not verdict.is_state:
         raise NotAStateError(f"input is not a state on the image: {verdict.witnesses}")
     if src is None:
-        src = RationalState(image, vals)
-        src.__dict__["verdict"] = verdict  # the cached_property's slot
+        src = _state(image, *_as_numerators(image_state))
+        src.__dict__.setdefault("verdict", verdict)  # the cached_property's slot
     if image is op.algebra:
         pulled = src
     else:
-        pulled = RationalState(
-            op.algebra, tuple(src.values[pos[op.table[x]]] for x in range(op.algebra.size))
-        )
+        p = src.p
+        pulled = _state(op.algebra, [p[pos[t]] for t in op.table], src.d)
         if not pulled.verdict.is_state:
             raise InternalCheckError("pull-back of a state failed the state identities")
     if op.is_morphism and src.verdict.extremal and not pulled.verdict.extremal:
@@ -419,10 +527,9 @@ def pull_back_state(
 
 def is_compatible(op: StateOperator, state: RationalState) -> bool:
     """Constant on operator fibers: sigma(x)=sigma(y) implies s(x)=s(y)."""
-    by_image: dict[int, Fraction] = {}
-    for x in range(op.algebra.size):
-        v = by_image.setdefault(op.table[x], state.values[x])
-        if v != state.values[x]:
+    by_image: dict[int, int] = {}
+    for t, v in zip(op.table, state.p):
+        if by_image.setdefault(t, v) != v:
             return False
     return True
 
@@ -444,6 +551,12 @@ def state_to_image(op: StateOperator, state: RationalState) -> tuple[Fraction, .
     """Restrict a compatible state to the image subalgebra."""
     image, pos, fixed = operator_image(op)
     return tuple(state.values[orig] for orig in fixed)
+
+
+def _restricts_to(state: RationalState, fixed: Sequence[int], image_state: RationalState) -> bool:
+    """``state_to_image`` equals the image state's values, compared on integers."""
+    p, d, e = state.p, state.d, image_state.d
+    return all(p[x] * e == q * d for x, q in zip(fixed, image_state.p))
 
 
 @memoized
@@ -476,16 +589,14 @@ def sigma_compatible_correspondence(
 
 @memoized
 def _correspondence(op: StateOperator) -> CorrespondenceReport:
-    image, pos, fixed = operator_image(op)
+    image, _, fixed = operator_image(op)
     image_ext = extremal_states(image)
     pulled = pulled_back_extremal_states(op)
     for st in pulled:
         if not is_compatible(op, st):
             raise InternalCheckError("pull-back is not compatible with the operator")
 
-    round_trip = all(
-        state_to_image(op, st) == src.values for st, src in zip(pulled, image_ext)
-    )
+    round_trip = all(_restricts_to(st, fixed, src) for st, src in zip(pulled, image_ext))
 
     # mixtures: uniform and a lopsided pair mix, exercised through both maps
     weights_menu: list[list[Fraction]] = []
@@ -501,17 +612,17 @@ def _correspondence(op: StateOperator) -> CorrespondenceReport:
         mixed_image = mix_states(image_ext, weights)
         mixed_pulled = mix_states(pulled, weights)
         direct = pull_back_state(op, mixed_image)
-        if direct.values != mixed_pulled.values:
+        if direct != mixed_pulled:
             affine_ok = False
-        if state_to_image(op, mixed_pulled) != mixed_image.values:
+        if not _restricts_to(mixed_pulled, fixed, mixed_image):
             affine_ok = False
         if not is_compatible(op, mixed_pulled):
             affine_ok = False
 
     independent = True
     for i in range(len(pulled)):
-        others = [tuple(s.values) for j, s in enumerate(pulled) if j != i]
-        if others and convex_coefficients(others, tuple(pulled[i].values)) is not None:
+        others = [s for j, s in enumerate(pulled) if j != i]
+        if others and convex_coefficients(others, pulled[i]) is not None:
             independent = False
     return CorrespondenceReport(
         image_extremal=image_ext,

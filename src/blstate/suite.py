@@ -253,7 +253,7 @@ _s2_partial_sum = _instance_laws(Law(  # x + y = y- -> x--, defined on orthogona
 def _thm_2_5(inst):
     # extremal_states asserts .extremal on each extremal state it builds
     for name, st in _sample_states(inst):
-        verdict = check_state(inst.algebra, st.values)
+        verdict = st.verdict
         if not verdict.is_state:
             scan, w = verdict.witnesses[0]
             return _bool_result(False, f"state {name} is not a state ({scan} at {w})")
@@ -797,12 +797,11 @@ def _thm_6_4(a, op):
 def _cor_6_5(a, op):
     # finite-instance content only: compatible mixtures lie in the hull
     # of the extremal compatible states (no topology is certified)
-    report = sigma_compatible_correspondence(a, op)
-    points = [st.values for st in report.compatible_extremal]
+    points = sigma_compatible_correspondence(a, op).compatible_extremal
     k = len(points)
-    mixtures = [report.compatible_extremal[0].values] if k == 1 else []
+    mixtures = [points[0]] if k == 1 else []
     if k >= 2:
-        mixtures.append(mix_states(list(report.compatible_extremal), _uniform_weights(k)).values)
+        mixtures.append(mix_states(points, _uniform_weights(k)))
     for target in mixtures:
         if convex_coefficients(points, target) is None:
             return "mixture escapes the hull"

@@ -4,14 +4,23 @@ Each oracle answers a question by the definition alone and shares no
 machinery with the route it checks: ``brute_force_filters`` scans every
 subset, ``brute_force_operator_tables`` scans every map with numpy
 (a test dependency only), ``all_pairs_is_primary`` tests the primary
-law on every pair of elements.
+law on every pair of elements, and ``solve_linear``, ``convex_coefficients``
+and ``mix_states`` are the library's elimination, hull test and mixture
+on ``fractions.Fraction``, kept as they were before the state layer moved
+to integer numerators.
 """
 
-from itertools import product as iproduct
+from fractions import Fraction
+from itertools import combinations, product as iproduct
+from typing import Sequence
 
 from blstate.algebra import FiniteBLAlgebra
 from blstate.filters import filter_sort_key, has_power_negation_in
 from blstate.operators import CLASS_AXIOMS
+from blstate.states import RationalState
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def brute_force_filters(a):
@@ -101,3 +110,93 @@ def brute_force_operator_tables(
         for ax in CLASS_AXIOMS[cls]:
             maps = apply_axiom(maps, ax)
     return [tuple(int(v) for v in row) for row in maps]
+
+
+def solve_linear(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> tuple[list[Fraction], list[list[Fraction]]] | None:
+    """Solve A x = b over the rationals.
+
+    Returns (particular solution, null-space basis) or None when the
+    system is inconsistent.
+    """
+    m = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
+    n_rows = len(m)
+    n_cols = len(rows[0]) if rows else 0
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        factor = m[r][c]
+        m[r] = [v / factor for v in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    for i in range(r, n_rows):
+        if m[i][n_cols] != 0:
+            return None
+    particular = [ZERO] * n_cols
+    for i, c in enumerate(piv_cols):
+        particular[c] = m[i][n_cols]
+    free_cols = [c for c in range(n_cols) if c not in piv_cols]
+    basis = []
+    for fc in free_cols:
+        vec = [ZERO] * n_cols
+        vec[fc] = ONE
+        for i, c in enumerate(piv_cols):
+            vec[c] = -m[i][fc]
+        basis.append(vec)
+    return particular, basis
+
+
+def mix_states(
+    states: Sequence[RationalState], weights: Sequence[Fraction]
+) -> RationalState:
+    if len(states) != len(weights) or not states:
+        raise ValueError("need matching nonempty states/weights")
+    if sum(weights) != 1 or any(w < 0 for w in weights):
+        raise ValueError("weights must be a convex combination")
+    algebra = states[0].algebra
+    values = tuple(
+        sum((w * s.values[x] for s, w in zip(states, weights)), ZERO)
+        for x in range(algebra.size)
+    )
+    return RationalState(algebra, values)
+
+
+def convex_coefficients(
+    points: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+) -> tuple[Fraction, ...] | None:
+    """Exact convex-combination coefficients, or None if outside the hull.
+
+    Solves sum(l_i * p_i) = target with sum(l_i) = 1 and l_i >= 0 by
+    scanning basic supports; fine for the handfuls of extremal states a
+    finite algebra has.
+    """
+    k = len(points)
+    if k == 0:
+        return None
+    dim = len(target)
+    for size in range(1, k + 1):
+        for support in combinations(range(k), size):
+            rows = [[points[j][c] for j in support] for c in range(dim)]
+            rows.append([ONE] * size)
+            rhs = list(target) + [ONE]
+            solved = solve_linear(rows, rhs)
+            if solved is None:
+                continue
+            particular, _ = solved
+            if all(v >= 0 for v in particular):
+                coeffs = [ZERO] * k
+                for j, idx in enumerate(support):
+                    coeffs[idx] = particular[j]
+                return tuple(coeffs)
+    return None

@@ -25,3 +25,34 @@ def test_search_nonstrong(capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("searched ")
     assert last.endswith(" 0 candidate(s) that are state but not strong")
+
+
+def test_bench_pairs_summary_and_durations(tmp_path):
+    bench = _script("bench_pairs")
+
+    def run(run_s):
+        return {"metrics": dict.fromkeys(bench.METRICS, 1.0) | {"run_s": run_s}}
+
+    pairs = [
+        {"parent": run(p), "change": run(c)}
+        for p, c in ((1.0, 0.8), (1.2, 0.9), (1.1, 1.1), (0.9, 1.0), (1.0, 0.7))
+    ]
+    run_s = bench.summarize(pairs)["run_s"]
+    assert run_s["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.1}
+    assert run_s["change"]["median"] == 0.9
+    assert (run_s["change_better_pairs"], run_s["ties"], run_s["pairs"]) == (3, 1, 5)
+    assert run_s["median_change_pct"] == -10.0
+    assert bench.summarize(pairs)["setup_s"]["ties"] == 5
+    output = (
+        "...\n============ slowest 5 durations ============\n"
+        "5.32s call     tests/test_a.py::test_slow\n"
+        "0.50s setup    tests/test_b.py::test_fixture\n"
+        "210 passed in 14.3s\n"
+    )
+    assert bench.slowest_tests(output) == [
+        {"seconds": 5.32, "phase": "call", "test": "tests/test_a.py::test_slow"},
+        {"seconds": 0.5, "phase": "setup", "test": "tests/test_b.py::test_fixture"},
+    ]
+    # a checkout without the benchmark is refused before anything runs
+    assert bench.main([str(tmp_path), str(tmp_path), "--workload", "paper-suite",
+                       "--seeds", "1"]) == 2

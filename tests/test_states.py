@@ -28,11 +28,13 @@ from blstate.states import (
     is_compatible,
     mix_states,
     pull_back_state,
+    pulled_back_extremal_states,
     sigma_compatible_correspondence,
     solve_linear,
     state_to_image,
 )
 
+from . import oracles
 from .strategies import algebras
 
 F = Fraction
@@ -184,6 +186,63 @@ def test_pull_back_reuses_state_verdicts(monkeypatch):
     assert len(scans) == 4  # one more each for the non-state and the twin
 
 
+def test_values_outside_the_unit_interval_are_not_a_state():
+    # the pair identities hold here; only the range test rejects the map
+    square = direct_product(mv_chain(1), mv_chain(1))
+    verdict = check_state(square, (F(0), F(2), F(-1), F(1)))
+    assert not verdict.is_state and not verdict.riecan
+    assert verdict.witnesses[:2] == (("bosbach", ("range", 1)), ("riecan", ("range", 1)))
+
+
+def test_pull_back_of_values_outside_the_unit_interval_is_not_a_state():
+    square = direct_product(mv_chain(1), mv_chain(1))
+    ident = verify_operator(square, identity_table(square))
+    with pytest.raises(NotAStateError, match="range"):
+        pull_back_state(ident, (F(0), F(2), F(-1), F(1)))
+
+
+def test_a_pull_back_equal_to_a_carrier_state_is_that_object(monkeypatch):
+    from blstate import states
+
+    a, sigma = four_element_example()
+    op = verify_operator(a, sigma)
+    ext = extremal_states(a)
+    image, _, _ = states.operator_image(op)
+    extremal_states(image)
+    scans = []
+    real = states.bosbach_witness
+
+    def counting(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(states, "bosbach_witness", counting)
+    assert pulled_back_extremal_states(op) == ext
+    assert pulled_back_extremal_states(op)[0] is ext[0]
+    assert scans == []  # the carrier's state object is not scanned again
+    b = mv_chain(1)
+    square = direct_product(b, b)
+    diag = verify_operator(square, diagonal_operator_table(b, 1))
+    [pulled] = pulled_back_extremal_states(diag)
+    assert pulled in extremal_states(square)
+    assert any(pulled is s for s in extremal_states(square))
+
+
+def test_the_state_table_holds_only_live_states():
+    import gc
+
+    a = direct_product(mv_chain(1), mv_chain(1))
+    ext = extremal_states(a)
+    mixed = mix_states(ext, [F(1, 2), F(1, 2)])
+    assert mix_states(list(reversed(ext)), [F(1, 2), F(1, 2)]) is mixed
+    assert RationalState(a, mixed.values) is not mixed  # the constructor makes a new object
+    table = a.__dict__["_states"]
+    assert set(table.values()) == {*ext, mixed}
+    del mixed
+    gc.collect()
+    assert set(table.values()) == set(ext)
+
+
 def test_pull_back_through_diagonal():
     b = mv_chain(2)
     square = direct_product(b, b)
@@ -287,6 +346,8 @@ def reference_check_state(algebra, values) -> StateVerdict:
             return ("bottom",)
         if both and s[algebra.top] != 1:
             return ("top",)
+        if both:  # a state maps into [0, 1]
+            return next((("range", x) for x, v in enumerate(s) if not 0 <= v <= 1), None)
         return None
 
     wb = pinned(True) or _first_pair(
@@ -376,3 +437,108 @@ def test_check_state_matches_reference_on_corpus_states(corpus):
         candidates.append(mix_states(ext, [F(1, len(ext))] * len(ext)).values)
         for values in candidates:
             assert_matches_reference(a, values)
+
+
+# ---------------------------------------------------------------------------
+# the integer state layer against the Fraction oracles
+
+
+_small_fractions = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(3, 4)])
+
+
+@st.composite
+def linear_systems(draw):
+    """Small rational systems; appended combinations of drawn rows make
+    them rank-deficient, and a perturbed right-hand side inconsistent."""
+    n_cols = draw(st.integers(1, 4))
+    row = st.lists(_small_fractions, min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    rhs = draw(st.lists(_small_fractions, min_size=len(rows), max_size=len(rows)))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(_small_fractions), draw(_small_fractions)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        rhs.append(a * rhs[i] + b * rhs[j] + draw(st.sampled_from([F(0), F(0), F(1)])))
+    return rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_linear_matches_the_fraction_oracle(system):
+    rows, rhs = system
+    assert solve_linear(rows, rhs) == oracles.solve_linear(rows, rhs)
+
+
+def test_solve_linear_matches_the_oracle_on_edge_systems():
+    for rows, rhs in (
+        ([], []),
+        ([[]], [F(0)]),
+        ([[]], [F(1)]),
+        ([[F(0), F(0)]], [F(0)]),
+        ([[F(0), F(0)]], [F(1)]),
+        ([[F(2), F(4)], [F(1), F(2)]], [F(2), F(1)]),
+    ):
+        assert solve_linear(rows, rhs) == oracles.solve_linear(rows, rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mixtures_and_hull_tests_match_the_fraction_oracles(data):
+    a = data.draw(algebras)
+    ext = extremal_states(a)
+    raw = data.draw(st.lists(st.integers(0, 6), min_size=len(ext), max_size=len(ext)))
+    if sum(raw) == 0:
+        raw[0] = 1
+    weights = [F(w, sum(raw)) for w in raw]
+    mixed = mix_states(ext, weights)
+    expected = oracles.mix_states(ext, weights)
+    assert mixed == expected and mixed.values == expected.values
+    points = [s.values for s in ext]
+    targets = [mixed.values, *points]
+    if data.draw(st.booleans()):  # a map off the hull, or not a state at all
+        x = data.draw(st.integers(0, a.size - 1))
+        nudged = list(mixed.values)
+        nudged[x] += data.draw(_small_fractions)
+        targets.append(tuple(nudged))
+    for target in targets:
+        want = oracles.convex_coefficients(points, target)
+        assert convex_coefficients(points, target) == want
+        assert convex_coefficients(ext, target) == want
+    assert convex_coefficients(ext, mixed) == oracles.convex_coefficients(points, mixed.values)
+
+
+_unit_values = st.sampled_from([F(0), F(1), F(1, 2), F(2, 4), F(1, 3), F(2, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hull_tests_match_the_fraction_oracle_on_random_points(data):
+    dim = data.draw(st.integers(1, 4))
+    vector = st.tuples(*[_unit_values] * dim)
+    points = data.draw(st.lists(vector, min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        target = data.draw(vector)
+    else:  # a convex combination of the points
+        raw = data.draw(st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)))
+        if sum(raw) == 0:
+            raw[0] = 1
+        target = tuple(
+            sum(F(w, sum(raw)) * p[c] for w, p in zip(raw, points)) for c in range(dim)
+        )
+    assert convex_coefficients(points, target) == oracles.convex_coefficients(points, target)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_state_keeps_its_values_and_compares_by_them(data):
+    a = data.draw(algebras)
+    first, second = (
+        data.draw(st.lists(_unit_values, min_size=a.size, max_size=a.size)) for _ in range(2)
+    )
+    s, t = RationalState(a, first), RationalState(a, second)
+    assert s.values == tuple(first) and t.values == tuple(second)
+    assert (s == t) == (tuple(first) == tuple(second))
+    if s == t:
+        assert hash(s) == hash(t)
+    assert s == RationalState(a, s.values) and hash(s) == hash(RationalState(a, s.values))
+    assert [s(x) for x in range(a.size)] == list(first)

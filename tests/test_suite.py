@@ -188,7 +188,7 @@ def test_a_cold_run_checks_states_seals_images_and_walks_powers_once(monkeypatch
         monkeypatch.setattr(module, name, counting)
     report = run_suite(corpus)
     assert report.failures == []
-    assert counts["bosbach_witness"] <= 202
+    assert counts["bosbach_witness"] <= 97
     assert counts["find_axiom_violation"] <= 131
     assert counts["has_power_negation_in"] <= 1820
 
