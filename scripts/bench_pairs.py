@@ -126,7 +126,7 @@ def describe(root: Path) -> str:
         return proc.stdout.strip()
 
     dirty = " with uncommitted changes" if git("status", "--porcelain", "--", "src") else ""
-    return f"{root} at {git('rev-parse', '--short', 'HEAD') or 'an unknown commit'}{dirty}"
+    return f"commit {git('rev-parse', '--short', 'HEAD') or 'unknown'}{dirty}"
 
 
 def main(argv=None) -> int:
