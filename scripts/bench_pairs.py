@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
 """Compare two checkouts with the blstate benchmark, in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seeds 1 2 3 \\
-        [--seconds 30] [--out BENCH_x.json] [--tier1] [--what TEXT]
+    python3 scripts/bench_pairs.py PARENT CHANGE --seeds 1 2 3 [--out BENCH_x.json]
 
-PARENT and CHANGE are the roots of two checkouts.  For each seed the
-script runs ``perfbench/run.py`` (each checkout's own copy, unchanged)
-once in each checkout, and alternates which side goes first: the change
-first on the first seed, the parent first on the next, and so on.
-Before every run it deletes that checkout's ``src/blstate/__pycache__``,
-so neither side reads bytecode that the other side's runs did not
-compile (``setup_s`` is mostly compiling the sources when bytecode is
-not written).
+PARENT and CHANGE are the roots of two checkouts.  The workloads and the
+run length are those that CHANGE's ``BENCHMARK.json`` declares.  For
+each workload and seed the script runs ``perfbench/run.py`` (each
+checkout's own copy, unchanged) once in each checkout, and alternates
+which side goes first: the change first on the first seed, the parent
+first on the next, and so on.  Before every run it deletes that
+checkout's ``src/blstate/__pycache__``, so neither side reads bytecode
+that the other side's runs did not compile (``setup_s`` is mostly
+compiling the sources when bytecode is not written).
 
-The summary per end-to-end metric holds each side's q1, median and q3
-over the seeds, the number of pairs where the change is better (every
-metric is lower-is-better) and the change of the median in percent.
-It is written into ``--out`` under the workload's name; other workloads
-already in that file are kept.  With ``--tier1`` the tier-1 tests
-(``pytest --durations=5``) also run once in each checkout, and their
-wall time, summary line and five slowest tests are recorded.
+The summary per workload and end-to-end metric holds each side's q1,
+median and q3 over the seeds, the number of pairs where the change is
+better (every metric is lower-is-better) and the change of the median
+in percent.  The tier-1 tests (``pytest --durations=5``) then run once
+in each checkout, and their wall time, summary line and five slowest
+tests are recorded.  The report goes to ``--out``, or to stdout.
 """
 
 from __future__ import annotations
@@ -129,67 +128,61 @@ def describe(root: Path) -> str:
     return f"commit {git('rev-parse', '--short', 'HEAD') or 'unknown'}{dirty}"
 
 
+def run_workload(roots: dict[str, Path], workload: str, seeds: list[int], seconds: float) -> dict:
+    """Alternating pairs of runs of one workload, one pair per seed."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = SIDES[::-1] if i % 2 == 0 else SIDES
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(roots[side], workload, seed, seconds)
+        pairs.append(pair)
+        run_s = {side: pair[side]["metrics"]["run_s"] for side in SIDES}
+        print(f"{workload} seed {seed} ({order[0]} first): run_s parent "
+              f"{run_s['parent']:.4f} change {run_s['change']:.4f}", file=sys.stderr, flush=True)
+    return {
+        "seeds": seeds,
+        "failed_operations": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
+        "attempted_operations": {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES},
+        "summary": summarize(pairs),
+        "pairs": pairs,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True,
-                        choices=("paper-suite", "enum-ladder", "user-corpus"))
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", type=Path, help="the BENCH_*.json to write or update")
-    parser.add_argument("--tier1", action="store_true",
-                        help="also time the tier-1 tests once in each checkout")
-    parser.add_argument("--what", help="a line that says what the change is")
+    parser.add_argument("--out", type=Path, help="the BENCH_*.json to write")
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, root in roots.items():
         if not (root / "perfbench" / "run.py").is_file():
             print(f"{side}: no perfbench/run.py under {root}", file=sys.stderr)
             return 2
+    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
 
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        order = SIDES[::-1] if i % 2 == 0 else SIDES
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(roots[side], args.workload, seed, args.seconds)
-        pairs.append(pair)
-        run_s = {side: pair[side]["metrics"]["run_s"] for side in SIDES}
-        print(f"{args.workload} seed {seed} ({order[0]} first): run_s parent "
-              f"{run_s['parent']:.4f} change {run_s['change']:.4f}", flush=True)
-
-    block = {
-        "seeds": args.seeds,
-        "seconds": args.seconds,
-        "failed_operations": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
-        "attempted_operations": {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES},
-        "summary": summarize(pairs),
-        "pairs": pairs,
-    }
-    report = json.loads(args.out.read_text(encoding="utf-8")) if args.out and args.out.exists() else {}
-    if args.what:
-        report["what"] = args.what
-    report.update({
-        "command": "python3 perfbench/run.py --workload W --seed N "
-                   f"--seconds {args.seconds:g} --trace 0",
+    report = {
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0",
         "order": "alternating pairs: the change runs first on the first seed, "
                  "the parent on the next, and so on; each checkout's "
                  "src/blstate/__pycache__ is deleted before each of its runs",
         "machine": f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}",
         "parent": describe(roots["parent"]),
         "change": describe(roots["change"]),
-        args.workload: block,
-    })
-    if args.tier1:
-        report["tier1"] = {side: run_tier1(root) for side, root in roots.items()}
+    }
+    for workload in spec["workloads"]:
+        report[workload["name"]] = run_workload(roots, workload["name"], args.seeds, seconds)
+    report["tier1"] = {side: run_tier1(root) for side, root in roots.items()}
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    failed = block["failed_operations"]
-    return 1 if failed["parent"] or failed["change"] else 0
+    failed = sum(sum(report[w["name"]]["failed_operations"].values()) for w in spec["workloads"])
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

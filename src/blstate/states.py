@@ -51,13 +51,20 @@ class NotAStateError(Exception):
     pass
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class RationalState:
     """One exact rational value in [0, 1] per carrier element.
 
     The map is kept as integer numerators ``p`` over the denominator
     ``d``, in lowest terms; ``values`` are its Fractions, built on first
     read.  Two states are equal iff their algebras and values are equal.
+    A state is immutable: the objects of the per-carrier table are shared
+    and carry their cached verdict, so no attribute may be assigned.
     """
+
+    algebra: FiniteBLAlgebra
+    p: tuple[int, ...]
+    d: int
 
     def __init__(self, algebra: FiniteBLAlgebra, values: Sequence[Fraction]):
         vals = tuple(map(Fraction, values))
@@ -65,14 +72,13 @@ class RationalState:
             raise ValueError("state must assign a value to every element")
         if any(v < 0 or v > 1 for v in vals):
             raise ValueError("state values must lie in [0, 1]")
-        self.algebra = algebra
-        self.p, self.d = _numerators(vals)
-        self.values = vals
+        p, d = _numerators(vals)
+        self.__dict__.update(algebra=algebra, p=p, d=d, values=vals)
 
     @classmethod
     def _of(cls, algebra: FiniteBLAlgebra, p: tuple[int, ...], d: int) -> RationalState:
         state = cls.__new__(cls)
-        state.algebra, state.p, state.d = algebra, p, d
+        state.__dict__.update(algebra=algebra, p=p, d=d)
         return state
 
     @cached_property
@@ -468,18 +474,21 @@ def convex_coefficients(
 def mix_states(
     states: Sequence[RationalState], weights: Sequence[Fraction]
 ) -> RationalState:
-    """The convex combination sum(w_i * s_i), on the carrier of the first state."""
+    """The convex combination sum(w_i * s_i) of states on one carrier."""
     if len(states) != len(weights) or not states:
         raise ValueError("need matching nonempty states/weights")
     weights = [Fraction(w) for w in weights]
     if sum(weights) != 1 or any(w < 0 for w in weights):
         raise ValueError("weights must be a convex combination")
+    algebra = states[0].algebra
+    if any(s.algebra is not algebra and s.algebra != algebra for s in states):
+        raise ValueError("states to mix must be on one carrier")
     # w_i * p_i / d_i over one denominator: integer coefficients c_i / d
     terms = [(w / s.d, s.p) for s, w in zip(states, weights) if w]
     d = math.lcm(*(c.denominator for c, _ in terms))
     coeffs = [c.numerator * (d // c.denominator) for c, _ in terms]
     p = [sum(map(mul, coeffs, col)) for col in zip(*(q for _, q in terms))]
-    return _state(states[0].algebra, p, d)
+    return _state(algebra, p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +556,17 @@ class CorrespondenceReport:
         return self.round_trip_ok and self.affine_ok and self.extremal_independent
 
 
+def restrict_to_image(op: StateOperator, state: RationalState) -> RationalState:
+    """The image state that a compatible state restricts to: its map on
+    the fixed points, as the image's state object."""
+    image, _, fixed = operator_image(op)
+    p = state.p
+    return _state(image, [p[x] for x in fixed], state.d)
+
+
 def state_to_image(op: StateOperator, state: RationalState) -> tuple[Fraction, ...]:
-    """Restrict a compatible state to the image subalgebra."""
-    image, pos, fixed = operator_image(op)
-    return tuple(state.values[orig] for orig in fixed)
-
-
-def _restricts_to(state: RationalState, fixed: Sequence[int], image_state: RationalState) -> bool:
-    """``state_to_image`` equals the image state's values, compared on integers."""
-    p, d, e = state.p, state.d, image_state.d
-    return all(p[x] * e == q * d for x, q in zip(fixed, image_state.p))
+    """Restrict a compatible state to the image subalgebra; its values."""
+    return restrict_to_image(op, state).values
 
 
 @memoized
@@ -589,14 +599,14 @@ def sigma_compatible_correspondence(
 
 @memoized
 def _correspondence(op: StateOperator) -> CorrespondenceReport:
-    image, _, fixed = operator_image(op)
+    image, _, _ = operator_image(op)
     image_ext = extremal_states(image)
     pulled = pulled_back_extremal_states(op)
     for st in pulled:
         if not is_compatible(op, st):
             raise InternalCheckError("pull-back is not compatible with the operator")
 
-    round_trip = all(_restricts_to(st, fixed, src) for st, src in zip(pulled, image_ext))
+    round_trip = all(restrict_to_image(op, st) == src for st, src in zip(pulled, image_ext))
 
     # mixtures: uniform and a lopsided pair mix, exercised through both maps
     weights_menu: list[list[Fraction]] = []
@@ -614,7 +624,7 @@ def _correspondence(op: StateOperator) -> CorrespondenceReport:
         direct = pull_back_state(op, mixed_image)
         if direct != mixed_pulled:
             affine_ok = False
-        if not _restricts_to(mixed_pulled, fixed, mixed_image):
+        if restrict_to_image(op, mixed_pulled) != mixed_image:
             affine_ok = False
         if not is_compatible(op, mixed_pulled):
             affine_ok = False

@@ -54,5 +54,4 @@ def test_bench_pairs_summary_and_durations(tmp_path):
         {"seconds": 0.5, "phase": "setup", "test": "tests/test_b.py::test_fixture"},
     ]
     # a checkout without the benchmark is refused before anything runs
-    assert bench.main([str(tmp_path), str(tmp_path), "--workload", "paper-suite",
-                       "--seeds", "1"]) == 2
+    assert bench.main([str(tmp_path), str(tmp_path), "--seeds", "1"]) == 2

@@ -1,5 +1,6 @@
 """States: Bosbach/Riecan verdicts, extremal states, correspondences."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -29,6 +30,7 @@ from blstate.states import (
     mix_states,
     pull_back_state,
     pulled_back_extremal_states,
+    restrict_to_image,
     sigma_compatible_correspondence,
     solve_linear,
     state_to_image,
@@ -241,6 +243,37 @@ def test_the_state_table_holds_only_live_states():
     del mixed
     gc.collect()
     assert set(table.values()) == set(ext)
+
+
+def test_states_are_immutable():
+    a = direct_product(mv_chain(1), mv_chain(1))
+    shared = extremal_states(a)[0]
+    built = RationalState(a, shared.values)
+    assert shared.verdict.extremal  # the cached verdict is written all the same
+    for st in (shared, built):
+        for name, value in (("p", (0, 0, 0, 1)), ("d", 2), ("values", built.values)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(st, name, value)
+    assert shared == built and shared.p == built.p
+
+
+def test_mix_states_refuses_states_of_two_carriers():
+    square = direct_product(mv_chain(1), mv_chain(1))
+    chain = mv_chain(3)
+    with pytest.raises(ValueError, match="one carrier"):
+        mix_states([extremal_states(square)[0], extremal_states(chain)[0]], [F(1, 2), F(1, 2)])
+    with pytest.raises(ValueError, match="one carrier"):
+        mix_states([extremal_states(square)[0], extremal_states(chain)[0]], [F(1), F(0)])
+
+
+def test_a_pulled_back_extremal_state_restricts_to_its_source_object():
+    b = mv_chain(1)
+    square = direct_product(b, b)
+    diag = verify_operator(square, diagonal_operator_table(b, 1))
+    image_ext = sigma_compatible_correspondence(square, diag).image_extremal
+    for pulled, src in zip(pulled_back_extremal_states(diag), image_ext):
+        assert restrict_to_image(diag, pulled) is src
+        assert state_to_image(diag, pulled) == src.values
 
 
 def test_pull_back_through_diagonal():
