@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Compare two checkouts with the blstate benchmark, in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --seeds 1 2 3 [--out BENCH_x.json]
+    python3 scripts/bench_pairs.py PARENT CHANGE --seeds 1 2 3 [--trace-seed N]
+        [--out BENCH_x.json]
 
 PARENT and CHANGE are the roots of two checkouts.  The workloads and the
 run length are those that CHANGE's ``BENCHMARK.json`` declares.  For
@@ -16,7 +17,10 @@ compiling the sources when bytecode is not written).
 The summary per workload and end-to-end metric holds each side's q1,
 median and q3 over the seeds, the number of pairs where the change is
 better (every metric is lower-is-better) and the change of the median
-in percent.  The tier-1 tests (``pytest --durations=5``) then run once
+in percent.  With ``--trace-seed N``, each checkout then makes one
+``--trace 1`` run per workload on seed N, and every per-layer metric of
+its last line is recorded under ``"layers"`` with the parent's value,
+the change's value and the change in percent.  The tier-1 tests (``pytest --durations=5``) then run once
 in each checkout, and their wall time, summary line and five slowest
 tests are recorded.  The report goes to ``--out``, or to stdout.
 """
@@ -43,22 +47,27 @@ def clear_bytecode(root: Path) -> None:
     shutil.rmtree(root / "src" / "blstate" / "__pycache__", ignore_errors=True)
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run; its last stdout line as a dict."""
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """One ``perfbench/run.py`` run; its last stdout line as a dict.
+
+    An untraced run keeps the end-to-end metrics, a traced run every
+    per-layer metric.
+    """
     clear_bytecode(root)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(int(trace))],
         cwd=root, capture_output=True, text=True, check=False,
     )
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise RuntimeError(f"{root}: perfbench exited with code {proc.returncode}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    names = result["metrics"] if trace else METRICS
     return {
         "failed": result["failed"],
         "attempted": result["attempted"],
-        "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
+        "metrics": {name: result["metrics"][name]["value"] for name in names},
     }
 
 
@@ -87,6 +96,30 @@ def summarize(pairs: list[dict]) -> dict:
             "parent_q1_q3_spread": q_parent["q3"] - q_parent["q1"],
         }
     return out
+
+
+def compare_layers(parent: dict[str, float], change: dict[str, float]) -> dict:
+    """Per layer metric: both sides' values and the change in percent.
+
+    A metric missing on one side is None there; the percentage is None
+    when either value is missing or the parent's is 0.
+    """
+    out = {}
+    for name in sorted(parent.keys() | change.keys()):
+        p, c = parent.get(name), change.get(name)
+        pct = None if p is None or c is None or p == 0 else round(100 * (c / p - 1), 2)
+        out[name] = {"parent": p, "change": c, "change_pct": pct}
+    return out
+
+
+def trace_workload(roots: dict[str, Path], workload: str, seed: int, seconds: float) -> dict:
+    """One traced run per side; the parent runs first."""
+    runs = {side: run_once(roots[side], workload, seed, seconds, trace=True) for side in SIDES}
+    return {
+        "seed": seed,
+        "failed_operations": {side: runs[side]["failed"] for side in SIDES},
+        "metrics": compare_layers(runs["parent"]["metrics"], runs["change"]["metrics"]),
+    }
 
 
 _DURATION = re.compile(r"^\s*(\d+(?:\.\d+)?)s\s+(call|setup|teardown)\s+(\S+)")
@@ -154,6 +187,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
+    parser.add_argument("--trace-seed", type=int,
+                        help="after the pairs, one traced run per side and workload on this seed")
     parser.add_argument("--out", type=Path, help="the BENCH_*.json to write")
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -175,13 +210,20 @@ def main(argv=None) -> int:
     }
     for workload in spec["workloads"]:
         report[workload["name"]] = run_workload(roots, workload["name"], args.seeds, seconds)
+    if args.trace_seed is not None:
+        report["trace_command"] = report["command"].replace("--trace 0", "--trace 1")
+        report["layers"] = {
+            w["name"]: trace_workload(roots, w["name"], args.trace_seed, seconds)
+            for w in spec["workloads"]
+        }
     report["tier1"] = {side: run_tier1(root) for side, root in roots.items()}
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    failed = sum(sum(report[w["name"]]["failed_operations"].values()) for w in spec["workloads"])
+    runs = [report[w["name"]] for w in spec["workloads"]] + list(report.get("layers", {}).values())
+    failed = sum(sum(run["failed_operations"].values()) for run in runs)
     return 1 if failed else 0
 
 

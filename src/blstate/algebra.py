@@ -358,6 +358,11 @@ class FiniteBLAlgebra:
         rng = range(self.size)
         return tuple(frozenset(compress(rng, row)) for row in self.leq)
 
+    @cached_property
+    def upset_masks(self) -> tuple[int, ...]:
+        """Row x of ``upsets`` as a bitmask: bit y is set when x <= y."""
+        return tuple(sum(1 << y for y in row) for row in self.upsets)
+
     def upset(self, x: int) -> frozenset[int]:
         return self.upsets[x]
 

@@ -10,9 +10,11 @@ table sigma (``state_filters``); with sigma the identity it is just a
 filter.  So one implementation serves both: ``filter_generated``,
 ``maximal_filters``, ``is_maximal_by_power_criterion`` and ``radical``
 take an optional table ``sigma``, and omitting it means the identity.
-The generated (state-)filter is read off that memoized family: it is
-the meet of the members that contain the seed.  The Prop-5.4 formulas
-in ``operators`` are the independent route it is checked against.
+The generated (state-)filter is read off that memoized family, held as
+bitmasks (bit ``i`` for element ``i``, ``filter_masks``): it is the
+meet of the members that contain the seed (``filter_generated_masks``,
+which ``filter_generated`` wraps).  The Prop-5.4 formulas in
+``operators`` are the independent route it is checked against.
 
 Two pairs of routes are kept on purpose as independent cross-checks
 that must agree: the radical as an intersection of maximal filters vs
@@ -34,6 +36,21 @@ def subset_mask(members: Iterable[int]) -> int:
     for x in members:
         m |= 1 << x
     return m
+
+
+def mask_members(mask: int) -> frozenset[int]:
+    """The elements whose bits are set in ``mask``."""
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def seed_mask(algebra: FiniteBLAlgebra, seed: Iterable[int]) -> int:
+    """The bitmask of a generating seed, which must be a nonempty set of elements."""
+    members = frozenset(seed)
+    if not members:
+        raise ValueError("seed must be nonempty")
+    if not members <= frozenset(range(algebra.size)):
+        raise ValueError("seed element out of range")
+    return subset_mask(members)
 
 
 def filter_sort_key(members: frozenset[int]) -> tuple[int, int]:
@@ -85,26 +102,49 @@ def state_filters(
     )
 
 
+@memoized
+def filter_masks(
+    algebra: FiniteBLAlgebra, sigma: tuple[int, ...] | None = None
+) -> tuple[int, ...]:
+    """``all_filters`` (or ``state_filters`` under ``sigma``) as bitmasks.
+
+    Pass ``sigma`` positionally: the memo keys on positional arguments.
+    """
+    family = all_filters(algebra) if sigma is None else state_filters(algebra, sigma)
+    return tuple(map(subset_mask, family))
+
+
+def filter_generated_masks(
+    algebra: FiniteBLAlgebra, seeds: Iterable[int], sigma: tuple[int, ...] | None = None
+) -> list[int]:
+    """Least (state-)filter containing each seed bitmask, read off the filter lattice.
+
+    The (state-)filters of a finite BL-algebra are closed under
+    intersection and include the whole carrier, so the least one
+    containing a seed is the meet (bitwise and) of the members of the
+    memoized family that contain it.  The seeds are not validated; an
+    empty one gives the least member.
+    """
+    family = filter_masks(algebra) if sigma is None else filter_masks(algebra, sigma)
+    out = []
+    for seed in seeds:
+        meet = -1
+        for f in family:
+            if seed & f == seed:
+                meet &= f
+        out.append(meet)
+    return out
+
+
 def filter_generated(
     algebra: FiniteBLAlgebra, seed: Iterable[int], sigma: tuple[int, ...] | None = None
 ) -> frozenset[int]:
-    """Least filter containing ``seed``, read off the filter lattice.
+    """Least filter containing ``seed`` (with ``sigma``, least state-filter).
 
-    With an operator table ``sigma`` it is the least state-filter.  The
-    (state-)filters of a finite BL-algebra are closed under
-    intersection and include the whole carrier, so the least one
-    containing ``seed`` is the intersection of the members of the
-    memoized family (``all_filters`` or ``state_filters``) that contain
-    it.
+    The one-seed case of ``filter_generated_masks``, on element sets.
     """
-    members = frozenset(seed)
-    if not members:
-        raise ValueError("seed must be nonempty")
-    everything = frozenset(range(algebra.size))
-    if not members <= everything:
-        raise ValueError("seed element out of range")
-    family = all_filters(algebra) if sigma is None else state_filters(algebra, sigma)
-    return everything.intersection(*(f for f in family if members <= f))
+    [meet] = filter_generated_masks(algebra, [seed_mask(algebra, seed)], sigma)
+    return mask_members(meet)
 
 
 def has_power_negation_in(algebra: FiniteBLAlgebra, members: frozenset[int], y: int) -> bool:

@@ -22,11 +22,17 @@ Two pairs of routes are kept on purpose as independent cross-checks that
 must agree: the pruned enumerator vs ``brute_force_operator_tables`` (an
 unpruned, vectorized numpy oracle sharing none of its machinery; it
 lives in the tests, ``tests/oracles.py``, so numpy is no runtime
-dependency), and, in each of ``state_filter_generated`` and
-``state_filter_generated_ext``, the Prop-5.4 formula (a union of the
-algebra's cached upset rows over a monoid generated by the x * sigma(x))
-vs the filter lattice: ``filter_generated`` under sigma, the meet of
-the sigma-closed upsets of idempotents that contain the seed.
+dependency), and, in ``state_filter_closures``, the Prop-5.4 formula
+vs the filter lattice: ``filter_generated_masks`` under sigma, the
+meet of the sigma-closed upsets of idempotents that contain the seed.
+The kernel checks every seed of an operator in one pass on ``int``
+bitmasks.  It evaluates the formula (the union of the upsets of the
+monoid generated by the x * sigma(x)) at the monoid's least element,
+the product of the idempotent powers of the generators: every member
+of the monoid lies above it, so its upset is the whole union.  The
+literal closure of the monoid is the test oracle
+(``tests/oracles.py``).  ``state_filter_generated`` and
+``state_filter_generated_ext`` are its one-seed wrappers.
 State-filters, their maximal members and Rad_sigma are the filter
 family, maximal filters and radical of ``filters`` with the operator
 table as ``sigma``; the maximality cross-check (inclusion vs the power
@@ -60,10 +66,13 @@ from .constructors import (
 )
 from .filters import (
     classify_algebra,
-    filter_generated,
+    filter_generated_masks,
+    mask_members,
     maximal_filters,
     radical,
+    seed_mask,
     state_filters,
+    subset_mask,
 )
 
 
@@ -548,62 +557,78 @@ def kernel_and_faithfulness(op: StateOperator) -> tuple[frozenset[int], bool, bo
     return ker, op.is_faithful, radical_faithful
 
 
+def state_filter_closures(
+    algebra: FiniteBLAlgebra,
+    op: StateOperator,
+    seeds: Iterable[Iterable[int]],
+    extensions: Iterable[tuple[int, int]],
+) -> list[int]:
+    """Least state-filters of many seeds at once, as bitmasks (Prop. 5.4).
+
+    ``seeds`` are nonempty sets of elements; ``extensions`` are pairs
+    (f, a) of a state-filter bitmask f and an element a, standing for
+    the seed f + {a}.  Each is computed twice and the two must agree:
+    by the Prop-5.4 formula and by the filter lattice
+    (``filter_generated_masks`` under sigma).  The result lists the
+    seeds' masks, then the extensions'.
+
+    The formula is read at the least element of the monoid.  For each
+    x, e_x is the idempotent power of g_x = x * sigma(x), the last of
+    its distinct powers.  Powers descend, so every product of powers
+    of the g_x, x in a seed, lies above the product of the e_x, which
+    is itself such a product.  So the union of the upsets of the
+    generated monoid is the upset of that one element.  Likewise a
+    state-filter f is the upset of its least element m, and the union
+    of the upsets of i * g_a^n (i in f, n >= 1) is the upset of
+    m * e_a.
+    """
+    prod, up, table = algebra.prod, algebra.upset_masks, op.table
+    power_values, top = algebra.power_values, algebra.top
+    idem = [power_values(prod[x][table[x]])[-1] for x in range(algebra.size)]
+    formula, masks = [], []
+    for seed in seeds:
+        least, mask = top, 0
+        for x in seed:
+            least = prod[least][idem[x]]
+            mask |= 1 << x
+        formula.append(up[least])
+        masks.append(mask)
+    n_seeds = len(masks)
+    for f, a in extensions:
+        formula.append(up[prod[up.index(f)][idem[a]]])
+        masks.append(f | 1 << a)
+    lattice = filter_generated_masks(algebra, masks, table)
+    if formula != lattice:
+        k = next(k for k, (f, g) in enumerate(zip(formula, lattice)) if f != g)
+        if k >= n_seeds:
+            raise InternalCheckError("state-filter extension closure mismatch")
+        raise InternalCheckError(
+            f"state-filter closure mismatch: formula {sorted(mask_members(formula[k]))}"
+            f" vs lattice {sorted(mask_members(lattice[k]))}"
+        )
+    return formula
+
+
 def state_filter_generated(
     algebra: FiniteBLAlgebra, op: StateOperator, seed: Iterable[int]
 ) -> frozenset[int]:
-    """Least state-filter containing ``seed`` (Prop. 5.4).
-
-    Computed twice: by the closure formula (the union of the upsets of
-    the submonoid generated by the elements x * sigma(x), x in seed) and
-    by the filter lattice, ``filter_generated`` under sigma (the meet of
-    the state-filters that contain the seed).  The two must agree.
-    """
-    xs = sorted(set(seed))
-    if not xs:
-        raise ValueError("seed must be nonempty")
-    prod = algebra.prod
-
-    gens = {prod[x][op.table[x]] for x in xs}
-    monoid = set(gens)
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for g in gens:
-                p = prod[a][g]
-                if p not in monoid:
-                    new.add(p)
-        monoid |= new
-        frontier = new
-    by_formula = frozenset().union(*map(algebra.upsets.__getitem__, monoid))
-
-    by_lattice = filter_generated(algebra, xs, op.table)
-    if by_formula != by_lattice:
-        raise InternalCheckError(
-            f"state-filter closure mismatch: formula {sorted(by_formula)}"
-            f" vs lattice {sorted(by_lattice)}"
-        )
-    return by_formula
+    """Least state-filter containing ``seed``, by ``state_filter_closures``."""
+    members = frozenset(seed)
+    seed_mask(algebra, members)  # raises ValueError on an empty or out-of-range seed
+    [mask] = state_filter_closures(algebra, op, [members], [])
+    return mask_members(mask)
 
 
 def state_filter_generated_ext(
     algebra: FiniteBLAlgebra, op: StateOperator, members: frozenset[int], a: int
 ) -> frozenset[int]:
-    """Least state-filter containing the state-filter ``members`` and ``a``.
-
-    Computed twice: by the extension formula (the union of the upsets of
-    i * g^n, i in ``members``, n >= 1, g = a * sigma(a)) and by the
-    filter lattice, as in ``state_filter_generated``.  The two must agree.
-    """
+    """Least state-filter containing the state-filter ``members`` and ``a``,
+    by ``state_filter_closures``."""
     if members not in state_filters(algebra, op.table):
         raise NotAStateFilterError(f"{sorted(members)} is not a state-filter")
-    prod = algebra.prod
-    powers = algebra.power_values(prod[a][op.table[a]])
-    products = {prod[i][p] for i in members for p in powers}
-    by_formula = frozenset().union(*map(algebra.upsets.__getitem__, products))
-    if by_formula != filter_generated(algebra, members | {a}, op.table):
-        raise InternalCheckError("state-filter extension closure mismatch")
-    return by_formula
+    seed_mask(algebra, {a})  # raises ValueError when a is out of range
+    [mask] = state_filter_closures(algebra, op, [], [(subset_mask(members), a)])
+    return mask_members(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .corpus import CorpusInstance
 from .filters import (
     all_filters,
     classify_algebra,
+    filter_masks,
     is_primary,
     maximal_filters,
     radical,
@@ -70,8 +71,7 @@ from .operators import (
     mv_equivalence_check,
     operator_image,
     sigma_j_table,
-    state_filter_generated,
-    state_filter_generated_ext,
+    state_filter_closures,
     verify_operator,
 )
 from .states import (
@@ -676,19 +676,16 @@ def _ex_5_3(inst):
 
 
 def _prop_5_4(a, op):
-    # both closures assert formula == filter_generated under sigma;
-    # maximal_filters asserts inclusion order == power criterion
-    for x in range(a.size):
-        state_filter_generated(a, op, {x})
-    for x, y in combinations(range(a.size), 2):
-        state_filter_generated(a, op, {x, y})
-    everything = frozenset(range(a.size))
-    for f in state_filters(a, op.table):
-        if f == everything:
-            continue
-        for elem in range(a.size):
-            if elem not in f:
-                state_filter_generated_ext(a, op, f, elem)
+    # the kernel asserts formula == filter lattice on every singleton, pair
+    # and (proper state-filter, outside element); maximal_filters asserts
+    # inclusion order == power criterion
+    rng = range(a.size)
+    whole = (1 << a.size) - 1
+    extensions = [
+        (f, x) for f in filter_masks(a, op.table) if f != whole for x in rng if not f >> x & 1
+    ]
+    seeds = [(x,) for x in rng] + list(combinations(rng, 2))
+    state_filter_closures(a, op, seeds, extensions)
     maximal_filters(a, op.table)
     return None
 

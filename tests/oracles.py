@@ -4,7 +4,10 @@ Each oracle answers a question by the definition alone and shares no
 machinery with the route it checks: ``brute_force_filters`` scans every
 subset, ``brute_force_operator_tables`` scans every map with numpy
 (a test dependency only), ``all_pairs_is_primary`` tests the primary
-law on every pair of elements, and ``solve_linear``, ``convex_coefficients``
+law on every pair of elements, ``state_filter_by_monoid_closure`` and
+``state_filter_extension_by_powers`` read Prop. 5.4 literally (the
+union of the upsets of a whole generated monoid, or of every product
+i * g^n), and ``solve_linear``, ``convex_coefficients``
 and ``mix_states`` are the library's elimination, hull test and mixture
 on ``fractions.Fraction``, kept as they were before the state layer moved
 to integer numerators.
@@ -45,6 +48,40 @@ def all_pairs_is_primary(algebra: FiniteBLAlgebra, members: frozenset[int]) -> b
         or has_power_negation_in(algebra, members, b)
         for a, b in iproduct(range(n), range(n))
     )
+
+
+def state_filter_by_monoid_closure(
+    algebra: FiniteBLAlgebra, table: Sequence[int], seed
+) -> frozenset[int]:
+    """Prop. 5.4: the union of the upsets of the submonoid generated by
+    the elements x * sigma(x), x in seed, closed product by product."""
+    xs = sorted(set(seed))
+    prod = algebra.prod
+
+    gens = {prod[x][table[x]] for x in xs}
+    monoid = set(gens)
+    frontier = set(gens)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for g in gens:
+                p = prod[a][g]
+                if p not in monoid:
+                    new.add(p)
+        monoid |= new
+        frontier = new
+    return frozenset().union(*map(algebra.upsets.__getitem__, monoid))
+
+
+def state_filter_extension_by_powers(
+    algebra: FiniteBLAlgebra, table: Sequence[int], members: frozenset[int], a: int
+) -> frozenset[int]:
+    """Prop. 5.4: the union of the upsets of i * g^n, i in the
+    state-filter ``members``, n >= 1, g = a * sigma(a)."""
+    prod = algebra.prod
+    powers = algebra.power_values(prod[a][table[a]])
+    products = {prod[i][p] for i in members for p in powers}
+    return frozenset().union(*map(algebra.upsets.__getitem__, products))
 
 
 def brute_force_operator_tables(

@@ -16,7 +16,7 @@ from blstate.constructors import (
     pair_index,
     preservation_witness,
 )
-from blstate.filters import maximal_filters, radical, state_filters
+from blstate.filters import mask_members, maximal_filters, radical, state_filters, subset_mask
 from blstate.operators import (
     EnumerationStats,
     OPERATOR_AXIOMS,
@@ -34,6 +34,7 @@ from blstate.operators import (
     mv_equivalence_check,
     operator_image,
     sigma_j_table,
+    state_filter_closures,
     state_filter_generated,
     state_filter_generated_ext,
     verify_operator,
@@ -41,7 +42,12 @@ from blstate.operators import (
     ShapeMismatchError,
 )
 
-from .oracles import brute_force_filters, brute_force_operator_tables
+from .oracles import (
+    brute_force_filters,
+    brute_force_operator_tables,
+    state_filter_by_monoid_closure,
+    state_filter_extension_by_powers,
+)
 from .strategies import algebras, linear_algebras
 
 
@@ -189,6 +195,42 @@ def test_state_filter_generation():
     assert state_filter_generated(a, op, {1}) == frozenset(range(4))
     ext = state_filter_generated_ext(a, op, frozenset({3}), 2)
     assert ext == frozenset({2, 3})
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_state_filter_seeds_out_of_range_are_a_value_error(bad):
+    # the seed is validated before either route reads a table row
+    a, sigma = four_element_example()
+    op = verify_operator(a, sigma)
+    with pytest.raises(ValueError, match="seed element out of range"):
+        state_filter_generated(a, op, {bad})
+    with pytest.raises(ValueError, match="seed element out of range"):
+        state_filter_generated_ext(a, op, frozenset({2, 3}), bad)
+    with pytest.raises(ValueError, match="seed must be nonempty"):
+        state_filter_generated(a, op, set())
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras)
+def test_least_element_reading_matches_the_monoid_closure(a):
+    # the kernel reads Prop. 5.4 at the monoid's least element; the
+    # literal closure shares nothing with the filter lattice
+    if a.size > 12:
+        return
+    rng = range(a.size)
+    seeds = [(x,) for x in rng] + [(x, y) for x in rng for y in rng if x < y]
+    for t in enumerate_operator_tables(a, "state"):
+        op = verify_operator(a, t)
+        extensions = [
+            (f, x) for f in state_filters(a, t) if len(f) < a.size for x in rng if x not in f
+        ]
+        masks = state_filter_closures(
+            a, op, seeds, [(subset_mask(f), x) for f, x in extensions]
+        )
+        expected = [state_filter_by_monoid_closure(a, t, seed) for seed in seeds] + [
+            state_filter_extension_by_powers(a, t, f, x) for f, x in extensions
+        ]
+        assert list(map(mask_members, masks)) == expected
 
 
 @settings(max_examples=30, deadline=None)

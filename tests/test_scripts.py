@@ -55,3 +55,17 @@ def test_bench_pairs_summary_and_durations(tmp_path):
     ]
     # a checkout without the benchmark is refused before anything runs
     assert bench.main([str(tmp_path), str(tmp_path), "--seeds", "1"]) == 2
+
+
+def test_bench_pairs_compares_traced_layers():
+    bench = _script("bench_pairs")
+    layers = bench.compare_layers(
+        {"suite.claim.Prop-5.4_s": 0.02, "a.calls": 0.0, "gone_s": 1.0},
+        {"suite.claim.Prop-5.4_s": 0.005, "a.calls": 3.0, "new_s": 2.0},
+    )
+    assert layers == {
+        "a.calls": {"parent": 0.0, "change": 3.0, "change_pct": None},
+        "gone_s": {"parent": 1.0, "change": None, "change_pct": None},
+        "new_s": {"parent": None, "change": 2.0, "change_pct": None},
+        "suite.claim.Prop-5.4_s": {"parent": 0.02, "change": 0.005, "change_pct": -75.0},
+    }

@@ -127,8 +127,8 @@ def test_descriptions_present():
         ("Rem-2.15", states, "luk_mult_witness", lambda a, p, d: (0, 0),
          "internal cross-check: "),
         # a per-operator claim names the operator whose cross-check failed
-        ("Prop-5.4", operators, "filter_generated",
-         lambda a, seed, sigma=None: frozenset(range(a.size)),
+        ("Prop-5.4", operators, "filter_generated_masks",
+         lambda a, seeds, sigma=None: [(1 << a.size) - 1 for _ in seeds],
          "identity: internal cross-check: state-filter closure mismatch"),
         # the applies filter of Prop-4.12 is the first to classify the carrier
         ("Prop-4.12", filters, "radical_by_formula", lambda a: frozenset(),
@@ -191,6 +191,27 @@ def test_a_cold_run_checks_states_seals_images_and_walks_powers_once(monkeypatch
     assert counts["bosbach_witness"] <= 97
     assert counts["find_axiom_violation"] <= 131
     assert counts["has_power_negation_in"] <= 1820
+
+
+def test_a_cold_run_checks_prop_5_4_in_one_kernel_call_per_operator(monkeypatch):
+    # every seed of an operator goes through one state_filter_closures call;
+    # the per-seed wrappers are for library users only
+    corpus = default_corpus()
+    calls = []
+    real = suite.state_filter_closures
+
+    def counting(algebra, op, *args):
+        calls.append((id(algebra), id(op)))
+        return real(algebra, op, *args)
+
+    monkeypatch.setattr(suite, "state_filter_closures", counting)
+    for name in ("state_filter_generated", "state_filter_generated_ext"):
+        monkeypatch.setattr(operators, name, lambda *args, _name=name: calls.append(_name))
+    report = run_suite(corpus)
+    assert report.failures == []
+    pooled = [(id(inst.algebra), id(op)) for inst in corpus for _, op in suite._pool(inst, "state")]
+    assert sorted(calls) == sorted(pooled)
+    assert len(calls) == len(set(calls)) == 48
 
 
 def test_pool_is_built_once_and_never_stale():
