@@ -14,18 +14,24 @@ whole tables with ``bytes.translate``; the element scan runs only on a
 failure, or on a larger carrier, and names the first violation.
 
 Pointwise laws are data, ``Law`` values (``classify_variety`` reads
-four).  One scanner, ``violation``, decides a law in C and only on a
-failure scans again, in lexicographic order, for the first failing tuple.
-A domain is kept with the algebra as columns, one byte per entry.
+four).  A law's lambda is its per-tuple evaluator (``witness``), which
+names the lexicographically first failing tuple.  Called with symbols,
+the lambda of a term law builds its term, and the row evaluator
+(``holds``) decides the term on ``bytes`` rows, as the table check of
+sealing does: the outer variables run in loops and every other subterm
+is one row.  ``violation`` scans only a failing law for its witness.
+A law no term expresses (it reads more than the named tables) is a
+predicate, and the scan decides it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
-from itertools import chain, compress, product as iproduct, repeat
-from operator import getitem
+from functools import cached_property, lru_cache, partial, wraps
+from itertools import chain, compress, count, product as iproduct, repeat, starmap
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Sequence
 
 Table = tuple[tuple[int, ...], ...]
@@ -344,15 +350,6 @@ class FiniteBLAlgebra:
         return tuple(x for x in range(self.size) if self.prod[x][x] == x)
 
     @cached_property
-    def byte_rows(self) -> tuple[tuple[bytes, ...], ...]:
-        """meet, join, prod and impl with every row as ``bytes``.
-
-        Only for carriers of at most 256 elements; the table kernels
-        (``operators``, ``constructors.table_preserves``) read them.
-        """
-        return tuple(tuple(map(bytes, t)) for t in (self.meet, self.join, self.prod, self.impl))
-
-    @cached_property
     def upsets(self) -> tuple[frozenset[int], ...]:
         """Row x is the upset {y : x <= y}, built once per algebra."""
         rng = range(self.size)
@@ -451,102 +448,379 @@ def residuum_from_monoid(leq: Sequence[Sequence[bool]], prod: Iterable[Iterable[
 
 
 # ---------------------------------------------------------------------------
-# pointwise laws: ``Law`` data and the one scanner (see the module docstring)
+# pointwise laws: terms and their two evaluators (see the module docstring)
 
 
-# builder parameter -> algebra attribute, where the two names differ
-_ATTRIBUTE = {"neg": "neg_table", "oplus": "oplus_table"}
-
-
-# eq=False: laws and domains are constants, hashed by identity as memo keys
-@dataclass(frozen=True, eq=False)
-class Domain:
-    """The tuples of ``arity`` elements where ``premise`` holds; ``premise``
-    builds its truth values over all of them, in lexicographic order."""
-
-    arity: int
-    premise: Callable | None = None
-
-
-ELEMENTS = Domain(1)
-PAIRS = Domain(2)
-TRIPLES = Domain(3)
-LEQ = Domain(2, lambda leq: chain.from_iterable(leq))  # the order pairs
-
-
+# eq=False: laws are constants, hashed by identity as memo keys
 @dataclass(frozen=True, eq=False)
 class Law:
-    """``check`` holds at every tuple of ``over``; ``text`` names a failure.
+    """``check`` holds at every tuple of elements; ``text`` names a failure.
 
-    ``check`` is a builder: called with the tables its parameters name
-    (``neg``, ``oplus``, ``a`` for the algebra itself, or any attribute of
-    the algebra such as ``prod``, ``leq`` or ``top``), it returns the
-    predicate on one tuple as a closure over them.  A per-operator law's
-    predicate takes the operator table ``t`` first.  Over several factors
-    it takes the first factor's tuple and returns the predicate on the rest.
+    ``check`` is a lambda whose single-letter parameters (x, y, c, d)
+    are the variables, after the others: ``t``, the operator table, ``a``,
+    the algebra, and any other name an attribute of the algebra (``neg``
+    and ``oplus`` read ``neg_table`` and ``oplus_table``).  Called with
+    the tables and elements it is the per-tuple evaluator.  A law whose
+    tables are all named in ``_UNARY``, ``_BINARY`` and the constants
+    bottom and top is a term, written with ``==``, ``!=``, ``&``, ``|``
+    and ``p <= q`` for "p implies q" on truth values: called with
+    symbols it builds its term, which the row evaluator decides.
+    ``rows`` names the variables the row evaluator keeps as one byte row
+    (the last one if empty); the choice changes no verdict.
     """
 
     text: str
     check: Callable
-    over: Domain | tuple[Domain, ...] = PAIRS
+    rows: tuple[int, ...] = ()
+
+    @cached_property
+    def is_term(self) -> bool:
+        return _parameters(self.check)[0] <= _UNARY | _BINARY | {"bottom", "top"}
+
+
+_UNARY = {"t", "neg"}
+_BINARY = {"meet", "join", "prod", "impl", "oplus", "leq", "source", "target"}
+_TRUTH = ("leq", "eq", "not", "and", "or")
 
 
 @lru_cache(maxsize=256)
-def _parameters(builder: Callable) -> tuple[str | None, ...]:
-    """The algebra attribute each parameter of ``builder`` names; None for ``a``."""
-    code = builder.__code__
-    return tuple(
-        None if name == "a" else _ATTRIBUTE.get(name, name)
-        for name in code.co_varnames[: code.co_argcount]
+def _parameters(check: Callable) -> tuple[frozenset[str], int]:
+    """The table names ``check`` reads and its number of variables."""
+    code = check.__code__
+    names = code.co_varnames[: code.co_argcount]
+    variables = sum(len(name) == 1 and name not in "ta" for name in names)
+    return frozenset(names[: len(names) - variables]), variables
+
+
+class _Symbol:
+    """A term under construction: ``check`` called with symbols returns its
+    term as ``node``, a tuple ``("var", i)``, ``(name,)`` for a constant,
+    ``(table, u)`` or ``(table, u, v)``, ``("eq", u, v)``, ``("not", p)``,
+    ``("and", p, q)`` or ``("or", p, q)``."""
+
+    __slots__ = ("node",)
+    __hash__ = None
+
+    def __init__(self, *node):
+        self.node = node
+
+    def __getitem__(self, u):
+        return _Symbol(*self.node, u.node)
+
+    def __eq__(self, v):
+        return _Symbol("eq", self.node, v.node)
+
+    def __ne__(self, v):
+        return ~(self == v)
+
+    def __le__(self, v):  # implication
+        return ~self | v
+
+    def __and__(self, v):
+        return _Symbol("and", self.node, v.node)
+
+    def __or__(self, v):
+        return _Symbol("or", self.node, v.node)
+
+    def __invert__(self):
+        return _Symbol("not", self.node)
+
+
+@lru_cache(maxsize=256)
+def _term(check: Callable) -> tuple:
+    code = check.__code__
+    names = code.co_varnames[: code.co_argcount]
+    tables = len(names) - _parameters(check)[1]
+    symbols = [
+        _Symbol(*((name,) if k < tables else ("var", k - tables))) for k, name in enumerate(names)
+    ]
+    return check(*symbols).node
+
+
+@lru_cache(maxsize=4096)
+def _reads(u: tuple) -> frozenset:
+    """The variables and tables a term reads."""
+    return frozenset({u[1]} if u[0] == "var" else {u[0]}.union(*map(_reads, u[1:])))
+
+
+def _subterms(u: tuple):
+    yield u
+    if u[0] != "var":
+        for w in u[1:]:
+            yield from _subterms(w)
+
+
+def _disjuncts(u: tuple) -> list[tuple]:
+    if u[0] == "or":
+        return _disjuncts(u[1]) + _disjuncts(u[2])
+    if u[0] == "not" and u[1][0] == "and":
+        return _disjuncts(("not", u[1][1])) + _disjuncts(("not", u[1][2]))
+    return [u]
+
+
+_translate = bytes.translate
+_mask = partial(int.from_bytes, byteorder="little")  # a 0/1 byte row as a bit mask
+# _EQ[v] translates a row to 1 where it holds v and to 0 elsewhere
+_EQ = tuple(bytes(v) + b"\1" + bytes(255 - v) for v in range(256))
+
+
+_ZERO = _EQ[0]
+
+
+def _pairwise(pairs: tuple, r: bytes, u: bytes) -> bytes:
+    """``T[r[i]][u[i]]`` for every i, from ``pairs = (times, groups)``
+    (``_bound``): the byte ``r[i] % w * m + u[i]`` codes the pair, and each
+    group of w values of ``r`` reads its own lookup table."""
+    times, groups = pairs
+    codes = (_mask(r.translate(times)) + _mask(u)).to_bytes(len(r), "little")
+    if len(groups) == 1:
+        return codes.translate(groups[0][1])
+    out = 0
+    for select, lookup in groups:
+        out |= _mask(codes.translate(lookup)) & _mask(r.translate(select)) * 255
+    return out.to_bytes(len(r), "little")
+
+
+def _same(r: bytes, u: bytes) -> int:
+    """The mask of the positions where two rows agree."""
+    return _mask((_mask(r) ^ _mask(u)).to_bytes(len(r), "little").translate(_ZERO))
+
+
+@lru_cache(maxsize=256)
+def _row_code(term: tuple, arity: int, rows: tuple[int, ...], whole: bool) -> tuple:
+    """The row evaluator of a term, compiled from generated code: ``run(B,
+    t)`` says whether the law holds, where ``B`` maps the returned names
+    to their values on the carrier (``_bound``).
+
+    The row variables are all variables when ``whole``, else ``rows`` (by
+    default the last one).  The outer variables run in
+    nested loops, and each subterm is computed in the loop of its last
+    outer variable.  A disjunct of the law that reads no row variable
+    skips the rest of its loop when it holds, so a premise prunes.  Every
+    other subterm is a ``bytes`` row over the row variables: ``t[r]`` and
+    ``T[s][r]`` are ``r.translate(...)``, ``T[r][s]`` reads a column and
+    ``T[r][u]`` pairs two rows (``_pairwise``); a truth value of a row is
+    a bit mask (``_mask``), compared with ``ONESk`` at the end, and an
+    equation of two rows compares them.  A row of one outer element
+    inside a deeper loop is tabulated over the carrier before the loops.
+    """
+    inner = tuple(range(arity)) if whole else rows or (arity - 1,)
+    outer = [i for i in range(arity) if i not in inner]
+    k = len(inner)
+    names = {"R", f"ONES{k}", *(f"G{k}{j}" for j in range(k))}
+    body = [[] for _ in range(len(outer) + 1)]  # body[d + 1] runs in the loop over outer[d]
+    seen: dict[tuple, tuple] = {}  # subterm -> (expression, depth, is row, is truth value)
+    temps = count()
+
+    def temp(expr, depth):
+        name = f"_{next(temps)}"
+        body[depth + 1].append(f"{name} = {expr}")
+        return name
+
+    def lift(v):  # a truth value as a mask
+        return v[0] if v[2] else f"(ONES{k} if {v[0]} else 0)"
+
+    def render(op, a):
+        p, q = a[0][0], a[-1][0]
+        row = any(w[2] for w in a)
+        if op == "not":
+            return f"(ONES{k} ^ {p})" if row else f"(not {p})"
+        if op in ("and", "or"):
+            if not row:
+                return f"({p} {op} {q})"
+            return f"({lift(a[0])} {'&' if op == 'and' else '|'} {lift(a[1])})"
+        if op == "eq" and a[0][3]:
+            return f"(ONES{k} ^ {lift(a[0])} ^ {lift(a[1])})" if row else f"({p} == {q})"
+        if op == "eq":
+            if a[0][2] and a[1][2]:
+                return f"_same({p}, {q})"
+            r, v = (p, q) if a[0][2] else (q, p)
+            return f"_mask({r}.translate(_EQ[{v}]))" if row else f"({p} == {q})"
+        if not row:
+            form, expr = op, op + "".join(f"[{w[0]}]" for w in a)
+        elif len(a) == 1:
+            form, expr = f"{op}_p", f"{p}.translate({op}_p)"
+        elif not a[0][2]:
+            form, expr = f"{op}_p", f"{q}.translate({op}_p[{p}])"
+        elif not a[1][2]:
+            form, expr = f"{op}_q", f"{p}.translate({op}_q[{q}])"
+        elif (p, q) in ((f"G{k}0", f"G{k}1"), (f"G{k}1", f"G{k}0")) and k == 2:
+            form = expr = f"{op}_{'f' if p < q else 't'}"  # the table flat or transposed
+        else:
+            form, expr = f"{op}_2", f"_pairwise({op}_2, {p}, {q})"
+        names.add(form)
+        return f"_mask({expr})" if op == "leq" and row else expr
+
+    def visit(u):
+        if u in seen:
+            return seen[u]
+        op, *args = u
+        if op == "var":
+            i = args[0]
+            v = (f"G{k}{inner.index(i)}", -1, True, False) if i in inner else (
+                f"x{i}", outer.index(i), False, False)
+        elif not args:
+            names.add(op)
+            v = (op, -1, False, False)
+        else:
+            a = [visit(w) for w in args]
+            depth, row = max(w[1] for w in a), any(w[2] for w in a)
+            expr = render(op, a)
+            moving = [w for w in a if w[1] >= 0]
+            if row and depth >= 1 and len(moving) == 1 and not moving[0][2]:
+                # a row of one outer element in a deeper loop: tabulated
+                values = [("v", *w[1:]) if w is moving[0] else w for w in a]
+                tab = temp(f"[{render(op, values)} for v in R]", -1)
+                expr, depth = f"{tab}[{moving[0][0]}]", moving[0][1]
+            if depth < len(outer) - 1:
+                expr = temp(expr, depth)
+            v = (expr, depth, row, op in _TRUTH)
+        seen[u] = v
+        return v
+
+    disjuncts = _disjuncts(term)
+    ends = [u for u in disjuncts if _reads(u) & set(inner)]  # they read a row variable
+    for u in disjuncts:
+        if u not in ends:
+            expr, depth, _, _ = visit(u)
+            body[depth + 1].append(f"if {expr}: " + ("continue" if depth >= 0 else "return True"))
+    sides = [visit(w) for w in ends[0][1:]] if len(ends) == 1 and ends[0][0] == "eq" else []
+    if len(sides) == 2 and all(w[2] and not w[3] for w in sides):
+        body[-1].append(f"if {sides[0][0]} != {sides[1][0]}: return False")
+    else:
+        masks = " | ".join(lift(visit(u)) for u in ends) or "0"
+        body[-1].append(f"if ({masks}) != ONES{k}: return False")
+    if "t_p" in names:
+        body[0].insert(0, "t_p = bytes(t) + PAD")
+        names.add("PAD")
+    names = sorted(names - {"t", "t_p"})
+    lines = ["def run(B, t):", f"    {', '.join(names)} = _names(B)"]
+    for d in range(-1, len(outer)):
+        if d >= 0:
+            lines.append(f"{'    ' * (d + 1)}for x{outer[d]} in R:")
+        lines += ["    " * (d + 2) + line for line in body[d + 1]]
+    lines.append("    return True")
+    namespace = {"_mask": _mask, "_EQ": _EQ, "_pairwise": _pairwise, "_same": _same,
+                 "_names": itemgetter(*names)}
+    exec("\n".join(lines), namespace)
+    return namespace["run"], tuple(names)
+
+
+@lru_cache(maxsize=256)
+def _pairs(law: Law) -> bool:
+    """Whether the law pairs two rows when only ``law.rows`` are rows."""
+    inner = set(law.rows or (_parameters(law.check)[1] - 1,))
+    return any(
+        u[0] in _BINARY and all(_reads(w) & inner for w in u[1:])
+        for u in _subterms(_term(law.check))
     )
 
 
-def _arguments(algebra: FiniteBLAlgebra, builder: Callable) -> tuple:
-    return tuple(algebra if n is None else getattr(algebra, n) for n in _parameters(builder))
+@memoized
+def _row_plan(a, law: Law) -> Callable:
+    """``plan(t)``: the row evaluator of a term law bound to ``a``.  A
+    law that pairs rows takes all its variables as rows where their
+    tuples fit in one row of at most 1024 bytes."""
+    arity = _parameters(law.check)[1]
+    whole = _pairs(law) and a.size**arity <= 1024
+    run, names = _row_code(_term(law.check), arity, law.rows, whole)
+    values = _values(a)
+    for name in names:
+        if name not in values:
+            values[name] = _bound(a, name)
+    return partial(run, values)
 
 
-def _column(values: Iterable[int], n: int) -> Sequence[int]:
-    # one byte per entry where the elements fit
-    return bytes(values) if n <= 256 else tuple(values)
+@memoized
+def _values(a) -> dict:
+    """The values of ``a`` that the row evaluators read, by name."""
+    return {}
+
+
+def _table(a, name: str):
+    return getattr(a, {"neg": "neg_table", "oplus": "oplus_table"}.get(name, name))
+
+
+def _bound(a, name: str):
+    """The value named ``name`` that a row evaluator reads from ``a``:
+    ``R``, the elements; ``PAD``, the padding of a row to 256 entries;
+    ``ONESk`` and ``Gkj``, the all-true mask and column j of the grid of
+    k row variables; a constant or table ``T``; ``T_p`` and ``T_q``, the
+    rows and columns of ``T`` padded for ``bytes.translate``; ``T_f`` and
+    ``T_t``, ``T`` flattened and transposed; ``T_2``, the pairs form of
+    ``T`` that ``_pairwise`` reads."""
+    n = a.size
+    if name in ("R", "PAD"):
+        return range(n) if name == "R" else bytes(256 - n)
+    if name[:4] == "ONES":
+        return _mask(bytes((1,)) * n ** int(name[4]))
+    if name[0] == "G":
+        return _grid(n, int(name[1]))[int(name[2])]
+    table, _, form = name.partition("_")
+    table = _table(a, table)
+    if not form:
+        return table
+    if form in "ft":
+        return b"".join(map(bytes, table if form == "f" else zip(*table)))
+    m = len(table)
+    pad = bytes(256 - m)
+    if not isinstance(table[0], tuple):
+        return bytes(table) + pad
+    if form == "2":  # groups of w rows, a pair of each coded in one byte
+        w = 256 // m
+        return bytes(v % w * m for v in range(m)) + pad, [
+            (bytes(v // w == h for v in range(m)) + pad,
+             bytes(table[h * w + c // m][c % m] if c < w * m and h * w + c // m < m else 0
+                   for c in range(256)))
+            for h in range(-(-m // w))
+        ]
+    return tuple(bytes(r) + pad for r in (table if form == "p" else zip(*table)))
 
 
 @lru_cache(maxsize=64)
-def _product_columns(n: int, k: int) -> tuple[Sequence[int], ...]:
+def _grid(n: int, k: int) -> tuple[bytes, ...]:
     """The columns of ``product(range(n), repeat=k)``: column i holds each
     element n ** (k - 1 - i) times in a row, and that block n ** i times."""
     return tuple(
-        _column(chain.from_iterable(map(repeat, range(n), repeat(n ** (k - 1 - i)))), n) * n**i
+        bytes(chain.from_iterable(map(repeat, range(n), repeat(n ** (k - 1 - i))))) * n**i
         for i in range(k)
     )
 
 
 @memoized
-def _columns(algebra: FiniteBLAlgebra, domain: Domain) -> tuple[Sequence[int], ...]:
-    columns = _product_columns(algebra.size, domain.arity)
-    if domain.premise is None:
-        return columns
-    mask = bytes(domain.premise(*_arguments(algebra, domain.premise)))
-    return tuple(_column(compress(column, mask), algebra.size) for column in columns)
+def _scan(algebra: FiniteBLAlgebra, law: Law) -> Callable:
+    """The per-tuple evaluator: ``scan(t)``, the lexicographically first
+    tuple where ``check`` fails, or None."""
+    names, k = _parameters(law.check)
+    code = law.check.__code__
+    tables = [algebra if p == "a" else _table(algebra, p)
+              for p in code.co_varnames[: code.co_argcount - k] if p != "t"]
+    tuples = partial(iproduct, range(algebra.size), repeat=k)
+
+    def scan(t):
+        pred = partial(law.check, *([t] if "t" in names else []), *tables)
+        return next(compress(tuples(), map(operator.not_, starmap(pred, tuples()))), None)
+
+    return scan
 
 
-@memoized
-def _prepared(algebra: FiniteBLAlgebra, law: Law):
-    """The law's predicate on ``algebra`` and the columns of each factor."""
-    over = (law.over,) if isinstance(law.over, Domain) else law.over
-    return law.check(*_arguments(algebra, law.check)), [_columns(algebra, d) for d in over]
+def holds(law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None) -> bool:
+    """Whether ``law`` holds (at the operator ``table``).
+
+    The row evaluator decides a term on a carrier of at most 256
+    elements; a predicate, or a larger carrier, takes the per-tuple scan.
+    """
+    if algebra.size <= 256 and law.is_term:
+        return _row_plan(algebra, law)(table)
+    return witness(law, algebra, table) is None
 
 
-def _first_failure(pred, head: tuple, tables: tuple, factors: list) -> tuple[int, ...] | None:
-    columns, rest = factors[0], factors[1:]
-    if rest:
-        for args in zip(*columns):
-            found = _first_failure(pred(*head, *args), (), (), rest)
-            if found is not None:
-                return args + found
-        return None
-    if all(map(pred, *tables, *columns)):
-        return None
-    return next(args for args in zip(*columns) if not pred(*head, *args))
+def witness(
+    law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None
+) -> tuple[int, ...] | None:
+    """The lexicographically first tuple where ``law`` fails, or None:
+    the per-tuple evaluator, the oracle of the row evaluator."""
+    return _scan(algebra, law)(table)
 
 
 def violation(
@@ -554,18 +828,17 @@ def violation(
 ) -> tuple[Law, tuple[int, ...]] | None:
     """The first failure ``(law, tuple)`` of ``laws``, or None.
 
-    A law is decided by ``all(map(predicate, *columns))``; only a failing
-    law is scanned again.  The laws share their variables: the
-    lexicographically first failing tuple wins, and at the same tuple
-    the earlier law.  ``table`` is the operator table of per-operator laws.
+    ``holds`` decides each law; only a failing law is scanned for its
+    witness.  The laws share their variables: the lexicographically first
+    failing tuple wins, and at the same tuple the earlier law.  ``table``
+    is the operator table of per-operator laws.
     """
-    head, tables = ((), ()) if table is None else ((table,), (repeat(table),))
     found = None
     for law in (laws,) if isinstance(laws, Law) else laws:
-        pred, factors = _prepared(algebra, law)
-        failure = _first_failure(pred, head, tables, factors)
-        if failure is not None and (found is None or failure < found[1]):
-            found = (law, failure)
+        if not holds(law, algebra, table):
+            failure = witness(law, algebra, table)
+            if found is None or failure < found[1]:
+                found = (law, failure)
     return found
 
 
@@ -590,13 +863,14 @@ class VarietyFlags:
 
 
 _VARIETY_LAWS = {
-    "is_mv": Law("x-- = x", lambda neg: lambda x: neg[neg[x]] == x, ELEMENTS),
-    "is_godel": Law("x*x = x", lambda prod: lambda x: prod[x][x] == x, ELEMENTS),
+    "is_mv": Law("x-- = x", lambda neg, x: neg[neg[x]] == x),
+    "is_godel": Law("x*x = x", lambda prod, x: prod[x][x] == x),
+    # the failing pairs are symmetric, so the first one has x < y
     "is_linear": Law("x <= y or y <= x for x < y",
-                     lambda leq: lambda x, y: x >= y or leq[x][y] or leq[y][x]),
+                     lambda leq, x, y: (x == y) | leq[x][y] | leq[y][x]),
     "mv_or_product_identity": Law(
         "x->(x*y) = -x v y",
-        lambda join, prod, impl, neg: lambda x, y: impl[x][prod[x][y]] == join[neg[x]][y]),
+        lambda join, prod, impl, neg, x, y: impl[x][prod[x][y]] == join[neg[x]][y]),
 }
 
 

@@ -36,12 +36,10 @@ from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
-    ELEMENTS,
     INFINITE_ORDER,
-    LEQ,
-    TRIPLES,
     InternalCheckError,
     Law,
+    holds,
     memoized,
     violation,
 )
@@ -60,6 +58,7 @@ from .filters import (
 )
 from .operators import (
     IDEMPOTENT,
+    PRESERVES,
     StateOperator,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -215,39 +214,35 @@ def _uniform_weights(k: int) -> list[Fraction]:
 # section 2 claims
 
 
-def _prod_monotone(prod, leq):
-    def at(x, y):
-        px, py = prod[x], prod[y]
-        return lambda c, d: leq[px[c]][py[d]]
-
-    return at
-
-
-_prop_2_2_1 = _instance_laws(Law("monotonicity of prod at {},{},{},{}", _prod_monotone, (LEQ, LEQ)))
+# rows over two variables: Prop-2.2-1 translates the flattened prod once
+# per (x, c), and Prop-2.2-2 and Prop-2.2-5 pair two rows once per value
+# of the third variable
+_prop_2_2_1 = _instance_laws(Law(
+    "monotonicity of prod at {},{},{},{}",
+    lambda prod, leq, x, y, c, d: (leq[x][y] & leq[c][d]) <= leq[prod[x][c]][prod[y][d]],
+    rows=(1, 3)))
 _prop_2_2_2 = _instance_laws(Law(
     "monotonicity of impl at {2},{0},{1}",
-    lambda impl, leq: lambda x, y: lambda c: leq[impl[c][x]][impl[c][y]], (LEQ, ELEMENTS)))
+    lambda impl, leq, x, y, c: leq[x][y] <= leq[impl[c][x]][impl[c][y]], rows=(0, 1)))
 _prop_2_2_3 = _instance_laws(Law(
     "a->b- = (a*b)- fails at {},{}",
-    lambda prod, impl, neg: lambda x, y: impl[x][neg[y]] == neg[prod[x][y]]))
+        lambda prod, impl, neg, x, y: impl[x][neg[y]] == neg[prod[x][y]]))
 _prop_2_2_4 = _instance_laws(Law(
-    "a->(a^b) = a->b fails at {},{}",
-    lambda meet, impl: lambda x, y: impl[x][meet[x][y]] == impl[x][y]))
+    "a->(a^b) = a->b fails at {},{}", lambda meet, impl, x, y: impl[x][meet[x][y]] == impl[x][y]))
 _prop_2_2_5 = _instance_laws(Law(
     "a->b <= a*c->b*c fails at {},{},{}",
-    lambda prod, impl, leq: lambda x, y, c: leq[impl[x][y]][impl[prod[x][c]][prod[y][c]]],
-    TRIPLES))
+    lambda prod, impl, leq, x, y, c: leq[impl[x][y]][impl[prod[x][c]][prod[y][c]]], rows=(1, 2)))
 _prop_2_2_6 = _instance_laws(Law(  # the residuation law a->(b->c) = (a*b)->c
     "residuation law fails at {},{},{}",
-    lambda prod, impl: lambda x, y, c: impl[x][impl[y][c]] == impl[prod[x][y]][c], TRIPLES))
+        lambda prod, impl, x, y, c: impl[x][impl[y][c]] == impl[prod[x][y]][c]))
 _s2_orthogonality = _instance_laws(Law(
     "orthogonality forms disagree at {},{}",
-    lambda prod, neg, leq, bottom: lambda x, y: (
-        leq[neg[neg[x]]][neg[y]] == leq[x][neg[y]] == (prod[x][y] == bottom))))
+    lambda prod, neg, leq, bottom, x, y: (
+        (leq[neg[neg[x]]][neg[y]] == leq[x][neg[y]]) & (leq[x][neg[y]] == (prod[x][y] == bottom)))))
 _s2_partial_sum = _instance_laws(Law(  # x + y = y- -> x--, defined on orthogonal pairs
     "partial sum not symmetric at {},{}",
-    lambda prod, impl, neg, bottom: lambda x, y: (
-        prod[x][y] != bottom or impl[neg[y]][neg[neg[x]]] == impl[neg[x]][neg[neg[y]]])))
+    lambda prod, impl, neg, bottom, x, y: (
+        (prod[x][y] == bottom) <= (impl[neg[y]][neg[neg[x]]] == impl[neg[x]][neg[neg[y]]]))))
 
 
 def _thm_2_5(inst):
@@ -369,68 +364,68 @@ def _l35_r(a, op):
     return None
 
 
-def _image_outside_radical(a, orders):
-    rad = radical(a)
-    return lambda t, x: orders[x] == INFINITE_ORDER or t[x] not in rad
+_JOIN_PRESERVED = PRESERVES["join"]
 
-
-_JOIN_PRESERVED = Law("", lambda join: lambda t, x, y: t[join[x][y]] == join[t[x]][t[y]])
+# orders and the radical are no terms, so these two laws stay predicates
+LEMMA_3_5_M = (
+    Law("order grows at {}",
+        lambda t, orders, x: orders[x] == INFINITE_ORDER or orders[t[x]] <= orders[x]),
+    # never names a witness: an element of the radical has infinite order
+    # (n > 1), so where sigma(x) of a finite-order x falls in the radical,
+    # "order grows" already fails at the same x
+    Law("finite-order image inside the radical at {}",
+        lambda t, a, orders, x: orders[x] == INFINITE_ORDER or t[x] not in radical(a)),
+)
 
 LEMMA_3_5 = {
     "a": _l35_a,
-    "b": _operator_laws(
-        Law("negation at {}", lambda neg: lambda t, x: t[neg[x]] == neg[t[x]], ELEMENTS)),
-    "c": _operator_laws(Law("monotone at {},{}", lambda leq: lambda t, x, y: leq[t[x]][t[y]], LEQ)),
+    "b": _operator_laws(Law("negation at {}", lambda t, neg, x: t[neg[x]] == neg[t[x]])),
+    "c": _operator_laws(Law("monotone at {},{}",
+                            lambda t, leq, x, y: leq[x][y] <= leq[t[x]][t[y]])),
     "d": _operator_laws(
-        Law("prod bound at {},{}",
-            lambda prod, leq: lambda t, x, y: leq[prod[t[x]][t[y]]][t[prod[x][y]]]),
+        Law("prod bound at {},{}", lambda t, prod, leq, x, y: leq[prod[t[x]][t[y]]][t[prod[x][y]]]),
         Law("prod equality (orthogonal) at {},{}",
-            lambda prod, bottom: lambda t, x, y: (
-                prod[x][y] != bottom or t[prod[x][y]] == prod[t[x]][t[y]]))),
+            lambda t, prod, bottom, x, y: (
+                (prod[x][y] == bottom) <= (t[prod[x][y]] == prod[t[x]][t[y]])))),
     "e": _operator_laws(
         Law("ominus bound at {},{}",
-            lambda prod, neg, leq: lambda t, x, y: leq[prod[t[x]][neg[t[y]]]][t[prod[x][neg[y]]]]),
+            lambda t, prod, neg, leq, x, y: leq[prod[t[x]][neg[t[y]]]][t[prod[x][neg[y]]]]),
         Law("ominus equality at {},{}",
-            lambda prod, neg: lambda t, x, y: t[prod[x][neg[y]]] == prod[t[x]][neg[t[y]]], LEQ)),
+            lambda t, prod, neg, leq, x, y: (
+                leq[x][y] <= (t[prod[x][neg[y]]] == prod[t[x]][neg[t[y]]])))),
     "f": _operator_laws(Law(
         "meet identity at {},{}",
-        lambda meet, prod, impl: lambda t, x, y: t[meet[x][y]] == prod[t[x]][t[impl[x][y]]])),
+            lambda t, meet, prod, impl, x, y: t[meet[x][y]] == prod[t[x]][t[impl[x][y]]])),
     "g": _operator_laws(
-        Law("impl bound at {},{}",
-            lambda impl, leq: lambda t, x, y: leq[t[impl[x][y]]][impl[t[x]][t[y]]]),
+        Law("impl bound at {},{}", lambda t, impl, leq, x, y: leq[t[impl[x][y]]][impl[t[x]][t[y]]]),
         Law("impl equality at {},{}",
-            lambda impl, leq: lambda t, x, y: (
-                not (leq[x][y] or leq[y][x]) or t[impl[x][y]] == impl[t[x]][t[y]]))),
+            lambda t, impl, leq, x, y: (
+                (leq[x][y] | leq[y][x]) <= (t[impl[x][y]] == impl[t[x]][t[y]])))),
     "h": _operator_laws(Law(  # sigma(x->y) * sigma(y->x) <= d(sigma(x), sigma(y))
         "distance bound at {},{}",
-        lambda prod, impl, leq: lambda t, x, y: (
+        lambda t, prod, impl, leq, x, y: (
             leq[prod[t[impl[x][y]]][t[impl[y][x]]]][prod[impl[t[x]][t[y]]][impl[t[y]][t[x]]]]))),
     "i": _operator_laws(
         Law("oplus bound at {},{}",
-            lambda oplus, leq: lambda t, x, y: leq[t[oplus[x][y]]][oplus[t[x]][t[y]]]),
+            lambda t, oplus, leq, x, y: leq[t[oplus[x][y]]][oplus[t[x]][t[y]]]),
         Law("oplus equality at {},{}",
-            lambda oplus, top: lambda t, x, y: oplus[x][y] != top or oplus[t[x]][t[y]] == top)),
+            lambda t, oplus, top, x, y: (oplus[x][y] == top) <= (oplus[t[x]][t[y]] == top))),
     "j": _operator_laws(IDEMPOTENT),
     "k": _l35_k,
     "l": _l35_l,
-    "m": _operator_laws(
-        Law("order grows at {}",
-            lambda orders: lambda t, x: orders[x] == INFINITE_ORDER or orders[t[x]] <= orders[x],
-            ELEMENTS),
-        Law("finite-order image inside the radical at {}", _image_outside_radical, ELEMENTS),
-        when=lambda a, op: a.size > 1),
+    "m": _operator_laws(*LEMMA_3_5_M, when=lambda a, op: a.size > 1),
     "n": _operator_laws(Law(
         "impl-preservation symmetry at {},{}",
-        lambda impl: lambda t, x, y: (
+        lambda t, impl, x, y: (
             (t[impl[x][y]] == impl[t[x]][t[y]]) == (t[impl[y][x]] == impl[t[y]][t[x]])))),
     "o": _l35_o,
     "p": _operator_laws(
         Law("strict monotonicity at {},{}",
-            lambda leq: lambda t, x, y: x == y or (leq[t[x]][t[y]] and t[x] != t[y]), LEQ),
+            lambda t, leq, x, y: leq[x][y] <= ((x == y) | (leq[t[x]][t[y]] & (t[x] != t[y])))),
         when=lambda a, op: op.is_faithful),
     "q": _operator_laws(
         Law("comparable displacement at {}",
-            lambda leq: lambda t, x: t[x] == x or not (leq[t[x]][x] or leq[x][t[x]]), ELEMENTS),
+            lambda t, leq, x: (leq[t[x]][x] | leq[x][t[x]]) <= (t[x] == x)),
         when=lambda a, op: op.is_faithful),
     "r": _l35_r,
 }
@@ -438,26 +433,25 @@ LEMMA_3_5 = {
 LEMMA_3_9 = {
     "a": _operator_laws(Law(
         "strong prod equality at {},{}",
-        lambda prod, neg, leq: lambda t, x, y: (
-            not leq[neg[x]][y] or t[prod[x][y]] == prod[t[x]][t[y]]))),
+        lambda t, prod, neg, leq, x, y: leq[neg[x]][y] <= (t[prod[x][y]] == prod[t[x]][t[y]]))),
     "b": _operator_laws(Law(
         "strong ominus equality at {},{}",
-        lambda prod, neg, leq: lambda t, x, y: (
-            not (leq[x][y] or leq[y][x]) or t[prod[x][neg[y]]] == prod[t[x]][neg[t[y]]]))),
+        lambda t, prod, neg, leq, x, y: (
+            (leq[x][y] | leq[y][x]) <= (t[prod[x][neg[y]]] == prod[t[x]][neg[t[y]]])))),
     "c": _operator_laws(Law(
         "swap identity at {}",
-        lambda prod, neg: lambda t, x: t[prod[x][t[neg[x]]]] == t[prod[neg[x]][t[x]]], ELEMENTS)),
+            lambda t, prod, neg, x: t[prod[x][t[neg[x]]]] == t[prod[neg[x]][t[x]]])),
 }
 
 _l310_1 = _operator_laws(Law(
     "pointwise impl/meet equivalence at {},{}",
-    lambda meet, impl: lambda t, x, y: (
+    lambda t, meet, impl, x, y: (
         (t[impl[x][y]] == impl[t[x]][t[y]]) == (t[meet[x][y]] == meet[t[x]][t[y]]))))
 
 
 def _l310_2(a, op):
     pres_impl = op.preserves_impl
-    pres_join = violation(_JOIN_PRESERVED, a, op.table) is None
+    pres_join = holds(_JOIN_PRESERVED, a, op.table)
     if pres_impl != pres_join:
         return f"global impl/join equivalence: impl={pres_impl} join={pres_join}"
     return None
@@ -589,7 +583,7 @@ def _rem_4_5(inst):
 def _idempotent_endomorphism(a, op):
     if op.witness_for("6") is not None or not op.preserves_impl:
         return "not an endomorphism on a chain"
-    if violation(IDEMPOTENT, a, op.table) is not None:
+    if not holds(IDEMPOTENT, a, op.table):
         return "not idempotent"
     return None
 
@@ -601,7 +595,7 @@ def _prop_4_9(inst):
     if result.verdict != PASS or inst.enumerated is None or a.size > 6:
         return result
     endos = enumerate_operator_tables(a, "endomorphism")
-    idem = {t for t in endos if violation(IDEMPOTENT, a, t) is None}
+    idem = {t for t in endos if holds(IDEMPOTENT, a, t)}
     states = {op.table for op in inst.enumerated}
     if idem != states:
         return CheckResult(FAIL, "state operators differ from idempotent endomorphisms")

@@ -9,17 +9,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blstate import operators
-from blstate.algebra import classify_variety, violation
+from blstate.algebra import _VARIETY_LAWS, Law, classify_variety, holds, violation, witness
 from blstate.constructors import godel_chain, mv_chain
 from blstate.operators import (
     ADDITIVITY,
+    AXIOM_LAWS,
+    IDEMPOTENT,
     MV_LAWS,
     OPERATOR_AXIOMS,
+    PRESERVES,
     enumerate_operator_tables,
     mv_equivalence_check,
     verify_operator,
 )
-from blstate.suite import FAIL, REGISTRY, CheckResult, _idempotent_endomorphism
+from blstate.suite import (
+    FAIL,
+    LEMMA_3_5_M,
+    REGISTRY,
+    CheckResult,
+    _JOIN_PRESERVED,
+    _idempotent_endomorphism,
+)
 
 from . import law_oracles as oracle
 from .strategies import algebras
@@ -197,3 +207,77 @@ def test_instance_laws_match_the_loops_on_perturbed_algebras(a, data):
         for claim, loop in INSTANCE_ORACLES.items():
             assert CHECKS[claim](inst) == loop(inst), claim
         assert classify_variety(algebra) == oracle.classify_variety(algebra)
+
+
+# ---------------------------------------------------------------------------
+# the row evaluator against the per-tuple evaluator
+
+
+def _laws_in(obj, found: dict) -> dict:
+    """Every ``Law`` in ``obj``: in containers and in the closures of checks."""
+    if isinstance(obj, Law):
+        found[id(obj)] = obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _laws_in(item, found)
+    elif isinstance(obj, dict):
+        _laws_in(list(obj.values()), found)
+    elif callable(obj):
+        for cell in getattr(obj, "__closure__", None) or ():
+            _laws_in(cell.cell_contents, found)
+    return found
+
+
+LAWS = list(_laws_in(
+    [[claim.check for claim in REGISTRY], AXIOM_LAWS, MV_LAWS, ADDITIVITY, IDEMPOTENT,
+     _JOIN_PRESERVED, PRESERVES, _VARIETY_LAWS],
+    {},
+).values())
+# the laws no term can express: they read the orders and the radical
+PREDICATE_LAWS = {
+    "order grows at {}",
+    "finite-order image inside the radical at {}",
+}
+TERM_LAWS = [law for law in LAWS if law.is_term]
+
+
+def test_every_reachable_law_but_the_listed_predicates_has_a_row_plan():
+    assert len(LAWS) == 49
+    assert {law.text for law in LAWS if not law.is_term} == PREDICATE_LAWS
+
+
+def _rows_agree_with_tuples(a, t):
+    for law in TERM_LAWS:
+        assert holds(law, a, t) == (witness(law, a, t) is None), law.text
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras.filter(lambda a: a.size <= 9), st.data())
+def test_row_evaluator_matches_the_per_tuple_evaluator(a, data):
+    """Every law with a term decides as its per-tuple evaluator does: on
+    enumerated state tables with one or two entries changed, and on the
+    algebra with one entry of one table changed (no BL-algebra then)."""
+    entry = st.tuples(st.integers(0, a.size - 1), st.integers(1, max(a.size - 1, 1)))
+    states = enumerate_operator_tables(a, "state")
+    for state_table in data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=2)):
+        _rows_agree_with_tuples(a, state_table)
+        changes = data.draw(st.lists(entry, min_size=1, max_size=2))
+        _rows_agree_with_tuples(a, _changed(state_table, a.size, changes))
+    if a.size > 1:
+        name = data.draw(st.sampled_from(["meet", "join", "prod", "impl"]))
+        x, y = data.draw(st.tuples(st.integers(0, a.size - 1), st.integers(0, a.size - 1)))
+        shift = data.draw(st.integers(1, a.size - 1))
+        perturbed = _with_entry(a, name, x, y, (getattr(a, name)[x][y] + shift) % a.size)
+        _rows_agree_with_tuples(perturbed, data.draw(st.sampled_from(states)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras.filter(lambda a: a.size > 1), st.data())
+def test_the_radical_clause_of_lemma_3_5_m_fails_only_where_order_grows_fails(a, data):
+    # so the clause can never name a witness (the claim skips n = 1, where
+    # bottom lies in the radical and has order 1)
+    order_grows, radical_clause = LEMMA_3_5_M
+    t = data.draw(st.lists(st.integers(0, a.size - 1), min_size=a.size, max_size=a.size))
+    for x in range(a.size):
+        if not radical_clause.check(t, a, a.orders, x):
+            assert not order_grows.check(t, a.orders, x)

@@ -193,6 +193,25 @@ def test_a_cold_run_checks_states_seals_images_and_walks_powers_once(monkeypatch
     assert counts["has_power_negation_in"] <= 1820
 
 
+def test_a_cold_run_decides_every_term_law_on_rows(monkeypatch):
+    # the per-tuple evaluator only names the witness of a law that failed
+    # on rows; a predicate law (Lemma-3.5-m) is scanned to be decided
+    scans = []
+    real = algebra.witness
+
+    def counting(law, *args):
+        found = real(law, *args)
+        scans.append((law, found))
+        return found
+
+    monkeypatch.setattr(algebra, "witness", counting)
+    monkeypatch.setattr(operators, "witness", counting)
+    report = run_suite(default_corpus())
+    assert report.failures == []
+    assert any(law.is_term for law, _ in scans)  # Prop-3.13's random maps fail
+    assert [law.text for law, found in scans if law.is_term and found is None] == []
+
+
 def test_a_cold_run_checks_prop_5_4_in_one_kernel_call_per_operator(monkeypatch):
     # every seed of an operator goes through one state_filter_closures call;
     # the per-seed wrappers are for library users only
