@@ -558,7 +558,6 @@ def _disjuncts(u: tuple) -> list[tuple]:
     return [u]
 
 
-_translate = bytes.translate
 _mask = partial(int.from_bytes, byteorder="little")  # a 0/1 byte row as a bit mask
 # _EQ[v] translates a row to 1 where it holds v and to 0 elsewhere
 _EQ = tuple(bytes(v) + b"\1" + bytes(255 - v) for v in range(256))

@@ -18,9 +18,10 @@ claim: ``<operator>: internal cross-check: <message>`` from
 only source of a ``discrepancy``, is the one other loop over the pool.
 
 A pointwise law (``Prop-2.2-*``, ``S2-*``, most of ``Lemma-3.5``,
-``Lemma-3.9``, ``Lemma-3.10-1``) is ``algebra.Law`` data, decided and named
-by the one scanner ``algebra.violation``: ``_instance_laws`` names the
-failing elements by index, ``_operator_laws`` by label.  Claims about
+``Lemma-3.9``, ``Lemma-3.10-1``) is ``algebra.Law`` data, decided on rows
+and named by the per-tuple scan through ``algebra.violation``:
+``_instance_laws`` names the failing elements by index, ``_operator_laws``
+by label.  Claims about
 preserving whole operations read the verdicts ``verify_operator``
 already computed on whole tables (``preserves_impl``, axiom 6) or call
 ``is_endomorphism``; only join preservation (Lemma-3.10-2) is a law.
