@@ -15,23 +15,23 @@ failure, or on a larger carrier, and names the first violation.
 
 Pointwise laws are data, ``Law`` values (``classify_variety`` reads
 four).  A law's lambda is its per-tuple evaluator (``witness``), which
-names the lexicographically first failing tuple.  Called with symbols,
-the lambda of a term law builds its term, and the row evaluator
-(``holds``) decides the term on ``bytes`` rows, as the table check of
-sealing does: the outer variables run in loops and every other subterm
-is one row.  ``violation`` scans only a failing law for its witness.
-A law no term expresses (it reads more than the named tables) is a
-predicate, and the scan decides it.
+names the lexicographically first failing tuple.  Run on symbols, the
+lambda of a term law builds its term.  ``holds`` decides a law over at
+most ``_ROW`` tuples per tuple, and a term over more with the row
+evaluator, as the table check of sealing decides: the leading variables
+run in loops and every subterm of the others is one ``bytes`` row.
+``violation`` scans only a failing law for its witness.  A law no term
+expresses (it reads more than the named tables) is a predicate, and the
+per-tuple evaluator decides it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, wraps
-from itertools import chain, compress, count, product as iproduct, repeat, starmap
-from operator import getitem, itemgetter
+from functools import cached_property, lru_cache, partial, reduce, wraps
+from itertools import chain, combinations, compress, islice, product as iproduct, repeat, starmap
+from operator import getitem, not_
 from typing import Callable, Iterable, Sequence
 
 Table = tuple[tuple[int, ...], ...]
@@ -350,6 +350,15 @@ class FiniteBLAlgebra:
         return tuple(x for x in range(self.size) if self.prod[x][x] == x)
 
     @cached_property
+    def byte_rows(self) -> tuple[tuple[bytes, ...], ...]:
+        """meet, join, prod and impl with every row as ``bytes``.
+
+        Only for carriers of at most 256 elements; the table kernels
+        (``operators``, ``constructors.table_preserves``) read them.
+        """
+        return tuple(tuple(map(bytes, t)) for t in (self.meet, self.join, self.prod, self.impl))
+
+    @cached_property
     def upsets(self) -> tuple[frozenset[int], ...]:
         """Row x is the upset {y : x <= y}, built once per algebra."""
         rng = range(self.size)
@@ -462,16 +471,13 @@ class Law:
     and ``oplus`` read ``neg_table`` and ``oplus_table``).  Called with
     the tables and elements it is the per-tuple evaluator.  A law whose
     tables are all named in ``_UNARY``, ``_BINARY`` and the constants
-    bottom and top is a term, written with ``==``, ``!=``, ``&``, ``|``
-    and ``p <= q`` for "p implies q" on truth values: called with
-    symbols it builds its term, which the row evaluator decides.
-    ``rows`` names the variables the row evaluator keeps as one byte row
-    (the last one if empty); the choice changes no verdict.
+    bottom and top, written with ``==``, ``!=``, ``and``, ``or`` and
+    ``not``, is a term: run on symbols (``_term``) it builds its term,
+    which the row evaluator decides.
     """
 
     text: str
     check: Callable
-    rows: tuple[int, ...] = ()
 
     @cached_property
     def is_term(self) -> bool:
@@ -479,8 +485,7 @@ class Law:
 
 
 _UNARY = {"t", "neg"}
-_BINARY = {"meet", "join", "prod", "impl", "oplus", "leq", "source", "target"}
-_TRUTH = ("leq", "eq", "not", "and", "or")
+_BINARY = {"meet", "join", "prod", "impl", "oplus", "leq"}
 
 
 @lru_cache(maxsize=256)
@@ -496,51 +501,74 @@ class _Symbol:
     """A term under construction: ``check`` called with symbols returns its
     term as ``node``, a tuple ``("var", i)``, ``(name,)`` for a constant,
     ``(table, u)`` or ``(table, u, v)``, ``("eq", u, v)``, ``("not", p)``,
-    ``("and", p, q)`` or ``("or", p, q)``."""
+    ``("and", p, q)`` or ``("or", p, q)``.  ``and``, ``or`` and ``not``
+    test a truth value; ``path`` holds the tests made so far, with the
+    branch taken, and the branches ``_term`` chose for the first ones."""
 
-    __slots__ = ("node",)
+    __slots__ = ("path", "node")
     __hash__ = None
 
-    def __init__(self, *node):
+    def __init__(self, path: tuple, *node):
+        self.path = path
         self.node = node
 
     def __getitem__(self, u):
-        return _Symbol(*self.node, u.node)
+        return _Symbol(self.path, *self.node, u.node)
 
     def __eq__(self, v):
-        return _Symbol("eq", self.node, v.node)
+        return _Symbol(self.path, "eq", self.node, v.node)
 
     def __ne__(self, v):
-        return ~(self == v)
+        return _Symbol(self.path, "not", ("eq", self.node, v.node))
 
-    def __le__(self, v):  # implication
-        return ~self | v
+    def __bool__(self) -> bool:
+        chosen, tests = self.path
+        if self.node not in tests:  # a value tested again takes the same branch
+            tests[self.node] = chosen[len(tests)] if len(tests) < len(chosen) else True
+        return tests[self.node]
 
-    def __and__(self, v):
-        return _Symbol("and", self.node, v.node)
 
-    def __or__(self, v):
-        return _Symbol("or", self.node, v.node)
+_TRUE, _FALSE = ("true",), ("false",)
 
-    def __invert__(self):
-        return _Symbol("not", self.node)
+
+def _branch(c: tuple, a: tuple, b: tuple) -> tuple:
+    """The term "a if c else b" of truth values."""
+    n = ("not", c)
+    if a == b:
+        return a
+    if a in (_TRUE, c):
+        return c if b == _FALSE else ("or", c, b)
+    if b in (_FALSE, c):
+        return ("and", c, a)
+    if a == _FALSE:
+        return n if b == _TRUE else ("and", n, b)
+    return ("or", n, a) if b == _TRUE else ("or", ("and", c, a), ("and", n, b))
 
 
 @lru_cache(maxsize=256)
 def _term(check: Callable) -> tuple:
+    """The term of a term law: ``check`` runs on symbols once per branch
+    of its truth tests, and the results join as ``_branch`` terms."""
     code = check.__code__
     names = code.co_varnames[: code.co_argcount]
     tables = len(names) - _parameters(check)[1]
-    symbols = [
-        _Symbol(*((name,) if k < tables else ("var", k - tables))) for k, name in enumerate(names)
-    ]
-    return check(*symbols).node
+
+    def run(chosen: tuple) -> tuple:
+        path = (chosen, {})
+        value = check(*(_Symbol(path, *((name,) if k < tables else ("var", k - tables)))
+                        for k, name in enumerate(names)))
+        tests = list(path[1])
+        if len(tests) > len(chosen):  # the next test took its first branch
+            return _branch(tests[len(chosen)], run(chosen + (True,)), run(chosen + (False,)))
+        return value.node if isinstance(value, _Symbol) else _TRUE if value else _FALSE
+
+    return run(())
 
 
 @lru_cache(maxsize=4096)
-def _reads(u: tuple) -> frozenset:
-    """The variables and tables a term reads."""
-    return frozenset({u[1]} if u[0] == "var" else {u[0]}.union(*map(_reads, u[1:])))
+def _vars(u: tuple) -> frozenset[int]:
+    """The variables a term reads."""
+    return frozenset({u[1]}) if u[0] == "var" else frozenset().union(*map(_vars, u[1:]))
 
 
 def _subterms(u: tuple):
@@ -561,15 +589,15 @@ def _disjuncts(u: tuple) -> list[tuple]:
 _mask = partial(int.from_bytes, byteorder="little")  # a 0/1 byte row as a bit mask
 # _EQ[v] translates a row to 1 where it holds v and to 0 elsewhere
 _EQ = tuple(bytes(v) + b"\1" + bytes(255 - v) for v in range(256))
-
-
-_ZERO = _EQ[0]
+# the per-tuple evaluator decides a law over at most _ROW tuples, and the
+# row evaluator a larger one, on rows of at most _ROW entries
+_ROW = 1024
 
 
 def _pairwise(pairs: tuple, r: bytes, u: bytes) -> bytes:
     """``T[r[i]][u[i]]`` for every i, from ``pairs = (times, groups)``
-    (``_bound``): the byte ``r[i] % w * m + u[i]`` codes the pair, and each
-    group of w values of ``r`` reads its own lookup table."""
+    (``_input``, on n elements): the byte ``r[i] % w * n + u[i]`` codes the
+    pair, and each group of w values of ``r`` reads its own lookup table."""
     times, groups = pairs
     codes = (_mask(r.translate(times)) + _mask(u)).to_bytes(len(r), "little")
     if len(groups) == 1:
@@ -582,198 +610,180 @@ def _pairwise(pairs: tuple, r: bytes, u: bytes) -> bytes:
 
 def _same(r: bytes, u: bytes) -> int:
     """The mask of the positions where two rows agree."""
-    return _mask((_mask(r) ^ _mask(u)).to_bytes(len(r), "little").translate(_ZERO))
+    return _mask((_mask(r) ^ _mask(u)).to_bytes(len(r), "little").translate(_EQ[0]))
 
 
-@lru_cache(maxsize=256)
-def _row_code(term: tuple, arity: int, rows: tuple[int, ...], whole: bool) -> tuple:
-    """The row evaluator of a term, compiled from generated code: ``run(B,
-    t)`` says whether the law holds, where ``B`` maps the returned names
-    to their values on the carrier (``_bound``).
+def _inner(term: tuple, arity: int, k: int) -> tuple[int, ...]:
+    """The k row variables: of all sets of k variables, the one with the
+    fewest subterms that pair two rows (``_pairwise``) inside the loops,
+    and on a tie the later variables."""
+    pairs = [u for u in set(_subterms(term)) if len(u) == 3 and u[0] in _BINARY]
 
-    The row variables are all variables when ``whole``, else ``rows`` (by
-    default the last one).  The outer variables run in
-    nested loops, and each subterm is computed in the loop of its last
-    outer variable.  A disjunct of the law that reads no row variable
-    skips the rest of its loop when it holds, so a premise prunes.  Every
-    other subterm is a ``bytes`` row over the row variables: ``t[r]`` and
-    ``T[s][r]`` are ``r.translate(...)``, ``T[r][s]`` reads a column and
-    ``T[r][u]`` pairs two rows (``_pairwise``); a truth value of a row is
-    a bit mask (``_mask``), compared with ``ONESk`` at the end, and an
-    equation of two rows compares them.  A row of one outer element
-    inside a deeper loop is tabulated over the carrier before the loops.
-    """
-    inner = tuple(range(arity)) if whole else rows or (arity - 1,)
-    outer = [i for i in range(arity) if i not in inner]
-    k = len(inner)
-    names = {"R", f"ONES{k}", *(f"G{k}{j}" for j in range(k))}
-    body = [[] for _ in range(len(outer) + 1)]  # body[d + 1] runs in the loop over outer[d]
-    seen: dict[tuple, tuple] = {}  # subterm -> (expression, depth, is row, is truth value)
-    temps = count()
+    def paired(rows):
+        return sum(
+            bool(_vars(u[1]) & rows and _vars(u[2]) & rows and _vars(u) - rows) for u in pairs
+        )
 
-    def temp(expr, depth):
-        name = f"_{next(temps)}"
-        body[depth + 1].append(f"{name} = {expr}")
-        return name
+    return min(reversed(list(combinations(range(arity), k))), key=lambda s: paired(set(s)))
 
-    def lift(v):  # a truth value as a mask
-        return v[0] if v[2] else f"(ONES{k} if {v[0]} else 0)"
 
-    def render(op, a):
-        p, q = a[0][0], a[-1][0]
-        row = any(w[2] for w in a)
-        if op == "not":
-            return f"(ONES{k} ^ {p})" if row else f"(not {p})"
-        if op in ("and", "or"):
-            if not row:
-                return f"({p} {op} {q})"
-            return f"({lift(a[0])} {'&' if op == 'and' else '|'} {lift(a[1])})"
-        if op == "eq" and a[0][3]:
-            return f"(ONES{k} ^ {lift(a[0])} ^ {lift(a[1])})" if row else f"({p} == {q})"
-        if op == "eq":
-            if a[0][2] and a[1][2]:
-                return f"_same({p}, {q})"
-            r, v = (p, q) if a[0][2] else (q, p)
-            return f"_mask({r}.translate(_EQ[{v}]))" if row else f"({p} == {q})"
+def _step(op: str, args: list, row: bool, slot: Callable, k: int) -> Callable:
+    """The step ``f(v)`` that computes a subterm from the values ``v``:
+    ``args`` holds each operand's (slot, level, is row, is truth value),
+    and ``slot(name)`` is the slot of a value bound to the carrier."""
+    (p, _, pr, _), (q, _, qr, _) = args[0], args[-1]
+    if op in ("not", "and", "or") or (op == "eq" and args[0][3]):
         if not row:
-            form, expr = op, op + "".join(f"[{w[0]}]" for w in a)
-        elif len(a) == 1:
-            form, expr = f"{op}_p", f"{p}.translate({op}_p)"
-        elif not a[0][2]:
-            form, expr = f"{op}_p", f"{q}.translate({op}_p[{p}])"
-        elif not a[1][2]:
-            form, expr = f"{op}_q", f"{p}.translate({op}_q[{q}])"
-        elif (p, q) in ((f"G{k}0", f"G{k}1"), (f"G{k}1", f"G{k}0")) and k == 2:
-            form = expr = f"{op}_{'f' if p < q else 't'}"  # the table flat or transposed
-        else:
-            form, expr = f"{op}_2", f"_pairwise({op}_2, {p}, {q})"
-        names.add(form)
-        return f"_mask({expr})" if op == "leq" and row else expr
+            return {"not": lambda v: not v[p], "and": lambda v: v[p] and v[q],
+                    "or": lambda v: v[p] or v[q], "eq": lambda v: v[p] == v[q]}[op]
+        o = slot(f"ONES{k}")
+        return {"not": lambda v: v[o] ^ v[p], "and": lambda v: v[p] & v[q],
+                "or": lambda v: v[p] | v[q], "eq": lambda v: v[o] ^ v[p] ^ v[q]}[op]
+    if op == "eq":
+        if pr and qr:
+            return lambda v: _same(v[p], v[q])
+        if row:
+            r, s = (p, q) if pr else (q, p)
+            return lambda v: _mask(v[r].translate(_EQ[v[s]]))
+        return lambda v: v[p] == v[q]
+    if len(args) == 1:
+        T = slot(f"{op}_p")
+        return (lambda v: v[p].translate(v[T])) if row else (lambda v: v[T][v[p]])
+    if not row:
+        T = slot(op)
+        return lambda v: v[T][v[p]][v[q]]
+    if pr and qr:
+        T = slot(f"{op}_2")
+        f = lambda v: _pairwise(v[T], v[p], v[q])
+    elif qr:
+        T = slot(f"{op}_p")
+        f = lambda v: v[q].translate(v[T][v[p]])
+    else:
+        T = slot(f"{op}_q")
+        f = lambda v: v[p].translate(v[T][v[q]])
+    return (lambda v: _mask(f(v))) if op == "leq" else f
+
+
+
+@memoized
+def _program(law: Law, k: int) -> tuple:
+    """The row evaluator of a term law with the k row variables ``_inner``.
+
+    Each subterm gets a slot in a list of values and a step (``_step``)
+    that computes it from its operands' slots in the loop of its last
+    outer variable; with none, once per carrier, or once per call if it
+    reads the operator ``t``.  A subterm that reads a row variable is a
+    ``bytes`` row over the tuples of the row variables, or a bit mask of
+    truth values; a row that a scalar of a deeper loop picks from a row of
+    an outer level is tabulated over the scalar's values.  A disjunct of the law that reads no row variable skips
+    the rest of its loop where it holds, so a premise prunes; the other
+    disjuncts, joined, must hold at every row position.
+    """
+    term, arity = _term(law.check), _parameters(law.check)[1]
+    inner = _inner(term, arity, k)
+    outer = [i for i in range(arity) if i not in inner]
+    slots: dict = {}  # a string names a value bound to the carrier (``_input``)
+    seen: dict = {}
+    steps: list[list] = [[] for _ in range(len(outer) + 2)]  # steps[level + 2]
+
+    def slot(name) -> int:
+        return slots.setdefault(name, len(slots))
+
+    def add(key, level, row, truth, f) -> tuple:
+        steps[level + 2].append((slot(key), f))
+        return slot(key), level, row, truth
+
+    def lift(w):  # a truth value as a mask
+        o, s = slot(f"ONES{k}"), w[0]
+        return w if w[2] else add(("lift", s), w[1], True, True, lambda v: v[o] if v[s] else 0)
 
     def visit(u):
+        """(slot, level, is row, is truth value) of the subterm ``u``."""
         if u in seen:
             return seen[u]
         op, *args = u
         if op == "var":
             i = args[0]
-            v = (f"G{k}{inner.index(i)}", -1, True, False) if i in inner else (
-                f"x{i}", outer.index(i), False, False)
-        elif not args:
-            names.add(op)
-            v = (op, -1, False, False)
+            seen[u] = ((slot(f"G{k}{inner.index(i)}"), -2, True, False) if i in inner
+                       else (slot(u), outer.index(i), False, False))
+        elif not args:  # bottom, top, or a truth constant
+            seen[u] = (slot(op), -2, False, u in (_TRUE, _FALSE))
         else:
             a = [visit(w) for w in args]
-            depth, row = max(w[1] for w in a), any(w[2] for w in a)
-            expr = render(op, a)
-            moving = [w for w in a if w[1] >= 0]
-            if row and depth >= 1 and len(moving) == 1 and not moving[0][2]:
-                # a row of one outer element in a deeper loop: tabulated
-                values = [("v", *w[1:]) if w is moving[0] else w for w in a]
-                tab = temp(f"[{render(op, values)} for v in R]", -1)
-                expr, depth = f"{tab}[{moving[0][0]}]", moving[0][1]
-            if depth < len(outer) - 1:
-                expr = temp(expr, depth)
-            v = (expr, depth, row, op in _TRUTH)
-        seen[u] = v
-        return v
+            row = any(w[2] for w in a)
+            if row and (op in ("not", "and", "or") or op == "eq" and a[0][3]):
+                a = list(map(lift, a))
+            level = max([w[1] for w in a] + [-1 if op == "t" else -2])
+            truth = op in ("leq", "eq", "not", "and", "or")
+            picked = [w for w in a if not w[2] and w[1] >= 1]  # a scalar of a deeper loop
+            if op in _BINARY and row and picked and max(w[1] for w in a if w[2]) < level:
+                # a row that the scalar picks: tabulated over its values
+                R, pick, value = slot("R"), picked[0][0], slot(("value", u))
+                f = _step(op, [(value, -2, False, w[3]) if w is picked[0] else w for w in a],
+                          row, slot, k)
+
+                def tabulate(v):
+                    out = []
+                    for v[value] in v[R]:
+                        out.append(f(v))
+                    return out
+
+                rows = add(("table", u), max(w[1] for w in a if w[2]), False, False, tabulate)[0]
+                seen[u] = add(u, level, True, truth, lambda v: v[rows][v[pick]])
+            else:
+                seen[u] = add(u, level, row, truth, _step(op, a, row, slot, k))
+        return seen[u]
+
+    def join(terms):
+        return visit(reduce(lambda p, q: ("or", p, q), terms))[0] if terms else None
 
     disjuncts = _disjuncts(term)
-    ends = [u for u in disjuncts if _reads(u) & set(inner)]  # they read a row variable
-    for u in disjuncts:
-        if u not in ends:
-            expr, depth, _, _ = visit(u)
-            body[depth + 1].append(f"if {expr}: " + ("continue" if depth >= 0 else "return True"))
-    sides = [visit(w) for w in ends[0][1:]] if len(ends) == 1 and ends[0][0] == "eq" else []
-    if len(sides) == 2 and all(w[2] and not w[3] for w in sides):
-        body[-1].append(f"if {sides[0][0]} != {sides[1][0]}: return False")
-    else:
-        masks = " | ".join(lift(visit(u)) for u in ends) or "0"
-        body[-1].append(f"if ({masks}) != ONES{k}: return False")
-    if "t_p" in names:
-        body[0].insert(0, "t_p = bytes(t) + PAD")
-        names.add("PAD")
-    names = sorted(names - {"t", "t_p"})
-    lines = ["def run(B, t):", f"    {', '.join(names)} = _names(B)"]
-    for d in range(-1, len(outer)):
-        if d >= 0:
-            lines.append(f"{'    ' * (d + 1)}for x{outer[d]} in R:")
-        lines += ["    " * (d + 2) + line for line in body[d + 1]]
-    lines.append("    return True")
-    namespace = {"_mask": _mask, "_EQ": _EQ, "_pairwise": _pairwise, "_same": _same,
-                 "_names": itemgetter(*names)}
-    exec("\n".join(lines), namespace)
-    return namespace["run"], tuple(names)
-
-
-@lru_cache(maxsize=256)
-def _pairs(law: Law) -> bool:
-    """Whether the law pairs two rows when only ``law.rows`` are rows."""
-    inner = set(law.rows or (_parameters(law.check)[1] - 1,))
-    return any(
-        u[0] in _BINARY and all(_reads(w) & inner for w in u[1:])
-        for u in _subterms(_term(law.check))
-    )
+    levels = [visit(u)[1] if not visit(u)[2] else None for u in disjuncts]
+    skips = [join([u for u, d in zip(disjuncts, levels) if d == level])
+             for level in range(-2, len(outer))]
+    end = join([u for u, d in zip(disjuncts, levels) if d is None])
+    loops, ones = [slot(("var", i)) for i in outer], slot(f"ONES{k}")
+    inputs = [(s, name) for name, s in slots.items() if isinstance(name, str) and name != "t_p"]
+    return inputs, len(slots), slots.get("t_p"), loops, steps, skips, end, ones
 
 
 @memoized
-def _row_plan(a, law: Law) -> Callable:
-    """``plan(t)``: the row evaluator of a term law bound to ``a``.  A
-    law that pairs rows takes all its variables as rows where their
-    tuples fit in one row of at most 1024 bytes."""
-    arity = _parameters(law.check)[1]
-    whole = _pairs(law) and a.size**arity <= 1024
-    run, names = _row_code(_term(law.check), arity, law.rows, whole)
-    values = _values(a)
-    for name in names:
-        if name not in values:
-            values[name] = _bound(a, name)
-    return partial(run, values)
-
-
-@memoized
-def _values(a) -> dict:
-    """The values of ``a`` that the row evaluators read, by name."""
-    return {}
-
-
-def _table(a, name: str):
-    return getattr(a, {"neg": "neg_table", "oplus": "oplus_table"}.get(name, name))
-
-
-def _bound(a, name: str):
-    """The value named ``name`` that a row evaluator reads from ``a``:
-    ``R``, the elements; ``PAD``, the padding of a row to 256 entries;
-    ``ONESk`` and ``Gkj``, the all-true mask and column j of the grid of
-    k row variables; a constant or table ``T``; ``T_p`` and ``T_q``, the
-    rows and columns of ``T`` padded for ``bytes.translate``; ``T_f`` and
-    ``T_t``, ``T`` flattened and transposed; ``T_2``, the pairs form of
-    ``T`` that ``_pairwise`` reads."""
+def _input(a, name: str):
+    """A value the row evaluator reads from ``a``: ``R``, the elements;
+    ``ONESk`` and ``Gkj``,
+    the all-true mask and column j of the grid of k row variables; a
+    constant or table ``T``; ``T_p`` and ``T_q``, the rows and columns of
+    ``T`` padded for ``bytes.translate`` (a unary table is one row);
+    ``T_2``, the pairs form of ``T`` that ``_pairwise`` reads."""
     n = a.size
-    if name in ("R", "PAD"):
-        return range(n) if name == "R" else bytes(256 - n)
+    if name in ("R", "true", "false"):
+        return range(n) if name == "R" else name == "true"
     if name[:4] == "ONES":
-        return _mask(bytes((1,)) * n ** int(name[4]))
+        return _mask(b"\1" * n ** int(name[4]))
     if name[0] == "G":
         return _grid(n, int(name[1]))[int(name[2])]
     table, _, form = name.partition("_")
     table = _table(a, table)
+    pad = bytes(256 - n)
     if not form:
         return table
-    if form in "ft":
-        return b"".join(map(bytes, table if form == "f" else zip(*table)))
-    m = len(table)
-    pad = bytes(256 - m)
     if not isinstance(table[0], tuple):
         return bytes(table) + pad
     if form == "2":  # groups of w rows, a pair of each coded in one byte
-        w = 256 // m
-        return bytes(v % w * m for v in range(m)) + pad, [
-            (bytes(v // w == h for v in range(m)) + pad,
-             bytes(table[h * w + c // m][c % m] if c < w * m and h * w + c // m < m else 0
-                   for c in range(256)))
-            for h in range(-(-m // w))
+        w = 256 // n
+        return bytes(v % w * n for v in range(n)) + pad, [
+            (bytes(v // w == h // w for v in range(n)) + pad,
+             (flat := b"".join(map(bytes, table[h:h + w]))) + bytes(256 - len(flat)))
+            for h in range(0, n, w)
         ]
     return tuple(bytes(r) + pad for r in (table if form == "p" else zip(*table)))
+
+
+_ATTRIBUTE = {"neg": "neg_table", "oplus": "oplus_table"}  # table name -> algebra attribute
+
+
+def _table(a, name: str):
+    return getattr(a, _ATTRIBUTE.get(name, name))
 
 
 @lru_cache(maxsize=64)
@@ -787,31 +797,83 @@ def _grid(n: int, k: int) -> tuple[bytes, ...]:
 
 
 @memoized
-def _scan(algebra: FiniteBLAlgebra, law: Law) -> Callable:
-    """The per-tuple evaluator: ``scan(t)``, the lexicographically first
-    tuple where ``check`` fails, or None."""
-    names, k = _parameters(law.check)
+def _plan(a, law: Law) -> Callable:
+    """``plan(t)``: the row evaluator of a term law (``_program``) bound to
+    the carrier ``a`` of at most 256 elements, deciding at the operator ``t``."""
+    k = _parameters(law.check)[1]  # as many row variables as fit in one row
+    while k > 1 and a.size**k > _ROW:
+        k -= 1
+    inputs, size, operator_slot, loops, steps, skips, end, ones = _program(law, k)
+    values = [None] * size
+    for s, name in inputs:
+        values[s] = _input(a, name)
+    for s, f in steps[0]:
+        values[s] = f(values)
+    if skips[0] is not None and values[skips[0]]:
+        return lambda t: True
+    pad, elements, depth = bytes(256 - a.size), range(a.size), len(loops)
+
+    def loop(v: list, d: int) -> bool:
+        var, level, skip, last = loops[d], steps[d + 2], skips[d + 2], d + 1 == depth
+        for x in elements:
+            v[var] = x
+            for s, f in level:
+                v[s] = f(v)
+            if skip is not None and v[skip]:
+                continue
+            if not (end is not None and v[end] == v[ones] if last else loop(v, d + 1)):
+                return False
+        return True
+
+    def plan(t) -> bool:
+        v = values.copy()
+        if operator_slot is not None:
+            v[operator_slot] = bytes(t) + pad
+        for s, f in steps[1]:
+            v[s] = f(v)
+        if skips[1] is not None and v[skips[1]]:
+            return True
+        return loop(v, 0) if depth else end is not None and v[end] == v[ones]
+
+    return plan
+
+
+@memoized
+def _bind(algebra: FiniteBLAlgebra, law: Law) -> tuple[Callable, tuple | None, bool]:
+    """``(bind, columns, rows)``: ``bind(t)`` is the law's ``check`` with
+    the tables of ``algebra`` and the operator table ``t`` filled in, a
+    predicate on one tuple; ``columns`` holds the tuples as byte columns
+    (``_grid``) where there are at most ``_ROW``; ``rows`` says whether
+    the row evaluator decides the law: a term over more tuples, on at most
+    256 elements."""
     code = law.check.__code__
-    tables = [algebra if p == "a" else _table(algebra, p)
-              for p in code.co_varnames[: code.co_argcount - k] if p != "t"]
-    tuples = partial(iproduct, range(algebra.size), repeat=k)
-
-    def scan(t):
-        pred = partial(law.check, *([t] if "t" in names else []), *tables)
-        return next(compress(tuples(), map(operator.not_, starmap(pred, tuples()))), None)
-
-    return scan
+    n, k = algebra.size, _parameters(law.check)[1]
+    names = code.co_varnames[: code.co_argcount - k]
+    tables = [algebra if p == "a" else _table(algebra, p) for p in names if p != "t"]
+    instance = partial(law.check, *tables)
+    columns = _grid(n, k) if n <= 256 and n**k <= _ROW else None
+    return (
+        (lambda t: partial(law.check, t, *tables)) if "t" in names else (lambda t: instance),
+        columns,
+        columns is None and law.is_term and n <= 256,
+    )
 
 
 def holds(law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None) -> bool:
     """Whether ``law`` holds (at the operator ``table``).
 
-    The row evaluator decides a term on a carrier of at most 256
-    elements; a predicate, or a larger carrier, takes the per-tuple scan.
+    The row evaluator decides where ``_bind`` says so, once the per-tuple
+    evaluator has passed the first n tuples (a failure there costs no
+    rows); the per-tuple evaluator decides elsewhere.
     """
-    if algebra.size <= 256 and law.is_term:
-        return _row_plan(algebra, law)(table)
-    return witness(law, algebra, table) is None
+    bind, columns, rows = _bind(algebra, law)
+    pred = bind(table)
+    if columns is not None:
+        return all(map(pred, *columns))
+    tuples = iproduct(range(algebra.size), repeat=_parameters(law.check)[1])
+    if not rows:
+        return all(starmap(pred, tuples))
+    return all(starmap(pred, islice(tuples, algebra.size))) and _plan(algebra, law)(table)
 
 
 def witness(
@@ -819,7 +881,12 @@ def witness(
 ) -> tuple[int, ...] | None:
     """The lexicographically first tuple where ``law`` fails, or None:
     the per-tuple evaluator, the oracle of the row evaluator."""
-    return _scan(algebra, law)(table)
+    bind, columns, _ = _bind(algebra, law)
+    pred = bind(table)
+    if columns is not None:
+        return next(compress(zip(*columns), map(not_, map(pred, *columns))), None)
+    tuples = iproduct(range(algebra.size), repeat=_parameters(law.check)[1])
+    return next((args for args in tuples if not pred(*args)), None)
 
 
 def violation(
@@ -866,7 +933,7 @@ _VARIETY_LAWS = {
     "is_godel": Law("x*x = x", lambda prod, x: prod[x][x] == x),
     # the failing pairs are symmetric, so the first one has x < y
     "is_linear": Law("x <= y or y <= x for x < y",
-                     lambda leq, x, y: (x == y) | leq[x][y] | leq[y][x]),
+                     lambda leq, x, y: x == y or leq[x][y] or leq[y][x]),
     "mv_or_product_identity": Law(
         "x->(x*y) = -x v y",
         lambda join, prod, impl, neg, x, y: impl[x][prod[x][y]] == join[neg[x]][y]),

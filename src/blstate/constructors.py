@@ -13,9 +13,7 @@ from typing import Sequence
 from .algebra import (
     FiniteBLAlgebra,
     InternalCheckError,
-    Law,
     Table,
-    holds,
     memoized,
     verify_bl_axioms,
 )
@@ -304,33 +302,43 @@ class Homomorphism:
     table: tuple[int, ...]
 
 
-# t carries the operation ``source`` of its domain to ``target``
-_CARRIES = Law("", lambda t, source, target, x, y: t[source[x][y]] == target[t[x]][t[y]])
-
-
-@dataclass(eq=False)
-class _Operations:
-    """The tables ``_CARRIES`` reads, over a domain of ``size`` elements."""
-
-    size: int
-    source: Table
-    target: Table
-
-
 def preservation_witness(
     t: Sequence[int], source_table: Table, target_table: Table
 ) -> tuple[int, int] | None:
     """First pair (x, y), lexicographic, where ``t`` fails to carry the
     operation ``source_table`` to ``target_table``, or None.
 
-    The row evaluator decides (``algebra.holds`` on the law ``_CARRIES``)
-    when both carriers have at most 256 elements; the element scan runs
-    only when that check fails, and names the witness.
+    The table check decides; the element scan names the witness.  When
+    both carriers have at most 256 elements ``table_preserves`` decides
+    on whole rows, and the scan runs only when that check fails.
     """
     if len(source_table) <= 256 and len(target_table) <= 256:
-        if holds(_CARRIES, _Operations(len(source_table), source_table, target_table), t):
+        source_rows = tuple(map(bytes, source_table))
+        target_rows = (
+            source_rows if target_table is source_table else tuple(map(bytes, target_table))
+        )
+        if table_preserves(bytes(t), source_rows, target_rows):
             return None
     return _preservation_scan(t, source_table, target_table)
+
+
+def table_preserves(
+    t: bytes, source_rows: Sequence[bytes], target_rows: Sequence[bytes]
+) -> bool:
+    """Whether ``t`` carries one operation to another, decided in C.
+
+    ``t`` and the operation rows are ``bytes``, so both carriers have at
+    most 256 elements (``FiniteBLAlgebra.byte_rows`` holds the rows of a
+    sealed algebra).  Source row x mapped through ``t`` must equal ``t``
+    mapped through target row ``t[x]``: both are t(x . y) and
+    t(x) . t(y) for every y.
+    """
+    s = t + bytes(256 - len(t))
+    pad = bytes(256 - len(target_rows))
+    return all(
+        row.translate(s) == t.translate(target_rows[v] + pad)
+        for row, v in zip(source_rows, t)
+    )
 
 
 def _preservation_scan(

@@ -4,13 +4,14 @@ An operator is a total unary map given as a value table.  ``verify_operator``
 grades a table into the classes none / state / strong / morphism and
 names the witness of each failed axiom when it is first read.  As in
 sealing, the table check decides and the element scan names the
-witness.  The axioms (``AXIOM_LAWS``), preservation of each operation
-(``PRESERVES``), the MV-operator axioms and additivity (``MV_LAWS``,
-``ADDITIVITY``) are term laws: ``axiom_holds``, ``is_endomorphism`` and
-``mv_equivalence_check`` decide them with the row evaluator
-(``algebra.holds``, on ``bytes`` rows of carriers of at most 256
-elements), and only ``axiom_witness``, the witnesses of an operator and
-a failing MV axiom scan.  ``enumerate_operator_tables``
+witness: ``axiom_holds`` decides an axiom on whole rows with
+``bytes.translate`` (carriers of at most 256 elements, ``_axiom_holds``
+and ``constructors.table_preserves``), and only ``axiom_witness`` and
+the witnesses of an operator scan.  The axioms are term laws
+(``AXIOM_LAWS``), and ``algebra.witness`` scans them.  The MV-operator
+axioms and additivity (``MV_LAWS``, ``ADDITIVITY``) have no kernel of
+their own: the row evaluator (``algebra.holds``) decides them and the
+scan names their witness.  ``enumerate_operator_tables``
 finds every operator of a class by backtracking that propagates the
 class's axioms instance by instance: each equational axiom is unrolled
 into static instances ``s[l] == T[s[a]][s[b]]``, and an instance checks
@@ -52,7 +53,6 @@ from .algebra import (
     InternalCheckError,
     Law,
     classify_variety,
-    holds,
     verify_bl_axioms,
     violation,
     witness,
@@ -62,6 +62,8 @@ from .constructors import (
     mv_chain,
     ordinal_sum,
     ordinal_summand_slices,
+    preservation_witness,
+    table_preserves,
 )
 from .filters import (
     classify_algebra,
@@ -92,7 +94,7 @@ class NotAStateFilterError(Exception):
 OPERATOR_AXIOMS = ("1", "2", "3", "3s", "4", "5", "6", "7")
 
 AXIOM_LAWS = {
-    "1": Law("sigma(bottom) = bottom", lambda t, bottom, x: (x == bottom) <= (t[x] == x)),
+    "1": Law("sigma(bottom) = bottom", lambda t, bottom, x: x != bottom or t[x] == x),
     "2": Law("sigma(x->y) = sigma(x) -> sigma(x^y)",
              lambda t, meet, impl, x, y: t[impl[x][y]] == impl[t[x]][t[meet[x][y]]]),
     "3": Law("sigma(x*y) = sigma(x) * sigma(x -> x*y)",
@@ -109,27 +111,13 @@ AXIOM_LAWS = {
              lambda t, impl, x, y: t[impl[x][y]] == impl[t[x]][t[y]]),
 }
 
-# preservation of each operation; prod and impl are axioms 6 and 7
-PRESERVES = {
-    "meet": Law("sigma(x^y) = sigma(x) ^ sigma(y)",
-                lambda t, meet, x, y: t[meet[x][y]] == meet[t[x]][t[y]]),
-    "join": Law("sigma(x v y) = sigma(x) v sigma(y)",
-                lambda t, join, x, y: t[join[x][y]] == join[t[x]][t[y]]),
-    "prod": AXIOM_LAWS["6"],
-    "impl": AXIOM_LAWS["7"],
-}
-
-
-def _axiom_law(axiom: str) -> Law:
-    if axiom not in AXIOM_LAWS:
-        raise ValueError(f"unknown axiom {axiom}")
-    return AXIOM_LAWS[axiom]
-
 
 def axiom_holds(algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str) -> bool:
-    """Whether the axiom holds, decided by ``algebra.holds``: on byte rows
-    on a carrier of at most 256 elements, by the element scan otherwise."""
-    return holds(_axiom_law(axiom), algebra, table)
+    """Whether the axiom holds: on whole rows (``_axiom_holds``) on a
+    carrier of at most 256 elements, by the element scan otherwise."""
+    if algebra.size <= 256:
+        return _axiom_holds(algebra, table, axiom)
+    return _axiom_scan(algebra, table, axiom) is None
 
 
 def axiom_witness(
@@ -137,17 +125,60 @@ def axiom_witness(
 ) -> tuple[int, ...] | None:
     """First pair (lexicographic) violating the axiom, or None.
 
-    The row evaluator decides (``axiom_holds``); the element scan runs
-    only when the axiom fails, and names the witness.
+    The table check decides (``axiom_holds``); the element scan runs only
+    when the axiom fails, and names the witness.
     """
     return None if axiom_holds(algebra, table, axiom) else _axiom_scan(algebra, table, axiom)
+
+
+def _axiom_holds(algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str) -> bool:
+    """Whether the axiom holds, decided on whole rows in C.
+
+    ``row`` is sigma as ``bytes`` and ``s`` the same padded to a
+    translation table, so ``r.translate(s)`` maps a whole row ``r``
+    through sigma, as ``algebra._laws_hold`` composes tables.  For each x
+    the two sides of an axiom are compared over every y at once.
+    """
+    if axiom == "1":
+        return table[algebra.bottom] == algebra.bottom
+    pad = bytes(256 - algebra.size)
+    row = bytes(table)
+    s = row + pad
+    meet, join, prod, impl = algebra.byte_rows
+    if axiom == "2":
+        return all(
+            impl[x].translate(s) == meet[x].translate(s).translate(impl[v] + pad)
+            for x, v in enumerate(row)
+        )
+    if axiom == "3":
+        return all(
+            prod[x].translate(s)
+            == prod[x].translate(impl[x] + pad).translate(s).translate(prod[v] + pad)
+            for x, v in enumerate(row)
+        )
+    if axiom == "3s":
+        neg = algebra.neg_table
+        return all(
+            prod[x].translate(s) == join[neg[x]].translate(s).translate(prod[v] + pad)
+            for x, v in enumerate(row)
+        )
+    if axiom in ("4", "5"):
+        # T(sigma(x), sigma(y)) is a fixed point, for each image value sigma(x)
+        ops = prod if axiom == "4" else impl
+        return all((t := row.translate(ops[v] + pad)).translate(s) == t for v in set(row))
+    if axiom in ("6", "7"):
+        ops = prod if axiom == "6" else impl
+        return table_preserves(row, ops, ops)
+    raise ValueError(f"unknown axiom {axiom}")
 
 
 def _axiom_scan(
     algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str
 ) -> tuple[int, ...] | None:
     """First tuple (lexicographic) violating the axiom, or None."""
-    return witness(_axiom_law(axiom), algebra, table)
+    if axiom not in AXIOM_LAWS:
+        raise ValueError(f"unknown axiom {axiom}")
+    return witness(AXIOM_LAWS[axiom], algebra, table)
 
 
 IDEMPOTENT = Law("idempotence at {}", lambda t, x: t[t[x]] == t[x])
@@ -166,9 +197,16 @@ def satisfies_class(algebra: FiniteBLAlgebra, table: Sequence[int], cls: str) ->
 
 
 def is_endomorphism(algebra: FiniteBLAlgebra, table: Sequence[int]) -> bool:
-    if table[algebra.bottom] != algebra.bottom or table[algebra.top] != algebra.top:
+    s = table
+    if s[algebra.bottom] != algebra.bottom or s[algebra.top] != algebra.top:
         return False
-    return all(holds(law, algebra, table) for law in PRESERVES.values())
+    if algebra.size <= 256:
+        row = bytes(s)
+        return all(table_preserves(row, rows, rows) for rows in algebra.byte_rows)
+    return all(
+        preservation_witness(s, t, t) is None
+        for t in (algebra.meet, algebra.join, algebra.prod, algebra.impl)
+    )
 
 
 @dataclass(frozen=True)
@@ -269,17 +307,17 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
     t = tuple(int(v) for v in table)
     if len(t) != algebra.size or any(not (0 <= v < algebra.size) for v in t):
         raise ValueError("operator table must be total on the carrier")
-    verdicts = {ax: axiom_holds(algebra, t, ax) for ax in OPERATOR_AXIOMS}
-    is_state = all(verdicts[a] for a in CLASS_AXIOMS["state"])
-    is_strong = all(verdicts[a] for a in CLASS_AXIOMS["strong"])
-    is_morphism = all(verdicts[a] for a in CLASS_AXIOMS["morphism"])
+    holds = {ax: axiom_holds(algebra, t, ax) for ax in OPERATOR_AXIOMS}
+    is_state = all(holds[a] for a in CLASS_AXIOMS["state"])
+    is_strong = all(holds[a] for a in CLASS_AXIOMS["strong"])
+    is_morphism = all(holds[a] for a in CLASS_AXIOMS["morphism"])
     if is_morphism and not is_strong:
         raise InternalCheckError("morphism operator failed the strong axioms")
     if is_strong and not is_state:
         raise InternalCheckError("strong operator failed the state axioms")
-    if is_state and not holds(IDEMPOTENT, algebra, t):
+    if is_state and violation(IDEMPOTENT, algebra, t) is not None:
         raise InternalCheckError("verified operator is not idempotent")
-    if verdicts["7"] and is_state and not is_morphism:
+    if holds["7"] and is_state and not is_morphism:
         raise InternalCheckError("impl-preserving state operator must preserve prod")
     return StateOperator(
         algebra=algebra,
@@ -287,8 +325,8 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
         is_state=is_state,
         is_strong=is_strong,
         is_morphism=is_morphism,
-        preserves_impl=verdicts["7"],
-        failed=tuple(ax for ax in OPERATOR_AXIOMS if not verdicts[ax]),
+        preserves_impl=holds["7"],
+        failed=tuple(ax for ax in OPERATOR_AXIOMS if not holds[ax]),
     )
 
 
@@ -873,7 +911,7 @@ def godel_strict_floor_table(algebra: FiniteBLAlgebra, a: int) -> tuple[int, ...
 
 # the MV-operator axioms in the derived oplus and ominus, and additivity
 MV_LAWS = {
-    "mv1": Law("sigma(1) = 1", lambda t, top, x: (x == top) <= (t[x] == x)),
+    "mv1": Law("sigma(1) = 1", lambda t, top, x: x != top or t[x] == x),
     "mv2": Law("sigma(x-) = sigma(x)-", lambda t, neg, x: t[neg[x]] == neg[t[x]]),
     "mv3": Law("sigma(x+y) = sigma(x) + sigma(y - x*y)",
                lambda t, prod, neg, oplus, x, y: (
@@ -883,7 +921,7 @@ MV_LAWS = {
 }
 ADDITIVITY = Law("sigma(x+y) = sigma(x) + sigma(y) for orthogonal x, y",
                  lambda t, prod, bottom, oplus, x, y: (
-                     (prod[x][y] == bottom) <= (t[oplus[x][y]] == oplus[t[x]][t[y]])))
+                     prod[x][y] != bottom or t[oplus[x][y]] == oplus[t[x]][t[y]]))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from .algebra import (
     INFINITE_ORDER,
     InternalCheckError,
     Law,
-    holds,
     memoized,
     violation,
 )
@@ -59,7 +58,6 @@ from .filters import (
 )
 from .operators import (
     IDEMPOTENT,
-    PRESERVES,
     StateOperator,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -215,35 +213,32 @@ def _uniform_weights(k: int) -> list[Fraction]:
 # section 2 claims
 
 
-# rows over two variables: Prop-2.2-1 translates the flattened prod once
-# per (x, c), and Prop-2.2-2 and Prop-2.2-5 pair two rows once per value
-# of the third variable
 _prop_2_2_1 = _instance_laws(Law(
     "monotonicity of prod at {},{},{},{}",
-    lambda prod, leq, x, y, c, d: (leq[x][y] & leq[c][d]) <= leq[prod[x][c]][prod[y][d]],
-    rows=(1, 3)))
+    lambda prod, leq, x, y, c, d: (
+        not leq[x][y] or not leq[c][d] or leq[prod[x][c]][prod[y][d]])))
 _prop_2_2_2 = _instance_laws(Law(
     "monotonicity of impl at {2},{0},{1}",
-    lambda impl, leq, x, y, c: leq[x][y] <= leq[impl[c][x]][impl[c][y]], rows=(0, 1)))
+    lambda impl, leq, x, y, c: not leq[x][y] or leq[impl[c][x]][impl[c][y]]))
 _prop_2_2_3 = _instance_laws(Law(
     "a->b- = (a*b)- fails at {},{}",
-        lambda prod, impl, neg, x, y: impl[x][neg[y]] == neg[prod[x][y]]))
+    lambda prod, impl, neg, x, y: impl[x][neg[y]] == neg[prod[x][y]]))
 _prop_2_2_4 = _instance_laws(Law(
     "a->(a^b) = a->b fails at {},{}", lambda meet, impl, x, y: impl[x][meet[x][y]] == impl[x][y]))
 _prop_2_2_5 = _instance_laws(Law(
     "a->b <= a*c->b*c fails at {},{},{}",
-    lambda prod, impl, leq, x, y, c: leq[impl[x][y]][impl[prod[x][c]][prod[y][c]]], rows=(1, 2)))
+    lambda prod, impl, leq, x, y, c: leq[impl[x][y]][impl[prod[x][c]][prod[y][c]]]))
 _prop_2_2_6 = _instance_laws(Law(  # the residuation law a->(b->c) = (a*b)->c
     "residuation law fails at {},{},{}",
-        lambda prod, impl, x, y, c: impl[x][impl[y][c]] == impl[prod[x][y]][c]))
+    lambda prod, impl, x, y, c: impl[x][impl[y][c]] == impl[prod[x][y]][c]))
 _s2_orthogonality = _instance_laws(Law(
     "orthogonality forms disagree at {},{}",
     lambda prod, neg, leq, bottom, x, y: (
-        (leq[neg[neg[x]]][neg[y]] == leq[x][neg[y]]) & (leq[x][neg[y]] == (prod[x][y] == bottom)))))
+        leq[neg[neg[x]]][neg[y]] == leq[x][neg[y]] == (prod[x][y] == bottom))))
 _s2_partial_sum = _instance_laws(Law(  # x + y = y- -> x--, defined on orthogonal pairs
     "partial sum not symmetric at {},{}",
     lambda prod, impl, neg, bottom, x, y: (
-        (prod[x][y] == bottom) <= (impl[neg[y]][neg[neg[x]]] == impl[neg[x]][neg[neg[y]]]))))
+        prod[x][y] != bottom or impl[neg[y]][neg[neg[x]]] == impl[neg[x]][neg[neg[y]]])))
 
 
 def _thm_2_5(inst):
@@ -365,7 +360,7 @@ def _l35_r(a, op):
     return None
 
 
-_JOIN_PRESERVED = PRESERVES["join"]
+_JOIN_PRESERVED = Law("", lambda t, join, x, y: t[join[x][y]] == join[t[x]][t[y]])
 
 # orders and the radical are no terms, so these two laws stay predicates
 LEMMA_3_5_M = (
@@ -382,26 +377,26 @@ LEMMA_3_5 = {
     "a": _l35_a,
     "b": _operator_laws(Law("negation at {}", lambda t, neg, x: t[neg[x]] == neg[t[x]])),
     "c": _operator_laws(Law("monotone at {},{}",
-                            lambda t, leq, x, y: leq[x][y] <= leq[t[x]][t[y]])),
+                            lambda t, leq, x, y: not leq[x][y] or leq[t[x]][t[y]])),
     "d": _operator_laws(
         Law("prod bound at {},{}", lambda t, prod, leq, x, y: leq[prod[t[x]][t[y]]][t[prod[x][y]]]),
         Law("prod equality (orthogonal) at {},{}",
             lambda t, prod, bottom, x, y: (
-                (prod[x][y] == bottom) <= (t[prod[x][y]] == prod[t[x]][t[y]])))),
+                prod[x][y] != bottom or t[prod[x][y]] == prod[t[x]][t[y]]))),
     "e": _operator_laws(
         Law("ominus bound at {},{}",
             lambda t, prod, neg, leq, x, y: leq[prod[t[x]][neg[t[y]]]][t[prod[x][neg[y]]]]),
         Law("ominus equality at {},{}",
             lambda t, prod, neg, leq, x, y: (
-                leq[x][y] <= (t[prod[x][neg[y]]] == prod[t[x]][neg[t[y]]])))),
+                not leq[x][y] or t[prod[x][neg[y]]] == prod[t[x]][neg[t[y]]]))),
     "f": _operator_laws(Law(
         "meet identity at {},{}",
-            lambda t, meet, prod, impl, x, y: t[meet[x][y]] == prod[t[x]][t[impl[x][y]]])),
+        lambda t, meet, prod, impl, x, y: t[meet[x][y]] == prod[t[x]][t[impl[x][y]]])),
     "g": _operator_laws(
         Law("impl bound at {},{}", lambda t, impl, leq, x, y: leq[t[impl[x][y]]][impl[t[x]][t[y]]]),
         Law("impl equality at {},{}",
             lambda t, impl, leq, x, y: (
-                (leq[x][y] | leq[y][x]) <= (t[impl[x][y]] == impl[t[x]][t[y]])))),
+                not (leq[x][y] or leq[y][x]) or t[impl[x][y]] == impl[t[x]][t[y]]))),
     "h": _operator_laws(Law(  # sigma(x->y) * sigma(y->x) <= d(sigma(x), sigma(y))
         "distance bound at {},{}",
         lambda t, prod, impl, leq, x, y: (
@@ -410,7 +405,7 @@ LEMMA_3_5 = {
         Law("oplus bound at {},{}",
             lambda t, oplus, leq, x, y: leq[t[oplus[x][y]]][oplus[t[x]][t[y]]]),
         Law("oplus equality at {},{}",
-            lambda t, oplus, top, x, y: (oplus[x][y] == top) <= (oplus[t[x]][t[y]] == top))),
+            lambda t, oplus, top, x, y: oplus[x][y] != top or oplus[t[x]][t[y]] == top)),
     "j": _operator_laws(IDEMPOTENT),
     "k": _l35_k,
     "l": _l35_l,
@@ -422,11 +417,12 @@ LEMMA_3_5 = {
     "o": _l35_o,
     "p": _operator_laws(
         Law("strict monotonicity at {},{}",
-            lambda t, leq, x, y: leq[x][y] <= ((x == y) | (leq[t[x]][t[y]] & (t[x] != t[y])))),
+            lambda t, leq, x, y: (
+                not leq[x][y] or x == y or (leq[t[x]][t[y]] and t[x] != t[y]))),
         when=lambda a, op: op.is_faithful),
     "q": _operator_laws(
         Law("comparable displacement at {}",
-            lambda t, leq, x: (leq[t[x]][x] | leq[x][t[x]]) <= (t[x] == x)),
+            lambda t, leq, x: t[x] == x or not (leq[t[x]][x] or leq[x][t[x]])),
         when=lambda a, op: op.is_faithful),
     "r": _l35_r,
 }
@@ -434,14 +430,15 @@ LEMMA_3_5 = {
 LEMMA_3_9 = {
     "a": _operator_laws(Law(
         "strong prod equality at {},{}",
-        lambda t, prod, neg, leq, x, y: leq[neg[x]][y] <= (t[prod[x][y]] == prod[t[x]][t[y]]))),
+        lambda t, prod, neg, leq, x, y: (
+            not leq[neg[x]][y] or t[prod[x][y]] == prod[t[x]][t[y]]))),
     "b": _operator_laws(Law(
         "strong ominus equality at {},{}",
         lambda t, prod, neg, leq, x, y: (
-            (leq[x][y] | leq[y][x]) <= (t[prod[x][neg[y]]] == prod[t[x]][neg[t[y]]])))),
+            not (leq[x][y] or leq[y][x]) or t[prod[x][neg[y]]] == prod[t[x]][neg[t[y]]]))),
     "c": _operator_laws(Law(
         "swap identity at {}",
-            lambda t, prod, neg, x: t[prod[x][t[neg[x]]]] == t[prod[neg[x]][t[x]]])),
+        lambda t, prod, neg, x: t[prod[x][t[neg[x]]]] == t[prod[neg[x]][t[x]]])),
 }
 
 _l310_1 = _operator_laws(Law(
@@ -452,7 +449,7 @@ _l310_1 = _operator_laws(Law(
 
 def _l310_2(a, op):
     pres_impl = op.preserves_impl
-    pres_join = holds(_JOIN_PRESERVED, a, op.table)
+    pres_join = violation(_JOIN_PRESERVED, a, op.table) is None
     if pres_impl != pres_join:
         return f"global impl/join equivalence: impl={pres_impl} join={pres_join}"
     return None
@@ -584,7 +581,7 @@ def _rem_4_5(inst):
 def _idempotent_endomorphism(a, op):
     if op.witness_for("6") is not None or not op.preserves_impl:
         return "not an endomorphism on a chain"
-    if not holds(IDEMPOTENT, a, op.table):
+    if violation(IDEMPOTENT, a, op.table) is not None:
         return "not idempotent"
     return None
 
@@ -596,7 +593,7 @@ def _prop_4_9(inst):
     if result.verdict != PASS or inst.enumerated is None or a.size > 6:
         return result
     endos = enumerate_operator_tables(a, "endomorphism")
-    idem = {t for t in endos if holds(IDEMPOTENT, a, t)}
+    idem = {t for t in endos if violation(IDEMPOTENT, a, t) is None}
     states = {op.table for op in inst.enumerated}
     if idem != states:
         return CheckResult(FAIL, "state operators differ from idempotent endomorphisms")

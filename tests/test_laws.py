@@ -4,20 +4,20 @@ law pinned to the hand-written loop it replaced (``law_oracles``)."""
 import dataclasses
 from itertools import product as iproduct
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blstate import operators
-from blstate.algebra import _VARIETY_LAWS, Law, classify_variety, holds, violation, witness
-from blstate.constructors import godel_chain, mv_chain
+from blstate import algebra, operators
+from blstate.algebra import _VARIETY_LAWS, Law, classify_variety, violation, witness
+from blstate.constructors import direct_product, godel_chain, mv_chain
 from blstate.operators import (
     ADDITIVITY,
     AXIOM_LAWS,
     IDEMPOTENT,
     MV_LAWS,
     OPERATOR_AXIOMS,
-    PRESERVES,
     enumerate_operator_tables,
     mv_equivalence_check,
     verify_operator,
@@ -230,7 +230,7 @@ def _laws_in(obj, found: dict) -> dict:
 
 LAWS = list(_laws_in(
     [[claim.check for claim in REGISTRY], AXIOM_LAWS, MV_LAWS, ADDITIVITY, IDEMPOTENT,
-     _JOIN_PRESERVED, PRESERVES, _VARIETY_LAWS],
+     _JOIN_PRESERVED, _VARIETY_LAWS],
     {},
 ).values())
 # the laws no term can express: they read the orders and the radical
@@ -241,22 +241,52 @@ PREDICATE_LAWS = {
 TERM_LAWS = [law for law in LAWS if law.is_term]
 
 
+def _arity(law):
+    return algebra._parameters(law.check)[1]
+
+
 def test_every_reachable_law_but_the_listed_predicates_has_a_row_plan():
-    assert len(LAWS) == 49
+    assert len(LAWS) == 48
     assert {law.text for law in LAWS if not law.is_term} == PREDICATE_LAWS
-
-
-def _rows_agree_with_tuples(a, t):
     for law in TERM_LAWS:
-        assert holds(law, a, t) == (witness(law, a, t) is None), law.text
+        for k in range(1, _arity(law) + 1):
+            assert algebra._program(law, k), (law.text, k)
 
 
-@settings(max_examples=60, deadline=None)
+# two laws the suite does not have: a truth value of an outer variable in
+# a conjunction with a row, and a truth constant (from ``not``)
+MIXED = (
+    Law("", lambda leq, prod, x, y: leq[prod[x][x]][x] and leq[x][y] or leq[y][x]),
+    Law("", lambda leq, x, y: leq[x][y] or not leq[x][y]),
+)
+
+
+def _rows_agree_with_tuples(a, t, laws=(*TERM_LAWS, *MIXED)):
+    """Each law decides on rows as per tuple: with as many row variables
+    as fit in one row, and with one row variable (on a fresh copy of
+    ``a``), where more variables loop, premises skip and rows tabulate."""
+    one = dataclasses.replace(a)
+    for law in laws:
+        expected = witness(law, a, t) is None
+        assert algebra._plan(a, law)(t) == expected, law.text
+        with mock.patch.object(algebra, "_ROW", a.size):
+            assert algebra._plan(one, law)(t) == expected, law.text
+
+
+def _perturbed(a, data):
+    """``a`` with one entry of one table changed (no BL-algebra then)."""
+    name = data.draw(st.sampled_from(["meet", "join", "prod", "impl"]))
+    x, y = data.draw(st.tuples(st.integers(0, a.size - 1), st.integers(0, a.size - 1)))
+    shift = data.draw(st.integers(1, a.size - 1))
+    return _with_entry(a, name, x, y, (getattr(a, name)[x][y] + shift) % a.size)
+
+
+@settings(max_examples=40, deadline=None)
 @given(algebras.filter(lambda a: a.size <= 9), st.data())
 def test_row_evaluator_matches_the_per_tuple_evaluator(a, data):
-    """Every law with a term decides as its per-tuple evaluator does: on
-    enumerated state tables with one or two entries changed, and on the
-    algebra with one entry of one table changed (no BL-algebra then)."""
+    """Every law with a term decides on rows as its per-tuple evaluator
+    does: on enumerated state tables with one or two entries changed, and
+    on the algebra with one entry of one table changed."""
     entry = st.tuples(st.integers(0, a.size - 1), st.integers(1, max(a.size - 1, 1)))
     states = enumerate_operator_tables(a, "state")
     for state_table in data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=2)):
@@ -264,11 +294,28 @@ def test_row_evaluator_matches_the_per_tuple_evaluator(a, data):
         changes = data.draw(st.lists(entry, min_size=1, max_size=2))
         _rows_agree_with_tuples(a, _changed(state_table, a.size, changes))
     if a.size > 1:
-        name = data.draw(st.sampled_from(["meet", "join", "prod", "impl"]))
-        x, y = data.draw(st.tuples(st.integers(0, a.size - 1), st.integers(0, a.size - 1)))
-        shift = data.draw(st.integers(1, a.size - 1))
-        perturbed = _with_entry(a, name, x, y, (getattr(a, name)[x][y] + shift) % a.size)
-        _rows_agree_with_tuples(perturbed, data.draw(st.sampled_from(states)))
+        _rows_agree_with_tuples(_perturbed(a, data), data.draw(st.sampled_from(states)))
+
+
+# 18 and 32 elements: rows pair in two and four lookup groups, and on 18
+# the four variables of Prop-2.2-1 split into two loops and two row
+# variables; on 40 only one variable fits in a row
+LARGE = (
+    direct_product(mv_chain(8), godel_chain(2)),
+    direct_product(mv_chain(7), godel_chain(4)),
+    direct_product(mv_chain(4), mv_chain(7)),
+)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(LARGE), st.data())
+def test_row_evaluator_matches_the_per_tuple_evaluator_on_larger_carriers(a, data):
+    laws = [law for law in TERM_LAWS if a.size ** _arity(law) <= 120_000]
+    entry = st.tuples(st.integers(0, a.size - 1), st.integers(1, a.size - 1))
+    identity = tuple(range(a.size))  # a state operator on every carrier
+    table = _changed(identity, a.size, data.draw(st.lists(entry, max_size=2)))
+    _rows_agree_with_tuples(a, table, laws)
+    _rows_agree_with_tuples(_perturbed(a, data), identity, laws)
 
 
 @settings(max_examples=40, deadline=None)

@@ -193,23 +193,41 @@ def test_a_cold_run_checks_states_seals_images_and_walks_powers_once(monkeypatch
     assert counts["has_power_negation_in"] <= 1820
 
 
-def test_a_cold_run_decides_every_term_law_on_rows(monkeypatch):
-    # the per-tuple evaluator only names the witness of a law that failed
-    # on rows; a predicate law (Lemma-3.5-m) is scanned to be decided
-    scans = []
-    real = algebra.witness
+def test_a_cold_run_decides_every_large_term_law_on_rows(monkeypatch):
+    # a term law with many tuples is decided on rows once its first n
+    # tuples pass; the per-tuple evaluator decides the smaller ones and
+    # names the witness of a failing law only
+    decisions, plans, scans = [], [], []
+    real_holds, real_plan, real_witness = algebra.holds, algebra._plan, algebra.witness
 
-    def counting(law, *args):
-        found = real(law, *args)
+    def deciding(law, a, table=None):
+        before = len(plans)
+        verdict = real_holds(law, a, table)
+        decisions.append((law, verdict, len(plans) > before, algebra._bind(a, law)[2]))
+        return verdict
+
+    def planning(a, law):
+        plans.append(law)
+        return real_plan(a, law)
+
+    def scanning(law, *args):
+        found = real_witness(law, *args)
         scans.append((law, found))
         return found
 
-    monkeypatch.setattr(algebra, "witness", counting)
-    monkeypatch.setattr(operators, "witness", counting)
+    monkeypatch.setattr(algebra, "holds", deciding)
+    monkeypatch.setattr(algebra, "_plan", planning)
+    monkeypatch.setattr(algebra, "witness", scanning)
+    monkeypatch.setattr(operators, "witness", scanning)
     report = run_suite(default_corpus())
     assert report.failures == []
+    large = [(law.text, verdict, on_rows) for law, verdict, on_rows, rows in decisions if rows]
+    assert any(on_rows for *_, on_rows in large)
+    assert [d for d in large if d[1] and not d[2]] == []
+    # Prop-2.2-1, 2.2-2, 2.2-5 and 2.2-6 on the larger carriers
+    assert len({law.text for law in plans}) >= 4
     assert any(law.is_term for law, _ in scans)  # Prop-3.13's random maps fail
-    assert [law.text for law, found in scans if law.is_term and found is None] == []
+    assert [law.text for law, found in scans if found is None] == []
 
 
 def test_a_cold_run_checks_prop_5_4_in_one_kernel_call_per_operator(monkeypatch):
