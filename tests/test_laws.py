@@ -281,7 +281,7 @@ def _perturbed(a, data):
     return _with_entry(a, name, x, y, (getattr(a, name)[x][y] + shift) % a.size)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(algebras.filter(lambda a: a.size <= 9), st.data())
 def test_row_evaluator_matches_the_per_tuple_evaluator(a, data):
     """Every law with a term decides on rows as its per-tuple evaluator
@@ -307,7 +307,7 @@ LARGE = (
 )
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=4, deadline=None)
 @given(st.sampled_from(LARGE), st.data())
 def test_row_evaluator_matches_the_per_tuple_evaluator_on_larger_carriers(a, data):
     laws = [law for law in TERM_LAWS if a.size ** _arity(law) <= 120_000]
