@@ -16,21 +16,21 @@ failure, or on a larger carrier, and names the first violation.
 Pointwise laws are data, ``Law`` values (``classify_variety`` reads
 four).  A law's lambda is its per-tuple evaluator (``witness``), which
 names the lexicographically first failing tuple.  Run on symbols, the
-lambda of a term law builds its term.  ``holds`` decides a law over at
-most ``_ROW`` tuples per tuple, and a term over more with the row
-evaluator, as the table check of sealing decides: the leading variables
-run in loops and every subterm of the others is one ``bytes`` row.
-``violation`` scans only a failing law for its witness.  A law no term
-expresses (it reads more than the named tables) is a predicate, and the
-per-tuple evaluator decides it.
+lambda of a term law, an instance law over the named tables, builds its
+term.  ``holds`` decides a law over at most ``_ROW`` tuples per tuple,
+and a term over more with the row evaluator, as the table check of
+sealing decides: the leading variables run in loops and every subterm
+of the others is one ``bytes`` row.  ``violation`` scans only a failing
+law for its witness.  A law that reads the operator table ``t`` or more
+than the named tables is no term, and the per-tuple evaluator decides it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce, wraps
-from itertools import chain, combinations, compress, islice, product as iproduct, repeat, starmap
+from functools import cached_property, lru_cache, partial, wraps
+from itertools import chain, combinations, compress, product as iproduct, repeat, starmap
 from operator import getitem, not_
 from typing import Callable, Iterable, Sequence
 
@@ -469,11 +469,12 @@ class Law:
     are the variables, after the others: ``t``, the operator table, ``a``,
     the algebra, and any other name an attribute of the algebra (``neg``
     and ``oplus`` read ``neg_table`` and ``oplus_table``).  Called with
-    the tables and elements it is the per-tuple evaluator.  A law whose
-    tables are all named in ``_UNARY``, ``_BINARY`` and the constants
-    bottom and top, written with ``==``, ``!=``, ``and``, ``or`` and
-    ``not``, is a term: run on symbols (``_term``) it builds its term,
-    which the row evaluator decides.
+    the tables and elements it is the per-tuple evaluator.  An instance
+    law whose tables are all named in ``_UNARY``, ``_BINARY`` and the
+    constants bottom and top, written with ``==``, ``!=``, ``and``, ``or``
+    and ``not``, is a term: run on symbols (``_term``) it builds its term,
+    which the row evaluator decides.  A law that reads the operator ``t``
+    is no term; the per-tuple evaluator decides it.
     """
 
     text: str
@@ -484,7 +485,7 @@ class Law:
         return _parameters(self.check)[0] <= _UNARY | _BINARY | {"bottom", "top"}
 
 
-_UNARY = {"t", "neg"}
+_UNARY = {"neg"}
 _BINARY = {"meet", "join", "prod", "impl", "oplus", "leq"}
 
 
@@ -578,14 +579,6 @@ def _subterms(u: tuple):
             yield from _subterms(w)
 
 
-def _disjuncts(u: tuple) -> list[tuple]:
-    if u[0] == "or":
-        return _disjuncts(u[1]) + _disjuncts(u[2])
-    if u[0] == "not" and u[1][0] == "and":
-        return _disjuncts(("not", u[1][1])) + _disjuncts(("not", u[1][2]))
-    return [u]
-
-
 _mask = partial(int.from_bytes, byteorder="little")  # a 0/1 byte row as a bit mask
 # _EQ[v] translates a row to 1 where it holds v and to 0 elsewhere
 _EQ = tuple(bytes(v) + b"\1" + bytes(255 - v) for v in range(256))
@@ -671,26 +664,25 @@ def _program(law: Law, k: int) -> tuple:
 
     Each subterm gets a slot in a list of values and a step (``_step``)
     that computes it from its operands' slots in the loop of its last
-    outer variable; with none, once per carrier, or once per call if it
-    reads the operator ``t``.  A subterm that reads a row variable is a
-    ``bytes`` row over the tuples of the row variables, or a bit mask of
-    truth values; a row that a scalar of a deeper loop picks from a row of
-    an outer level is tabulated over the scalar's values.  A disjunct of the law that reads no row variable skips
-    the rest of its loop where it holds, so a premise prunes; the other
-    disjuncts, joined, must hold at every row position.
+    outer variable, or once per carrier if it reads none.  A subterm that
+    reads a row variable is a ``bytes`` row over the tuples of the row
+    variables, or a bit mask of truth values; a row that a scalar of a
+    deeper loop picks from a row of an outer level is tabulated over the
+    scalar's values.  The whole term is one mask, ``end``, which must be
+    all true in the innermost loop.
     """
     term, arity = _term(law.check), _parameters(law.check)[1]
     inner = _inner(term, arity, k)
     outer = [i for i in range(arity) if i not in inner]
     slots: dict = {}  # a string names a value bound to the carrier (``_input``)
     seen: dict = {}
-    steps: list[list] = [[] for _ in range(len(outer) + 2)]  # steps[level + 2]
+    steps: list[list] = [[] for _ in range(len(outer) + 1)]  # steps[level + 1]
 
     def slot(name) -> int:
         return slots.setdefault(name, len(slots))
 
     def add(key, level, row, truth, f) -> tuple:
-        steps[level + 2].append((slot(key), f))
+        steps[level + 1].append((slot(key), f))
         return slot(key), level, row, truth
 
     def lift(w):  # a truth value as a mask
@@ -704,22 +696,22 @@ def _program(law: Law, k: int) -> tuple:
         op, *args = u
         if op == "var":
             i = args[0]
-            seen[u] = ((slot(f"G{k}{inner.index(i)}"), -2, True, False) if i in inner
+            seen[u] = ((slot(f"G{k}{inner.index(i)}"), -1, True, False) if i in inner
                        else (slot(u), outer.index(i), False, False))
         elif not args:  # bottom, top, or a truth constant
-            seen[u] = (slot(op), -2, False, u in (_TRUE, _FALSE))
+            seen[u] = (slot(op), -1, False, u in (_TRUE, _FALSE))
         else:
             a = [visit(w) for w in args]
             row = any(w[2] for w in a)
             if row and (op in ("not", "and", "or") or op == "eq" and a[0][3]):
                 a = list(map(lift, a))
-            level = max([w[1] for w in a] + [-1 if op == "t" else -2])
+            level = max(w[1] for w in a)
             truth = op in ("leq", "eq", "not", "and", "or")
             picked = [w for w in a if not w[2] and w[1] >= 1]  # a scalar of a deeper loop
             if op in _BINARY and row and picked and max(w[1] for w in a if w[2]) < level:
                 # a row that the scalar picks: tabulated over its values
                 R, pick, value = slot("R"), picked[0][0], slot(("value", u))
-                f = _step(op, [(value, -2, False, w[3]) if w is picked[0] else w for w in a],
+                f = _step(op, [(value, -1, False, w[3]) if w is picked[0] else w for w in a],
                           row, slot, k)
 
                 def tabulate(v):
@@ -734,17 +726,10 @@ def _program(law: Law, k: int) -> tuple:
                 seen[u] = add(u, level, row, truth, _step(op, a, row, slot, k))
         return seen[u]
 
-    def join(terms):
-        return visit(reduce(lambda p, q: ("or", p, q), terms))[0] if terms else None
-
-    disjuncts = _disjuncts(term)
-    levels = [visit(u)[1] if not visit(u)[2] else None for u in disjuncts]
-    skips = [join([u for u, d in zip(disjuncts, levels) if d == level])
-             for level in range(-2, len(outer))]
-    end = join([u for u, d in zip(disjuncts, levels) if d is None])
+    end = lift(visit(term))[0]
     loops, ones = [slot(("var", i)) for i in outer], slot(f"ONES{k}")
-    inputs = [(s, name) for name, s in slots.items() if isinstance(name, str) and name != "t_p"]
-    return inputs, len(slots), slots.get("t_p"), loops, steps, skips, end, ones
+    inputs = [(s, name) for name, s in slots.items() if isinstance(name, str)]
+    return inputs, len(slots), loops, steps, end, ones
 
 
 @memoized
@@ -796,84 +781,62 @@ def _grid(n: int, k: int) -> tuple[bytes, ...]:
     )
 
 
-@memoized
-def _plan(a, law: Law) -> Callable:
-    """``plan(t)``: the row evaluator of a term law (``_program``) bound to
-    the carrier ``a`` of at most 256 elements, deciding at the operator ``t``."""
+def _rows_hold(a, law: Law) -> bool:
+    """Whether the term law ``law`` holds on the carrier ``a`` of at most
+    256 elements, decided by its row evaluator (``_program``)."""
     k = _parameters(law.check)[1]  # as many row variables as fit in one row
     while k > 1 and a.size**k > _ROW:
         k -= 1
-    inputs, size, operator_slot, loops, steps, skips, end, ones = _program(law, k)
-    values = [None] * size
+    inputs, size, loops, steps, end, ones = _program(law, k)
+    v = [None] * size
     for s, name in inputs:
-        values[s] = _input(a, name)
+        v[s] = _input(a, name)
     for s, f in steps[0]:
-        values[s] = f(values)
-    if skips[0] is not None and values[skips[0]]:
-        return lambda t: True
-    pad, elements, depth = bytes(256 - a.size), range(a.size), len(loops)
+        v[s] = f(v)
+    elements, depth = range(a.size), len(loops)
 
-    def loop(v: list, d: int) -> bool:
-        var, level, skip, last = loops[d], steps[d + 2], skips[d + 2], d + 1 == depth
+    def loop(d: int) -> bool:
+        var, level, last = loops[d], steps[d + 1], d + 1 == depth
         for x in elements:
             v[var] = x
             for s, f in level:
                 v[s] = f(v)
-            if skip is not None and v[skip]:
-                continue
-            if not (end is not None and v[end] == v[ones] if last else loop(v, d + 1)):
+            if not (v[end] == v[ones] if last else loop(d + 1)):
                 return False
         return True
 
-    def plan(t) -> bool:
-        v = values.copy()
-        if operator_slot is not None:
-            v[operator_slot] = bytes(t) + pad
-        for s, f in steps[1]:
-            v[s] = f(v)
-        if skips[1] is not None and v[skips[1]]:
-            return True
-        return loop(v, 0) if depth else end is not None and v[end] == v[ones]
-
-    return plan
+    return loop(0) if depth else v[end] == v[ones]
 
 
 @memoized
-def _bind(algebra: FiniteBLAlgebra, law: Law) -> tuple[Callable, tuple | None, bool]:
-    """``(bind, columns, rows)``: ``bind(t)`` is the law's ``check`` with
-    the tables of ``algebra`` and the operator table ``t`` filled in, a
+def _bind(algebra: FiniteBLAlgebra, law: Law) -> tuple[Callable, tuple | None]:
+    """``(bind, columns)``: ``bind(t)`` is the law's ``check`` with the
+    tables of ``algebra`` and the operator table ``t`` filled in, a
     predicate on one tuple; ``columns`` holds the tuples as byte columns
-    (``_grid``) where there are at most ``_ROW``; ``rows`` says whether
-    the row evaluator decides the law: a term over more tuples, on at most
-    256 elements."""
+    (``_grid``) where there are at most ``_ROW``."""
     code = law.check.__code__
     n, k = algebra.size, _parameters(law.check)[1]
     names = code.co_varnames[: code.co_argcount - k]
     tables = [algebra if p == "a" else _table(algebra, p) for p in names if p != "t"]
     instance = partial(law.check, *tables)
     columns = _grid(n, k) if n <= 256 and n**k <= _ROW else None
-    return (
-        (lambda t: partial(law.check, t, *tables)) if "t" in names else (lambda t: instance),
-        columns,
-        columns is None and law.is_term and n <= 256,
-    )
+    bind = (lambda t: partial(law.check, t, *tables)) if "t" in names else (lambda t: instance)
+    return bind, columns
 
 
 def holds(law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None) -> bool:
     """Whether ``law`` holds (at the operator ``table``).
 
-    The row evaluator decides where ``_bind`` says so, once the per-tuple
-    evaluator has passed the first n tuples (a failure there costs no
-    rows); the per-tuple evaluator decides elsewhere.
+    The row evaluator decides a term law over more than ``_ROW`` tuples
+    on at most 256 elements; the per-tuple evaluator decides elsewhere.
     """
-    bind, columns, rows = _bind(algebra, law)
-    pred = bind(table)
+    bind, columns = _bind(algebra, law)
     if columns is not None:
-        return all(map(pred, *columns))
+        return all(map(bind(table), *columns))
+    if law.is_term and algebra.size <= 256:
+        return _rows_hold(algebra, law)
     tuples = iproduct(range(algebra.size), repeat=_parameters(law.check)[1])
-    if not rows:
-        return all(starmap(pred, tuples))
-    return all(starmap(pred, islice(tuples, algebra.size))) and _plan(algebra, law)(table)
+    return all(starmap(bind(table), tuples))
 
 
 def witness(
@@ -881,7 +844,7 @@ def witness(
 ) -> tuple[int, ...] | None:
     """The lexicographically first tuple where ``law`` fails, or None:
     the per-tuple evaluator, the oracle of the row evaluator."""
-    bind, columns, _ = _bind(algebra, law)
+    bind, columns = _bind(algebra, law)
     pred = bind(table)
     if columns is not None:
         return next(compress(zip(*columns), map(not_, map(pred, *columns))), None)

@@ -10,8 +10,9 @@ and ``constructors.table_preserves``), and only ``axiom_witness`` and
 the witnesses of an operator scan.  The axioms are term laws
 (``AXIOM_LAWS``), and ``algebra.witness`` scans them.  The MV-operator
 axioms and additivity (``MV_LAWS``, ``ADDITIVITY``) have no kernel of
-their own: the row evaluator (``algebra.holds``) decides them and the
-scan names their witness.  ``enumerate_operator_tables``
+their own: they read the operator, so the per-tuple evaluator
+(``algebra.holds``) decides them and the same scan names their witness.
+``enumerate_operator_tables``
 finds every operator of a class by backtracking that propagates the
 class's axioms instance by instance: each equational axiom is unrolled
 into static instances ``s[l] == T[s[a]][s[b]]``, and an instance checks

@@ -194,21 +194,22 @@ def test_a_cold_run_checks_states_seals_images_and_walks_powers_once(monkeypatch
 
 
 def test_a_cold_run_decides_every_large_term_law_on_rows(monkeypatch):
-    # a term law with many tuples is decided on rows once its first n
-    # tuples pass; the per-tuple evaluator decides the smaller ones and
-    # names the witness of a failing law only
-    decisions, plans, scans = [], [], []
-    real_holds, real_plan, real_witness = algebra.holds, algebra._plan, algebra.witness
+    # a term law (an instance law) over more than one row of tuples is
+    # decided on rows; the per-tuple evaluator decides the others and names
+    # the witness of a failing law only
+    decisions, on_rows, scans = [], [], []
+    real_holds, real_rows, real_witness = algebra.holds, algebra._rows_hold, algebra.witness
 
     def deciding(law, a, table=None):
-        before = len(plans)
+        before = len(on_rows)
         verdict = real_holds(law, a, table)
-        decisions.append((law, verdict, len(plans) > before, algebra._bind(a, law)[2]))
+        large = a.size ** algebra._parameters(law.check)[1] > algebra._ROW
+        decisions.append((law, verdict, len(on_rows) > before, large))
         return verdict
 
-    def planning(a, law):
-        plans.append(law)
-        return real_plan(a, law)
+    def rows_hold(a, law):
+        on_rows.append(law)
+        return real_rows(a, law)
 
     def scanning(law, *args):
         found = real_witness(law, *args)
@@ -216,17 +217,16 @@ def test_a_cold_run_decides_every_large_term_law_on_rows(monkeypatch):
         return found
 
     monkeypatch.setattr(algebra, "holds", deciding)
-    monkeypatch.setattr(algebra, "_plan", planning)
+    monkeypatch.setattr(algebra, "_rows_hold", rows_hold)
     monkeypatch.setattr(algebra, "witness", scanning)
     monkeypatch.setattr(operators, "witness", scanning)
     report = run_suite(default_corpus())
     assert report.failures == []
-    large = [(law.text, verdict, on_rows) for law, verdict, on_rows, rows in decisions if rows]
-    assert any(on_rows for *_, on_rows in large)
-    assert [d for d in large if d[1] and not d[2]] == []
+    assert all(law.is_term for law in on_rows)
+    assert [law.text for law, _, rows, large in decisions if rows != (large and law.is_term)] == []
     # Prop-2.2-1, 2.2-2, 2.2-5 and 2.2-6 on the larger carriers
-    assert len({law.text for law in plans}) >= 4
-    assert any(law.is_term for law, _ in scans)  # Prop-3.13's random maps fail
+    assert len({law.text for law in on_rows}) >= 4
+    assert any(not law.is_term for law, _ in scans)  # Prop-3.13's random maps fail
     assert [law.text for law, found in scans if found is None] == []
 
 
