@@ -362,7 +362,7 @@ def _l35_r(a, op):
 
 _JOIN_PRESERVED = Law("", lambda t, join, x, y: t[join[x][y]] == join[t[x]][t[y]])
 
-# orders and the radical are no terms, so these two laws stay predicates
+# the only laws that read the element orders and the radical
 LEMMA_3_5_M = (
     Law("order grows at {}",
         lambda t, orders, x: orders[x] == INFINITE_ORDER or orders[t[x]] <= orders[x]),
