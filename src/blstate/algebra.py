@@ -15,14 +15,12 @@ failure, or on a larger carrier, and names the first violation.
 
 Pointwise laws are data, ``Law`` values (``classify_variety`` reads
 four).  A law's lambda is its per-tuple evaluator (``witness``), which
-names the lexicographically first failing tuple.  Run on symbols, the
-lambda of a term law, an instance law over the named tables, builds its
-term.  ``holds`` decides a law over at most ``_ROW`` tuples per tuple,
-and a term over more with the row evaluator, as the table check of
-sealing decides: the leading variables run in loops and every subterm
-of the others is one ``bytes`` row.  ``violation`` scans only a failing
-law for its witness.  A law that reads the operator table ``t`` or more
-than the named tables is no term, and the per-tuple evaluator decides it.
+names the lexicographically first failing tuple.  ``holds`` decides a
+law over at most ``_ROW`` tuples per tuple, and a larger law that has a
+row kernel (``Law.rows``: the 3- and 4-variable laws of Prop 2.2) with
+that kernel, on ``bytes`` rows, as the table check of sealing decides;
+every other law goes per tuple.  ``violation`` scans only a failing law
+for its witness.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, wraps
-from itertools import chain, combinations, compress, product as iproduct, repeat, starmap
+from itertools import chain, compress, product as iproduct, repeat, starmap
 from operator import getitem, not_
 from typing import Callable, Iterable, Sequence
 
@@ -457,7 +455,7 @@ def residuum_from_monoid(leq: Sequence[Sequence[bool]], prod: Iterable[Iterable[
 
 
 # ---------------------------------------------------------------------------
-# pointwise laws: terms and their two evaluators (see the module docstring)
+# pointwise laws and their evaluators (see the module docstring)
 
 
 # eq=False: laws are constants, hashed by identity as memo keys
@@ -469,24 +467,15 @@ class Law:
     are the variables, after the others: ``t``, the operator table, ``a``,
     the algebra, and any other name an attribute of the algebra (``neg``
     and ``oplus`` read ``neg_table`` and ``oplus_table``).  Called with
-    the tables and elements it is the per-tuple evaluator.  An instance
-    law whose tables are all named in ``_UNARY``, ``_BINARY`` and the
-    constants bottom and top, written with ``==``, ``!=``, ``and``, ``or``
-    and ``not``, is a term: run on symbols (``_term``) it builds its term,
-    which the row evaluator decides.  A law that reads the operator ``t``
-    is no term; the per-tuple evaluator decides it.
+    the tables and elements it is the per-tuple evaluator.  ``rows``, if
+    given, is the law's row kernel: ``rows(a)`` decides the law on an
+    algebra of at most 256 elements with ``bytes`` rows, reading the
+    tables exactly as ``check`` does.
     """
 
     text: str
     check: Callable
-
-    @cached_property
-    def is_term(self) -> bool:
-        return _parameters(self.check)[0] <= _UNARY | _BINARY | {"bottom", "top"}
-
-
-_UNARY = {"neg"}
-_BINARY = {"meet", "join", "prod", "impl", "oplus", "leq"}
+    rows: Callable[["FiniteBLAlgebra"], bool] | None = None
 
 
 @lru_cache(maxsize=256)
@@ -498,99 +487,30 @@ def _parameters(check: Callable) -> tuple[frozenset[str], int]:
     return frozenset(names[: len(names) - variables]), variables
 
 
-class _Symbol:
-    """A term under construction: ``check`` called with symbols returns its
-    term as ``node``, a tuple ``("var", i)``, ``(name,)`` for a constant,
-    ``(table, u)`` or ``(table, u, v)``, ``("eq", u, v)``, ``("not", p)``,
-    ``("and", p, q)`` or ``("or", p, q)``.  ``and``, ``or`` and ``not``
-    test a truth value; ``path`` holds the tests made so far, with the
-    branch taken, and the branches ``_term`` chose for the first ones."""
-
-    __slots__ = ("path", "node")
-    __hash__ = None
-
-    def __init__(self, path: tuple, *node):
-        self.path = path
-        self.node = node
-
-    def __getitem__(self, u):
-        return _Symbol(self.path, *self.node, u.node)
-
-    def __eq__(self, v):
-        return _Symbol(self.path, "eq", self.node, v.node)
-
-    def __ne__(self, v):
-        return _Symbol(self.path, "not", ("eq", self.node, v.node))
-
-    def __bool__(self) -> bool:
-        chosen, tests = self.path
-        if self.node not in tests:  # a value tested again takes the same branch
-            tests[self.node] = chosen[len(tests)] if len(tests) < len(chosen) else True
-        return tests[self.node]
-
-
-_TRUE, _FALSE = ("true",), ("false",)
-
-
-def _branch(c: tuple, a: tuple, b: tuple) -> tuple:
-    """The term "a if c else b" of truth values."""
-    n = ("not", c)
-    if a == b:
-        return a
-    if a in (_TRUE, c):
-        return c if b == _FALSE else ("or", c, b)
-    if b in (_FALSE, c):
-        return ("and", c, a)
-    if a == _FALSE:
-        return n if b == _TRUE else ("and", n, b)
-    return ("or", n, a) if b == _TRUE else ("or", ("and", c, a), ("and", n, b))
-
-
-@lru_cache(maxsize=256)
-def _term(check: Callable) -> tuple:
-    """The term of a term law: ``check`` runs on symbols once per branch
-    of its truth tests, and the results join as ``_branch`` terms."""
-    code = check.__code__
-    names = code.co_varnames[: code.co_argcount]
-    tables = len(names) - _parameters(check)[1]
-
-    def run(chosen: tuple) -> tuple:
-        path = (chosen, {})
-        value = check(*(_Symbol(path, *((name,) if k < tables else ("var", k - tables)))
-                        for k, name in enumerate(names)))
-        tests = list(path[1])
-        if len(tests) > len(chosen):  # the next test took its first branch
-            return _branch(tests[len(chosen)], run(chosen + (True,)), run(chosen + (False,)))
-        return value.node if isinstance(value, _Symbol) else _TRUE if value else _FALSE
-
-    return run(())
-
-
-@lru_cache(maxsize=4096)
-def _vars(u: tuple) -> frozenset[int]:
-    """The variables a term reads."""
-    return frozenset({u[1]}) if u[0] == "var" else frozenset().union(*map(_vars, u[1:]))
-
-
-def _subterms(u: tuple):
-    yield u
-    if u[0] != "var":
-        for w in u[1:]:
-            yield from _subterms(w)
-
-
 _mask = partial(int.from_bytes, byteorder="little")  # a 0/1 byte row as a bit mask
-# _EQ[v] translates a row to 1 where it holds v and to 0 elsewhere
-_EQ = tuple(bytes(v) + b"\1" + bytes(255 - v) for v in range(256))
-# the per-tuple evaluator decides a law over at most _ROW tuples, and the
-# row evaluator a larger one, on rows of at most _ROW entries
+# the per-tuple evaluator decides a law over at most _ROW tuples, and a
+# row kernel a larger one
 _ROW = 1024
 
 
+def _pairs(table: Table) -> tuple:
+    """``table`` (n x n) as ``_pairwise`` reads it: ``(times, groups)``.
+    With ``w = 256 // n``, ``times`` maps a value r to ``r % w * n``, and
+    each group ``(select, lookup)`` covers w rows: ``select`` marks the
+    values r of the group, and ``lookup`` is those rows flattened."""
+    n = len(table)
+    w, pad = 256 // n, bytes(256 - n)
+    return bytes(v % w * n for v in range(n)) + pad, [
+        (bytes(v // w == h // w for v in range(n)) + pad,
+         (flat := b"".join(map(bytes, table[h:h + w]))) + bytes(256 - len(flat)))
+        for h in range(0, n, w)
+    ]
+
+
 def _pairwise(pairs: tuple, r: bytes, u: bytes) -> bytes:
-    """``T[r[i]][u[i]]`` for every i, from ``pairs = (times, groups)``
-    (``_input``, on n elements): the byte ``r[i] % w * n + u[i]`` codes the
-    pair, and each group of w values of ``r`` reads its own lookup table."""
+    """``T[r[i]][u[i]]`` for every i, from ``pairs = _pairs(T)``: the byte
+    ``r[i] % w * n + u[i]`` codes the pair, and each group of w values of
+    ``r`` reads its own lookup table."""
     times, groups = pairs
     codes = (_mask(r.translate(times)) + _mask(u)).to_bytes(len(r), "little")
     if len(groups) == 1:
@@ -599,169 +519,6 @@ def _pairwise(pairs: tuple, r: bytes, u: bytes) -> bytes:
     for select, lookup in groups:
         out |= _mask(codes.translate(lookup)) & _mask(r.translate(select)) * 255
     return out.to_bytes(len(r), "little")
-
-
-def _same(r: bytes, u: bytes) -> int:
-    """The mask of the positions where two rows agree."""
-    return _mask((_mask(r) ^ _mask(u)).to_bytes(len(r), "little").translate(_EQ[0]))
-
-
-def _inner(term: tuple, arity: int, k: int) -> tuple[int, ...]:
-    """The k row variables: of all sets of k variables, the one with the
-    fewest subterms that pair two rows (``_pairwise``) inside the loops,
-    and on a tie the later variables."""
-    pairs = [u for u in set(_subterms(term)) if len(u) == 3 and u[0] in _BINARY]
-
-    def paired(rows):
-        return sum(
-            bool(_vars(u[1]) & rows and _vars(u[2]) & rows and _vars(u) - rows) for u in pairs
-        )
-
-    return min(reversed(list(combinations(range(arity), k))), key=lambda s: paired(set(s)))
-
-
-def _step(op: str, args: list, row: bool, slot: Callable, k: int) -> Callable:
-    """The step ``f(v)`` that computes a subterm from the values ``v``:
-    ``args`` holds each operand's (slot, level, is row, is truth value),
-    and ``slot(name)`` is the slot of a value bound to the carrier."""
-    (p, _, pr, _), (q, _, qr, _) = args[0], args[-1]
-    if op in ("not", "and", "or") or (op == "eq" and args[0][3]):
-        if not row:
-            return {"not": lambda v: not v[p], "and": lambda v: v[p] and v[q],
-                    "or": lambda v: v[p] or v[q], "eq": lambda v: v[p] == v[q]}[op]
-        o = slot(f"ONES{k}")
-        return {"not": lambda v: v[o] ^ v[p], "and": lambda v: v[p] & v[q],
-                "or": lambda v: v[p] | v[q], "eq": lambda v: v[o] ^ v[p] ^ v[q]}[op]
-    if op == "eq":
-        if pr and qr:
-            return lambda v: _same(v[p], v[q])
-        if row:
-            r, s = (p, q) if pr else (q, p)
-            return lambda v: _mask(v[r].translate(_EQ[v[s]]))
-        return lambda v: v[p] == v[q]
-    if len(args) == 1:
-        T = slot(f"{op}_p")
-        return (lambda v: v[p].translate(v[T])) if row else (lambda v: v[T][v[p]])
-    if not row:
-        T = slot(op)
-        return lambda v: v[T][v[p]][v[q]]
-    if pr and qr:
-        T = slot(f"{op}_2")
-        f = lambda v: _pairwise(v[T], v[p], v[q])
-    elif qr:
-        T = slot(f"{op}_p")
-        f = lambda v: v[q].translate(v[T][v[p]])
-    else:
-        T = slot(f"{op}_q")
-        f = lambda v: v[p].translate(v[T][v[q]])
-    return (lambda v: _mask(f(v))) if op == "leq" else f
-
-
-
-@memoized
-def _program(law: Law, k: int) -> tuple:
-    """The row evaluator of a term law with the k row variables ``_inner``.
-
-    Each subterm gets a slot in a list of values and a step (``_step``)
-    that computes it from its operands' slots in the loop of its last
-    outer variable, or once per carrier if it reads none.  A subterm that
-    reads a row variable is a ``bytes`` row over the tuples of the row
-    variables, or a bit mask of truth values; a row that a scalar of a
-    deeper loop picks from a row of an outer level is tabulated over the
-    scalar's values.  The whole term is one mask, ``end``, which must be
-    all true in the innermost loop.
-    """
-    term, arity = _term(law.check), _parameters(law.check)[1]
-    inner = _inner(term, arity, k)
-    outer = [i for i in range(arity) if i not in inner]
-    slots: dict = {}  # a string names a value bound to the carrier (``_input``)
-    seen: dict = {}
-    steps: list[list] = [[] for _ in range(len(outer) + 1)]  # steps[level + 1]
-
-    def slot(name) -> int:
-        return slots.setdefault(name, len(slots))
-
-    def add(key, level, row, truth, f) -> tuple:
-        steps[level + 1].append((slot(key), f))
-        return slot(key), level, row, truth
-
-    def lift(w):  # a truth value as a mask
-        o, s = slot(f"ONES{k}"), w[0]
-        return w if w[2] else add(("lift", s), w[1], True, True, lambda v: v[o] if v[s] else 0)
-
-    def visit(u):
-        """(slot, level, is row, is truth value) of the subterm ``u``."""
-        if u in seen:
-            return seen[u]
-        op, *args = u
-        if op == "var":
-            i = args[0]
-            seen[u] = ((slot(f"G{k}{inner.index(i)}"), -1, True, False) if i in inner
-                       else (slot(u), outer.index(i), False, False))
-        elif not args:  # bottom, top, or a truth constant
-            seen[u] = (slot(op), -1, False, u in (_TRUE, _FALSE))
-        else:
-            a = [visit(w) for w in args]
-            row = any(w[2] for w in a)
-            if row and (op in ("not", "and", "or") or op == "eq" and a[0][3]):
-                a = list(map(lift, a))
-            level = max(w[1] for w in a)
-            truth = op in ("leq", "eq", "not", "and", "or")
-            picked = [w for w in a if not w[2] and w[1] >= 1]  # a scalar of a deeper loop
-            if op in _BINARY and row and picked and max(w[1] for w in a if w[2]) < level:
-                # a row that the scalar picks: tabulated over its values
-                R, pick, value = slot("R"), picked[0][0], slot(("value", u))
-                f = _step(op, [(value, -1, False, w[3]) if w is picked[0] else w for w in a],
-                          row, slot, k)
-
-                def tabulate(v):
-                    out = []
-                    for v[value] in v[R]:
-                        out.append(f(v))
-                    return out
-
-                rows = add(("table", u), max(w[1] for w in a if w[2]), False, False, tabulate)[0]
-                seen[u] = add(u, level, True, truth, lambda v: v[rows][v[pick]])
-            else:
-                seen[u] = add(u, level, row, truth, _step(op, a, row, slot, k))
-        return seen[u]
-
-    end = lift(visit(term))[0]
-    loops, ones = [slot(("var", i)) for i in outer], slot(f"ONES{k}")
-    inputs = [(s, name) for name, s in slots.items() if isinstance(name, str)]
-    return inputs, len(slots), loops, steps, end, ones
-
-
-@memoized
-def _input(a, name: str):
-    """A value the row evaluator reads from ``a``: ``R``, the elements;
-    ``ONESk`` and ``Gkj``,
-    the all-true mask and column j of the grid of k row variables; a
-    constant or table ``T``; ``T_p`` and ``T_q``, the rows and columns of
-    ``T`` padded for ``bytes.translate`` (a unary table is one row);
-    ``T_2``, the pairs form of ``T`` that ``_pairwise`` reads."""
-    n = a.size
-    if name in ("R", "true", "false"):
-        return range(n) if name == "R" else name == "true"
-    if name[:4] == "ONES":
-        return _mask(b"\1" * n ** int(name[4]))
-    if name[0] == "G":
-        return _grid(n, int(name[1]))[int(name[2])]
-    table, _, form = name.partition("_")
-    table = _table(a, table)
-    pad = bytes(256 - n)
-    if not form:
-        return table
-    if not isinstance(table[0], tuple):
-        return bytes(table) + pad
-    if form == "2":  # groups of w rows, a pair of each coded in one byte
-        w = 256 // n
-        return bytes(v % w * n for v in range(n)) + pad, [
-            (bytes(v // w == h // w for v in range(n)) + pad,
-             (flat := b"".join(map(bytes, table[h:h + w]))) + bytes(256 - len(flat)))
-            for h in range(0, n, w)
-        ]
-    return tuple(bytes(r) + pad for r in (table if form == "p" else zip(*table)))
 
 
 _ATTRIBUTE = {"neg": "neg_table", "oplus": "oplus_table"}  # table name -> algebra attribute
@@ -779,33 +536,6 @@ def _grid(n: int, k: int) -> tuple[bytes, ...]:
         bytes(chain.from_iterable(map(repeat, range(n), repeat(n ** (k - 1 - i))))) * n**i
         for i in range(k)
     )
-
-
-def _rows_hold(a, law: Law) -> bool:
-    """Whether the term law ``law`` holds on the carrier ``a`` of at most
-    256 elements, decided by its row evaluator (``_program``)."""
-    k = _parameters(law.check)[1]  # as many row variables as fit in one row
-    while k > 1 and a.size**k > _ROW:
-        k -= 1
-    inputs, size, loops, steps, end, ones = _program(law, k)
-    v = [None] * size
-    for s, name in inputs:
-        v[s] = _input(a, name)
-    for s, f in steps[0]:
-        v[s] = f(v)
-    elements, depth = range(a.size), len(loops)
-
-    def loop(d: int) -> bool:
-        var, level, last = loops[d], steps[d + 1], d + 1 == depth
-        for x in elements:
-            v[var] = x
-            for s, f in level:
-                v[s] = f(v)
-            if not (v[end] == v[ones] if last else loop(d + 1)):
-                return False
-        return True
-
-    return loop(0) if depth else v[end] == v[ones]
 
 
 @memoized
@@ -827,14 +557,14 @@ def _bind(algebra: FiniteBLAlgebra, law: Law) -> tuple[Callable, tuple | None]:
 def holds(law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None) -> bool:
     """Whether ``law`` holds (at the operator ``table``).
 
-    The row evaluator decides a term law over more than ``_ROW`` tuples
-    on at most 256 elements; the per-tuple evaluator decides elsewhere.
+    The law's row kernel decides it over more than ``_ROW`` tuples on at
+    most 256 elements; the per-tuple evaluator decides elsewhere.
     """
     bind, columns = _bind(algebra, law)
     if columns is not None:
         return all(map(bind(table), *columns))
-    if law.is_term and algebra.size <= 256:
-        return _rows_hold(algebra, law)
+    if law.rows is not None and algebra.size <= 256:
+        return law.rows(algebra)
     tuples = iproduct(range(algebra.size), repeat=_parameters(law.check)[1])
     return all(starmap(bind(table), tuples))
 
@@ -843,7 +573,7 @@ def witness(
     law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None
 ) -> tuple[int, ...] | None:
     """The lexicographically first tuple where ``law`` fails, or None:
-    the per-tuple evaluator, the oracle of the row evaluator."""
+    the per-tuple evaluator, the oracle of the row kernels."""
     bind, columns = _bind(algebra, law)
     pred = bind(table)
     if columns is not None:

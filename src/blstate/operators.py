@@ -7,11 +7,11 @@ sealing, the table check decides and the element scan names the
 witness: ``axiom_holds`` decides an axiom on whole rows with
 ``bytes.translate`` (carriers of at most 256 elements, ``_axiom_holds``
 and ``constructors.table_preserves``), and only ``axiom_witness`` and
-the witnesses of an operator scan.  The axioms are term laws
+the witnesses of an operator scan.  The axioms are laws
 (``AXIOM_LAWS``), and ``algebra.witness`` scans them.  The MV-operator
 axioms and additivity (``MV_LAWS``, ``ADDITIVITY``) have no kernel of
-their own: they read the operator, so the per-tuple evaluator
-(``algebra.holds``) decides them and the same scan names their witness.
+their own: the per-tuple evaluator (``algebra.holds``) decides them, and
+the same scan names their witness when a report's ``witnesses`` is read.
 ``enumerate_operator_tables``
 finds every operator of a class by backtracking that propagates the
 class's axioms instance by instance: each equational axiom is unrolled
@@ -54,6 +54,7 @@ from .algebra import (
     InternalCheckError,
     Law,
     classify_variety,
+    holds,
     verify_bl_axioms,
     violation,
     witness,
@@ -927,28 +928,36 @@ ADDITIVITY = Law("sigma(x+y) = sigma(x) + sigma(y) for orthogonal x, y",
 
 @dataclass(frozen=True)
 class MVEquivalenceReport:
+    """The verdicts of ``mv_equivalence_check``.  ``failed`` lists the MV
+    axioms that fail, then ``additivity`` if it fails; ``witnesses`` names
+    the first failing pair of each when first read."""
+
+    algebra: FiniteBLAlgebra
+    table: tuple[int, ...]
     bl_state: bool
     mv_state: bool
     strong: bool
     additive_on_orthogonal: bool
-    witnesses: tuple[tuple[str, tuple[int, ...]], ...]
+    failed: tuple[str, ...]
+
+    @cached_property
+    def witnesses(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        laws = {**MV_LAWS, "additivity": ADDITIVITY}
+        return tuple((ax, witness(laws[ax], self.algebra, self.table)) for ax in self.failed)
 
 
 def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> MVEquivalenceReport:
     """Compare the MV-operator axioms with the BL-operator axioms.
 
     Requires an MV carrier (x-- = x everywhere).  For maps passing both,
-    also checks strongness and additivity on orthogonal pairs.
+    also checks strongness and additivity on orthogonal pairs.  Each law
+    is decided with ``holds``; no witness is named until one is read.
     """
     if not classify_variety(algebra).is_mv:
         raise NotMVError("carrier does not satisfy double-negation")
     t = tuple(int(v) for v in table)
-    witnesses = []
-    for ax, law in MV_LAWS.items():
-        found = violation(law, algebra, t)
-        if found is not None:
-            witnesses.append((ax, found[1]))
-    mv_ok = not witnesses
+    failed = tuple(ax for ax, law in MV_LAWS.items() if not holds(law, algebra, t))
+    mv_ok = not failed
     op = verify_operator(algebra, t)
     bl_ok = op.is_state
     if bl_ok != mv_ok:
@@ -958,13 +967,13 @@ def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> MVEq
     strong = op.is_strong
     if bl_ok and not strong:
         raise InternalCheckError("state operator on an MV carrier must be strong")
-    found = violation(ADDITIVITY, algebra, t) if bl_ok else None
-    if found is not None:
-        witnesses.append(("additivity", found[1]))
+    additive = not bl_ok or holds(ADDITIVITY, algebra, t)
     return MVEquivalenceReport(
+        algebra=algebra,
+        table=t,
         bl_state=bl_ok,
         mv_state=mv_ok,
         strong=strong,
-        additive_on_orthogonal=found is None,
-        witnesses=tuple(witnesses),
+        additive_on_orthogonal=additive,
+        failed=failed + (() if additive else ("additivity",)),
     )

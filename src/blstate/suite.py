@@ -18,10 +18,11 @@ claim: ``<operator>: internal cross-check: <message>`` from
 only source of a ``discrepancy``, is the one other loop over the pool.
 
 A pointwise law (``Prop-2.2-*``, ``S2-*``, most of ``Lemma-3.5``,
-``Lemma-3.9``, ``Lemma-3.10-1``) is ``algebra.Law`` data, decided on rows
-and named by the per-tuple scan through ``algebra.violation``:
-``_instance_laws`` names the failing elements by index, ``_operator_laws``
-by label.  Claims about
+``Lemma-3.9``, ``Lemma-3.10-1``) is ``algebra.Law`` data, decided and
+named by the per-tuple scan through ``algebra.violation``; the 3- and
+4-variable laws of Prop 2.2 carry row kernels, which decide them on
+larger carriers.  ``_instance_laws`` names the failing elements by
+index, ``_operator_laws`` by label.  Claims about
 preserving whole operations read the verdicts ``verify_operator``
 already computed on whole tables (``preserves_impl``, axiom 6) or call
 ``is_endomorphism``; only join preservation (Lemma-3.10-2) is a law.
@@ -40,6 +41,10 @@ from .algebra import (
     INFINITE_ORDER,
     InternalCheckError,
     Law,
+    _grid,
+    _mask,
+    _pairs,
+    _pairwise,
     memoized,
     violation,
 )
@@ -213,24 +218,93 @@ def _uniform_weights(k: int) -> list[Fraction]:
 # section 2 claims
 
 
+# The row kernels of the 3- and 4-variable laws read the tables as their
+# lambdas do, with the later variables as a bytes row or a grid of rows
+# (``_grid``) and the earlier ones in loops; a mask of premises may not
+# meet a mask of failed conclusions.
+
+
+def _monotone_prod_rows(a) -> bool:
+    # for each x and c, over the (y, d) grid; the conclusion row depends
+    # only on v = prod[x][c], so it is tabulated once per value
+    n, pad = a.size, bytes(256 - a.size)
+    leq = [bytes(row) for row in a.leq]
+    padded, ys = [row + pad for row in leq], _grid(n, 2)[0]
+    flat = b"".join(a.byte_rows[2])
+    x_le = [_mask(ys.translate(row)) for row in padded]  # leq[x][y]
+    c_le = [_mask(row * n) for row in leq]  # leq[c][d]
+    above = {v: _mask(flat.translate(padded[v])) for v in set(flat)}  # leq[v][prod[y][d]]
+    return not any(
+        x_le[x] & c_le[c] & ~above[v] for x, row in enumerate(a.prod) for c, v in enumerate(row)
+    )
+
+
 _prop_2_2_1 = _instance_laws(Law(
     "monotonicity of prod at {},{},{},{}",
     lambda prod, leq, x, y, c, d: (
-        not leq[x][y] or not leq[c][d] or leq[prod[x][c]][prod[y][d]])))
+        not leq[x][y] or not leq[c][d] or leq[prod[x][c]][prod[y][d]]),
+    _monotone_prod_rows))
+
+
+def _monotone_impl_rows(a) -> bool:
+    # for each c and x, over y: the conclusion row is impl[c] through
+    # leq[impl[c][x]], tabulated once per value of impl[c]
+    pad = bytes(256 - a.size)
+    leq = [bytes(row) for row in a.leq]
+    x_le, padded = list(map(_mask, leq)), [row + pad for row in leq]
+    for row in a.byte_rows[3]:
+        above = {v: _mask(row.translate(padded[v])) for v in set(row)}
+        if any(x_le[x] & ~above[v] for x, v in enumerate(row)):
+            return False
+    return True
+
+
 _prop_2_2_2 = _instance_laws(Law(
     "monotonicity of impl at {2},{0},{1}",
-    lambda impl, leq, x, y, c: not leq[x][y] or leq[impl[c][x]][impl[c][y]]))
+    lambda impl, leq, x, y, c: not leq[x][y] or leq[impl[c][x]][impl[c][y]],
+    _monotone_impl_rows))
 _prop_2_2_3 = _instance_laws(Law(
     "a->b- = (a*b)- fails at {},{}",
     lambda prod, impl, neg, x, y: impl[x][neg[y]] == neg[prod[x][y]]))
 _prop_2_2_4 = _instance_laws(Law(
     "a->(a^b) = a->b fails at {},{}", lambda meet, impl, x, y: impl[x][meet[x][y]] == impl[x][y]))
+
+
+def _prod_step_rows(a) -> bool:
+    # for each x, over the (y, c) grid: impl[prod[x][c]][prod[y][c]], then
+    # leq from impl[x][y] to it, each one _pairwise lookup
+    n, pad = a.size, bytes(256 - a.size)
+    _, _, prod, impl = a.byte_rows
+    ys, flat = _grid(n, 2)[0], b"".join(prod)  # y and prod[y][c] over the grid
+    impl2, leq2, ones = _pairs(a.impl), _pairs(a.leq), b"\1" * (n * n)
+    return all(
+        _pairwise(leq2, ys.translate(impl[x] + pad), _pairwise(impl2, prod[x] * n, flat)) == ones
+        for x in range(n)
+    )
+
+
 _prop_2_2_5 = _instance_laws(Law(
     "a->b <= a*c->b*c fails at {},{},{}",
-    lambda prod, impl, leq, x, y, c: leq[impl[x][y]][impl[prod[x][c]][prod[y][c]]]))
+    lambda prod, impl, leq, x, y, c: leq[impl[x][y]][impl[prod[x][c]][prod[y][c]]],
+    _prod_step_rows))
+
+
+def _residuation_rows(a) -> bool:
+    # for each x, over the (y, c) grid: impl[x][impl[y][c]] is the flat
+    # impl table through impl[x], impl[prod[x][y]][c] the rows prod[x] picks
+    pad = bytes(256 - a.size)
+    _, _, prod, impl = a.byte_rows
+    flat = b"".join(impl)
+    return all(
+        flat.translate(impl[x] + pad) == b"".join(map(impl.__getitem__, prod[x]))
+        for x in range(a.size)
+    )
+
+
 _prop_2_2_6 = _instance_laws(Law(  # the residuation law a->(b->c) = (a*b)->c
     "residuation law fails at {},{},{}",
-    lambda prod, impl, x, y, c: impl[x][impl[y][c]] == impl[prod[x][y]][c]))
+    lambda prod, impl, x, y, c: impl[x][impl[y][c]] == impl[prod[x][y]][c],
+    _residuation_rows))
 _s2_orthogonality = _instance_laws(Law(
     "orthogonality forms disagree at {},{}",
     lambda prod, neg, leq, bottom, x, y: (

@@ -19,7 +19,6 @@ from blstate.algebra import (
 from blstate.constructors import _preservation_scan, preservation_witness
 from blstate.filters import radical
 from blstate.operators import (
-    MVEquivalenceReport,
     NotMVError,
     identity_table,
     verify_operator,
@@ -408,11 +407,12 @@ def mv_axiom_witness(
     return None
 
 
-def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> MVEquivalenceReport:
+def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> tuple:
     """Compare the MV-operator axioms with the BL-operator axioms.
 
     Requires an MV carrier (x-- = x everywhere).  For maps passing both,
-    also checks strongness and additivity on orthogonal pairs.
+    also checks strongness and additivity on orthogonal pairs.  Returns
+    ``(bl_state, mv_state, strong, additive_on_orthogonal, witnesses)``.
     """
     if not classify_variety(algebra).is_mv:
         raise NotMVError("carrier does not satisfy double-negation")
@@ -444,13 +444,7 @@ def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> MVEq
                 additive = False
                 witnesses.append(("additivity", (x, y)))
                 break
-    return MVEquivalenceReport(
-        bl_state=bl_ok,
-        mv_state=mv_ok,
-        strong=strong,
-        additive_on_orthogonal=additive,
-        witnesses=tuple(witnesses),
-    )
+    return bl_ok, mv_ok, strong, additive, tuple(witnesses)
 
 
 @memoized

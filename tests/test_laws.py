@@ -4,7 +4,6 @@ law pinned to the hand-written loop it replaced (``law_oracles``)."""
 import dataclasses
 from itertools import product as iproduct
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,7 +184,10 @@ def test_operator_laws_match_the_loops(a, data):
             if is_mv:
                 for ax, law in MV_LAWS.items():
                     assert _first(law, a, t) == oracle.mv_axiom_witness(a, t, ax), ax
-                assert mv_equivalence_check(a, t) == oracle.mv_equivalence_check(a, t)
+                report = mv_equivalence_check(a, t)
+                assert (report.bl_state, report.mv_state, report.strong,
+                        report.additive_on_orthogonal, report.witnesses
+                        ) == oracle.mv_equivalence_check(a, t)
                 assert _first(ADDITIVITY, a, t) == _definitional_additivity(a, t)
 
 
@@ -210,7 +212,7 @@ def test_instance_laws_match_the_loops_on_perturbed_algebras(a, data):
 
 
 # ---------------------------------------------------------------------------
-# the row evaluator against the per-tuple evaluator
+# the row kernels against the per-tuple evaluator
 
 
 def _laws_in(obj, found: dict) -> dict:
@@ -233,42 +235,32 @@ LAWS = list(_laws_in(
      _JOIN_PRESERVED, _VARIETY_LAWS],
     {},
 ).values())
-TERM_LAWS = [law for law in LAWS if law.is_term]
+KERNEL_LAWS = [law for law in LAWS if law.rows is not None]
+# the laws over the named tables only: no operator t, orders or radical
+# (read through the algebra a)
+INSTANCE_LAWS = [
+    law for law in LAWS if not algebra._parameters(law.check)[0] & {"t", "orders", "a"}
+]
 
 
 def _arity(law):
     return algebra._parameters(law.check)[1]
 
 
-def test_every_reachable_law_but_the_listed_predicates_has_a_row_plan():
-    # a law that reads the operator t, the orders or the radical (through
-    # the algebra a) has no row plan; every other law is a term
+def test_every_reachable_law_over_the_named_tables_and_three_variables_has_a_row_kernel():
+    # a law that reads the operator t, the orders or the radical, or has
+    # at most 2 variables, goes per tuple on every carrier
     assert len(LAWS) == 48
+    assert len(INSTANCE_LAWS) == 12  # Prop-2.2, S2 and the variety flags
     for law in LAWS:
-        assert law.is_term == (not algebra._parameters(law.check)[0] & {"t", "orders", "a"})
-    assert len(TERM_LAWS) == 12  # Prop-2.2, S2 and the variety flags
-    for law in TERM_LAWS:
-        for k in range(1, _arity(law) + 1):
-            assert algebra._program(law, k), (law.text, k)
+        assert (law.rows is not None) == (law in INSTANCE_LAWS and _arity(law) >= 3), law.text
+    assert len(KERNEL_LAWS) == 4  # Prop-2.2-1, 2, 5 and 6
 
 
-# two laws the suite does not have: a truth value of an outer variable in
-# a conjunction with a row, and a truth constant (from ``not``)
-MIXED = (
-    Law("", lambda leq, prod, x, y: leq[prod[x][x]][x] and leq[x][y] or leq[y][x]),
-    Law("", lambda leq, x, y: leq[x][y] or not leq[x][y]),
-)
-
-
-def _rows_agree_with_tuples(a, laws=(*TERM_LAWS, *MIXED)):
-    """Each law decides on rows as per tuple: with as many row variables
-    as fit in one row, and with one row variable, where more variables
-    loop and rows tabulate."""
+def _rows_agree_with_tuples(a, laws=KERNEL_LAWS):
+    """Each law's row kernel decides as its per-tuple evaluator does."""
     for law in laws:
-        expected = witness(law, a) is None
-        assert algebra._rows_hold(a, law) == expected, law.text
-        with mock.patch.object(algebra, "_ROW", a.size):
-            assert algebra._rows_hold(a, law) == expected, law.text
+        assert law.rows(a) == (witness(law, a) is None), law.text
 
 
 def _perturbed(a, data):
@@ -282,17 +274,16 @@ def _perturbed(a, data):
 @settings(max_examples=25, deadline=None)
 @given(algebras.filter(lambda a: a.size <= 9), st.data())
 def test_row_evaluator_matches_the_per_tuple_evaluator(a, data):
-    """Every term law decides on rows as its per-tuple evaluator does: on
-    the algebra, and on copies with one entry of one table changed."""
+    """Every row kernel decides as its per-tuple evaluator does: on the
+    algebra, and on copies with one entry of one table changed."""
     _rows_agree_with_tuples(a)
     if a.size > 1:
         for _ in range(3):
             _rows_agree_with_tuples(_perturbed(a, data))
 
 
-# 18 and 32 elements: rows pair in two and four lookup groups, and on 18
-# the four variables of Prop-2.2-1 split into two loops and two row
-# variables; on 40 only one variable fits in a row
+# 18 and 32 elements: _pairwise reads two and four lookup groups; on 40,
+# seven, and every 2-variable law spans more than _ROW tuples
 LARGE = (
     direct_product(mv_chain(8), godel_chain(2)),
     direct_product(mv_chain(7), godel_chain(4)),
@@ -303,17 +294,20 @@ LARGE = (
 @settings(max_examples=4, deadline=None)
 @given(st.sampled_from(LARGE), st.data())
 def test_row_evaluator_matches_the_per_tuple_evaluator_on_larger_carriers(a, data):
-    laws = [law for law in (*TERM_LAWS, *MIXED) if a.size ** _arity(law) <= 120_000]
-    _rows_agree_with_tuples(a, laws)
-    _rows_agree_with_tuples(_perturbed(a, data), laws)
+    # holds: the kernels above _ROW tuples, the per-tuple evaluator for the
+    # other instance laws; Prop-2.2-1 on 40 elements would scan 2.56M tuples
+    laws = [law for law in INSTANCE_LAWS if a.size ** _arity(law) <= 1_100_000]
+    for b in (a, _perturbed(a, data)):
+        for law in laws:
+            assert algebra.holds(law, b) == (witness(law, b) is None), law.text
 
 
-def test_operator_laws_never_reach_the_row_evaluator_above_32_elements(monkeypatch):
-    # on 40 elements a 2-variable law spans 1600 tuples, more than one row;
-    # a law that reads the operator is still decided per tuple
+def test_operator_laws_never_reach_the_row_evaluator_above_32_elements():
+    # on 40 elements a 2-variable law spans 1600 tuples, more than _ROW; a
+    # law that reads the operator has no kernel and is decided per tuple
     a = LARGE[2]
     monotone = next(law for law in LAWS if law.text == "monotone at {},{}")  # Lemma-3.5-c
-    monkeypatch.setattr(algebra, "_rows_hold", mock.Mock(side_effect=AssertionError))
+    assert monotone.rows is None
     identity = tuple(range(a.size))
     changed = _changed(identity, a.size, [(a.top, a.bottom - a.top)])  # top to bottom
     assert [algebra.holds(monotone, a, t) for t in (identity, changed)] == [True, False]

@@ -5,7 +5,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blstate.algebra import verify_bl_axioms
+from blstate.algebra import FiniteBLAlgebra, holds, verify_bl_axioms, witness
 from blstate.constructors import (
     _preservation_scan,
     diagonal_operator_table,
@@ -18,9 +18,12 @@ from blstate.constructors import (
 )
 from blstate.filters import mask_members, maximal_filters, radical, state_filters, subset_mask
 from blstate.operators import (
+    ADDITIVITY,
+    AXIOM_LAWS,
     EnumerationStats,
     OPERATOR_AXIOMS,
     _axiom_scan,
+    axiom_holds,
     axiom_witness,
     chain_product_sum,
     classify_state_algebra,
@@ -565,3 +568,49 @@ def test_godel_floor_families():
     assert family == set(enumerate_operator_tables(g4, "state"))
     with pytest.raises(ShapeMismatchError):
         godel_floor_table(mv_chain(2), 1)  # not idempotent product
+
+
+def _lukasiewicz_chain(m):
+    """The Lukasiewicz chain 0 < 1/m < ... < 1 on the elements 0..m, built
+    directly: sealing would scan O(n^3) tuples on 257 elements."""
+    rng = range(m + 1)
+    return FiniteBLAlgebra(
+        size=m + 1,
+        labels=tuple(map(str, rng)),
+        meet=tuple(tuple(min(x, y) for y in rng) for x in rng),
+        join=tuple(tuple(max(x, y) for y in rng) for x in rng),
+        prod=tuple(tuple(max(0, x + y - m) for y in rng) for x in rng),
+        impl=tuple(tuple(min(m, m - x + y) for y in rng) for x in rng),
+        bottom=0,
+        top=m,
+    )
+
+
+def test_carriers_over_256_elements_decide_by_the_element_scan():
+    # a bytes row holds at most 256 values, so on 257 elements every table
+    # kernel steps aside for the per-tuple evaluator or the element scan
+    a = _lukasiewicz_chain(256)
+    rng = range(a.size)
+    identity = identity_table(a)
+    top_to_bottom = identity[:-1] + (a.bottom,)
+    tables = (a.meet, a.join, a.prod, a.impl)
+
+    def first_unpreserved(t, T):
+        return next(((x, y) for x in rng for y in rng if t[T[x][y]] != T[t[x]][t[y]]), None)
+
+    failed = {}
+    for t in (identity, top_to_bottom):
+        for ax in OPERATOR_AXIOMS:
+            found = witness(AXIOM_LAWS[ax], a, t)
+            assert axiom_holds(a, t, ax) == (found is None), ax
+            assert axiom_witness(a, t, ax) == found, ax
+            if found is not None:
+                failed[ax] = found
+        for T in tables:
+            assert preservation_witness(t, T, T) == first_unpreserved(t, T)
+    # 1 and 4 hold: bottom stays fixed, and no product of image values is top
+    assert failed == {"2": (0, 0), "3": (1, 256), "3s": (1, 256), "5": (0, 0), "6": (1, 256),
+                      "7": (0, 0)}
+    assert is_endomorphism(a, identity) and not is_endomorphism(a, top_to_bottom)
+    assert [holds(ADDITIVITY, a, t) for t in (identity, top_to_bottom)] == [True, False]
+    assert witness(ADDITIVITY, a, top_to_bottom) == (1, 255)

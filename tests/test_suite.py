@@ -193,23 +193,24 @@ def test_a_cold_run_checks_states_seals_images_and_walks_powers_once(monkeypatch
     assert counts["has_power_negation_in"] <= 1820
 
 
-def test_a_cold_run_decides_every_large_term_law_on_rows(monkeypatch):
-    # a term law (an instance law) over more than one row of tuples is
-    # decided on rows; the per-tuple evaluator decides the others and names
-    # the witness of a failing law only
-    decisions, on_rows, scans = [], [], []
-    real_holds, real_rows, real_witness = algebra.holds, algebra._rows_hold, algebra.witness
+def test_a_cold_run_decides_every_large_law_with_a_kernel_on_rows(monkeypatch):
+    # a law with a row kernel (an instance law) over more than _ROW tuples
+    # is decided by its kernel; the per-tuple evaluator decides the others
+    # and names the witness of a failing law only
+    decisions, scans = [], []
+    real_holds, real_witness = algebra.holds, algebra.witness
 
     def deciding(law, a, table=None):
-        before = len(on_rows)
-        verdict = real_holds(law, a, table)
+        ran, kernel = [], law.rows
+        if kernel is not None:  # Law is frozen: swap in a kernel that reports its call
+            object.__setattr__(law, "rows", lambda b: ran.append(b) or kernel(b))
+        try:
+            verdict = real_holds(law, a, table)
+        finally:
+            object.__setattr__(law, "rows", kernel)
         large = a.size ** algebra._parameters(law.check)[1] > algebra._ROW
-        decisions.append((law, verdict, len(on_rows) > before, large))
+        decisions.append((law, verdict, bool(ran), large))
         return verdict
-
-    def rows_hold(a, law):
-        on_rows.append(law)
-        return real_rows(a, law)
 
     def scanning(law, *args):
         found = real_witness(law, *args)
@@ -217,16 +218,19 @@ def test_a_cold_run_decides_every_large_term_law_on_rows(monkeypatch):
         return found
 
     monkeypatch.setattr(algebra, "holds", deciding)
-    monkeypatch.setattr(algebra, "_rows_hold", rows_hold)
+    monkeypatch.setattr(operators, "holds", deciding)
     monkeypatch.setattr(algebra, "witness", scanning)
     monkeypatch.setattr(operators, "witness", scanning)
     report = run_suite(default_corpus())
     assert report.failures == []
-    assert all(law.is_term for law in on_rows)
-    assert [law.text for law, _, rows, large in decisions if rows != (large and law.is_term)] == []
+    assert [law.text for law, _, rows, large in decisions
+            if rows != (large and law.rows is not None)] == []
     # Prop-2.2-1, 2.2-2, 2.2-5 and 2.2-6 on the larger carriers
-    assert len({law.text for law in on_rows}) >= 4
-    assert any(not law.is_term for law, _ in scans)  # Prop-3.13's random maps fail
+    assert len({law.text for law, _, rows, _ in decisions if rows}) == 4
+    # Prop-3.13's random maps fail MV laws, and no witness is named for them
+    mv_laws = [*operators.MV_LAWS.values(), operators.ADDITIVITY]
+    assert any(law in mv_laws and not verdict for law, verdict, _, _ in decisions)
+    assert [law.text for law, _ in scans if law in mv_laws] == []
     assert [law.text for law, found in scans if found is None] == []
 
 
