@@ -475,7 +475,7 @@ class Law:
 
     text: str
     check: Callable
-    rows: Callable[["FiniteBLAlgebra"], bool] | None = None
+    rows: Callable | None = None
 
 
 @lru_cache(maxsize=256)
