@@ -9,8 +9,8 @@ candidate counterexample with its witness, never as a proof.
 import argparse
 import sys
 
+from blstate import operators
 from blstate.constructors import direct_product, godel_chain, mv_chain, ordinal_sum
-from blstate.operators import enumerate_operator_tables, verify_operator
 
 
 def candidates(max_chain: int, max_size: int):
@@ -42,16 +42,12 @@ def main(argv=None) -> int:
         if key in seen:
             continue
         seen.add(key)
-        state = enumerate_operator_tables(a, "state")
-        strong = set(enumerate_operator_tables(a, "strong"))
-        gap = [t for t in state if t not in strong]
-        total_state += len(state)
+        n_state, n_strong, gap = operators.state_strong_gap(a)
+        total_state += n_state
         total_candidates += len(gap)
         marker = f"  <-- {len(gap)} candidate(s)" if gap else ""
-        print(f"n={a.size:2d} state={len(state):3d} strong={len(strong):3d}{marker}")
-        for t in gap:
-            op = verify_operator(a, t)
-            witness = op.witness_for("3s")
+        print(f"n={a.size:2d} state={n_state:3d} strong={n_strong:3d}{marker}")
+        for t, witness in gap:
             print(f"    candidate (not a proof): {t} strong axiom fails at {witness}")
     print(f"searched {len(seen)} algebras, {total_state} state operators,"
           f" {total_candidates} candidate(s) that are state but not strong")

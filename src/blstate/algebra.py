@@ -9,18 +9,21 @@ between threads; every downstream module assumes its input passed
 
 Sealing has two parts: the table check decides; the element scan names
 the witness.  On carriers of at most 256 elements (a property of the
-input: each table row then fits in ``bytes``) the laws are decided on
-whole tables with ``bytes.translate``; the element scan runs only on a
-failure, or on a larger carrier, and names the first violation.
+input: each table row then fits in ``bytes``) ``_laws_hold`` decides the
+laws on whole tables with ``bytes.translate``; the element scan
+(``_first_violation``, the laws of ``_SEALING`` read by ``violation``)
+runs only on a failure, or on a larger carrier, and names the first
+violation.
 
-Pointwise laws are data, ``Law`` values (``classify_variety`` reads
-four).  A law's lambda is its per-tuple evaluator (``witness``), which
-names the lexicographically first failing tuple.  ``holds`` decides a
-law over at most ``_ROW`` tuples per tuple, and a larger law that has a
-row kernel (``Law.rows``: the 3- and 4-variable laws of Prop 2.2) with
-that kernel, on ``bytes`` rows, as the table check of sealing decides;
-every other law goes per tuple.  ``violation`` scans only a failing law
-for its witness.
+Pointwise laws are data, ``Law`` values: the element scan of sealing,
+the operator axioms and preservation (``operators``), the pointwise
+claims of ``suite`` and the four laws of ``classify_variety``.  A law's lambda is
+its per-tuple evaluator (``witness``), which names the
+lexicographically first failing tuple.  ``holds`` is the one place that
+picks a route: a law with a row kernel (``Law.rows``) is decided by that
+kernel on ``bytes`` rows on a carrier of at most 256 elements, and every
+other law per tuple.  ``violation`` scans only a failing law for its
+witness.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, wraps
 from itertools import chain, compress, product as iproduct, repeat, starmap
 from operator import getitem, not_
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 Table = tuple[tuple[int, ...], ...]
@@ -186,71 +190,6 @@ def find_axiom_violation(
     return _first_violation(meet, join, prod, impl, bottom, top)
 
 
-def _first_violation(
-    meet: Table, join: Table, prod: Table, impl: Table, bottom: int, top: int
-) -> AxiomViolation | None:
-    """Scan the six invariant groups in a fixed deterministic order.
-
-    Group order: lattice, monoid, adjointness, divisibility,
-    prelinearity; within a group the sub-law order is as written below
-    and indices run lexicographically.  The first failure wins, which
-    keeps violation witnesses reproducible.
-    """
-    n = len(meet)
-    rng = range(n)
-
-    # lattice: commutativity, associativity, absorption, bounds, meet/join agreement
-    for a, b in iproduct(rng, rng):
-        if meet[a][b] != meet[b][a]:
-            return AxiomViolation("lattice", (a, b), "meet not commutative")
-        if join[a][b] != join[b][a]:
-            return AxiomViolation("lattice", (a, b), "join not commutative")
-    for a, b, c in iproduct(rng, rng, rng):
-        if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
-            return AxiomViolation("lattice", (a, b, c), "meet not associative")
-        if join[join[a][b]][c] != join[a][join[b][c]]:
-            return AxiomViolation("lattice", (a, b, c), "join not associative")
-    for a, b in iproduct(rng, rng):
-        if meet[a][join[a][b]] != a:
-            return AxiomViolation("lattice", (a, b), "absorption meet(a, join(a,b)) != a")
-        if join[a][meet[a][b]] != a:
-            return AxiomViolation("lattice", (a, b), "absorption join(a, meet(a,b)) != a")
-    for a in rng:
-        if meet[bottom][a] != bottom:
-            return AxiomViolation("lattice", (a,), "bottom is not the least element")
-        if join[top][a] != top:
-            return AxiomViolation("lattice", (a,), "top is not the greatest element")
-    for a, b in iproduct(rng, rng):
-        if (meet[a][b] == a) != (join[a][b] == b):
-            return AxiomViolation("lattice", (a, b), "meet/join induce different orders")
-
-    # monoid: commutativity, associativity, unit top
-    for a, b in iproduct(rng, rng):
-        if prod[a][b] != prod[b][a]:
-            return AxiomViolation("monoid", (a, b), "prod not commutative")
-    for a, b, c in iproduct(rng, rng, rng):
-        if prod[prod[a][b]][c] != prod[a][prod[b][c]]:
-            return AxiomViolation("monoid", (a, b, c), "prod not associative")
-    for a in rng:
-        if prod[a][top] != a:
-            return AxiomViolation("monoid", (a,), "top is not the monoid unit")
-
-    # adjointness: c <= impl(a,b)  iff  prod(a,c) <= b
-    for a, b, c in iproduct(rng, rng, rng):
-        p = prod[a][c]
-        if (meet[c][impl[a][b]] == c) != (meet[p][b] == p):
-            return AxiomViolation("adjointness", (a, b, c))
-
-    for a, b in iproduct(rng, rng):
-        if meet[a][b] != prod[a][impl[a][b]]:
-            return AxiomViolation("divisibility", (a, b))
-
-    for a, b in iproduct(rng, rng):
-        if join[impl[a][b]][impl[b][a]] != top:
-            return AxiomViolation("prelinearity", (a, b))
-    return None
-
-
 @dataclass(frozen=True)
 class FiniteBLAlgebra:
     """A sealed finite BL-algebra.  Construct via ``verify_bl_axioms``."""
@@ -351,8 +290,8 @@ class FiniteBLAlgebra:
     def byte_rows(self) -> tuple[tuple[bytes, ...], ...]:
         """meet, join, prod and impl with every row as ``bytes``.
 
-        Only for carriers of at most 256 elements; the table kernels
-        (``operators``, ``constructors.table_preserves``) read them.
+        Only for carriers of at most 256 elements; the row kernels of the
+        laws (``Law.rows``) and ``constructors.table_preserves`` read them.
         """
         return tuple(tuple(map(bytes, t)) for t in (self.meet, self.join, self.prod, self.impl))
 
@@ -468,9 +407,10 @@ class Law:
     the algebra, and any other name an attribute of the algebra (``neg``
     and ``oplus`` read ``neg_table`` and ``oplus_table``).  Called with
     the tables and elements it is the per-tuple evaluator.  ``rows``, if
-    given, is the law's row kernel: ``rows(a)`` decides the law on an
-    algebra of at most 256 elements with ``bytes`` rows, reading the
-    tables exactly as ``check`` does.
+    given, is the law's row kernel: ``rows(a, t)`` decides the law on an
+    algebra of at most 256 elements (at the operator table ``t``, None for
+    a law that does not read it) with ``bytes`` rows, reading the tables
+    exactly as ``check`` does.
     """
 
     text: str
@@ -488,8 +428,8 @@ def _parameters(check: Callable) -> tuple[frozenset[str], int]:
 
 
 _mask = partial(int.from_bytes, byteorder="little")  # a 0/1 byte row as a bit mask
-# the per-tuple evaluator decides a law over at most _ROW tuples, and a
-# row kernel a larger one
+# the per-tuple evaluator reads a law over at most _ROW tuples from byte
+# columns (``_grid``), and a larger one from ``iproduct``
 _ROW = 1024
 
 
@@ -557,14 +497,15 @@ def _bind(algebra: FiniteBLAlgebra, law: Law) -> tuple[Callable, tuple | None]:
 def holds(law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None) -> bool:
     """Whether ``law`` holds (at the operator ``table``).
 
-    The law's row kernel decides it over more than ``_ROW`` tuples on at
-    most 256 elements; the per-tuple evaluator decides elsewhere.
+    The one place that picks a route: a law with a row kernel is decided
+    by that kernel on at most 256 elements, and every other law, or one
+    on a larger carrier, by the per-tuple evaluator.
     """
+    if law.rows is not None and algebra.size <= 256:
+        return law.rows(algebra, table)
     bind, columns = _bind(algebra, law)
     if columns is not None:
         return all(map(bind(table), *columns))
-    if law.rows is not None and algebra.size <= 256:
-        return law.rows(algebra)
     tuples = iproduct(range(algebra.size), repeat=_parameters(law.check)[1])
     return all(starmap(bind(table), tuples))
 
@@ -599,6 +540,62 @@ def violation(
             if found is None or failure < found[1]:
                 found = (law, failure)
     return found
+
+
+# the BL laws of the element scan, in groups of laws over the same variables
+_SEALING = (
+    ("lattice", (
+        Law("meet not commutative", lambda meet, x, y: meet[x][y] == meet[y][x]),
+        Law("join not commutative", lambda join, x, y: join[x][y] == join[y][x]),
+    )),
+    ("lattice", (
+        Law("meet not associative",
+            lambda meet, x, y, z: meet[meet[x][y]][z] == meet[x][meet[y][z]]),
+        Law("join not associative",
+            lambda join, x, y, z: join[join[x][y]][z] == join[x][join[y][z]]),
+    )),
+    ("lattice", (
+        Law("absorption meet(a, join(a,b)) != a",
+            lambda meet, join, x, y: meet[x][join[x][y]] == x),
+        Law("absorption join(a, meet(a,b)) != a",
+            lambda meet, join, x, y: join[x][meet[x][y]] == x),
+    )),
+    ("lattice", (
+        Law("bottom is not the least element", lambda meet, bottom, x: meet[bottom][x] == bottom),
+        Law("top is not the greatest element", lambda join, top, x: join[top][x] == top),
+    )),
+    ("lattice", (Law("meet/join induce different orders",
+                     lambda meet, join, x, y: (meet[x][y] == x) == (join[x][y] == y)),)),
+    ("monoid", (Law("prod not commutative", lambda prod, x, y: prod[x][y] == prod[y][x]),)),
+    ("monoid", (Law("prod not associative",
+                    lambda prod, x, y, z: prod[prod[x][y]][z] == prod[x][prod[y][z]]),)),
+    ("monoid", (Law("top is not the monoid unit", lambda prod, top, x: prod[x][top] == x),)),
+    # z <= impl(x, y) iff prod(x, z) <= y
+    ("adjointness", (Law("", lambda meet, prod, impl, x, y, z: (
+        (meet[z][impl[x][y]] == z) == (meet[prod[x][z]][y] == prod[x][z]))),)),
+    ("divisibility", (Law("", lambda meet, prod, impl, x, y: meet[x][y] == prod[x][impl[x][y]]),)),
+    ("prelinearity", (Law("", lambda join, impl, top, x, y: join[impl[x][y]][impl[y][x]] == top),)),
+)
+
+
+def _first_violation(
+    meet: Table, join: Table, prod: Table, impl: Table, bottom: int, top: int
+) -> AxiomViolation | None:
+    """The first failure of the ``_SEALING`` groups, in their order, or None.
+
+    The order (lattice, monoid, adjointness, divisibility, prelinearity)
+    keeps violation witnesses reproducible.  Within a group the
+    lexicographically first failing tuple wins, and at the same tuple the
+    earlier law (``violation``); the law's text is the ``detail``.
+    """
+    tables = SimpleNamespace(
+        size=len(meet), meet=meet, join=join, prod=prod, impl=impl, bottom=bottom, top=top
+    )
+    for axiom, laws in _SEALING:
+        found = violation(laws, tables)  # type: ignore[arg-type]
+        if found is not None:
+            return AxiomViolation(axiom, found[1], found[0].text)
+    return None
 
 
 @dataclass(frozen=True)

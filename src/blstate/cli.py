@@ -38,6 +38,7 @@ from .operators import (
     classify_state_algebra,
     enumerate_operator_tables,
     kernel_and_faithfulness,
+    state_strong_gap,
     verify_operator,
 )
 from .states import (
@@ -247,15 +248,12 @@ def _cmd_search_nonstrong(args) -> int:
     if algebra.size > 10:
         print("carrier too large for exhaustive search (limit 10)", file=sys.stderr)
         return 2
-    state_tables = enumerate_operator_tables(algebra, "state")
-    strong_tables = set(enumerate_operator_tables(algebra, "strong"))
-    candidates = [t for t in state_tables if t not in strong_tables]
+    n_state, n_strong, gap = state_strong_gap(algebra)
     print(
-        f"{len(state_tables)} state operator(s), {len(strong_tables)} strong;"
-        f" {len(candidates)} candidate(s) that are state but not strong"
+        f"{n_state} state operator(s), {n_strong} strong;"
+        f" {len(gap)} candidate(s) that are state but not strong"
     )
-    for t in candidates:
-        w = verify_operator(algebra, t).witness_for("3s")
+    for t, w in gap:
         print(f"candidate (not a proof): {_fmt_map(algebra, t)}; strong axiom fails at {w}")
     return 0
 

@@ -2,23 +2,25 @@
 
 An operator is a total unary map given as a value table.  ``verify_operator``
 grades a table into the classes none / state / strong / morphism and
-names the witness of each failed axiom when it is first read.  As in
-sealing, the table check decides and the element scan names the
-witness: ``axiom_holds`` decides an axiom on whole rows with
-``bytes.translate`` (carriers of at most 256 elements, ``_axiom_holds``
-and ``constructors.table_preserves``), and only ``axiom_witness`` and
-the witnesses of an operator scan.  The axioms are laws
-(``AXIOM_LAWS``), and ``algebra.witness`` scans them.  The MV-operator
-axioms and additivity (``MV_LAWS``, ``ADDITIVITY``) have no kernel of
-their own: the per-tuple evaluator (``algebra.holds``) decides them, and
-the same scan names their witness when a report's ``witnesses`` is read.
-``enumerate_operator_tables``
-finds every operator of a class by backtracking that propagates the
-class's axioms instance by instance: each equational axiom is unrolled
-into static instances ``s[l] == T[s[a]][s[b]]``, and an instance checks
-or forces ``s[l]`` as soon as ``s[a]`` and ``s[b]`` are assigned.  The
-fixed-point closure of the image runs once per distinct image value on
-the search path, and every leaf is re-checked by the table kernels.
+names the witness of each failed axiom when it is first read.  The
+axioms (``AXIOM_LAWS``) and the preservation of each operation
+(``PRESERVES``, which ``is_endomorphism`` reads) are ``algebra.Law``
+data, each with a row kernel that decides it on whole rows with
+``bytes.translate`` (axiom 1 reads one entry): ``algebra.holds``
+decides, and ``algebra.witness`` scans only to name a witness.  The
+MV-operator axioms and additivity (``MV_LAWS``, ``ADDITIVITY``) have no
+kernel: the per-tuple evaluator decides them, and the same scan names
+their witness when a report's ``witnesses`` is read.
+
+``enumerate_operator_tables`` finds every operator of a class by
+backtracking that propagates the class's axioms instance by instance:
+each equational axiom is unrolled into static instances
+``s[l] == T[s[a]][s[b]]``, and an instance checks or forces ``s[l]`` as
+soon as ``s[a]`` and ``s[b]`` are assigned.  The fixed-point closure of
+the image runs once per distinct image value on the search path, and
+every leaf is re-checked by the row kernels.  ``state_strong_gap``
+compares the state and strong classes for ``blstate search-nonstrong``
+and ``scripts/search_nonstrong.py``.
 
 Two pairs of routes are kept on purpose as independent cross-checks that
 must agree: the pruned enumerator vs ``brute_force_operator_tables`` (an
@@ -44,7 +46,7 @@ criterion on sigma-images) lives there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product as iproduct
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -64,7 +66,6 @@ from .constructors import (
     mv_chain,
     ordinal_sum,
     ordinal_summand_slices,
-    preservation_witness,
     table_preserves,
 )
 from .filters import (
@@ -95,92 +96,91 @@ class NotAStateFilterError(Exception):
 # "6" is product preservation, "7" is impl preservation
 OPERATOR_AXIOMS = ("1", "2", "3", "3s", "4", "5", "6", "7")
 
-AXIOM_LAWS = {
-    "1": Law("sigma(bottom) = bottom", lambda t, bottom, x: x != bottom or t[x] == x),
-    "2": Law("sigma(x->y) = sigma(x) -> sigma(x^y)",
-             lambda t, meet, impl, x, y: t[impl[x][y]] == impl[t[x]][t[meet[x][y]]]),
-    "3": Law("sigma(x*y) = sigma(x) * sigma(x -> x*y)",
-             lambda t, prod, impl, x, y: t[prod[x][y]] == prod[t[x]][t[impl[x][prod[x][y]]]]),
-    "3s": Law("sigma(x*y) = sigma(x) * sigma(-x v y)",
-              lambda t, join, prod, neg, x, y: t[prod[x][y]] == prod[t[x]][t[join[neg[x]][y]]]),
-    "4": Law("sigma(sigma(x) * sigma(y)) = sigma(x) * sigma(y)",
-             lambda t, prod, x, y: t[prod[t[x]][t[y]]] == prod[t[x]][t[y]]),
-    "5": Law("sigma(sigma(x) -> sigma(y)) = sigma(x) -> sigma(y)",
-             lambda t, impl, x, y: t[impl[t[x]][t[y]]] == impl[t[x]][t[y]]),
-    "6": Law("sigma(x*y) = sigma(x) * sigma(y)",
-             lambda t, prod, x, y: t[prod[x][y]] == prod[t[x]][t[y]]),
-    "7": Law("sigma(x->y) = sigma(x) -> sigma(y)",
-             lambda t, impl, x, y: t[impl[x][y]] == impl[t[x]][t[y]]),
+
+def _sigma(a: FiniteBLAlgebra, t: Sequence[int]) -> tuple[bytes, bytes, bytes]:
+    """``(row, s, pad)`` for the row kernels: sigma as ``bytes``, the same
+    padded to a translation table, so ``r.translate(s)`` maps a whole row
+    ``r`` through sigma (as ``algebra._laws_hold`` composes tables), and
+    the padding of a row of ``a``.  A kernel compares the two sides of its
+    law for each x over every y at once."""
+    pad = bytes(256 - a.size)
+    row = bytes(t)
+    return row, row + pad, pad
+
+
+def _axiom_2_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
+    row, s, pad = _sigma(a, t)
+    meet, _, _, impl = a.byte_rows
+    return all(
+        impl[x].translate(s) == meet[x].translate(s).translate(impl[v] + pad)
+        for x, v in enumerate(row)
+    )
+
+
+def _axiom_3_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
+    row, s, pad = _sigma(a, t)
+    _, _, prod, impl = a.byte_rows
+    return all(
+        prod[x].translate(s)
+        == prod[x].translate(impl[x] + pad).translate(s).translate(prod[v] + pad)
+        for x, v in enumerate(row)
+    )
+
+
+def _axiom_3s_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
+    row, s, pad = _sigma(a, t)
+    _, join, prod, _ = a.byte_rows
+    neg = a.neg_table
+    return all(
+        prod[x].translate(s) == join[neg[x]].translate(s).translate(prod[v] + pad)
+        for x, v in enumerate(row)
+    )
+
+
+def _closed(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
+    """The kernel of axiom 4 (k = 2, prod) or 5 (k = 3, impl): T(sigma(x),
+    sigma(y)) is a fixed point, for each image value sigma(x)."""
+    row, s, pad = _sigma(a, t)
+    ops = a.byte_rows[k]
+    return all((u := row.translate(ops[v] + pad)).translate(s) == u for v in set(row))
+
+
+def _preserved(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
+    """The kernel of preserving the k-th of meet, join, prod and impl."""
+    return table_preserves(bytes(t), a.byte_rows[k], a.byte_rows[k])
+
+
+# preservation of each operation; is_endomorphism reads all four
+PRESERVES = {
+    "meet": Law("sigma(x^y) = sigma(x) ^ sigma(y)",
+                lambda t, meet, x, y: t[meet[x][y]] == meet[t[x]][t[y]], partial(_preserved, 0)),
+    "join": Law("sigma(x v y) = sigma(x) v sigma(y)",
+                lambda t, join, x, y: t[join[x][y]] == join[t[x]][t[y]], partial(_preserved, 1)),
+    "prod": Law("sigma(x*y) = sigma(x) * sigma(y)",
+                lambda t, prod, x, y: t[prod[x][y]] == prod[t[x]][t[y]], partial(_preserved, 2)),
+    "impl": Law("sigma(x->y) = sigma(x) -> sigma(y)",
+                lambda t, impl, x, y: t[impl[x][y]] == impl[t[x]][t[y]], partial(_preserved, 3)),
 }
 
-
-def axiom_holds(algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str) -> bool:
-    """Whether the axiom holds: on whole rows (``_axiom_holds``) on a
-    carrier of at most 256 elements, by the element scan otherwise."""
-    if algebra.size <= 256:
-        return _axiom_holds(algebra, table, axiom)
-    return _axiom_scan(algebra, table, axiom) is None
-
-
-def axiom_witness(
-    algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str
-) -> tuple[int, ...] | None:
-    """First pair (lexicographic) violating the axiom, or None.
-
-    The table check decides (``axiom_holds``); the element scan runs only
-    when the axiom fails, and names the witness.
-    """
-    return None if axiom_holds(algebra, table, axiom) else _axiom_scan(algebra, table, axiom)
-
-
-def _axiom_holds(algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str) -> bool:
-    """Whether the axiom holds, decided on whole rows in C.
-
-    ``row`` is sigma as ``bytes`` and ``s`` the same padded to a
-    translation table, so ``r.translate(s)`` maps a whole row ``r``
-    through sigma, as ``algebra._laws_hold`` composes tables.  For each x
-    the two sides of an axiom are compared over every y at once.
-    """
-    if axiom == "1":
-        return table[algebra.bottom] == algebra.bottom
-    pad = bytes(256 - algebra.size)
-    row = bytes(table)
-    s = row + pad
-    meet, join, prod, impl = algebra.byte_rows
-    if axiom == "2":
-        return all(
-            impl[x].translate(s) == meet[x].translate(s).translate(impl[v] + pad)
-            for x, v in enumerate(row)
-        )
-    if axiom == "3":
-        return all(
-            prod[x].translate(s)
-            == prod[x].translate(impl[x] + pad).translate(s).translate(prod[v] + pad)
-            for x, v in enumerate(row)
-        )
-    if axiom == "3s":
-        neg = algebra.neg_table
-        return all(
-            prod[x].translate(s) == join[neg[x]].translate(s).translate(prod[v] + pad)
-            for x, v in enumerate(row)
-        )
-    if axiom in ("4", "5"):
-        # T(sigma(x), sigma(y)) is a fixed point, for each image value sigma(x)
-        ops = prod if axiom == "4" else impl
-        return all((t := row.translate(ops[v] + pad)).translate(s) == t for v in set(row))
-    if axiom in ("6", "7"):
-        ops = prod if axiom == "6" else impl
-        return table_preserves(row, ops, ops)
-    raise ValueError(f"unknown axiom {axiom}")
-
-
-def _axiom_scan(
-    algebra: FiniteBLAlgebra, table: Sequence[int], axiom: str
-) -> tuple[int, ...] | None:
-    """First tuple (lexicographic) violating the axiom, or None."""
-    if axiom not in AXIOM_LAWS:
-        raise ValueError(f"unknown axiom {axiom}")
-    return witness(AXIOM_LAWS[axiom], algebra, table)
+AXIOM_LAWS = {
+    "1": Law("sigma(bottom) = bottom", lambda t, bottom, x: x != bottom or t[x] == x,
+             lambda a, t: t[a.bottom] == a.bottom),
+    "2": Law("sigma(x->y) = sigma(x) -> sigma(x^y)",
+             lambda t, meet, impl, x, y: t[impl[x][y]] == impl[t[x]][t[meet[x][y]]],
+             _axiom_2_rows),
+    "3": Law("sigma(x*y) = sigma(x) * sigma(x -> x*y)",
+             lambda t, prod, impl, x, y: t[prod[x][y]] == prod[t[x]][t[impl[x][prod[x][y]]]],
+             _axiom_3_rows),
+    "3s": Law("sigma(x*y) = sigma(x) * sigma(-x v y)",
+              lambda t, join, prod, neg, x, y: t[prod[x][y]] == prod[t[x]][t[join[neg[x]][y]]],
+              _axiom_3s_rows),
+    "4": Law("sigma(sigma(x) * sigma(y)) = sigma(x) * sigma(y)",
+             lambda t, prod, x, y: t[prod[t[x]][t[y]]] == prod[t[x]][t[y]], partial(_closed, 2)),
+    "5": Law("sigma(sigma(x) -> sigma(y)) = sigma(x) -> sigma(y)",
+             lambda t, impl, x, y: t[impl[t[x]][t[y]]] == impl[t[x]][t[y]], partial(_closed, 3)),
+    "6": PRESERVES["prod"],
+    "7": PRESERVES["impl"],
+}
 
 
 IDEMPOTENT = Law("idempotence at {}", lambda t, x: t[t[x]] == t[x])
@@ -195,19 +195,14 @@ CLASS_AXIOMS = {
 def satisfies_class(algebra: FiniteBLAlgebra, table: Sequence[int], cls: str) -> bool:
     if cls == "endomorphism":
         return is_endomorphism(algebra, table)
-    return all(axiom_holds(algebra, table, a) for a in CLASS_AXIOMS[cls])
+    return all(holds(AXIOM_LAWS[ax], algebra, table) for ax in CLASS_AXIOMS[cls])
 
 
 def is_endomorphism(algebra: FiniteBLAlgebra, table: Sequence[int]) -> bool:
-    s = table
-    if s[algebra.bottom] != algebra.bottom or s[algebra.top] != algebra.top:
-        return False
-    if algebra.size <= 256:
-        row = bytes(s)
-        return all(table_preserves(row, rows, rows) for rows in algebra.byte_rows)
-    return all(
-        preservation_witness(s, t, t) is None
-        for t in (algebra.meet, algebra.join, algebra.prod, algebra.impl)
+    return (
+        table[algebra.bottom] == algebra.bottom
+        and table[algebra.top] == algebra.top
+        and all(holds(law, algebra, table) for law in PRESERVES.values())
     )
 
 
@@ -240,10 +235,7 @@ class StateOperator:
 
     @cached_property
     def witnesses(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return tuple((ax, _axiom_scan(self.algebra, self.table, ax)) for ax in self.failed)
-
-    def witness_for(self, axiom: str) -> tuple[int, ...] | None:
-        return dict(self.witnesses)[axiom] if axiom in self.failed else None
+        return tuple((ax, witness(AXIOM_LAWS[ax], self.algebra, self.table)) for ax in self.failed)
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -309,17 +301,17 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
     t = tuple(int(v) for v in table)
     if len(t) != algebra.size or any(not (0 <= v < algebra.size) for v in t):
         raise ValueError("operator table must be total on the carrier")
-    holds = {ax: axiom_holds(algebra, t, ax) for ax in OPERATOR_AXIOMS}
-    is_state = all(holds[a] for a in CLASS_AXIOMS["state"])
-    is_strong = all(holds[a] for a in CLASS_AXIOMS["strong"])
-    is_morphism = all(holds[a] for a in CLASS_AXIOMS["morphism"])
+    verdicts = {ax: holds(AXIOM_LAWS[ax], algebra, t) for ax in OPERATOR_AXIOMS}
+    is_state = all(verdicts[a] for a in CLASS_AXIOMS["state"])
+    is_strong = all(verdicts[a] for a in CLASS_AXIOMS["strong"])
+    is_morphism = all(verdicts[a] for a in CLASS_AXIOMS["morphism"])
     if is_morphism and not is_strong:
         raise InternalCheckError("morphism operator failed the strong axioms")
     if is_strong and not is_state:
         raise InternalCheckError("strong operator failed the state axioms")
     if is_state and violation(IDEMPOTENT, algebra, t) is not None:
         raise InternalCheckError("verified operator is not idempotent")
-    if holds["7"] and is_state and not is_morphism:
+    if verdicts["7"] and is_state and not is_morphism:
         raise InternalCheckError("impl-preserving state operator must preserve prod")
     return StateOperator(
         algebra=algebra,
@@ -327,8 +319,8 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
         is_state=is_state,
         is_strong=is_strong,
         is_morphism=is_morphism,
-        preserves_impl=holds["7"],
-        failed=tuple(ax for ax in OPERATOR_AXIOMS if not holds[ax]),
+        preserves_impl=verdicts["7"],
+        failed=tuple(ax for ax in OPERATOR_AXIOMS if not verdicts[ax]),
     )
 
 
@@ -538,6 +530,20 @@ def enumerate_state_operators(
     if cls == "endomorphism":
         raise ValueError("endomorphism tables are not graded; use enumerate_operator_tables")
     return [verify_operator(algebra, t) for t in enumerate_operator_tables(algebra, cls)]
+
+
+def state_strong_gap(
+    algebra: FiniteBLAlgebra,
+) -> tuple[int, int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The state operators that are not strong, which may not exist.
+
+    Returns the numbers of state and of strong operators, and each state
+    table that is not strong with the first pair where axiom 3s fails.
+    """
+    state = enumerate_operator_tables(algebra, "state")
+    strong = set(enumerate_operator_tables(algebra, "strong"))
+    gap = [(t, witness(AXIOM_LAWS["3s"], algebra, t)) for t in state if t not in strong]
+    return len(state), len(strong), gap
 
 
 # ---------------------------------------------------------------------------

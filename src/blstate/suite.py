@@ -18,14 +18,15 @@ claim: ``<operator>: internal cross-check: <message>`` from
 only source of a ``discrepancy``, is the one other loop over the pool.
 
 A pointwise law (``Prop-2.2-*``, ``S2-*``, most of ``Lemma-3.5``,
-``Lemma-3.9``, ``Lemma-3.10-1``) is ``algebra.Law`` data, decided and
-named by the per-tuple scan through ``algebra.violation``; the 3- and
-4-variable laws of Prop 2.2 carry row kernels, which decide them on
-larger carriers.  ``_instance_laws`` names the failing elements by
-index, ``_operator_laws`` by label.  Claims about
-preserving whole operations read the verdicts ``verify_operator``
-already computed on whole tables (``preserves_impl``, axiom 6) or call
-``is_endomorphism``; only join preservation (Lemma-3.10-2) is a law.
+``Lemma-3.9``, ``Lemma-3.10-1``) is ``algebra.Law`` data, decided by
+``algebra.holds`` and named by the per-tuple scan through
+``algebra.violation``; the 3- and 4-variable laws of Prop 2.2 carry row
+kernels, which decide them on every carrier of at most 256 elements.
+``_instance_laws`` names the failing elements by index,
+``_operator_laws`` by label.  Claims about preserving whole operations
+read the verdicts ``verify_operator`` already computed
+(``preserves_impl``, axiom 6 in ``failed``), call ``is_endomorphism``,
+or decide ``operators.PRESERVES["join"]`` (Lemma-3.10-2).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .algebra import (
     _mask,
     _pairs,
     _pairwise,
+    holds,
     memoized,
     violation,
 )
@@ -63,6 +65,7 @@ from .filters import (
 )
 from .operators import (
     IDEMPOTENT,
+    PRESERVES,
     StateOperator,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -221,10 +224,10 @@ def _uniform_weights(k: int) -> list[Fraction]:
 # The row kernels of the 3- and 4-variable laws read the tables as their
 # lambdas do, with the later variables as a bytes row or a grid of rows
 # (``_grid``) and the earlier ones in loops; a mask of premises may not
-# meet a mask of failed conclusions.
+# meet a mask of failed conclusions.  No operator table: ``t`` is unused.
 
 
-def _monotone_prod_rows(a) -> bool:
+def _monotone_prod_rows(a, t) -> bool:
     # for each x and c, over the (y, d) grid; the conclusion row depends
     # only on v = prod[x][c], so it is tabulated once per value
     n, pad = a.size, bytes(256 - a.size)
@@ -246,7 +249,7 @@ _prop_2_2_1 = _instance_laws(Law(
     _monotone_prod_rows))
 
 
-def _monotone_impl_rows(a) -> bool:
+def _monotone_impl_rows(a, t) -> bool:
     # for each c and x, over y: the conclusion row is impl[c] through
     # leq[impl[c][x]], tabulated once per value of impl[c]
     pad = bytes(256 - a.size)
@@ -270,7 +273,7 @@ _prop_2_2_4 = _instance_laws(Law(
     "a->(a^b) = a->b fails at {},{}", lambda meet, impl, x, y: impl[x][meet[x][y]] == impl[x][y]))
 
 
-def _prod_step_rows(a) -> bool:
+def _prod_step_rows(a, t) -> bool:
     # for each x, over the (y, c) grid: impl[prod[x][c]][prod[y][c]], then
     # leq from impl[x][y] to it, each one _pairwise lookup
     n, pad = a.size, bytes(256 - a.size)
@@ -289,7 +292,7 @@ _prop_2_2_5 = _instance_laws(Law(
     _prod_step_rows))
 
 
-def _residuation_rows(a) -> bool:
+def _residuation_rows(a, t) -> bool:
     # for each x, over the (y, c) grid: impl[x][impl[y][c]] is the flat
     # impl table through impl[x], impl[prod[x][y]][c] the rows prod[x] picks
     pad = bytes(256 - a.size)
@@ -434,8 +437,6 @@ def _l35_r(a, op):
     return None
 
 
-_JOIN_PRESERVED = Law("", lambda t, join, x, y: t[join[x][y]] == join[t[x]][t[y]])
-
 # the only laws that read the element orders and the radical
 LEMMA_3_5_M = (
     Law("order grows at {}",
@@ -523,7 +524,7 @@ _l310_1 = _operator_laws(Law(
 
 def _l310_2(a, op):
     pres_impl = op.preserves_impl
-    pres_join = violation(_JOIN_PRESERVED, a, op.table) is None
+    pres_join = holds(PRESERVES["join"], a, op.table)
     if pres_impl != pres_join:
         return f"global impl/join equivalence: impl={pres_impl} join={pres_join}"
     return None
@@ -531,7 +532,7 @@ def _l310_2(a, op):
 
 def _l310_3(a, op):
     if op.preserves_impl:
-        if op.witness_for("6") is not None:
+        if "6" in op.failed:
             return "impl-preserving but not prod-preserving"
         if not is_endomorphism(a, op.table):
             return "impl-preserving but not an endomorphism"
@@ -541,7 +542,7 @@ def _l310_3(a, op):
 def _lemma_3_11(a, op):
     if not op.preserves_impl:
         return "does not preserve impl on a chain"
-    if op.is_strong and op.witness_for("6") is not None:
+    if op.is_strong and "6" in op.failed:
         return "strong but does not preserve prod"
     return None
 
@@ -653,7 +654,7 @@ def _rem_4_5(inst):
 
 
 def _idempotent_endomorphism(a, op):
-    if op.witness_for("6") is not None or not op.preserves_impl:
+    if "6" in op.failed or not op.preserves_impl:
         return "not an endomorphism on a chain"
     if violation(IDEMPOTENT, a, op.table) is not None:
         return "not idempotent"

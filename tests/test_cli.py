@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+from blstate import cli
 from blstate.algebra import verify_bl_axioms
 from blstate.cli import main
 from blstate.constructors import four_element_example, mv_chain
@@ -152,6 +153,24 @@ def test_search_nonstrong(capsys):
     code, out, _ = run(capsys, "search-nonstrong", "godel_chain(3)")
     assert code == 0
     assert "0 candidate(s)" in out
+
+
+def test_search_nonstrong_refuses_carriers_over_10_elements(capsys):
+    code, out, err = run(capsys, "search-nonstrong", "mv_chain(10)")
+    assert (code, out) == (2, "")
+    assert err == "carrier too large for exhaustive search (limit 10)\n"
+
+
+def test_search_nonstrong_prints_each_candidate(capsys, monkeypatch):
+    # no enumerated carrier separates the classes, so the gap is a stand-in
+    gap = [((0, 2, 2), (1, 1))]
+    monkeypatch.setattr(cli, "state_strong_gap", lambda algebra: (3, 2, gap))
+    code, out, _ = run(capsys, "search-nonstrong", "mv_chain(2)")
+    assert code == 0
+    assert out == (
+        "3 state operator(s), 2 strong; 1 candidate(s) that are state but not strong\n"
+        "candidate (not a proof): x0->x0, x1->x2, x2->x2; strong axiom fails at (1, 1)\n"
+    )
 
 
 def test_paper_suite_claim_filter(capsys, tmp_path):

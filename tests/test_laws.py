@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blstate import algebra, operators
+from blstate import algebra
 from blstate.algebra import _VARIETY_LAWS, Law, classify_variety, violation, witness
 from blstate.constructors import direct_product, godel_chain, mv_chain
 from blstate.operators import (
@@ -17,6 +17,7 @@ from blstate.operators import (
     IDEMPOTENT,
     MV_LAWS,
     OPERATOR_AXIOMS,
+    PRESERVES,
     enumerate_operator_tables,
     mv_equivalence_check,
     verify_operator,
@@ -26,7 +27,6 @@ from blstate.suite import (
     LEMMA_3_5_M,
     REGISTRY,
     CheckResult,
-    _JOIN_PRESERVED,
     _idempotent_endomorphism,
 )
 
@@ -141,9 +141,9 @@ def test_operator_law_witness_text(claim, algebra, table, witness):
 
 def test_operator_and_mv_axiom_witnesses():
     swap = (0, 2, 1, 3)
-    scans = [operators._axiom_scan(M3, swap, ax) for ax in ("2", "3", "3s", "4", "5")]
+    scans = [witness(AXIOM_LAWS[ax], M3, swap) for ax in ("2", "3", "3s", "4", "5")]
     assert scans == [(2, 1), (2, 2), (2, 2), (1, 1), (1, 0)]
-    assert operators._axiom_scan(M3, (3, 3, 3, 3), "1") == (0,)
+    assert witness(AXIOM_LAWS["1"], M3, (3, 3, 3, 3)) == (0,)
     assert _first(MV_LAWS["mv1"], M3, (0, 0, 0, 0)) == (3,)
     assert _first(MV_LAWS["mv2"], M3, (0, 0, 0, 3)) == (1,)
     assert [_first(MV_LAWS[ax], M3, swap) for ax in ("mv3", "mv4")] == [(1, 1), (0, 1)]
@@ -180,7 +180,7 @@ def test_operator_laws_match_the_loops(a, data):
                     assert CHECKS[claim](a, op) == loop(a, op), claim
                 assert _idempotent_endomorphism(a, op) == oracle._idempotent_endomorphism(a, op)
             for ax in OPERATOR_AXIOMS:
-                assert operators._axiom_scan(a, t, ax) == oracle._axiom_scan(a, t, ax), ax
+                assert witness(AXIOM_LAWS[ax], a, t) == oracle._axiom_scan(a, t, ax), ax
             if is_mv:
                 for ax, law in MV_LAWS.items():
                     assert _first(law, a, t) == oracle.mv_axiom_witness(a, t, ax), ax
@@ -231,8 +231,8 @@ def _laws_in(obj, found: dict) -> dict:
 
 
 LAWS = list(_laws_in(
-    [[claim.check for claim in REGISTRY], AXIOM_LAWS, MV_LAWS, ADDITIVITY, IDEMPOTENT,
-     _JOIN_PRESERVED, _VARIETY_LAWS],
+    [[claim.check for claim in REGISTRY], AXIOM_LAWS, PRESERVES, MV_LAWS, ADDITIVITY, IDEMPOTENT,
+     _VARIETY_LAWS],
     {},
 ).values())
 KERNEL_LAWS = [law for law in LAWS if law.rows is not None]
@@ -241,26 +241,35 @@ KERNEL_LAWS = [law for law in LAWS if law.rows is not None]
 INSTANCE_LAWS = [
     law for law in LAWS if not algebra._parameters(law.check)[0] & {"t", "orders", "a"}
 ]
+INSTANCE_KERNEL_LAWS = [law for law in KERNEL_LAWS if law in INSTANCE_LAWS]
+# axioms 6 and 7 are the preservation of prod and impl
+OPERATOR_KERNEL_LAWS = list(
+    {id(law): law for law in [*AXIOM_LAWS.values(), *PRESERVES.values()]}.values()
+)
 
 
 def _arity(law):
     return algebra._parameters(law.check)[1]
 
 
-def test_every_reachable_law_over_the_named_tables_and_three_variables_has_a_row_kernel():
-    # a law that reads the operator t, the orders or the radical, or has
-    # at most 2 variables, goes per tuple on every carrier
-    assert len(LAWS) == 48
+def test_the_prop_2_2_laws_the_operator_axioms_and_preservation_carry_row_kernels():
+    # holds decides these by their kernels on every carrier of at most 256
+    # elements; every other law (2-variable instance laws and the claims
+    # that read the operator t, the orders or the radical) goes per tuple
+    assert len(LAWS) == 49
     assert len(INSTANCE_LAWS) == 12  # Prop-2.2, S2 and the variety flags
+    assert len(OPERATOR_KERNEL_LAWS) == 10  # axioms 1-5 and 3s, preservation of all four
     for law in LAWS:
-        assert (law.rows is not None) == (law in INSTANCE_LAWS and _arity(law) >= 3), law.text
-    assert len(KERNEL_LAWS) == 4  # Prop-2.2-1, 2, 5 and 6
+        expected = law in OPERATOR_KERNEL_LAWS or (law in INSTANCE_LAWS and _arity(law) >= 3)
+        assert (law.rows is not None) == expected, law.text
+    assert len(INSTANCE_KERNEL_LAWS) == 4  # Prop-2.2-1, 2, 5 and 6
+    assert len(KERNEL_LAWS) == 14
 
 
-def _rows_agree_with_tuples(a, laws=KERNEL_LAWS):
+def _rows_agree_with_tuples(a, laws=INSTANCE_KERNEL_LAWS):
     """Each law's row kernel decides as its per-tuple evaluator does."""
     for law in laws:
-        assert law.rows(a) == (witness(law, a) is None), law.text
+        assert law.rows(a, None) == (witness(law, a) is None), law.text
 
 
 def _perturbed(a, data):
@@ -283,7 +292,7 @@ def test_row_evaluator_matches_the_per_tuple_evaluator(a, data):
 
 
 # 18 and 32 elements: _pairwise reads two and four lookup groups; on 40,
-# seven, and every 2-variable law spans more than _ROW tuples
+# seven, and the per-tuple evaluator reads a 2-variable law from iproduct
 LARGE = (
     direct_product(mv_chain(8), godel_chain(2)),
     direct_product(mv_chain(7), godel_chain(4)),
@@ -294,17 +303,17 @@ LARGE = (
 @settings(max_examples=4, deadline=None)
 @given(st.sampled_from(LARGE), st.data())
 def test_row_evaluator_matches_the_per_tuple_evaluator_on_larger_carriers(a, data):
-    # holds: the kernels above _ROW tuples, the per-tuple evaluator for the
-    # other instance laws; Prop-2.2-1 on 40 elements would scan 2.56M tuples
+    # holds: the kernels, the per-tuple evaluator for the other instance
+    # laws; Prop-2.2-1 on 40 elements would scan 2.56M tuples
     laws = [law for law in INSTANCE_LAWS if a.size ** _arity(law) <= 1_100_000]
     for b in (a, _perturbed(a, data)):
         for law in laws:
             assert algebra.holds(law, b) == (witness(law, b) is None), law.text
 
 
-def test_operator_laws_never_reach_the_row_evaluator_above_32_elements():
-    # on 40 elements a 2-variable law spans 1600 tuples, more than _ROW; a
-    # law that reads the operator has no kernel and is decided per tuple
+def test_an_operator_law_without_a_kernel_goes_per_tuple_above_32_elements():
+    # on 40 elements a 2-variable law spans 1600 tuples, more than _ROW, so
+    # the per-tuple evaluator reads it from iproduct
     a = LARGE[2]
     monotone = next(law for law in LAWS if law.text == "monotone at {},{}")  # Lemma-3.5-c
     assert monotone.rows is None

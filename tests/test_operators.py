@@ -22,9 +22,7 @@ from blstate.operators import (
     AXIOM_LAWS,
     EnumerationStats,
     OPERATOR_AXIOMS,
-    _axiom_scan,
-    axiom_holds,
-    axiom_witness,
+    PRESERVES,
     chain_product_sum,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -543,17 +541,19 @@ def test_enumeration_ladder_counts(rung, states, endos):
 @settings(max_examples=60, deadline=None)
 @given(algebras.filter(lambda a: a.size <= 9), st.data())
 def test_table_kernels_agree_with_element_scans(a, data):
-    """``axiom_witness`` and ``preservation_witness`` decide on whole rows
-    and scan only to name a witness: both must return the scan's witness,
-    on enumerated tables and on the same tables with one entry changed."""
+    """The row kernels of the operator axioms and of preservation decide
+    as the per-tuple evaluator does, and ``preservation_witness`` returns
+    the scan's witness: on enumerated tables and on the same tables with
+    one entry changed."""
     cls = data.draw(st.sampled_from(["state", "endomorphism"]))
     tables = enumerate_operator_tables(a, cls)
     table = list(data.draw(st.sampled_from(tables)))
     if data.draw(st.booleans()):
         entry = st.integers(0, a.size - 1)
         table[data.draw(entry)] = data.draw(entry)
-    for axiom in OPERATOR_AXIOMS:
-        assert axiom_witness(a, table, axiom) == _axiom_scan(a, table, axiom)
+    for law in [*AXIOM_LAWS.values(), *PRESERVES.values()]:
+        assert law.rows is not None
+        assert holds(law, a, table) == (witness(law, a, table) is None), law.text
     scans = [_preservation_scan(table, op, op) for op in (a.meet, a.join, a.prod, a.impl)]
     for op, scan in zip((a.meet, a.join, a.prod, a.impl), scans):
         assert preservation_witness(table, op, op) == scan
@@ -602,8 +602,7 @@ def test_carriers_over_256_elements_decide_by_the_element_scan():
     for t in (identity, top_to_bottom):
         for ax in OPERATOR_AXIOMS:
             found = witness(AXIOM_LAWS[ax], a, t)
-            assert axiom_holds(a, t, ax) == (found is None), ax
-            assert axiom_witness(a, t, ax) == found, ax
+            assert holds(AXIOM_LAWS[ax], a, t) == (found is None), ax
             if found is not None:
                 failed[ax] = found
         for T in tables:

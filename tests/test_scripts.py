@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from blstate import operators
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,6 +27,18 @@ def test_search_nonstrong(capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("searched ")
     assert last.endswith(" 0 candidate(s) that are state but not strong")
+
+
+def test_search_nonstrong_prints_each_candidate(capsys, monkeypatch):
+    # no enumerated carrier separates the classes, so the gap is a stand-in;
+    # mv_chain(1) is the one carrier of these bounds
+    monkeypatch.setattr(operators, "state_strong_gap", lambda a: (3, 2, [((0, 1), (1, 1))]))
+    assert _script("search_nonstrong").main(["--max-chain", "1", "--max-size", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "n= 2 state=  3 strong=  2  <-- 1 candidate(s)\n"
+        "    candidate (not a proof): (0, 1) strong axiom fails at (1, 1)\n"
+        "searched 1 algebras, 3 state operators, 1 candidate(s) that are state but not strong\n"
+    )
 
 
 def test_bench_pairs_summary_and_durations(tmp_path):

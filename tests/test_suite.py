@@ -194,22 +194,22 @@ def test_a_cold_run_checks_states_seals_images_and_walks_powers_once(monkeypatch
 
 
 def test_a_cold_run_decides_every_large_law_with_a_kernel_on_rows(monkeypatch):
-    # a law with a row kernel (an instance law) over more than _ROW tuples
-    # is decided by its kernel; the per-tuple evaluator decides the others
-    # and names the witness of a failing law only
+    # every law with a row kernel (Prop-2.2-1, 2, 5 and 6, the operator
+    # axioms and preservation) is decided by its kernel on every carrier of
+    # at most 256 elements, which every default carrier is; the per-tuple
+    # evaluator decides the others and names the witness of a failing law only
     decisions, scans = [], []
     real_holds, real_witness = algebra.holds, algebra.witness
 
     def deciding(law, a, table=None):
         ran, kernel = [], law.rows
         if kernel is not None:  # Law is frozen: swap in a kernel that reports its call
-            object.__setattr__(law, "rows", lambda b: ran.append(b) or kernel(b))
+            object.__setattr__(law, "rows", lambda b, t: ran.append(b) or kernel(b, t))
         try:
             verdict = real_holds(law, a, table)
         finally:
             object.__setattr__(law, "rows", kernel)
-        large = a.size ** algebra._parameters(law.check)[1] > algebra._ROW
-        decisions.append((law, verdict, bool(ran), large))
+        decisions.append((law, verdict, bool(ran), a.size <= 256))
         return verdict
 
     def scanning(law, *args):
@@ -217,16 +217,16 @@ def test_a_cold_run_decides_every_large_law_with_a_kernel_on_rows(monkeypatch):
         scans.append((law, found))
         return found
 
-    monkeypatch.setattr(algebra, "holds", deciding)
-    monkeypatch.setattr(operators, "holds", deciding)
+    for module in (algebra, operators, suite):
+        monkeypatch.setattr(module, "holds", deciding)
     monkeypatch.setattr(algebra, "witness", scanning)
     monkeypatch.setattr(operators, "witness", scanning)
     report = run_suite(default_corpus())
     assert report.failures == []
-    assert [law.text for law, _, rows, large in decisions
-            if rows != (large and law.rows is not None)] == []
-    # Prop-2.2-1, 2.2-2, 2.2-5 and 2.2-6 on the larger carriers
-    assert len({law.text for law, _, rows, _ in decisions if rows}) == 4
+    assert [law.text for law, _, rows, small in decisions
+            if rows != (small and law.rows is not None)] == []
+    # the four Prop-2.2 kernels, and all ten of the operator laws
+    assert len({law.text for law, _, rows, _ in decisions if rows}) == 14
     # Prop-3.13's random maps fail MV laws, and no witness is named for them
     mv_laws = [*operators.MV_LAWS.values(), operators.ADDITIVITY]
     assert any(law in mv_laws and not verdict for law, verdict, _, _ in decisions)
