@@ -4,8 +4,12 @@ Elements are dense indices ``0..n-1``; labels are presentation-only.
 The lattice order is derived from the meet table (``a <= b`` iff
 ``meet(a, b) == a``) and cross-checked against the join table while an
 algebra is sealed.  A sealed algebra is immutable and safe to share
-between threads; every downstream module assumes its input passed
-``verify_bl_axioms``.
+between threads; every downstream module assumes its input is sealed.
+Tables from outside the package are sealed only by ``verify_bl_axioms``;
+the package seals quotients and operator images by certificate (a
+projection that preserves every operation, an image closed under every
+operation), since homomorphic images and subalgebras of a BL-algebra
+are BL-algebras, and a relabeling keeps the tables.
 
 Sealing has two parts: the table check decides; the element scan names
 the witness.  On carriers of at most 256 elements (a property of the
@@ -29,7 +33,7 @@ witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial, wraps
 from itertools import chain, compress, product as iproduct, repeat, starmap
 from operator import getitem, not_
@@ -59,8 +63,7 @@ class AxiomViolation:
     """First axiom failure found by the deterministic scan.
 
     ``axiom`` is one of lattice / monoid / adjointness / divisibility /
-    prelinearity (or an operator axiom id when raised by the operator
-    checker).  Re-evaluating the named axiom at ``witness`` must fail.
+    prelinearity.  Re-evaluating the named axiom at ``witness`` must fail.
     """
 
     axiom: str
@@ -78,7 +81,7 @@ class BLAxiomError(Exception):
 
 
 def as_table(rows: Iterable[Iterable[int]]) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def _check_shape(labels, tables: dict[str, Table], bottom: int, top: int) -> None:
@@ -88,9 +91,9 @@ def _check_shape(labels, tables: dict[str, Table], bottom: int, top: int) -> Non
     if len(set(labels)) != n:
         raise ValueError("labels must be distinct")
     for name, t in tables.items():
-        if len(t) != n or any(len(row) != n for row in t):
+        if len(t) != n or any(map(n.__ne__, map(len, t))):
             raise ValueError(f"{name} table must be {n}x{n}")
-        if any(not (0 <= v < n) for row in t for v in row):
+        if min(map(min, t)) < 0 or max(map(max, t)) >= n:
             raise ValueError(f"{name} table entry out of range [0, {n})")
     if not (0 <= bottom < n and 0 <= top < n):
         raise ValueError("bottom/top out of range")
@@ -322,9 +325,11 @@ class FiniteBLAlgebra:
         )
 
     def relabeled(self, labels: Sequence[str]) -> "FiniteBLAlgebra":
-        return verify_bl_axioms(
-            labels, self.meet, self.join, self.prod, self.impl, self.bottom, self.top
-        )
+        """A copy with new labels: the tables are unchanged, so only the
+        labels are checked (their number against the meet table)."""
+        labels = tuple(map(str, labels))
+        _check_shape(labels, {"meet": self.meet}, self.bottom, self.top)
+        return replace(self, labels=labels)
 
     def __repr__(self) -> str:  # keep reprs short in pytest output
         return f"FiniteBLAlgebra(n={self.size}, labels={'/'.join(self.labels)})"
@@ -345,27 +350,13 @@ def verify_bl_axioms(
     raise ``ValueError``; axiom failures raise ``BLAxiomError`` carrying
     the first ``AxiomViolation`` in the documented scan order.
     """
-    labels = tuple(str(x) for x in labels)
-    meet_t, join_t, prod_t, impl_t = map(as_table, (meet, join, prod, impl))
-    _check_shape(
-        labels,
-        {"meet": meet_t, "join": join_t, "prod": prod_t, "impl": impl_t},
-        bottom,
-        top,
-    )
-    bad = find_axiom_violation(meet_t, join_t, prod_t, impl_t, bottom, top)
+    labels = tuple(map(str, labels))
+    tables = dict(zip(("meet", "join", "prod", "impl"), map(as_table, (meet, join, prod, impl))))
+    _check_shape(labels, tables, bottom, top)
+    bad = find_axiom_violation(*tables.values(), bottom, top)
     if bad is not None:
         raise BLAxiomError(bad)
-    return FiniteBLAlgebra(
-        size=len(labels),
-        labels=labels,
-        meet=meet_t,
-        join=join_t,
-        prod=prod_t,
-        impl=impl_t,
-        bottom=bottom,
-        top=top,
-    )
+    return FiniteBLAlgebra(len(labels), labels, *tables.values(), bottom, top)
 
 
 def residuum_from_monoid(leq: Sequence[Sequence[bool]], prod: Iterable[Iterable[int]]) -> Table:

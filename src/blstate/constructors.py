@@ -1,13 +1,15 @@
 """Stock algebras and the canonical operator constructions on them.
 
-All constructors route their output through ``verify_bl_axioms``; they
-never hand out unchecked tables.
+Chains, products, ordinal sums and the four-element example are sealed
+by ``verify_bl_axioms``, the independent check of the code that builds
+their tables.  A quotient is sealed by certificate: its projection must
+carry every operation onto the induced tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import product as iproduct, repeat
 from typing import Sequence
 
 from .algebra import (
@@ -245,8 +247,11 @@ def quotient_by_filter(
     Returns the quotient algebra and the projection table.  Classes are
     numbered by ascending smallest representative.  x/F = 1/F iff x in F
     (cross-checked).  Raises ``NotAFilterError`` for a malformed F.  The
-    quotient is sealed once per (algebra, F) and memoized on the
-    algebra, so later calls return the same tuple.
+    quotient is sealed by certificate, not by re-deciding the BL laws:
+    the projection must carry meet, join, prod and impl onto the induced
+    tables, else ``InternalCheckError``, so the quotient is a homomorphic
+    image of a BL-algebra.  It is built once per (algebra, F) and
+    memoized on the algebra, so later calls return the same tuple.
     """
     return _sealed_quotient(algebra, frozenset(members))
 
@@ -263,29 +268,19 @@ def _sealed_quotient(algebra: FiniteBLAlgebra, f: frozenset[int]):
     reps: list[int] = []
     proj = [-1] * n
     for x in range(n):
-        for r in reps:
-            if algebra.dist(x, r) in f:
-                proj[x] = reps.index(r)
-                break
-        else:
-            proj[x] = len(reps)
+        proj[x] = next((c for c, r in enumerate(reps) if algebra.dist(x, r) in f), len(reps))
+        if proj[x] == len(reps):
             reps.append(x)
-    m = len(reps)
-
-    def induced(table: Table):
-        return [[proj[table[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-
-    labels = [algebra.labels[r] + "/F" for r in reps]
-    quotient = verify_bl_axioms(
-        labels,
-        induced(algebra.meet),
-        induced(algebra.join),
-        induced(algebra.prod),
-        induced(algebra.impl),
-        proj[algebra.bottom],
-        proj[algebra.top],
-    )
+    # Sealed by certificate: proj carries every operation onto the table
+    # it induces on the representatives, so the quotient is a homomorphic
+    # image of a BL-algebra, hence one (BL-algebras form a variety).
+    tables = [tuple(tuple(proj[t[r][s]] for s in reps) for r in reps) for t in _tables(algebra)]
+    bad = _unpreserved(proj, algebra, tables)
+    if bad is not None:
+        raise InternalCheckError(f"the quotient projection: {bad}")
+    labels = tuple(algebra.labels[r] + "/F" for r in reps)
     top_class = proj[algebra.top]
+    quotient = FiniteBLAlgebra(len(reps), labels, *tables, proj[algebra.bottom], top_class)
     for x in range(n):
         if (proj[x] == top_class) != (x in f):
             # unreachable for a genuine filter; guards the congruence code
@@ -303,17 +298,18 @@ class Homomorphism:
 
 
 def preservation_witness(
-    t: Sequence[int], source_table: Table, target_table: Table
+    t: Sequence[int], source_table: Table, target_table: Table, source_rows: Sequence[bytes] = ()
 ) -> tuple[int, int] | None:
     """First pair (x, y), lexicographic, where ``t`` fails to carry the
     operation ``source_table`` to ``target_table``, or None.
 
     The table check decides; the element scan names the witness.  When
     both carriers have at most 256 elements ``table_preserves`` decides
-    on whole rows, and the scan runs only when that check fails.
+    on whole rows (``source_rows``, if given, as ``bytes``), and the scan
+    runs only when that check fails.
     """
     if len(source_table) <= 256 and len(target_table) <= 256:
-        source_rows = tuple(map(bytes, source_table))
+        source_rows = source_rows or tuple(map(bytes, source_table))
         target_rows = (
             source_rows if target_table is source_table else tuple(map(bytes, target_table))
         )
@@ -361,17 +357,26 @@ def homomorphism(
         raise NotAHomomorphismError("table has wrong shape")
     if t[source.bottom] != target.bottom or t[source.top] != target.top:
         raise NotAHomomorphismError("constants not preserved")
-    pairs = [
-        ("meet", source.meet, target.meet),
-        ("join", source.join, target.join),
-        ("prod", source.prod, target.prod),
-        ("impl", source.impl, target.impl),
-    ]
-    for name, ts, tt in pairs:
-        w = preservation_witness(t, ts, tt)
-        if w is not None:
-            raise NotAHomomorphismError(f"{name} not preserved at ({w[0]}, {w[1]})")
+    bad = _unpreserved(t, source, _tables(target))
+    if bad is not None:
+        raise NotAHomomorphismError(bad)
     return Homomorphism(source, target, t)
+
+
+def _tables(a: FiniteBLAlgebra) -> list[Table]:
+    return [a.meet, a.join, a.prod, a.impl]
+
+
+def _unpreserved(t: Sequence[int], source: FiniteBLAlgebra, targets: Sequence[Table]):
+    """How ``t`` first fails to carry meet, join, prod and impl of
+    ``source`` to the tables ``targets``, or None."""
+    rows = source.byte_rows if source.size <= 256 else repeat(())
+    operations = zip(("meet", "join", "prod", "impl"), _tables(source), targets, rows)
+    for name, table, target, r in operations:
+        w = preservation_witness(t, table, target, r)
+        if w is not None:
+            return f"{name} not preserved at ({w[0]}, {w[1]})"
+    return None
 
 
 def diagonal_operator_table(algebra: FiniteBLAlgebra, which: int) -> tuple[int, ...]:

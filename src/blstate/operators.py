@@ -57,7 +57,6 @@ from .algebra import (
     Law,
     classify_variety,
     holds,
-    verify_bl_axioms,
     violation,
     witness,
 )
@@ -254,10 +253,12 @@ class StateOperator:
 
     @cached_property
     def sealed_image(self) -> tuple[FiniteBLAlgebra, Mapping[int, int], tuple[int, ...]]:
-        """(image, pos, fixed) of ``operator_image``, sealed on first use.
+        """(image, pos, fixed) of ``operator_image``, built on first use.
 
-        When every element is fixed the image is the carrier itself, so
-        nothing is sealed and the carrier's memos serve the image.
+        Sealed by certificate: every restricted entry and both bounds are
+        fixed points (else ``InternalCheckError``), so the image is a
+        subalgebra of a BL-algebra, hence one.  When every element is fixed
+        the image is the carrier itself, and its memos serve the image.
         """
         if not self.is_state:
             raise ValueError("image extraction requires a verified state operator")
@@ -268,19 +269,15 @@ class StateOperator:
         a = self.algebra
         if len(fixed) == a.size:
             return a, MappingProxyType(pos), fixed
-
-        def restrict(table):
-            return [[pos[table[x][y]] for y in fixed] for x in fixed]
-
-        image = verify_bl_axioms(
-            [a.labels[x] for x in fixed],
-            restrict(a.meet),
-            restrict(a.join),
-            restrict(a.prod),
-            restrict(a.impl),
-            pos[a.bottom],
-            pos[a.top],
-        )
+        try:
+            tables = [
+                tuple(tuple(pos[table[x][y]] for y in fixed) for x in fixed)
+                for table in (a.meet, a.join, a.prod, a.impl)
+            ]
+            bounds = pos[a.bottom], pos[a.top]
+        except KeyError as exc:
+            raise InternalCheckError(f"the image is not closed: {exc} is not fixed") from None
+        image = FiniteBLAlgebra(len(fixed), tuple(a.labels[x] for x in fixed), *tables, *bounds)
         return image, MappingProxyType(pos), fixed
 
     def __repr__(self) -> str:

@@ -1,12 +1,18 @@
 """Constructors: chains, products, ordinal sums, quotients, operator builders."""
 
+import random
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blstate.algebra import classify_variety
+from blstate.algebra import (
+    FiniteBLAlgebra,
+    InternalCheckError,
+    classify_variety,
+    verify_bl_axioms,
+)
 from blstate.constructors import (
     NonLinearSummandError,
     NotAFilterError,
@@ -203,7 +209,82 @@ def test_quotients_are_algebras(data):
     if a.size > 9:
         return
     for f in all_filters(a):
-        quotient, proj = quotient_by_filter(a, f)  # seals or raises
+        quotient, proj = quotient_by_filter(a, f)  # sealed by its certificate or raises
+        # the certificate agrees with the full seal of the BL laws
+        tables = (quotient.meet, quotient.join, quotient.prod, quotient.impl)
+        resealed = verify_bl_axioms(quotient.labels, *tables, quotient.bottom, quotient.top)
+        assert resealed.same_tables(quotient)
         assert set(proj) == set(range(quotient.size))
         classes = {c: [x for x in range(a.size) if proj[x] == c] for c in set(proj)}
         assert sum(len(v) for v in classes.values()) == a.size
+
+
+def relabel(a: FiniteBLAlgebra, perm: list[int]) -> FiniteBLAlgebra:
+    """``a`` with element x renumbered ``perm[x]``, sealed anew."""
+    back = sorted(range(a.size), key=perm.__getitem__)  # back[perm[x]] == x
+
+    def table(t):
+        return [[perm[t[back[i]][back[j]]] for j in range(a.size)] for i in range(a.size)]
+
+    tables = (table(a.meet), table(a.join), table(a.prod), table(a.impl))
+    labels = [a.labels[x] for x in back]
+    return verify_bl_axioms(labels, *tables, perm[a.bottom], perm[a.top])
+
+
+def shuffled_order(a: FiniteBLAlgebra, rng: random.Random) -> list[int]:
+    """A random renumbering that is no linear extension of the order:
+    some x < y gets the larger number."""
+    while True:
+        perm = rng.sample(range(a.size), a.size)
+        if any(perm[x] > perm[y] for x in range(a.size) for y in a.upset(x)):
+            return perm
+
+
+RELABELED_CARRIERS = {
+    "example-3-4": four_element_example()[0],
+    "mv2 x g3": direct_product(mv_chain(2), godel_chain(3)),
+    "g3 x g3": direct_product(godel_chain(3), godel_chain(3)),
+    "mv2 + (mv1 x mv1)": ordinal_sum([mv_chain(2), direct_product(mv_chain(1), mv_chain(1))]),
+}
+
+
+@pytest.mark.parametrize("name", RELABELED_CARRIERS)
+def test_quotients_of_a_relabeled_carrier_match_up_to_the_relabeling(name):
+    """Every carrier the constructors build is numbered along a linear
+    extension of its order; a renumbering that is not one must change
+    each quotient only by the renumbering."""
+    a = RELABELED_CARRIERS[name]
+    rng = random.Random(name)
+    for _ in range(10):
+        perm = shuffled_order(a, rng)
+        b = relabel(a, perm)
+        assert set(all_filters(b)) == {frozenset(perm[x] for x in f) for f in all_filters(a)}
+        for f in all_filters(a):
+            q, proj = quotient_by_filter(a, f)
+            qb, proj_b = quotient_by_filter(b, frozenset(perm[x] for x in f))
+            # the class of x in A/F is the class of perm[x] in B/perm(F)
+            match: dict[int, int] = {}
+            for x in range(a.size):
+                assert match.setdefault(proj[x], proj_b[perm[x]]) == proj_b[perm[x]], (f, perm)
+            assert len(set(match.values())) == q.size == qb.size
+            for op in ("meet", "join", "prod", "impl"):
+                t, tb = getattr(q, op), getattr(qb, op)
+                assert all(tb[match[i]][match[j]] == match[t[i][j]] for i in match for j in match)
+            assert (match[q.bottom], match[q.top]) == (qb.bottom, qb.top)
+
+
+def test_the_certificate_rejects_a_one_sided_congruence(monkeypatch):
+    """Grouping x with r where x -> r lies in F (not dist(x, r)) is no
+    congruence on a renumbered carrier; the projection check rejects it."""
+    a = RELABELED_CARRIERS["example-3-4"]
+    rng = random.Random("one-sided")
+    carriers = [relabel(a, shuffled_order(a, rng)) for _ in range(10)]
+    monkeypatch.setattr(FiniteBLAlgebra, "dist", lambda self, x, y: self.impl[x][y])
+    rejected = []
+    for b in carriers:
+        for f in all_filters(b):
+            try:
+                quotient_by_filter(b, f)
+            except InternalCheckError as exc:
+                rejected.append(str(exc))
+    assert any("not preserved at" in text for text in rejected)

@@ -5,7 +5,13 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blstate.algebra import FiniteBLAlgebra, holds, verify_bl_axioms, witness
+from blstate.algebra import (
+    FiniteBLAlgebra,
+    InternalCheckError,
+    holds,
+    verify_bl_axioms,
+    witness,
+)
 from blstate.constructors import (
     _preservation_scan,
     diagonal_operator_table,
@@ -23,6 +29,7 @@ from blstate.operators import (
     EnumerationStats,
     OPERATOR_AXIOMS,
     PRESERVES,
+    StateOperator,
     chain_product_sum,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -289,16 +296,22 @@ def test_operator_image_and_classification():
     assert report.ker in maximal_filters(a)
 
 
-def test_operator_image_is_sealed_once(monkeypatch):
+def _count_image_constructions(monkeypatch) -> list:
+    """Record each algebra that ``operators`` builds: the images."""
     import blstate.operators as operators
 
-    seals = []
+    built = []
 
-    def counting_verify(*args, **kwargs):
-        seals.append(args[0])
-        return verify_bl_axioms(*args, **kwargs)
+    def counting_build(*args, **kwargs):
+        built.append(args[0])
+        return FiniteBLAlgebra(*args, **kwargs)
 
-    monkeypatch.setattr(operators, "verify_bl_axioms", counting_verify)
+    monkeypatch.setattr(operators, "FiniteBLAlgebra", counting_build)
+    return built
+
+
+def test_operator_image_is_sealed_once(monkeypatch):
+    seals = _count_image_constructions(monkeypatch)
     a, sigma = four_element_example()
     op = verify_operator(a, sigma)
     first = operator_image(op)
@@ -315,16 +328,36 @@ def test_operator_image_is_sealed_once(monkeypatch):
             operator_image(not_state)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_operator_images_pass_the_full_seal(data):
+    """The image's certificate (closure under every operation) agrees
+    with the full seal of the BL laws, for every state operator."""
+    from .strategies import algebras
+
+    a = data.draw(algebras)
+    if a.size > 9:
+        return
+    for table in enumerate_operator_tables(a, "state"):
+        image, pos, fixed = operator_image(verify_operator(a, table))
+        tables = (image.meet, image.join, image.prod, image.impl)
+        resealed = verify_bl_axioms(image.labels, *tables, image.bottom, image.top)
+        assert resealed.same_tables(image)
+        for t, ti in zip((a.meet, a.join, a.prod, a.impl), tables):
+            assert all(pos[t[x][y]] == ti[pos[x]][pos[y]] for x in fixed for y in fixed)
+
+
+def test_an_image_that_is_not_closed_is_an_internal_check_error():
+    # unreachable for a verified state operator: fixed points {0, 1, 4}
+    # of the 5-element MV-chain, where 1 -> 0 = 3 is not fixed
+    a = mv_chain(4)
+    op = StateOperator(a, (0, 1, 1, 4, 4), True, False, False, False, ())
+    with pytest.raises(InternalCheckError, match="not fixed"):
+        operator_image(op)
+
+
 def test_identity_image_is_its_carrier(monkeypatch):
-    import blstate.operators as operators
-
-    seals = []
-
-    def counting_verify(*args, **kwargs):
-        seals.append(args[0])
-        return verify_bl_axioms(*args, **kwargs)
-
-    monkeypatch.setattr(operators, "verify_bl_axioms", counting_verify)
+    seals = _count_image_constructions(monkeypatch)
     a = direct_product(mv_chain(2), godel_chain(3))
     op = verify_operator(a, identity_table(a))
     image, pos, fixed = operator_image(op)
