@@ -364,19 +364,22 @@ def residuum_from_monoid(leq: Sequence[Sequence[bool]], prod: Iterable[Iterable[
 
     Raises ``NoResiduumError`` when some candidate set has no maximum,
     i.e. the monoid is not residuated with respect to the given order.
+    Each candidate set is read in C.  In an order only the candidate with
+    the most elements below it can be the maximum; the ascending scan
+    for one runs only when that candidate is not.
     """
     prod_t = as_table(prod)
-    n = len(prod_t)
+    rng = range(len(prod_t))
+    below = [[row[b] for row in leq] for b in rng]  # below[b][w]: w <= b
+    height = list(map(sum, below))
     out = []
-    for a in range(n):
+    for a in rng:
         row = []
-        for b in range(n):
-            candidates = [z for z in range(n) if leq[prod_t[a][z]][b]]
-            best = None
-            for z in candidates:
-                if all(leq[w][z] for w in candidates):
-                    best = z
-                    break
+        for b in rng:
+            candidates = list(compress(rng, map(below[b].__getitem__, prod_t[a])))
+            best = max(candidates, key=height.__getitem__, default=None)
+            if best is None or not all(map(below[best].__getitem__, candidates)):
+                best = next((z for z in candidates if all(leq[w][z] for w in candidates)), None)
             if best is None:
                 raise NoResiduumError(a, b)
             row.append(best)

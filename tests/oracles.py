@@ -10,20 +10,44 @@ union of the upsets of a whole generated monoid, or of every product
 i * g^n), and ``solve_linear``, ``convex_coefficients``
 and ``mix_states`` are the library's elimination, hull test and mixture
 on ``fractions.Fraction``, kept as they were before the state layer moved
-to integer numerators.
+to integer numerators.  ``residuum_by_scan`` derives impl by the
+definition, element by element, as the library did before it read the
+candidate sets in C.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Sequence
 
-from blstate.algebra import FiniteBLAlgebra
+from blstate.algebra import FiniteBLAlgebra, NoResiduumError
 from blstate.filters import filter_sort_key, has_power_negation_in
 from blstate.operators import CLASS_AXIOMS
 from blstate.states import RationalState
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def residuum_by_scan(leq, prod) -> tuple[tuple[int, ...], ...]:
+    """impl(a, b) = the first z, ascending, of {z : prod(a, z) <= b} that
+    lies above every member; ``NoResiduumError`` at the first pair with
+    none."""
+    n = len(prod)
+    out = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            candidates = [z for z in range(n) if leq[prod[a][z]][b]]
+            best = None
+            for z in candidates:
+                if all(leq[w][z] for w in candidates):
+                    best = z
+                    break
+            if best is None:
+                raise NoResiduumError(a, b)
+            row.append(best)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def brute_force_filters(a):

@@ -1,9 +1,12 @@
 """Document format: strict parsing, canonical serialization, derivation."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from blstate.algebra import NoResiduumError, residuum_from_monoid
 from blstate.constructors import four_element_example, mv_chain
 from blstate.document import (
     AlgebraDocument,
@@ -121,3 +124,57 @@ def test_bad_rational_in_state():
     raw["states"] = {"s": ["0", "3/2", "1", "1"]}
     with pytest.raises(ParseError, match="outside"):
         parse_algebra(json.dumps(raw))
+
+
+def _derive(derive, leq, prod):
+    """``("impl", table)``, or ``("none at", pair)`` for the first pair
+    without a residuum."""
+    try:
+        return "impl", derive(leq, prod)
+    except NoResiduumError as exc:
+        return "none at", exc.pair
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_derived_impl_matches_the_scan_oracle(data):
+    """On an order, impl read from C-level candidate sets equals the
+    element scan, or both name the same pair without a residuum; the
+    products are drawn from sealed algebras, with entries perturbed."""
+    from .oracles import residuum_by_scan
+    from .strategies import algebras
+
+    a = data.draw(algebras)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    prods = [a.prod]
+    for changes in (1, 1, 2, 3):
+        prod = [list(row) for row in a.prod]
+        for _ in range(changes):
+            prod[rng.randrange(a.size)][rng.randrange(a.size)] = rng.randrange(a.size)
+        prods.append(prod)
+    for prod in prods:
+        assert _derive(residuum_from_monoid, a.leq, prod) == _derive(residuum_by_scan, a.leq, prod)
+
+
+def test_a_relation_that_is_no_order_has_a_residuum_exactly_when_the_scan_finds_one():
+    """With a relation that is not antisymmetric two candidates can both
+    lie above every candidate, and the routes may pick different ones;
+    they agree on where no residuum exists, and each pick is above every
+    candidate."""
+    from .oracles import residuum_by_scan
+
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randrange(2, 6)
+        leq = [[x == y or rng.random() < 0.5 for y in range(n)] for x in range(n)]
+        prod = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        kind, fast = _derive(residuum_from_monoid, leq, prod)
+        scan_kind, scan = _derive(residuum_by_scan, leq, prod)
+        assert kind == scan_kind
+        if kind == "none at":
+            assert fast == scan
+        else:
+            for x, y in ((x, y) for x in range(n) for y in range(n)):
+                candidates = [z for z in range(n) if leq[prod[x][z]][y]]
+                assert fast[x][y] in candidates
+                assert all(leq[w][fast[x][y]] for w in candidates)
