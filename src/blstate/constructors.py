@@ -268,13 +268,17 @@ def _sealed_quotient(algebra: FiniteBLAlgebra, f: frozenset[int]):
     reps: list[int] = []
     proj = [-1] * n
     for x in range(n):
-        proj[x] = next((c for c, r in enumerate(reps) if algebra.dist(x, r) in f), len(reps))
-        if proj[x] == len(reps):
+        for c, r in enumerate(reps):
+            if algebra.dist(x, r) in f:
+                proj[x] = c
+                break
+        else:
+            proj[x] = len(reps)
             reps.append(x)
-    # Sealed by certificate: proj carries every operation onto the table
-    # it induces on the representatives, so the quotient is a homomorphic
-    # image of a BL-algebra, hence one (BL-algebras form a variety).
-    tables = [tuple(tuple(proj[t[r][s]] for s in reps) for r in reps) for t in _tables(algebra)]
+    # Sealed by certificate: proj must carry each operation onto its induced table; a
+    # homomorphic image of a BL-algebra is one, since BL-algebras form a variety.
+    induced = [[[proj[t[r][s]] for s in reps] for r in reps] for t in _tables(algebra)]
+    tables = [tuple(map(tuple, rows)) for rows in induced]
     bad = _unpreserved(proj, algebra, tables)
     if bad is not None:
         raise InternalCheckError(f"the quotient projection: {bad}")
