@@ -11,23 +11,19 @@ projection that preserves every operation, an image closed under every
 operation), since homomorphic images and subalgebras of a BL-algebra
 are BL-algebras, and a relabeling keeps the tables.
 
-Sealing has two parts: the table check decides; the element scan names
-the witness.  On carriers of at most 256 elements (a property of the
-input: each table row then fits in ``bytes``) ``_laws_hold`` decides the
-laws on whole tables with ``bytes.translate``; the element scan
-(``_first_violation``, the laws of ``_SEALING`` read by ``violation``)
-runs only on a failure, or on a larger carrier, and names the first
-violation.
-
-Pointwise laws are data, ``Law`` values: the element scan of sealing,
-the operator axioms and preservation (``operators``), the pointwise
-claims of ``suite`` and the four laws of ``classify_variety``.  A law's lambda is
-its per-tuple evaluator (``witness``), which names the
-lexicographically first failing tuple.  ``holds`` is the one place that
-picks a route: a law with a row kernel (``Law.rows``) is decided by that
-kernel on ``bytes`` rows on a carrier of at most 256 elements, and every
-other law per tuple.  ``violation`` scans only a failing law for its
-witness.
+Pointwise laws are data, ``Law`` values: the BL laws of sealing
+(``_SEALING``), the operator axioms and preservation (``operators``),
+the pointwise claims of ``suite`` and the four laws of
+``classify_variety``.  A law's lambda is its per-tuple evaluator
+(``witness``), which names the lexicographically first failing tuple.
+``holds`` is the one place that picks a route: a law with a row kernel
+(``Law.rows``) is decided by that kernel on ``bytes`` rows on a carrier
+of at most 256 elements (each table row then fits in ``bytes``), and
+every other law per tuple.  Either route decides a law alone, on tables
+that may be unsealed: ``find_axiom_violation`` wraps the candidate
+tables of a seal in an unsealed ``FiniteBLAlgebra`` and runs
+``violation``, which scans only a failing law for its witness, over the
+groups of ``_SEALING`` in the documented order.
 """
 
 from __future__ import annotations
@@ -36,8 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial, wraps
 from itertools import chain, compress, product as iproduct, repeat, starmap
-from operator import getitem, not_
-from types import SimpleNamespace
+from operator import not_
 from typing import Callable, Iterable, Sequence
 
 Table = tuple[tuple[int, ...], ...]
@@ -115,82 +110,6 @@ def memoized(fn):
         return memo.setdefault(key, fn(obj, *args)) if value is memo else value
 
     return wrapper
-
-
-def _laws_hold(
-    meet: Table, join: Table, prod: Table, impl: Table, bottom: int, top: int
-) -> bool:
-    """Whether every BL law holds, decided on whole tables in C.
-
-    Each table row becomes a ``bytes`` object, which needs a carrier of
-    at most 256 elements.  ``flat.translate(row + pad)`` maps every entry
-    of a flattened table through one row: it composes the table with
-    that row in a single call.  The checks run in scan order, and a
-    check may assume the laws before it.  Two laws of the scan are not
-    checked again, because the others imply them: meet and join induce
-    one order (commutativity and absorption), and top is the unit of
-    prod (adjointness gives impl(a, top) == top, and divisibility then
-    gives prod(a, top) == meet(a, top) == a).
-    """
-    n = len(meet)
-    rng = range(n)
-    pad = bytes(256 - n)
-    m, j, p, i = tables = [[bytes(row) for row in t] for t in (meet, join, prod, impl)]
-    fm, fj, fp, fi = (b"".join(t) for t in tables)
-
-    def transposed(flat: bytes) -> bytes:
-        return b"".join(flat[c::n] for c in rng)
-
-    def associative(rows: list[bytes], flat: bytes) -> bool:
-        # row t(a, b) equals row b mapped through row a, for every b
-        return all(
-            flat.translate(rows[a] + pad) == b"".join(map(rows.__getitem__, rows[a]))
-            for a in rng
-        )
-
-    def absorbs(outer: list[bytes], inner: list[bytes]) -> bool:
-        return all(inner[a].translate(outer[a] + pad) == bytes((a,)) * n for a in rng)
-
-    # leq[x][y] is 1 where meet(x, y) == x: row x of meet marked at value x
-    leq = [m[x].translate(bytes(x) + b"\1" + bytes(255 - x)) for x in rng]
-    return (
-        fm == transposed(fm)
-        and fj == transposed(fj)
-        and associative(m, fm)
-        and associative(j, fj)
-        and absorbs(m, j)
-        and absorbs(j, m)
-        and m[bottom] == bytes((bottom,)) * n
-        and j[top] == bytes((top,)) * n
-        and fp == transposed(fp)
-        and associative(p, fp)
-        # adjointness at fixed c, over (a, b): c <= impl(a, b) iff prod(c, a) <= b
-        and all(
-            fi.translate(leq[c] + pad) == b"".join(map(leq.__getitem__, p[c])) for c in rng
-        )
-        and all(i[a].translate(p[a] + pad) == m[a] for a in rng)
-        # prelinearity: join(impl(a, b), impl(b, a)) == top
-        and bytes(map(getitem, map(j.__getitem__, fi), transposed(fi)))
-        == bytes((top,)) * (n * n)
-    )
-
-
-def find_axiom_violation(
-    meet: Table, join: Table, prod: Table, impl: Table, bottom: int, top: int
-) -> AxiomViolation | None:
-    """First failure of the BL laws in the documented scan order, or None.
-
-    The table check decides; the element scan names the witness.  The
-    tables must be n x n with entries, ``bottom`` and ``top`` in
-    ``range(n)`` (``verify_bl_axioms`` checks this first).  On a carrier
-    of at most 256 elements ``_laws_hold`` decides every law on whole
-    tables, and a pass returns None at once.  The element scan
-    (``_first_violation``) runs only when that check fails or n > 256,
-    so every violation returned is the one the scan names.
-    """
-    if len(meet) <= 256 and _laws_hold(meet, join, prod, impl, bottom, top):
-        return None
-    return _first_violation(meet, join, prod, impl, bottom, top)
 
 
 @dataclass(frozen=True)
@@ -404,7 +323,8 @@ class Law:
     given, is the law's row kernel: ``rows(a, t)`` decides the law on an
     algebra of at most 256 elements (at the operator table ``t``, None for
     a law that does not read it) with ``bytes`` rows, reading the tables
-    exactly as ``check`` does.
+    exactly as ``check`` does.  A kernel decides its law alone, assuming
+    no other law, so ``a`` may hold unsealed tables (sealing's candidate).
     """
 
     text: str
@@ -493,7 +413,8 @@ def holds(law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None
 
     The one place that picks a route: a law with a row kernel is decided
     by that kernel on at most 256 elements, and every other law, or one
-    on a larger carrier, by the per-tuple evaluator.
+    on a larger carrier, by the per-tuple evaluator.  Both routes decide
+    the law alone, on tables that may be unsealed.
     """
     if law.rows is not None and algebra.size <= 256:
         return law.rows(algebra, table)
@@ -536,57 +457,135 @@ def violation(
     return found
 
 
-# the BL laws of the element scan, in groups of laws over the same variables
+# ---------------------------------------------------------------------------
+# the BL laws of sealing: each row kernel reads the tables by their index
+# in ``byte_rows`` (meet 0, join 1, prod 2, impl 3) and decides its law
+# alone, as the candidate tables are not sealed; ``t`` is unused
+
+
+_ZERO = b"\1" + bytes(255)  # translation table: 1 at a zero byte, else 0
+
+
+def _padded(rows: Sequence[bytes]) -> Iterable[bytes]:
+    """The rows as translation tables: ``u.translate(row)`` is u through the row."""
+    return map(bytes.__add__, rows, repeat(bytes(256 - len(rows))))
+
+
+def _picked(rows: Sequence[bytes], by: Iterable[bytes]) -> Iterable[bytes]:
+    """For each row of ``by``, the rows of ``rows`` it picks, joined."""
+    return map(b"".join, map(map, repeat(rows.__getitem__), by))
+
+
+def _columns(rows: Sequence[bytes]) -> tuple[bytes, ...]:
+    flat, n = b"".join(rows), len(rows)
+    return tuple(flat[c::n] for c in range(n))
+
+
+def _equal(u: bytes, v: bytes) -> bytes:
+    """1 where the bytes of ``u`` and ``v`` agree, else 0."""
+    return (_mask(u) ^ _mask(v)).to_bytes(len(u), "little").translate(_ZERO)
+
+
+def _associative_rows(k: int, a: FiniteBLAlgebra, t) -> bool:
+    # for each x, over the (y, z) grid: T(x, T(y, z)) is the flat table
+    # through row x, T(T(x, y), z) the rows that row x picks
+    rows = a.byte_rows[k]
+    return all(map(bytes.__eq__, map(b"".join(rows).translate, _padded(rows)), _picked(rows, rows)))
+
+
+def _absorption_rows(outer: int, inner: int, a: FiniteBLAlgebra, t) -> bool:
+    # for each x, over y: row x of inner through row x of outer is x
+    through = map(bytes.translate, a.byte_rows[inner], _padded(a.byte_rows[outer]))
+    return b"".join(through) == _grid(a.size, 2)[0]
+
+
+def _one_order_rows(a: FiniteBLAlgebra, t) -> bool:
+    # meet(x, y) == x against join(x, y) == y, over the (x, y) grid
+    xs, ys = _grid(a.size, 2)
+    return _equal(b"".join(a.byte_rows[0]), xs) == _equal(b"".join(a.byte_rows[1]), ys)
+
+
+def _adjointness_rows(a: FiniteBLAlgebra, t) -> bool:
+    # for each z, over the (x, y) grid: leq[z][impl[x][y]] is the flat impl
+    # table through row z of leq, leq[prod[x][z]][y] the rows of leq that
+    # column z of prod picks
+    meet, _, prod, impl = a.byte_rows
+    leq = [m.translate(bytes(x) + b"\1" + bytes(255 - x)) for x, m in enumerate(meet)]
+    through = map(b"".join(impl).translate, _padded(leq))
+    return all(map(bytes.__eq__, through, _picked(leq, _columns(prod))))
+
+
+def _prelinearity_rows(a: FiniteBLAlgebra, t) -> bool:
+    # join[impl[x][y]][impl[y][x]] over the (x, y) grid, one _pairwise lookup
+    impl = a.byte_rows[3]
+    both = _pairwise(_pairs(a.join), b"".join(impl), b"".join(_columns(impl)))
+    return both == bytes((a.top,)) * (a.size * a.size)
+
+
+# the BL laws in scan order, in groups of laws over the same variables
 _SEALING = (
     ("lattice", (
-        Law("meet not commutative", lambda meet, x, y: meet[x][y] == meet[y][x]),
-        Law("join not commutative", lambda join, x, y: join[x][y] == join[y][x]),
+        Law("meet not commutative", lambda meet, x, y: meet[x][y] == meet[y][x],
+            lambda a, t: a.byte_rows[0] == _columns(a.byte_rows[0])),
+        Law("join not commutative", lambda join, x, y: join[x][y] == join[y][x],
+            lambda a, t: a.byte_rows[1] == _columns(a.byte_rows[1])),
     )),
     ("lattice", (
         Law("meet not associative",
-            lambda meet, x, y, z: meet[meet[x][y]][z] == meet[x][meet[y][z]]),
+            lambda meet, x, y, z: meet[meet[x][y]][z] == meet[x][meet[y][z]],
+            partial(_associative_rows, 0)),
         Law("join not associative",
-            lambda join, x, y, z: join[join[x][y]][z] == join[x][join[y][z]]),
+            lambda join, x, y, z: join[join[x][y]][z] == join[x][join[y][z]],
+            partial(_associative_rows, 1)),
     )),
     ("lattice", (
         Law("absorption meet(a, join(a,b)) != a",
-            lambda meet, join, x, y: meet[x][join[x][y]] == x),
+            lambda meet, join, x, y: meet[x][join[x][y]] == x, partial(_absorption_rows, 0, 1)),
         Law("absorption join(a, meet(a,b)) != a",
-            lambda meet, join, x, y: join[x][meet[x][y]] == x),
+            lambda meet, join, x, y: join[x][meet[x][y]] == x, partial(_absorption_rows, 1, 0)),
     )),
     ("lattice", (
-        Law("bottom is not the least element", lambda meet, bottom, x: meet[bottom][x] == bottom),
-        Law("top is not the greatest element", lambda join, top, x: join[top][x] == top),
+        Law("bottom is not the least element", lambda meet, bottom, x: meet[bottom][x] == bottom,
+            lambda a, t: a.byte_rows[0][a.bottom] == bytes((a.bottom,)) * a.size),
+        Law("top is not the greatest element", lambda join, top, x: join[top][x] == top,
+            lambda a, t: a.byte_rows[1][a.top] == bytes((a.top,)) * a.size),
     )),
     ("lattice", (Law("meet/join induce different orders",
-                     lambda meet, join, x, y: (meet[x][y] == x) == (join[x][y] == y)),)),
-    ("monoid", (Law("prod not commutative", lambda prod, x, y: prod[x][y] == prod[y][x]),)),
+                     lambda meet, join, x, y: (meet[x][y] == x) == (join[x][y] == y),
+                     _one_order_rows),)),
+    ("monoid", (Law("prod not commutative", lambda prod, x, y: prod[x][y] == prod[y][x],
+                    lambda a, t: a.byte_rows[2] == _columns(a.byte_rows[2])),)),
     ("monoid", (Law("prod not associative",
-                    lambda prod, x, y, z: prod[prod[x][y]][z] == prod[x][prod[y][z]]),)),
-    ("monoid", (Law("top is not the monoid unit", lambda prod, top, x: prod[x][top] == x),)),
+                    lambda prod, x, y, z: prod[prod[x][y]][z] == prod[x][prod[y][z]],
+                    partial(_associative_rows, 2)),)),
+    # column top of prod is the identity
+    ("monoid", (Law("top is not the monoid unit", lambda prod, top, x: prod[x][top] == x,
+                    lambda a, t: (b"".join(a.byte_rows[2])[a.top::a.size]
+                                  == bytes(range(a.size)))),)),
     # z <= impl(x, y) iff prod(x, z) <= y
     ("adjointness", (Law("", lambda meet, prod, impl, x, y, z: (
-        (meet[z][impl[x][y]] == z) == (meet[prod[x][z]][y] == prod[x][z]))),)),
-    ("divisibility", (Law("", lambda meet, prod, impl, x, y: meet[x][y] == prod[x][impl[x][y]]),)),
-    ("prelinearity", (Law("", lambda join, impl, top, x, y: join[impl[x][y]][impl[y][x]] == top),)),
+        (meet[z][impl[x][y]] == z) == (meet[prod[x][z]][y] == prod[x][z])), _adjointness_rows),)),
+    # row x of impl through row x of prod is row x of meet
+    ("divisibility", (Law("", lambda meet, prod, impl, x, y: meet[x][y] == prod[x][impl[x][y]],
+                          lambda a, t: tuple(map(bytes.translate, a.byte_rows[3],
+                                                 _padded(a.byte_rows[2]))) == a.byte_rows[0]),)),
+    ("prelinearity", (Law("", lambda join, impl, top, x, y: join[impl[x][y]][impl[y][x]] == top,
+                          _prelinearity_rows),)),
 )
 
 
-def _first_violation(
+def find_axiom_violation(
     meet: Table, join: Table, prod: Table, impl: Table, bottom: int, top: int
 ) -> AxiomViolation | None:
-    """The first failure of the ``_SEALING`` groups, in their order, or None.
+    """First failure of the BL laws in the documented scan order, or None.
 
-    The order (lattice, monoid, adjointness, divisibility, prelinearity)
-    keeps violation witnesses reproducible.  Within a group the
-    lexicographically first failing tuple wins, and at the same tuple the
-    earlier law (``violation``); the law's text is the ``detail``.
+    The tables must be n x n with entries, ``bottom`` and ``top`` in
+    ``range(n)`` (``verify_bl_axioms`` checks this first).  The failing
+    law's text is the ``detail``.
     """
-    tables = SimpleNamespace(
-        size=len(meet), meet=meet, join=join, prod=prod, impl=impl, bottom=bottom, top=top
-    )
+    candidate = FiniteBLAlgebra(len(meet), (), meet, join, prod, impl, bottom, top)
     for axiom, laws in _SEALING:
-        found = violation(laws, tables)  # type: ignore[arg-type]
+        found = violation(laws, candidate)
         if found is not None:
             return AxiomViolation(axiom, found[1], found[0].text)
     return None

@@ -99,7 +99,7 @@ OPERATOR_AXIOMS = ("1", "2", "3", "3s", "4", "5", "6", "7")
 def _sigma(a: FiniteBLAlgebra, t: Sequence[int]) -> tuple[bytes, bytes, bytes]:
     """``(row, s, pad)`` for the row kernels: sigma as ``bytes``, the same
     padded to a translation table, so ``r.translate(s)`` maps a whole row
-    ``r`` through sigma (as ``algebra._laws_hold`` composes tables), and
+    ``r`` through sigma (as the kernels of the BL laws compose tables), and
     the padding of a row of ``a``.  A kernel compares the two sides of its
     law for each x over every y at once."""
     pad = bytes(256 - a.size)

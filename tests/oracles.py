@@ -12,14 +12,16 @@ and ``mix_states`` are the library's elimination, hull test and mixture
 on ``fractions.Fraction``, kept as they were before the state layer moved
 to integer numerators.  ``residuum_by_scan`` derives impl by the
 definition, element by element, as the library did before it read the
-candidate sets in C.
+candidate sets in C.  ``first_violation`` names the first failing BL
+law by the per-tuple evaluator alone (``witness``), never by ``holds``
+and so never by a row kernel.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Sequence
 
-from blstate.algebra import FiniteBLAlgebra, NoResiduumError
+from blstate.algebra import _SEALING, AxiomViolation, FiniteBLAlgebra, NoResiduumError, witness
 from blstate.filters import filter_sort_key, has_power_negation_in
 from blstate.operators import CLASS_AXIOMS
 from blstate.states import RationalState
@@ -48,6 +50,19 @@ def residuum_by_scan(leq, prod) -> tuple[tuple[int, ...], ...]:
             row.append(best)
         out.append(tuple(row))
     return tuple(out)
+
+
+def first_violation(meet, join, prod, impl, bottom, top) -> AxiomViolation | None:
+    """The first failure of the sealing laws, group by group in their
+    order: every law of a group is scanned per tuple, the least failing
+    tuple wins, and at the same tuple the earlier law."""
+    candidate = FiniteBLAlgebra(len(meet), (), meet, join, prod, impl, bottom, top)
+    for axiom, laws in _SEALING:
+        found = [(w, i) for i, law in enumerate(laws) if (w := witness(law, candidate)) is not None]
+        if found:
+            w, i = min(found)
+            return AxiomViolation(axiom, w, laws[i].text)
+    return None
 
 
 def brute_force_filters(a):

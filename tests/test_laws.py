@@ -32,6 +32,7 @@ from blstate.suite import (
 
 from . import law_oracles as oracle
 from .strategies import algebras
+from .test_algebra import SEAL_CARRIERS
 
 CHECKS = {c.claim_id: c.check for c in REGISTRY}
 
@@ -230,9 +231,10 @@ def _laws_in(obj, found: dict) -> dict:
     return found
 
 
+SEALING_LAWS = list(_laws_in(algebra._SEALING, {}).values())
 LAWS = list(_laws_in(
     [[claim.check for claim in REGISTRY], AXIOM_LAWS, PRESERVES, MV_LAWS, ADDITIVITY, IDEMPOTENT,
-     _VARIETY_LAWS],
+     _VARIETY_LAWS, SEALING_LAWS],
     {},
 ).values())
 KERNEL_LAWS = [law for law in LAWS if law.rows is not None]
@@ -253,17 +255,20 @@ def _arity(law):
 
 
 def test_the_prop_2_2_laws_the_operator_axioms_and_preservation_carry_row_kernels():
-    # holds decides these by their kernels on every carrier of at most 256
-    # elements; every other law (2-variable instance laws and the claims
-    # that read the operator t, the orders or the radical) goes per tuple
-    assert len(LAWS) == 49
-    assert len(INSTANCE_LAWS) == 12  # Prop-2.2, S2 and the variety flags
+    # so do the BL laws of sealing; holds decides these by their kernels on
+    # every carrier of at most 256 elements; every other law (the
+    # 2-variable instance laws outside sealing and the claims that read the
+    # operator t, the orders or the radical) goes per tuple
+    assert len(LAWS) == 64
+    assert len(SEALING_LAWS) == 15
+    assert len(INSTANCE_LAWS) == 27  # the BL laws, Prop-2.2, S2 and the variety flags
     assert len(OPERATOR_KERNEL_LAWS) == 10  # axioms 1-5 and 3s, preservation of all four
     for law in LAWS:
-        expected = law in OPERATOR_KERNEL_LAWS or (law in INSTANCE_LAWS and _arity(law) >= 3)
+        expected = (law in OPERATOR_KERNEL_LAWS or law in SEALING_LAWS
+                    or (law in INSTANCE_LAWS and _arity(law) >= 3))
         assert (law.rows is not None) == expected, law.text
-    assert len(INSTANCE_KERNEL_LAWS) == 4  # Prop-2.2-1, 2, 5 and 6
-    assert len(KERNEL_LAWS) == 14
+    assert len(INSTANCE_KERNEL_LAWS) == 19  # the BL laws, Prop-2.2-1, 2, 5 and 6
+    assert len(KERNEL_LAWS) == 29
 
 
 def _rows_agree_with_tuples(a, laws=INSTANCE_KERNEL_LAWS):
@@ -289,6 +294,16 @@ def test_row_evaluator_matches_the_per_tuple_evaluator(a, data):
     if a.size > 1:
         for _ in range(3):
             _rows_agree_with_tuples(_perturbed(a, data))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SEAL_CARRIERS), st.data())
+def test_the_bl_law_kernels_match_the_per_tuple_evaluator_on_the_seal_carriers(a, data):
+    """The kernels of sealing decide as the per-tuple evaluator does on
+    12 to 32 elements and on one, sealed and with one entry changed."""
+    _rows_agree_with_tuples(a, SEALING_LAWS)
+    if a.size > 1:
+        _rows_agree_with_tuples(_perturbed(a, data), SEALING_LAWS)
 
 
 # 18 and 32 elements: _pairwise reads two and four lookup groups; on 40,
