@@ -7,15 +7,16 @@ algebra is sealed.  A sealed algebra is immutable and safe to share
 between threads; every downstream module assumes its input is sealed.
 Tables from outside the package are sealed only by ``verify_bl_axioms``;
 the package seals quotients and operator images by certificate (a
-projection that preserves every operation, an image closed under every
+class map that respects every operation, an image closed under every
 operation), since homomorphic images and subalgebras of a BL-algebra
 are BL-algebras, and a relabeling keeps the tables.
 
 Pointwise laws are data, ``Law`` values: the BL laws of sealing
 (``_SEALING``), the operator axioms and preservation (``operators``),
-the pointwise claims of ``suite`` and the four laws of
-``classify_variety``.  A law's lambda is its per-tuple evaluator
-(``witness``), which names the lexicographically first failing tuple.
+the quotient certificate (``constructors.CONGRUENT``), the pointwise
+claims of ``suite`` and the four laws of ``classify_variety``.  A law's
+lambda is its per-tuple evaluator (``witness``), which names the
+lexicographically first failing tuple.
 ``holds`` is the one place that picks a route: a law with a row kernel
 (``Law.rows``) is decided by that kernel on ``bytes`` rows on a carrier
 of at most 256 elements (each table row then fits in ``bytes``), and
@@ -213,7 +214,7 @@ class FiniteBLAlgebra:
         """meet, join, prod and impl with every row as ``bytes``.
 
         Only for carriers of at most 256 elements; the row kernels of the
-        laws (``Law.rows``) and ``constructors.table_preserves`` read them.
+        laws (``Law.rows``) read them.
         """
         return tuple(tuple(map(bytes, t)) for t in (self.meet, self.join, self.prod, self.impl))
 

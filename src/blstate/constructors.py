@@ -2,22 +2,27 @@
 
 Chains, products, ordinal sums and the four-element example are sealed
 by ``verify_bl_axioms``, the independent check of the code that builds
-their tables.  A quotient is sealed by certificate: its projection must
-carry every operation onto the induced tables.
+their tables.  A quotient is sealed by certificate: its class map must
+respect every operation (``CONGRUENT``, decided by ``algebra.holds``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct, repeat
+from functools import partial
+from itertools import product as iproduct
+from operator import index
 from typing import Sequence
 
 from .algebra import (
     FiniteBLAlgebra,
     InternalCheckError,
+    Law,
     Table,
+    holds,
     memoized,
     verify_bl_axioms,
+    witness,
 )
 
 
@@ -248,12 +253,36 @@ def quotient_by_filter(
     numbered by ascending smallest representative.  x/F = 1/F iff x in F
     (cross-checked).  Raises ``NotAFilterError`` for a malformed F.  The
     quotient is sealed by certificate, not by re-deciding the BL laws:
-    the projection must carry meet, join, prod and impl onto the induced
-    tables, else ``InternalCheckError``, so the quotient is a homomorphic
-    image of a BL-algebra.  It is built once per (algebra, F) and
-    memoized on the algebra, so later calls return the same tuple.
+    the class map must respect every operation (``CONGRUENT``), else
+    ``InternalCheckError``, so the quotient is a homomorphic image of a
+    BL-algebra.  It is built once per (algebra, F) and memoized on the
+    algebra, so later calls return the same tuple.
     """
     return _sealed_quotient(algebra, frozenset(members))
+
+
+def _congruent(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
+    """The kernel of ``CONGRUENT`` on the k-th of meet, join, prod and impl:
+    row x through t equals t through row t[x], then through t."""
+    rep, rows, pad = bytes(t), a.byte_rows[k], bytes(256 - a.size)
+    s = rep + pad
+    return all(
+        r.translate(s) == rep.translate(rows[v] + pad).translate(s) for r, v in zip(rows, rep)
+    )
+
+
+# the class map t (x to its class representative) respects each operation: as
+# t[u] == t[v] iff u ~ v, the projection then carries it onto the induced table
+CONGRUENT = {
+    "meet": Law("t(x^y) = t(t(x) ^ t(y))",
+                lambda t, meet, x, y: t[meet[x][y]] == t[meet[t[x]][t[y]]], partial(_congruent, 0)),
+    "join": Law("t(x v y) = t(t(x) v t(y))",
+                lambda t, join, x, y: t[join[x][y]] == t[join[t[x]][t[y]]], partial(_congruent, 1)),
+    "prod": Law("t(x*y) = t(t(x) * t(y))",
+                lambda t, prod, x, y: t[prod[x][y]] == t[prod[t[x]][t[y]]], partial(_congruent, 2)),
+    "impl": Law("t(x->y) = t(t(x) -> t(y))",
+                lambda t, impl, x, y: t[impl[x][y]] == t[impl[t[x]][t[y]]], partial(_congruent, 3)),
+}
 
 
 @memoized
@@ -275,13 +304,15 @@ def _sealed_quotient(algebra: FiniteBLAlgebra, f: frozenset[int]):
         else:
             proj[x] = len(reps)
             reps.append(x)
-    # Sealed by certificate: proj must carry each operation onto its induced table; a
-    # homomorphic image of a BL-algebra is one, since BL-algebras form a variety.
+    # Sealed by certificate: the class map respects each operation; a homomorphic
+    # image of a BL-algebra is one, since BL-algebras form a variety.
+    rep = [reps[c] for c in proj]
+    for name, law in CONGRUENT.items():
+        if not holds(law, algebra, rep):
+            x, y = witness(law, algebra, rep)
+            raise InternalCheckError(f"the quotient projection: {name} not preserved at ({x}, {y})")
     induced = [[[proj[t[r][s]] for s in reps] for r in reps] for t in _tables(algebra)]
     tables = [tuple(map(tuple, rows)) for rows in induced]
-    bad = _unpreserved(proj, algebra, tables)
-    if bad is not None:
-        raise InternalCheckError(f"the quotient projection: {bad}")
     labels = tuple(algebra.labels[r] + "/F" for r in reps)
     top_class = proj[algebra.top]
     quotient = FiniteBLAlgebra(len(reps), labels, *tables, proj[algebra.bottom], top_class)
@@ -301,49 +332,10 @@ class Homomorphism:
     table: tuple[int, ...]
 
 
-def preservation_witness(
-    t: Sequence[int], source_table: Table, target_table: Table, source_rows: Sequence[bytes] = ()
-) -> tuple[int, int] | None:
-    """First pair (x, y), lexicographic, where ``t`` fails to carry the
-    operation ``source_table`` to ``target_table``, or None.
-
-    The table check decides; the element scan names the witness.  When
-    both carriers have at most 256 elements ``table_preserves`` decides
-    on whole rows (``source_rows``, if given, as ``bytes``), and the scan
-    runs only when that check fails.
-    """
-    if len(source_table) <= 256 and len(target_table) <= 256:
-        source_rows = source_rows or tuple(map(bytes, source_table))
-        target_rows = (
-            source_rows if target_table is source_table else tuple(map(bytes, target_table))
-        )
-        if table_preserves(bytes(t), source_rows, target_rows):
-            return None
-    return _preservation_scan(t, source_table, target_table)
-
-
-def table_preserves(
-    t: bytes, source_rows: Sequence[bytes], target_rows: Sequence[bytes]
-) -> bool:
-    """Whether ``t`` carries one operation to another, decided in C.
-
-    ``t`` and the operation rows are ``bytes``, so both carriers have at
-    most 256 elements (``FiniteBLAlgebra.byte_rows`` holds the rows of a
-    sealed algebra).  Source row x mapped through ``t`` must equal ``t``
-    mapped through target row ``t[x]``: both are t(x . y) and
-    t(x) . t(y) for every y.
-    """
-    s = t + bytes(256 - len(t))
-    pad = bytes(256 - len(target_rows))
-    return all(
-        row.translate(s) == t.translate(target_rows[v] + pad)
-        for row, v in zip(source_rows, t)
-    )
-
-
 def _preservation_scan(
     t: Sequence[int], source_table: Table, target_table: Table
 ) -> tuple[int, int] | None:
+    """The first pair (x, y) where ``t`` fails to carry one table to the other, or None."""
     for x, row in enumerate(source_table):
         tx = target_table[t[x]]
         for y, v in enumerate(row):
@@ -356,31 +348,24 @@ def homomorphism(
     source: FiniteBLAlgebra, target: FiniteBLAlgebra, table: Sequence[int]
 ) -> Homomorphism:
     """Verify that ``table`` preserves all operations and constants."""
-    t = tuple(int(v) for v in table)
+    try:
+        t = tuple(map(index, table))
+    except TypeError:
+        raise NotAHomomorphismError("table has a non-integral entry") from None
     if len(t) != source.size or any(not (0 <= v < target.size) for v in t):
         raise NotAHomomorphismError("table has wrong shape")
     if t[source.bottom] != target.bottom or t[source.top] != target.top:
         raise NotAHomomorphismError("constants not preserved")
-    bad = _unpreserved(t, source, _tables(target))
-    if bad is not None:
-        raise NotAHomomorphismError(bad)
+    names = ("meet", "join", "prod", "impl")
+    for name, table_s, table_t in zip(names, _tables(source), _tables(target)):
+        w = _preservation_scan(t, table_s, table_t)
+        if w is not None:
+            raise NotAHomomorphismError(f"{name} not preserved at ({w[0]}, {w[1]})")
     return Homomorphism(source, target, t)
 
 
 def _tables(a: FiniteBLAlgebra) -> list[Table]:
     return [a.meet, a.join, a.prod, a.impl]
-
-
-def _unpreserved(t: Sequence[int], source: FiniteBLAlgebra, targets: Sequence[Table]):
-    """How ``t`` first fails to carry meet, join, prod and impl of
-    ``source`` to the tables ``targets``, or None."""
-    rows = source.byte_rows if source.size <= 256 else repeat(())
-    operations = zip(("meet", "join", "prod", "impl"), _tables(source), targets, rows)
-    for name, table, target, r in operations:
-        w = preservation_witness(t, table, target, r)
-        if w is not None:
-            return f"{name} not preserved at ({w[0]}, {w[1]})"
-    return None
 
 
 def diagonal_operator_table(algebra: FiniteBLAlgebra, which: int) -> tuple[int, ...]:

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product as iproduct
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -65,7 +66,6 @@ from .constructors import (
     mv_chain,
     ordinal_sum,
     ordinal_summand_slices,
-    table_preserves,
 )
 from .filters import (
     classify_algebra,
@@ -145,8 +145,11 @@ def _closed(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
 
 
 def _preserved(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
-    """The kernel of preserving the k-th of meet, join, prod and impl."""
-    return table_preserves(bytes(t), a.byte_rows[k], a.byte_rows[k])
+    """The kernel of preserving the k-th of meet, join, prod and impl: row
+    x through sigma equals sigma through row sigma(x)."""
+    row, s, pad = _sigma(a, t)
+    rows = a.byte_rows[k]
+    return all(r.translate(s) == row.translate(rows[v] + pad) for r, v in zip(rows, row))
 
 
 # preservation of each operation; is_endomorphism reads all four
@@ -295,7 +298,10 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
     state on the computed verdicts; a breach would mean the checker
     itself is wrong, so it raises ``InternalCheckError``.
     """
-    t = tuple(int(v) for v in table)
+    try:
+        t = tuple(map(index, table))
+    except TypeError:
+        raise ValueError("operator table has a non-integral entry") from None
     if len(t) != algebra.size or any(not (0 <= v < algebra.size) for v in t):
         raise ValueError("operator table must be total on the carrier")
     verdicts = {ax: holds(AXIOM_LAWS[ax], algebra, t) for ax in OPERATOR_AXIOMS}
@@ -958,10 +964,10 @@ def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> MVEq
     """
     if not classify_variety(algebra).is_mv:
         raise NotMVError("carrier does not satisfy double-negation")
-    t = tuple(int(v) for v in table)
+    op = verify_operator(algebra, table)
+    t = op.table
     failed = tuple(ax for ax, law in MV_LAWS.items() if not holds(law, algebra, t))
     mv_ok = not failed
-    op = verify_operator(algebra, t)
     bl_ok = op.is_state
     if bl_ok != mv_ok:
         raise InternalCheckError(

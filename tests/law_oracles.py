@@ -16,7 +16,7 @@ from blstate.algebra import (
     VarietyFlags,
     memoized,
 )
-from blstate.constructors import _preservation_scan, preservation_witness
+from blstate.constructors import _preservation_scan
 from blstate.filters import radical
 from blstate.operators import (
     NotMVError,
@@ -309,8 +309,8 @@ def _l310_1(a, op):
 
 
 def _l310_2(a, op):
-    pres_impl = preservation_witness(op.table, a.impl, a.impl) is None
-    pres_join = preservation_witness(op.table, a.join, a.join) is None
+    pres_impl = _preservation_scan(op.table, a.impl, a.impl) is None
+    pres_join = _preservation_scan(op.table, a.join, a.join) is None
     if pres_impl != pres_join:
         return f"global impl/join equivalence: impl={pres_impl} join={pres_join}"
     return None
@@ -318,24 +318,24 @@ def _l310_2(a, op):
 
 def _l310_3(a, op):
     t = op.table
-    if preservation_witness(t, a.impl, a.impl) is None:
-        if preservation_witness(t, a.prod, a.prod) is not None:
+    if _preservation_scan(t, a.impl, a.impl) is None:
+        if _preservation_scan(t, a.prod, a.prod) is not None:
             return "impl-preserving but not prod-preserving"
-        if any(preservation_witness(t, tb, tb) is not None for tb in (a.meet, a.join)):
+        if any(_preservation_scan(t, tb, tb) is not None for tb in (a.meet, a.join)):
             return "impl-preserving but not an endomorphism"
     return None
 
 
 def _lemma_3_11(a, op):
-    if preservation_witness(op.table, a.impl, a.impl) is not None:
+    if _preservation_scan(op.table, a.impl, a.impl) is not None:
         return "does not preserve impl on a chain"
-    if op.is_strong and preservation_witness(op.table, a.prod, a.prod) is not None:
+    if op.is_strong and _preservation_scan(op.table, a.prod, a.prod) is not None:
         return "strong but does not preserve prod"
     return None
 
 
 def _idempotent_endomorphism(a, op):
-    if any(preservation_witness(op.table, tb, tb) is not None for tb in (a.prod, a.impl)):
+    if any(_preservation_scan(op.table, tb, tb) is not None for tb in (a.prod, a.impl)):
         return "not an endomorphism on a chain"
     if any(op.table[op.table[x]] != op.table[x] for x in range(a.size)):
         return "not idempotent"
@@ -345,7 +345,7 @@ def _idempotent_endomorphism(a, op):
 
 def _prop_4_10(a, op):
     for table in (a.meet, a.join, a.prod, a.impl):
-        if preservation_witness(op.table, table, table) is not None:
+        if _preservation_scan(op.table, table, table) is not None:
             return "not an endomorphism on x^2=x carrier"
     return None
 

@@ -17,6 +17,7 @@ from blstate.constructors import (
     NonLinearSummandError,
     NotAFilterError,
     NotAHomomorphismError,
+    _preservation_scan,
     diagonal_operator_table,
     direct_product,
     four_element_example,
@@ -29,8 +30,9 @@ from blstate.constructors import (
     sigma_h_table,
     swap_table,
 )
-from blstate.filters import all_filters, classify_algebra
-from blstate.operators import verify_operator
+from blstate.filters import all_filters, classify_algebra, maximal_filters, radical
+from blstate.operators import enumerate_operator_tables, verify_operator
+from blstate.states import extremal_states
 
 from .strategies import _small_chain
 
@@ -179,6 +181,15 @@ def test_homomorphism_verification():
         homomorphism(g3, g3, (0, 2, 1))
 
 
+def test_homomorphism_rejects_a_non_integral_entry():
+    g3 = godel_chain(3)
+    for table in ([0.4, 2.7, "2"], [0, 2.0, 2], [0, "2", 2]):
+        with pytest.raises(NotAHomomorphismError, match="non-integral entry"):
+            homomorphism(g3, g3, table)
+    numpy = pytest.importorskip("numpy")
+    assert homomorphism(g3, g3, numpy.array([0, 2, 2])).table == (0, 2, 2)
+
+
 def test_sigma_h():
     g3, g4 = godel_chain(3), godel_chain(4)
     h = homomorphism(g3, g4, (0, 1, 3))
@@ -214,6 +225,9 @@ def test_quotients_are_algebras(data):
         tables = (quotient.meet, quotient.join, quotient.prod, quotient.impl)
         resealed = verify_bl_axioms(quotient.labels, *tables, quotient.bottom, quotient.top)
         assert resealed.same_tables(quotient)
+        # and the element scan: proj carries each operation onto the quotient's
+        for op, table in zip((a.meet, a.join, a.prod, a.impl), tables):
+            assert _preservation_scan(proj, op, table) is None
         assert set(proj) == set(range(quotient.size))
         classes = {c: [x for x in range(a.size) if proj[x] == c] for c in set(proj)}
         assert sum(len(v) for v in classes.values()) == a.size
@@ -271,6 +285,32 @@ def test_quotients_of_a_relabeled_carrier_match_up_to_the_relabeling(name):
                 t, tb = getattr(q, op), getattr(qb, op)
                 assert all(tb[match[i]][match[j]] == match[t[i][j]] for i in match for j in match)
             assert (match[q.bottom], match[q.top]) == (qb.bottom, qb.top)
+
+
+@pytest.mark.parametrize("name", RELABELED_CARRIERS)
+def test_filters_operators_and_states_of_a_relabeled_carrier_match_up_to_the_relabeling(name):
+    """The radical, the maximal filters, the state operators and the
+    extremal states of a renumbered carrier are those of the carrier,
+    renumbered."""
+    a = RELABELED_CARRIERS[name]
+    states = enumerate_operator_tables(a, "state")
+    extremal = [s.values for s in extremal_states(a)]
+    rng = random.Random(f"verdicts {name}")
+    for _ in range(10):
+        perm = shuffled_order(a, rng)
+        back = sorted(range(a.size), key=perm.__getitem__)  # back[perm[x]] == x
+        b = relabel(a, perm)
+
+        def renumbered(xs):
+            return frozenset(perm[x] for x in xs)
+
+        assert radical(b) == renumbered(radical(a))
+        assert set(maximal_filters(b)) == set(map(renumbered, maximal_filters(a)))
+        # sigma on A is perm . sigma . back on B, and a state s is s . back
+        conjugates = {tuple(perm[t[x]] for x in back) for t in states}
+        assert set(enumerate_operator_tables(b, "state")) == conjugates
+        moved = {tuple(v[x] for x in back) for v in extremal}
+        assert {s.values for s in extremal_states(b)} == moved
 
 
 def test_the_certificate_rejects_a_one_sided_congruence(monkeypatch):

@@ -10,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from blstate import algebra
 from blstate.algebra import _VARIETY_LAWS, Law, classify_variety, violation, witness
-from blstate.constructors import direct_product, godel_chain, mv_chain
+from blstate.constructors import (
+    CONGRUENT,
+    direct_product,
+    godel_chain,
+    mv_chain,
+    quotient_by_filter,
+)
+from blstate.filters import all_filters
 from blstate.operators import (
     ADDITIVITY,
     AXIOM_LAWS,
@@ -234,7 +241,7 @@ def _laws_in(obj, found: dict) -> dict:
 SEALING_LAWS = list(_laws_in(algebra._SEALING, {}).values())
 LAWS = list(_laws_in(
     [[claim.check for claim in REGISTRY], AXIOM_LAWS, PRESERVES, MV_LAWS, ADDITIVITY, IDEMPOTENT,
-     _VARIETY_LAWS, SEALING_LAWS],
+     _VARIETY_LAWS, SEALING_LAWS, CONGRUENT],
     {},
 ).values())
 KERNEL_LAWS = [law for law in LAWS if law.rows is not None]
@@ -248,6 +255,8 @@ INSTANCE_KERNEL_LAWS = [law for law in KERNEL_LAWS if law in INSTANCE_LAWS]
 OPERATOR_KERNEL_LAWS = list(
     {id(law): law for law in [*AXIOM_LAWS.values(), *PRESERVES.values()]}.values()
 )
+# the quotient certificate: the class map respects meet, join, prod and impl
+CONGRUENT_LAWS = list(CONGRUENT.values())
 
 
 def _arity(law):
@@ -255,20 +264,22 @@ def _arity(law):
 
 
 def test_the_prop_2_2_laws_the_operator_axioms_and_preservation_carry_row_kernels():
-    # so do the BL laws of sealing; holds decides these by their kernels on
-    # every carrier of at most 256 elements; every other law (the
-    # 2-variable instance laws outside sealing and the claims that read the
-    # operator t, the orders or the radical) goes per tuple
-    assert len(LAWS) == 64
+    # so do the BL laws of sealing and the quotient certificate; holds
+    # decides these by their kernels on every carrier of at most 256
+    # elements; every other law (the 2-variable instance laws outside
+    # sealing and the claims that read the operator t, the orders or the
+    # radical) goes per tuple
+    assert len(LAWS) == 68
     assert len(SEALING_LAWS) == 15
     assert len(INSTANCE_LAWS) == 27  # the BL laws, Prop-2.2, S2 and the variety flags
     assert len(OPERATOR_KERNEL_LAWS) == 10  # axioms 1-5 and 3s, preservation of all four
+    assert len(CONGRUENT_LAWS) == 4
     for law in LAWS:
-        expected = (law in OPERATOR_KERNEL_LAWS or law in SEALING_LAWS
+        expected = (law in OPERATOR_KERNEL_LAWS or law in SEALING_LAWS or law in CONGRUENT_LAWS
                     or (law in INSTANCE_LAWS and _arity(law) >= 3))
         assert (law.rows is not None) == expected, law.text
     assert len(INSTANCE_KERNEL_LAWS) == 19  # the BL laws, Prop-2.2-1, 2, 5 and 6
-    assert len(KERNEL_LAWS) == 29
+    assert len(KERNEL_LAWS) == 33
 
 
 def _rows_agree_with_tuples(a, laws=INSTANCE_KERNEL_LAWS):
@@ -304,6 +315,30 @@ def test_the_bl_law_kernels_match_the_per_tuple_evaluator_on_the_seal_carriers(a
     _rows_agree_with_tuples(a, SEALING_LAWS)
     if a.size > 1:
         _rows_agree_with_tuples(_perturbed(a, data), SEALING_LAWS)
+
+
+def _class_map(proj):
+    """Each element to the first element of its class."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(c, x) for x, c in enumerate(proj))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(algebras, st.sampled_from(SEAL_CARRIERS)), st.data())
+def test_the_congruence_kernels_match_the_per_tuple_evaluator_on_class_maps(a, data):
+    """The kernels of the quotient certificate decide as the per-tuple
+    evaluator does: on the class map of every filter, where every law
+    holds, and on the same map with one entry changed."""
+    for f in all_filters(a):
+        rep = _class_map(quotient_by_filter(a, f)[1])
+        assert all(witness(law, a, rep) is None for law in CONGRUENT_LAWS)
+        maps = [rep]
+        if a.size > 1:
+            x, shift = data.draw(st.tuples(st.integers(0, a.size - 1), st.integers(1, a.size - 1)))
+            maps.append(_changed(rep, a.size, [(x, shift)]))
+        for t in maps:
+            for law in CONGRUENT_LAWS:
+                assert law.rows(a, t) == (witness(law, a, t) is None), law.text
 
 
 # 18 and 32 elements: _pairwise reads two and four lookup groups; on 40,

@@ -20,7 +20,7 @@ from blstate.constructors import (
     godel_chain,
     mv_chain,
     pair_index,
-    preservation_witness,
+    quotient_by_filter,
 )
 from blstate.filters import mask_members, maximal_filters, radical, state_filters, subset_mask
 from blstate.operators import (
@@ -67,6 +67,17 @@ def test_verify_example_sigma():
     assert op.is_strong and op.is_state
     assert op.kernel == frozenset({2, 3})
     assert not op.is_faithful
+
+
+def test_verify_operator_rejects_a_non_integral_entry():
+    a, sigma = four_element_example()
+    for table in ([0, 1.9, 3.2, "3"], [0, 1, 3.0, 3], [0, 1, "3", 3]):
+        with pytest.raises(ValueError, match="non-integral entry"):
+            verify_operator(a, table)
+    with pytest.raises(ValueError, match="non-integral entry"):
+        mv_equivalence_check(mv_chain(3), [0, 1.5, 2, 3])
+    numpy = pytest.importorskip("numpy")
+    assert verify_operator(a, numpy.array(sigma)).table == sigma
 
 
 def test_identity_is_always_a_morphism_operator():
@@ -575,9 +586,9 @@ def test_enumeration_ladder_counts(rung, states, endos):
 @given(algebras.filter(lambda a: a.size <= 9), st.data())
 def test_table_kernels_agree_with_element_scans(a, data):
     """The row kernels of the operator axioms and of preservation decide
-    as the per-tuple evaluator does, and ``preservation_witness`` returns
-    the scan's witness: on enumerated tables and on the same tables with
-    one entry changed."""
+    as the per-tuple evaluator does, and the evaluator names the witness
+    of the element scan (``_preservation_scan``): on enumerated tables and
+    on the same tables with one entry changed."""
     cls = data.draw(st.sampled_from(["state", "endomorphism"]))
     tables = enumerate_operator_tables(a, cls)
     table = list(data.draw(st.sampled_from(tables)))
@@ -588,8 +599,8 @@ def test_table_kernels_agree_with_element_scans(a, data):
         assert law.rows is not None
         assert holds(law, a, table) == (witness(law, a, table) is None), law.text
     scans = [_preservation_scan(table, op, op) for op in (a.meet, a.join, a.prod, a.impl)]
-    for op, scan in zip((a.meet, a.join, a.prod, a.impl), scans):
-        assert preservation_witness(table, op, op) == scan
+    for law, scan in zip(PRESERVES.values(), scans):
+        assert witness(law, a, table) == scan
     fixes_bounds = table[a.bottom] == a.bottom and table[a.top] == a.top
     assert is_endomorphism(a, table) == (fixes_bounds and scans == [None] * 4)
 
@@ -638,11 +649,27 @@ def test_carriers_over_256_elements_decide_by_the_element_scan():
             assert holds(AXIOM_LAWS[ax], a, t) == (found is None), ax
             if found is not None:
                 failed[ax] = found
-        for T in tables:
-            assert preservation_witness(t, T, T) == first_unpreserved(t, T)
+        for law, T in zip(PRESERVES.values(), tables):
+            assert witness(law, a, t) == first_unpreserved(t, T)
     # 1 and 4 hold: bottom stays fixed, and no product of image values is top
     assert failed == {"2": (0, 0), "3": (1, 256), "3s": (1, 256), "5": (0, 0), "6": (1, 256),
                       "7": (0, 0)}
     assert is_endomorphism(a, identity) and not is_endomorphism(a, top_to_bottom)
     assert [holds(ADDITIVITY, a, t) for t in (identity, top_to_bottom)] == [True, False]
     assert witness(ADDITIVITY, a, top_to_bottom) == (1, 255)
+
+
+def test_a_quotient_over_256_elements_is_certified_per_tuple(monkeypatch):
+    # the congruence laws have row kernels only up to 256 elements, so on
+    # 257 the certificate of quotient_by_filter is decided per tuple
+    a = _lukasiewicz_chain(256)
+    q, proj = quotient_by_filter(a, {a.top})
+    assert q.same_tables(a) and proj == identity_table(a)
+    q, proj = quotient_by_filter(a, range(a.size))
+    assert q.size == 1 and set(proj) == {0}
+    # a partition that joins 0 and 1 respects meet, join and prod, not impl
+    dist = FiniteBLAlgebra.dist
+    monkeypatch.setattr(FiniteBLAlgebra, "dist",
+                        lambda b, x, y: b.top if {x, y} == {0, 1} else dist(b, x, y))
+    with pytest.raises(InternalCheckError, match=r"projection: impl not preserved at \(1, 0\)$"):
+        quotient_by_filter(_lukasiewicz_chain(256), {256})

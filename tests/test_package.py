@@ -1,11 +1,15 @@
 """Package shape: the library runs single-threaded on the standard library,
-the suite grades library cross-checks in one place, and its pointwise
-laws go through the law engine."""
+the suite grades library cross-checks in one place, its pointwise laws go
+through the law engine, and the benchmark's layers name code that exists."""
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 import blstate
+from blstate.suite import CLAIM_IDS
 
 FORBIDDEN = ("numpy", "concurrent.futures", "threading")
 
@@ -60,3 +64,42 @@ def test_suite_catches_cross_checks_only_in_its_graders():
         if isinstance(handler, ast.ExceptHandler) and _may_catch(handler, "InternalCheckError")
     }
     assert catching == {"_over_pool", "run_suite"}
+
+
+def _compares_with_256(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                if isinstance(operand, ast.Constant) and operand.value == 256:
+                    yield node.lineno
+
+
+def test_only_the_law_engine_picks_between_byte_rows_and_tuples():
+    # algebra.holds is the one place that picks a route by carrier size: a
+    # comparison with 256 anywhere else would be a second route
+    modules = sorted(Path(blstate.__file__).parent.glob("*.py"))
+    found = {
+        f"{path.name}:{line}"
+        for path in modules
+        for line in _compares_with_256(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found and all(site.startswith("algebra.py:") for site in found), sorted(found)
+
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
+FUNCTION_METRICS = ("calls", "self_s", "incl_s", "per_s", "distinct_ratio")
+
+
+def test_every_traced_layer_names_a_function_or_claim_that_exists():
+    # a layer that names a deleted function or claim would read 0, not fail
+    names = [layer["name"] for layer in json.loads(LAYERS.read_text())["per_layer"]]
+    functions = {name.rsplit(".", 1)[0] for name in names if name.endswith(FUNCTION_METRICS)}
+    claims = {name[len("suite.claim."):-len("_s")] for name in names
+              if name.startswith("suite.claim.")}
+    assert len(functions) > 20 and len(claims) > 5
+    for layer in functions:
+        module, function = layer.split(".")
+        defined = getattr(importlib.import_module(f"blstate.{module}"), function, None)
+        assert not function.startswith("_") and inspect.isfunction(inspect.unwrap(defined)), layer
+        assert defined.__module__ == f"blstate.{module}", layer
+    assert claims <= set(CLAIM_IDS), sorted(claims - set(CLAIM_IDS))
