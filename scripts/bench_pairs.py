@@ -28,6 +28,7 @@ tests are recorded.  The report goes to ``--out``, or to stdout.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -153,12 +154,19 @@ def run_tier1(root: Path) -> dict:
 
 
 def describe(root: Path) -> str:
+    """The checkout's commit, and a sha256 of its ``src/blstate/*.py``
+    (names and contents, in name order), which also names a tree
+    without ``.git``, such as a ``git archive`` copy."""
     def git(*args):
         proc = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
         return proc.stdout.strip()
 
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "blstate").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     dirty = " with uncommitted changes" if git("status", "--porcelain", "--", "src") else ""
-    return f"commit {git('rev-parse', '--short', 'HEAD') or 'unknown'}{dirty}"
+    commit = git("rev-parse", "--short", "HEAD") or "unknown"
+    return f"commit {commit}{dirty}, src/blstate sha256 {digest.hexdigest()[:16]}"
 
 
 def run_workload(roots: dict[str, Path], workload: str, seeds: list[int], seconds: float) -> dict:

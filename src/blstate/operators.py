@@ -16,11 +16,13 @@ their witness when a report's ``witnesses`` is read.
 backtracking that propagates the class's axioms instance by instance:
 each equational axiom is unrolled into static instances
 ``s[l] == T[s[a]][s[b]]``, and an instance checks or forces ``s[l]`` as
-soon as ``s[a]`` and ``s[b]`` are assigned.  The fixed-point closure of
-the image runs once per distinct image value on the search path, and
-every leaf is re-checked by the row kernels.  ``state_strong_gap``
-compares the state and strong classes for ``blstate search-nonstrong``
-and ``scripts/search_nonstrong.py``.
+soon as ``s[a]`` and ``s[b]`` are assigned.  One list, ``known``, holds
+each element's assigned or forced image, and the monotone candidate
+interval of each ``(lo, hi)`` is listed once per search.  The
+fixed-point closure of the image runs once per distinct image value on
+the search path, and every leaf is re-checked by the row kernels.
+``state_strong_gap`` compares the state and strong classes for
+``blstate search-nonstrong`` and ``scripts/search_nonstrong.py``.
 
 Two pairs of routes are kept on purpose as independent cross-checks that
 must agree: the pruned enumerator vs ``brute_force_operator_tables`` (an
@@ -340,9 +342,9 @@ class EnumerationStats:
     rejected: int = 0  # leaves refused by the full re-check
 
 
-# (l, a, b, k): the equation s[l] == T[s[a]][s[b]], T the k-th of
+# (l, a, b, T): the equation s[l] == T[s[a]][s[b]], T one of the tables
 # meet, join, prod, impl
-_Instance = tuple[int, int, int, int]
+_Instance = tuple[int, int, int, tuple[tuple[int, ...], ...]]
 
 
 def _watch_lists(algebra: FiniteBLAlgebra, cls: str) -> list[list[_Instance]]:
@@ -352,12 +354,13 @@ def _watch_lists(algebra: FiniteBLAlgebra, cls: str) -> list[list[_Instance]]:
     assigned, both arguments are known, so ``l`` is either checked or
     forced.  Every instance is an equation of the class's own axioms,
     which makes pruning on it sound.  Arguments of the commutative meet,
-    join and prod are sorted, so mirrored instances are kept once.
+    join and prod are sorted, so mirrored instances are kept once, and
+    instances are ordered by ``(l, a, b, k)``, T the k-th table.
     """
     meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
     neg, leq = algebra.neg_table, algebra.leq
     tables = (meet, join, prod, impl)
-    keys: set[_Instance] = set()
+    keys: set[tuple[int, int, int, int]] = set()
 
     def add(l: int, a: int, b: int, k: int) -> None:
         if k != 3 and b < a:  # impl (k == 3) is the one that does not commute
@@ -381,8 +384,8 @@ def _watch_lists(algebra: FiniteBLAlgebra, cls: str) -> list[list[_Instance]]:
         else:
             add(prod[x][y], x, y, 2)  # axiom 6
     watches: list[list[_Instance]] = [[] for _ in range(algebra.size)]
-    for key in sorted(keys):
-        watches[max(key[1], key[2])].append(key)
+    for l, a, b, k in sorted(keys):
+        watches[max(a, b)].append((l, a, b, tables[k]))
     return watches
 
 
@@ -392,63 +395,67 @@ def _enumerate_backtrack(
     watches: list[list[_Instance]],
     stats: EnumerationStats,
 ) -> list[tuple[int, ...]]:
-    """The backtracking search over the class's watched instances."""
+    """The backtracking search over the class's watched instances.
+
+    ``known[x]`` is x's assigned or forced image, else None.  A trail
+    resets only the entries its candidate forced, and ``descend(e)``
+    puts back the ``known[e]`` it found.  The monotone interval
+    ``[lo, hi]`` is listed once in ``intervals``; a forced node's one
+    candidate is its forced image, if that lies in the interval."""
     n = algebra.size
     meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
-    tables = (meet, join, prod, impl)
     leq = algebra.leq
     neg = algebra.neg_table
     fixpointy = cls != "endomorphism"
     # the earlier elements below and above each element
     below = [[u for u in range(e) if leq[u][e]] for e in range(n)]
     above = [[u for u in range(e) if leq[e][u]] for e in range(n)]
+    intervals: dict[tuple[int, int], list[int]] = {}
 
-    assign: list[int | None] = [None] * n
-    forced: list[int | None] = [None] * n
+    known: list[int | None] = [None] * n
+    known[algebra.bottom] = algebra.bottom
+    known[algebra.top] = algebra.top
     # the distinct image values on the search path, in order of appearance
     images: list[int] = []
     results: list[tuple[int, ...]] = []
 
-    def force(e: int, v: int, trail: list[int]) -> bool:
-        cur = assign[e]
-        if cur is not None:
-            return cur == v
-        if forced[e] is not None:
-            return forced[e] == v
-        forced[e] = v
-        trail.append(e)
-        return True
-
     def consequences(e: int, v: int, new_image: bool, trail: list[int]) -> bool:
-        if not force(neg[e], neg[v], trail):
+        x, w = neg[e], neg[v]
+        if (cur := known[x]) is None:
+            known[x] = w
+            trail.append(x)
+        elif cur != w:
             return False
-        for l, a, b, k in watches[e]:
-            if not force(l, tables[k][assign[a]][assign[b]], trail):
+        for l, a, b, T in watches[e]:
+            w = T[known[a]][known[b]]
+            if (cur := known[l]) is None:
+                known[l] = w
+                trail.append(l)
+            elif cur != w:
                 return False
         # a repeated image value adds no pair to the closure: the pairs of
         # earlier image values were forced when their later member appeared,
-        # and those forces stay on an ancestor's trail
+        # and those entries of known stay set until that member is left
         if new_image:
-            if not force(v, v, trail):
+            if (cur := known[v]) is None:
+                known[v] = v
+                trail.append(v)
+            elif cur != v:
                 return False
             for u in images:  # v is the last of them
                 for z in (prod[u][v], impl[u][v], impl[v][u], meet[u][v], join[u][v]):
-                    if not force(z, z, trail):
+                    if (cur := known[z]) is None:
+                        known[z] = z
+                        trail.append(z)
+                    elif cur != z:
                         return False
         return True
-
-    root_trail: list[int] = []
-    ok = force(algebra.bottom, algebra.bottom, root_trail) and force(
-        algebra.top, algebra.top, root_trail
-    )
-    if not ok:
-        return []
 
     def descend(e: int) -> None:
         stats.nodes += 1
         if e == n:
             stats.leaves += 1
-            t = tuple(assign)  # type: ignore[arg-type]
+            t = tuple(known)  # type: ignore[arg-type]
             if satisfies_class(algebra, t, cls):
                 results.append(t)
             else:
@@ -458,16 +465,17 @@ def _enumerate_backtrack(
         # earlier elements below e and the meet of those above e
         lo, hi = algebra.bottom, algebra.top
         for u in below[e]:
-            lo = join[lo][assign[u]]
+            lo = join[lo][known[u]]
         for u in above[e]:
-            hi = meet[hi][assign[u]]
-        above_lo = leq[lo]
-        candidates = (forced[e],) if forced[e] is not None else range(n)
+            hi = meet[hi][known[u]]
+        entry = known[e]
+        if entry is not None:
+            candidates = (entry,) if leq[lo][entry] and leq[entry][hi] else ()
+        elif (candidates := intervals.get((lo, hi))) is None:
+            candidates = intervals[lo, hi] = [v for v in range(n) if leq[lo][v] and leq[v][hi]]
         for v in candidates:
-            if not (above_lo[v] and leq[v][hi]):
-                continue
             trail: list[int] = []
-            assign[e] = v
+            known[e] = v
             new_image = fixpointy and v not in images
             if new_image:
                 images.append(v)
@@ -475,9 +483,9 @@ def _enumerate_backtrack(
                 descend(e + 1)
             if new_image:
                 images.pop()
-            assign[e] = None
-            for idx in trail:
-                forced[idx] = None
+            for x in trail:
+                known[x] = None
+        known[e] = entry
 
     descend(0)
     return results
@@ -809,48 +817,40 @@ class ChainProductSum:
 
 def chain_product_sum(n: int, dims: Sequence[int]) -> ChainProductSum:
     """Build S_n + (S_d1 x ... x S_dk) with its coordinate bookkeeping."""
-    dims = tuple(int(d) for d in dims)
+    bad = [d for d in (n, *dims) if not hasattr(type(d), "__index__")]
+    if bad:
+        raise ShapeMismatchError(f"chain size {bad[0]!r} is not an integer")
+    n, dims = index(n), tuple(map(index, dims))
     if n < 1 or not dims or any(d < 1 for d in dims):
         raise ShapeMismatchError("need n >= 1 and at least one chain factor")
     chain = mv_chain(n)
     upper = mv_chain(dims[0])
-    sizes = [dims[0] + 1]
     for d in dims[1:]:
         upper = direct_product(upper, mv_chain(d))
-        sizes.append(d + 1)
     algebra = ordinal_sum([chain, upper])
     slices = ordinal_summand_slices([chain, upper])
     chain_ids = tuple(slices[0][:-1])
-    upper_ids = tuple(slices[1])
+    upper_ids = tuple(slices[1])  # the last is the shared top
 
     # local index in the product -> coordinate tuple (row-major nesting)
     def coords(local: int) -> tuple[int, ...]:
         out = []
-        for size in reversed(sizes[1:]):
-            local, r = divmod(local, size)
+        for d in reversed(dims[1:]):
+            local, r = divmod(local, d + 1)
             out.append(r)
         out.append(local)
         return tuple(reversed(out))
 
-    upper_local = list(range(upper.size))
-    coord_list = []
-    id_map: dict[tuple[int, ...], int] = {}
-    for local, global_id in zip(upper_local, upper_ids[:-1]):
-        c = coords(local)
-        coord_list.append(c)
-        id_map[c] = global_id
-    top_coord = coords(upper.size - 1)
-    coord_list.append(top_coord)
-    id_map[top_coord] = algebra.top
-    local_zero = id_map[tuple(0 for _ in dims)]
+    coord_list = tuple(coords(local) for local in range(upper.size))
+    id_map = dict(zip(coord_list, upper_ids))
     return ChainProductSum(
         algebra=algebra,
         chain_len=n,
         dims=dims,
         chain_ids=chain_ids,
         upper_ids=upper_ids,
-        local_zero=local_zero,
-        coord_of=tuple(coord_list),
+        local_zero=id_map[tuple(0 for _ in dims)],
+        coord_of=coord_list,
         id_of_coord=id_map,
     )
 

@@ -34,7 +34,10 @@ from blstate.filters import all_filters, classify_algebra, maximal_filters, radi
 from blstate.operators import enumerate_operator_tables, verify_operator
 from blstate.states import extremal_states
 
+from .oracles import brute_force_operator_tables
 from .strategies import _small_chain
+
+OPERATOR_CLASSES = ("state", "strong", "morphism", "endomorphism")
 
 
 def test_mv_chain_formulas():
@@ -289,11 +292,12 @@ def test_quotients_of_a_relabeled_carrier_match_up_to_the_relabeling(name):
 
 @pytest.mark.parametrize("name", RELABELED_CARRIERS)
 def test_filters_operators_and_states_of_a_relabeled_carrier_match_up_to_the_relabeling(name):
-    """The radical, the maximal filters, the state operators and the
-    extremal states of a renumbered carrier are those of the carrier,
-    renumbered."""
+    """The radical, the maximal filters, the operators of each class and
+    the extremal states of a renumbered carrier are those of the carrier,
+    renumbered; on at most 6 elements the enumerated operators are also
+    those of the unpruned oracle."""
     a = RELABELED_CARRIERS[name]
-    states = enumerate_operator_tables(a, "state")
+    operators = {cls: enumerate_operator_tables(a, cls) for cls in OPERATOR_CLASSES}
     extremal = [s.values for s in extremal_states(a)]
     rng = random.Random(f"verdicts {name}")
     for _ in range(10):
@@ -307,10 +311,29 @@ def test_filters_operators_and_states_of_a_relabeled_carrier_match_up_to_the_rel
         assert radical(b) == renumbered(radical(a))
         assert set(maximal_filters(b)) == set(map(renumbered, maximal_filters(a)))
         # sigma on A is perm . sigma . back on B, and a state s is s . back
-        conjugates = {tuple(perm[t[x]] for x in back) for t in states}
-        assert set(enumerate_operator_tables(b, "state")) == conjugates
+        for cls, tables in operators.items():
+            found = enumerate_operator_tables(b, cls)
+            assert set(found) == {tuple(perm[t[x]] for x in back) for t in tables}, cls
+            if b.size <= 6:
+                assert found == brute_force_operator_tables(b, cls), cls
         moved = {tuple(v[x] for x in back) for v in extremal}
         assert {s.values for s in extremal_states(b)} == moved
+
+
+def test_operators_of_a_relabeled_ladder_rung_match_up_to_the_relabeling():
+    """The g3xg4 rung of the enumeration ladder is numbered along its
+    order; renumbered, its state and endomorphism tables are the
+    conjugated tables, listed in lexicographic order."""
+    a = direct_product(godel_chain(3), godel_chain(4))
+    operators = {cls: enumerate_operator_tables(a, cls) for cls in ("state", "endomorphism")}
+    rng = random.Random("ladder g3xg4")
+    for _ in range(3):
+        perm = shuffled_order(a, rng)
+        back = sorted(range(a.size), key=perm.__getitem__)
+        b = relabel(a, perm)
+        for cls, tables in operators.items():
+            found = enumerate_operator_tables(b, cls)
+            assert found == sorted(tuple(perm[t[x]] for x in back) for t in tables), cls
 
 
 def test_the_certificate_rejects_a_one_sided_congruence(monkeypatch):

@@ -30,6 +30,7 @@ from blstate.operators import (
     OPERATOR_AXIOMS,
     PRESERVES,
     StateOperator,
+    _watch_lists,
     chain_product_sum,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -169,6 +170,19 @@ def test_sigma_j_family_on_shaped_algebra():
     all_states = enumerate_operator_tables(a, "state")
     assert tables <= set(all_states)
     assert len(all_states) == 6  # four sigma_J plus the two covered collapses
+
+
+def test_chain_product_sum_rejects_a_non_integral_factor_size():
+    for dims in ([1.9, "2"], [1, 2.0], [1, "2"]):
+        with pytest.raises(ShapeMismatchError, match="is not an integer"):
+            chain_product_sum(2, dims)
+    numpy = pytest.importorskip("numpy")
+    assert chain_product_sum(1, numpy.array([1, 1])).dims == (1, 1)
+
+
+def test_chain_product_sum_rejects_a_non_integral_chain_length():
+    with pytest.raises(ShapeMismatchError, match="chain size 2.0 is not an integer"):
+        chain_product_sum(2.0, [1, 1])
 
 
 def test_interval_collapse_coverage_cases():
@@ -559,6 +573,23 @@ LADDER_SEARCH = {
     "s4xs4": ((201, 3, 0), (163, 4, 0)),
     "g3xg3xg3": ((2229, 59, 0), (5658, 216, 0)),
 }
+
+
+# the number of watched instances of the state and the endomorphism
+# search: a change to the instance set shows here
+LADDER_INSTANCES = {
+    "g3xg4": (91, 198),
+    "mv2xmv2xmv1": (146, 513),
+    "s4xs4": (317, 925),
+    "g3xg3xg3": (343, 1215),
+}
+
+
+@pytest.mark.parametrize("rung", LADDER_INSTANCES)
+def test_enumeration_ladder_watched_instances(rung):
+    a = ladder_carrier(rung)
+    counts = tuple(sum(map(len, _watch_lists(a, cls))) for cls in ("state", "endomorphism"))
+    assert counts == LADDER_INSTANCES[rung]
 
 
 @pytest.mark.parametrize(

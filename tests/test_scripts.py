@@ -1,5 +1,6 @@
 """Smoke tests: each script under scripts/ runs end to end through main()."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -69,6 +70,19 @@ def test_bench_pairs_summary_and_durations(tmp_path):
     ]
     # a checkout without the benchmark is refused before anything runs
     assert bench.main([str(tmp_path), str(tmp_path), "--seeds", "1"]) == 2
+
+
+def test_bench_pairs_names_a_tree_without_git(tmp_path):
+    bench = _script("bench_pairs")
+    package = tmp_path / "src" / "blstate"
+    package.mkdir(parents=True)
+    (package / "b.py").write_text("B = 2\n")
+    (package / "a.py").write_text("A = 1\n")
+    (package / "notes.txt").write_text("not source\n")
+    digest = hashlib.sha256(b"a.py\0A = 1\n\0b.py\0B = 2\n\0").hexdigest()[:16]
+    assert bench.describe(tmp_path) == f"commit unknown, src/blstate sha256 {digest}"
+    (package / "b.py").write_text("B = 3\n")
+    assert bench.describe(tmp_path) != f"commit unknown, src/blstate sha256 {digest}"
 
 
 def test_bench_pairs_compares_traced_layers():
