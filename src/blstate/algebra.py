@@ -168,13 +168,6 @@ class FiniteBLAlgebra:
     def dist(self, x: int, y: int) -> int:
         return self.prod[self.impl[x][y]][self.impl[y][x]]
 
-    def power(self, x: int, k: int) -> int:
-        """k-fold product of x with itself; power(x, 0) is top."""
-        acc = self.top
-        for _ in range(k):
-            acc = self.prod[acc][x]
-        return acc
-
     def power_values(self, x: int) -> tuple[int, ...]:
         """Distinct values of x, x^2, ... up to the first repeat."""
         seen: list[int] = []

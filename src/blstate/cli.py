@@ -37,7 +37,7 @@ from .operators import (
     EnumerationStats,
     classify_state_algebra,
     enumerate_operator_tables,
-    kernel_and_faithfulness,
+    operator_image,
     state_strong_gap,
     verify_operator,
 )
@@ -198,15 +198,15 @@ def _cmd_classify(args) -> int:
             ax, w = op.witnesses[0]
             print(f"FAIL not a state operator (axiom {ax} at {w})")
             return 1
-        ker, faithful, rad_faithful = kernel_and_faithfulness(op)
         report = classify_state_algebra(algebra, op)
         print(
             f"ssbl_simple={report.ssbl_simple} sssbl_semisimple={report.sssbl_semisimple}"
             f" radical_faithful={report.radical_faithful}"
         )
-        print(f"kernel: {_fmt_set(algebra, ker)} faithful={faithful}")
+        print(f"kernel: {_fmt_set(algebra, report.ker)} faithful={op.is_faithful}")
         print(f"rad_sigma: {_fmt_set(algebra, report.rad_sigma)}")
-        print(f"image: {report.image.size} elements {_fmt_set(algebra, report.image_to_original)}")
+        image, _, fixed = operator_image(op)
+        print(f"image: {image.size} elements {_fmt_set(algebra, fixed)}")
         failures = report.failed()
         for outcome in report.checks:
             status = "ok" if outcome.holds else ("DISCREPANCY" if outcome.holds is None else "FAIL")

@@ -2,15 +2,16 @@
 
 Chains, products, ordinal sums and the four-element example are sealed
 by ``verify_bl_axioms``, the independent check of the code that builds
-their tables.  A quotient is sealed by certificate: its class map must
-respect every operation (``CONGRUENT``, decided by ``algebra.holds``).
+their tables; a k-ary ordinal sum is built in one pass over its element
+layout (``ordinal_summand_slices``) and sealed once.  A quotient is
+sealed by certificate: its class map must respect every operation
+(``CONGRUENT``, decided by ``algebra.holds``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product as iproduct
 from operator import index
 from typing import Sequence
 
@@ -38,11 +39,19 @@ class NotAHomomorphismError(Exception):
     pass
 
 
+def _chain_size(n) -> int:
+    try:
+        return index(n)
+    except TypeError:
+        raise ValueError(f"chain size {n!r} is not an integer") from None
+
+
 def mv_chain(n: int) -> FiniteBLAlgebra:
     """The (n+1)-element MV-chain x_0 < ... < x_n.
 
     prod(x_i, x_j) = x_{(i+j-n) v 0} and impl(x_i, x_j) = x_{(n-i+j) ^ n}.
     """
+    n = _chain_size(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     m = n + 1
@@ -56,6 +65,7 @@ def mv_chain(n: int) -> FiniteBLAlgebra:
 
 def godel_chain(n: int) -> FiniteBLAlgebra:
     """The n-element Godel chain: prod = min, impl(x,y) = top if x<=y else y."""
+    n = _chain_size(n)
     if n < 2:
         raise ValueError("n must be >= 2")
     labels = [f"g{i}" for i in range(n)]
@@ -73,19 +83,11 @@ def pair_index(a: FiniteBLAlgebra, b: FiniteBLAlgebra, i: int, j: int) -> int:
 
 def direct_product(a: FiniteBLAlgebra, b: FiniteBLAlgebra) -> FiniteBLAlgebra:
     """Componentwise product on the row-major paired carrier."""
-    n = a.size * b.size
-    labels = [
-        f"({a.labels[i]},{b.labels[j]})" for i in range(a.size) for j in range(b.size)
-    ]
+    nb = b.size
+    labels = [f"({x},{y})" for x in a.labels for y in b.labels]
 
-    def table(ta: Table, tb: Table):
-        out = [[0] * n for _ in range(n)]
-        for i1, j1 in iproduct(range(a.size), range(b.size)):
-            for i2, j2 in iproduct(range(a.size), range(b.size)):
-                out[pair_index(a, b, i1, j1)][pair_index(a, b, i2, j2)] = pair_index(
-                    a, b, ta[i1][i2], tb[j1][j2]
-                )
-        return out
+    def table(ta: Table, tb: Table) -> list[list[int]]:
+        return [[u * nb + v for u in ra for v in rb] for ra in ta for rb in tb]
 
     return verify_bl_axioms(
         labels,
@@ -98,106 +100,49 @@ def direct_product(a: FiniteBLAlgebra, b: FiniteBLAlgebra) -> FiniteBLAlgebra:
     )
 
 
-def _ordinal_sum_pair(a1: FiniteBLAlgebra, a2: FiniteBLAlgebra) -> FiniteBLAlgebra:
-    """Binary ordinal sum with the two tops identified.
-
-    Element order: non-top elements of a1 (ascending), non-top elements
-    of a2 (ascending), global top last.
-    """
-    if not a1.is_linear:
-        raise NonLinearSummandError("a non-final ordinal summand must be linearly ordered")
-    n1, n2 = a1.size, a2.size
-    n = n1 + n2 - 1
-    top = n - 1
-
-    def emb1(x: int) -> int:
-        if x == a1.top:
-            return top
-        return x if x < a1.top else x - 1
-
-    def emb2(y: int) -> int:
-        if y == a2.top:
-            return top
-        base = n1 - 1
-        return base + (y if y < a2.top else y - 1)
-
-    # inverse maps; top belongs to both summands
-    in1 = [None] * n
-    in2 = [None] * n
-    for x in range(n1):
-        in1[emb1(x)] = x
-    for y in range(n2):
-        in2[emb2(y)] = y
-
-    labels = (
-        [f"l.{a1.labels[x]}" for x in range(n1) if x != a1.top]
-        + [f"r.{a2.labels[y]}" for y in range(n2) if y != a2.top]
-        + ["1"]
-    )
-
-    def build(case_same1, case_same2, case_low_high, case_high_low):
-        out = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                x1, y1 = in1[x], in1[y]
-                x2, y2 = in2[x], in2[y]
-                if x1 is not None and y1 is not None:
-                    out[x][y] = emb1(case_same1(x1, y1))
-                elif x2 is not None and y2 is not None:
-                    out[x][y] = emb2(case_same2(x2, y2))
-                elif x1 is not None:  # x in A1 \ {top}, y in A2
-                    out[x][y] = case_low_high(x, y)
-                else:  # x in A2, y in A1 \ {top}
-                    out[x][y] = case_high_low(x, y)
-        return out
-
-    meet = build(
-        lambda p, q: a1.meet[p][q],
-        lambda p, q: a2.meet[p][q],
-        lambda x, y: x,
-        lambda x, y: y,
-    )
-    join = build(
-        lambda p, q: a1.join[p][q],
-        lambda p, q: a2.join[p][q],
-        lambda x, y: y,
-        lambda x, y: x,
-    )
-    prod = build(
-        lambda p, q: a1.prod[p][q],
-        lambda p, q: a2.prod[p][q],
-        lambda x, y: x,
-        lambda x, y: y,
-    )
-    impl = build(
-        lambda p, q: a1.impl[p][q],
-        lambda p, q: a2.impl[p][q],
-        lambda x, y: top,
-        lambda x, y: y,
-    )
-    return verify_bl_axioms(labels, meet, join, prod, impl, 0, top)
-
-
 def ordinal_sum(summands: Sequence[FiniteBLAlgebra]) -> FiniteBLAlgebra:
-    """k-ary ordinal sum as a left fold of the binary sum.
+    """k-ary ordinal sum with the tops identified, built in one pass.
 
-    All summands except possibly the last must be chains; tops are
-    identified pairwise.  Element order: summand 0's non-top elements
-    first, then each later summand's non-top elements, global top last.
+    All summands except possibly the last must be chains.  Element order
+    (``ordinal_summand_slices``): summand 0's non-top elements first,
+    then each later summand's non-top elements, global top last; labels
+    ``s{i}.<label>``, then ``1``.  Two elements of one summand (the top
+    lies in every summand) combine by its tables.  For x in a lower
+    summand than y: meet = prod = x, join = y, x -> y = top, y -> x = x.
+    One summand is returned as it is.
     """
     if not summands:
         raise ValueError("need at least one summand")
-    acc = summands[0]
-    for nxt in summands[1:]:
-        acc = _ordinal_sum_pair(acc, nxt)
     if len(summands) == 1:
-        return acc
-    # canonical labels, replacing the nested l./r. prefixes from the fold
-    labels: list[str] = []
-    for i, s in enumerate(summands):
-        labels.extend(f"s{i}.{s.labels[x]}" for x in range(s.size) if x != s.top)
-    labels.append("1")
-    return acc.relabeled(labels)
+        return summands[0]
+    if not all(s.is_linear for s in summands[:-1]):
+        raise NonLinearSummandError("a non-final ordinal summand must be linearly ordered")
+    slices = ordinal_summand_slices(summands)
+    top = slices[0][-1]
+    # each summand's local element -> global id, and each global id -> (summand,
+    # local element); the shared top is read in the last summand
+    glob = [sl[: s.top] + [top] + sl[s.top : -1] for s, sl in zip(summands, slices)]
+    where = [(i, x) for i, g in enumerate(glob) for x, v in enumerate(g) if v != top]
+    where.append((len(summands) - 1, summands[-1].top))
+
+    # lower summands hold lower ids, so across summands x is the lower id
+    def table(op: str, across) -> list[list[int]]:
+        rows = [getattr(s, op) for s in summands]
+        return [
+            [glob[i][rows[i][x][y]] if i == j else across(u, v) for v, (j, y) in enumerate(where)]
+            for u, (i, x) in enumerate(where)
+        ]
+
+    labels = [f"s{i}.{summands[i].labels[x]}" for i, x in where[:-1]] + ["1"]
+    return verify_bl_axioms(
+        labels,
+        table("meet", min),
+        table("join", max),
+        table("prod", min),
+        table("impl", lambda u, v: top if u < v else v),
+        0,
+        top,
+    )
 
 
 def ordinal_summand_slices(summands: Sequence[FiniteBLAlgebra]) -> list[list[int]]:

@@ -266,9 +266,8 @@ def classify_algebra(algebra: FiniteBLAlgebra) -> AlgebraClassification:
     simple = len(filters) == 2
     semisimple = rad == frozenset({algebra.top})
     local = len(maxes) == 1
-    locally_finite = all(
-        algebra.ord_of(x) != INFINITE_ORDER for x in range(n) if x != algebra.top
-    )
+    orders = algebra.orders
+    locally_finite = all(orders[x] != INFINITE_ORDER for x in range(n) if x != algebra.top)
 
     perfect_witness = None
     perfect = True
@@ -281,8 +280,7 @@ def classify_algebra(algebra: FiniteBLAlgebra) -> AlgebraClassification:
     if n > 1:
         # local iff ord(x) or ord(x-) finite for every x
         ord_local = all(
-            algebra.ord_of(x) != INFINITE_ORDER
-            or algebra.ord_of(algebra.neg(x)) != INFINITE_ORDER
+            orders[x] != INFINITE_ORDER or orders[algebra.neg(x)] != INFINITE_ORDER
             for x in range(n)
         )
         if ord_local != local:

@@ -42,7 +42,10 @@ literal closure of the monoid is the test oracle
 State-filters, their maximal members and Rad_sigma are the filter
 family, maximal filters and radical of ``filters`` with the operator
 table as ``sigma``; the maximality cross-check (inclusion vs the power
-criterion on sigma-images) lives there.
+criterion on sigma-images) lives there.  ``operator_image`` is the one
+implementation of the image subalgebra: built once per operator and
+memoized on it, it is what ``classify_state_algebra``, the states and
+the command line read.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .algebra import (
     Law,
     classify_variety,
     holds,
+    memoized,
     violation,
     witness,
 )
@@ -255,35 +259,6 @@ class StateOperator:
     @property
     def is_faithful(self) -> bool:
         return self.kernel == frozenset({self.algebra.top})
-
-    @cached_property
-    def sealed_image(self) -> tuple[FiniteBLAlgebra, Mapping[int, int], tuple[int, ...]]:
-        """(image, pos, fixed) of ``operator_image``, built on first use.
-
-        Sealed by certificate: every restricted entry and both bounds are
-        fixed points (else ``InternalCheckError``), so the image is a
-        subalgebra of a BL-algebra, hence one.  When every element is fixed
-        the image is the carrier itself, and its memos serve the image.
-        """
-        if not self.is_state:
-            raise ValueError("image extraction requires a verified state operator")
-        fixed = self.fixed_points
-        if frozenset(fixed) != frozenset(self.table):
-            raise InternalCheckError("fixed points differ from the raw image")
-        pos = {orig: i for i, orig in enumerate(fixed)}
-        a = self.algebra
-        if len(fixed) == a.size:
-            return a, MappingProxyType(pos), fixed
-        try:
-            tables = [
-                tuple(tuple(pos[table[x][y]] for y in fixed) for x in fixed)
-                for table in (a.meet, a.join, a.prod, a.impl)
-            ]
-            bounds = pos[a.bottom], pos[a.top]
-        except KeyError as exc:
-            raise InternalCheckError(f"the image is not closed: {exc} is not fixed") from None
-        image = FiniteBLAlgebra(len(fixed), tuple(a.labels[x] for x in fixed), *tables, *bounds)
-        return image, MappingProxyType(pos), fixed
 
     def __repr__(self) -> str:
         return f"StateOperator({self.verified_class}, {self.table})"
@@ -651,6 +626,7 @@ def state_filter_generated_ext(
 # image subalgebra and the class-level theorems
 
 
+@memoized
 def operator_image(
     op: StateOperator,
 ) -> tuple[FiniteBLAlgebra, Mapping[int, int], tuple[int, ...]]:
@@ -658,12 +634,33 @@ def operator_image(
 
     Returns (image algebra, original->image index map, image->original).
     Fixed points are relabeled in ascending original order.  The image
-    is sealed once per operator (``StateOperator.sealed_image``) and the
-    same tuple is returned on every call; its index map is read-only.
-    An operator that fixes every element (the identity) has its carrier
-    as image: the same object, with the identity index map.
+    is built once per operator and memoized on it, so every call returns
+    the same tuple; its index map is read-only.  It is sealed by
+    certificate: every restricted entry and both bounds are fixed points
+    (else ``InternalCheckError``), so the image is a subalgebra of a
+    BL-algebra, hence one.  An operator that fixes every element (the
+    identity) has its carrier as image: the same object, whose memos
+    then serve the image, with the identity index map.
     """
-    return op.sealed_image
+    if not op.is_state:
+        raise ValueError("image extraction requires a verified state operator")
+    fixed = op.fixed_points
+    if frozenset(fixed) != frozenset(op.table):
+        raise InternalCheckError("fixed points differ from the raw image")
+    pos = {orig: i for i, orig in enumerate(fixed)}
+    a = op.algebra
+    if len(fixed) == a.size:
+        return a, MappingProxyType(pos), fixed
+    try:
+        tables = [
+            tuple(tuple(pos[table[x][y]] for y in fixed) for x in fixed)
+            for table in (a.meet, a.join, a.prod, a.impl)
+        ]
+        bounds = pos[a.bottom], pos[a.top]
+    except KeyError as exc:
+        raise InternalCheckError(f"the image is not closed: {exc} is not fixed") from None
+    image = FiniteBLAlgebra(len(fixed), tuple(a.labels[x] for x in fixed), *tables, *bounds)
+    return image, MappingProxyType(pos), fixed
 
 
 @dataclass(frozen=True)
@@ -680,8 +677,6 @@ class StateAlgebraClassification:
     radical_faithful: bool
     ker: frozenset[int]
     rad_sigma: frozenset[int]
-    image: FiniteBLAlgebra
-    image_to_original: tuple[int, ...]
     checks: tuple[CheckOutcome, ...]
 
     def failed(self) -> tuple[CheckOutcome, ...]:
@@ -775,8 +770,6 @@ def classify_state_algebra(
         radical_faithful=radical_faithful,
         ker=ker,
         rad_sigma=rad_s,
-        image=image,
-        image_to_original=fixed,
         checks=tuple(checks),
     )
 

@@ -564,11 +564,6 @@ def restrict_to_image(op: StateOperator, state: RationalState) -> RationalState:
     return _state(image, [p[x] for x in fixed], state.d)
 
 
-def state_to_image(op: StateOperator, state: RationalState) -> tuple[Fraction, ...]:
-    """Restrict a compatible state to the image subalgebra; its values."""
-    return restrict_to_image(op, state).values
-
-
 @memoized
 def pulled_back_extremal_states(op: StateOperator) -> tuple[RationalState, ...]:
     """The image's extremal states pulled back through the operator.

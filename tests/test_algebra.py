@@ -168,7 +168,7 @@ def test_derived_operations_on_example():
     assert a.ominus(2, 1) == a.prod[2][a.neg(1)]
     assert a.ord_of(1) == 2
     assert a.ord_of(2) == INFINITE_ORDER
-    assert a.power(1, 0) == a.top and a.power(1, 2) == a.bottom
+    assert a.power_values(1) == (1, a.bottom) and a.power_values(a.top) == (a.top,)
 
 
 def test_variety_flags():

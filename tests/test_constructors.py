@@ -1,5 +1,7 @@
 """Constructors: chains, products, ordinal sums, quotients, operator builders."""
 
+import hashlib
+import json
 import random
 from itertools import product as iproduct
 
@@ -30,6 +32,7 @@ from blstate.constructors import (
     sigma_h_table,
     swap_table,
 )
+from blstate.document import parse_algebra, realize_algebra
 from blstate.filters import all_filters, classify_algebra, maximal_filters, radical
 from blstate.operators import enumerate_operator_tables, verify_operator
 from blstate.states import extremal_states
@@ -104,6 +107,105 @@ def test_ordinal_sum_associativity_property(chains):
     left = ordinal_sum([ordinal_sum(chains[:2]), chains[2]])
     right = ordinal_sum([chains[0], ordinal_sum(chains[1:])])
     assert left.same_tables(right)
+
+
+def _summand_lists() -> dict[str, list[FiniteBLAlgebra]]:
+    one = realize_algebra(
+        parse_algebra('{"format": "blstate/1", "labels": ["e"], "tables": {"prod": [[0]]}}')
+    )
+    return {
+        "mv2 + g3": [mv_chain(2), godel_chain(3)],
+        "g3 + mv1 + mv3": [godel_chain(3), mv_chain(1), mv_chain(3)],
+        "mv1 + example + g2 + mv2": [
+            mv_chain(1), four_element_example()[0], godel_chain(2), mv_chain(2),
+        ],
+        "mv2 + one + mv1": [mv_chain(2), one, mv_chain(1)],
+        "one + g3": [one, godel_chain(3)],
+        "mv1 + g3 + (mv1 x g3)": [
+            mv_chain(1), godel_chain(3), direct_product(mv_chain(1), godel_chain(3)),
+        ],
+        # summands whose top is element 0
+        "mv1 + rev mv2 + rev g3": [
+            mv_chain(1), relabel(mv_chain(2), [2, 1, 0]), relabel(godel_chain(3), [2, 1, 0]),
+        ],
+    }
+
+
+# sha256 of the JSON of labels, the four tables, bottom and top, pinned
+# from the earlier left fold of a binary ordinal sum
+ORDINAL_SUM_SHA256 = {
+    "mv2 + g3":
+        "1cad0c039725179b9d915e79143ba9beebd4e5fe47b5e93b3fdd1bfb3e41bdb6",
+    "g3 + mv1 + mv3":
+        "3c08367009ca5e9d00491632952027beb053b4a96c0a475c595f6f0e4031bc20",
+    "mv1 + example + g2 + mv2":
+        "66350da504d196b6f67eb8d13ee74345883f0f700a14dd678e5a584351ede282",
+    "mv2 + one + mv1":
+        "27cebfce52c393ab6fafc5d993c04eb435775cf2652412e684680046e7ef6e34",
+    "one + g3":
+        "fb56e735a6ac7c5050c477b9e5703af5674da8a3f8026f73a7befb53eae3bdc8",
+    "mv1 + g3 + (mv1 x g3)":
+        "86fb7dd7d3838f26a61d45dabebd0b4a749543448c734cff895fa974889445db",
+    "mv1 + rev mv2 + rev g3":
+        "0d2b68469acd183170fe7b48cedc16ad5d4221c621b5e5f99d9cee6156cc898d",
+}
+
+
+def _digest(a: FiniteBLAlgebra) -> str:
+    blob = json.dumps([a.labels, a.meet, a.join, a.prod, a.impl, a.bottom, a.top])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ORDINAL_SUM_SHA256)
+def test_ordinal_sum_tables_and_labels_are_pinned(name):
+    assert _digest(ordinal_sum(_summand_lists()[name])) == ORDINAL_SUM_SHA256[name]
+
+
+def test_an_ordinal_sum_of_one_summand_is_that_summand():
+    a = direct_product(mv_chain(1), mv_chain(1))
+    assert ordinal_sum([a]) is a
+
+
+def _count_seals(monkeypatch) -> list:
+    import blstate.constructors as constructors
+
+    seals = []
+
+    def counting(*args):
+        seals.append(args[0])
+        return verify_bl_axioms(*args)
+
+    monkeypatch.setattr(constructors, "verify_bl_axioms", counting)
+    return seals
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_an_ordinal_sum_is_sealed_once(monkeypatch, k):
+    summands = [mv_chain(1), godel_chain(3), mv_chain(2), mv_chain(1)][:k]
+    seals = _count_seals(monkeypatch)
+    s = ordinal_sum(summands)
+    assert len(seals) == 1 and tuple(seals[0]) == s.labels
+
+
+def test_a_nonlinear_prefix_is_rejected_before_any_seal(monkeypatch):
+    square = direct_product(mv_chain(1), mv_chain(1))
+    summands = [mv_chain(1), square, mv_chain(1)]
+    seals = _count_seals(monkeypatch)
+    with pytest.raises(NonLinearSummandError, match="must be linearly ordered"):
+        ordinal_sum(summands)
+    assert seals == []
+
+
+@pytest.mark.parametrize("size", [2.0, "3", None])
+def test_mv_chain_rejects_a_non_integral_size(size):
+    with pytest.raises(ValueError, match=f"chain size {size!r} is not an integer"):
+        mv_chain(size)
+
+
+@pytest.mark.parametrize("size", [3.0, "3"])
+def test_godel_chain_rejects_a_non_integral_size(size):
+    with pytest.raises(ValueError, match=f"chain size {size!r} is not an integer"):
+        godel_chain(size)
 
 
 def test_four_element_example_tables():
