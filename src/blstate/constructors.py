@@ -109,6 +109,7 @@ def ordinal_sum(summands: Sequence[FiniteBLAlgebra]) -> FiniteBLAlgebra:
     ``s{i}.<label>``, then ``1``.  Two elements of one summand (the top
     lies in every summand) combine by its tables.  For x in a lower
     summand than y: meet = prod = x, join = y, x -> y = top, y -> x = x.
+    The bottom is that of the first summand with more than one element.
     One summand is returned as it is.
     """
     if not summands:
@@ -134,13 +135,14 @@ def ordinal_sum(summands: Sequence[FiniteBLAlgebra]) -> FiniteBLAlgebra:
         ]
 
     labels = [f"s{i}.{summands[i].labels[x]}" for i, x in where[:-1]] + ["1"]
+    bottom = next((g[s.bottom] for s, g in zip(summands, glob) if s.size > 1), top)
     return verify_bl_axioms(
         labels,
         table("meet", min),
         table("join", max),
         table("prod", min),
         table("impl", lambda u, v: top if u < v else v),
-        0,
+        bottom,
         top,
     )
 

@@ -161,6 +161,16 @@ def test_ordinal_sum_tables_and_labels_are_pinned(name):
     assert _digest(ordinal_sum(_summand_lists()[name])) == ORDINAL_SUM_SHA256[name]
 
 
+def test_an_ordinal_sum_takes_its_bottom_from_the_first_nontrivial_summand():
+    # the reversed chain lists its top first and its bottom last
+    rev = relabel(mv_chain(2), [2, 1, 0])
+    s = ordinal_sum([rev, mv_chain(1)])
+    assert s.bottom == 1
+    assert s.same_tables(relabel(ordinal_sum([mv_chain(2), mv_chain(1)]), [1, 0, 2, 3]))
+    one, _ = quotient_by_filter(mv_chain(1), frozenset({0, 1}))
+    assert ordinal_sum([one, rev]).bottom == 1
+
+
 def test_an_ordinal_sum_of_one_summand_is_that_summand():
     a = direct_product(mv_chain(1), mv_chain(1))
     assert ordinal_sum([a]) is a
