@@ -23,6 +23,11 @@ fixed-point closure of the image runs once per distinct image value on
 the search path, and every leaf is re-checked by the row kernels.
 ``state_strong_gap`` compares the state and strong classes for
 ``blstate search-nonstrong`` and ``scripts/search_nonstrong.py``.
+The class ``mv``, on an MV carrier only, finds the maps that satisfy
+Flaminio and Montagna's MV internal-state axioms (``MV_LAWS``): its
+instances are those of mv3, in the derived ``oplus``, and its leaves
+are re-checked by ``MV_LAWS`` through ``holds``.  Prop-3.13 of the
+suite compares its tables with the state tables as sets.
 
 Two pairs of routes are kept on purpose as independent cross-checks that
 must agree: the pruned enumerator vs ``brute_force_operator_tables`` (an
@@ -203,6 +208,8 @@ CLASS_AXIOMS = {
 def satisfies_class(algebra: FiniteBLAlgebra, table: Sequence[int], cls: str) -> bool:
     if cls == "endomorphism":
         return is_endomorphism(algebra, table)
+    if cls == "mv":
+        return all(holds(law, algebra, table) for law in MV_LAWS.values())
     return all(holds(AXIOM_LAWS[ax], algebra, table) for ax in CLASS_AXIOMS[cls])
 
 
@@ -318,7 +325,7 @@ class EnumerationStats:
 
 
 # (l, a, b, T): the equation s[l] == T[s[a]][s[b]], T one of the tables
-# meet, join, prod, impl
+# meet, join, prod, impl, and oplus for the class mv
 _Instance = tuple[int, int, int, tuple[tuple[int, ...], ...]]
 
 
@@ -329,12 +336,14 @@ def _watch_lists(algebra: FiniteBLAlgebra, cls: str) -> list[list[_Instance]]:
     assigned, both arguments are known, so ``l`` is either checked or
     forced.  Every instance is an equation of the class's own axioms,
     which makes pruning on it sound.  Arguments of the commutative meet,
-    join and prod are sorted, so mirrored instances are kept once, and
-    instances are ordered by ``(l, a, b, k)``, T the k-th table.
+    join, prod and oplus are sorted, so mirrored instances are kept once,
+    and instances are ordered by ``(l, a, b, k)``, T the k-th table.
     """
     meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
     neg, leq = algebra.neg_table, algebra.leq
     tables = (meet, join, prod, impl)
+    if cls == "mv":
+        tables += (algebra.oplus_table,)
     keys: set[tuple[int, int, int, int]] = set()
 
     def add(l: int, a: int, b: int, k: int) -> None:
@@ -342,7 +351,7 @@ def _watch_lists(algebra: FiniteBLAlgebra, cls: str) -> list[list[_Instance]]:
             a, b = b, a
         # on comparable arguments a meet, join or impl instance says only
         # s[a] <= s[b] (or the reverse), which the monotonicity check enforces
-        if k != 2 and (leq[a][b] or (k != 3 and leq[b][a])):
+        if k in (0, 1, 3) and (leq[a][b] or (k != 3 and leq[b][a])):
             return
         keys.add((l, a, b, k))
 
@@ -350,6 +359,9 @@ def _watch_lists(algebra: FiniteBLAlgebra, cls: str) -> list[list[_Instance]]:
         if cls == "endomorphism":
             for k, t in enumerate(tables):
                 add(t[x][y], x, y, k)
+            continue
+        if cls == "mv":
+            add(tables[4][x][y], x, prod[y][neg[prod[x][y]]], 4)  # mv3
             continue
         add(impl[x][y], x, meet[x][y], 3)  # axiom 2
         if cls == "state":
@@ -480,22 +492,30 @@ def enumerate_operator_tables(
     unrolled once per call into static instances ``s[l] == T[s[a]][s[b]]``
     (axioms 2 and 3 for ``state``, 2 and 3s for ``strong``, 2 and 6 for
     ``morphism``, preservation of meet, join, prod and impl for
-    ``endomorphism``).  An instance is watched at ``max(a, b)``: when
-    that element is assigned, ``s[l]`` is checked if already assigned
-    and forced otherwise.  The pruner also uses consequences proved for
-    every operator of the class: bottom and top are fixed, the map is
+    ``endomorphism``, and for ``mv`` only mv3 of ``MV_LAWS``,
+    ``s[x + y] == s[x] + s[y * -(x * y)]`` with T the derived ``oplus``).
+    An instance is watched at ``max(a, b)``: when that element is
+    assigned, ``s[l]`` is checked if already assigned and forced
+    otherwise.  The pruner also uses consequences proved for every
+    operator of the class: bottom and top are fixed, the map is
     monotone, negations map to negated images, and (for the three state
-    classes) every image value is a fixed point whose pairwise
+    classes and ``mv``) every image value is a fixed point whose pairwise
     meet/join/prod/impl closure consists of fixed points; that closure
-    covers the value-dependent axioms 4 and 5.  A node does only what
-    its assignment adds: monotonicity bounds the candidates by the join
-    of the images of the earlier elements below and the meet of those
-    above, and the closure runs only when a value new to the search path
-    appears, against the distinct image values already on it and itself.
-    Every leaf is re-checked against the full axiom set, decided on
-    whole tables (``satisfies_class``).  ``brute_force_operator_tables``
-    in ``tests/oracles.py`` shares none of this machinery and is the
-    deliberately independent cross-check.
+    covers the value-dependent axioms 4 and 5.  For ``mv`` these are
+    theorems of Flaminio and Montagna: an MV internal state is monotone
+    and idempotent, and its image is an MV-subalgebra.  So every prune is
+    sound for it: the fixed top is mv1, the negation step is mv2 itself,
+    and the closure enforces mv4 (x + y is -x -> y).  ``mv`` needs an MV
+    carrier (else ``NotMVError``).  A node does only what its assignment
+    adds: monotonicity bounds the candidates by the join of the images
+    of the earlier elements below and the meet of those above, and the
+    closure runs only when a value new to the search path appears,
+    against the distinct image values already on it and itself.  Every
+    leaf is re-checked against the full axiom set (``satisfies_class``),
+    decided on whole tables, or for ``mv`` by ``MV_LAWS`` through
+    ``holds``.  ``brute_force_operator_tables`` in ``tests/oracles.py``
+    shares none of this machinery and is the deliberately independent
+    cross-check.
 
     The search runs single-threaded.  ``stats``, when given, receives
     the node, leaf and rejected-leaf counts.
@@ -503,8 +523,10 @@ def enumerate_operator_tables(
     # ``workers`` stays only for perfbench, which passes workers=1; drop both together
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
-    if cls not in ("state", "strong", "morphism", "endomorphism"):
+    if cls not in ("state", "strong", "morphism", "endomorphism", "mv"):
         raise ValueError(f"unknown operator class {cls!r}")
+    if cls == "mv" and not classify_variety(algebra).is_mv:
+        raise NotMVError("the class mv needs an MV carrier (x-- = x everywhere)")
     if stats is None:
         stats = EnumerationStats()
     return _enumerate_backtrack(algebra, cls, _watch_lists(algebra, cls), stats)

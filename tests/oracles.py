@@ -127,7 +127,9 @@ def brute_force_operator_tables(
     algebra: FiniteBLAlgebra, cls: str = "state"
 ) -> list[tuple[int, ...]]:
     """Unpruned oracle: scan all n^n maps, applying the class axioms
-    directly as vectorized masks.  Intended for small carriers only."""
+    directly as vectorized masks.  Intended for small carriers only.
+    The class ``mv`` reads the MV internal-state axioms mv1-mv4 from
+    their definition, not from ``operators.MV_LAWS``."""
     import numpy as np
 
     n = algebra.size
@@ -182,6 +184,22 @@ def brute_force_operator_tables(
             for x, y in iproduct(range(n), repeat=2):
                 keep &= maps[:, table[x][y]] == table[maps[:, x], maps[:, y]]
             maps = maps[keep]
+    elif cls == "mv":
+        # Flaminio and Montagna's axioms, in oplus(x, y) = -(-x * -y)
+        oplus = neg[prod[neg[:, None], neg[None, :]]]
+        maps = maps[maps[:, algebra.top] == algebra.top]  # mv1; with mv2, s(0) = 0
+        keep = np.ones(len(maps), dtype=bool)
+        for x in range(n):  # mv2
+            keep &= maps[:, neg[x]] == neg[maps[:, x]]
+        maps = maps[keep]
+        keep = np.ones(len(maps), dtype=bool)
+        for x, y in iproduct(range(n), repeat=2):
+            sx, sy = maps[:, x], maps[:, y]
+            # mv3: s(x + y) = s(x) + s(y minus x*y), a minus b = a * -b
+            keep &= maps[:, oplus[x][y]] == oplus[sx, maps[:, prod[y][neg[prod[x][y]]]]]
+            t = oplus[sx, sy]  # mv4
+            keep &= gather(maps, t) == t
+        maps = maps[keep]
     else:
         for ax in CLASS_AXIOMS[cls]:
             maps = apply_axiom(maps, ax)

@@ -27,6 +27,7 @@ from blstate.operators import (
     ADDITIVITY,
     AXIOM_LAWS,
     EnumerationStats,
+    MV_LAWS,
     OPERATOR_AXIOMS,
     PRESERVES,
     StateOperator,
@@ -42,6 +43,7 @@ from blstate.operators import (
     kernel_and_faithfulness,
     mv_equivalence_check,
     operator_image,
+    satisfies_class,
     sigma_j_table,
     state_filter_closures,
     state_filter_generated,
@@ -427,6 +429,40 @@ def test_mv_equivalence_on_chains_and_products():
         mv_equivalence_check(four_element_example()[0], (0, 1, 3, 3))
 
 
+MV_CARRIERS = {
+    **{f"mv_chain({n})": (n,) for n in range(1, 6)},
+    "s1xs1": (1, 1),
+    "mv1xmv2": (1, 2),
+    "mv2xmv1": (2, 1),
+}
+
+
+@pytest.mark.parametrize("name", MV_CARRIERS)
+def test_mv_enumeration_matches_brute_force(name):
+    """Every MV carrier of at most 6 elements: the mv search against the
+    all-maps filter of the MV axioms, and both against the state tables."""
+    a = mv_chain(MV_CARRIERS[name][0])
+    for n in MV_CARRIERS[name][1:]:
+        a = direct_product(a, mv_chain(n))
+    assert a.size <= 6
+    tables = enumerate_operator_tables(a, "mv")
+    assert tables == brute_force_operator_tables(a, "mv")
+    assert tables == brute_force_operator_tables(a, "state")
+
+
+def test_the_mv_leaf_check_decides_mv3():
+    # this map passes mv1, mv2 and mv4 and fails only mv3
+    a, t = mv_chain(3), (0, 0, 3, 3)
+    assert [ax for ax, law in MV_LAWS.items() if not holds(law, a, t)] == ["mv3"]
+    assert not satisfies_class(a, t, "mv")
+    assert satisfies_class(a, identity_table(a), "mv")
+
+
+def test_the_mv_class_needs_an_mv_carrier():
+    with pytest.raises(NotMVError):
+        enumerate_operator_tables(godel_chain(3), "mv")
+
+
 def test_mv_equivalence_exhaustive_small():
     """Verdict sets coincide map-for-map on a small MV carrier."""
     a = mv_chain(2)
@@ -583,6 +619,23 @@ LADDER_INSTANCES = {
     "s4xs4": (317, 925),
     "g3xg3xg3": (343, 1215),
 }
+
+
+# (nodes, leaves, rejected) of the mv search on the two MV carriers of
+# more than 6 elements in the default corpus
+MV_SEARCH = {
+    "mv2xmv2": (33, 3, 0),
+    "s4xs4": (233, 3, 0),
+}
+
+
+@pytest.mark.parametrize("name", MV_SEARCH)
+def test_mv_search_counts(name):
+    a = direct_product(mv_chain(2), mv_chain(2)) if name == "mv2xmv2" else ladder_carrier(name)
+    stats = EnumerationStats()
+    tables = enumerate_operator_tables(a, "mv", stats=stats)
+    assert (stats.nodes, stats.leaves, stats.rejected) == MV_SEARCH[name]
+    assert tables == enumerate_operator_tables(a, "state")
 
 
 @pytest.mark.parametrize("rung", LADDER_INSTANCES)

@@ -229,11 +229,28 @@ def test_a_cold_run_decides_every_large_law_with_a_kernel_on_rows(monkeypatch):
     # prelinearity share the empty text), the four Prop-2.2 kernels, and all
     # ten of the operator laws
     assert len({law.text for law, _, rows, _ in decisions if rows}) == 27
-    # Prop-3.13's random maps fail MV laws, and no witness is named for them
+    # Prop-3.13 decides every MV law through holds, and names no witness for one
     mv_laws = [*operators.MV_LAWS.values(), operators.ADDITIVITY]
-    assert any(law in mv_laws and not verdict for law, verdict, _, _ in decisions)
+    decided = {law for law, _, _, _ in decisions}
+    assert [law.text for law in mv_laws if law not in decided] == []
     assert [law.text for law, _ in scans if law in mv_laws] == []
     assert [law.text for law, found in scans if found is None] == []
+
+
+@pytest.mark.parametrize("enumerated", [True, False])
+def test_prop_3_13_fails_when_the_mv_and_state_tables_differ(monkeypatch, enumerated):
+    inst = _mv_instance(2)
+    if not enumerated:  # as on a carrier above the enumeration limit
+        inst.enumerated = None
+    real = suite.enumerate_operator_tables
+    [identity] = real(inst.algebra, "state")
+    assert run_suite([inst], ["Prop-3.13"]).failures == []
+    for mv, witness in (([(0, 2, 2)], "(0, 1, 2) is only in the state tables"),
+                        ([identity, (0, 2, 2)], "(0, 2, 2) is only in the mv tables")):
+        monkeypatch.setattr(suite, "enumerate_operator_tables",
+                            lambda a, cls, _mv=mv: _mv if cls == "mv" else real(a, cls))
+        [record] = run_suite([inst], ["Prop-3.13"]).records
+        assert (record.verdict, record.witness) == ("fail", witness)
 
 
 def test_a_cold_run_checks_prop_5_4_in_one_kernel_call_per_operator(monkeypatch):
