@@ -89,19 +89,13 @@ def _cmd_construct(args) -> int:
             return 2
         algebra = mv_chain(int(rest[0])) if kind == "mv-chain" else godel_chain(int(rest[0]))
         doc = document_from_algebra(algebra)
-    elif kind == "product":
-        if len(rest) != 2:
-            print("construct product expects two sources", file=sys.stderr)
-            return 2
-        a, _ = _load(rest[0])
-        b, _ = _load(rest[1])
-        doc = document_from_algebra(direct_product(a, b))
-    elif kind == "ordinal-sum":
+    elif kind in ("product", "ordinal-sum"):
         if not rest:
-            print("construct ordinal-sum expects at least one source", file=sys.stderr)
+            print(f"construct {kind} expects at least one source", file=sys.stderr)
             return 2
         parts = [_load(s)[0] for s in rest]
-        doc = document_from_algebra(ordinal_sum(parts))
+        algebra = direct_product(*parts) if kind == "product" else ordinal_sum(parts)
+        doc = document_from_algebra(algebra)
     elif kind == "example-3-4":
         algebra, sigma = four_element_example()
         doc = document_from_algebra(algebra, operators={"sigma": sigma})

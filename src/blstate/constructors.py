@@ -2,10 +2,11 @@
 
 Chains, products, ordinal sums and the four-element example are sealed
 by ``verify_bl_axioms``, the independent check of the code that builds
-their tables; a k-ary ordinal sum is built in one pass over its element
-layout (``ordinal_summand_slices``) and sealed once.  A quotient is
-sealed by certificate: its class map must respect every operation
-(``CONGRUENT``, decided by ``algebra.holds``).
+their tables.  A k-ary product is built in one pass and sealed once,
+and so is a k-ary ordinal sum, over its element layout
+(``ordinal_summand_slices``).  A quotient is sealed by certificate: its
+class map must respect every operation (``CONGRUENT``, decided by
+``algebra.holds``).
 """
 
 from __future__ import annotations
@@ -77,27 +78,37 @@ def godel_chain(n: int) -> FiniteBLAlgebra:
 
 
 def pair_index(a: FiniteBLAlgebra, b: FiniteBLAlgebra, i: int, j: int) -> int:
-    """Row-major pairing used by ``direct_product``."""
+    """The row-major pairing of two factors: the id of (i, j) in a x b.
+
+    ``direct_product`` numbers its elements this way but no longer calls it.
+    """
     return i * b.size + j
 
 
-def direct_product(a: FiniteBLAlgebra, b: FiniteBLAlgebra) -> FiniteBLAlgebra:
-    """Componentwise product on the row-major paired carrier."""
-    nb = b.size
-    labels = [f"({x},{y})" for x in a.labels for y in b.labels]
+def direct_product(*factors: FiniteBLAlgebra) -> FiniteBLAlgebra:
+    """Componentwise product of one or more factors, built in one pass.
 
-    def table(ta: Table, tb: Table) -> list[list[int]]:
-        return [[u * nb + v for u in ra for v in rb] for ra in ta for rb in tb]
-
-    return verify_bl_axioms(
-        labels,
-        table(a.meet, b.meet),
-        table(a.join, b.join),
-        table(a.prod, b.prod),
-        table(a.impl, b.impl),
-        pair_index(a, b, a.bottom, b.bottom),
-        pair_index(a, b, a.top, b.top),
-    )
+    The carrier is row-major (the last factor varies fastest), labeled
+    as a left fold of binary products writes it, ``((x,y),z)``.  The
+    tables are folded factor by factor, then sealed once.  One factor
+    is returned as it is.
+    """
+    if not factors:
+        raise ValueError("need at least one factor")
+    first, *rest = factors
+    if not rest:
+        return first
+    labels, tables = list(first.labels), _tables(first)
+    bottom, top = first.bottom, first.top
+    for b in rest:
+        nb = b.size
+        labels = [f"({x},{y})" for x in labels for y in b.labels]
+        tables = [
+            [[u * nb + v for u in ra for v in rb] for ra in ta for rb in tb]
+            for ta, tb in zip(tables, _tables(b))
+        ]
+        bottom, top = bottom * nb + b.bottom, top * nb + b.top
+    return verify_bl_axioms(labels, *tables, bottom, top)
 
 
 def ordinal_sum(summands: Sequence[FiniteBLAlgebra]) -> FiniteBLAlgebra:

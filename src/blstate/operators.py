@@ -804,11 +804,12 @@ def classify_state_algebra(
 class ChainProductSum:
     """S_n stacked under a product of MV-chains, with coordinate maps.
 
-    ``algebra`` is ordinal_sum([mv_chain(n), mv_chain(d_1) x ... x mv_chain(d_k)]).
-    ``chain_ids`` lists the global ids of the bottom chain (without the
-    shared top); ``upper_ids`` the global ids of the top summand
-    including the shared top.  ``local_zero`` is the least element of
-    the top summand.
+    ``algebra`` is ``ordinal_sum([mv_chain(n), upper])`` with ``upper =
+    direct_product(mv_chain(d_1), ..., mv_chain(d_k))``, one k-ary
+    product sealed once.  ``chain_ids`` lists the global ids of the
+    bottom chain (without the shared top); ``upper_ids`` the global ids
+    of the top summand including the shared top, in the row-major order
+    of ``upper``.  ``local_zero`` is the least element of the top summand.
     """
 
     algebra: FiniteBLAlgebra
@@ -839,24 +840,13 @@ def chain_product_sum(n: int, dims: Sequence[int]) -> ChainProductSum:
     if n < 1 or not dims or any(d < 1 for d in dims):
         raise ShapeMismatchError("need n >= 1 and at least one chain factor")
     chain = mv_chain(n)
-    upper = mv_chain(dims[0])
-    for d in dims[1:]:
-        upper = direct_product(upper, mv_chain(d))
+    upper = direct_product(*map(mv_chain, dims))
     algebra = ordinal_sum([chain, upper])
     slices = ordinal_summand_slices([chain, upper])
     chain_ids = tuple(slices[0][:-1])
     upper_ids = tuple(slices[1])  # the last is the shared top
-
-    # local index in the product -> coordinate tuple (row-major nesting)
-    def coords(local: int) -> tuple[int, ...]:
-        out = []
-        for d in reversed(dims[1:]):
-            local, r = divmod(local, d + 1)
-            out.append(r)
-        out.append(local)
-        return tuple(reversed(out))
-
-    coord_list = tuple(coords(local) for local in range(upper.size))
+    # the product is row-major: local index -> coordinate tuple
+    coord_list = tuple(iproduct(*(range(d + 1) for d in dims)))
     id_map = dict(zip(coord_list, upper_ids))
     return ChainProductSum(
         algebra=algebra,

@@ -64,17 +64,18 @@ from .filters import (
     subdirectly_irreducible,
 )
 from .operators import (
+    ADDITIVITY,
     IDEMPOTENT,
     PRESERVES,
     StateOperator,
     classify_state_algebra,
     enumerate_operator_tables,
+    enumerate_state_operators,
     godel_floor_table,
     godel_strict_floor_table,
     interval_collapse_table,
     identity_table,
     is_endomorphism,
-    mv_equivalence_check,
     operator_image,
     sigma_j_table,
     state_filter_closures,
@@ -557,20 +558,20 @@ def _prop_3_8_3_16(inst):
 
 
 def _prop_3_13(inst):
-    # the maps that satisfy the MV axioms are exactly the state operators,
-    # and each of them is strong (else mv_equivalence_check raises) and additive
+    # the maps that satisfy the MV axioms (the mv leaf check decides MV_LAWS)
+    # are exactly the state operators, and each of them is strong and additive
     a = inst.algebra
-    if inst.enumerated is not None:
-        state = [op.table for op in inst.enumerated]
-    else:
-        state = enumerate_operator_tables(a, "state")
+    ops = inst.enumerated if inst.enumerated is not None else enumerate_state_operators(a)
+    state = [op.table for op in ops]
     mv = enumerate_operator_tables(a, "mv")
     if (only := set(state) ^ set(mv)):
         t = min(only)
         return CheckResult(FAIL, f"{t} is only in the {'state' if t in state else 'mv'} tables")
-    for t in state:
-        if not mv_equivalence_check(a, t).additive_on_orthogonal:
-            return CheckResult(FAIL, f"additivity fails for {t}")
+    for op in ops:
+        if not op.is_strong:
+            return CheckResult(FAIL, f"{op.table} is a state operator that is not strong")
+        if not holds(ADDITIVITY, a, op.table):
+            return CheckResult(FAIL, f"additivity fails for {op.table}")
     return CheckResult(PASS)
 
 

@@ -44,6 +44,20 @@ def test_construct_product_and_ordinal_sum(capsys, tmp_path):
     assert len(json.loads(out)["labels"]) == 4
 
 
+def test_construct_product_takes_one_or_more_sources(capsys, tmp_path):
+    code, _, err = run(capsys, "construct", "product")
+    assert code == 2 and "at least one source" in err
+    pair = tmp_path / "pair.json"
+    assert run(capsys, "construct", "product", "mv_chain(1)", "godel_chain(3)",
+               "--out", str(pair))[0] == 0
+    code, folded, _ = run(capsys, "construct", "product", str(pair), "mv_chain(2)")
+    assert code == 0
+    code, out, _ = run(capsys, "construct", "product", "mv_chain(1)", "godel_chain(3)",
+                       "mv_chain(2)")
+    assert code == 0 and out == folded
+    assert len(json.loads(out)["labels"]) == 18
+
+
 def test_verify_rejects_mutated_tables(capsys, tmp_path):
     a, _ = four_element_example()
     prod = [list(r) for r in a.prod]

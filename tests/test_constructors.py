@@ -34,7 +34,7 @@ from blstate.constructors import (
 )
 from blstate.document import parse_algebra, realize_algebra
 from blstate.filters import all_filters, classify_algebra, maximal_filters, radical
-from blstate.operators import enumerate_operator_tables, verify_operator
+from blstate.operators import chain_product_sum, enumerate_operator_tables, verify_operator
 from blstate.states import extremal_states
 
 from .oracles import brute_force_operator_tables
@@ -109,10 +109,14 @@ def test_ordinal_sum_associativity_property(chains):
     assert left.same_tables(right)
 
 
-def _summand_lists() -> dict[str, list[FiniteBLAlgebra]]:
-    one = realize_algebra(
+def _one_element() -> FiniteBLAlgebra:
+    return realize_algebra(
         parse_algebra('{"format": "blstate/1", "labels": ["e"], "tables": {"prod": [[0]]}}')
     )
+
+
+def _summand_lists() -> dict[str, list[FiniteBLAlgebra]]:
+    one = _one_element()
     return {
         "mv2 + g3": [mv_chain(2), godel_chain(3)],
         "g3 + mv1 + mv3": [godel_chain(3), mv_chain(1), mv_chain(3)],
@@ -161,6 +165,56 @@ def test_ordinal_sum_tables_and_labels_are_pinned(name):
     assert _digest(ordinal_sum(_summand_lists()[name])) == ORDINAL_SUM_SHA256[name]
 
 
+def _factor_lists() -> dict[str, list[FiniteBLAlgebra]]:
+    one = _one_element()
+    return {
+        "mv2 x g3": [mv_chain(2), godel_chain(3)],
+        "g3 x mv1 x mv2": [godel_chain(3), mv_chain(1), mv_chain(2)],
+        "mv1 x g2 x example x mv1": [
+            mv_chain(1), godel_chain(2), four_element_example()[0], mv_chain(1),
+        ],
+        "one x mv2 x g3": [one, mv_chain(2), godel_chain(3)],
+        "mv1 x one x g3": [mv_chain(1), one, godel_chain(3)],
+        # factors whose top is element 0
+        "rev mv2 x g3 x rev g3": [
+            relabel(mv_chain(2), [2, 1, 0]), godel_chain(3), relabel(godel_chain(3), [2, 1, 0]),
+        ],
+        "g3 x g3 x g3 x g3": [godel_chain(3)] * 4,
+    }
+
+
+# sha256 of the JSON of labels, the four tables, bottom and top, pinned
+# from the earlier left fold of a binary direct product
+PRODUCT_SHA256 = {
+    "mv2 x g3":
+        "a9cf680c5f3e68a4aa131352eff689d9bb1b3109cf9ae40f455121c59fb5e184",
+    "g3 x mv1 x mv2":
+        "6f25078495e5229b77cc434289b936e9838a95e66b4d37ba2e97fb7210cccdac",
+    "mv1 x g2 x example x mv1":
+        "83da697c5f203391436d8529aa8c69934e3242a84a2b1488d5dfb826ed6a5b3a",
+    "one x mv2 x g3":
+        "51de67d265d1b4bd752d313be3c8b997f220f6a8a0e0bb851888a443413e5b19",
+    "mv1 x one x g3":
+        "67f124467d0428965440db6a87bdaa5b69b433f461b6d33b7b82b6339bea5cca",
+    "rev mv2 x g3 x rev g3":
+        "68c28914daecba781d15386ca01d2c2461bbbb2d713ae2b05357c332b6fa3641",
+    "g3 x g3 x g3 x g3":
+        "c4c0431adda15c694bf8a26339feac7198eb7444cd6823dcdb7a6ca9c8e668fd",
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_SHA256)
+def test_direct_product_tables_and_labels_are_pinned(name):
+    assert _digest(direct_product(*_factor_lists()[name])) == PRODUCT_SHA256[name]
+
+
+def test_a_direct_product_of_one_factor_is_that_factor():
+    a = godel_chain(3)
+    assert direct_product(a) is a
+    with pytest.raises(ValueError, match="at least one factor"):
+        direct_product()
+
+
 def test_an_ordinal_sum_takes_its_bottom_from_the_first_nontrivial_summand():
     # the reversed chain lists its top first and its bottom last
     rev = relabel(mv_chain(2), [2, 1, 0])
@@ -195,6 +249,21 @@ def test_an_ordinal_sum_is_sealed_once(monkeypatch, k):
     seals = _count_seals(monkeypatch)
     s = ordinal_sum(summands)
     assert len(seals) == 1 and tuple(seals[0]) == s.labels
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_direct_product_is_sealed_once(monkeypatch, k):
+    factors = [mv_chain(1), godel_chain(3), mv_chain(2), mv_chain(1)][:k]
+    seals = _count_seals(monkeypatch)
+    p = direct_product(*factors)
+    assert len(seals) == 1 and tuple(seals[0]) == p.labels
+
+
+def test_a_chain_product_sum_seals_each_chain_its_product_and_its_sum(monkeypatch):
+    seals = _count_seals(monkeypatch)
+    chain_product_sum(2, [1, 2, 1])
+    # mv_chain(2), mv_chain(1), mv_chain(2), mv_chain(1), the product, the sum
+    assert len(seals) == 6
 
 
 def test_a_nonlinear_prefix_is_rejected_before_any_seal(monkeypatch):

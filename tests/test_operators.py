@@ -441,9 +441,7 @@ MV_CARRIERS = {
 def test_mv_enumeration_matches_brute_force(name):
     """Every MV carrier of at most 6 elements: the mv search against the
     all-maps filter of the MV axioms, and both against the state tables."""
-    a = mv_chain(MV_CARRIERS[name][0])
-    for n in MV_CARRIERS[name][1:]:
-        a = direct_product(a, mv_chain(n))
+    a = direct_product(*map(mv_chain, MV_CARRIERS[name]))
     assert a.size <= 6
     tables = enumerate_operator_tables(a, "mv")
     assert tables == brute_force_operator_tables(a, "mv")
@@ -594,11 +592,7 @@ LADDER = {
 
 
 def ladder_carrier(rung):
-    factors = [build(n) for build, n in LADDER[rung]]
-    a = factors[0]
-    for b in factors[1:]:
-        a = direct_product(a, b)
-    return a
+    return direct_product(*(build(n) for build, n in LADDER[rung]))
 
 
 # (nodes, leaves, rejected) of the state and the endomorphism search:

@@ -1,5 +1,6 @@
 """Suite runner: claim coverage, verdicts, deterministic reports."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from blstate import algebra, filters, operators, states, suite
 from blstate.constructors import mv_chain, quotient_by_filter
 from blstate.corpus import CorpusInstance, _mv_instance, default_corpus, load_corpus_dir
 from blstate.document import document_from_algebra, serialize_algebra
-from blstate.operators import enumerate_operator_tables
+from blstate.operators import enumerate_operator_tables, enumerate_state_operators
 from blstate.suite import (
     CLAIM_IDS,
     REGISTRY,
@@ -251,6 +252,21 @@ def test_prop_3_13_fails_when_the_mv_and_state_tables_differ(monkeypatch, enumer
                             lambda a, cls, _mv=mv: _mv if cls == "mv" else real(a, cls))
         [record] = run_suite([inst], ["Prop-3.13"]).records
         assert (record.verdict, record.witness) == ("fail", witness)
+
+
+@pytest.mark.parametrize("enumerated", [True, False])
+def test_prop_3_13_fails_on_a_state_operator_that_is_not_strong(monkeypatch, enumerated):
+    inst = _mv_instance(2)
+    [op] = enumerate_state_operators(inst.algebra)
+    weak = dataclasses.replace(op, is_strong=False)
+    if enumerated:
+        inst.enumerated = (weak,)
+    else:  # as on a carrier above the enumeration limit
+        inst.enumerated = None
+        monkeypatch.setattr(suite, "enumerate_state_operators", lambda a: [weak])
+    [record] = run_suite([inst], ["Prop-3.13"]).records
+    assert (record.verdict, record.witness) == (
+        "fail", f"{op.table} is a state operator that is not strong")
 
 
 def test_a_cold_run_checks_prop_5_4_in_one_kernel_call_per_operator(monkeypatch):
