@@ -47,6 +47,8 @@ def test_construct_product_and_ordinal_sum(capsys, tmp_path):
 def test_construct_product_takes_one_or_more_sources(capsys, tmp_path):
     code, _, err = run(capsys, "construct", "product")
     assert code == 2 and "at least one source" in err
+    assert run(capsys, "construct", "product", "mv_chain(2)") == run(
+        capsys, "construct", "mv-chain", "2")
     pair = tmp_path / "pair.json"
     assert run(capsys, "construct", "product", "mv_chain(1)", "godel_chain(3)",
                "--out", str(pair))[0] == 0
