@@ -17,10 +17,12 @@ backtracking that propagates the class's axioms instance by instance:
 each equational axiom is unrolled into static instances
 ``s[l] == T[s[a]][s[b]]``, and an instance checks or forces ``s[l]`` as
 soon as ``s[a]`` and ``s[b]`` are assigned.  One list, ``known``, holds
-each element's assigned or forced image, and the monotone candidate
-interval of each ``(lo, hi)`` is listed once per search.  The
-fixed-point closure of the image runs once per distinct image value on
-the search path, and every leaf is re-checked by the row kernels.
+each element's assigned or forced image, and a node where it is full
+is a leaf.  The candidates of each monotone interval ``(lo, hi)`` and
+forced negated image are listed once per search.  The fixed-point
+closure of the image runs once per distinct image value on the search
+path, and every leaf is re-checked by the row kernels, which decide the
+instances not yet watched when the table became complete.
 ``state_strong_gap`` compares the state and strong classes for
 ``blstate search-nonstrong`` and ``scripts/search_nonstrong.py``.
 The class ``mv``, on an MV carrier only, finds the maps that satisfy
@@ -322,6 +324,7 @@ class EnumerationStats:
     nodes: int = 0  # search-tree nodes visited, leaves included
     leaves: int = 0  # complete tables reached
     rejected: int = 0  # leaves refused by the full re-check
+    tried: int = 0  # candidate values tried, one ``consequences`` call each
 
 
 # (l, a, b, T): the equation s[l] == T[s[a]][s[b]], T one of the tables
@@ -386,9 +389,14 @@ def _enumerate_backtrack(
 
     ``known[x]`` is x's assigned or forced image, else None.  A trail
     resets only the entries its candidate forced, and ``descend(e)``
-    puts back the ``known[e]`` it found.  The monotone interval
-    ``[lo, hi]`` is listed once in ``intervals``; a forced node's one
-    candidate is its forced image, if that lies in the interval."""
+    puts back the ``known[e]`` it found.  A node whose ``known`` holds
+    no None is a leaf, even when later elements were only forced: their
+    watched instances and monotonicity are left to ``satisfies_class``.
+    The candidates of an unforced node are listed once in ``intervals``,
+    keyed by the monotone interval ``[lo, hi]`` and the forced image of
+    the negation, ``known[neg[e]]``; when that is known, only the ``v``
+    with ``neg[v]`` equal to it are kept.  A forced node's one candidate
+    is its forced image, if that lies in the interval."""
     n = algebra.size
     meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
     leq = algebra.leq
@@ -397,7 +405,7 @@ def _enumerate_backtrack(
     # the earlier elements below and above each element
     below = [[u for u in range(e) if leq[u][e]] for e in range(n)]
     above = [[u for u in range(e) if leq[e][u]] for e in range(n)]
-    intervals: dict[tuple[int, int], list[int]] = {}
+    intervals: dict[tuple[int, int, int | None], list[int]] = {}
 
     known: list[int | None] = [None] * n
     known[algebra.bottom] = algebra.bottom
@@ -440,7 +448,7 @@ def _enumerate_backtrack(
 
     def descend(e: int) -> None:
         stats.nodes += 1
-        if e == n:
+        if None not in known:
             stats.leaves += 1
             t = tuple(known)  # type: ignore[arg-type]
             if satisfies_class(algebra, t, cls):
@@ -456,10 +464,14 @@ def _enumerate_backtrack(
         for u in above[e]:
             hi = meet[hi][known[u]]
         entry = known[e]
+        m = known[neg[e]]  # sigma(-e) == -sigma(e), so a known m admits only v with -v == m
         if entry is not None:
             candidates = (entry,) if leq[lo][entry] and leq[entry][hi] else ()
-        elif (candidates := intervals.get((lo, hi))) is None:
-            candidates = intervals[lo, hi] = [v for v in range(n) if leq[lo][v] and leq[v][hi]]
+        elif (candidates := intervals.get((lo, hi, m))) is None:
+            candidates = intervals[lo, hi, m] = [
+                v for v in range(n) if leq[lo][v] and leq[v][hi] and (m is None or neg[v] == m)
+            ]
+        stats.tried += len(candidates)
         for v in candidates:
             trail: list[int] = []
             known[e] = v
@@ -508,17 +520,21 @@ def enumerate_operator_tables(
     and the closure enforces mv4 (x + y is -x -> y).  ``mv`` needs an MV
     carrier (else ``NotMVError``).  A node does only what its assignment
     adds: monotonicity bounds the candidates by the join of the images
-    of the earlier elements below and the meet of those above, and the
-    closure runs only when a value new to the search path appears,
-    against the distinct image values already on it and itself.  Every
-    leaf is re-checked against the full axiom set (``satisfies_class``),
-    decided on whole tables, or for ``mv`` by ``MV_LAWS`` through
-    ``holds``.  ``brute_force_operator_tables`` in ``tests/oracles.py``
-    shares none of this machinery and is the deliberately independent
-    cross-check.
+    of the earlier elements below and the meet of those above, a forced
+    negated image ``s[-e]`` keeps only the candidates ``v`` with
+    ``-v == s[-e]`` (the lists are keyed by both), and the closure runs
+    only when a value new to the search path appears, against the
+    distinct image values already on it and itself.  A table is a leaf
+    as soon as every entry is assigned or forced, and every leaf is
+    re-checked against the full axiom set (``satisfies_class``), decided
+    on whole tables, or for ``mv`` by ``MV_LAWS`` through ``holds``; it
+    rejects the complete tables that an instance watched at a later
+    element would have pruned.  ``brute_force_operator_tables`` in
+    ``tests/oracles.py`` shares none of this machinery and is the
+    deliberately independent cross-check.
 
     The search runs single-threaded.  ``stats``, when given, receives
-    the node, leaf and rejected-leaf counts.
+    the node, leaf, rejected-leaf and tried-candidate counts.
     """
     # ``workers`` stays only for perfbench, which passes workers=1; drop both together
     if workers != 1:

@@ -130,7 +130,7 @@ def test_enumerate_operators_stats_leave_stdout_unchanged(capsys):
         assert out == plain_out
         assert len(err.splitlines()) == 1
         stats = json.loads(err)
-        assert set(stats) == {"nodes", "leaves", "rejected"}
+        assert set(stats) == {"nodes", "leaves", "rejected", "tried"}
         assert stats["leaves"] - stats["rejected"] == int(out.split()[0])
         assert stats["nodes"] > stats["leaves"]
 

@@ -580,7 +580,10 @@ def test_pruned_matches_brute_for_all_classes_on_shaped():
 @given(algebras.filter(lambda a: a.size <= 7))
 def test_pruned_matches_brute_force_on_constructor_algebras(a):
     for cls in ("state", "strong", "morphism", "endomorphism"):
-        assert enumerate_operator_tables(a, cls) == brute_force_operator_tables(a, cls)
+        stats = EnumerationStats()
+        tables = enumerate_operator_tables(a, cls, stats=stats)
+        assert tables == brute_force_operator_tables(a, cls)
+        assert stats.leaves - stats.rejected == len(tables)
 
 
 LADDER = {
@@ -595,13 +598,17 @@ def ladder_carrier(rung):
     return direct_product(*(build(n) for build, n in LADDER[rung]))
 
 
-# (nodes, leaves, rejected) of the state and the endomorphism search:
-# a change to the pruning shows here even when the tables stay the same
+# (nodes, leaves, rejected, tried) of the state and the endomorphism
+# search: a change to the pruning shows here even when the tables stay
+# the same.  A fully known table is a leaf, so the leaf re-check rejects
+# some (mv2xmv2xmv1 state); dropping the forced negation from the
+# candidate lists or the interval test of a forced candidate changes
+# ``tried``
 LADDER_SEARCH = {
-    "g3xg4": ((181, 15, 0), (298, 28, 0)),
-    "mv2xmv2xmv1": ((370, 6, 0), (190, 9, 0)),
-    "s4xs4": ((201, 3, 0), (163, 4, 0)),
-    "g3xg3xg3": ((2229, 59, 0), (5658, 216, 0)),
+    "g3xg4": ((115, 16, 1, 180), (102, 28, 0, 124)),
+    "mv2xmv2xmv1": ((310, 28, 22, 1583), (91, 9, 0, 779)),
+    "s4xs4": ((161, 5, 2, 1470), (107, 4, 0, 736)),
+    "g3xg3xg3": ((1671, 62, 3, 4477), (1986, 216, 0, 3497)),
 }
 
 
@@ -615,11 +622,11 @@ LADDER_INSTANCES = {
 }
 
 
-# (nodes, leaves, rejected) of the mv search on the two MV carriers of
-# more than 6 elements in the default corpus
+# (nodes, leaves, rejected, tried) of the mv search on the two MV
+# carriers of more than 6 elements in the default corpus
 MV_SEARCH = {
-    "mv2xmv2": (33, 3, 0),
-    "s4xs4": (233, 3, 0),
+    "mv2xmv2": (18, 5, 2, 61),
+    "s4xs4": (187, 25, 22, 378),
 }
 
 
@@ -628,7 +635,7 @@ def test_mv_search_counts(name):
     a = direct_product(mv_chain(2), mv_chain(2)) if name == "mv2xmv2" else ladder_carrier(name)
     stats = EnumerationStats()
     tables = enumerate_operator_tables(a, "mv", stats=stats)
-    assert (stats.nodes, stats.leaves, stats.rejected) == MV_SEARCH[name]
+    assert (stats.nodes, stats.leaves, stats.rejected, stats.tried) == MV_SEARCH[name]
     assert tables == enumerate_operator_tables(a, "state")
 
 
@@ -649,7 +656,7 @@ def test_enumeration_ladder_counts(rung, states, endos):
     for cls in ("state", "endomorphism"):
         stats = EnumerationStats()
         found[cls] = enumerate_operator_tables(a, cls, stats=stats)
-        searches.append((stats.nodes, stats.leaves, stats.rejected))
+        searches.append((stats.nodes, stats.leaves, stats.rejected, stats.tried))
     state = found["state"]
     assert (len(state), len(found["endomorphism"])) == (states, endos)
     assert tuple(searches) == LADDER_SEARCH[rung]
