@@ -45,8 +45,6 @@ from .operators import (
     enumerate_operator_tables,
     enumerate_state_operators,
     interval_collapse_table,
-    kernel_and_faithfulness,
-    mv_equivalence_check,
     operator_image,
     sigma_j_table,
     state_filter_generated,

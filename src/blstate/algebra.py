@@ -310,11 +310,11 @@ class Law:
     """``check`` holds at every tuple of elements; ``text`` names a failure.
 
     ``check`` is a lambda whose single-letter parameters (x, y, c, d)
-    are the variables, after the others: ``t``, the operator table, ``a``,
-    the algebra, and any other name an attribute of the algebra (``neg``
-    and ``oplus`` read ``neg_table`` and ``oplus_table``).  Called with
-    the tables and elements it is the per-tuple evaluator.  ``rows``, if
-    given, is the law's row kernel: ``rows(a, t)`` decides the law on an
+    are the variables, after the others: ``t``, the operator table, and
+    any other name an attribute of the algebra (``neg`` and ``oplus``
+    read ``neg_table`` and ``oplus_table``).  Called with the tables and
+    elements it is the per-tuple evaluator.  ``rows``, if given, is the
+    law's row kernel: ``rows(a, t)`` decides the law on an
     algebra of at most 256 elements (at the operator table ``t``, None for
     a law that does not read it) with ``bytes`` rows, reading the tables
     exactly as ``check`` does.  A kernel decides its law alone, assuming
@@ -331,7 +331,7 @@ def _parameters(check: Callable) -> tuple[frozenset[str], int]:
     """The table names ``check`` reads and its number of variables."""
     code = check.__code__
     names = code.co_varnames[: code.co_argcount]
-    variables = sum(len(name) == 1 and name not in "ta" for name in names)
+    variables = sum(len(name) == 1 and name != "t" for name in names)
     return frozenset(names[: len(names) - variables]), variables
 
 
@@ -395,7 +395,7 @@ def _bind(algebra: FiniteBLAlgebra, law: Law) -> tuple[Callable, tuple | None]:
     code = law.check.__code__
     n, k = algebra.size, _parameters(law.check)[1]
     names = code.co_varnames[: code.co_argcount - k]
-    tables = [algebra if p == "a" else _table(algebra, p) for p in names if p != "t"]
+    tables = [_table(algebra, p) for p in names if p != "t"]
     instance = partial(law.check, *tables)
     columns = _grid(n, k) if n <= 256 and n**k <= _ROW else None
     bind = (lambda t: partial(law.check, t, *tables)) if "t" in names else (lambda t: instance)

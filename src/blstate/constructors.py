@@ -78,10 +78,8 @@ def godel_chain(n: int) -> FiniteBLAlgebra:
 
 
 def pair_index(a: FiniteBLAlgebra, b: FiniteBLAlgebra, i: int, j: int) -> int:
-    """The row-major pairing of two factors: the id of (i, j) in a x b.
-
-    ``direct_product`` numbers its elements this way but no longer calls it.
-    """
+    """The row-major pairing of two factors: the id of (i, j) in a x b,
+    as ``direct_product`` numbers its elements."""
     return i * b.size + j
 
 

@@ -241,7 +241,6 @@ class AlgebraClassification:
     perfect: bool
     locally_finite: bool
     radical: frozenset[int]
-    radical_neg: frozenset[int]
     maximal_filters: tuple[frozenset[int], ...]
     perfect_witness: tuple[int, ...] | None = None
 
@@ -312,7 +311,6 @@ def classify_algebra(algebra: FiniteBLAlgebra) -> AlgebraClassification:
         perfect=perfect,
         locally_finite=locally_finite,
         radical=rad,
-        radical_neg=rad_neg,
         maximal_filters=maxes,
         perfect_witness=perfect_witness,
     )

@@ -9,8 +9,7 @@ data, each with a row kernel that decides it on whole rows with
 ``bytes.translate`` (axiom 1 reads one entry): ``algebra.holds``
 decides, and ``algebra.witness`` scans only to name a witness.  The
 MV-operator axioms and additivity (``MV_LAWS``, ``ADDITIVITY``) have no
-kernel: the per-tuple evaluator decides them, and the same scan names
-their witness when a report's ``witnesses`` is read.
+kernel: the per-tuple evaluator decides them.
 
 ``enumerate_operator_tables`` finds every operator of a class by
 backtracking that propagates the class's axioms instance by instance:
@@ -44,8 +43,8 @@ monoid generated by the x * sigma(x)) at the monoid's least element,
 the product of the idempotent powers of the generators: every member
 of the monoid lies above it, so its upset is the whole union.  The
 literal closure of the monoid is the test oracle
-(``tests/oracles.py``).  ``state_filter_generated`` and
-``state_filter_generated_ext`` are its one-seed wrappers.
+(``tests/oracles.py``).  ``state_filter_generated`` is its one-seed
+wrapper.
 State-filters, their maximal members and Rad_sigma are the filter
 family, maximal filters and radical of ``filters`` with the operator
 table as ``sigma``; the maximality cross-check (inclusion vs the power
@@ -88,7 +87,6 @@ from .filters import (
     radical,
     seed_mask,
     state_filters,
-    subset_mask,
 )
 
 
@@ -97,10 +95,6 @@ class ShapeMismatchError(Exception):
 
 
 class NotMVError(Exception):
-    pass
-
-
-class NotAStateFilterError(Exception):
     pass
 
 
@@ -571,19 +565,7 @@ def state_strong_gap(
 
 
 # ---------------------------------------------------------------------------
-# kernels and state filters
-
-
-def kernel_and_faithfulness(op: StateOperator) -> tuple[frozenset[int], bool, bool]:
-    """Kernel state-filter, faithfulness, radical-faithfulness."""
-    ker = op.kernel
-    if ker not in state_filters(op.algebra, op.table):
-        raise InternalCheckError("operator kernel is not a state-filter")
-    rad = radical(op.algebra)
-    radical_faithful = all(
-        x in rad for x in range(op.algebra.size) if op.table[x] in rad
-    )
-    return ker, op.is_faithful, radical_faithful
+# state filters
 
 
 def state_filter_closures(
@@ -645,18 +627,6 @@ def state_filter_generated(
     members = frozenset(seed)
     seed_mask(algebra, members)  # raises ValueError on an empty or out-of-range seed
     [mask] = state_filter_closures(algebra, op, [members], [])
-    return mask_members(mask)
-
-
-def state_filter_generated_ext(
-    algebra: FiniteBLAlgebra, op: StateOperator, members: frozenset[int], a: int
-) -> frozenset[int]:
-    """Least state-filter containing the state-filter ``members`` and ``a``,
-    by ``state_filter_closures``."""
-    if members not in state_filters(algebra, op.table):
-        raise NotAStateFilterError(f"{sorted(members)} is not a state-filter")
-    seed_mask(algebra, {a})  # raises ValueError when a is out of range
-    [mask] = state_filter_closures(algebra, op, [], [(subset_mask(members), a)])
     return mask_members(mask)
 
 
@@ -732,8 +702,12 @@ def classify_state_algebra(
     logged as a discrepancy rather than failed.
     """
     image, pos, fixed = operator_image(op)
-    ker, faithful, radical_faithful = kernel_and_faithfulness(op)
+    ker = op.kernel
+    if ker not in state_filters(algebra, op.table):
+        raise InternalCheckError("operator kernel is not a state-filter")
     base = classify_algebra(algebra)
+    radical_faithful = all(x in base.radical for x in range(algebra.size)
+                           if op.table[x] in base.radical)
     img_cls = classify_algebra(image)
     rad_s = radical(algebra, op.table)
 
@@ -938,7 +912,7 @@ def godel_strict_floor_table(algebra: FiniteBLAlgebra, a: int) -> tuple[int, ...
 
 
 # ---------------------------------------------------------------------------
-# MV equivalence
+# MV internal states
 
 
 # the MV-operator axioms in the derived oplus and ominus, and additivity
@@ -954,56 +928,3 @@ MV_LAWS = {
 ADDITIVITY = Law("sigma(x+y) = sigma(x) + sigma(y) for orthogonal x, y",
                  lambda t, prod, bottom, oplus, x, y: (
                      prod[x][y] != bottom or t[oplus[x][y]] == oplus[t[x]][t[y]]))
-
-
-@dataclass(frozen=True)
-class MVEquivalenceReport:
-    """The verdicts of ``mv_equivalence_check``.  ``failed`` lists the MV
-    axioms that fail, then ``additivity`` if it fails; ``witnesses`` names
-    the first failing pair of each when first read."""
-
-    algebra: FiniteBLAlgebra
-    table: tuple[int, ...]
-    bl_state: bool
-    mv_state: bool
-    strong: bool
-    additive_on_orthogonal: bool
-    failed: tuple[str, ...]
-
-    @cached_property
-    def witnesses(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        laws = {**MV_LAWS, "additivity": ADDITIVITY}
-        return tuple((ax, witness(laws[ax], self.algebra, self.table)) for ax in self.failed)
-
-
-def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> MVEquivalenceReport:
-    """Compare the MV-operator axioms with the BL-operator axioms.
-
-    Requires an MV carrier (x-- = x everywhere).  For maps passing both,
-    also checks strongness and additivity on orthogonal pairs.  Each law
-    is decided with ``holds``; no witness is named until one is read.
-    """
-    if not classify_variety(algebra).is_mv:
-        raise NotMVError("carrier does not satisfy double-negation")
-    op = verify_operator(algebra, table)
-    t = op.table
-    failed = tuple(ax for ax, law in MV_LAWS.items() if not holds(law, algebra, t))
-    mv_ok = not failed
-    bl_ok = op.is_state
-    if bl_ok != mv_ok:
-        raise InternalCheckError(
-            f"MV and BL axiom sets disagree on {t}: bl={bl_ok} mv={mv_ok}"
-        )
-    strong = op.is_strong
-    if bl_ok and not strong:
-        raise InternalCheckError("state operator on an MV carrier must be strong")
-    additive = not bl_ok or holds(ADDITIVITY, algebra, t)
-    return MVEquivalenceReport(
-        algebra=algebra,
-        table=t,
-        bl_state=bl_ok,
-        mv_state=mv_ok,
-        strong=strong,
-        additive_on_orthogonal=additive,
-        failed=failed + (() if additive else ("additivity",)),
-    )

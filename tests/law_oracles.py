@@ -12,20 +12,13 @@ from typing import Sequence
 from blstate.algebra import (
     FiniteBLAlgebra,
     INFINITE_ORDER,
-    InternalCheckError,
     VarietyFlags,
     memoized,
 )
 from blstate.constructors import _preservation_scan
 from blstate.filters import radical
-from blstate.operators import (
-    NotMVError,
-    identity_table,
-    verify_operator,
-)
+from blstate.operators import identity_table
 from blstate.suite import FAIL, PASS, CheckResult
-
-MV_AXIOMS = ("mv1", "mv2", "mv3", "mv4")
 
 
 def _lbl(algebra: FiniteBLAlgebra, x: int) -> str:
@@ -405,46 +398,6 @@ def mv_axiom_witness(
         if not ok:
             return (x, y)
     return None
-
-
-def mv_equivalence_check(algebra: FiniteBLAlgebra, table: Sequence[int]) -> tuple:
-    """Compare the MV-operator axioms with the BL-operator axioms.
-
-    Requires an MV carrier (x-- = x everywhere).  For maps passing both,
-    also checks strongness and additivity on orthogonal pairs.  Returns
-    ``(bl_state, mv_state, strong, additive_on_orthogonal, witnesses)``.
-    """
-    if not classify_variety(algebra).is_mv:
-        raise NotMVError("carrier does not satisfy double-negation")
-    t = tuple(int(v) for v in table)
-    witnesses = []
-    mv_ok = True
-    for ax in MV_AXIOMS:
-        w = mv_axiom_witness(algebra, t, ax)
-        if w is not None:
-            mv_ok = False
-            witnesses.append((ax, w))
-    op = verify_operator(algebra, t)
-    bl_ok = op.is_state
-    if bl_ok != mv_ok:
-        raise InternalCheckError(
-            f"MV and BL axiom sets disagree on {t}: bl={bl_ok} mv={mv_ok}"
-        )
-    strong = op.is_strong
-    if bl_ok and not strong:
-        raise InternalCheckError("state operator on an MV carrier must be strong")
-    additive = True
-    if bl_ok:
-        for x, y in iproduct(range(algebra.size), repeat=2):
-            if not algebra.orthogonal(x, y):
-                continue
-            lhs = t[algebra.oplus(x, y)]
-            rhs = algebra.oplus(t[x], t[y])
-            if lhs != rhs:
-                additive = False
-                witnesses.append(("additivity", (x, y)))
-                break
-    return bl_ok, mv_ok, strong, additive, tuple(witnesses)
 
 
 @memoized

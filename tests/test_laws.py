@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blstate import algebra
-from blstate.algebra import _VARIETY_LAWS, Law, classify_variety, violation, witness
+from blstate.algebra import (
+    _VARIETY_LAWS,
+    INFINITE_ORDER,
+    Law,
+    classify_variety,
+    holds,
+    violation,
+    witness,
+)
 from blstate.constructors import (
     CONGRUENT,
     direct_product,
@@ -17,7 +25,7 @@ from blstate.constructors import (
     mv_chain,
     quotient_by_filter,
 )
-from blstate.filters import all_filters
+from blstate.filters import all_filters, radical
 from blstate.operators import (
     ADDITIVITY,
     AXIOM_LAWS,
@@ -26,7 +34,6 @@ from blstate.operators import (
     OPERATOR_AXIOMS,
     PRESERVES,
     enumerate_operator_tables,
-    mv_equivalence_check,
     verify_operator,
 )
 from blstate.suite import (
@@ -192,10 +199,10 @@ def test_operator_laws_match_the_loops(a, data):
             if is_mv:
                 for ax, law in MV_LAWS.items():
                     assert _first(law, a, t) == oracle.mv_axiom_witness(a, t, ax), ax
-                report = mv_equivalence_check(a, t)
-                assert (report.bl_state, report.mv_state, report.strong,
-                        report.additive_on_orthogonal, report.witnesses
-                        ) == oracle.mv_equivalence_check(a, t)
+                # on an MV carrier the MV axioms are the state axioms, and
+                # every state operator is strong
+                assert all(holds(law, a, t) for law in MV_LAWS.values()) == op.is_state
+                assert op.is_strong or not op.is_state
                 assert _first(ADDITIVITY, a, t) == _definitional_additivity(a, t)
 
 
@@ -245,11 +252,8 @@ LAWS = list(_laws_in(
     {},
 ).values())
 KERNEL_LAWS = [law for law in LAWS if law.rows is not None]
-# the laws over the named tables only: no operator t, orders or radical
-# (read through the algebra a)
-INSTANCE_LAWS = [
-    law for law in LAWS if not algebra._parameters(law.check)[0] & {"t", "orders", "a"}
-]
+# the laws over the named tables only: no operator t or orders
+INSTANCE_LAWS = [law for law in LAWS if not algebra._parameters(law.check)[0] & {"t", "orders"}]
 INSTANCE_KERNEL_LAWS = [law for law in KERNEL_LAWS if law in INSTANCE_LAWS]
 # axioms 6 and 7 are the preservation of prod and impl
 OPERATOR_KERNEL_LAWS = list(
@@ -267,9 +271,9 @@ def test_the_prop_2_2_laws_the_operator_axioms_and_preservation_carry_row_kernel
     # so do the BL laws of sealing and the quotient certificate; holds
     # decides these by their kernels on every carrier of at most 256
     # elements; every other law (the 2-variable instance laws outside
-    # sealing and the claims that read the operator t, the orders or the
-    # radical) goes per tuple
-    assert len(LAWS) == 68
+    # sealing and the claims that read the operator t or the orders) goes
+    # per tuple
+    assert len(LAWS) == 67
     assert len(SEALING_LAWS) == 15
     assert len(INSTANCE_LAWS) == 27  # the BL laws, Prop-2.2, S2 and the variety flags
     assert len(OPERATOR_KERNEL_LAWS) == 10  # axioms 1-5 and 3s, preservation of all four
@@ -280,6 +284,21 @@ def test_the_prop_2_2_laws_the_operator_axioms_and_preservation_carry_row_kernel
         assert (law.rows is not None) == expected, law.text
     assert len(INSTANCE_KERNEL_LAWS) == 19  # the BL laws, Prop-2.2-1, 2, 5 and 6
     assert len(KERNEL_LAWS) == 33
+
+
+def test_every_law_reads_only_t_its_variables_and_tables_of_a_sealed_algebra():
+    # what _bind can fill in: a law that reads anything else (the algebra
+    # object, say) would raise inside _bind only when it is first decided
+    sealed = mv_chain(3)
+    for law in LAWS:
+        code = law.check.__code__
+        names = code.co_varnames[: code.co_argcount]
+        k = _arity(law)
+        assert k >= 1 and all(len(name) == 1 for name in names[len(names) - k:]), law.text
+        for name in names[: len(names) - k]:
+            if name != "t":
+                value = getattr(sealed, algebra._ATTRIBUTE.get(name, name), None)
+                assert value is not None and not callable(value), (law.text, name)
 
 
 def _rows_agree_with_tuples(a, laws=INSTANCE_KERNEL_LAWS):
@@ -376,10 +395,11 @@ def test_an_operator_law_without_a_kernel_goes_per_tuple_above_32_elements():
 @settings(max_examples=40, deadline=None)
 @given(algebras.filter(lambda a: a.size > 1), st.data())
 def test_the_radical_clause_of_lemma_3_5_m_fails_only_where_order_grows_fails(a, data):
-    # so the clause can never name a witness (the claim skips n = 1, where
-    # bottom lies in the radical and has order 1)
-    order_grows, radical_clause = LEMMA_3_5_M
+    # so the one law "order grows" decides both clauses (the radical
+    # clause is read for n > 1 only: at n = 1 the bottom lies in the
+    # radical and has order 1)
     t = data.draw(st.lists(st.integers(0, a.size - 1), min_size=a.size, max_size=a.size))
+    rad = radical(a)
     for x in range(a.size):
-        if not radical_clause.check(t, a, a.orders, x):
-            assert not order_grows.check(t, a.orders, x)
+        if a.ord_of(x) != INFINITE_ORDER and t[x] in rad:
+            assert not LEMMA_3_5_M.check(t, a.orders, x)

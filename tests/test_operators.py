@@ -40,14 +40,11 @@ from blstate.operators import (
     identity_table,
     interval_collapse_table,
     is_endomorphism,
-    kernel_and_faithfulness,
-    mv_equivalence_check,
     operator_image,
     satisfies_class,
     sigma_j_table,
     state_filter_closures,
     state_filter_generated,
-    state_filter_generated_ext,
     verify_operator,
     NotMVError,
     ShapeMismatchError,
@@ -77,8 +74,6 @@ def test_verify_operator_rejects_a_non_integral_entry():
     for table in ([0, 1.9, 3.2, "3"], [0, 1, 3.0, 3], [0, 1, "3", 3]):
         with pytest.raises(ValueError, match="non-integral entry"):
             verify_operator(a, table)
-    with pytest.raises(ValueError, match="non-integral entry"):
-        mv_equivalence_check(mv_chain(3), [0, 1.5, 2, 3])
     numpy = pytest.importorskip("numpy")
     assert verify_operator(a, numpy.array(sigma)).table == sigma
 
@@ -214,12 +209,11 @@ def test_lemma_4_2_structure_on_shaped_instances():
 
 def test_kernel_and_faithfulness():
     a, sigma = four_element_example()
-    op = verify_operator(a, sigma)
-    ker, faithful, rad_faithful = kernel_and_faithfulness(op)
-    assert ker == frozenset({2, 3}) and not faithful and rad_faithful
-    ident = verify_operator(a, identity_table(a))
-    ker, faithful, rad_faithful = kernel_and_faithfulness(ident)
-    assert ker == frozenset({3}) and faithful and rad_faithful
+    for table, ker, faithful in ((sigma, {2, 3}, False), (identity_table(a), {3}, True)):
+        op = verify_operator(a, table)
+        report = classify_state_algebra(a, op)
+        assert report.ker == frozenset(ker) and op.is_faithful == faithful
+        assert report.radical_faithful
 
 
 def test_state_filter_generation():
@@ -228,8 +222,8 @@ def test_state_filter_generation():
     assert state_filter_generated(a, op, {a.top}) == frozenset({3})
     assert state_filter_generated(a, op, {2}) == frozenset({2, 3})
     assert state_filter_generated(a, op, {1}) == frozenset(range(4))
-    ext = state_filter_generated_ext(a, op, frozenset({3}), 2)
-    assert ext == frozenset({2, 3})
+    [ext] = state_filter_closures(a, op, [], [(subset_mask({3}), 2)])
+    assert mask_members(ext) == frozenset({2, 3})
 
 
 @pytest.mark.parametrize("bad", [4, -1])
@@ -239,8 +233,6 @@ def test_state_filter_seeds_out_of_range_are_a_value_error(bad):
     op = verify_operator(a, sigma)
     with pytest.raises(ValueError, match="seed element out of range"):
         state_filter_generated(a, op, {bad})
-    with pytest.raises(ValueError, match="seed element out of range"):
-        state_filter_generated_ext(a, op, frozenset({2, 3}), bad)
     with pytest.raises(ValueError, match="seed must be nonempty"):
         state_filter_generated(a, op, set())
 
@@ -294,8 +286,8 @@ def test_state_filter_closures_match_subset_scan(a):
             if f == everything:
                 continue
             for elem in everything - f:
-                expected = least_closed(closed, f | {elem})
-                assert state_filter_generated_ext(a, op, f, elem) == expected
+                [ext] = state_filter_closures(a, op, [], [(subset_mask(f), elem)])
+                assert mask_members(ext) == least_closed(closed, f | {elem})
 
 
 def test_sigma_maximal_filters_and_radical():
@@ -419,14 +411,13 @@ def test_prop_5_9_instance_on_diagonal():
 
 def test_mv_equivalence_on_chains_and_products():
     a = mv_chain(4)
-    report = mv_equivalence_check(a, identity_table(a))
-    assert report.bl_state and report.mv_state and report.strong
+    t = identity_table(a)
+    assert satisfies_class(a, t, "mv") and verify_operator(a, t).is_strong
     b = mv_chain(2)
     square = direct_product(b, b)
-    rep = mv_equivalence_check(square, diagonal_operator_table(b, 1))
-    assert rep.bl_state and rep.strong and rep.additive_on_orthogonal
-    with pytest.raises(NotMVError):
-        mv_equivalence_check(four_element_example()[0], (0, 1, 3, 3))
+    t = diagonal_operator_table(b, 1)
+    assert satisfies_class(square, t, "mv") and verify_operator(square, t).is_strong
+    assert holds(ADDITIVITY, square, t)
 
 
 MV_CARRIERS = {
@@ -440,12 +431,14 @@ MV_CARRIERS = {
 @pytest.mark.parametrize("name", MV_CARRIERS)
 def test_mv_enumeration_matches_brute_force(name):
     """Every MV carrier of at most 6 elements: the mv search against the
-    all-maps filter of the MV axioms, and both against the state tables."""
+    all-maps filter of the MV axioms, and both against the state tables,
+    which are all strong."""
     a = direct_product(*map(mv_chain, MV_CARRIERS[name]))
     assert a.size <= 6
     tables = enumerate_operator_tables(a, "mv")
     assert tables == brute_force_operator_tables(a, "mv")
     assert tables == brute_force_operator_tables(a, "state")
+    assert tables == brute_force_operator_tables(a, "strong")
 
 
 def test_the_mv_leaf_check_decides_mv3():
@@ -459,14 +452,6 @@ def test_the_mv_leaf_check_decides_mv3():
 def test_the_mv_class_needs_an_mv_carrier():
     with pytest.raises(NotMVError):
         enumerate_operator_tables(godel_chain(3), "mv")
-
-
-def test_mv_equivalence_exhaustive_small():
-    """Verdict sets coincide map-for-map on a small MV carrier."""
-    a = mv_chain(2)
-    n = a.size
-    for raw in iproduct(range(n), repeat=n):
-        mv_equivalence_check(a, raw)  # raises InternalCheckError on mismatch
 
 
 def test_mv_equivalence_exhaustive_product():
