@@ -7,6 +7,14 @@ fields are rejected.  ``serialize`` emits a canonical form: fixed key
 order, two-space indent, operators and states sorted by name, rationals
 in lowest terms as ``p/q``.  ``parse(serialize(doc))`` is byte-stable on
 canonical documents.
+
+The canonical form is written by direct string assembly, one join per
+table row, label list and operator: every string goes through
+``json.encoder.encode_basestring_ascii`` and every entry through
+``int.__repr__``.  The text is byte-identical to ``json.dumps(payload,
+indent=2, ensure_ascii=True) + "\\n"``, the tests' oracle, without the
+pure-Python indent encoder that ``json.dumps`` uses whenever ``indent``
+is set.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (
     BLAxiomError,
@@ -152,31 +161,47 @@ def parse_algebra(text: str) -> AlgebraDocument:
     return doc
 
 
+def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Encoded JSON values laid out as ``json.dumps(indent=2)`` lays out a
+    container at ``indent``: one item a line, and ``[]`` or ``{}`` when empty."""
+    if not items:
+        return brackets
+    sep = ",\n" + indent + "  "
+    return brackets[0] + sep[1:] + sep.join(items) + "\n" + indent + brackets[1]
+
+
+def _object(members: list[tuple[str, str]], indent: str) -> str:
+    return _block([f"{_quote(key)}: {value}" for key, value in members], indent, "{}")
+
+
+def _ints(values, indent: str) -> str:
+    return _block(list(map(int.__repr__, values)), indent)
+
+
 def serialize_algebra(doc: AlgebraDocument) -> str:
     """Canonical serialization: fixed key order, sorted names, newline-terminated."""
-    tables: dict[str, object] = {}
-    if doc.meet is not None:
-        tables["meet"] = [list(r) for r in doc.meet]
-    if doc.join is not None:
-        tables["join"] = [list(r) for r in doc.join]
-    tables["prod"] = [list(r) for r in doc.prod]
-    if doc.impl is not None:
-        tables["impl"] = [list(r) for r in doc.impl]
-    payload: dict[str, object] = {
-        "format": FORMAT_VERSION,
-        "labels": list(doc.labels),
-        "tables": tables,
-    }
+    tables = [
+        (name, _block([_ints(row, "      ") for row in table], "    "))
+        for name, table in zip(
+            ("meet", "join", "prod", "impl"), (doc.meet, doc.join, doc.prod, doc.impl)
+        )
+        if table is not None
+    ]
+    members = [
+        ("format", _quote(FORMAT_VERSION)),
+        ("labels", _block(list(map(_quote, doc.labels)), "  ")),
+        ("tables", _object(tables, "  ")),
+    ]
     if doc.operators:
-        payload["operators"] = {
-            name: list(doc.operators[name]) for name in sorted(doc.operators)
-        }
+        operators = [(name, _ints(doc.operators[name], "    ")) for name in sorted(doc.operators)]
+        members.append(("operators", _object(operators, "  ")))
     if doc.states:
-        payload["states"] = {
-            name: [format_fraction(v) for v in doc.states[name]]
+        states = [
+            (name, _block([_quote(format_fraction(v)) for v in doc.states[name]], "    "))
             for name in sorted(doc.states)
-        }
-    return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+        ]
+        members.append(("states", _object(states, "  ")))
+    return _object(members, "") + "\n"
 
 
 def _derive_bounds(meet: Table, join: Table) -> tuple[int, int]:

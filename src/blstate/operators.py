@@ -18,10 +18,11 @@ each equational axiom is unrolled into static instances
 soon as ``s[a]`` and ``s[b]`` are assigned.  One list, ``known``, holds
 each element's assigned or forced image, and a node where it is full
 is a leaf.  The candidates of each monotone interval ``(lo, hi)`` and
-forced negated image are listed once per search.  The fixed-point
-closure of the image runs once per distinct image value on the search
-path, and every leaf is re-checked by the row kernels, which decide the
-instances not yet watched when the table became complete.
+forced negated image are listed once per search (at an element that is
+its own negation, only the values that are their own negation).  The
+fixed-point closure of the image runs once per distinct image value on
+the search path, and every leaf is re-checked by the row kernels, which
+decide the instances not yet watched when the table became complete.
 ``state_strong_gap`` compares the state and strong classes for
 ``blstate search-nonstrong`` and ``scripts/search_nonstrong.py``.
 The class ``mv``, on an MV carrier only, finds the maps that satisfy
@@ -82,6 +83,7 @@ from .constructors import (
 from .filters import (
     classify_algebra,
     filter_generated_masks,
+    filter_masks,
     mask_members,
     maximal_filters,
     radical,
@@ -387,10 +389,12 @@ def _enumerate_backtrack(
     no None is a leaf, even when later elements were only forced: their
     watched instances and monotonicity are left to ``satisfies_class``.
     The candidates of an unforced node are listed once in ``intervals``,
-    keyed by the monotone interval ``[lo, hi]`` and the forced image of
-    the negation, ``known[neg[e]]``; when that is known, only the ``v``
-    with ``neg[v]`` equal to it are kept.  A forced node's one candidate
-    is its forced image, if that lies in the interval."""
+    keyed by the monotone interval ``[lo, hi]``, the forced image of the
+    negation, ``known[neg[e]]``, and whether e is its own negation; when
+    that image is known, only the ``v`` with ``neg[v]`` equal to it are
+    kept, and at a negation-fixed e only the negation-fixed ``v``.  A
+    forced node's one candidate is its forced image, if that lies in the
+    interval."""
     n = algebra.size
     meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
     leq = algebra.leq
@@ -399,7 +403,7 @@ def _enumerate_backtrack(
     # the earlier elements below and above each element
     below = [[u for u in range(e) if leq[u][e]] for e in range(n)]
     above = [[u for u in range(e) if leq[e][u]] for e in range(n)]
-    intervals: dict[tuple[int, int, int | None], list[int]] = {}
+    intervals: dict[tuple[int, int, int | None, bool], list[int]] = {}
 
     known: list[int | None] = [None] * n
     known[algebra.bottom] = algebra.bottom
@@ -458,12 +462,15 @@ def _enumerate_backtrack(
         for u in above[e]:
             hi = meet[hi][known[u]]
         entry = known[e]
-        m = known[neg[e]]  # sigma(-e) == -sigma(e), so a known m admits only v with -v == m
+        # sigma(-e) == -sigma(e), so a known m admits only v with -v == m,
+        # and -e == e (where m is known[e] itself) only v with -v == v
+        m, fixed = known[neg[e]], neg[e] == e
         if entry is not None:
             candidates = (entry,) if leq[lo][entry] and leq[entry][hi] else ()
-        elif (candidates := intervals.get((lo, hi, m))) is None:
-            candidates = intervals[lo, hi, m] = [
-                v for v in range(n) if leq[lo][v] and leq[v][hi] and (m is None or neg[v] == m)
+        elif (candidates := intervals.get((lo, hi, m, fixed))) is None:
+            candidates = intervals[lo, hi, m, fixed] = [
+                v for v in range(n) if leq[lo][v] and leq[v][hi]
+                and (neg[v] == v if fixed else m is None or neg[v] == m)
             ]
         stats.tried += len(candidates)
         for v in candidates:
@@ -578,7 +585,10 @@ def state_filter_closures(
 
     ``seeds`` are nonempty sets of elements; ``extensions`` are pairs
     (f, a) of a state-filter bitmask f and an element a, standing for
-    the seed f + {a}.  Each is computed twice and the two must agree:
+    the seed f + {a}; a pair whose f is not a state-filter of ``op`` or
+    whose a is out of range raises ``ValueError`` naming the pair.  The
+    seeds are not validated here (``state_filter_generated`` validates
+    its one seed).  Each is computed twice and the two must agree:
     by the Prop-5.4 formula and by the filter lattice
     (``filter_generated_masks`` under sigma).  The result lists the
     seeds' masks, then the extensions'.
@@ -605,7 +615,12 @@ def state_filter_closures(
         formula.append(up[least])
         masks.append(mask)
     n_seeds = len(masks)
+    state_masks = filter_masks(algebra, table)
     for f, a in extensions:
+        if not 0 <= a < algebra.size:
+            raise ValueError(f"extension {(f, a)}: element out of range")
+        if f not in state_masks:
+            raise ValueError(f"extension {(f, a)}: {f:#b} is not a state-filter of the operator")
         formula.append(up[prod[up.index(f)][idem[a]]])
         masks.append(f | 1 << a)
     lattice = filter_generated_masks(algebra, masks, table)

@@ -198,12 +198,13 @@ def riecan_witness(algebra: FiniteBLAlgebra, p: Sequence[int], d: int):
     out = range_witness(p, d)
     if out is not None:
         return out
-    prod, bottom = algebra.prod, algebra.bottom
-    for x, y in iproduct(range(algebra.size), repeat=2):
-        if prod[x][y] != bottom:  # x and y are not orthogonal
-            continue
-        if p[algebra.partial_sum(x, y)] != p[x] + p[y]:
-            return (x, y)
+    # x + y = -y -> --x, defined when x and y are orthogonal (x * y = 0)
+    impl, neg, bottom = algebra.impl, algebra.neg_table, algebra.bottom
+    for x, row in enumerate(algebra.prod):
+        nnx, px = neg[neg[x]], p[x]
+        for y, xy in enumerate(row):
+            if xy == bottom and p[impl[neg[y]][nnx]] != px + p[y]:
+                return (x, y)
     return None
 
 

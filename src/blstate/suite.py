@@ -27,14 +27,21 @@ kernels, which decide them on every carrier of at most 256 elements.
 read the verdicts ``verify_operator`` already computed
 (``preserves_impl``, axiom 6 in ``failed``), call ``is_endomorphism``,
 or decide ``operators.PRESERVES["join"]`` (Lemma-3.10-2).
+
+``render_json`` writes the canonical report by direct string assembly
+from one record template, ``_RECORD``.  Strings go through
+``json.encoder.encode_basestring_ascii``, so the text is byte-identical
+to ``json.dumps(payload, indent=2, ensure_ascii=True) + "\\n"``, the
+tests' oracle, without the pure-Python indent encoder that ``json.dumps``
+uses whenever ``indent`` is set.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
@@ -1135,28 +1142,31 @@ def render_text(report: SuiteReport, keep_going: bool = True, timings: bool = Fa
     return "\n".join(lines) + "\n"
 
 
+# one record of the JSON report at its indent; the last slot holds the
+# ``elapsed`` line under ``--timings`` and is empty otherwise
+_RECORD = (
+    '    {\n      "claim": %s,\n      "instance": %s,\n      "verdict": %s,\n'
+    '      "witness": %s%s\n    }'
+)
+_ELAPSED = ',\n      "elapsed": %r'
+
+
 def render_json(report: SuiteReport, keep_going: bool = True, timings: bool = False) -> str:
+    """The canonical JSON report (see the module docstring); counts are
+    written by ``int.__repr__`` and ``elapsed``, rounded to 6 places, by
+    ``float.__repr__``, as ``json.dumps`` writes them."""
     shown, stopped, counts = _shown(report, keep_going)
-    records = []
-    for r in shown:
-        entry = {
-            "claim": r.claim_id,
-            "instance": r.instance,
-            "verdict": r.verdict,
-            "witness": r.witness,
-        }
-        if timings:
-            entry["elapsed"] = round(r.elapsed, 6)
-        records.append(entry)
-    payload = {
-        "format": "blstate-suite/1",
-        "records": records,
-        "summary": {
-            "records": len(records),
-            "pass": counts[PASS],
-            "fail": counts[FAIL],
-            "discrepancy": counts[DISCREPANCY],
-            "stopped_early": stopped,
-        },
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+    records = ",\n".join([
+        _RECORD % (
+            _quote(r.claim_id), _quote(r.instance), _quote(r.verdict), _quote(r.witness),
+            _ELAPSED % round(r.elapsed, 6) if timings else "",
+        )
+        for r in shown
+    ])
+    return (
+        '{\n  "format": "blstate-suite/1",\n  "records": '
+        + (f"[\n{records}\n  ]" if shown else "[]")
+        + f',\n  "summary": {{\n    "records": {len(shown)},\n    "pass": {counts[PASS]},\n'
+        f'    "fail": {counts[FAIL]},\n    "discrepancy": {counts[DISCREPANCY]},\n'
+        f'    "stopped_early": {"true" if stopped else "false"}\n  }}\n}}\n'
+    )

@@ -14,9 +14,13 @@ to integer numerators.  ``residuum_by_scan`` derives impl by the
 definition, element by element, as the library did before it read the
 candidate sets in C.  ``first_violation`` names the first failing BL
 law by the per-tuple evaluator alone (``witness``), never by ``holds``
-and so never by a row kernel.
+and so never by a row kernel.  ``report_by_json_dumps`` and
+``document_by_json_dumps`` build the canonical payloads as dicts and
+write them with ``json.dumps(indent=2, ensure_ascii=True)``, as the
+library did before it assembled the text itself.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Sequence
@@ -24,7 +28,8 @@ from typing import Sequence
 from blstate.algebra import _SEALING, AxiomViolation, FiniteBLAlgebra, NoResiduumError, witness
 from blstate.filters import filter_sort_key, has_power_negation_in
 from blstate.operators import CLASS_AXIOMS
-from blstate.states import RationalState
+from blstate.states import RationalState, format_fraction
+from blstate.suite import _shown
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -294,3 +299,35 @@ def convex_coefficients(
                     coeffs[idx] = particular[j]
                 return tuple(coeffs)
     return None
+
+
+def report_by_json_dumps(report, keep_going: bool = True, timings: bool = False) -> str:
+    shown, stopped, counts = _shown(report, keep_going)
+    records = []
+    for r in shown:
+        entry = {"claim": r.claim_id, "instance": r.instance, "verdict": r.verdict,
+                 "witness": r.witness}
+        if timings:
+            entry["elapsed"] = round(r.elapsed, 6)
+        records.append(entry)
+    summary = {"records": len(records), "pass": counts["pass"], "fail": counts["fail"],
+               "discrepancy": counts["discrepancy"], "stopped_early": stopped}
+    payload = {"format": "blstate-suite/1", "records": records, "summary": summary}
+    return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+
+
+def document_by_json_dumps(doc) -> str:
+    tables = {
+        name: [list(row) for row in table]
+        for name, table in (("meet", doc.meet), ("join", doc.join), ("prod", doc.prod),
+                            ("impl", doc.impl))
+        if table is not None
+    }
+    payload = {"format": "blstate/1", "labels": list(doc.labels), "tables": tables}
+    if doc.operators:
+        payload["operators"] = {name: list(doc.operators[name]) for name in sorted(doc.operators)}
+    if doc.states:
+        payload["states"] = {
+            name: [format_fraction(v) for v in doc.states[name]] for name in sorted(doc.states)
+        }
+    return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"

@@ -2,6 +2,9 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from blstate import cli
 from blstate.algebra import verify_bl_axioms
@@ -26,6 +29,15 @@ def test_construct_mv_chain(capsys, tmp_path):
     assert code == 0
     assert "OK BL-algebra with 4 elements" in out
     assert "mv=True" in out
+
+
+@pytest.mark.parametrize(
+    "argv, golden", [(("example-3-4",), "example_3_4.json"), (("mv-chain", "2"), "mv_chain_2.json")]
+)
+def test_construct_writes_the_golden_bytes(capsys, argv, golden):
+    code, out, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
 
 
 def test_construct_example_includes_sigma(capsys):

@@ -1,5 +1,6 @@
 """Operators: grading, enumeration vs brute force, families, theorems."""
 
+import re
 from itertools import product as iproduct
 
 import pytest
@@ -235,6 +236,17 @@ def test_state_filter_seeds_out_of_range_are_a_value_error(bad):
         state_filter_generated(a, op, {bad})
     with pytest.raises(ValueError, match="seed must be nonempty"):
         state_filter_generated(a, op, set())
+
+
+@pytest.mark.parametrize(
+    "pair, reason",
+    [((0b0100, 2), "is not a state-filter"), ((0b1100, 9), "element out of range")],
+)
+def test_state_filter_extensions_are_validated(pair, reason):
+    a, sigma = four_element_example()
+    op = verify_operator(a, sigma)
+    with pytest.raises(ValueError, match=re.escape(f"extension {pair}: ") + ".*" + reason):
+        state_filter_closures(a, op, [], [pair])
 
 
 @settings(max_examples=40, deadline=None)
@@ -592,7 +604,7 @@ def ladder_carrier(rung):
 LADDER_SEARCH = {
     "g3xg4": ((115, 16, 1, 180), (102, 28, 0, 124)),
     "mv2xmv2xmv1": ((310, 28, 22, 1583), (91, 9, 0, 779)),
-    "s4xs4": ((161, 5, 2, 1470), (107, 4, 0, 736)),
+    "s4xs4": ((161, 5, 2, 1418), (107, 4, 0, 736)),
     "g3xg3xg3": ((1671, 62, 3, 4477), (1986, 216, 0, 3497)),
 }
 

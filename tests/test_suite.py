@@ -1,6 +1,7 @@
 """Suite runner: claim coverage, verdicts, deterministic reports."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,16 @@ def test_render_text_summary_line(report):
     assert text.endswith("discrepancy\n")
     first = text.splitlines()[0]
     assert first.startswith("PASS")
+
+
+# sha256 of the canonical default-corpus report, ``blstate paper-suite
+# --format json --keep-going``; perfbench's paper-suite check pins the same bytes
+DEFAULT_REPORT_SHA256 = "c21e471d0f2dc0aebac64d81fdb46ee1a1f332d2d3d586370853075bf115f035"
+
+
+def test_the_default_report_bytes_are_pinned(report):
+    text = render_json(report, keep_going=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 def test_render_json_is_valid(report):
