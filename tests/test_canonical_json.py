@@ -7,8 +7,6 @@ with quotes, backslashes, control characters, non-ASCII and astral
 characters and a lone surrogate, all of which ``ensure_ascii`` escapes.
 """
 
-from fractions import Fraction
-
 from hypothesis import given, settings, strategies as st
 
 from blstate.document import AlgebraDocument, serialize_algebra
@@ -68,7 +66,5 @@ def test_serialize_algebra_equals_json_dumps(doc):
     assert serialize_algebra(doc) == document_by_json_dumps(doc)
 
 
-def test_the_writers_keep_empty_and_whole_number_values():
+def test_the_empty_report_equals_json_dumps():
     assert render_json(SuiteReport([])) == report_by_json_dumps(SuiteReport([]))
-    doc = AlgebraDocument(labels=("1",), prod=((0,),), states={"s": (Fraction(1),)})
-    assert serialize_algebra(doc) == document_by_json_dumps(doc)

@@ -1,5 +1,6 @@
 """States: Bosbach/Riecan verdicts, extremal states, correspondences."""
 
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product as iproduct
@@ -37,6 +38,7 @@ from blstate.states import (
 
 from . import oracles
 from .strategies import algebras
+from .test_constructors import RELABELED_CARRIERS, relabel, shuffled_order
 
 F = Fraction
 
@@ -456,6 +458,21 @@ def test_check_state_matches_fraction_reference(data):
         if kind == "pinned":
             values[a.bottom], values[a.top] = F(0), F(1)
     assert_matches_reference(a, values)
+
+
+@pytest.mark.parametrize("name", RELABELED_CARRIERS)
+def test_check_state_matches_reference_on_relabeled_carriers(name):
+    """On renumberings that are no linear extension of the order, where
+    the bottom need not be element 0 and the scans meet the pairs in
+    another order, the verdicts and witnesses are the reference's."""
+    a = RELABELED_CARRIERS[name]
+    rng = random.Random(f"states {name}")
+    for _ in range(10):
+        b = relabel(a, shuffled_order(a, rng))
+        for _ in range(10):
+            values = [F(rng.randrange(5), 4) for _ in range(b.size)]
+            values[b.bottom], values[b.top] = F(0), F(1)
+            assert_matches_reference(b, values)
 
 
 def test_check_state_matches_reference_on_corpus_states(corpus):
