@@ -31,7 +31,6 @@ from .filters import (
     AlgebraClassification,
     all_filters,
     classify_algebra,
-    filter_generated,
     maximal_filters,
     radical,
     state_filters,

@@ -9,7 +9,7 @@ Tables from outside the package are sealed only by ``verify_bl_axioms``;
 the package seals quotients and operator images by certificate (a
 class map that respects every operation, an image closed under every
 operation), since homomorphic images and subalgebras of a BL-algebra
-are BL-algebras, and a relabeling keeps the tables.
+are BL-algebras.
 
 Pointwise laws are data, ``Law`` values: the BL laws of sealing
 (``_SEALING``), the operator axioms and preservation (``operators``),
@@ -30,7 +30,7 @@ groups of ``_SEALING`` in the documented order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, wraps
 from itertools import chain, compress, product as iproduct, repeat, starmap
 from operator import not_
@@ -154,16 +154,10 @@ class FiniteBLAlgebra:
     def neg(self, x: int) -> int:
         return self.neg_table[x]
 
-    def oplus(self, x: int, y: int) -> int:
-        return self.neg(self.prod[self.neg(x)][self.neg(y)])
-
     @cached_property
     def oplus_table(self) -> Table:
         neg = self.neg_table  # row x: y -> neg(prod(neg x, neg y))
         return tuple(tuple(map(neg.__getitem__, map(self.prod[v].__getitem__, neg))) for v in neg)
-
-    def ominus(self, x: int, y: int) -> int:
-        return self.prod[x][self.neg(y)]
 
     def dist(self, x: int, y: int) -> int:
         return self.prod[self.impl[x][y]][self.impl[y][x]]
@@ -188,13 +182,6 @@ class FiniteBLAlgebra:
     def orders(self) -> tuple:
         """``ord_of`` of every element."""
         return tuple(map(self.ord_of, range(self.size)))
-
-    def orthogonal(self, x: int, y: int) -> bool:
-        return self.prod[x][y] == self.bottom
-
-    def partial_sum(self, x: int, y: int) -> int:
-        """x + y = neg(y) -> neg(neg(x)); defined when x, y orthogonal."""
-        return self.impl[self.neg(y)][self.neg(self.neg(x))]
 
     # -- misc -----------------------------------------------------------
 
@@ -236,13 +223,6 @@ class FiniteBLAlgebra:
             and self.bottom == other.bottom
             and self.top == other.top
         )
-
-    def relabeled(self, labels: Sequence[str]) -> "FiniteBLAlgebra":
-        """A copy with new labels: the tables are unchanged, so only the
-        labels are checked (their number against the meet table)."""
-        labels = tuple(map(str, labels))
-        _check_shape(labels, {"meet": self.meet}, self.bottom, self.top)
-        return replace(self, labels=labels)
 
     def __repr__(self) -> str:  # keep reprs short in pytest output
         return f"FiniteBLAlgebra(n={self.size}, labels={'/'.join(self.labels)})"
@@ -597,12 +577,6 @@ class VarietyFlags:
     is_linear: bool
     mv_or_product_identity: bool
     witnesses: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def witness(self, flag: str) -> tuple[int, ...] | None:
-        for name, w in self.witnesses:
-            if name == flag:
-                return w
-        return None
 
 
 _VARIETY_LAWS = {

@@ -7,14 +7,14 @@ memoized on the algebra (``algebra.memoized``) and freed with it.
 
 A state-filter of (A, sigma) is a filter closed under the operator
 table sigma (``state_filters``); with sigma the identity it is just a
-filter.  So one implementation serves both: ``filter_generated``,
+filter.  So one implementation serves both: ``filter_generated_masks``,
 ``maximal_filters``, ``is_maximal_by_power_criterion`` and ``radical``
 take an optional table ``sigma``, and omitting it means the identity.
 The generated (state-)filter is read off that memoized family, held as
 bitmasks (bit ``i`` for element ``i``, ``filter_masks``): it is the
-meet of the members that contain the seed (``filter_generated_masks``,
-which ``filter_generated`` wraps).  The Prop-5.4 formulas in
-``operators`` are the independent route it is checked against.
+meet of the members that contain the seed (``filter_generated_masks``).
+The Prop-5.4 formulas in ``operators`` are the independent route it is
+checked against.
 
 Two pairs of routes are kept on purpose as independent cross-checks
 that must agree: the radical as an intersection of maximal filters vs
@@ -41,16 +41,6 @@ def subset_mask(members: Iterable[int]) -> int:
 def mask_members(mask: int) -> frozenset[int]:
     """The elements whose bits are set in ``mask``."""
     return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
-
-
-def seed_mask(algebra: FiniteBLAlgebra, seed: Iterable[int]) -> int:
-    """The bitmask of a generating seed, which must be a nonempty set of elements."""
-    members = frozenset(seed)
-    if not members:
-        raise ValueError("seed must be nonempty")
-    if not members <= frozenset(range(algebra.size)):
-        raise ValueError("seed element out of range")
-    return subset_mask(members)
 
 
 def filter_sort_key(members: frozenset[int]) -> tuple[int, int]:
@@ -134,17 +124,6 @@ def filter_generated_masks(
                 meet &= f
         out.append(meet)
     return out
-
-
-def filter_generated(
-    algebra: FiniteBLAlgebra, seed: Iterable[int], sigma: tuple[int, ...] | None = None
-) -> frozenset[int]:
-    """Least filter containing ``seed`` (with ``sigma``, least state-filter).
-
-    The one-seed case of ``filter_generated_masks``, on element sets.
-    """
-    [meet] = filter_generated_masks(algebra, [seed_mask(algebra, seed)], sigma)
-    return mask_members(meet)
 
 
 def has_power_negation_in(algebra: FiniteBLAlgebra, members: frozenset[int], y: int) -> bool:

@@ -45,7 +45,7 @@ the product of the idempotent powers of the generators: every member
 of the monoid lies above it, so its upset is the whole union.  The
 literal closure of the monoid is the test oracle
 (``tests/oracles.py``).  ``state_filter_generated`` is its one-seed
-wrapper.
+wrapper, which no command calls; ``perfbench/layers.json`` traces it.
 State-filters, their maximal members and Rad_sigma are the filter
 family, maximal filters and radical of ``filters`` with the operator
 table as ``sigma``; the maximality cross-check (inclusion vs the power
@@ -87,7 +87,6 @@ from .filters import (
     mask_members,
     maximal_filters,
     radical,
-    seed_mask,
     state_filters,
 )
 
@@ -583,12 +582,12 @@ def state_filter_closures(
 ) -> list[int]:
     """Least state-filters of many seeds at once, as bitmasks (Prop. 5.4).
 
-    ``seeds`` are nonempty sets of elements; ``extensions`` are pairs
+    ``seeds`` are nonempty sets of elements, and an empty seed or an
+    element out of range raises ``ValueError``; ``extensions`` are pairs
     (f, a) of a state-filter bitmask f and an element a, standing for
     the seed f + {a}; a pair whose f is not a state-filter of ``op`` or
-    whose a is out of range raises ``ValueError`` naming the pair.  The
-    seeds are not validated here (``state_filter_generated`` validates
-    its one seed).  Each is computed twice and the two must agree:
+    whose a is out of range raises ``ValueError`` naming the pair.
+    Each is computed twice and the two must agree:
     by the Prop-5.4 formula and by the filter lattice
     (``filter_generated_masks`` under sigma).  The result lists the
     seeds' masks, then the extensions'.
@@ -603,21 +602,25 @@ def state_filter_closures(
     of the upsets of i * g_a^n (i in f, n >= 1) is the upset of
     m * e_a.
     """
-    prod, up, table = algebra.prod, algebra.upset_masks, op.table
+    prod, up, table, n = algebra.prod, algebra.upset_masks, op.table, algebra.size
     power_values, top = algebra.power_values, algebra.top
-    idem = [power_values(prod[x][table[x]])[-1] for x in range(algebra.size)]
+    idem = [power_values(prod[x][table[x]])[-1] for x in range(n)]
     formula, masks = [], []
     for seed in seeds:
         least, mask = top, 0
         for x in seed:
+            if not 0 <= x < n:
+                raise ValueError("seed element out of range")
             least = prod[least][idem[x]]
             mask |= 1 << x
+        if not mask:
+            raise ValueError("seed must be nonempty")
         formula.append(up[least])
         masks.append(mask)
     n_seeds = len(masks)
     state_masks = filter_masks(algebra, table)
     for f, a in extensions:
-        if not 0 <= a < algebra.size:
+        if not 0 <= a < n:
             raise ValueError(f"extension {(f, a)}: element out of range")
         if f not in state_masks:
             raise ValueError(f"extension {(f, a)}: {f:#b} is not a state-filter of the operator")
@@ -639,9 +642,7 @@ def state_filter_generated(
     algebra: FiniteBLAlgebra, op: StateOperator, seed: Iterable[int]
 ) -> frozenset[int]:
     """Least state-filter containing ``seed``, by ``state_filter_closures``."""
-    members = frozenset(seed)
-    seed_mask(algebra, members)  # raises ValueError on an empty or out-of-range seed
-    [mask] = state_filter_closures(algebra, op, [members], [])
+    [mask] = state_filter_closures(algebra, op, [seed], [])
     return mask_members(mask)
 
 
@@ -825,10 +826,6 @@ class ChainProductSum:
     local_zero: int
     coord_of: tuple[tuple[int, ...], ...]  # upper_ids order -> coordinates
     id_of_coord: dict[tuple[int, ...], int]
-
-    @property
-    def top(self) -> int:
-        return self.algebra.top
 
     def idempotent_of_subset(self, js: frozenset[int]) -> int:
         """The idempotent with coordinate d_i on js and 0 elsewhere."""

@@ -411,33 +411,6 @@ def solve_linear(
     return particular, basis
 
 
-def bosbach_solution_space(
-    algebra: FiniteBLAlgebra,
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Affine solution space of the Bosbach identities with s(0)=0, s(1)=1."""
-    n = algebra.size
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for pinned, value in ((algebra.bottom, 0), (algebra.top, 1)):
-        row = [0] * n
-        row[pinned] = 1
-        rows.append(row)
-        rhs.append(value)
-    for x, y in iproduct(range(n), repeat=2):
-        row = [0] * n
-        row[x] += 1
-        row[algebra.impl[x][y]] += 1
-        row[y] -= 1
-        row[algebra.impl[y][x]] -= 1
-        if any(row):
-            rows.append(row)
-            rhs.append(0)
-    solved = solve_linear(rows, rhs)
-    if solved is None:
-        raise InternalCheckError("Bosbach system inconsistent on a sealed algebra")
-    return solved
-
-
 def convex_coefficients(
     points: Sequence[RationalState | Sequence[Fraction]],
     target: RationalState | Sequence[Fraction],

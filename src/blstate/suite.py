@@ -136,10 +136,6 @@ class SuiteReport:
     def failures(self) -> list[SuiteRecord]:
         return [r for r in self.records if r.verdict == FAIL]
 
-    @property
-    def discrepancies(self) -> list[SuiteRecord]:
-        return [r for r in self.records if r.verdict == DISCREPANCY]
-
 
 # ---------------------------------------------------------------------------
 # helpers

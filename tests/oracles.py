@@ -10,7 +10,8 @@ union of the upsets of a whole generated monoid, or of every product
 i * g^n), and ``solve_linear``, ``convex_coefficients``
 and ``mix_states`` are the library's elimination, hull test and mixture
 on ``fractions.Fraction``, kept as they were before the state layer moved
-to integer numerators.  ``residuum_by_scan`` derives impl by the
+to integer numerators; ``bosbach_solution_space`` solves the Bosbach
+identities with ``solve_linear``.  ``residuum_by_scan`` derives impl by the
 definition, element by element, as the library did before it read the
 candidate sets in C.  ``first_violation`` names the first failing BL
 law by the per-tuple evaluator alone (``witness``), never by ``holds``
@@ -254,6 +255,32 @@ def solve_linear(
             vec[c] = -m[i][fc]
         basis.append(vec)
     return particular, basis
+
+
+def bosbach_solution_space(
+    algebra: FiniteBLAlgebra,
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Affine solution space of the Bosbach identities with s(0)=0, s(1)=1."""
+    n = algebra.size
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for pinned, value in ((algebra.bottom, 0), (algebra.top, 1)):
+        row = [0] * n
+        row[pinned] = 1
+        rows.append(row)
+        rhs.append(value)
+    for x, y in iproduct(range(n), repeat=2):
+        row = [0] * n
+        row[x] += 1
+        row[algebra.impl[x][y]] += 1
+        row[y] -= 1
+        row[algebra.impl[y][x]] -= 1
+        if any(row):
+            rows.append(row)
+            rhs.append(0)
+    solved = solve_linear(rows, rhs)
+    assert solved is not None, "Bosbach system inconsistent on a sealed algebra"
+    return solved
 
 
 def mix_states(

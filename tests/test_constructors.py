@@ -301,7 +301,7 @@ def test_quotient_by_filter():
     q, proj = quotient_by_filter(a, frozenset({2, 3}))
     assert q.size == 3
     assert proj == (0, 1, 2, 2)
-    assert q.same_tables(mv_chain(2).relabeled(q.labels))
+    assert q.same_tables(mv_chain(2))
     # A / {top} is A itself; A / A is the one-element algebra
     q_id, proj_id = quotient_by_filter(a, frozenset({3}))
     assert q_id.size == 4 and proj_id == (0, 1, 2, 3)

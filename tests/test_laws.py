@@ -171,7 +171,7 @@ def test_operator_and_mv_axiom_witnesses():
 
 def _definitional_additivity(a, t):
     for x, y in iproduct(range(a.size), repeat=2):
-        if a.orthogonal(x, y) and t[a.oplus(x, y)] != a.oplus(t[x], t[y]):
+        if a.prod[x][y] == a.bottom and t[oracle._oplus(a, x, y)] != oracle._oplus(a, t[x], t[y]):
             return (x, y)
     return None
 

@@ -22,7 +22,6 @@ from blstate.states import (
     NotAStateError,
     RationalState,
     StateVerdict,
-    bosbach_solution_space,
     check_state,
     convex_coefficients,
     extremal_states,
@@ -95,7 +94,7 @@ def test_extremal_states_catalogue():
 def test_all_states_live_in_the_extremal_hull():
     """The Bosbach solution space pinned to the unit box is the hull."""
     square = direct_product(mv_chain(1), mv_chain(1))
-    particular, basis = bosbach_solution_space(square)
+    particular, basis = oracles.bosbach_solution_space(square)
     assert len(basis) == 1
     ext = [s.values for s in extremal_states(square)]
     # deterministic sample of box-feasible solutions of the linear system
@@ -121,6 +120,15 @@ def test_mix_states_and_hull():
     assert coeffs == (F(1, 3), F(2, 3))
     outside = (F(0), F(1), F(1), F(1))
     assert convex_coefficients([s.values for s in ext], outside) is None
+
+
+def test_a_mix_in_lowest_terms_is_the_live_state():
+    # s mixed with itself is (0, 2, 0, 2) / 2 before the gcd division: in
+    # lowest terms it is s's own map, so the carrier's table returns s
+    square = direct_product(mv_chain(1), mv_chain(1))
+    s = extremal_states(square)[0]
+    mixed = mix_states([s, s], [F(1, 2), F(1, 2)])
+    assert mixed is s and mixed == s
 
 
 def test_pull_back_state():
@@ -389,8 +397,8 @@ def reference_check_state(algebra, values) -> StateVerdict:
     )
     wr = pinned(True) or _first_pair(
         algebra,
-        lambda x, y: not algebra.orthogonal(x, y)
-        or s[algebra.partial_sum(x, y)] == s[x] + s[y],
+        lambda x, y: algebra.prod[x][y] != algebra.bottom
+        or s[impl[algebra.neg(y)][algebra.neg(algebra.neg(x))]] == s[x] + s[y],
     )
     if (wb is None) != (wr is None):
         raise InternalCheckError("Bosbach/Riecan verdicts disagree")
