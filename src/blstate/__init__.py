@@ -46,7 +46,6 @@ from .operators import (
     interval_collapse_table,
     operator_image,
     sigma_j_table,
-    state_filter_generated,
     verify_operator,
 )
 from .states import (

@@ -575,7 +575,6 @@ class VarietyFlags:
     is_mv: bool
     is_godel: bool
     is_linear: bool
-    mv_or_product_identity: bool
     witnesses: tuple[tuple[str, tuple[int, ...]], ...]
 
 
@@ -585,15 +584,12 @@ _VARIETY_LAWS = {
     # the failing pairs are symmetric, so the first one has x < y
     "is_linear": Law("x <= y or y <= x for x < y",
                      lambda leq, x, y: x == y or leq[x][y] or leq[y][x]),
-    "mv_or_product_identity": Law(
-        "x->(x*y) = -x v y",
-        lambda join, prod, impl, neg, x, y: impl[x][prod[x][y]] == join[neg[x]][y]),
 }
 
 
 @memoized
 def classify_variety(algebra: FiniteBLAlgebra) -> VarietyFlags:
-    """Check x--=x, x^2=x, linearity and x->(x*y) = -x v y pointwise."""
+    """Check x--=x, x^2=x and linearity pointwise."""
     found = {flag: violation(law, algebra) for flag, law in _VARIETY_LAWS.items()}
     return VarietyFlags(
         *(found[flag] is None for flag in _VARIETY_LAWS),

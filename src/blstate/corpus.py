@@ -28,12 +28,12 @@ from .operators import (
     ChainProductSum,
     enumerate_state_operators,
     godel_floor_table,
-    godel_strict_floor_table,
     identity_table,
     interval_collapse_table,
     sigma_j_table,
     verify_operator,
 )
+from .states import RationalState
 
 # carriers up to this size get their state operators fully enumerated
 ENUMERATION_LIMIT = 9
@@ -55,7 +55,7 @@ class CorpusInstance:
     algebra: FiniteBLAlgebra
     operators: dict[str, StateOperator] = field(default_factory=dict)
     rejected: dict[str, StateOperator] = field(default_factory=dict)
-    states: dict[str, tuple] = field(default_factory=dict)
+    states: dict[str, RationalState] = field(default_factory=dict)
     shape: ChainProductSum | None = None
     diag_base: FiniteBLAlgebra | None = None
     hom: Homomorphism | None = None
@@ -91,7 +91,7 @@ class CorpusInstance:
 
 def _with_enumeration(inst: CorpusInstance) -> CorpusInstance:
     if inst.algebra.size <= ENUMERATION_LIMIT:
-        inst.enumerated = tuple(enumerate_state_operators(inst.algebra, "state"))
+        inst.enumerated = tuple(enumerate_state_operators(inst.algebra))
     return inst
 
 
@@ -114,11 +114,6 @@ def _godel_instance(n: int) -> CorpusInstance:
         t = godel_floor_table(a, x)
         if t not in seen:
             ops[f"sigma_le_{a.labels[x]}"] = verify_operator(a, t)
-            seen.add(t)
-    for x in range(1, a.size):
-        t = godel_strict_floor_table(a, x)
-        if t not in seen:
-            ops[f"sigma_lt_{a.labels[x]}"] = verify_operator(a, t)
             seen.add(t)
     return _with_enumeration(CorpusInstance(name=f"godel_chain({n})", algebra=a, operators=ops))
 
@@ -257,6 +252,6 @@ def load_corpus_dir(path: str | Path) -> tuple[CorpusInstance, ...]:
                 inst.operators[name] = op
             else:
                 inst.rejected[name] = op
-        inst.states = {name: st.values for name, st in states.items()}
+        inst.states = states
         out.append(_with_enumeration(inst))
     return tuple(out)

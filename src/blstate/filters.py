@@ -221,7 +221,6 @@ class AlgebraClassification:
     locally_finite: bool
     radical: frozenset[int]
     maximal_filters: tuple[frozenset[int], ...]
-    perfect_witness: tuple[int, ...] | None = None
 
 
 @memoized
@@ -247,13 +246,7 @@ def classify_algebra(algebra: FiniteBLAlgebra) -> AlgebraClassification:
     orders = algebra.orders
     locally_finite = all(orders[x] != INFINITE_ORDER for x in range(n) if x != algebra.top)
 
-    perfect_witness = None
-    perfect = True
-    for x in range(n):
-        if x not in rad and x not in rad_neg:
-            perfect = False
-            perfect_witness = (x,)
-            break
+    perfect = all(x in rad or x in rad_neg for x in range(n))
 
     if n > 1:
         # local iff ord(x) or ord(x-) finite for every x
@@ -291,7 +284,6 @@ def classify_algebra(algebra: FiniteBLAlgebra) -> AlgebraClassification:
         locally_finite=locally_finite,
         radical=rad,
         maximal_filters=maxes,
-        perfect_witness=perfect_witness,
     )
 
 

@@ -548,12 +548,9 @@ def enumerate_operator_tables(
     return _enumerate_backtrack(algebra, cls, _watch_lists(algebra, cls), stats)
 
 
-def enumerate_state_operators(
-    algebra: FiniteBLAlgebra, cls: str = "state"
-) -> list[StateOperator]:
-    if cls == "endomorphism":
-        raise ValueError("endomorphism tables are not graded; use enumerate_operator_tables")
-    return [verify_operator(algebra, t) for t in enumerate_operator_tables(algebra, cls)]
+def enumerate_state_operators(algebra: FiniteBLAlgebra) -> list[StateOperator]:
+    """Every state operator of the carrier, graded, in lexicographic table order."""
+    return [verify_operator(algebra, t) for t in enumerate_operator_tables(algebra)]
 
 
 def state_strong_gap(
@@ -819,7 +816,6 @@ class ChainProductSum:
     """
 
     algebra: FiniteBLAlgebra
-    chain_len: int
     dims: tuple[int, ...]
     chain_ids: tuple[int, ...]
     upper_ids: tuple[int, ...]
@@ -852,7 +848,6 @@ def chain_product_sum(n: int, dims: Sequence[int]) -> ChainProductSum:
     id_map = dict(zip(coord_list, upper_ids))
     return ChainProductSum(
         algebra=algebra,
-        chain_len=n,
         dims=dims,
         chain_ids=chain_ids,
         upper_ids=upper_ids,
@@ -906,21 +901,14 @@ def interval_collapse_table(
 
 
 def godel_floor_table(algebra: FiniteBLAlgebra, a: int) -> tuple[int, ...]:
-    """On a linear Godel chain: keep x <= a, send the rest to top."""
+    """On a linear Godel chain: keep x <= a, send the rest to top.
+
+    The floors at the elements of the chain are all its state operators
+    (Ex-4.11).
+    """
     if not (algebra.is_linear and all(algebra.prod[x][x] == x for x in range(algebra.size))):
         raise ShapeMismatchError("requires a linear chain with idempotent product")
     return tuple(x if algebra.le(x, a) else algebra.top for x in range(algebra.size))
-
-
-def godel_strict_floor_table(algebra: FiniteBLAlgebra, a: int) -> tuple[int, ...]:
-    """On a linear Godel chain: keep x < a, send the rest to top."""
-    if a == algebra.bottom:
-        raise ShapeMismatchError("a must not be the bottom element")
-    if not (algebra.is_linear and all(algebra.prod[x][x] == x for x in range(algebra.size))):
-        raise ShapeMismatchError("requires a linear chain with idempotent product")
-    return tuple(
-        x if algebra.le(x, a) and x != a else algebra.top for x in range(algebra.size)
-    )
 
 
 # ---------------------------------------------------------------------------

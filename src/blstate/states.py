@@ -24,7 +24,8 @@ is a ``weakref.WeakValueDictionary`` kept in the algebra's ``__dict__``:
 it holds only states that are alive elsewhere and is freed with the
 algebra.  ``check_state`` on raw values keeps nothing, and a state built
 by the public constructor enters no table, so memory does not grow with
-the number of distinct maps checked.
+the number of distinct maps checked.  ``pull_back_state`` takes only a
+state object of the operator's image, whose verdict is the cached one.
 """
 
 from __future__ import annotations
@@ -242,7 +243,6 @@ def kernel_is_maximal_filter(algebra: FiniteBLAlgebra, p: Sequence[int], d: int)
 @dataclass(frozen=True)
 class StateVerdict:
     bosbach: bool
-    riecan: bool
     state_morphism: bool
     max_join: bool
     luk_mult: bool
@@ -299,7 +299,6 @@ def check_state(
     )
     return StateVerdict(
         bosbach=wb is None,
-        riecan=wr is None,
         state_morphism=wm is None,
         max_join=wj is None,
         luk_mult=wl is None,
@@ -469,41 +468,34 @@ def mix_states(
 # pulling states through an operator
 
 
-def pull_back_state(
-    op: StateOperator, image_state: RationalState | Sequence[Fraction]
-) -> RationalState:
+def pull_back_state(op: StateOperator, image_state: RationalState) -> RationalState:
     """Compose a state on the image subalgebra with the operator.
 
-    The input is a ``RationalState`` on the image or its values, indexed
-    by the image algebra (ascending fixed points).  A state object on the
-    image is checked through its cached ``verdict``; raw values, or a
-    state on another algebra object, are checked here, and only a state
-    is then kept as the image's state object.
+    The input is a ``RationalState`` of the image algebra object
+    (``operator_image(op)[0]``), indexed by ascending fixed points; any
+    other input raises ``ValueError``.  It is checked through its cached
+    ``verdict``, and a map that is not a state raises ``NotAStateError``.
     The result is verified to be a state on the full algebra; when the
     operator is a morphism operator and the input is extremal, the
     result is verified extremal.  When the image is the carrier itself
-    (``operator_image``), the pull-back is the image's state object.
-    Otherwise it is the carrier's state object of the pulled-back map,
-    so a map that is already alive there is not scanned again.
+    (``operator_image``), the pull-back is the input object.  Otherwise
+    it is the carrier's state object of the pulled-back map, so a map
+    that is already alive there is not scanned again.
     """
-    image, pos, fixed = operator_image(op)
-    if isinstance(image_state, RationalState) and image_state.algebra is image:
-        src, verdict = image_state, image_state.verdict
-    else:
-        src, verdict = None, check_state(image, image_state)
+    image, pos, _ = operator_image(op)
+    if not isinstance(image_state, RationalState) or image_state.algebra is not image:
+        raise ValueError("input must be a state object of the operator's image")
+    verdict = image_state.verdict
     if not verdict.is_state:
         raise NotAStateError(f"input is not a state on the image: {verdict.witnesses}")
-    if src is None:
-        src = _state(image, *_as_numerators(image_state))
-        src.__dict__.setdefault("verdict", verdict)  # the cached_property's slot
     if image is op.algebra:
-        pulled = src
+        pulled = image_state
     else:
-        p = src.p
-        pulled = _state(op.algebra, [p[pos[t]] for t in op.table], src.d)
+        p = image_state.p
+        pulled = _state(op.algebra, [p[pos[t]] for t in op.table], image_state.d)
         if not pulled.verdict.is_state:
             raise InternalCheckError("pull-back of a state failed the state identities")
-    if op.is_morphism and src.verdict.extremal and not pulled.verdict.extremal:
+    if op.is_morphism and verdict.extremal and not pulled.verdict.extremal:
         raise InternalCheckError("pull-back of an extremal state lost extremality")
     return pulled
 
@@ -519,7 +511,6 @@ def is_compatible(op: StateOperator, state: RationalState) -> bool:
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    image_extremal: tuple[RationalState, ...]
     compatible_extremal: tuple[RationalState, ...]
     round_trip_ok: bool
     affine_ok: bool
@@ -604,7 +595,6 @@ def _correspondence(op: StateOperator) -> CorrespondenceReport:
         if others and convex_coefficients(others, pulled[i]) is not None:
             independent = False
     return CorrespondenceReport(
-        image_extremal=image_ext,
         compatible_extremal=pulled,
         round_trip_ok=round_trip,
         affine_ok=affine_ok,

@@ -53,14 +53,18 @@ DOCUMENTS = {
     '"meet": [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]], '
     '"join": [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]], '
     '"prod": [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]}}',
+    # the one-element carrier, where bottom and top coincide
+    "one.json": '{"format": "blstate/1", "labels": ["0"], "tables": {"prod": [[0]]}}',
 }
 
 EXAMPLE = "corpus/example_3_4.json"
 MV2 = "corpus/mv_chain_2.json"
 DERIVED = "corpus/derived.json"
+ONE = "one.json"
 
 # (expected exit code, argv): 0 every check passed, 1 a check failed,
-# 2 a usage or input error
+# 2 a usage or input error; a new command goes last, so that every
+# earlier one keeps the number of its output file
 COMMANDS = (
     (0, ("construct", "mv-chain", "3")),
     (0, ("construct", "godel-chain", "3")),
@@ -114,6 +118,12 @@ COMMANDS = (
     (2, ("paper-suite", "--claims", "Nope-1.2")),
     (2, ("paper-suite", "--corpus", "empty")),
     (2, ("no-such-command",)),
+    (0, ("verify", ONE)),
+    (0, ("filters", ONE)),
+    (0, ("classify", ONE)),
+    (0, ("states", ONE)),
+    (2, ("states", ONE, "--operator", "x")),
+    (0, ("enumerate-operators", ONE, "--stats")),
 )
 
 

@@ -418,7 +418,7 @@ def mv_axiom_witness(
 
 @memoized
 def classify_variety(algebra: FiniteBLAlgebra) -> VarietyFlags:
-    """Check x--=x, x^2=x, linearity and x->(x*y) = -x v y pointwise."""
+    """Check x--=x, x^2=x and linearity pointwise."""
     n = algebra.size
     witnesses: list[tuple[str, tuple[int, ...]]] = []
 
@@ -448,16 +448,4 @@ def classify_variety(algebra: FiniteBLAlgebra) -> VarietyFlags:
         if done:
             break
 
-    mv_or_product = True
-    for x in range(n):
-        done = False
-        for y in range(n):
-            if algebra.impl[x][algebra.prod[x][y]] != algebra.join[algebra.neg(x)][y]:
-                mv_or_product = False
-                witnesses.append(("mv_or_product_identity", (x, y)))
-                done = True
-                break
-        if done:
-            break
-
-    return VarietyFlags(is_mv, is_godel, is_linear, mv_or_product, tuple(witnesses))
+    return VarietyFlags(is_mv, is_godel, is_linear, tuple(witnesses))

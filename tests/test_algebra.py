@@ -175,7 +175,6 @@ def test_variety_flags():
     assert classify_variety(mv_chain(4)).is_mv
     g = classify_variety(godel_chain(4))
     assert g.is_godel and g.is_linear
-    assert classify_variety(mv_chain(3)).mv_or_product_identity
     assert classify_variety(godel_chain(3)).is_linear
 
 

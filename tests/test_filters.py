@@ -203,7 +203,8 @@ def test_classification_flags():
     a, _ = four_element_example()
     cls = classify_algebra(a)
     assert cls.local and not cls.perfect and not cls.simple
-    assert cls.perfect_witness == (1,)  # a is in neither Rad nor Rad-
+    # a is in neither Rad nor Rad-
+    assert 1 not in cls.radical and 1 not in {a.neg(x) for x in cls.radical}
 
     for n in range(1, 5):
         c = classify_algebra(mv_chain(n))

@@ -273,9 +273,9 @@ def test_the_prop_2_2_laws_the_operator_axioms_and_preservation_carry_row_kernel
     # elements; every other law (the 2-variable instance laws outside
     # sealing and the claims that read the operator t or the orders) goes
     # per tuple
-    assert len(LAWS) == 67
+    assert len(LAWS) == 66
     assert len(SEALING_LAWS) == 15
-    assert len(INSTANCE_LAWS) == 27  # the BL laws, Prop-2.2, S2 and the variety flags
+    assert len(INSTANCE_LAWS) == 26  # the BL laws, Prop-2.2, S2 and the variety flags
     assert len(OPERATOR_KERNEL_LAWS) == 10  # axioms 1-5 and 3s, preservation of all four
     assert len(CONGRUENT_LAWS) == 4
     for law in LAWS:

@@ -17,7 +17,7 @@ from blstate.constructors import (
     mv_chain,
 )
 from blstate.filters import maximal_filters
-from blstate.operators import identity_table, verify_operator
+from blstate.operators import identity_table, operator_image, verify_operator
 from blstate.states import (
     NotAStateError,
     RationalState,
@@ -45,8 +45,9 @@ F = Fraction
 def test_example_state_is_bosbach_and_extremal():
     a, _ = four_element_example()
     verdict = check_state(a, (F(0), F(1, 2), F(1), F(1)))
-    assert verdict.bosbach and verdict.riecan and verdict.extremal
+    assert verdict.bosbach and verdict.extremal
     assert verdict.state_morphism and verdict.max_join and verdict.luk_mult
+    assert verdict.witnesses == ()  # the Riecan scan passed too
 
 
 def test_two_element_state():
@@ -58,8 +59,8 @@ def test_two_element_state():
 def test_non_state_has_witness():
     a, _ = four_element_example()
     verdict = check_state(a, (F(0), F(1, 3), F(1), F(1)))
-    assert not verdict.bosbach and not verdict.riecan
-    assert verdict.witnesses[0][0] == "bosbach"
+    assert not verdict.bosbach
+    assert [name for name, _ in verdict.witnesses[:2]] == ["bosbach", "riecan"]
 
 
 def test_bosbach_riecan_agree_exhaustively_small():
@@ -134,13 +135,14 @@ def test_a_mix_in_lowest_terms_is_the_live_state():
 def test_pull_back_state():
     a, sigma = four_element_example()
     op = verify_operator(a, sigma)
-    pulled = pull_back_state(op, (F(0), F(1, 2), F(1)))
+    image, _, _ = operator_image(op)
+    pulled = pull_back_state(op, RationalState(image, (F(0), F(1, 2), F(1))))
     assert pulled.values == (F(0), F(1, 2), F(1), F(1))
     ident = verify_operator(a, identity_table(a))
-    same = pull_back_state(ident, (F(0), F(1, 2), F(1), F(1)))
-    assert same.values == (F(0), F(1, 2), F(1), F(1))
+    st = RationalState(a, (F(0), F(1, 2), F(1), F(1)))
+    assert pull_back_state(ident, st) is st
     with pytest.raises(NotAStateError):
-        pull_back_state(op, (F(0), F(1, 3), F(1)))
+        pull_back_state(op, RationalState(image, (F(0), F(1, 3), F(1))))
 
 
 def test_a_state_is_checked_once_per_object(monkeypatch):
@@ -186,30 +188,38 @@ def test_pull_back_reuses_state_verdicts(monkeypatch):
     assert pull_back_state(ident, mixed) is mixed
     assert len(scans) == 1  # the mixture, once
     assert pull_back_state(ident, mixed) is mixed and len(scans) == 1
-    # raw values are checked on each call, and a non-state still raises
-    assert pull_back_state(ident, mixed.values).values == mixed.values
-    assert len(scans) == 2
-    with pytest.raises(NotAStateError):
-        pull_back_state(ident, (F(0), F(3), F(0), F(1)))
-    # a state on an equal algebra object is read by its values
+    # only a state object of the image is read: raw values, and a state
+    # on an equal algebra object, are refused unscanned
     twin = RationalState(direct_product(mv_chain(1), mv_chain(1)), mixed.values)
-    assert pull_back_state(ident, twin).values == mixed.values
-    assert len(scans) == 4  # one more each for the non-state and the twin
+    for other in (mixed.values, twin):
+        with pytest.raises(ValueError, match="state object of the operator's image"):
+            pull_back_state(ident, other)
+    assert len(scans) == 1
+    # a map that is not a state still raises, scanned once
+    with pytest.raises(NotAStateError):
+        pull_back_state(ident, RationalState(a, (F(0), F(1, 2), F(0), F(1))))
+    assert len(scans) == 2
 
 
 def test_values_outside_the_unit_interval_are_not_a_state():
     # the pair identities hold here; only the range test rejects the map
     square = direct_product(mv_chain(1), mv_chain(1))
     verdict = check_state(square, (F(0), F(2), F(-1), F(1)))
-    assert not verdict.is_state and not verdict.riecan
+    assert not verdict.is_state
     assert verdict.witnesses[:2] == (("bosbach", ("range", 1)), ("riecan", ("range", 1)))
 
 
 def test_pull_back_of_values_outside_the_unit_interval_is_not_a_state():
+    from blstate import states
+
     square = direct_product(mv_chain(1), mv_chain(1))
     ident = verify_operator(square, identity_table(square))
+    with pytest.raises(ValueError, match="must lie in"):
+        RationalState(square, (F(0), F(2), F(-1), F(1)))
+    # the carrier's table takes any integer map; the range scan rejects it
+    outside = states._state(square, (0, 2, -1, 1), 1)
     with pytest.raises(NotAStateError, match="range"):
-        pull_back_state(ident, (F(0), F(2), F(-1), F(1)))
+        pull_back_state(ident, outside)
 
 
 def test_a_pull_back_equal_to_a_carrier_state_is_that_object(monkeypatch):
@@ -279,7 +289,7 @@ def test_a_pulled_back_extremal_state_restricts_to_its_source_object():
     b = mv_chain(1)
     square = direct_product(b, b)
     diag = verify_operator(square, diagonal_operator_table(b, 1))
-    image_ext = sigma_compatible_correspondence(square, diag).image_extremal
+    image_ext = extremal_states(operator_image(diag)[0])
     for pulled, src in zip(pulled_back_extremal_states(diag), image_ext):
         assert restrict_to_image(diag, pulled) is src
         assert restrict_to_image(diag, pulled).values == src.values
@@ -289,7 +299,7 @@ def test_pull_back_through_diagonal():
     b = mv_chain(2)
     square = direct_product(b, b)
     op = verify_operator(square, diagonal_operator_table(b, 1))
-    image_state = tuple(F(i, 2) for i in range(3))
+    image_state = RationalState(operator_image(op)[0], tuple(F(i, 2) for i in range(3)))
     pulled = pull_back_state(op, image_state)
     # (a, b) -> a/2
     expected = tuple(F(i, 2) for i in range(3) for _ in range(3))
@@ -326,7 +336,7 @@ def test_correspondence_reports():
     rep_id = sigma_compatible_correspondence(square, ident)
     assert rep_id.bijection_ok
     assert [s.values for s in rep_id.compatible_extremal] == [
-        s.values for s in rep_id.image_extremal
+        s.values for s in extremal_states(operator_image(ident)[0])
     ]
 
 
@@ -417,7 +427,6 @@ def reference_check_state(algebra, values) -> StateVerdict:
     )
     return StateVerdict(
         bosbach=wb is None,
-        riecan=wr is None,
         state_morphism=wm is None,
         max_join=wj is None,
         luk_mult=wl is None,
