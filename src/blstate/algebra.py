@@ -199,6 +199,17 @@ class FiniteBLAlgebra:
         return tuple(tuple(map(bytes, t)) for t in (self.meet, self.join, self.prod, self.impl))
 
     @cached_property
+    def padded_rows(self) -> tuple[tuple[bytes, ...], ...]:
+        """``byte_rows`` with every row padded to 256 bytes, a translation
+        table: ``u.translate(row)`` is ``u`` through the row (``_padded``)."""
+        return tuple(tuple(_padded(rows)) for rows in self.byte_rows)
+
+    @cached_property
+    def flat_rows(self) -> tuple[bytes, ...]:
+        """meet, join, prod and impl each as one ``bytes``, row after row."""
+        return tuple(map(b"".join, self.byte_rows))
+
+    @cached_property
     def upsets(self) -> tuple[frozenset[int], ...]:
         """Row x is the upset {y : x <= y}, built once per algebra."""
         rng = range(self.size)

@@ -219,12 +219,12 @@ def quotient_by_filter(
 
 def _congruent(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
     """The kernel of ``CONGRUENT`` on the k-th of meet, join, prod and impl:
-    row x through t equals t through row t[x], then through t."""
-    rep, rows, pad = bytes(t), a.byte_rows[k], bytes(256 - a.size)
-    s = rep + pad
-    return all(
-        r.translate(s) == rep.translate(rows[v] + pad).translate(s) for r, v in zip(rows, rep)
-    )
+    the flat table through t equals, row x after row x, t through row
+    t[x], then through t."""
+    rep = bytes(t)
+    s = rep + bytes(256 - a.size)
+    through = b"".join(map(rep.translate, map(a.padded_rows[k].__getitem__, rep)))
+    return a.flat_rows[k].translate(s) == through.translate(s)
 
 
 # the class map t (x to its class representative) respects each operation: as

@@ -23,8 +23,17 @@ its own negation, only the values that are their own negation).  The
 fixed-point closure of the image runs once per distinct image value on
 the search path, and every leaf is re-checked by the row kernels, which
 decide the instances not yet watched when the table became complete.
-``state_strong_gap`` compares the state and strong classes for
-``blstate search-nonstrong`` and ``scripts/search_nonstrong.py``.
+The search keeps one table per automorphism orbit.  ``automorphisms``
+returns generators of the carrier's automorphism group, memoized on the
+algebra.  Every class is defined by equations in the BL operations, so
+an automorphism g sends each operator sigma of the class to
+g.sigma.g^-1, again of the class.  Only the lexicographically least
+table of each orbit is searched for (a lex-leader constraint, after
+Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for
+search problems", KR 1996), and the orbits of the kept tables, sorted,
+are the class.  ``state_strong_gap`` compares the state and strong
+classes for ``blstate search-nonstrong`` and
+``scripts/search_nonstrong.py``.
 The class ``mv``, on an MV carrier only, finds the maps that satisfy
 Flaminio and Montagna's MV internal-state axioms (``MV_LAWS``): its
 instances are those of mv3, in the derived ``oplus``, and its leaves
@@ -104,42 +113,44 @@ class NotMVError(Exception):
 OPERATOR_AXIOMS = ("1", "2", "3", "3s", "4", "5", "6", "7")
 
 
-def _sigma(a: FiniteBLAlgebra, t: Sequence[int]) -> tuple[bytes, bytes, bytes]:
-    """``(row, s, pad)`` for the row kernels: sigma as ``bytes``, the same
+def _sigma(a: FiniteBLAlgebra, t: Sequence[int]) -> tuple[bytes, bytes]:
+    """``(row, s)`` for the row kernels: sigma as ``bytes``, and the same
     padded to a translation table, so ``r.translate(s)`` maps a whole row
-    ``r`` through sigma (as the kernels of the BL laws compose tables), and
-    the padding of a row of ``a``.  A kernel compares the two sides of its
-    law for each x over every y at once."""
-    pad = bytes(256 - a.size)
+    ``r`` through sigma (as the kernels of the BL laws compose tables).
+    The kernels read the rows of ``a`` padded once per carrier
+    (``padded_rows``) and its flat tables (``flat_rows``)."""
     row = bytes(t)
-    return row, row + pad, pad
+    return row, row + bytes(256 - a.size)
 
 
 def _axiom_2_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
-    row, s, pad = _sigma(a, t)
+    row, s = _sigma(a, t)
     meet, _, _, impl = a.byte_rows
+    through = a.padded_rows[3]
     return all(
-        impl[x].translate(s) == meet[x].translate(s).translate(impl[v] + pad)
+        impl[x].translate(s) == meet[x].translate(s).translate(through[v])
         for x, v in enumerate(row)
     )
 
 
 def _axiom_3_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
-    row, s, pad = _sigma(a, t)
-    _, _, prod, impl = a.byte_rows
+    row, s = _sigma(a, t)
+    prod = a.byte_rows[2]
+    _, _, through_prod, through_impl = a.padded_rows
     return all(
         prod[x].translate(s)
-        == prod[x].translate(impl[x] + pad).translate(s).translate(prod[v] + pad)
+        == prod[x].translate(through_impl[x]).translate(s).translate(through_prod[v])
         for x, v in enumerate(row)
     )
 
 
 def _axiom_3s_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
-    row, s, pad = _sigma(a, t)
+    row, s = _sigma(a, t)
     _, join, prod, _ = a.byte_rows
+    through = a.padded_rows[2]
     neg = a.neg_table
     return all(
-        prod[x].translate(s) == join[neg[x]].translate(s).translate(prod[v] + pad)
+        prod[x].translate(s) == join[neg[x]].translate(s).translate(through[v])
         for x, v in enumerate(row)
     )
 
@@ -147,17 +158,19 @@ def _axiom_3s_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
 def _closed(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
     """The kernel of axiom 4 (k = 2, prod) or 5 (k = 3, impl): T(sigma(x),
     sigma(y)) is a fixed point, for each image value sigma(x)."""
-    row, s, pad = _sigma(a, t)
-    ops = a.byte_rows[k]
-    return all((u := row.translate(ops[v] + pad)).translate(s) == u for v in set(row))
+    row, s = _sigma(a, t)
+    through = a.padded_rows[k]
+    return all((u := row.translate(through[v])).translate(s) == u for v in set(row))
 
 
 def _preserved(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
-    """The kernel of preserving the k-th of meet, join, prod and impl: row
-    x through sigma equals sigma through row sigma(x)."""
-    row, s, pad = _sigma(a, t)
-    rows = a.byte_rows[k]
-    return all(r.translate(s) == row.translate(rows[v] + pad) for r, v in zip(rows, row))
+    """The kernel of preserving the k-th of meet, join, prod and impl: the
+    flat table through sigma equals, row x after row x, sigma through
+    row sigma(x)."""
+    row, s = _sigma(a, t)
+    return a.flat_rows[k].translate(s) == b"".join(
+        map(row.translate, map(a.padded_rows[k].__getitem__, row))
+    )
 
 
 # preservation of each operation; is_endomorphism reads all four
@@ -320,6 +333,106 @@ class EnumerationStats:
     leaves: int = 0  # complete tables reached
     rejected: int = 0  # leaves refused by the full re-check
     tried: int = 0  # candidate values tried, one ``consequences`` call each
+    orbits: int = 0  # leaves kept: least of their automorphism orbit, in the class
+
+
+@memoized
+def automorphisms(algebra: FiniteBLAlgebra) -> tuple[tuple[int, ...], ...]:
+    """Generators of the automorphism group of the carrier, as tables.
+
+    An automorphism is a lattice automorphism, so it permutes the
+    join-irreducible elements J (those that are not the join of the
+    elements below them) and sends x to the join of the images of the
+    members of J below x.  The search assigns the images of J in
+    ascending order (the base) and keeps a candidate only if it has the
+    same idempotence and the same up-set and down-set sizes, is not yet
+    taken, and is ordered against the images assigned so far as its
+    element is against theirs.  A completed map must be a bijection that
+    ``is_endomorphism`` accepts.
+
+    Generators are found from the last base point back to the first
+    (point stabilizers, as in McKay and Piperno's individualization
+    search): at base point b, every automorphism found so far fixes the
+    points before b, and for each candidate image of b outside the orbit
+    those generate, one automorphism that fixes the earlier points and
+    sends b there is searched for and, if it exists, kept.  The orbits
+    so built are those of the whole group at each level, so the product
+    of their lengths is its order, and the whole group is never listed.
+    On a chain (|J| = n - 1) only the identity exists: no generator.
+    """
+    n, leq, join, prod = algebra.size, algebra.leq, algebra.join, algebra.prod
+    down = [[u for u in range(n) if leq[u][x]] for x in range(n)]
+    base = []
+    for x in range(n):  # join-irreducible: the elements strictly below x do not join to x
+        lub = algebra.bottom
+        for u in down[x]:
+            if u != x:
+                lub = join[lub][u]
+        if lub != x:
+            base.append(x)
+    if len(base) == n - 1:
+        return ()
+    key = {j: (prod[j][j] == j, sum(leq[j]), len(down[j])) for j in base}
+    candidates = [[c for c in base if key[c] == key[b]] for b in base]
+    below = [[i for i, b in enumerate(base) if leq[b][x]] for x in range(n)]
+
+    def fits(images: list[int], c: int) -> bool:
+        b = base[len(images)]
+        return c not in images and all(
+            leq[base[i]][b] == leq[u][c] and leq[b][base[i]] == leq[c][u]
+            for i, u in enumerate(images)
+        )
+
+    def extend(images: list[int]) -> tuple[int, ...] | None:
+        if len(images) == len(base):
+            table = [algebra.bottom] * n
+            for x in range(n):
+                for i in below[x]:
+                    table[x] = join[table[x]][images[i]]
+            if len(set(table)) == n and is_endomorphism(algebra, table):
+                return tuple(table)
+            return None
+        for c in candidates[len(images)]:
+            if fits(images, c):
+                images.append(c)
+                found = extend(images)
+                images.pop()
+                if found is not None:
+                    return found
+        return None
+
+    gens: list[tuple[int, ...]] = []
+    for level in reversed(range(len(base))):
+        orbit = [base[level]]
+        for c in candidates[level]:
+            if c in orbit or not fits(base[:level], c):
+                continue
+            g = extend([*base[:level], c])
+            if g is None:
+                continue
+            gens.append(g)
+            for u in orbit:  # the orbit of base[level] under every generator so far
+                for h in gens:
+                    if h[u] not in orbit:
+                        orbit.append(h[u])
+    return tuple(gens)
+
+
+def _leader_orbit(
+    t: tuple[int, ...], gens: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> list[tuple[int, ...]] | None:
+    """The orbit of the table t under conjugation s -> g.s.g^-1 by the
+    generators ``(g, g^-1)``, or None if a member is smaller than t."""
+    orbit, seen = [t], {t}
+    for s in orbit:
+        for g, inverse in gens:
+            c = tuple(map(g.__getitem__, map(s.__getitem__, inverse)))
+            if c not in seen:
+                if c < t:
+                    return None
+                seen.add(c)
+                orbit.append(c)
+    return orbit
 
 
 # (l, a, b, T): the equation s[l] == T[s[a]][s[b]], T one of the tables
@@ -393,7 +506,17 @@ def _enumerate_backtrack(
     that image is known, only the ``v`` with ``neg[v]`` equal to it are
     kept, and at a negation-fixed e only the negation-fixed ``v``.  A
     forced node's one candidate is its forced image, if that lies in the
-    interval."""
+    interval.
+
+    ``descend(e, leads)`` carries the generators g whose conjugate
+    g.s.g^-1 the node has not yet compared with s, each with the first
+    position p it could not decide; the positions before p agree.  After
+    a candidate's consequences succeed, each resumes at its p: a
+    conjugate entry smaller than s's, where ``known`` fixes both, prunes
+    the candidate, and a larger one drops g from the subtree.  A leaf
+    that is not the least table of its orbit under the generated group
+    is dropped before ``satisfies_class`` runs and is not counted; a kept
+    leaf that passes adds its whole orbit."""
     n = algebra.size
     meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
     leq = algebra.leq
@@ -407,6 +530,7 @@ def _enumerate_backtrack(
     known: list[int | None] = [None] * n
     known[algebra.bottom] = algebra.bottom
     known[algebra.top] = algebra.top
+    gens = [(g, tuple(sorted(range(n), key=g.__getitem__))) for g in automorphisms(algebra)]
     # the distinct image values on the search path, in order of appearance
     images: list[int] = []
     results: list[tuple[int, ...]] = []
@@ -443,13 +567,33 @@ def _enumerate_backtrack(
                         return False
         return True
 
-    def descend(e: int) -> None:
+    def undecided(parent: list[tuple]) -> list[tuple] | None:
+        # each generator g the parent left undecided resumes at its position
+        # p: positions before p agree, so the first known difference of the
+        # conjugate g.s.g^-1 decides; smaller prunes the node, larger drops g
+        left = []
+        for g, inverse, p in parent:
+            while p < n:
+                if (x := known[p]) is None or (y := known[inverse[p]]) is None:
+                    left.append((g, inverse, p))
+                    break
+                if g[y] != x:
+                    if g[y] < x:
+                        return None
+                    break
+                p += 1
+        return left
+
+    def descend(e: int, leads: list[tuple]) -> None:
         stats.nodes += 1
         if None not in known:
-            stats.leaves += 1
             t = tuple(known)  # type: ignore[arg-type]
+            if (orbit := _leader_orbit(t, gens)) is None:
+                return
+            stats.leaves += 1
             if satisfies_class(algebra, t, cls):
-                results.append(t)
+                results.extend(orbit)
+                stats.orbits += 1
             else:
                 stats.rejected += 1
             return
@@ -478,16 +622,16 @@ def _enumerate_backtrack(
             new_image = fixpointy and v not in images
             if new_image:
                 images.append(v)
-            if consequences(e, v, new_image, trail):
-                descend(e + 1)
+            if consequences(e, v, new_image, trail) and (left := undecided(leads)) is not None:
+                descend(e + 1, left)
             if new_image:
                 images.pop()
             for x in trail:
                 known[x] = None
         known[e] = entry
 
-    descend(0)
-    return results
+    descend(0, [(g, inverse, 0) for g, inverse in gens])
+    return sorted(results)
 
 
 def enumerate_operator_tables(
@@ -533,8 +677,26 @@ def enumerate_operator_tables(
     ``tests/oracles.py`` shares none of this machinery and is the
     deliberately independent cross-check.
 
+    The search keeps only the lexicographically least table of each
+    orbit under conjugation s -> g.s.g^-1 by the automorphisms g of the
+    carrier (``automorphisms``): a node is pruned when a generator's
+    conjugate is already smaller on the entries the node knows, and a
+    leaf is kept only if no member of its orbit is smaller.  The result
+    is the sorted union of the kept tables' orbits, which is exactly the
+    list the search finds without this pruning.  The class is closed
+    under conjugation, since an automorphism preserves meet, join, prod,
+    impl and the bounds, in which every class axiom is an equation (and
+    the derived oplus of ``mv``).  So each orbit lies wholly in the class
+    or outside it, and every table of the class lies in the orbit of its
+    least member.  That member is reached: the search without this
+    pruning reaches every table of the class, and no prune fires on its
+    path, because ``known`` holds only entries that every completion of
+    a node shares, so a conjugate smaller on them would be smaller than
+    the member itself.  Orbits are disjoint, so no table is listed twice.
+
     The search runs single-threaded.  ``stats``, when given, receives
-    the node, leaf, rejected-leaf and tried-candidate counts.
+    the node, leaf, rejected-leaf, tried-candidate and kept-orbit counts;
+    a leaf that is not the least of its orbit is not counted as a leaf.
     """
     # ``workers`` stays only for perfbench, which passes workers=1; drop both together
     if workers != 1:

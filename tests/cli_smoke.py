@@ -124,6 +124,9 @@ COMMANDS = (
     (0, ("states", ONE)),
     (2, ("states", ONE, "--operator", "x")),
     (0, ("enumerate-operators", ONE, "--stats")),
+    # a carrier with factor swaps: the search keeps orbit leaders and expands them
+    (0, ("construct", "product", "godel_chain(3)", "godel_chain(3)", "--out", "g3xg3.json")),
+    (0, ("enumerate-operators", "g3xg3.json", "--stats")),
 )
 
 

@@ -3,8 +3,9 @@
 Each oracle answers a question by the definition alone and shares no
 machinery with the route it checks: ``brute_force_filters`` scans every
 subset, ``brute_force_operator_tables`` scans every map with numpy
-(a test dependency only), ``all_pairs_is_primary`` tests the primary
-law on every pair of elements, ``state_filter_by_monoid_closure`` and
+(a test dependency only), ``all_automorphisms`` every permutation,
+``all_pairs_is_primary`` tests the primary law on every pair of
+elements, ``state_filter_by_monoid_closure`` and
 ``state_filter_extension_by_powers`` read Prop. 5.4 literally (the
 union of the upsets of a whole generated monoid, or of every product
 i * g^n), and ``solve_linear``, ``convex_coefficients``
@@ -23,7 +24,7 @@ library did before it assembled the text itself.
 
 import json
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 from typing import Sequence
 
 from blstate.algebra import _SEALING, AxiomViolation, FiniteBLAlgebra, NoResiduumError, witness
@@ -210,6 +211,18 @@ def brute_force_operator_tables(
         for ax in CLASS_AXIOMS[cls]:
             maps = apply_axiom(maps, ax)
     return [tuple(int(v) for v in row) for row in maps]
+
+
+def all_automorphisms(algebra: FiniteBLAlgebra) -> list[tuple[int, ...]]:
+    """Every permutation of the carrier that preserves meet, join, prod and
+    impl, found by scanning all n! permutations.  For small carriers only."""
+    n = algebra.size
+    tables = (algebra.meet, algebra.join, algebra.prod, algebra.impl)
+    pairs = list(iproduct(range(n), repeat=2))
+    return [
+        p for p in permutations(range(n))
+        if all(p[t[x][y]] == t[p[x]][p[y]] for t in tables for x, y in pairs)
+    ]
 
 
 def solve_linear(

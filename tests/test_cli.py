@@ -142,8 +142,9 @@ def test_enumerate_operators_stats_leave_stdout_unchanged(capsys):
         assert out == plain_out
         assert len(err.splitlines()) == 1
         stats = json.loads(err)
-        assert set(stats) == {"nodes", "leaves", "rejected", "tried"}
-        assert stats["leaves"] - stats["rejected"] == int(out.split()[0])
+        assert set(stats) == {"nodes", "leaves", "rejected", "tried", "orbits"}
+        # a chain has no automorphism but the identity: each table is its own orbit
+        assert stats["leaves"] - stats["rejected"] == stats["orbits"] == int(out.split()[0])
         assert stats["nodes"] > stats["leaves"]
 
 

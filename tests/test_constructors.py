@@ -502,19 +502,25 @@ def test_filters_operators_and_states_of_a_relabeled_carrier_match_up_to_the_rel
 
 
 def test_operators_of_a_relabeled_ladder_rung_match_up_to_the_relabeling():
-    """The g3xg4 rung of the enumeration ladder is numbered along its
-    order; renumbered, its state and endomorphism tables are the
-    conjugated tables, listed in lexicographic order."""
-    a = direct_product(godel_chain(3), godel_chain(4))
-    operators = {cls: enumerate_operator_tables(a, cls) for cls in ("state", "endomorphism")}
-    rng = random.Random("ladder g3xg4")
-    for _ in range(3):
-        perm = shuffled_order(a, rng)
-        back = sorted(range(a.size), key=perm.__getitem__)
-        b = relabel(a, perm)
-        for cls, tables in operators.items():
-            found = enumerate_operator_tables(b, cls)
-            assert found == sorted(tuple(perm[t[x]] for x in back) for t in tables), cls
+    """The g3xg4 and g3xg3xg3 rungs of the enumeration ladder are
+    numbered along their order; renumbered, their state and endomorphism
+    tables are the conjugated tables, listed in lexicographic order.  The
+    search keeps the least table of each automorphism orbit of g3xg3xg3
+    (the factor swaps), and a renumbering changes which table that is."""
+    rungs = {
+        "g3xg4": direct_product(godel_chain(3), godel_chain(4)),
+        "g3xg3xg3": direct_product(godel_chain(3), godel_chain(3), godel_chain(3)),
+    }
+    for rung, a in rungs.items():
+        operators = {cls: enumerate_operator_tables(a, cls) for cls in ("state", "endomorphism")}
+        rng = random.Random(f"ladder {rung}")
+        for _ in range(3):
+            perm = shuffled_order(a, rng)
+            back = sorted(range(a.size), key=perm.__getitem__)
+            b = relabel(a, perm)
+            for cls, tables in operators.items():
+                found = enumerate_operator_tables(b, cls)
+                assert found == sorted(tuple(perm[t[x]] for x in back) for t in tables), (rung, cls)
 
 
 def test_the_certificate_rejects_a_one_sided_congruence(monkeypatch):

@@ -1,7 +1,9 @@
 """Operators: grading, enumeration vs brute force, families, theorems."""
 
 import re
+from functools import lru_cache
 from itertools import product as iproduct
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from blstate.algebra import (
     FiniteBLAlgebra,
     InternalCheckError,
+    classify_variety,
     holds,
     verify_bl_axioms,
     witness,
@@ -20,9 +23,11 @@ from blstate.constructors import (
     four_element_example,
     godel_chain,
     mv_chain,
+    ordinal_sum,
     pair_index,
     quotient_by_filter,
 )
+from blstate import operators
 from blstate.filters import mask_members, maximal_filters, radical, state_filters, subset_mask
 from blstate.operators import (
     ADDITIVITY,
@@ -33,6 +38,7 @@ from blstate.operators import (
     PRESERVES,
     StateOperator,
     _watch_lists,
+    automorphisms,
     chain_product_sum,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -51,6 +57,7 @@ from blstate.operators import (
 )
 
 from .oracles import (
+    all_automorphisms,
     brute_force_filters,
     brute_force_operator_tables,
     state_filter_by_monoid_closure,
@@ -589,7 +596,102 @@ def test_pruned_matches_brute_force_on_constructor_algebras(a):
         stats = EnumerationStats()
         tables = enumerate_operator_tables(a, cls, stats=stats)
         assert tables == brute_force_operator_tables(a, cls)
-        assert stats.leaves - stats.rejected == len(tables)
+        assert stats.leaves - stats.rejected == stats.orbits <= len(tables)
+
+
+@lru_cache(maxsize=None)
+def constructor_carriers(max_size: int) -> tuple[FiniteBLAlgebra, ...]:
+    """Every distinct carrier (by its tables) of at most ``max_size``
+    elements that a recipe of ``strategies.algebras`` builds."""
+    small = [*map(mv_chain, range(1, 5)), *map(godel_chain, range(2, 5))]
+    tiny = [mv_chain(1), mv_chain(2), godel_chain(2), godel_chain(3)]
+    found = [*small, four_element_example()[0]]
+    found += [direct_product(a, b) for a, b in iproduct(tiny, repeat=2)]
+    found += [
+        ordinal_sum(list(chains)) for k in (2, 3) for chains in iproduct(small, repeat=k)
+        if sum(c.size for c in chains) - k + 1 <= max_size
+    ]
+    found += [
+        ordinal_sum([a, direct_product(b, c)]) for a, b, c in iproduct(tiny, repeat=3)
+        if a.size + b.size * c.size - 1 <= max_size
+    ]
+    distinct = {}
+    for a in found:
+        if a.size <= max_size:
+            distinct.setdefault((a.meet, a.join, a.prod, a.impl, a.bottom, a.top), a)
+    return tuple(distinct.values())
+
+
+def generated_group(gens, n: int) -> set[tuple[int, ...]]:
+    """The permutations of range(n) that the generators generate."""
+    group = [tuple(range(n))]
+    seen = set(group)
+    for h in group:
+        for g in gens:
+            if (gh := tuple(g[x] for x in h)) not in seen:
+                seen.add(gh)
+                group.append(gh)
+    return seen
+
+
+def test_automorphisms_generate_the_whole_group_up_to_7_elements():
+    """On every constructor carrier of at most 7 elements the generators
+    generate exactly the oracle's automorphisms, so the group order (the
+    product of the basic orbit lengths) is the oracle's count."""
+    carriers = constructor_carriers(7)
+    assert len(carriers) > 20 and any(len(all_automorphisms(a)) > 1 for a in carriers)
+    for a in carriers:
+        gens = automorphisms(a)
+        assert generated_group(gens, a.size) == set(all_automorphisms(a)), a
+        assert automorphisms(a) is gens  # memoized on the carrier
+
+
+def test_every_chain_has_only_the_identity():
+    """A chain gets no generator: the constructor chains of at most 7
+    elements, longer MV and Godel chains, and an ordinal sum of chains."""
+    chains = [a for a in constructor_carriers(7) if a.is_linear]
+    chains += [*map(mv_chain, range(7, 12)), *map(godel_chain, range(8, 12))]
+    chains += [ordinal_sum([mv_chain(3), godel_chain(4), mv_chain(2)])]
+    for a in chains:
+        assert automorphisms(a) == (), a
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_the_automorphisms_of_a_godel_power_permute_its_factors(k):
+    """A Godel chain has no automorphism but the identity, so only the
+    factor swaps of g3^k remain: k! of them."""
+    a = direct_product(*[godel_chain(3)] * k)
+    gens = automorphisms(a)
+    assert gens and all(is_endomorphism(a, g) and sorted(g) == list(range(a.size)) for g in gens)
+    assert len(generated_group(gens, a.size)) == factorial(k)
+
+
+# carriers of at most 6 elements whose automorphism group is not trivial
+# (ordinal_sum refuses a non-chain below, so s1+s1+(s1xs1) stands for the
+# carrier with its swapped pair above two chain elements)
+ORBIT_CARRIERS = {
+    "mv1xmv1": lambda: direct_product(mv_chain(1), mv_chain(1)),
+    "s1+(s1xs1)": lambda: ordinal_sum([mv_chain(1), direct_product(mv_chain(1), mv_chain(1))]),
+    "s1+s1+(s1xs1)": lambda: ordinal_sum(
+        [mv_chain(1), mv_chain(1), direct_product(mv_chain(1), mv_chain(1))]),
+    "mv2+(mv1xmv1)": lambda: ordinal_sum([mv_chain(2), direct_product(mv_chain(1), mv_chain(1))]),
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_CARRIERS)
+def test_expanded_orbits_match_brute_force(name):
+    """Only the least table of each orbit is searched for; expanded and
+    sorted, the tables are the unpruned oracle's, class by class."""
+    a = ORBIT_CARRIERS[name]()
+    assert a.size <= 6 and automorphisms(a) != ()
+    classes = ["state", "strong", "morphism", "endomorphism"]
+    if classify_variety(a).is_mv:
+        classes.append("mv")
+    for cls in classes:
+        stats = EnumerationStats()
+        tables = enumerate_operator_tables(a, cls, stats=stats)
+        assert tables == brute_force_operator_tables(a, cls), cls
+        assert stats.leaves - stats.rejected == stats.orbits <= len(tables), cls
 
 
 LADDER = {
@@ -604,17 +706,19 @@ def ladder_carrier(rung):
     return direct_product(*(build(n) for build, n in LADDER[rung]))
 
 
-# (nodes, leaves, rejected, tried) of the state and the endomorphism
-# search: a change to the pruning shows here even when the tables stay
-# the same.  A fully known table is a leaf, so the leaf re-check rejects
-# some (mv2xmv2xmv1 state); dropping the forced negation from the
-# candidate lists or the interval test of a forced candidate changes
-# ``tried``
+# (nodes, leaves, rejected, tried, orbits) of the state and the
+# endomorphism search: a change to the pruning shows here even when the
+# tables stay the same.  A fully known table is a leaf, so the leaf
+# re-check rejects some (mv2xmv2xmv1 state); dropping the forced negation
+# from the candidate lists or the interval test of a forced candidate
+# changes ``tried``.  Only the least table of each automorphism orbit is
+# kept, and a leaf that is not is not counted; g3xg4 has no automorphism
+# but the identity, so its search is the unbroken one
 LADDER_SEARCH = {
-    "g3xg4": ((115, 16, 1, 180), (102, 28, 0, 124)),
-    "mv2xmv2xmv1": ((310, 28, 22, 1583), (91, 9, 0, 779)),
-    "s4xs4": ((161, 5, 2, 1418), (107, 4, 0, 736)),
-    "g3xg3xg3": ((1671, 62, 3, 4477), (1986, 216, 0, 3497)),
+    "g3xg4": ((115, 16, 1, 180, 15), (102, 28, 0, 124, 28)),
+    "mv2xmv2xmv1": ((214, 21, 17, 1126, 4), (70, 6, 0, 603, 6)),
+    "s4xs4": ((143, 4, 2, 1219, 2), (91, 3, 0, 649, 3)),
+    "g3xg3xg3": ((582, 14, 0, 1909, 14), (928, 44, 0, 1977, 44)),
 }
 
 
@@ -628,11 +732,11 @@ LADDER_INSTANCES = {
 }
 
 
-# (nodes, leaves, rejected, tried) of the mv search on the two MV
-# carriers of more than 6 elements in the default corpus
+# (nodes, leaves, rejected, tried, orbits) of the mv search on the two
+# MV carriers of more than 6 elements in the default corpus
 MV_SEARCH = {
-    "mv2xmv2": (18, 5, 2, 61),
-    "s4xs4": (187, 25, 22, 378),
+    "mv2xmv2": (14, 2, 0, 60, 2),
+    "s4xs4": (143, 17, 15, 342, 2),
 }
 
 
@@ -641,7 +745,7 @@ def test_mv_search_counts(name):
     a = direct_product(mv_chain(2), mv_chain(2)) if name == "mv2xmv2" else ladder_carrier(name)
     stats = EnumerationStats()
     tables = enumerate_operator_tables(a, "mv", stats=stats)
-    assert (stats.nodes, stats.leaves, stats.rejected, stats.tried) == MV_SEARCH[name]
+    assert (stats.nodes, stats.leaves, stats.rejected, stats.tried, stats.orbits) == MV_SEARCH[name]
     assert tables == enumerate_operator_tables(a, "state")
 
 
@@ -662,7 +766,7 @@ def test_enumeration_ladder_counts(rung, states, endos):
     for cls in ("state", "endomorphism"):
         stats = EnumerationStats()
         found[cls] = enumerate_operator_tables(a, cls, stats=stats)
-        searches.append((stats.nodes, stats.leaves, stats.rejected, stats.tried))
+        searches.append((stats.nodes, stats.leaves, stats.rejected, stats.tried, stats.orbits))
     state = found["state"]
     assert (len(state), len(found["endomorphism"])) == (states, endos)
     assert tuple(searches) == LADDER_SEARCH[rung]
@@ -671,6 +775,24 @@ def test_enumeration_ladder_counts(rung, states, endos):
         strong = enumerate_operator_tables(a, "strong")
         morphism = enumerate_operator_tables(a, "morphism")
         assert set(morphism) <= set(strong) <= set(state)
+
+
+def test_the_orbit_search_does_not_depend_on_the_generating_set(monkeypatch):
+    """Any generating set of the automorphism group gives the same tables:
+    on g3xg3xg3, a 3-cycle of the factors with one swap (the search itself
+    finds swaps only, which are their own inverses), and the whole group."""
+    a = ladder_carrier("g3xg3xg3")
+    classes = ("state", "endomorphism")
+    expected = {cls: enumerate_operator_tables(a, cls) for cls in classes}
+    identity = tuple(range(a.size))
+    group = generated_group(automorphisms(a), a.size)
+    squares = {g: tuple(g[g[x]] for x in range(a.size)) for g in group - {identity}}
+    cycle = next(g for g, square in squares.items() if square != identity)
+    swap = next(g for g, square in squares.items() if square == identity)
+    for gens in ((cycle, swap), tuple(sorted(squares))):
+        assert generated_group(gens, a.size) == group
+        monkeypatch.setattr(operators, "automorphisms", lambda algebra, gens=gens: gens)
+        assert {cls: enumerate_operator_tables(a, cls) for cls in classes} == expected
 
 
 @settings(max_examples=60, deadline=None)
