@@ -22,7 +22,13 @@ in percent.  With ``--trace-seed N``, each checkout then makes one
 its last line is recorded under ``"layers"`` with the parent's value,
 the change's value and the change in percent.  The tier-1 tests (``pytest --durations=5``) then run once
 in each checkout, and their wall time, summary line and five slowest
-tests are recorded.  The report goes to ``--out``, or to stdout.
+tests are recorded.  Last, one child process per checkout enumerates
+the state and endomorphism operators of each rung of the enum-ladder
+(built with ``blstate.constructors``) and prints the search's
+``(nodes, leaves, rejected, tried, orbits)``; both sides' counts are
+recorded under ``"work_counts"`` with whether they are equal, so a
+speed claim shows whether the work changed as well as the time.  The
+report goes to ``--out``, or to stdout.
 """
 
 from __future__ import annotations
@@ -42,6 +48,30 @@ from pathlib import Path
 
 METRICS = ("setup_s", "run_s", "cpu_s", "record_p50_s", "record_p99_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+
+# the enum-ladder of perfbench: each rung's chain factors and the classes
+# it enumerates; the child reads only names every checkout has
+COUNTS_PROGRAM = """
+import json
+from blstate.constructors import direct_product, godel_chain, mv_chain
+from blstate.operators import EnumerationStats, enumerate_operator_tables
+
+ladder = {
+    "g3xg4": (godel_chain(3), godel_chain(4)),
+    "mv2xmv2xmv1": (mv_chain(2), mv_chain(2), mv_chain(1)),
+    "s4xs4": (mv_chain(4), mv_chain(4)),
+    "g3xg3xg3": (godel_chain(3),) * 3,
+}
+counts = {}
+for rung, factors in ladder.items():
+    algebra = direct_product(*factors)
+    for cls in ("state", "endomorphism"):
+        stats = EnumerationStats()
+        enumerate_operator_tables(algebra, cls, stats=stats)
+        counts[f"{rung}.{cls}"] = [stats.nodes, stats.leaves, stats.rejected, stats.tried,
+                                   stats.orbits]
+print(json.dumps(counts))
+"""
 
 
 def clear_bytecode(root: Path) -> None:
@@ -153,6 +183,25 @@ def run_tier1(root: Path) -> dict:
     }
 
 
+def work_counts(root: Path) -> dict[str, list[int]]:
+    """The enumerator's counts per enum-ladder rung and class, from a child
+    process that imports the checkout's own ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", COUNTS_PROGRAM], cwd=root, env=env,
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise RuntimeError(f"{root}: the count run exited with code {proc.returncode}")
+    return json.loads(proc.stdout)
+
+
+def compare_counts(roots: dict[str, Path]) -> dict:
+    """Both sides' ``work_counts`` and whether they are equal."""
+    counts = {side: work_counts(root) for side, root in roots.items()}
+    return {"fields": ["nodes", "leaves", "rejected", "tried", "orbits"], **counts,
+            "equal": counts["parent"] == counts["change"]}
+
+
 def describe(root: Path) -> str:
     """The checkout's commit, and a sha256 of its ``src/blstate/*.py``
     (names and contents, in name order), which also names a tree
@@ -225,6 +274,7 @@ def main(argv=None) -> int:
             for w in spec["workloads"]
         }
     report["tier1"] = {side: run_tier1(root) for side, root in roots.items()}
+    report["work_counts"] = compare_counts(roots)
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text, encoding="utf-8")

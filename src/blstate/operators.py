@@ -12,28 +12,20 @@ MV-operator axioms and additivity (``MV_LAWS``, ``ADDITIVITY``) have no
 kernel: the per-tuple evaluator decides them.
 
 ``enumerate_operator_tables`` finds every operator of a class by
-backtracking that propagates the class's axioms instance by instance:
-each equational axiom is unrolled into static instances
-``s[l] == T[s[a]][s[b]]``, and an instance checks or forces ``s[l]`` as
-soon as ``s[a]`` and ``s[b]`` are assigned.  One list, ``known``, holds
-each element's assigned or forced image, and a node where it is full
-is a leaf.  The candidates of each monotone interval ``(lo, hi)`` and
-forced negated image are listed once per search (at an element that is
-its own negation, only the values that are their own negation).  The
-fixed-point closure of the image runs once per distinct image value on
-the search path, and every leaf is re-checked by the row kernels, which
-decide the instances not yet watched when the table became complete.
-The search keeps one table per automorphism orbit.  ``automorphisms``
-returns generators of the carrier's automorphism group, memoized on the
-algebra.  Every class is defined by equations in the BL operations, so
-an automorphism g sends each operator sigma of the class to
-g.sigma.g^-1, again of the class.  Only the lexicographically least
-table of each orbit is searched for (a lex-leader constraint, after
-Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for
-search problems", KR 1996), and the orbits of the kept tables, sorted,
-are the class.  ``state_strong_gap`` compares the state and strong
-classes for ``blstate search-nonstrong`` and
-``scripts/search_nonstrong.py``.
+backtracking that propagates the class's axioms instance by instance;
+its docstring argues each prune.  The instances ``s[l] ==
+T[s[a]][s[b]]`` are generated from the order, each once, through BL
+identities such as x -> y = x -> (x ^ y) (``_watch_lists``).  The
+monotone bounds of a node read only the maximal earlier elements below
+it and the minimal ones above it, and every leaf is re-checked by the
+row kernels.  The search keeps the lexicographically least table of
+each automorphism orbit (a lex-leader constraint, after Crawford,
+Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
+problems", KR 1996): ``automorphisms`` returns generators of the
+carrier's automorphism group, memoized on it, and a leaf's orbit is
+built by C-level gathers (``operator.itemgetter``), then expanded.
+``state_strong_gap`` compares the state and strong classes for
+``blstate search-nonstrong`` and ``scripts/search_nonstrong.py``.
 The class ``mv``, on an MV carrier only, finds the maps that satisfy
 Flaminio and Montagna's MV internal-state axioms (``MV_LAWS``): its
 instances are those of mv3, in the derived ``oplus``, and its leaves
@@ -68,8 +60,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import product as iproduct
-from operator import index
+from itertools import compress, product as iproduct
+from operator import index, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -419,14 +411,17 @@ def automorphisms(algebra: FiniteBLAlgebra) -> tuple[tuple[int, ...], ...]:
 
 
 def _leader_orbit(
-    t: tuple[int, ...], gens: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
+    t: tuple[int, ...], gens: Sequence[tuple[tuple[int, ...], itemgetter]]
 ) -> list[tuple[int, ...]] | None:
     """The orbit of the table t under conjugation s -> g.s.g^-1 by the
-    generators ``(g, g^-1)``, or None if a member is smaller than t."""
+    generators ``(g, itemgetter(*g^-1))``, or None if a member is smaller
+    than t.  A conjugate is two C-level gathers, s.g^-1 off s and g
+    through that; a carrier with an automorphism other than the identity
+    has at least four elements, so each gather returns a tuple."""
     orbit, seen = [t], {t}
     for s in orbit:
-        for g, inverse in gens:
-            c = tuple(map(g.__getitem__, map(s.__getitem__, inverse)))
+        for g, gather in gens:
+            c = itemgetter(*gather(s))(g)
             if c not in seen:
                 if c < t:
                     return None
@@ -448,42 +443,47 @@ def _watch_lists(algebra: FiniteBLAlgebra, cls: str) -> list[list[_Instance]]:
     forced.  Every instance is an equation of the class's own axioms,
     which makes pruning on it sound.  Arguments of the commutative meet,
     join, prod and oplus are sorted, so mirrored instances are kept once,
-    and instances are ordered by ``(l, a, b, k)``, T the k-th table.
+    and instances are ordered by ``(l, a, b, k)``, T the k-th table.  On
+    comparable arguments a meet, join or impl instance says only s[a] <=
+    s[b] (or the reverse), which monotonicity enforces, so it is left
+    out.  Each class's instances are generated from the order:
+
+    - endomorphism: impl on the pairs (x, y) with x not below y, prod on
+      the index pairs a <= b, meet and join on the incomparable a < b;
+    - axiom 2: x -> y = x -> (x ^ y), and x ^ y is x exactly when x <= y,
+      so one instance (x -> m, x, m) per m strictly below x;
+    - axiom 3 (state): sigma(x * y) = sigma(x) * sigma(x -> x * y) reads
+      only x and p = x * y, so one instance per distinct p in row x;
+    - axiom 6 (morphism): prod on the index pairs a <= b;
+    - axiom 3s (strong) and mv3 (mv): one pass over the pairs, into a set.
     """
-    meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
+    n, meet, join, prod, impl = algebra.size, algebra.meet, algebra.join, algebra.prod, algebra.impl
     neg, leq = algebra.neg_table, algebra.leq
-    tables = (meet, join, prod, impl)
-    if cls == "mv":
-        tables += (algebra.oplus_table,)
-    keys: set[tuple[int, int, int, int]] = set()
-
-    def add(l: int, a: int, b: int, k: int) -> None:
-        if k != 3 and b < a:  # impl (k == 3) is the one that does not commute
-            a, b = b, a
-        # on comparable arguments a meet, join or impl instance says only
-        # s[a] <= s[b] (or the reverse), which the monotonicity check enforces
-        if k in (0, 1, 3) and (leq[a][b] or (k != 3 and leq[b][a])):
-            return
-        keys.add((l, a, b, k))
-
-    for x, y in iproduct(range(algebra.size), repeat=2):
-        if cls == "endomorphism":
-            for k, t in enumerate(tables):
-                add(t[x][y], x, y, k)
-            continue
-        if cls == "mv":
-            add(tables[4][x][y], x, prod[y][neg[prod[x][y]]], 4)  # mv3
-            continue
-        add(impl[x][y], x, meet[x][y], 3)  # axiom 2
-        if cls == "state":
-            add(prod[x][y], x, impl[x][prod[x][y]], 2)  # axiom 3
-        elif cls == "strong":
-            add(prod[x][y], x, join[neg[x]][y], 2)  # axiom 3s
-        else:
-            add(prod[x][y], x, y, 2)  # axiom 6
-    watches: list[list[_Instance]] = [[] for _ in range(algebra.size)]
-    for l, a, b, k in sorted(keys):
-        watches[max(a, b)].append((l, a, b, tables[k]))
+    tables = (meet, join, prod, impl, algebra.oplus_table if cls == "mv" else None)
+    if cls == "endomorphism":
+        keys = [(impl[x][y], x, y, 3) for x in range(n) for y in range(n) if not leq[x][y]]
+        for b in range(n):
+            keys += [(prod[a][b], a, b, 2) for a in range(b + 1)]
+            keys += [(T[a][b], a, b, k) for a in range(b) if not (leq[a][b] or leq[b][a])
+                     for k, T in ((0, meet), (1, join))]
+    elif cls == "mv":  # mv3, in the commuting oplus
+        keys = list({(p, x, z, 4) if x <= z else (p, z, x, 4) for x in range(n)
+                     for y, p in enumerate(tables[4][x]) for z in (prod[y][neg[prod[x][y]]],)})
+    else:
+        keys = [(impl[x][m], x, m, 3) for x in range(n) for m in range(n)
+                if leq[m][x] and m != x]
+        if cls == "state":  # axiom 3 reads only x and p = x * y
+            keys += {(p, x, z, 2) if x <= z else (p, z, x, 2)
+                     for x in range(n) for p in set(prod[x]) for z in (impl[x][p],)}
+        elif cls == "strong":  # axiom 3s
+            keys += {(p, x, z, 2) if x <= z else (p, z, x, 2) for x in range(n)
+                     for y, p in enumerate(prod[x]) for z in (join[neg[x]][y],)}
+        else:  # axiom 6
+            keys += [(prod[a][b], a, b, 2) for b in range(n) for a in range(b + 1)]
+    keys.sort()
+    watches: list[list[_Instance]] = [[] for _ in range(n)]
+    for l, a, b, k in keys:
+        watches[a if a > b else b].append((l, a, b, tables[k]))
     return watches
 
 
@@ -506,33 +506,43 @@ def _enumerate_backtrack(
     that image is known, only the ``v`` with ``neg[v]`` equal to it are
     kept, and at a negation-fixed e only the negation-fixed ``v``.  A
     forced node's one candidate is its forced image, if that lies in the
-    interval.
+    interval.  The image closure runs only for a value new to the path
+    (``imaged`` flags the values of ``images``), against those before it.
+
+    ``lo`` joins the images of the maximal earlier elements below e only,
+    ``hi`` meets those of the minimal earlier elements above e.  By
+    induction on the nodes these are the full join and meet: ``known`` is
+    monotone on the earlier elements, as each comparable pair of them was
+    checked at its later element's node, and each of them below (above)
+    e lies below a maximal (above a minimal) one.  No order of the
+    indices is assumed, not even a linear extension.
 
     ``descend(e, leads)`` carries the generators g whose conjugate
     g.s.g^-1 the node has not yet compared with s, each with the first
     position p it could not decide; the positions before p agree.  After
     a candidate's consequences succeed, each resumes at its p: a
     conjugate entry smaller than s's, where ``known`` fixes both, prunes
-    the candidate, and a larger one drops g from the subtree.  A leaf
-    that is not the least table of its orbit under the generated group
-    is dropped before ``satisfies_class`` runs and is not counted; a kept
-    leaf that passes adds its whole orbit."""
-    n = algebra.size
-    meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
-    leq = algebra.leq
-    neg = algebra.neg_table
-    fixpointy = cls != "endomorphism"
-    # the earlier elements below and above each element
-    below = [[u for u in range(e) if leq[u][e]] for e in range(n)]
-    above = [[u for u in range(e) if leq[e][u]] for e in range(n)]
+    the candidate, and a larger one drops g from the subtree (with none
+    left, nothing resumes).  A leaf that is not the least table of its
+    orbit under the generated group is dropped before ``satisfies_class``
+    runs and is not counted; a kept leaf that passes adds its orbit."""
+    n, meet, join, prod, impl = algebra.size, algebra.meet, algebra.join, algebra.prod, algebra.impl
+    leq, neg = algebra.leq, algebra.neg_table
+    bits = [1 << u for u in range(n)]
+    up = [sum(compress(bits, row)) for row in leq]  # bit u of up[x]: x <= u
+    down = [sum(compress(bits, column)) for column in zip(*leq)]
+    # the maximal earlier elements below each element, the minimal above it
+    below = [[u for u in range(e) if up[u] & down[e] & (1 << e) - 1 == 1 << u] for e in range(n)]
+    above = [[u for u in range(e) if down[u] & up[e] & (1 << e) - 1 == 1 << u] for e in range(n)]
     intervals: dict[tuple[int, int, int | None, bool], list[int]] = {}
 
     known: list[int | None] = [None] * n
     known[algebra.bottom] = algebra.bottom
     known[algebra.top] = algebra.top
     gens = [(g, tuple(sorted(range(n), key=g.__getitem__))) for g in automorphisms(algebra)]
-    # the distinct image values on the search path, in order of appearance
-    images: list[int] = []
+    gathers = [(g, itemgetter(*inverse)) for g, inverse in gens]
+    images: list[int] = []  # the distinct image values on the path, in order
+    imaged = [cls == "endomorphism"] * n  # an endomorphism has no image closure
     results: list[tuple[int, ...]] = []
 
     def consequences(e: int, v: int, new_image: bool, trail: list[int]) -> bool:
@@ -568,9 +578,6 @@ def _enumerate_backtrack(
         return True
 
     def undecided(parent: list[tuple]) -> list[tuple] | None:
-        # each generator g the parent left undecided resumes at its position
-        # p: positions before p agree, so the first known difference of the
-        # conjugate g.s.g^-1 decides; smaller prunes the node, larger drops g
         left = []
         for g, inverse, p in parent:
             while p < n:
@@ -588,7 +595,7 @@ def _enumerate_backtrack(
         stats.nodes += 1
         if None not in known:
             t = tuple(known)  # type: ignore[arg-type]
-            if (orbit := _leader_orbit(t, gens)) is None:
+            if (orbit := _leader_orbit(t, gathers)) is None:
                 return
             stats.leaves += 1
             if satisfies_class(algebra, t, cls):
@@ -597,16 +604,12 @@ def _enumerate_backtrack(
             else:
                 stats.rejected += 1
             return
-        # monotonicity: sigma(e) lies between the join of the images of the
-        # earlier elements below e and the meet of those above e
         lo, hi = algebra.bottom, algebra.top
         for u in below[e]:
             lo = join[lo][known[u]]
         for u in above[e]:
             hi = meet[hi][known[u]]
         entry = known[e]
-        # sigma(-e) == -sigma(e), so a known m admits only v with -v == m,
-        # and -e == e (where m is known[e] itself) only v with -v == v
         m, fixed = known[neg[e]], neg[e] == e
         if entry is not None:
             candidates = (entry,) if leq[lo][entry] and leq[entry][hi] else ()
@@ -619,13 +622,16 @@ def _enumerate_backtrack(
         for v in candidates:
             trail: list[int] = []
             known[e] = v
-            new_image = fixpointy and v not in images
+            new_image = not imaged[v]
             if new_image:
                 images.append(v)
-            if consequences(e, v, new_image, trail) and (left := undecided(leads)) is not None:
-                descend(e + 1, left)
+                imaged[v] = True
+            if consequences(e, v, new_image, trail):
+                if (left := leads and undecided(leads)) is not None:
+                    descend(e + 1, left)
             if new_image:
                 images.pop()
+                imaged[v] = False
             for x in trail:
                 known[x] = None
         known[e] = entry
@@ -646,11 +652,11 @@ def enumerate_operator_tables(
     Backtracking assigns images in ascending element order and
     propagates the class axioms instance by instance.  Each axiom is
     unrolled once per call into static instances ``s[l] == T[s[a]][s[b]]``
-    (axioms 2 and 3 for ``state``, 2 and 3s for ``strong``, 2 and 6 for
-    ``morphism``, preservation of meet, join, prod and impl for
-    ``endomorphism``, and for ``mv`` only mv3 of ``MV_LAWS``,
-    ``s[x + y] == s[x] + s[y * -(x * y)]`` with T the derived ``oplus``).
-    An instance is watched at ``max(a, b)``: when that element is
+    (``_watch_lists``: axioms 2 and 3 for ``state``, 2 and 3s for
+    ``strong``, 2 and 6 for ``morphism``, preservation of meet, join,
+    prod and impl for ``endomorphism``, and for ``mv`` only mv3 of
+    ``MV_LAWS``, ``s[x + y] == s[x] + s[y * -(x * y)]`` with T the derived
+    ``oplus``), each watched at ``max(a, b)``: when that element is
     assigned, ``s[l]`` is checked if already assigned and forced
     otherwise.  The pruner also uses consequences proved for every
     operator of the class: bottom and top are fixed, the map is
@@ -662,20 +668,14 @@ def enumerate_operator_tables(
     and idempotent, and its image is an MV-subalgebra.  So every prune is
     sound for it: the fixed top is mv1, the negation step is mv2 itself,
     and the closure enforces mv4 (x + y is -x -> y).  ``mv`` needs an MV
-    carrier (else ``NotMVError``).  A node does only what its assignment
-    adds: monotonicity bounds the candidates by the join of the images
-    of the earlier elements below and the meet of those above, a forced
-    negated image ``s[-e]`` keeps only the candidates ``v`` with
-    ``-v == s[-e]`` (the lists are keyed by both), and the closure runs
-    only when a value new to the search path appears, against the
-    distinct image values already on it and itself.  A table is a leaf
-    as soon as every entry is assigned or forced, and every leaf is
-    re-checked against the full axiom set (``satisfies_class``), decided
-    on whole tables, or for ``mv`` by ``MV_LAWS`` through ``holds``; it
-    rejects the complete tables that an instance watched at a later
-    element would have pruned.  ``brute_force_operator_tables`` in
-    ``tests/oracles.py`` shares none of this machinery and is the
-    deliberately independent cross-check.
+    carrier (else ``NotMVError``).  A table is a leaf as soon as every
+    entry is assigned or forced, and every leaf is re-checked against
+    the full axiom set (``satisfies_class``), decided on whole tables, or
+    for ``mv`` by ``MV_LAWS`` through ``holds``; it rejects the complete
+    tables that an instance watched at a later element would have
+    pruned.  ``brute_force_operator_tables`` in ``tests/oracles.py``
+    shares none of this machinery and is the deliberately independent
+    cross-check.
 
     The search keeps only the lexicographically least table of each
     orbit under conjugation s -> g.s.g^-1 by the automorphisms g of the

@@ -4,7 +4,8 @@ Each oracle answers a question by the definition alone and shares no
 machinery with the route it checks: ``brute_force_filters`` scans every
 subset, ``brute_force_operator_tables`` scans every map with numpy
 (a test dependency only), ``all_automorphisms`` every permutation,
-``all_pairs_is_primary`` tests the primary law on every pair of
+``watch_lists_by_pairs`` unrolls the enumerator's axiom instances pair
+by pair, ``all_pairs_is_primary`` tests the primary law on every pair of
 elements, ``state_filter_by_monoid_closure`` and
 ``state_filter_extension_by_powers`` read Prop. 5.4 literally (the
 union of the upsets of a whole generated monoid, or of every product
@@ -211,6 +212,48 @@ def brute_force_operator_tables(
         for ax in CLASS_AXIOMS[cls]:
             maps = apply_axiom(maps, ax)
     return [tuple(int(v) for v in row) for row in maps]
+
+
+def watch_lists_by_pairs(algebra: FiniteBLAlgebra, cls: str) -> list[list[tuple]]:
+    """The enumerator's watch lists built pair by pair: every axiom
+    instance of every pair (x, y), one ``add`` each, which drops mirrored
+    and comparable-argument instances and keeps the rest once in a set.
+    ``operators._watch_lists`` generates the same lists from the order."""
+    meet, join, prod, impl = algebra.meet, algebra.join, algebra.prod, algebra.impl
+    neg, leq = algebra.neg_table, algebra.leq
+    tables = (meet, join, prod, impl)
+    if cls == "mv":
+        tables += (algebra.oplus_table,)
+    keys: set[tuple[int, int, int, int]] = set()
+
+    def add(l: int, a: int, b: int, k: int) -> None:
+        if k != 3 and b < a:  # impl (k == 3) is the one that does not commute
+            a, b = b, a
+        # on comparable arguments a meet, join or impl instance says only
+        # s[a] <= s[b] (or the reverse), which the monotonicity check enforces
+        if k in (0, 1, 3) and (leq[a][b] or (k != 3 and leq[b][a])):
+            return
+        keys.add((l, a, b, k))
+
+    for x, y in iproduct(range(algebra.size), repeat=2):
+        if cls == "endomorphism":
+            for k, t in enumerate(tables):
+                add(t[x][y], x, y, k)
+            continue
+        if cls == "mv":
+            add(tables[4][x][y], x, prod[y][neg[prod[x][y]]], 4)  # mv3
+            continue
+        add(impl[x][y], x, meet[x][y], 3)  # axiom 2
+        if cls == "state":
+            add(prod[x][y], x, impl[x][prod[x][y]], 2)  # axiom 3
+        elif cls == "strong":
+            add(prod[x][y], x, join[neg[x]][y], 2)  # axiom 3s
+        else:
+            add(prod[x][y], x, y, 2)  # axiom 6
+    watches: list[list[tuple]] = [[] for _ in range(algebra.size)]
+    for l, a, b, k in sorted(keys):
+        watches[max(a, b)].append((l, a, b, tables[k]))
+    return watches
 
 
 def all_automorphisms(algebra: FiniteBLAlgebra) -> list[tuple[int, ...]]:

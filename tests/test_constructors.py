@@ -34,7 +34,12 @@ from blstate.constructors import (
 )
 from blstate.document import parse_algebra, realize_algebra
 from blstate.filters import all_filters, classify_algebra, maximal_filters, radical
-from blstate.operators import chain_product_sum, enumerate_operator_tables, verify_operator
+from blstate.operators import (
+    EnumerationStats,
+    chain_product_sum,
+    enumerate_operator_tables,
+    verify_operator,
+)
 from blstate.states import extremal_states
 
 from .oracles import brute_force_operator_tables
@@ -521,6 +526,30 @@ def test_operators_of_a_relabeled_ladder_rung_match_up_to_the_relabeling():
             for cls, tables in operators.items():
                 found = enumerate_operator_tables(b, cls)
                 assert found == sorted(tuple(perm[t[x]] for x in back) for t in tables), (rung, cls)
+
+
+# (nodes, leaves, rejected, tried, orbits) of the state and endomorphism
+# search on two ladder rungs numbered top-down: every earlier element
+# comparable with a node's element lies above it, so only the upper
+# monotone bound, the meet over the minimal ones, prunes
+REVERSED_SEARCH = {
+    "g3xg4": ((191, 15, 0, 321, 15), (276, 28, 0, 472, 28)),
+    "mv2xmv2xmv1": ((112, 4, 0, 397, 4), (120, 6, 0, 471, 6)),
+}
+
+
+@pytest.mark.parametrize("rung", REVERSED_SEARCH)
+def test_the_search_on_a_top_down_numbering_does_the_pinned_work(rung):
+    chains = {"g3xg4": (godel_chain(3), godel_chain(4)),
+              "mv2xmv2xmv1": (mv_chain(2), mv_chain(2), mv_chain(1))}[rung]
+    a = direct_product(*chains)
+    b = relabel(a, [a.size - 1 - x for x in range(a.size)])
+    searches = []
+    for cls in ("state", "endomorphism"):
+        stats = EnumerationStats()
+        enumerate_operator_tables(b, cls, stats=stats)
+        searches.append((stats.nodes, stats.leaves, stats.rejected, stats.tried, stats.orbits))
+    assert tuple(searches) == REVERSED_SEARCH[rung]
 
 
 def test_the_certificate_rejects_a_one_sided_congruence(monkeypatch):

@@ -4,6 +4,7 @@ import re
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from blstate.operators import (
     OPERATOR_AXIOMS,
     PRESERVES,
     StateOperator,
+    _leader_orbit,
     _watch_lists,
     automorphisms,
     chain_product_sum,
@@ -62,6 +64,7 @@ from .oracles import (
     brute_force_operator_tables,
     state_filter_by_monoid_closure,
     state_filter_extension_by_powers,
+    watch_lists_by_pairs,
 )
 from .strategies import algebras, linear_algebras
 
@@ -694,6 +697,33 @@ def test_expanded_orbits_match_brute_force(name):
         assert stats.leaves - stats.rejected == stats.orbits <= len(tables), cls
 
 
+def operator_classes(a):
+    return ("state", "strong", "morphism", "endomorphism") + (
+        ("mv",) if classify_variety(a).is_mv else ())
+
+
+def test_leader_orbits_match_the_whole_group():
+    """On the carriers above, every table of every class: its orbit under
+    the generators is its conjugates by all automorphisms (the oracle's),
+    each listed once, and None exactly when one of them is smaller."""
+    for name, build in ORBIT_CARRIERS.items():
+        a = build()
+        n = a.size
+        group = all_automorphisms(a)
+        gens = [(g, itemgetter(*sorted(range(n), key=g.__getitem__))) for g in automorphisms(a)]
+        inverses = [{v: x for x, v in enumerate(g)} for g in group]
+        for cls in operator_classes(a):
+            for t in enumerate_operator_tables(a, cls):
+                conjugates = {tuple(g[t[inv[x]]] for x in range(n))
+                              for g, inv in zip(group, inverses)}
+                orbit = _leader_orbit(t, gens)
+                if min(conjugates) < t:
+                    assert orbit is None, (name, cls, t)
+                else:
+                    assert orbit[0] == t and len(orbit) == len(conjugates), (name, cls, t)
+                    assert set(orbit) == conjugates, (name, cls, t)
+
+
 LADDER = {
     "g3xg4": ((godel_chain, 3), (godel_chain, 4)),
     "mv2xmv2xmv1": ((mv_chain, 2), (mv_chain, 2), (mv_chain, 1)),
@@ -754,6 +784,20 @@ def test_enumeration_ladder_watched_instances(rung):
     a = ladder_carrier(rung)
     counts = tuple(sum(map(len, _watch_lists(a, cls))) for cls in ("state", "endomorphism"))
     assert counts == LADDER_INSTANCES[rung]
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras)
+def test_watch_lists_match_the_pair_by_pair_oracle(a):
+    for cls in operator_classes(a):
+        assert _watch_lists(a, cls) == watch_lists_by_pairs(a, cls), cls
+
+
+@pytest.mark.parametrize("rung", LADDER)
+def test_ladder_watch_lists_match_the_pair_by_pair_oracle(rung):
+    a = ladder_carrier(rung)
+    for cls in operator_classes(a):
+        assert _watch_lists(a, cls) == watch_lists_by_pairs(a, cls), cls
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,12 @@
 
 import hashlib
 import importlib.util
+import shutil
 from pathlib import Path
 
 from blstate import operators
+
+from .test_operators import LADDER_SEARCH
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -96,4 +99,23 @@ def test_bench_pairs_compares_traced_layers():
         "gone_s": {"parent": 1.0, "change": None, "change_pct": None},
         "new_s": {"parent": None, "change": 2.0, "change_pct": None},
         "suite.claim.Prop-5.4_s": {"parent": 0.02, "change": 0.005, "change_pct": -75.0},
+    }
+
+
+def test_bench_pairs_counts_the_same_work_in_two_copies_of_one_tree(tmp_path):
+    """Two copies of the package report equal enumerator counts, and they
+    are the counts that the ladder test pins."""
+    bench = _script("bench_pairs")
+    package = Path(operators.__file__).parent
+    roots = {}
+    for side in bench.SIDES:
+        shutil.copytree(package, tmp_path / side / "src" / "blstate",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        roots[side] = tmp_path / side
+    counts = bench.compare_counts(roots)
+    assert counts["equal"] and counts["parent"] == counts["change"]
+    assert counts["change"] == {
+        f"{rung}.{cls}": list(search)
+        for rung, searches in LADDER_SEARCH.items()
+        for cls, search in zip(("state", "endomorphism"), searches)
     }
