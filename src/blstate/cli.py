@@ -42,7 +42,7 @@ from .operators import (
     verify_operator,
 )
 from .states import (
-    check_state,
+    RationalState,
     extremal_states,
     format_fraction,
     sigma_compatible_correspondence,
@@ -135,7 +135,7 @@ def _cmd_verify(args) -> int:
             print(f"FAIL operator {name} is not a state operator (axiom {ax} at {w})")
             return 1
     for name, values in doc.states.items():
-        verdict = check_state(algebra, values)
+        verdict = RationalState(algebra, values).verdict
         if not verdict.is_state:
             scan, w = verdict.witnesses[0]
             print(f"FAIL state {name} is not a state ({scan} at {w})")
@@ -227,7 +227,7 @@ def _cmd_states(args) -> int:
         if not op.is_state:
             print(f"FAIL {args.operator} is not a state operator")
             return 1
-        report = sigma_compatible_correspondence(algebra, op)
+        report = sigma_compatible_correspondence(op)
         print(f"extremal compatible state(s): {len(report.compatible_extremal)}")
         for st in report.compatible_extremal:
             print(", ".join(format_fraction(v) for v in st.values))
@@ -255,8 +255,11 @@ def _cmd_search_nonstrong(args) -> int:
 def _cmd_paper_suite(args) -> int:
     corpus = load_corpus_dir(args.corpus) if args.corpus else default_corpus()
     claim_ids = None
-    if args.claims:
+    if args.claims is not None:
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not claim_ids:
+            print(f"--claims {args.claims!r} names no claim id", file=sys.stderr)
+            return 2
         unknown = set(claim_ids) - set(CLAIM_IDS)
         if unknown:
             print(f"unknown claim ids: {sorted(unknown)}", file=sys.stderr)

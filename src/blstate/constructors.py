@@ -207,12 +207,13 @@ def quotient_by_filter(
 
     Returns the quotient algebra and the projection table.  Classes are
     numbered by ascending smallest representative.  x/F = 1/F iff x in F
-    (cross-checked).  Raises ``NotAFilterError`` for a malformed F.  The
-    quotient is sealed by certificate, not by re-deciding the BL laws:
-    the class map must respect every operation (``CONGRUENT``), else
-    ``InternalCheckError``, so the quotient is a homomorphic image of a
-    BL-algebra.  It is built once per (algebra, F) and memoized on the
-    algebra, so later calls return the same tuple.
+    (cross-checked).  Raises ``NotAFilterError`` for any F that
+    ``filters.all_filters`` does not list.  The quotient is sealed by
+    certificate, not by re-deciding the BL laws: the class map must
+    respect every operation (``CONGRUENT``), else ``InternalCheckError``,
+    so the quotient is a homomorphic image of a BL-algebra.  It is built
+    once per (algebra, F) and memoized on the algebra, so later calls
+    return the same tuple.
     """
     return _sealed_quotient(algebra, frozenset(members))
 
@@ -243,11 +244,10 @@ CONGRUENT = {
 
 @memoized
 def _sealed_quotient(algebra: FiniteBLAlgebra, f: frozenset[int]):
-    from .filters import filter_violation  # local import to avoid a cycle
+    from .filters import all_filters  # local import to avoid a cycle
 
-    bad = filter_violation(algebra, f)
-    if bad is not None:
-        raise NotAFilterError(bad)
+    if f not in all_filters(algebra):
+        raise NotAFilterError(f"not a filter: {sorted(f)}")
 
     n = algebra.size
     reps: list[int] = []

@@ -4,6 +4,8 @@ Filters are plain ``frozenset[int]`` values over a sealed algebra's
 carrier.  Deterministic orderings sort by (size, bit pattern) where the
 bit pattern treats element ``i`` as bit ``i``.  Derived filter data is
 memoized on the algebra (``algebra.memoized``) and freed with it.
+``all_filters`` is the one test of filter-ness: ``quotient_by_filter``
+refuses every set that it does not list.
 
 A state-filter of (A, sigma) is a filter closed under the operator
 table sigma (``state_filters``); with sigma the identity it is just a
@@ -45,26 +47,6 @@ def mask_members(mask: int) -> frozenset[int]:
 
 def filter_sort_key(members: frozenset[int]) -> tuple[int, int]:
     return (len(members), subset_mask(members))
-
-
-def filter_violation(algebra: FiniteBLAlgebra, members: frozenset[int]):
-    """None if ``members`` is a filter, else a short reason string."""
-    if not members:
-        return "empty set"
-    if algebra.top not in members:
-        return "top missing"
-    if any(not (0 <= x < algebra.size) for x in members):
-        return "element out of range"
-    leq = algebra.leq
-    for x in members:
-        for y in members:
-            if algebra.prod[x][y] not in members:
-                return f"not closed under prod at ({x}, {y})"
-        above = leq[x]
-        for y in range(algebra.size):
-            if above[y] and y not in members:
-                return f"not upward closed at ({x}, {y})"
-    return None
 
 
 @memoized

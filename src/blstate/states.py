@@ -6,8 +6,8 @@ over one positive denominator ``d`` in lowest terms (``gcd(d, *p) ==
 1``), so s(x) = p[x] / d.  Every scan, pull-back, mixture and hull test
 runs on those integers, and the linear algebra eliminates fraction-free
 on integer rows.  ``fractions.Fraction`` is kept at the edges: parsing
-input, ``check_state`` on raw values, the public ``RationalState.values``
-(built on first read), the results of ``solve_linear`` and
+input, the public ``RationalState(algebra, values)`` constructor and its
+``values`` (built on first read), the results of ``solve_linear`` and
 ``convex_coefficients``, and messages.
 
 The Bosbach and Riecan scans are kept on purpose as two independent
@@ -22,10 +22,11 @@ looked up in a per-carrier table keyed by ``(p, d)``, so an equal map
 built twice on one carrier is one object and is scanned once.  The table
 is a ``weakref.WeakValueDictionary`` kept in the algebra's ``__dict__``:
 it holds only states that are alive elsewhere and is freed with the
-algebra.  ``check_state`` on raw values keeps nothing, and a state built
-by the public constructor enters no table, so memory does not grow with
-the number of distinct maps checked.  ``pull_back_state`` takes only a
-state object of the operator's image, whose verdict is the cached one.
+algebra.  A state built by the public constructor enters no table, so
+memory does not grow with the number of distinct maps checked.
+``check_state`` and ``convex_coefficients`` read only state objects, and
+``pull_back_state`` only a state object of the operator's image, whose
+verdict is the cached one.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class RationalState:
     def verdict(self) -> StateVerdict:
         """``check_state`` of this map, run on first read and kept on
         this object (and freed with it)."""
-        return check_state(self.algebra, self)
+        return check_state(self)
 
     def __eq__(self, other):
         if not isinstance(other, RationalState):
@@ -117,12 +118,6 @@ def _numerators(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     which is in lowest terms."""
     d = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (d // v.denominator) for v in values), d
-
-
-def _as_numerators(values: RationalState | Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    if isinstance(values, RationalState):
-        return values.p, values.d
-    return _numerators(tuple(map(Fraction, values)))
 
 
 def _state(algebra: FiniteBLAlgebra, p: Sequence[int], d: int) -> RationalState:
@@ -264,18 +259,16 @@ class StateVerdict:
         return votes[0]
 
 
-def check_state(
-    algebra: FiniteBLAlgebra, values: RationalState | Sequence[Fraction]
-) -> StateVerdict:
+def check_state(state: RationalState) -> StateVerdict:
     """Exhaustive verdict over all pairs; asserts Bosbach iff Riecan.
 
-    A ``RationalState`` is read as its numerators ``p`` over ``d``; raw
-    values are converted once to numerators over their least common
-    denominator.  All five scans and the kernel test run on integers.
+    The input is a ``RationalState``, read as its numerators ``p`` over
+    ``d`` on its algebra; any other input raises ``ValueError``.  All five
+    scans and the kernel test run on integers.
     """
-    p, d = _as_numerators(values)
-    if len(p) != algebra.size:
-        raise ValueError("wrong number of values")
+    if not isinstance(state, RationalState):
+        raise ValueError("check_state takes a RationalState")
+    algebra, p, d = state.algebra, state.p, state.d
     wb = bosbach_witness(algebra, p, d)
     wr = riecan_witness(algebra, p, d)
     if (wb is None) != (wr is None):
@@ -285,25 +278,15 @@ def check_state(
     wm = state_morphism_witness(algebra, p, d)
     wj = max_join_witness(algebra, p)
     wl = luk_mult_witness(algebra, p, d)
-    km = kernel_is_maximal_filter(algebra, p, d)
-    witnesses = tuple(
-        (name, w)
-        for name, w in (
-            ("bosbach", wb),
-            ("riecan", wr),
-            ("state_morphism", wm),
-            ("max_join", wj),
-            ("luk_mult", wl),
-        )
-        if w is not None
-    )
+    named = (("bosbach", wb), ("riecan", wr), ("state_morphism", wm), ("max_join", wj),
+             ("luk_mult", wl))
     return StateVerdict(
         bosbach=wb is None,
         state_morphism=wm is None,
         max_join=wj is None,
         luk_mult=wl is None,
-        kernel_maximal=km,
-        witnesses=witnesses,
+        kernel_maximal=kernel_is_maximal_filter(algebra, p, d),
+        witnesses=tuple((name, w) for name, w in named if w is not None),
     )
 
 
@@ -392,7 +375,7 @@ def solve_linear(
     Returns (particular solution, null-space basis) or None when the
     system is inconsistent.
     """
-    m = [_as_numerators([*row, b])[0] for row, b in zip(rows, rhs)]
+    m = [_numerators([*row, b])[0] for row, b in zip(rows, rhs)]
     n_cols = len(rows[0]) if rows else 0
     piv_cols = _eliminate(m, n_cols)
     if piv_cols is None:
@@ -411,21 +394,23 @@ def solve_linear(
 
 
 def convex_coefficients(
-    points: Sequence[RationalState | Sequence[Fraction]],
-    target: RationalState | Sequence[Fraction],
+    points: Sequence[RationalState], target: RationalState
 ) -> tuple[Fraction, ...] | None:
     """Exact convex-combination coefficients, or None if outside the hull.
 
     Solves sum(l_i * p_i) = target with sum(l_i) = 1 and l_i >= 0 by
     scanning basic supports; fine for the handfuls of extremal states a
-    finite algebra has.  Points and target are states or value
-    sequences; the supports are solved on integer rows.
+    finite algebra has.  Points and target are ``RationalState``s (any
+    other input raises ``ValueError``); the supports are solved on
+    integer rows.
     """
+    if not all(isinstance(s, RationalState) for s in (*points, target)):
+        raise ValueError("convex_coefficients takes RationalStates")
     k = len(points)
     if k == 0:
         return None
-    maps = [_as_numerators(pt) for pt in points]
-    t, e = _as_numerators(target)
+    maps = [(pt.p, pt.d) for pt in points]
+    t, e = target.p, target.d
     # one scale for every column: point j's numerators times lcm / d_j
     scale = math.lcm(e, *(d for _, d in maps))
     columns = [[x * (scale // d) for x in p] for p, d in maps]
@@ -540,9 +525,8 @@ def pulled_back_extremal_states(op: StateOperator) -> tuple[RationalState, ...]:
     return tuple(pull_back_state(op, s) for s in extremal_states(image))
 
 
-def sigma_compatible_correspondence(
-    algebra: FiniteBLAlgebra, op: StateOperator
-) -> CorrespondenceReport:
+@memoized
+def sigma_compatible_correspondence(op: StateOperator) -> CorrespondenceReport:
     """Certify the affine bijection between compatible states and image states.
 
     Both directions are computed from their definitions: pushing a
@@ -550,15 +534,9 @@ def sigma_compatible_correspondence(
     through the operator.  The check covers the extremal generators, a
     deterministic set of rational mixtures, and the affine behaviour of
     both maps.  Topological content is out of scope: this certifies the
-    bijection and its affineness on finite data only.  The report
-    depends on the operator alone (``algebra`` is its carrier) and is
-    memoized on it.
+    bijection and its affineness on finite data only.  The report is
+    memoized on the operator.
     """
-    return _correspondence(op)
-
-
-@memoized
-def _correspondence(op: StateOperator) -> CorrespondenceReport:
     image, _, _ = operator_image(op)
     image_ext = extremal_states(image)
     pulled = pulled_back_extremal_states(op)

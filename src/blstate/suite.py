@@ -26,7 +26,9 @@ kernels, which decide them on every carrier of at most 256 elements.
 ``_operator_laws`` by label.  Claims about preserving whole operations
 read the verdicts ``verify_operator`` already computed
 (``preserves_impl``, axiom 6 in ``failed``), call ``is_endomorphism``,
-or decide ``operators.PRESERVES["join"]`` (Lemma-3.10-2).
+or decide ``operators.PRESERVES["join"]`` (Lemma-3.10-2).  Lemma-3.5-k
+and -l (the image is a subalgebra made of the fixed points) read the
+certificate that seals ``operators.operator_image``.
 
 ``render_json`` writes the canonical report by direct string assembly
 from one record template, ``_RECORD``.  Strings go through
@@ -403,22 +405,9 @@ def _l35_a(a, op):
     return None if op.table[a.top] == a.top else "sigma(top) != top"
 
 
-def _l35_k(a, op):
-    image = frozenset(op.table)
-    if a.bottom not in image or a.top not in image:
-        return "image misses a bound"
-    members = sorted(image)
-    for table in (a.meet, a.join, a.prod, a.impl):
-        for x in members:
-            for y in members:
-                if table[x][y] not in image:
-                    return f"image not closed at {a.labels[x]},{a.labels[y]}"
-    return None
-
-
-def _l35_l(a, op):
-    if frozenset(op.table) != frozenset(op.fixed_points):
-        return "image differs from fixed points"
+def _image_subalgebra(a, op):
+    # Lemma 3.5(k)-(l): operator_image raises InternalCheckError unless both hold
+    operator_image(op)
     return None
 
 
@@ -477,8 +466,8 @@ LEMMA_3_5 = {
         Law("oplus equality at {},{}",
             lambda t, oplus, top, x, y: oplus[x][y] != top or oplus[t[x]][t[y]] == top)),
     "j": _operator_laws(IDEMPOTENT),
-    "k": _l35_k,
-    "l": _l35_l,
+    "k": _image_subalgebra,
+    "l": _image_subalgebra,
     "m": _operator_laws(LEMMA_3_5_M),
     "n": _operator_laws(Law(
         "impl-preservation symmetry at {},{}",
@@ -850,7 +839,7 @@ def _prop_6_2(a, op):
 
 
 def _thm_6_4(a, op):
-    if not sigma_compatible_correspondence(a, op).bijection_ok:
+    if not sigma_compatible_correspondence(op).bijection_ok:
         return "correspondence fails"
     return None
 
@@ -858,7 +847,7 @@ def _thm_6_4(a, op):
 def _cor_6_5(a, op):
     # finite-instance content only: compatible mixtures lie in the hull
     # of the extremal compatible states (no topology is certified)
-    points = sigma_compatible_correspondence(a, op).compatible_extremal
+    points = sigma_compatible_correspondence(op).compatible_extremal
     k = len(points)
     mixtures = [points[0]] if k == 1 else []
     if k >= 2:

@@ -127,6 +127,7 @@ COMMANDS = (
     # a carrier with factor swaps: the search keeps orbit leaders and expands them
     (0, ("construct", "product", "godel_chain(3)", "godel_chain(3)", "--out", "g3xg3.json")),
     (0, ("enumerate-operators", "g3xg3.json", "--stats")),
+    (2, ("paper-suite", "--claims", ",")),
 )
 
 

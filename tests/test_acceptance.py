@@ -30,6 +30,7 @@ from blstate.operators import (
     verify_operator,
 )
 from blstate.states import (
+    RationalState,
     check_state,
     extremal_states,
     sigma_compatible_correspondence,
@@ -171,7 +172,7 @@ def test_criterion_08_states(corpus):
     for a in small:
         found = []
         for combo in iproduct(grid, repeat=a.size):
-            verdict = check_state(a, combo)  # raises on Bosbach/Riecan mismatch
+            verdict = check_state(RationalState(a, combo))  # raises on Bosbach/Riecan mismatch
             if verdict.bosbach:
                 found.append(combo)
         particular, basis = bosbach_solution_space(a)
@@ -197,11 +198,11 @@ def test_criterion_08_states(corpus):
     assert [s.values for s in ext] == [(F(0), F(1, 2), F(1), F(1))]
 
     op = verify_operator(a, sigma)
-    assert sigma_compatible_correspondence(a, op).bijection_ok
+    assert sigma_compatible_correspondence(op).bijection_ok
     b = mv_chain(1)
     square = direct_product(b, b)
     diag = verify_operator(square, diagonal_operator_table(b, 1))
-    rep = sigma_compatible_correspondence(square, diag)
+    rep = sigma_compatible_correspondence(diag)
     assert rep.bijection_ok and len(rep.compatible_extremal) == 1
     _report(8, "exhaustive Bosbach/Riecan agreement and state correspondences", perf_counter() - start, 120.0)
 

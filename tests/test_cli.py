@@ -225,6 +225,14 @@ def test_paper_suite_unknown_claim(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("claims", [",", ""])
+def test_paper_suite_claims_that_name_no_claim_id(capsys, claims):
+    # "," once ran no claim and "" every claim, both with exit 0
+    code, out, err = run(capsys, "paper-suite", "--claims", claims)
+    assert (code, out) == (2, "")
+    assert "names no claim id" in err
+
+
 def test_paper_suite_empty_corpus_dir(capsys, tmp_path):
     code, _, err = run(capsys, "paper-suite", "--corpus", str(tmp_path))
     assert code == 2

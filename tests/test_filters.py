@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from blstate.algebra import INFINITE_ORDER, classify_variety
 from blstate.constructors import (
+    NotAFilterError,
     direct_product,
     four_element_example,
     godel_chain,
@@ -41,6 +42,7 @@ from blstate.suite import run_suite
 
 from .oracles import all_pairs_is_primary, brute_force_filters
 from .strategies import algebras
+from .test_operators import constructor_carriers
 
 
 def test_filters_of_example_3_4():
@@ -85,6 +87,22 @@ def test_idempotent_route_on_corpus_carriers(corpus):
         assert list(all_filters(a)) == brute_force_filters(a)
 
 
+def test_a_quotient_is_refused_exactly_for_the_sets_that_are_not_filters():
+    """quotient_by_filter reads filter-ness off all_filters; the subset
+    scan decides it on every subset, an out-of-range set and the empty
+    set."""
+    for a in constructor_carriers(6):
+        n = a.size
+        scanned = set(brute_force_filters(a))
+        subsets = [frozenset(x for x in range(n) if mask >> x & 1) for mask in range(1 << n)]
+        for s in [*subsets, frozenset({a.top, n})]:
+            if s in scanned:
+                quotient_by_filter(a, s)
+            else:
+                with pytest.raises(NotAFilterError):
+                    quotient_by_filter(a, s)
+
+
 def test_derived_structure_dies_with_its_algebra():
     a = direct_product(mv_chain(2), godel_chain(3))
     all_filters(a)
@@ -92,7 +110,7 @@ def test_derived_structure_dies_with_its_algebra():
     quotient_by_filter(a, maximal_filters(a)[0])
     extremal_states(a)
     op = verify_operator(a, enumerate_operator_tables(a, "state")[0])
-    sigma_compatible_correspondence(a, op)
+    sigma_compatible_correspondence(op)
     pulled_back_extremal_states(op)
     refs = (weakref.ref(a), weakref.ref(op))
     del a, op
@@ -111,8 +129,8 @@ def test_quotients_and_extremal_states_are_built_once():
     assert all(a.upsets[x] is a.upset(x) for x in range(a.size))
     for t in enumerate_operator_tables(a, "state"):
         op = verify_operator(a, t)
-        report = sigma_compatible_correspondence(a, op)
-        assert sigma_compatible_correspondence(a, op) is report
+        report = sigma_compatible_correspondence(op)
+        assert sigma_compatible_correspondence(op) is report
         assert pulled_back_extremal_states(op) is pulled_back_extremal_states(op)
         assert report.compatible_extremal is pulled_back_extremal_states(op)
     one, _ = quotient_by_filter(a, frozenset(range(a.size)))

@@ -25,6 +25,7 @@ from blstate.constructors import (
     mv_chain,
     quotient_by_filter,
 )
+from blstate.corpus import CorpusInstance
 from blstate.filters import all_filters, radical
 from blstate.operators import (
     ADDITIVITY,
@@ -33,6 +34,7 @@ from blstate.operators import (
     MV_LAWS,
     OPERATOR_AXIOMS,
     PRESERVES,
+    StateOperator,
     enumerate_operator_tables,
     verify_operator,
 )
@@ -42,6 +44,7 @@ from blstate.suite import (
     REGISTRY,
     CheckResult,
     _idempotent_endomorphism,
+    run_suite,
 )
 
 from . import law_oracles as oracle
@@ -61,13 +64,16 @@ INSTANCE_ORACLES = {
     "S2-partial-sum": oracle._s2_partial_sum,
 }
 OPERATOR_ORACLES = {
-    **{f"Lemma-3.5-{k}": getattr(oracle, f"_l35_{k}") for k in "abcdefghijklmnopqr"},
+    **{f"Lemma-3.5-{k}": getattr(oracle, f"_l35_{k}") for k in "abcdefghijmnopqr"},
     **{f"Lemma-3.9-{k}": getattr(oracle, f"_l39_{k}") for k in "abc"},
     "Lemma-3.10-1": oracle._l310_1,
 }
-# read verify_operator's verdicts, so they agree with the oracle on the
+# read verify_operator's verdicts, or the certificate of operator_image,
+# which takes only state operators, so they agree with the oracle on the
 # state operators they are graded over
 STATE_POOL_ORACLES = {
+    "Lemma-3.5-k": oracle._l35_k,
+    "Lemma-3.5-l": oracle._l35_l,
     "Lemma-3.10-2": oracle._l310_2,
     "Lemma-3.10-3": oracle._l310_3,
     "Lemma-3.11": oracle._lemma_3_11,
@@ -135,7 +141,9 @@ def test_instance_law_witness_text(claim, table, x, y, v, witness):
         ("Lemma-3.5-i", M3, (0, 0, 0, 3), "oplus bound at x1,x2"),
         ("Lemma-3.5-i", M3, (0, 0, 0, 0), "oplus equality at x0,x3"),
         ("Lemma-3.5-j", M3, (0, 0, 0, 1), "idempotence at x3"),
-        ("Lemma-3.5-k", M3, (0, 0, 1, 3), "image not closed at x1,x0"),
+        # k and l read operator_image, which takes only state operators
+        # (test_image_claims_fail_on_a_forged_state_operator)
+        ("Lemma-3.5-o", M3, (0, 2, 1, 3), "surjective but not the identity"),
         # an element of the radical has infinite order, so "order grows"
         # always names the element first and the radical text never shows
         ("Lemma-3.5-m", M3, (0, 0, 3, 0), "order grows at x2"),
@@ -152,6 +160,28 @@ def test_instance_law_witness_text(claim, table, x, y, v, witness):
 def test_operator_law_witness_text(claim, algebra, table, witness):
     check = _idempotent_endomorphism if claim == "Prop-4.9" else CHECKS[claim]
     assert check(algebra, verify_operator(algebra, table)) == witness
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # fixed points {0, 1, 3}, and 1 -> 0 = 2 is not fixed
+        ((0, 1, 1, 3), "the image is not closed: 2 is not fixed"),
+        # fixed points {0, 3}, image {0, 1, 3}
+        ((0, 0, 1, 3), "fixed points differ from the raw image"),
+    ],
+)
+def test_image_claims_fail_on_a_forged_state_operator(table, message):
+    """Lemma-3.5-k and -l read operator_image's certificate: on a table
+    that is not a state operator but is marked as one, both fail the
+    record through the pool's cross-check witness."""
+    op = StateOperator(M3, table, True, False, False, False, ())
+    inst = CorpusInstance("forged", M3, operators={"sigma": op})
+    report = run_suite([inst], ["Lemma-3.5-k", "Lemma-3.5-l"])
+    assert [(r.claim_id, r.verdict, r.witness) for r in report.records] == [
+        (claim, FAIL, f"sigma: internal cross-check: {message}")
+        for claim in ("Lemma-3.5-k", "Lemma-3.5-l")
+    ]
 
 
 def test_operator_and_mv_axiom_witnesses():

@@ -8,7 +8,8 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blstate.algebra import InternalCheckError
+from blstate import states
+from blstate.algebra import InternalCheckError, verify_bl_axioms
 from blstate.constructors import (
     diagonal_operator_table,
     direct_product,
@@ -40,11 +41,12 @@ from .strategies import algebras
 from .test_constructors import RELABELED_CARRIERS, relabel, shuffled_order
 
 F = Fraction
+ONE = verify_bl_axioms(["0"], [[0]], [[0]], [[0]], [[0]], 0, 0)
 
 
 def test_example_state_is_bosbach_and_extremal():
     a, _ = four_element_example()
-    verdict = check_state(a, (F(0), F(1, 2), F(1), F(1)))
+    verdict = check_state(RationalState(a, (F(0), F(1, 2), F(1), F(1))))
     assert verdict.bosbach and verdict.extremal
     assert verdict.state_morphism and verdict.max_join and verdict.luk_mult
     assert verdict.witnesses == ()  # the Riecan scan passed too
@@ -52,13 +54,13 @@ def test_example_state_is_bosbach_and_extremal():
 
 def test_two_element_state():
     a = mv_chain(1)
-    verdict = check_state(a, (F(0), F(1)))
+    verdict = check_state(RationalState(a, (F(0), F(1))))
     assert verdict.bosbach and verdict.extremal
 
 
 def test_non_state_has_witness():
     a, _ = four_element_example()
-    verdict = check_state(a, (F(0), F(1, 3), F(1), F(1)))
+    verdict = check_state(RationalState(a, (F(0), F(1, 3), F(1), F(1))))
     assert not verdict.bosbach
     assert [name for name, _ in verdict.witnesses[:2]] == ["bosbach", "riecan"]
 
@@ -72,7 +74,7 @@ def test_bosbach_riecan_agree_exhaustively_small():
     values = [F(0), F(1, 2), F(1)]
     for a in (mv_chain(1), mv_chain(2), godel_chain(3)):
         for combo in iproduct(values, repeat=a.size):
-            check_state(a, combo)
+            check_state(RationalState(a, combo))
 
 
 def test_extremal_states_catalogue():
@@ -97,14 +99,15 @@ def test_all_states_live_in_the_extremal_hull():
     square = direct_product(mv_chain(1), mv_chain(1))
     particular, basis = oracles.bosbach_solution_space(square)
     assert len(basis) == 1
-    ext = [s.values for s in extremal_states(square)]
+    ext = extremal_states(square)
     # deterministic sample of box-feasible solutions of the linear system
     for t in (F(0), F(1, 4), F(1, 2), F(2, 3), F(1)):
         candidate = tuple(p + t * b for p, b in zip(particular, basis[0]))
         if any(v < 0 or v > 1 for v in candidate):
             continue
-        assert check_state(square, candidate).bosbach
-        assert convex_coefficients(ext, candidate) is not None
+        state = RationalState(square, candidate)
+        assert check_state(state).bosbach
+        assert convex_coefficients(ext, state) is not None
 
 
 def test_solve_linear_inconsistent():
@@ -115,12 +118,11 @@ def test_mix_states_and_hull():
     square = direct_product(mv_chain(1), mv_chain(1))
     ext = extremal_states(square)
     mixed = mix_states(ext, [F(1, 3), F(2, 3)])
-    assert check_state(square, mixed.values).bosbach
-    assert not check_state(square, mixed.values).extremal
-    coeffs = convex_coefficients([s.values for s in ext], mixed.values)
-    assert coeffs == (F(1, 3), F(2, 3))
-    outside = (F(0), F(1), F(1), F(1))
-    assert convex_coefficients([s.values for s in ext], outside) is None
+    assert check_state(mixed).bosbach
+    assert not check_state(mixed).extremal
+    assert convex_coefficients(ext, mixed) == (F(1, 3), F(2, 3))
+    outside = RationalState(square, (F(0), F(1), F(1), F(1)))
+    assert convex_coefficients(ext, outside) is None
 
 
 def test_a_mix_in_lowest_terms_is_the_live_state():
@@ -146,8 +148,6 @@ def test_pull_back_state():
 
 
 def test_a_state_is_checked_once_per_object(monkeypatch):
-    from blstate import states
-
     scans = []
     real = states.bosbach_witness
 
@@ -169,8 +169,6 @@ def test_a_state_is_checked_once_per_object(monkeypatch):
 
 
 def test_pull_back_reuses_state_verdicts(monkeypatch):
-    from blstate import states
-
     a = direct_product(mv_chain(1), mv_chain(1))
     ident = verify_operator(a, identity_table(a))
     ext = extremal_states(a)
@@ -204,14 +202,12 @@ def test_pull_back_reuses_state_verdicts(monkeypatch):
 def test_values_outside_the_unit_interval_are_not_a_state():
     # the pair identities hold here; only the range test rejects the map
     square = direct_product(mv_chain(1), mv_chain(1))
-    verdict = check_state(square, (F(0), F(2), F(-1), F(1)))
+    verdict = check_state(states._state(square, (0, 2, -1, 1), 1))
     assert not verdict.is_state
     assert verdict.witnesses[:2] == (("bosbach", ("range", 1)), ("riecan", ("range", 1)))
 
 
 def test_pull_back_of_values_outside_the_unit_interval_is_not_a_state():
-    from blstate import states
-
     square = direct_product(mv_chain(1), mv_chain(1))
     ident = verify_operator(square, identity_table(square))
     with pytest.raises(ValueError, match="must lie in"):
@@ -223,8 +219,6 @@ def test_pull_back_of_values_outside_the_unit_interval_is_not_a_state():
 
 
 def test_a_pull_back_equal_to_a_carrier_state_is_that_object(monkeypatch):
-    from blstate import states
-
     a, sigma = four_element_example()
     op = verify_operator(a, sigma)
     ext = extremal_states(a)
@@ -320,20 +314,20 @@ def test_compatibility_filters_states():
 def test_correspondence_reports():
     a, sigma = four_element_example()
     op = verify_operator(a, sigma)
-    report = sigma_compatible_correspondence(a, op)
+    report = sigma_compatible_correspondence(op)
     assert report.bijection_ok
     assert [s.values for s in report.compatible_extremal] == [(F(0), F(1, 2), F(1), F(1))]
 
     b = mv_chain(1)
     square = direct_product(b, b)
     diag = verify_operator(square, diagonal_operator_table(b, 1))
-    rep = sigma_compatible_correspondence(square, diag)
+    rep = sigma_compatible_correspondence(diag)
     assert rep.bijection_ok
     assert len(rep.compatible_extremal) == 1
     assert len(extremal_states(square)) == 2  # compatibility strictly filters
 
     ident = verify_operator(square, identity_table(square))
-    rep_id = sigma_compatible_correspondence(square, ident)
+    rep_id = sigma_compatible_correspondence(ident)
     assert rep_id.bijection_ok
     assert [s.values for s in rep_id.compatible_extremal] == [
         s.values for s in extremal_states(operator_image(ident)[0])
@@ -364,7 +358,6 @@ def test_random_extremal_mixtures_stay_in_the_hull(corpus):
         if a.size > 9:
             continue
         ext = extremal_states(a)
-        points = [s.values for s in ext]
         for _ in range(3):
             raw = [F(rng.randrange(0, 5), 4) for _ in ext]
             total = sum(raw)
@@ -372,8 +365,8 @@ def test_random_extremal_mixtures_stay_in_the_hull(corpus):
                 continue
             weights = [w / total for w in raw]
             mixed = mix_states(ext, weights)
-            assert check_state(a, mixed.values).bosbach
-            assert convex_coefficients(points, mixed.values) is not None
+            assert check_state(mixed).bosbach
+            assert convex_coefficients(ext, mixed) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +428,23 @@ def reference_check_state(algebra, values) -> StateVerdict:
     )
 
 
-def _outcome(check, algebra, values):
+def state_of(algebra, values):
+    """The map as a state object: by the public constructor when it lies
+    in [0, 1], else by the carrier's table, which takes any integer map."""
+    if all(0 <= v <= 1 for v in values):
+        return RationalState(algebra, values)
+    return states._state(algebra, *states._numerators(values))
+
+
+def _outcome(check, *args):
     try:
-        return check(algebra, values)
+        return check(*args)
     except InternalCheckError:
         return InternalCheckError
 
 
 def assert_matches_reference(algebra, values):
-    assert _outcome(check_state, algebra, values) == _outcome(
+    assert _outcome(check_state, state_of(algebra, values)) == _outcome(
         reference_check_state, algebra, values
     )
 
@@ -568,8 +569,7 @@ def test_mixtures_and_hull_tests_match_the_fraction_oracles(data):
         targets.append(tuple(nudged))
     for target in targets:
         want = oracles.convex_coefficients(points, target)
-        assert convex_coefficients(points, target) == want
-        assert convex_coefficients(ext, target) == want
+        assert convex_coefficients(ext, state_of(a, target)) == want
     assert convex_coefficients(ext, mixed) == oracles.convex_coefficients(points, mixed.values)
 
 
@@ -591,7 +591,23 @@ def test_hull_tests_match_the_fraction_oracle_on_random_points(data):
         target = tuple(
             sum(F(w, sum(raw)) * p[c] for w, p in zip(raw, points)) for c in range(dim)
         )
-    assert convex_coefficients(points, target) == oracles.convex_coefficients(points, target)
+    # the hull test reads only the maps, so any carrier of dim elements serves
+    carrier = mv_chain(dim - 1) if dim > 1 else ONE
+    got = convex_coefficients(
+        [RationalState(carrier, p) for p in points], RationalState(carrier, target)
+    )
+    assert got == oracles.convex_coefficients(points, target)
+
+
+def test_check_state_and_the_hull_test_read_only_state_objects():
+    a, _ = four_element_example()
+    values = (F(0), F(1, 2), F(1), F(1))
+    with pytest.raises(ValueError, match="takes a RationalState"):
+        check_state(values)
+    with pytest.raises(ValueError, match="takes RationalStates"):
+        convex_coefficients(extremal_states(a), values)
+    with pytest.raises(ValueError, match="takes RationalStates"):
+        convex_coefficients([values], RationalState(a, values))
 
 
 @settings(max_examples=80, deadline=None)
