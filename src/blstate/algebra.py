@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, wraps
 from itertools import chain, compress, product as iproduct, repeat, starmap
-from operator import not_
 from typing import Callable, Iterable, Sequence
 
 Table = tuple[tuple[int, ...], ...]
@@ -327,9 +326,6 @@ def _parameters(check: Callable) -> tuple[frozenset[str], int]:
 
 
 _mask = partial(int.from_bytes, byteorder="little")  # a 0/1 byte row as a bit mask
-# the per-tuple evaluator reads a law over at most _ROW tuples from byte
-# columns (``_grid``), and a larger one from ``iproduct``
-_ROW = 1024
 
 
 def _pairs(table: Table) -> tuple:
@@ -378,19 +374,14 @@ def _grid(n: int, k: int) -> tuple[bytes, ...]:
 
 
 @memoized
-def _bind(algebra: FiniteBLAlgebra, law: Law) -> tuple[Callable, tuple | None]:
-    """``(bind, columns)``: ``bind(t)`` is the law's ``check`` with the
-    tables of ``algebra`` and the operator table ``t`` filled in, a
-    predicate on one tuple; ``columns`` holds the tuples as byte columns
-    (``_grid``) where there are at most ``_ROW``."""
+def _bind(algebra: FiniteBLAlgebra, law: Law) -> Callable:
+    """``bind(t)``: the law's ``check`` with the tables of ``algebra``
+    and the operator table ``t`` filled in, a predicate on one tuple."""
     code = law.check.__code__
-    n, k = algebra.size, _parameters(law.check)[1]
-    names = code.co_varnames[: code.co_argcount - k]
+    names = code.co_varnames[: code.co_argcount - _parameters(law.check)[1]]
     tables = [_table(algebra, p) for p in names if p != "t"]
     instance = partial(law.check, *tables)
-    columns = _grid(n, k) if n <= 256 and n**k <= _ROW else None
-    bind = (lambda t: partial(law.check, t, *tables)) if "t" in names else (lambda t: instance)
-    return bind, columns
+    return (lambda t: partial(law.check, t, *tables)) if "t" in names else (lambda t: instance)
 
 
 def holds(law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None) -> bool:
@@ -403,11 +394,8 @@ def holds(law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None
     """
     if law.rows is not None and algebra.size <= 256:
         return law.rows(algebra, table)
-    bind, columns = _bind(algebra, law)
-    if columns is not None:
-        return all(map(bind(table), *columns))
     tuples = iproduct(range(algebra.size), repeat=_parameters(law.check)[1])
-    return all(starmap(bind(table), tuples))
+    return all(starmap(_bind(algebra, law)(table), tuples))
 
 
 def witness(
@@ -415,10 +403,7 @@ def witness(
 ) -> tuple[int, ...] | None:
     """The lexicographically first tuple where ``law`` fails, or None:
     the per-tuple evaluator, the oracle of the row kernels."""
-    bind, columns = _bind(algebra, law)
-    pred = bind(table)
-    if columns is not None:
-        return next(compress(zip(*columns), map(not_, map(pred, *columns))), None)
+    pred = _bind(algebra, law)(table)
     tuples = iproduct(range(algebra.size), repeat=_parameters(law.check)[1])
     return next((args for args in tuples if not pred(*args)), None)
 

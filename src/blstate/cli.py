@@ -253,7 +253,6 @@ def _cmd_search_nonstrong(args) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
-    corpus = load_corpus_dir(args.corpus) if args.corpus else default_corpus()
     claim_ids = None
     if args.claims is not None:
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
@@ -264,6 +263,7 @@ def _cmd_paper_suite(args) -> int:
         if unknown:
             print(f"unknown claim ids: {sorted(unknown)}", file=sys.stderr)
             return 2
+    corpus = load_corpus_dir(args.corpus) if args.corpus else default_corpus()
     report = run_suite(corpus, claim_ids)
     render = render_json if args.format == "json" else render_text
     text = render(report, keep_going=args.keep_going, timings=args.timings)

@@ -9,13 +9,15 @@ unless explicitly requested.
 A claim checks either a whole instance, ``check(instance) ->
 CheckResult``, or one operator, ``check(algebra, op) -> witness | None``.
 A per-operator claim's ``over`` names the pool class it covers
-(``state``, ``strong`` or ``morphism``); ``_over_pool`` grades it over
-that part of the instance's pool and names the operator in the witness.
-A library cross-check that raises ``InternalCheckError`` fails only its
-claim: ``<operator>: internal cross-check: <message>`` from
+(``state``, ``strong`` or ``morphism``); ``_over_pool``, the one loop
+over the pool, grades it over that part of the instance's pool and
+names the operator in the witness.  The claims that read
+``classify_state_algebra`` (``_classified``) return an outcome, which
+fails the record when it is False and is a ``discrepancy`` when it is
+None.  A library cross-check that raises ``InternalCheckError`` fails
+only its claim: ``<operator>: internal cross-check: <message>`` from
 ``_over_pool``, ``internal cross-check: <message>`` from ``run_suite``
-(an instance check or an ``applies`` filter).  ``_check_named``, the
-only source of a ``discrepancy``, is the one other loop over the pool.
+(an instance check or an ``applies`` filter).
 
 A pointwise law (``Prop-2.2-*``, ``S2-*``, most of ``Lemma-3.5``,
 ``Lemma-3.9``, ``Lemma-3.10-1``) is ``algebra.Law`` data, decided by
@@ -76,6 +78,7 @@ from .operators import (
     ADDITIVITY,
     IDEMPOTENT,
     PRESERVES,
+    CheckOutcome,
     StateOperator,
     classify_state_algebra,
     enumerate_operator_tables,
@@ -157,19 +160,49 @@ def _pool(inst: CorpusInstance, over: str):
 
 
 def _over_pool(inst: CorpusInstance, check, over: str = "state") -> CheckResult:
-    """Grade check(algebra, op) -> witness or None over the ``over`` pool.
+    """Grade check(algebra, op) over the ``over`` pool: None passes, a
+    witness fails, and a ``CheckOutcome`` fails if its ``holds`` is False
+    and is a discrepancy if it is None.
 
-    The first failure wins and is named by its operator; a cross-check
-    raised for one operator is that operator's failure.
+    The first operator that does not pass wins and is named; a
+    cross-check raised for one operator is that operator's failure.
     """
     for name, op in _pool(inst, over):
         try:
             w = check(inst.algebra, op)
         except InternalCheckError as exc:
             w = f"internal cross-check: {exc}"
+        if isinstance(w, CheckOutcome):
+            verdict = FAIL if w.holds is False else DISCREPANCY
+            return CheckResult(verdict, f"{name}: {w.claim} ({w.witness})")
         if w:
             return CheckResult(FAIL, f"{name}: {w}")
     return CheckResult(PASS)
+
+
+def _classified(*names: str):
+    """A per-operator check: the operator's first outcome among ``names``
+    in ``classify_state_algebra`` whose ``holds`` is not True, or None."""
+
+    def check(a, op):
+        outcomes = _state_classification(op).checks
+        return next((c for c in outcomes if c.claim in names and c.holds is not True), None)
+
+    return check
+
+
+def _asserts(call: Callable):
+    """An instance check that passes unless ``call``, a library function
+    that asserts the claim's law, raises on the algebra.  It calls this
+    module's binding of the name at each run, so a wrapper set on the
+    module (a profiler's, a test's) sees the call."""
+    name = call.__name__
+
+    def check(inst):
+        globals()[name](inst.algebra)
+        return CheckResult(PASS)
+
+    return check
 
 
 def _bool_result(ok: bool, witness: str = "") -> CheckResult:
@@ -333,35 +366,10 @@ def _thm_2_5(inst):
     return _bool_result(True)
 
 
-def _prop_2_6(inst):
-    maximal_filters(inst.algebra)  # asserts inclusion order == power criterion
-    return _bool_result(True)
-
-
-def _prop_2_7(inst):
-    classify_algebra(inst.algebra)  # asserts local iff every proper filter is primary
-    return _bool_result(True)
-
-
-def _prop_2_8(inst):
-    classify_algebra(inst.algebra)  # asserts local iff ord(x) or ord(x-) finite for every x
-    return _bool_result(True)
-
-
 def _rem_2_9(inst):
     a = inst.algebra
     for f in all_filters(a):
         quotient_by_filter(a, f)  # asserts a congruence with x/F = 1/F iff x in F
-    return _bool_result(True)
-
-
-def _prop_2_10(inst):
-    radical(inst.algebra)  # asserts intersection of maximal filters == formula
-    return _bool_result(True)
-
-
-def _rem_2_11(inst):
-    classify_algebra(inst.algebra)  # asserts x in Rad- gives x- in Rad
     return _bool_result(True)
 
 
@@ -389,11 +397,6 @@ def _lemma_2_14(inst):
     cls = classify_algebra(inst.algebra)  # asserts locally finite iff simple
     if cls.simple and not inst.algebra.is_linear:
         return _bool_result(False, "simple algebra is not linear")
-    return _bool_result(True)
-
-
-def _rem_2_15(inst):
-    extremal_states(inst.algebra)  # asserts .extremal, which includes state_morphism
     return _bool_result(True)
 
 
@@ -757,27 +760,6 @@ def _thm_5_5(a, op):
     return None
 
 
-def _check_named(inst, names, over="state"):
-    """Evaluate classification checks with the given names over the pool."""
-    for op_name, op in _pool(inst, over):
-        cls = _state_classification(op)
-        for outcome in cls.checks:
-            if outcome.claim in names:
-                if outcome.holds is False:
-                    return CheckResult(FAIL, f"{op_name}: {outcome.claim} ({outcome.witness})")
-                if outcome.holds is None:
-                    return CheckResult(
-                        DISCREPANCY, f"{op_name}: {outcome.claim} ({outcome.witness})"
-                    )
-    return CheckResult(PASS)
-
-
-def _prop_5_7(inst):
-    return _check_named(
-        inst, {"radical-image-inclusion", "radical-image-equality-strong"}
-    )
-
-
 def _prop_5_8(a, op):
     for f in maximal_filters(a, op.table):
         quotient, proj = quotient_by_filter(a, f)
@@ -811,10 +793,6 @@ def _prop_5_9(a, op):
         if j_filter in image_max and preimage not in max_state:
             return "preimage loses maximality"
     return None
-
-
-def _prop_5_10(inst):
-    return _check_named(inst, {"radical-sigma-identity"})
 
 
 # ---------------------------------------------------------------------------
@@ -856,32 +834,6 @@ def _cor_6_5(a, op):
         if convex_coefficients(points, target) is None:
             return "mixture escapes the hull"
     return None
-
-
-# ---------------------------------------------------------------------------
-# section 7 claims
-
-
-def _thm_7_3(inst):
-    return _check_named(inst, {"simple-iff-kernel-maximal"}, "morphism")
-
-
-def _thm_7_5(inst):
-    return _check_named(inst, {"semisimple-iff-radical-in-kernel"}, "morphism")
-
-
-def _thm_7_6(inst):
-    return _check_named(inst, {"perfect-iff-radical-faithful-and-image-perfect"})
-
-
-def _thm_7_8(inst):
-    # classify_state_algebra adds this check for radical-faithful morphisms only
-    return _check_named(inst, {"local-iff-image-local"}, "morphism")
-
-
-def _thm_7_9(inst):
-    # classify_state_algebra adds this check for radical-faithful morphisms only
-    return _check_named(inst, {"simple-iff-local-and-kernel-radical"}, "morphism")
 
 
 # ---------------------------------------------------------------------------
@@ -953,16 +905,22 @@ def build_registry() -> list[Claim]:
     add("S2-orthogonality", "three orthogonality forms coincide", _always, _s2_orthogonality)
     add("S2-partial-sum", "partial sum is symmetric on orthogonal pairs", _always, _s2_partial_sum)
     add("Thm-2.5", "four extremality criteria agree on sampled states", _always, _thm_2_5)
-    add("Prop-2.6", "maximal filters match the power criterion", _always, _prop_2_6)
-    add("Prop-2.7", "local iff every proper filter is primary", _nontrivial, _prop_2_7)
-    add("Prop-2.8", "local iff ord(x) or ord(x-) is finite", _nontrivial, _prop_2_8)
+    add("Prop-2.6", "maximal filters match the power criterion", _always,
+        _asserts(maximal_filters))  # asserts inclusion order == power criterion
+    add("Prop-2.7", "local iff every proper filter is primary", _nontrivial,
+        _asserts(classify_algebra))  # asserts local iff every proper filter is primary
+    add("Prop-2.8", "local iff ord(x) or ord(x-) is finite", _nontrivial,
+        _asserts(classify_algebra))  # asserts local iff ord(x) or ord(x-) finite for every x
     add("Rem-2.9", "filter quotients are congruences with x/F=1/F iff x in F", _always, _rem_2_9)
-    add("Prop-2.10", "radical equals the co-infinitesimal set", _always, _prop_2_10)
-    add("Rem-2.11", "radical and its negation set are negation-linked", _always, _rem_2_11)
+    add("Prop-2.10", "radical equals the co-infinitesimal set", _always,
+        _asserts(radical))  # asserts intersection of maximal filters == formula
+    add("Rem-2.11", "radical and its negation set are negation-linked", _always,
+        _asserts(classify_algebra))  # asserts x in Rad- gives x- in Rad
     add("Cor-2.12", "perfect algebras compare negations across the split", _always, _cor_2_12)
     add("Prop-2.13", "P primary iff the quotient by P is local", _always, _prop_2_13)
     add("Lemma-2.14", "locally finite iff simple (and then linear)", _nontrivial, _lemma_2_14)
-    add("Rem-2.15", "maximal-filter quotients give extremal state-morphisms", _always, _rem_2_15)
+    add("Rem-2.15", "maximal-filter quotients give extremal state-morphisms", _always,
+        _asserts(extremal_states))  # asserts .extremal, which includes state_morphism
 
     for key, fn in LEMMA_3_5.items():
         add(f"Lemma-3.5-{key}", f"state-operator fact ({key})", _always, fn, "state")
@@ -1007,12 +965,13 @@ def build_registry() -> list[Claim]:
     add("Thm-5.5", "irreducible state algebras have linear images",
         _always, _thm_5_5, "state")
     add("Prop-5.7", "image radical sits inside the operator image of the radical",
-        _always, _prop_5_7)
+        _always, _classified("radical-image-inclusion", "radical-image-equality-strong"),
+        "state")
     add("Prop-5.8", "co-infinitesimal images belong to maximal state-filters",
         _always, _prop_5_8, "state")
     add("Prop-5.9", "state-filters correspond to image filters", _always, _prop_5_9, "state")
     add("Prop-5.10", "sigma of the state radical is the image radical",
-        _always, _prop_5_10)
+        _always, _classified("radical-sigma-identity"), "state")
 
     add("Prop-6.1", "states on the image pull back to states", _always, _prop_6_1, "state")
     add("Prop-6.2", "extremal states pull back extremally through morphisms",
@@ -1022,12 +981,18 @@ def build_registry() -> list[Claim]:
     add("Cor-6.5", "compatible mixtures stay inside the extremal hull",
         _always, _cor_6_5, "state")
 
-    add("Thm-7.3", "simple iff the kernel is a maximal filter", _always, _thm_7_3)
-    add("Thm-7.5", "semisimple iff the radical sits inside the kernel", _always, _thm_7_5)
-    add("Thm-7.6", "perfect iff radical-faithful with perfect image", _always, _thm_7_6)
-    add("Thm-7.8", "local iff the image is local (radical-faithful morphisms)",
-        _always, _thm_7_8)
-    add("Thm-7.9", "simple iff local with kernel equal to the radical", _always, _thm_7_9)
+    add("Thm-7.3", "simple iff the kernel is a maximal filter", _always,
+        _classified("simple-iff-kernel-maximal"), "morphism")
+    add("Thm-7.5", "semisimple iff the radical sits inside the kernel", _always,
+        _classified("semisimple-iff-radical-in-kernel"), "morphism")
+    add("Thm-7.6", "perfect iff radical-faithful with perfect image", _always,
+        _classified("perfect-iff-radical-faithful-and-image-perfect"), "state")
+    # classify_state_algebra adds the checks of Thm-7.8 and 7.9 for
+    # radical-faithful morphisms only
+    add("Thm-7.8", "local iff the image is local (radical-faithful morphisms)", _always,
+        _classified("local-iff-image-local"), "morphism")
+    add("Thm-7.9", "simple iff local with kernel equal to the radical", _always,
+        _classified("simple-iff-local-and-kernel-radical"), "morphism")
     return claims
 
 

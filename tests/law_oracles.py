@@ -15,10 +15,11 @@ from blstate.algebra import (
     VarietyFlags,
     memoized,
 )
-from blstate.constructors import _preservation_scan
 from blstate.filters import radical
 from blstate.operators import identity_table
 from blstate.suite import FAIL, PASS, CheckResult
+
+from .oracles import first_unpreserved_pair
 
 
 # The derived operations, written out from neg, prod and impl: never read
@@ -318,8 +319,8 @@ def _l310_1(a, op):
 
 
 def _l310_2(a, op):
-    pres_impl = _preservation_scan(op.table, a.impl, a.impl) is None
-    pres_join = _preservation_scan(op.table, a.join, a.join) is None
+    pres_impl = first_unpreserved_pair(op.table, a.impl) is None
+    pres_join = first_unpreserved_pair(op.table, a.join) is None
     if pres_impl != pres_join:
         return f"global impl/join equivalence: impl={pres_impl} join={pres_join}"
     return None
@@ -327,24 +328,24 @@ def _l310_2(a, op):
 
 def _l310_3(a, op):
     t = op.table
-    if _preservation_scan(t, a.impl, a.impl) is None:
-        if _preservation_scan(t, a.prod, a.prod) is not None:
+    if first_unpreserved_pair(t, a.impl) is None:
+        if first_unpreserved_pair(t, a.prod) is not None:
             return "impl-preserving but not prod-preserving"
-        if any(_preservation_scan(t, tb, tb) is not None for tb in (a.meet, a.join)):
+        if any(first_unpreserved_pair(t, tb) is not None for tb in (a.meet, a.join)):
             return "impl-preserving but not an endomorphism"
     return None
 
 
 def _lemma_3_11(a, op):
-    if _preservation_scan(op.table, a.impl, a.impl) is not None:
+    if first_unpreserved_pair(op.table, a.impl) is not None:
         return "does not preserve impl on a chain"
-    if op.is_strong and _preservation_scan(op.table, a.prod, a.prod) is not None:
+    if op.is_strong and first_unpreserved_pair(op.table, a.prod) is not None:
         return "strong but does not preserve prod"
     return None
 
 
 def _idempotent_endomorphism(a, op):
-    if any(_preservation_scan(op.table, tb, tb) is not None for tb in (a.prod, a.impl)):
+    if any(first_unpreserved_pair(op.table, tb) is not None for tb in (a.prod, a.impl)):
         return "not an endomorphism on a chain"
     if any(op.table[op.table[x]] != op.table[x] for x in range(a.size)):
         return "not idempotent"
@@ -354,7 +355,7 @@ def _idempotent_endomorphism(a, op):
 
 def _prop_4_10(a, op):
     for table in (a.meet, a.join, a.prod, a.impl):
-        if _preservation_scan(op.table, table, table) is not None:
+        if first_unpreserved_pair(op.table, table) is not None:
             return "not an endomorphism on x^2=x carrier"
     return None
 
@@ -367,9 +368,9 @@ def _axiom_scan(
     if axiom == "1":
         return None if s[algebra.bottom] == algebra.bottom else (algebra.bottom,)
     if axiom == "6":
-        return _preservation_scan(s, prod, prod)
+        return first_unpreserved_pair(s, prod)
     if axiom == "7":
-        return _preservation_scan(s, impl, impl)
+        return first_unpreserved_pair(s, impl)
     for x, y in iproduct(range(algebra.size), repeat=2):
         if axiom == "2":
             ok = s[impl[x][y]] == impl[s[x]][s[meet[x][y]]]

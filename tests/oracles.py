@@ -15,7 +15,10 @@ on ``fractions.Fraction``, kept as they were before the state layer moved
 to integer numerators; ``bosbach_solution_space`` solves the Bosbach
 identities with ``solve_linear``.  ``residuum_by_scan`` derives impl by the
 definition, element by element, as the library did before it read the
-candidate sets in C.  ``first_violation`` names the first failing BL
+candidate sets in C.  ``first_unpreserved_pair`` reads the preservation
+of one table by a map pair by pair, sharing no code with
+``constructors.homomorphism`` or ``operators.PRESERVES``.
+``first_violation`` names the first failing BL
 law by the per-tuple evaluator alone (``witness``), never by ``holds``
 and so never by a row kernel.  ``report_by_json_dumps`` and
 ``document_by_json_dumps`` build the canonical payloads as dicts and
@@ -71,6 +74,17 @@ def first_violation(meet, join, prod, impl, bottom, top) -> AxiomViolation | Non
             w, i = min(found)
             return AxiomViolation(axiom, w, laws[i].text)
     return None
+
+
+def first_unpreserved_pair(t: Sequence[int], table) -> tuple[int, int] | None:
+    """The lexicographically first pair (x, y) with
+    t(table[x][y]) != table[t(x)][t(y)], or None if ``t`` preserves the
+    operation."""
+    n = len(table)
+    return next(
+        ((x, y) for x, y in iproduct(range(n), repeat=2) if t[table[x][y]] != table[t[x]][t[y]]),
+        None,
+    )
 
 
 def brute_force_filters(a):

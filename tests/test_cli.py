@@ -233,6 +233,19 @@ def test_paper_suite_claims_that_name_no_claim_id(capsys, claims):
     assert "names no claim id" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("--claims", ","), ("--claims", "Nope-0.0"), ("--corpus", "D", "--claims", "Nope-0.0")]
+)
+def test_paper_suite_checks_claims_before_it_builds_a_corpus(capsys, monkeypatch, argv):
+    def unbuilt(*args):
+        raise AssertionError("a corpus was built")
+
+    monkeypatch.setattr(cli, "default_corpus", unbuilt)
+    monkeypatch.setattr(cli, "load_corpus_dir", unbuilt)
+    code, out, _ = run(capsys, "paper-suite", *argv)
+    assert (code, out) == (2, "")
+
+
 def test_paper_suite_empty_corpus_dir(capsys, tmp_path):
     code, _, err = run(capsys, "paper-suite", "--corpus", str(tmp_path))
     assert code == 2

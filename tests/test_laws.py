@@ -411,8 +411,9 @@ def test_row_evaluator_matches_the_per_tuple_evaluator_on_larger_carriers(a, dat
 
 
 def test_an_operator_law_without_a_kernel_goes_per_tuple_above_32_elements():
-    # on 40 elements a 2-variable law spans 1600 tuples, more than _ROW, so
-    # the per-tuple evaluator reads it from iproduct
+    # a law without a row kernel is decided by the per-tuple evaluator,
+    # which reads the tuples from iproduct on every carrier; here a
+    # 2-variable law on 40 elements spans 1600 of them
     a = LARGE[2]
     monotone = next(law for law in LAWS if law.text == "monotone at {},{}")  # Lemma-3.5-c
     assert monotone.rows is None

@@ -18,7 +18,6 @@ from blstate.algebra import (
     witness,
 )
 from blstate.constructors import (
-    _preservation_scan,
     diagonal_operator_table,
     direct_product,
     four_element_example,
@@ -62,6 +61,7 @@ from .oracles import (
     all_automorphisms,
     brute_force_filters,
     brute_force_operator_tables,
+    first_unpreserved_pair,
     state_filter_by_monoid_closure,
     state_filter_extension_by_powers,
     watch_lists_by_pairs,
@@ -844,8 +844,8 @@ def test_the_orbit_search_does_not_depend_on_the_generating_set(monkeypatch):
 def test_table_kernels_agree_with_element_scans(a, data):
     """The row kernels of the operator axioms and of preservation decide
     as the per-tuple evaluator does, and the evaluator names the witness
-    of the element scan (``_preservation_scan``): on enumerated tables and
-    on the same tables with one entry changed."""
+    of the pair-by-pair oracle (``first_unpreserved_pair``): on
+    enumerated tables and on the same tables with one entry changed."""
     cls = data.draw(st.sampled_from(["state", "endomorphism"]))
     tables = enumerate_operator_tables(a, cls)
     table = list(data.draw(st.sampled_from(tables)))
@@ -855,7 +855,7 @@ def test_table_kernels_agree_with_element_scans(a, data):
     for law in [*AXIOM_LAWS.values(), *PRESERVES.values()]:
         assert law.rows is not None
         assert holds(law, a, table) == (witness(law, a, table) is None), law.text
-    scans = [_preservation_scan(table, op, op) for op in (a.meet, a.join, a.prod, a.impl)]
+    scans = [first_unpreserved_pair(table, op) for op in (a.meet, a.join, a.prod, a.impl)]
     for law, scan in zip(PRESERVES.values(), scans):
         assert witness(law, a, table) == scan
     fixes_bounds = table[a.bottom] == a.bottom and table[a.top] == a.top

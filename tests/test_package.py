@@ -1,5 +1,6 @@
 """Package shape: the library runs single-threaded on the standard library,
-the suite grades library cross-checks in one place, its pointwise laws go
+the suite grades library cross-checks and walks the operator pool in one
+place, its pointwise laws go
 through the law engine, and the benchmark's layers name code that exists."""
 
 import ast
@@ -64,6 +65,22 @@ def test_suite_catches_cross_checks_only_in_its_graders():
         if isinstance(handler, ast.ExceptHandler) and _may_catch(handler, "InternalCheckError")
     }
     assert catching == {"_over_pool", "run_suite"}
+
+
+def test_only_over_pool_walks_an_operator_pool():
+    # one grader for every per-operator claim: ``_pool`` alone reads an
+    # instance's pool, and ``_over_pool`` alone calls ``_pool``
+    path = Path(blstate.__file__).parent / "suite.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    callers = {"pool": set(), "_pool": set()}
+    for node in tree.body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in callers:
+                    callers[name].add(getattr(node, "name", None))
+    assert callers == {"pool": {"_pool"}, "_pool": {"_over_pool"}}
 
 
 def _compares_with_256(tree):

@@ -145,6 +145,9 @@ def test_descriptions_present():
         # the applies filter of Prop-4.12 is the first to classify the carrier
         ("Prop-4.12", filters, "radical_by_formula", lambda a: frozenset(),
          "internal cross-check: radical mismatch"),
+        # a claim that reads classify_state_algebra is graded per operator too
+        ("Thm-7.3", operators, "state_filters", lambda a, sigma=None: (),
+         "identity: internal cross-check: operator kernel is not a state-filter"),
     ],
 )
 def test_claim_fails_through_its_library_cross_check(
@@ -160,6 +163,50 @@ def test_claim_fails_through_its_library_cross_check(
     assert verdict == "fail"
     assert witness.startswith(prefix)
     assert verdicts["Prop-2.2-1"] == ("pass", "")
+
+
+# each outcome of classify_state_algebra and the claim that grades it
+OUTCOME_CLAIMS = {
+    "radical-image-inclusion": "Prop-5.7",
+    "radical-image-equality-strong": "Prop-5.7",
+    "radical-sigma-identity": "Prop-5.10",
+    "simple-iff-kernel-maximal": "Thm-7.3",
+    "semisimple-iff-radical-in-kernel": "Thm-7.5",
+    "perfect-iff-radical-faithful-and-image-perfect": "Thm-7.6",
+    "local-iff-image-local": "Thm-7.8",
+    "simple-iff-local-and-kernel-radical": "Thm-7.9",
+}
+
+
+def _graded_with(monkeypatch, change):
+    """The records of the classification claims on mv_chain(3) when each
+    outcome of the identity's real classification goes through ``change``."""
+    inst = _mv_instance(3)
+    [(_, op)] = inst.pool()
+    real = suite._state_classification(op)
+    # a radical-faithful morphism: the classification emits every outcome
+    assert sorted(c.claim for c in real.checks) == sorted(OUTCOME_CLAIMS)
+    forged = dataclasses.replace(real, checks=tuple(map(change, real.checks)))
+    monkeypatch.setattr(suite, "_state_classification", lambda op: forged)
+    report = run_suite([inst], set(OUTCOME_CLAIMS.values()))
+    return {r.claim_id: (r.verdict, r.witness) for r in report.records}
+
+
+@pytest.mark.parametrize("holds, verdict", [(False, "fail"), (None, "discrepancy")])
+def test_every_classification_claim_grades_the_outcomes_it_names(monkeypatch, holds, verdict):
+    got = _graded_with(monkeypatch, lambda c: dataclasses.replace(c, holds=holds))
+    assert {cid: v for cid, (v, _) in got.items()} == dict.fromkeys(OUTCOME_CLAIMS.values(), verdict)
+
+
+@pytest.mark.parametrize("outcome", OUTCOME_CLAIMS)
+def test_an_outcome_that_fails_fails_only_the_claim_that_names_it(monkeypatch, outcome):
+    # a misspelt name in the registry would leave its outcome ungraded
+    got = _graded_with(
+        monkeypatch, lambda c: dataclasses.replace(c, holds=False) if c.claim == outcome else c
+    )
+    failed = {cid: witness for cid, (verdict, witness) in got.items() if verdict != "pass"}
+    assert list(failed) == [OUTCOME_CLAIMS[outcome]]
+    assert failed[OUTCOME_CLAIMS[outcome]].startswith(f"identity: {outcome} (")
 
 
 def test_rem_2_11_fails_through_classify_algebra(monkeypatch):
