@@ -316,7 +316,6 @@ class Law:
     rows: Callable | None = None
 
 
-@lru_cache(maxsize=256)
 def _parameters(check: Callable) -> tuple[frozenset[str], int]:
     """The table names ``check`` reads and its number of variables."""
     code = check.__code__
@@ -374,14 +373,17 @@ def _grid(n: int, k: int) -> tuple[bytes, ...]:
 
 
 @memoized
-def _bind(algebra: FiniteBLAlgebra, law: Law) -> Callable:
-    """``bind(t)``: the law's ``check`` with the tables of ``algebra``
-    and the operator table ``t`` filled in, a predicate on one tuple."""
+def _bind(algebra: FiniteBLAlgebra, law: Law) -> tuple[Callable, int]:
+    """``(bind, k)``: ``bind(t)`` is the law's ``check`` with the tables
+    of ``algebra`` and the operator table ``t`` filled in, a predicate on
+    one tuple of ``k`` elements."""
     code = law.check.__code__
-    names = code.co_varnames[: code.co_argcount - _parameters(law.check)[1]]
+    k = _parameters(law.check)[1]
+    names = code.co_varnames[: code.co_argcount - k]
     tables = [_table(algebra, p) for p in names if p != "t"]
     instance = partial(law.check, *tables)
-    return (lambda t: partial(law.check, t, *tables)) if "t" in names else (lambda t: instance)
+    bind = (lambda t: partial(law.check, t, *tables)) if "t" in names else (lambda t: instance)
+    return bind, k
 
 
 def holds(law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None) -> bool:
@@ -394,8 +396,8 @@ def holds(law: Law, algebra: FiniteBLAlgebra, table: Sequence[int] | None = None
     """
     if law.rows is not None and algebra.size <= 256:
         return law.rows(algebra, table)
-    tuples = iproduct(range(algebra.size), repeat=_parameters(law.check)[1])
-    return all(starmap(_bind(algebra, law)(table), tuples))
+    bind, k = _bind(algebra, law)
+    return all(starmap(bind(table), iproduct(range(algebra.size), repeat=k)))
 
 
 def witness(
@@ -403,8 +405,9 @@ def witness(
 ) -> tuple[int, ...] | None:
     """The lexicographically first tuple where ``law`` fails, or None:
     the per-tuple evaluator, the oracle of the row kernels."""
-    pred = _bind(algebra, law)(table)
-    tuples = iproduct(range(algebra.size), repeat=_parameters(law.check)[1])
+    bind, k = _bind(algebra, law)
+    pred = bind(table)
+    tuples = iproduct(range(algebra.size), repeat=k)
     return next((args for args in tuples if not pred(*args)), None)
 
 

@@ -192,7 +192,7 @@ def _cmd_classify(args) -> int:
             ax, w = op.witnesses[0]
             print(f"FAIL not a state operator (axiom {ax} at {w})")
             return 1
-        report = classify_state_algebra(algebra, op)
+        report = classify_state_algebra(op)
         print(
             f"ssbl_simple={report.ssbl_simple} sssbl_semisimple={report.sssbl_semisimple}"
             f" radical_faithful={report.radical_faithful}"

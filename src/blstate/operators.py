@@ -54,6 +54,14 @@ criterion on sigma-images) lives there.  ``operator_image`` is the one
 implementation of the image subalgebra: built once per operator and
 memoized on it, it is what ``classify_state_algebra``, the states and
 the command line read.
+
+A function of a verified operator takes the operator alone, which
+carries its algebra (``op.algebra``): ``operator_image``,
+``state_filter_closures``, ``state_filter_generated`` and
+``classify_state_algebra``, which is memoized on the operator too.  Its
+``CheckOutcome``s are the one outcome type of the suite's check
+contract (``suite``): ``holds`` True passes, False fails and None is a
+logged discrepancy.
 """
 
 from __future__ import annotations
@@ -734,7 +742,6 @@ def state_strong_gap(
 
 
 def state_filter_closures(
-    algebra: FiniteBLAlgebra,
     op: StateOperator,
     seeds: Iterable[Iterable[int]],
     extensions: Iterable[tuple[int, int]],
@@ -761,7 +768,8 @@ def state_filter_closures(
     of the upsets of i * g_a^n (i in f, n >= 1) is the upset of
     m * e_a.
     """
-    prod, up, table, n = algebra.prod, algebra.upset_masks, op.table, algebra.size
+    algebra, table = op.algebra, op.table
+    prod, up, n = algebra.prod, algebra.upset_masks, algebra.size
     power_values, top = algebra.power_values, algebra.top
     idem = [power_values(prod[x][table[x]])[-1] for x in range(n)]
     formula, masks = [], []
@@ -797,11 +805,9 @@ def state_filter_closures(
     return formula
 
 
-def state_filter_generated(
-    algebra: FiniteBLAlgebra, op: StateOperator, seed: Iterable[int]
-) -> frozenset[int]:
+def state_filter_generated(op: StateOperator, seed: Iterable[int]) -> frozenset[int]:
     """Least state-filter containing ``seed``, by ``state_filter_closures``."""
-    [mask] = state_filter_closures(algebra, op, [seed], [])
+    [mask] = state_filter_closures(op, [seed], [])
     return mask_members(mask)
 
 
@@ -866,16 +872,16 @@ class StateAlgebraClassification:
         return tuple(c for c in self.checks if c.holds is False)
 
 
-def classify_state_algebra(
-    algebra: FiniteBLAlgebra, op: StateOperator
-) -> StateAlgebraClassification:
+@memoized
+def classify_state_algebra(op: StateOperator) -> StateAlgebraClassification:
     """Image, kernel and radical data plus the class-level theorem checks.
 
     Biconditionals are asserted only under their stated hypotheses
     (state-morphism operator, radical-faithfulness); the perfect-algebra
     equivalence is evaluated for every state operator but a mismatch is
-    logged as a discrepancy rather than failed.
+    logged as a discrepancy rather than failed.  Memoized on the operator.
     """
+    algebra = op.algebra
     image, pos, fixed = operator_image(op)
     ker = op.kernel
     if ker not in state_filters(algebra, op.table):

@@ -400,12 +400,13 @@ def convex_coefficients(
 
     Solves sum(l_i * p_i) = target with sum(l_i) = 1 and l_i >= 0 by
     scanning basic supports; fine for the handfuls of extremal states a
-    finite algebra has.  Points and target are ``RationalState``s (any
-    other input raises ``ValueError``); the supports are solved on
-    integer rows.
+    finite algebra has.  Points and target are ``RationalState``s on one
+    carrier (any other input raises ``ValueError``); the supports are
+    solved on integer rows.
     """
     if not all(isinstance(s, RationalState) for s in (*points, target)):
         raise ValueError("convex_coefficients takes RationalStates")
+    _carrier((target, *points), "points and target must be on one carrier")
     k = len(points)
     if k == 0:
         return None
@@ -429,6 +430,15 @@ def convex_coefficients(
     return None
 
 
+def _carrier(states: Sequence[RationalState], message: str) -> FiniteBLAlgebra:
+    """The algebra of the nonempty ``states``, which must all be on that
+    object or an equal algebra; else ``ValueError(message)``."""
+    algebra = states[0].algebra
+    if any(s.algebra is not algebra and s.algebra != algebra for s in states):
+        raise ValueError(message)
+    return algebra
+
+
 def mix_states(
     states: Sequence[RationalState], weights: Sequence[Fraction]
 ) -> RationalState:
@@ -438,9 +448,7 @@ def mix_states(
     weights = [Fraction(w) for w in weights]
     if sum(weights) != 1 or any(w < 0 for w in weights):
         raise ValueError("weights must be a convex combination")
-    algebra = states[0].algebra
-    if any(s.algebra is not algebra and s.algebra != algebra for s in states):
-        raise ValueError("states to mix must be on one carrier")
+    algebra = _carrier(states, "states to mix must be on one carrier")
     # w_i * p_i / d_i over one denominator: integer coefficients c_i / d
     terms = [(w / s.d, s.p) for s, w in zip(states, weights) if w]
     d = math.lcm(*(c.denominator for c, _ in terms))

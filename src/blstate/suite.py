@@ -6,16 +6,21 @@ README lists the full catalog).  A suite run produces one record per
 records are emitted in (claim, instance) order and timings are excluded
 unless explicitly requested.
 
-A claim checks either a whole instance, ``check(instance) ->
-CheckResult``, or one operator, ``check(algebra, op) -> witness | None``.
-A per-operator claim's ``over`` names the pool class it covers
-(``state``, ``strong`` or ``morphism``); ``_over_pool``, the one loop
-over the pool, grades it over that part of the instance's pool and
-names the operator in the witness.  The claims that read
-``classify_state_algebra`` (``_classified``) return an outcome, which
-fails the record when it is False and is a ``discrepancy`` when it is
-None.  A library cross-check that raises ``InternalCheckError`` fails
-only its claim: ``<operator>: internal cross-check: <message>`` from
+Every claim has one check contract.  A check takes one subject: the
+instance, or, for a per-operator claim, the operator, which carries its
+own algebra (``op.algebra``).  It returns None when the claim passes, a
+witness string when it fails, or an ``operators.CheckOutcome`` whose
+``holds`` (True, False or None) makes the record a pass, a failure or a
+``discrepancy``, with the outcome's witness.  ``run_suite`` is the one
+place that turns that value into a ``SuiteRecord``.  A per-operator
+claim's ``over`` names the pool class it covers (``state``, ``strong``
+or ``morphism``); ``_over_pool``, the one loop over the pool, returns
+the first value of that part of the instance's pool that does not pass,
+with the operator named in its witness (``<op>: <witness>``, or
+``<op>: <claim> (<witness>)`` for an outcome).  The claims that read
+``classify_state_algebra`` (``_classified``) return its outcomes.  A
+library cross-check that raises ``InternalCheckError`` fails only its
+claim: ``<operator>: internal cross-check: <message>`` from
 ``_over_pool``, ``internal cross-check: <message>`` from ``run_suite``
 (an instance check or an ``applies`` filter).
 
@@ -58,7 +63,6 @@ from .algebra import (
     _pairs,
     _pairwise,
     holds,
-    memoized,
     violation,
 )
 from .constructors import quotient_by_filter, swap_table
@@ -79,7 +83,6 @@ from .operators import (
     IDEMPOTENT,
     PRESERVES,
     CheckOutcome,
-    StateOperator,
     classify_state_algebra,
     enumerate_operator_tables,
     enumerate_state_operators,
@@ -106,12 +109,7 @@ from .states import (
 PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "discrepancy"
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    verdict: str
-    witness: str = ""
+_VERDICTS = {True: PASS, False: FAIL, None: DISCREPANCY}  # by ``CheckOutcome.holds``
 
 
 @dataclass(frozen=True)
@@ -145,11 +143,6 @@ class SuiteReport:
 # helpers
 
 
-@memoized
-def _state_classification(op: StateOperator):
-    return classify_state_algebra(op.algebra, op)
-
-
 def _pool(inst: CorpusInstance, over: str):
     for name, op in inst.pool():
         if over == "strong" and not op.is_strong:
@@ -159,33 +152,31 @@ def _pool(inst: CorpusInstance, over: str):
         yield name, op
 
 
-def _over_pool(inst: CorpusInstance, check, over: str = "state") -> CheckResult:
-    """Grade check(algebra, op) over the ``over`` pool: None passes, a
-    witness fails, and a ``CheckOutcome`` fails if its ``holds`` is False
-    and is a discrepancy if it is None.
-
-    The first operator that does not pass wins and is named; a
-    cross-check raised for one operator is that operator's failure.
+def _over_pool(inst: CorpusInstance, check, over: str = "state"):
+    """``check(op)`` over the ``over`` pool: the value of the first
+    operator that does not pass, with the operator named in its witness,
+    or None.  A cross-check raised for one operator is that operator's
+    failure.
     """
     for name, op in _pool(inst, over):
         try:
-            w = check(inst.algebra, op)
+            w = check(op)
         except InternalCheckError as exc:
             w = f"internal cross-check: {exc}"
         if isinstance(w, CheckOutcome):
-            verdict = FAIL if w.holds is False else DISCREPANCY
-            return CheckResult(verdict, f"{name}: {w.claim} ({w.witness})")
-        if w:
-            return CheckResult(FAIL, f"{name}: {w}")
-    return CheckResult(PASS)
+            if w.holds is not True:
+                return CheckOutcome(w.claim, w.holds, f"{name}: {w.claim} ({w.witness})")
+        elif w is not None:
+            return f"{name}: {w}"
+    return None
 
 
 def _classified(*names: str):
     """A per-operator check: the operator's first outcome among ``names``
     in ``classify_state_algebra`` whose ``holds`` is not True, or None."""
 
-    def check(a, op):
-        outcomes = _state_classification(op).checks
+    def check(op):
+        outcomes = classify_state_algebra(op).checks
         return next((c for c in outcomes if c.claim in names and c.holds is not True), None)
 
     return check
@@ -200,13 +191,8 @@ def _asserts(call: Callable):
 
     def check(inst):
         globals()[name](inst.algebra)
-        return CheckResult(PASS)
 
     return check
-
-
-def _bool_result(ok: bool, witness: str = "") -> CheckResult:
-    return CheckResult(PASS if ok else FAIL, "" if ok else witness)
 
 
 def _instance_laws(*laws: Law):
@@ -214,20 +200,19 @@ def _instance_laws(*laws: Law):
 
     def check(inst):
         found = violation(laws, inst.algebra)
-        if found is None:
-            return CheckResult(PASS)
-        return CheckResult(FAIL, found[0].text.format(*found[1]))
+        return None if found is None else found[0].text.format(*found[1])
 
     return check
 
 
 def _operator_laws(*laws: Law, when=None):
-    """A per-operator check where ``when(a, op)`` holds (always if None);
+    """A per-operator check where ``when(op)`` holds (always if None);
     a failure names its elements by label."""
 
-    def check(a, op):
-        if when is not None and not when(a, op):
+    def check(op):
+        if when is not None and not when(op):
             return None
+        a = op.algebra
         found = violation(laws, a, op.table)
         return None if found is None else found[0].text.format(*map(a.labels.__getitem__, found[1]))
 
@@ -361,23 +346,23 @@ def _thm_2_5(inst):
         verdict = st.verdict
         if not verdict.is_state:
             scan, w = verdict.witnesses[0]
-            return _bool_result(False, f"state {name} is not a state ({scan} at {w})")
+            return f"state {name} is not a state ({scan} at {w})"
         verdict.extremal  # raises if the criteria disagree
-    return _bool_result(True)
+    return None
 
 
 def _rem_2_9(inst):
     a = inst.algebra
     for f in all_filters(a):
         quotient_by_filter(a, f)  # asserts a congruence with x/F = 1/F iff x in F
-    return _bool_result(True)
+    return None
 
 
 def _cor_2_12(inst):
     # classify_algebra asserts x- <= y- across the split (n > 1; n = 1 has only (0, 0))
     if not classify_algebra(inst.algebra).perfect:
-        return CheckResult(PASS, "not perfect; vacuous")
-    return _bool_result(True)
+        return CheckOutcome("Cor-2.12", True, "not perfect; vacuous")
+    return None
 
 
 def _prop_2_13(inst):
@@ -389,38 +374,41 @@ def _prop_2_13(inst):
         quotient, _ = quotient_by_filter(a, f)
         q_local = len(maximal_filters(quotient)) == 1
         if is_primary(a, f) != q_local:
-            return _bool_result(False, f"primary/local mismatch for {sorted(f)}")
-    return _bool_result(True)
+            return f"primary/local mismatch for {sorted(f)}"
+    return None
 
 
 def _lemma_2_14(inst):
     cls = classify_algebra(inst.algebra)  # asserts locally finite iff simple
     if cls.simple and not inst.algebra.is_linear:
-        return _bool_result(False, "simple algebra is not linear")
-    return _bool_result(True)
+        return "simple algebra is not linear"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # section 3 claims: operator properties
 
 
-def _l35_a(a, op):
-    return None if op.table[a.top] == a.top else "sigma(top) != top"
+def _l35_a(op):
+    top = op.algebra.top
+    return None if op.table[top] == top else "sigma(top) != top"
 
 
-def _image_subalgebra(a, op):
+def _image_subalgebra(op):
     # Lemma 3.5(k)-(l): operator_image raises InternalCheckError unless both hold
     operator_image(op)
     return None
 
 
-def _l35_o(a, op):
+def _l35_o(op):
+    a = op.algebra
     if frozenset(op.table) == frozenset(range(a.size)) and op.table != identity_table(a):
         return "surjective but not the identity"
     return None
 
 
-def _l35_r(a, op):
+def _l35_r(op):
+    a = op.algebra
     if op.is_faithful and a.is_linear and op.table != identity_table(a):
         return "faithful operator on a chain is not the identity"
     return None
@@ -481,11 +469,11 @@ LEMMA_3_5 = {
         Law("strict monotonicity at {},{}",
             lambda t, leq, x, y: (
                 not leq[x][y] or x == y or (leq[t[x]][t[y]] and t[x] != t[y]))),
-        when=lambda a, op: op.is_faithful),
+        when=lambda op: op.is_faithful),
     "q": _operator_laws(
         Law("comparable displacement at {}",
             lambda t, leq, x: t[x] == x or not (leq[t[x]][x] or leq[x][t[x]])),
-        when=lambda a, op: op.is_faithful),
+        when=lambda op: op.is_faithful),
     "r": _l35_r,
 }
 
@@ -509,24 +497,24 @@ _l310_1 = _operator_laws(Law(
         (t[impl[x][y]] == impl[t[x]][t[y]]) == (t[meet[x][y]] == meet[t[x]][t[y]]))))
 
 
-def _l310_2(a, op):
+def _l310_2(op):
     pres_impl = op.preserves_impl
-    pres_join = holds(PRESERVES["join"], a, op.table)
+    pres_join = holds(PRESERVES["join"], op.algebra, op.table)
     if pres_impl != pres_join:
         return f"global impl/join equivalence: impl={pres_impl} join={pres_join}"
     return None
 
 
-def _l310_3(a, op):
+def _l310_3(op):
     if op.preserves_impl:
         if "6" in op.failed:
             return "impl-preserving but not prod-preserving"
-        if not is_endomorphism(a, op.table):
+        if not is_endomorphism(op.algebra, op.table):
             return "impl-preserving but not an endomorphism"
     return None
 
 
-def _lemma_3_11(a, op):
+def _lemma_3_11(op):
     if not op.preserves_impl:
         return "does not preserve impl on a chain"
     if op.is_strong and "6" in op.failed:
@@ -537,10 +525,10 @@ def _lemma_3_11(a, op):
 def _prop_3_8_3_16(inst):
     for name, op in list(inst.operators.items()) + list(inst.rejected.items()):
         if op.is_morphism and not op.is_strong:
-            return CheckResult(FAIL, f"{name}: morphism but not strong")
+            return f"{name}: morphism but not strong"
         if op.is_strong and not op.is_state:
-            return CheckResult(FAIL, f"{name}: strong but not state")
-    return CheckResult(PASS)
+            return f"{name}: strong but not state"
+    return None
 
 
 def _prop_3_13(inst):
@@ -552,13 +540,13 @@ def _prop_3_13(inst):
     mv = enumerate_operator_tables(a, "mv")
     if (only := set(state) ^ set(mv)):
         t = min(only)
-        return CheckResult(FAIL, f"{t} is only in the {'state' if t in state else 'mv'} tables")
+        return f"{t} is only in the {'state' if t in state else 'mv'} tables"
     for op in ops:
         if not op.is_strong:
-            return CheckResult(FAIL, f"{op.table} is a state operator that is not strong")
+            return f"{op.table} is a state operator that is not strong"
         if not holds(ADDITIVITY, a, op.table):
-            return CheckResult(FAIL, f"additivity fails for {op.table}")
-    return CheckResult(PASS)
+            return f"additivity fails for {op.table}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +558,7 @@ def _lemma_4_2(inst):
     shape = inst.shape
     upper = frozenset(shape.upper_ids)
 
-    def keeps_summands(a, op):
+    def keeps_summands(op):
         for c in shape.chain_ids:
             if op.table[c] != c:
                 return f"does not fix the bottom chain at {c}"
@@ -592,16 +580,16 @@ def _lemma_4_3(inst):
         t = sigma_j_table(shape, js)
         op = verify_operator(a, t)
         if not (op.is_morphism and op.preserves_impl):
-            return CheckResult(FAIL, f"sigma_J {sorted(js)} is not an impl-preserving morphism")
+            return f"sigma_J {sorted(js)} is not an impl-preserving morphism"
         expected_ker = a.upset(shape.idempotent_of_subset(frozenset(range(k)) - js))
         if op.kernel != expected_ker:
-            return CheckResult(FAIL, f"sigma_J {sorted(js)} kernel mismatch")
+            return f"sigma_J {sorted(js)} kernel mismatch"
         tables[js] = t
     if len(set(tables.values())) != 1 << k:
-        return CheckResult(FAIL, "sigma_J family is not pairwise distinct")
+        return "sigma_J family is not pairwise distinct"
     if inst.enumerated is not None and len(inst.enumerated) < (1 << k):
-        return CheckResult(FAIL, "fewer state operators than the sigma_J family")
-    return CheckResult(PASS)
+        return "fewer state operators than the sigma_J family"
+    return None
 
 
 def _lemma_4_4(inst):
@@ -615,20 +603,18 @@ def _lemma_4_4(inst):
         if covered:
             op = verify_operator(a, t)
             if not (op.is_morphism and op.preserves_impl):
-                return CheckResult(
-                    FAIL, f"covered collapse at {a.labels[x]} is not a morphism operator"
-                )
+                return f"covered collapse at {a.labels[x]} is not a morphism operator"
     low, covered = interval_collapse_table(a, shape.local_zero, shape.local_zero)
     if not covered or low != full:
-        return CheckResult(FAIL, "collapse at the local zero differs from the full sigma_J")
-    return CheckResult(PASS)
+        return "collapse at the local zero differs from the full sigma_J"
+    return None
 
 
 def _rem_4_5(inst):
     a = inst.algebra
     for name, op in inst.rejected.items():
         if op.verified_class != "none":
-            return CheckResult(FAIL, f"{name}: expected rejection, got {op.verified_class}")
+            return f"{name}: expected rejection, got {op.verified_class}"
     pin = inst.pinned_rejection
     if pin is not None:
         op = inst.rejected[pin.operator]
@@ -637,16 +623,16 @@ def _rem_4_5(inst):
         got_sq = op.table[xx]
         got_prod = a.prod[op.table[x]][op.table[x]]
         if got_sq != pin.sigma_of_square or got_prod != pin.square_of_sigma:
-            return CheckResult(FAIL, f"pinned witness mismatch at {a.labels[x]}")
+            return f"pinned witness mismatch at {a.labels[x]}"
         if got_sq == got_prod:
-            return CheckResult(FAIL, "pinned witness does not separate the two sides")
-    return CheckResult(PASS)
+            return "pinned witness does not separate the two sides"
+    return None
 
 
-def _idempotent_endomorphism(a, op):
+def _idempotent_endomorphism(op):
     if "6" in op.failed or not op.preserves_impl:
         return "not an endomorphism on a chain"
-    if violation(IDEMPOTENT, a, op.table) is not None:
+    if violation(IDEMPOTENT, op.algebra, op.table) is not None:
         return "not idempotent"
     return None
 
@@ -654,19 +640,19 @@ def _idempotent_endomorphism(a, op):
 def _prop_4_9(inst):
     # per operator, then the converse over the enumerated carrier
     a = inst.algebra
-    result = _over_pool(inst, _idempotent_endomorphism)
-    if result.verdict != PASS or inst.enumerated is None or a.size > 6:
-        return result
+    found = _over_pool(inst, _idempotent_endomorphism)
+    if found is not None or inst.enumerated is None or a.size > 6:
+        return found
     endos = enumerate_operator_tables(a, "endomorphism")
     idem = {t for t in endos if violation(IDEMPOTENT, a, t) is None}
     states = {op.table for op in inst.enumerated}
     if idem != states:
-        return CheckResult(FAIL, "state operators differ from idempotent endomorphisms")
-    return CheckResult(PASS)
+        return "state operators differ from idempotent endomorphisms"
+    return None
 
 
-def _prop_4_10(a, op):
-    if not is_endomorphism(a, op.table):
+def _prop_4_10(op):
+    if not is_endomorphism(op.algebra, op.table):
         return "not an endomorphism on x^2=x carrier"
     return None
 
@@ -676,17 +662,15 @@ def _ex_4_11(inst):
     family = {godel_floor_table(a, x) for x in range(a.size)}
     enumerated = {op.table for op in inst.enumerated}
     if enumerated != family:
-        return CheckResult(
-            FAIL, f"family size {len(family)} differs from enumerated {len(enumerated)}"
-        )
-    return CheckResult(PASS)
+        return f"family size {len(family)} differs from enumerated {len(enumerated)}"
+    return None
 
 
 def _prop_4_12(inst):
     tables = [op.table for op in inst.enumerated]
     if tables != [identity_table(inst.algebra)]:
-        return CheckResult(FAIL, f"{len(tables)} operators on a locally finite carrier")
-    return CheckResult(PASS)
+        return f"{len(tables)} operators on a locally finite carrier"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -700,16 +684,16 @@ def _ex_5_2(inst):
     for name, op in (("sigma_diag_left", left), ("sigma_diag_right", right)):
         irr, least = subdirectly_irreducible(a, op.table)
         if not irr:
-            return CheckResult(FAIL, f"{name}: not subdirectly irreducible")
+            return f"{name}: not subdirectly irreducible"
         if least != op.kernel:
-            return CheckResult(FAIL, f"{name}: least state-filter is not the kernel")
+            return f"{name}: least state-filter is not the kernel"
     if a.is_linear:
-        return CheckResult(FAIL, "product carrier should not be linear")
+        return "product carrier should not be linear"
     swap = swap_table(inst.diag_base)
     composed = tuple(swap[left.table[swap[x]]] for x in range(a.size))
     if composed != right.table:
-        return CheckResult(FAIL, "swap does not interchange the two diagonal operators")
-    return CheckResult(PASS)
+        return "swap does not interchange the two diagonal operators"
+    return None
 
 
 def _ex_5_3(inst):
@@ -718,36 +702,37 @@ def _ex_5_3(inst):
     b, c = inst.hom.source, inst.hom.target
     expected_ker = frozenset(b.top * c.size + j for j in range(c.size))
     if op.kernel != expected_ker:
-        return CheckResult(FAIL, "kernel is not {1} x C")
+        return "kernel is not {1} x C"
     if not op.is_morphism:
-        return CheckResult(FAIL, "sigma_h is not a morphism operator")
+        return "sigma_h is not a morphism operator"
     irr, least = subdirectly_irreducible(a, op.table)
     if not irr:
-        return CheckResult(FAIL, "not subdirectly irreducible")
+        return "not subdirectly irreducible"
     _, least_c = subdirectly_irreducible(c)
     expected_least = frozenset(b.top * c.size + j for j in least_c)
     if least != expected_least:
-        return CheckResult(FAIL, "least state-filter is not {1} x F_C")
-    return CheckResult(PASS)
+        return "least state-filter is not {1} x F_C"
+    return None
 
 
-def _prop_5_4(a, op):
+def _prop_5_4(op):
     # the kernel asserts formula == filter lattice on every singleton, pair
     # and (proper state-filter, outside element); maximal_filters asserts
     # inclusion order == power criterion
+    a = op.algebra
     rng = range(a.size)
     whole = (1 << a.size) - 1
     extensions = [
         (f, x) for f in filter_masks(a, op.table) if f != whole for x in rng if not f >> x & 1
     ]
     seeds = [(x,) for x in rng] + list(combinations(rng, 2))
-    state_filter_closures(a, op, seeds, extensions)
+    state_filter_closures(op, seeds, extensions)
     maximal_filters(a, op.table)
     return None
 
 
-def _thm_5_5(a, op):
-    irr, _ = subdirectly_irreducible(a, op.table)
+def _thm_5_5(op):
+    irr, _ = subdirectly_irreducible(op.algebra, op.table)
     if irr:
         image, _, _ = operator_image(op)
         if not image.is_linear:
@@ -760,7 +745,8 @@ def _thm_5_5(a, op):
     return None
 
 
-def _prop_5_8(a, op):
+def _prop_5_8(op):
+    a = op.algebra
     for f in maximal_filters(a, op.table):
         quotient, proj = quotient_by_filter(a, f)
         coinfinitesimal = radical_by_formula(quotient)
@@ -770,7 +756,8 @@ def _prop_5_8(a, op):
     return None
 
 
-def _prop_5_9(a, op):
+def _prop_5_9(op):
+    a = op.algebra
     image, pos, fixed = operator_image(op)
     image_max = set(maximal_filters(image))
     max_state = set(maximal_filters(a, op.table))
@@ -799,7 +786,7 @@ def _prop_5_9(a, op):
 # section 6 claims
 
 
-def _prop_6_1(a, op):
+def _prop_6_1(op):
     # pull_back_state asserts each pull-back is a state; the extremal
     # image states are pulled back once per operator, their uniform
     # mixture here
@@ -811,18 +798,18 @@ def _prop_6_1(a, op):
     return None
 
 
-def _prop_6_2(a, op):
+def _prop_6_2(op):
     pulled_back_extremal_states(op)  # asserts morphisms keep extremality
     return None
 
 
-def _thm_6_4(a, op):
+def _thm_6_4(op):
     if not sigma_compatible_correspondence(op).bijection_ok:
         return "correspondence fails"
     return None
 
 
-def _cor_6_5(a, op):
+def _cor_6_5(op):
     # finite-instance content only: compatible mixtures lie in the hull
     # of the extremal compatible states (no topology is certified)
     points = sigma_compatible_correspondence(op).compatible_extremal
@@ -1010,7 +997,8 @@ def run_suite(
     *,
     workers: int = 1,
 ) -> SuiteReport:
-    """Run (claim, instance) tasks one after another, in stable order."""
+    """Run (claim, instance) tasks one after another, in stable order, and
+    grade the value of each check into its record."""
     # ``workers`` stays only for perfbench, which passes workers=1; drop both together
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
@@ -1031,25 +1019,30 @@ def run_suite(
                 if claim.applies(inst):
                     tasks.append((claim, inst, None))
             except InternalCheckError as exc:
-                tasks.append((claim, inst, CheckResult(FAIL, f"internal cross-check: {exc}")))
+                tasks.append((claim, inst, f"internal cross-check: {exc}"))
 
+    # the one grader: a check's value (see the module docstring) -> a record
     records = []
-    for claim, inst, result in tasks:
+    for claim, inst, found in tasks:
         start = perf_counter()
-        if result is None:
+        if found is None:  # the filter passed: run the check
             try:
                 if claim.over is None:
-                    result = claim.check(inst)
+                    found = claim.check(inst)
                 else:
-                    result = _over_pool(inst, claim.check, claim.over)
+                    found = _over_pool(inst, claim.check, claim.over)
             except InternalCheckError as exc:
-                result = CheckResult(FAIL, f"internal cross-check: {exc}")
+                found = f"internal cross-check: {exc}"
+        if isinstance(found, CheckOutcome):
+            verdict, witness = _VERDICTS[found.holds], found.witness
+        else:
+            verdict, witness = (PASS, "") if found is None else (FAIL, found)
         records.append(
             SuiteRecord(
                 claim_id=claim.claim_id,
                 instance=inst.name,
-                verdict=result.verdict,
-                witness=result.witness,
+                verdict=verdict,
+                witness=witness,
                 elapsed=perf_counter() - start,
             )
         )

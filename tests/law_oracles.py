@@ -17,8 +17,6 @@ from blstate.algebra import (
 )
 from blstate.filters import radical
 from blstate.operators import identity_table
-from blstate.suite import FAIL, PASS, CheckResult
-
 from .oracles import first_unpreserved_pair
 
 
@@ -42,10 +40,6 @@ def _lbl(algebra: FiniteBLAlgebra, x: int) -> str:
     return algebra.labels[x]
 
 
-def _bool_result(ok: bool, witness: str = "") -> CheckResult:
-    return CheckResult(PASS if ok else FAIL, "" if ok else witness)
-
-
 def _leq_pairs(a: FiniteBLAlgebra):
     return [(x, y) for x in range(a.size) for y in range(a.size) if a.le(x, y)]
 
@@ -59,8 +53,8 @@ def _prop_2_2_1(inst):
         px, py = a.prod[x], a.prod[y]
         for c, d in pairs:
             if not leq[px[c]][py[d]]:
-                return _bool_result(False, f"monotonicity of prod at {x},{y},{c},{d}")
-    return _bool_result(True)
+                return f"monotonicity of prod at {x},{y},{c},{d}"
+    return None
 
 
 def _prop_2_2_2(inst):
@@ -68,32 +62,32 @@ def _prop_2_2_2(inst):
     for (x, y) in _leq_pairs(a):
         for c in range(a.size):
             if not a.le(a.impl[c][x], a.impl[c][y]):
-                return _bool_result(False, f"monotonicity of impl at {c},{x},{y}")
-    return _bool_result(True)
+                return f"monotonicity of impl at {c},{x},{y}"
+    return None
 
 
 def _prop_2_2_3(inst):
     a = inst.algebra
     for x, y in iproduct(range(a.size), repeat=2):
         if a.impl[x][a.neg(y)] != a.neg(a.prod[x][y]):
-            return _bool_result(False, f"a->b- = (a*b)- fails at {x},{y}")
-    return _bool_result(True)
+            return f"a->b- = (a*b)- fails at {x},{y}"
+    return None
 
 
 def _prop_2_2_4(inst):
     a = inst.algebra
     for x, y in iproduct(range(a.size), repeat=2):
         if a.impl[x][a.meet[x][y]] != a.impl[x][y]:
-            return _bool_result(False, f"a->(a^b) = a->b fails at {x},{y}")
-    return _bool_result(True)
+            return f"a->(a^b) = a->b fails at {x},{y}"
+    return None
 
 
 def _prop_2_2_5(inst):
     a = inst.algebra
     for x, y, c in iproduct(range(a.size), repeat=3):
         if not a.le(a.impl[x][y], a.impl[a.prod[x][c]][a.prod[y][c]]):
-            return _bool_result(False, f"a->b <= a*c->b*c fails at {x},{y},{c}")
-    return _bool_result(True)
+            return f"a->b <= a*c->b*c fails at {x},{y},{c}"
+    return None
 
 
 def _prop_2_2_6(inst):
@@ -101,8 +95,8 @@ def _prop_2_2_6(inst):
     a = inst.algebra
     for x, y, c in iproduct(range(a.size), repeat=3):
         if a.impl[x][a.impl[y][c]] != a.impl[a.prod[x][y]][c]:
-            return _bool_result(False, f"residuation law fails at {x},{y},{c}")
-    return _bool_result(True)
+            return f"residuation law fails at {x},{y},{c}"
+    return None
 
 
 def _s2_orthogonality(inst):
@@ -112,16 +106,16 @@ def _s2_orthogonality(inst):
         c2 = a.le(x, a.neg(y))
         c3 = a.prod[x][y] == a.bottom
         if not (c1 == c2 == c3):
-            return _bool_result(False, f"orthogonality forms disagree at {x},{y}")
-    return _bool_result(True)
+            return f"orthogonality forms disagree at {x},{y}"
+    return None
 
 
 def _s2_partial_sum(inst):
     a = inst.algebra
     for x, y in iproduct(range(a.size), repeat=2):
         if a.prod[x][y] == a.bottom and _partial_sum(a, x, y) != _partial_sum(a, y, x):
-            return _bool_result(False, f"partial sum not symmetric at {x},{y}")
-    return _bool_result(True)
+            return f"partial sum not symmetric at {x},{y}"
+    return None
 
 
 def _l35_a(a, op):

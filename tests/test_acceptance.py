@@ -150,7 +150,7 @@ def test_criterion_07_class_theorems(corpus):
     # positive instance: the 4-element example
     a, sigma = four_element_example()
     op = verify_operator(a, sigma)
-    cls = classify_state_algebra(a, op)
+    cls = classify_state_algebra(op)
     assert cls.ssbl_simple
     assert cls.ker == frozenset({2, 3}) and cls.ker in maximal_filters(a)
     _report(7, "class-level theorems hold; the example instantiates them positively", perf_counter() - start)

@@ -42,7 +42,6 @@ from blstate.suite import (
     FAIL,
     LEMMA_3_5_M,
     REGISTRY,
-    CheckResult,
     _idempotent_endomorphism,
     run_suite,
 )
@@ -121,7 +120,7 @@ def _with_entry(algebra, table, x, y, v):
 )
 def test_instance_law_witness_text(claim, table, x, y, v, witness):
     inst = SimpleNamespace(algebra=_with_entry(M3, table, x, y, v))
-    assert CHECKS[claim](inst) == CheckResult(FAIL, witness)
+    assert CHECKS[claim](inst) == witness
 
 
 @pytest.mark.parametrize(
@@ -159,7 +158,7 @@ def test_instance_law_witness_text(claim, table, x, y, v, witness):
 )
 def test_operator_law_witness_text(claim, algebra, table, witness):
     check = _idempotent_endomorphism if claim == "Prop-4.9" else CHECKS[claim]
-    assert check(algebra, verify_operator(algebra, table)) == witness
+    assert check(verify_operator(algebra, table)) == witness
 
 
 @pytest.mark.parametrize(
@@ -219,11 +218,11 @@ def test_operator_laws_match_the_loops(a, data):
         for t in (state_table, changed):
             op = verify_operator(a, t)
             for claim, loop in OPERATOR_ORACLES.items():
-                assert CHECKS[claim](a, op) == loop(a, op), claim
+                assert CHECKS[claim](op) == loop(a, op), claim
             if op.is_state:
                 for claim, loop in STATE_POOL_ORACLES.items():
-                    assert CHECKS[claim](a, op) == loop(a, op), claim
-                assert _idempotent_endomorphism(a, op) == oracle._idempotent_endomorphism(a, op)
+                    assert CHECKS[claim](op) == loop(a, op), claim
+                assert _idempotent_endomorphism(op) == oracle._idempotent_endomorphism(a, op)
             for ax in OPERATOR_AXIOMS:
                 assert witness(AXIOM_LAWS[ax], a, t) == oracle._axiom_scan(a, t, ax), ax
             if is_mv:

@@ -221,7 +221,7 @@ def test_kernel_and_faithfulness():
     a, sigma = four_element_example()
     for table, ker, faithful in ((sigma, {2, 3}, False), (identity_table(a), {3}, True)):
         op = verify_operator(a, table)
-        report = classify_state_algebra(a, op)
+        report = classify_state_algebra(op)
         assert report.ker == frozenset(ker) and op.is_faithful == faithful
         assert report.radical_faithful
 
@@ -229,10 +229,10 @@ def test_kernel_and_faithfulness():
 def test_state_filter_generation():
     a, sigma = four_element_example()
     op = verify_operator(a, sigma)
-    assert state_filter_generated(a, op, {a.top}) == frozenset({3})
-    assert state_filter_generated(a, op, {2}) == frozenset({2, 3})
-    assert state_filter_generated(a, op, {1}) == frozenset(range(4))
-    [ext] = state_filter_closures(a, op, [], [(subset_mask({3}), 2)])
+    assert state_filter_generated(op, {a.top}) == frozenset({3})
+    assert state_filter_generated(op, {2}) == frozenset({2, 3})
+    assert state_filter_generated(op, {1}) == frozenset(range(4))
+    [ext] = state_filter_closures(op, [], [(subset_mask({3}), 2)])
     assert mask_members(ext) == frozenset({2, 3})
 
 
@@ -242,9 +242,9 @@ def test_state_filter_seeds_out_of_range_are_a_value_error(bad):
     a, sigma = four_element_example()
     op = verify_operator(a, sigma)
     with pytest.raises(ValueError, match="seed element out of range"):
-        state_filter_generated(a, op, {bad})
+        state_filter_generated(op, {bad})
     with pytest.raises(ValueError, match="seed must be nonempty"):
-        state_filter_generated(a, op, set())
+        state_filter_generated(op, set())
 
 
 @pytest.mark.parametrize(
@@ -257,7 +257,7 @@ def test_state_filter_closures_validate_their_seeds(seed, reason):
     a, sigma = four_element_example()
     op = verify_operator(a, sigma)
     with pytest.raises(ValueError, match=reason):
-        state_filter_closures(a, op, [seed], [])
+        state_filter_closures(op, [seed], [])
 
 
 @pytest.mark.parametrize(
@@ -268,7 +268,7 @@ def test_state_filter_extensions_are_validated(pair, reason):
     a, sigma = four_element_example()
     op = verify_operator(a, sigma)
     with pytest.raises(ValueError, match=re.escape(f"extension {pair}: ") + ".*" + reason):
-        state_filter_closures(a, op, [], [pair])
+        state_filter_closures(op, [], [pair])
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,9 +285,7 @@ def test_least_element_reading_matches_the_monoid_closure(a):
         extensions = [
             (f, x) for f in state_filters(a, t) if len(f) < a.size for x in rng if x not in f
         ]
-        masks = state_filter_closures(
-            a, op, seeds, [(subset_mask(f), x) for f, x in extensions]
-        )
+        masks = state_filter_closures(op, seeds, [(subset_mask(f), x) for f, x in extensions])
         expected = [state_filter_by_monoid_closure(a, t, seed) for seed in seeds] + [
             state_filter_extension_by_powers(a, t, f, x) for f, x in extensions
         ]
@@ -312,15 +310,15 @@ def test_state_filter_closures_match_subset_scan(a):
         closed = [f for f in filters if all(t[x] in f for x in f)]
         for x in range(a.size):
             seed = frozenset({x})
-            assert state_filter_generated(a, op, seed) == least_closed(closed, seed)
+            assert state_filter_generated(op, seed) == least_closed(closed, seed)
             for y in range(x + 1, a.size):
                 seed = frozenset({x, y})
-                assert state_filter_generated(a, op, seed) == least_closed(closed, seed)
+                assert state_filter_generated(op, seed) == least_closed(closed, seed)
         for f in closed:
             if f == everything:
                 continue
             for elem in everything - f:
-                [ext] = state_filter_closures(a, op, [], [(subset_mask(f), elem)])
+                [ext] = state_filter_closures(op, [], [(subset_mask(f), elem)])
                 assert mask_members(ext) == least_closed(closed, f | {elem})
 
 
@@ -341,7 +339,7 @@ def test_operator_image_and_classification():
     image, pos, fixed = operator_image(op)
     assert fixed == (0, 1, 3)
     assert image.same_tables(mv_chain(2))
-    report = classify_state_algebra(a, op)
+    report = classify_state_algebra(op)
     assert report.ssbl_simple and report.sssbl_semisimple and report.radical_faithful
     assert report.ker == frozenset({2, 3})
     assert not report.failed()
@@ -427,7 +425,7 @@ def test_identity_image_is_its_carrier(monkeypatch):
 def test_identity_on_product_is_not_simple():
     square = direct_product(mv_chain(1), mv_chain(1))
     ident = verify_operator(square, identity_table(square))
-    report = classify_state_algebra(square, ident)
+    report = classify_state_algebra(ident)
     assert not report.ssbl_simple
     assert report.ker not in maximal_filters(square)
     assert not report.failed()

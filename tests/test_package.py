@@ -1,6 +1,6 @@
 """Package shape: the library runs single-threaded on the standard library,
 the suite grades library cross-checks and walks the operator pool in one
-place, its pointwise laws go
+place, every check takes one subject, its pointwise laws go
 through the law engine, and the benchmark's layers name code that exists."""
 
 import ast
@@ -10,7 +10,8 @@ import json
 from pathlib import Path
 
 import blstate
-from blstate.suite import CLAIM_IDS
+from blstate import suite
+from blstate.suite import CLAIM_IDS, REGISTRY
 
 FORBIDDEN = ("numpy", "concurrent.futures", "threading")
 
@@ -81,6 +82,15 @@ def test_only_over_pool_walks_an_operator_pool():
                 if name in callers:
                     callers[name].add(getattr(node, "name", None))
     assert callers == {"pool": {"_pool"}, "_pool": {"_over_pool"}}
+
+
+def test_every_check_takes_one_subject_and_the_suite_has_one_outcome_type():
+    # a check takes the instance, or its operator, which carries its own
+    # algebra; it returns None, a witness or a ``CheckOutcome``, and
+    # ``run_suite`` alone turns that into a record
+    for claim in REGISTRY:
+        assert len(inspect.signature(claim.check).parameters) == 1, claim.claim_id
+    assert not hasattr(suite, "CheckResult")
 
 
 def _compares_with_256(tree):

@@ -279,6 +279,20 @@ def test_mix_states_refuses_states_of_two_carriers():
         mix_states([extremal_states(square)[0], extremal_states(chain)[0]], [F(1), F(0)])
 
 
+@pytest.mark.parametrize(
+    "points, target",
+    [
+        (mv_chain(1), mv_chain(2)),  # fewer point values than target values
+        (mv_chain(2), mv_chain(1)),  # more point values than target values
+        (godel_chain(3), mv_chain(2)),  # as many values, on another carrier
+    ],
+    ids=["smaller-points", "larger-points", "same-size"],
+)
+def test_the_hull_test_refuses_points_and_target_of_two_carriers(points, target):
+    with pytest.raises(ValueError, match="one carrier"):
+        convex_coefficients(extremal_states(points), extremal_states(target)[0])
+
+
 def test_a_pulled_back_extremal_state_restricts_to_its_source_object():
     b = mv_chain(1)
     square = direct_product(b, b)

@@ -183,11 +183,11 @@ def _graded_with(monkeypatch, change):
     outcome of the identity's real classification goes through ``change``."""
     inst = _mv_instance(3)
     [(_, op)] = inst.pool()
-    real = suite._state_classification(op)
+    real = suite.classify_state_algebra(op)
     # a radical-faithful morphism: the classification emits every outcome
     assert sorted(c.claim for c in real.checks) == sorted(OUTCOME_CLAIMS)
     forged = dataclasses.replace(real, checks=tuple(map(change, real.checks)))
-    monkeypatch.setattr(suite, "_state_classification", lambda op: forged)
+    monkeypatch.setattr(suite, "classify_state_algebra", lambda op: forged)
     report = run_suite([inst], set(OUTCOME_CLAIMS.values()))
     return {r.claim_id: (r.verdict, r.witness) for r in report.records}
 
@@ -349,15 +349,15 @@ def test_a_cold_run_checks_prop_5_4_in_one_kernel_call_per_operator(monkeypatch)
     calls = []
     real = suite.state_filter_closures
 
-    def counting(algebra, op, *args):
-        calls.append((id(algebra), id(op)))
-        return real(algebra, op, *args)
+    def counting(op, *args):
+        calls.append(id(op))
+        return real(op, *args)
 
     monkeypatch.setattr(suite, "state_filter_closures", counting)
     monkeypatch.setattr(operators, "state_filter_generated", lambda *args: calls.append("one seed"))
     report = run_suite(corpus)
     assert report.failures == []
-    pooled = [(id(inst.algebra), id(op)) for inst in corpus for _, op in suite._pool(inst, "state")]
+    pooled = [id(op) for inst in corpus for _, op in suite._pool(inst, "state")]
     assert sorted(calls) == sorted(pooled)
     assert len(calls) == len(set(calls)) == 48
 
