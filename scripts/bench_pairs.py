@@ -20,10 +20,13 @@ better (every metric is lower-is-better) and the change of the median
 in percent.  With ``--trace-seed N``, each checkout then makes one
 ``--trace 1`` run per workload on seed N, and every per-layer metric of
 its last line is recorded under ``"layers"`` with the parent's value,
-the change's value and the change in percent.  The tier-1 tests (``pytest --durations=5``) then run once
-in each checkout, and their wall time, summary line and five slowest
-tests are recorded.  Last, one child process per checkout enumerates
-the state and endomorphism operators of each rung of the enum-ladder
+the change's value and the change in percent.  The tier-1 tests
+(``pytest --durations=5``) then run once in each checkout, and their
+wall time, summary line, number of passed tests and five slowest tests
+are recorded, with each side's line count of ``src/blstate/*.py`` (what
+``cat src/blstate/*.py | wc -l`` prints) under ``"src_lines"``.  Last,
+one child process per checkout enumerates the state and endomorphism
+operators of each rung of the enum-ladder
 (built with ``blstate.constructors``) and prints the search's
 ``(nodes, leaves, rejected, tried, orbits)``; both sides' counts are
 recorded under ``"work_counts"`` with whether they are equal, so a
@@ -154,6 +157,7 @@ def trace_workload(roots: dict[str, Path], workload: str, seed: int, seconds: fl
 
 
 _DURATION = re.compile(r"^\s*(\d+(?:\.\d+)?)s\s+(call|setup|teardown)\s+(\S+)")
+_PASSED = re.compile(r"\b(\d+) passed\b")
 
 
 def slowest_tests(pytest_output: str) -> list[dict]:
@@ -163,6 +167,18 @@ def slowest_tests(pytest_output: str) -> list[dict]:
         for m in map(_DURATION.match, pytest_output.splitlines())
         if m
     ]
+
+
+def passed_count(summary: str) -> int:
+    """The number of passed tests in pytest's summary line (0 if none)."""
+    m = _PASSED.search(summary)
+    return int(m.group(1)) if m else 0
+
+
+def source_lines(root: Path) -> int:
+    """The newlines in the checkout's ``src/blstate/*.py``, as
+    ``cat src/blstate/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "blstate").glob("*.py"))
 
 
 def run_tier1(root: Path) -> dict:
@@ -175,10 +191,12 @@ def run_tier1(root: Path) -> dict:
     )
     wall = time.monotonic() - began
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    summary = lines[-1] if lines else ""
     return {
         "wall_s": round(wall, 2),
         "exit_code": proc.returncode,
-        "summary": lines[-1] if lines else "",
+        "summary": summary,
+        "passed": passed_count(summary),
         "slowest": slowest_tests(proc.stdout),
     }
 
@@ -274,6 +292,7 @@ def main(argv=None) -> int:
             for w in spec["workloads"]
         }
     report["tier1"] = {side: run_tier1(root) for side, root in roots.items()}
+    report["src_lines"] = {side: source_lines(root) for side, root in roots.items()}
     report["work_counts"] = compare_counts(roots)
     text = json.dumps(report, indent=1) + "\n"
     if args.out:

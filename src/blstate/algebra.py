@@ -75,6 +75,12 @@ class BLAxiomError(Exception):
         self.violation = violation
 
 
+def translation(row: bytes) -> bytes:
+    """``row`` padded to 256 bytes, a table for ``bytes.translate``: it
+    maps each value v < len(row) to ``row[v]``."""
+    return row + bytes(256 - len(row))
+
+
 def as_table(rows: Iterable[Iterable[int]]) -> Table:
     return tuple(tuple(map(int, row)) for row in rows)
 
@@ -190,22 +196,23 @@ class FiniteBLAlgebra:
 
     @cached_property
     def byte_rows(self) -> tuple[tuple[bytes, ...], ...]:
-        """meet, join, prod and impl with every row as ``bytes``.
-
-        Only for carriers of at most 256 elements; the row kernels of the
-        laws (``Law.rows``) read them.
+        """meet, join, prod, impl and the order (``leq`` as 0 and 1) with
+        every row as ``bytes``: the one format of the row kernels of the
+        laws (``Law.rows``), for carriers of at most 256 elements.
         """
-        return tuple(tuple(map(bytes, t)) for t in (self.meet, self.join, self.prod, self.impl))
+        rows = tuple(tuple(map(bytes, t)) for t in (self.meet, self.join, self.prod, self.impl))
+        leq = tuple(m.translate(translation(bytes(x) + b"\1")) for x, m in enumerate(rows[0]))
+        return (*rows, leq)
 
     @cached_property
     def padded_rows(self) -> tuple[tuple[bytes, ...], ...]:
-        """``byte_rows`` with every row padded to 256 bytes, a translation
-        table: ``u.translate(row)`` is ``u`` through the row (``_padded``)."""
-        return tuple(tuple(_padded(rows)) for rows in self.byte_rows)
+        """``byte_rows`` with every row a ``translation`` table:
+        ``u.translate(row)`` is ``u`` through the row."""
+        return tuple(tuple(map(translation, rows)) for rows in self.byte_rows)
 
     @cached_property
     def flat_rows(self) -> tuple[bytes, ...]:
-        """meet, join, prod and impl each as one ``bytes``, row after row."""
+        """Each table of ``byte_rows`` as one ``bytes``, row after row."""
         return tuple(map(b"".join, self.byte_rows))
 
     @cached_property
@@ -333,10 +340,10 @@ def _pairs(table: Table) -> tuple:
     each group ``(select, lookup)`` covers w rows: ``select`` marks the
     values r of the group, and ``lookup`` is those rows flattened."""
     n = len(table)
-    w, pad = 256 // n, bytes(256 - n)
-    return bytes(v % w * n for v in range(n)) + pad, [
-        (bytes(v // w == h // w for v in range(n)) + pad,
-         (flat := b"".join(map(bytes, table[h:h + w]))) + bytes(256 - len(flat)))
+    w = 256 // n
+    return translation(bytes(v % w * n for v in range(n))), [
+        (translation(bytes(v // w == h // w for v in range(n))),
+         translation(b"".join(map(bytes, table[h:h + w]))))
         for h in range(0, n, w)
     ]
 
@@ -432,16 +439,12 @@ def violation(
 
 # ---------------------------------------------------------------------------
 # the BL laws of sealing: each row kernel reads the tables by their index
-# in ``byte_rows`` (meet 0, join 1, prod 2, impl 3) and decides its law
-# alone, as the candidate tables are not sealed; ``t`` is unused
+# in ``byte_rows`` (meet 0, join 1, prod 2, impl 3, leq 4), and their
+# ``padded_rows`` and ``flat_rows``, built once per candidate, and decides
+# its law alone, as the candidate tables are not sealed; ``t`` is unused
 
 
 _ZERO = b"\1" + bytes(255)  # translation table: 1 at a zero byte, else 0
-
-
-def _padded(rows: Sequence[bytes]) -> Iterable[bytes]:
-    """The rows as translation tables: ``u.translate(row)`` is u through the row."""
-    return map(bytes.__add__, rows, repeat(bytes(256 - len(rows))))
 
 
 def _picked(rows: Sequence[bytes], by: Iterable[bytes]) -> Iterable[bytes]:
@@ -449,8 +452,9 @@ def _picked(rows: Sequence[bytes], by: Iterable[bytes]) -> Iterable[bytes]:
     return map(b"".join, map(map, repeat(rows.__getitem__), by))
 
 
-def _columns(rows: Sequence[bytes]) -> tuple[bytes, ...]:
-    flat, n = b"".join(rows), len(rows)
+def _columns(a: FiniteBLAlgebra, k: int) -> tuple[bytes, ...]:
+    """The columns of the k-th table of ``byte_rows``."""
+    flat, n = a.flat_rows[k], a.size
     return tuple(flat[c::n] for c in range(n))
 
 
@@ -463,35 +467,33 @@ def _associative_rows(k: int, a: FiniteBLAlgebra, t) -> bool:
     # for each x, over the (y, z) grid: T(x, T(y, z)) is the flat table
     # through row x, T(T(x, y), z) the rows that row x picks
     rows = a.byte_rows[k]
-    return all(map(bytes.__eq__, map(b"".join(rows).translate, _padded(rows)), _picked(rows, rows)))
+    through = map(a.flat_rows[k].translate, a.padded_rows[k])
+    return all(map(bytes.__eq__, through, _picked(rows, rows)))
 
 
 def _absorption_rows(outer: int, inner: int, a: FiniteBLAlgebra, t) -> bool:
     # for each x, over y: row x of inner through row x of outer is x
-    through = map(bytes.translate, a.byte_rows[inner], _padded(a.byte_rows[outer]))
+    through = map(bytes.translate, a.byte_rows[inner], a.padded_rows[outer])
     return b"".join(through) == _grid(a.size, 2)[0]
 
 
 def _one_order_rows(a: FiniteBLAlgebra, t) -> bool:
     # meet(x, y) == x against join(x, y) == y, over the (x, y) grid
     xs, ys = _grid(a.size, 2)
-    return _equal(b"".join(a.byte_rows[0]), xs) == _equal(b"".join(a.byte_rows[1]), ys)
+    return _equal(a.flat_rows[0], xs) == _equal(a.flat_rows[1], ys)
 
 
 def _adjointness_rows(a: FiniteBLAlgebra, t) -> bool:
     # for each z, over the (x, y) grid: leq[z][impl[x][y]] is the flat impl
     # table through row z of leq, leq[prod[x][z]][y] the rows of leq that
     # column z of prod picks
-    meet, _, prod, impl = a.byte_rows
-    leq = [m.translate(bytes(x) + b"\1" + bytes(255 - x)) for x, m in enumerate(meet)]
-    through = map(b"".join(impl).translate, _padded(leq))
-    return all(map(bytes.__eq__, through, _picked(leq, _columns(prod))))
+    through = map(a.flat_rows[3].translate, a.padded_rows[4])
+    return all(map(bytes.__eq__, through, _picked(a.byte_rows[4], _columns(a, 2))))
 
 
 def _prelinearity_rows(a: FiniteBLAlgebra, t) -> bool:
     # join[impl[x][y]][impl[y][x]] over the (x, y) grid, one _pairwise lookup
-    impl = a.byte_rows[3]
-    both = _pairwise(_pairs(a.join), b"".join(impl), b"".join(_columns(impl)))
+    both = _pairwise(_pairs(a.join), a.flat_rows[3], b"".join(_columns(a, 3)))
     return both == bytes((a.top,)) * (a.size * a.size)
 
 
@@ -499,9 +501,9 @@ def _prelinearity_rows(a: FiniteBLAlgebra, t) -> bool:
 _SEALING = (
     ("lattice", (
         Law("meet not commutative", lambda meet, x, y: meet[x][y] == meet[y][x],
-            lambda a, t: a.byte_rows[0] == _columns(a.byte_rows[0])),
+            lambda a, t: a.byte_rows[0] == _columns(a, 0)),
         Law("join not commutative", lambda join, x, y: join[x][y] == join[y][x],
-            lambda a, t: a.byte_rows[1] == _columns(a.byte_rows[1])),
+            lambda a, t: a.byte_rows[1] == _columns(a, 1)),
     )),
     ("lattice", (
         Law("meet not associative",
@@ -527,21 +529,20 @@ _SEALING = (
                      lambda meet, join, x, y: (meet[x][y] == x) == (join[x][y] == y),
                      _one_order_rows),)),
     ("monoid", (Law("prod not commutative", lambda prod, x, y: prod[x][y] == prod[y][x],
-                    lambda a, t: a.byte_rows[2] == _columns(a.byte_rows[2])),)),
+                    lambda a, t: a.byte_rows[2] == _columns(a, 2)),)),
     ("monoid", (Law("prod not associative",
                     lambda prod, x, y, z: prod[prod[x][y]][z] == prod[x][prod[y][z]],
                     partial(_associative_rows, 2)),)),
     # column top of prod is the identity
     ("monoid", (Law("top is not the monoid unit", lambda prod, top, x: prod[x][top] == x,
-                    lambda a, t: (b"".join(a.byte_rows[2])[a.top::a.size]
-                                  == bytes(range(a.size)))),)),
+                    lambda a, t: a.flat_rows[2][a.top::a.size] == bytes(range(a.size))),)),
     # z <= impl(x, y) iff prod(x, z) <= y
     ("adjointness", (Law("", lambda meet, prod, impl, x, y, z: (
         (meet[z][impl[x][y]] == z) == (meet[prod[x][z]][y] == prod[x][z])), _adjointness_rows),)),
     # row x of impl through row x of prod is row x of meet
     ("divisibility", (Law("", lambda meet, prod, impl, x, y: meet[x][y] == prod[x][impl[x][y]],
                           lambda a, t: tuple(map(bytes.translate, a.byte_rows[3],
-                                                 _padded(a.byte_rows[2]))) == a.byte_rows[0]),)),
+                                                 a.padded_rows[2])) == a.byte_rows[0]),)),
     ("prelinearity", (Law("", lambda join, impl, top, x, y: join[impl[x][y]][impl[y][x]] == top,
                           _prelinearity_rows),)),
 )

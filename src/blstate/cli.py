@@ -170,14 +170,18 @@ def _cmd_filters(args) -> int:
 
 
 def _pick_operator(operators, name):
+    """The ``--operator`` (or None), looked up before a command prints anything."""
+    if not name:
+        return None
     if name not in operators:
         known = ", ".join(sorted(operators)) or "(none)"
-        raise KeyError(f"unknown operator {name!r}; available: {known}")
+        raise ValueError(f"unknown operator {name!r}; available: {known}")
     return operators[name]
 
 
 def _cmd_classify(args) -> int:
     algebra, operators = _load(args.file)
+    op = _pick_operator(operators, args.operator)
     cls = classify_algebra(algebra)
     print(
         f"simple={cls.simple} semisimple={cls.semisimple} local={cls.local}"
@@ -185,8 +189,7 @@ def _cmd_classify(args) -> int:
     )
     print(f"radical: {_fmt_set(algebra, cls.radical)}")
     print(f"maximal filters: {len(cls.maximal_filters)}")
-    if args.operator:
-        op = _pick_operator(operators, args.operator)
+    if op is not None:
         print(f"operator {args.operator}: class={op.verified_class}")
         if op.verified_class == "none":
             ax, w = op.witnesses[0]
@@ -212,18 +215,16 @@ def _cmd_classify(args) -> int:
 
 def _cmd_states(args) -> int:
     algebra, operators = _load(args.file)
+    op = _pick_operator(operators, args.operator)
     if algebra.size == 1:
         # no state exists: s(0) = 0 and s(1) = 1, but here 0 = 1
         print("0 extremal state(s)")
-        if args.operator:
-            _pick_operator(operators, args.operator)  # an unknown name is still an error
         return 0
     ext = extremal_states(algebra)
     print(f"{len(ext)} extremal state(s)")
     for st in ext:
         print(", ".join(format_fraction(v) for v in st.values))
-    if args.operator:
-        op = _pick_operator(operators, args.operator)
+    if op is not None:
         if not op.is_state:
             print(f"FAIL {args.operator} is not a state operator")
             return 1

@@ -23,6 +23,7 @@ from .algebra import (
     Table,
     holds,
     memoized,
+    translation,
     verify_bl_axioms,
     witness,
 )
@@ -223,7 +224,7 @@ def _congruent(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
     the flat table through t equals, row x after row x, t through row
     t[x], then through t."""
     rep = bytes(t)
-    s = rep + bytes(256 - a.size)
+    s = translation(rep)
     through = b"".join(map(rep.translate, map(a.padded_rows[k].__getitem__, rep)))
     return a.flat_rows[k].translate(s) == through.translate(s)
 

@@ -2,15 +2,20 @@
 
 Each instance packages a sealed algebra with its named operators (and,
 for small carriers, the fully enumerated state-operator list), plus the
-shape metadata that lets shape-specific claims run.
+shape metadata that lets shape-specific claims run.  ``_instance`` is
+the one builder, for the built-in corpus and ``load_corpus_dir`` alike,
+and an instance is a frozen value: its maps are read-only and its pool
+is built once, on first use, and memoized on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
-from .algebra import FiniteBLAlgebra, classify_variety
+from .algebra import FiniteBLAlgebra, memoized
 from .constructors import (
     Homomorphism,
     diagonal_operator_table,
@@ -22,6 +27,7 @@ from .constructors import (
     pair_index,
     sigma_h_table,
 )
+from .document import parse_algebra, realize_document
 from .operators import (
     StateOperator,
     chain_product_sum,
@@ -38,6 +44,8 @@ from .states import RationalState
 # carriers up to this size get their state operators fully enumerated
 ENUMERATION_LIMIT = 9
 
+_EMPTY = MappingProxyType({})  # the default of every map
+
 
 @dataclass(frozen=True)
 class PinnedRejection:
@@ -49,91 +57,81 @@ class PinnedRejection:
     square_of_sigma: int     # expected sigma(x)*sigma(x)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusInstance:
     name: str
     algebra: FiniteBLAlgebra
-    operators: dict[str, StateOperator] = field(default_factory=dict)
-    rejected: dict[str, StateOperator] = field(default_factory=dict)
-    states: dict[str, RationalState] = field(default_factory=dict)
+    operators: Mapping[str, StateOperator] = field(default_factory=lambda: _EMPTY)
+    rejected: Mapping[str, StateOperator] = field(default_factory=lambda: _EMPTY)
+    states: Mapping[str, RationalState] = field(default_factory=lambda: _EMPTY)
     shape: ChainProductSum | None = None
     diag_base: FiniteBLAlgebra | None = None
     hom: Homomorphism | None = None
     pinned_rejection: PinnedRejection | None = None
     enumerated: tuple[StateOperator, ...] | None = None
-    # (key, sources, pool) of the last ``pool()``; see there
-    _pooled: tuple = field(default=(None, None, ()), init=False, repr=False, compare=False)
 
-    @property
-    def variety(self):
-        return classify_variety(self.algebra)
-
+    @memoized
     def pool(self) -> tuple[tuple[str, StateOperator], ...]:
         """Named verified operators plus any enumerated ones, deduplicated.
 
-        The pool is built once and kept until ``operators`` or
-        ``enumerated`` changes.  It is keyed by the names and the ids of
-        the objects it was built from; it keeps those objects alive, so
-        no id in the key can be reused by another object.
+        Built on the first call and memoized on the instance, which is
+        frozen, so the pool is never stale; ``dataclasses.replace``
+        makes a new instance, which builds its own.
         """
-        sources = (tuple(self.operators.values()), self.enumerated)
-        key = (tuple(self.operators), tuple(map(id, sources[0])), id(self.enumerated))
-        if self._pooled[0] != key:
-            out = [(name, op) for name, op in self.operators.items() if op.is_state]
-            seen = {op.table for _, op in out}
-            for i, op in enumerate(self.enumerated or ()):
-                if op.table not in seen:
-                    out.append((f"enum_{i}", op))
-                    seen.add(op.table)
-            self._pooled = (key, sources, tuple(out))
-        return self._pooled[2]
+        out = [(name, op) for name, op in self.operators.items() if op.is_state]
+        seen = {op.table for _, op in out}
+        for i, op in enumerate(self.enumerated or ()):
+            if op.table not in seen:
+                out.append((f"enum_{i}", op))
+                seen.add(op.table)
+        return tuple(out)
 
 
-def _with_enumeration(inst: CorpusInstance) -> CorpusInstance:
-    if inst.algebra.size <= ENUMERATION_LIMIT:
-        inst.enumerated = tuple(enumerate_state_operators(inst.algebra))
-    return inst
-
-
-def _identity(algebra: FiniteBLAlgebra) -> StateOperator:
-    return verify_operator(algebra, identity_table(algebra))
+def _instance(
+    name: str, algebra: FiniteBLAlgebra, named: Mapping[str, StateOperator] = _EMPTY,
+    states: Mapping[str, RationalState] = _EMPTY, **metadata,
+) -> CorpusInstance:
+    """The one builder: the identity first, then the ``named`` operators,
+    graded into ``operators`` or ``rejected`` by ``is_state``, and every
+    state operator of a carrier of at most ``ENUMERATION_LIMIT`` elements."""
+    operators, rejected = {"identity": verify_operator(algebra, identity_table(algebra))}, {}
+    for key, op in named.items():
+        (operators if op.is_state else rejected)[key] = op
+    enumerated = None
+    if algebra.size <= ENUMERATION_LIMIT:
+        enumerated = tuple(enumerate_state_operators(algebra))
+    return CorpusInstance(
+        name, algebra, MappingProxyType(operators), MappingProxyType(rejected),
+        MappingProxyType(dict(states)), enumerated=enumerated, **metadata,
+    )
 
 
 def _mv_instance(n: int) -> CorpusInstance:
-    a = mv_chain(n)
-    return _with_enumeration(
-        CorpusInstance(name=f"mv_chain({n})", algebra=a, operators={"identity": _identity(a)})
-    )
+    return _instance(f"mv_chain({n})", mv_chain(n))
 
 
 def _godel_instance(n: int) -> CorpusInstance:
     a = godel_chain(n)
-    ops = {"identity": _identity(a)}
-    seen = {ops["identity"].table}
+    floors = {}  # table -> the name of its first floor
     for x in range(a.size):
-        t = godel_floor_table(a, x)
-        if t not in seen:
-            ops[f"sigma_le_{a.labels[x]}"] = verify_operator(a, t)
-            seen.add(t)
-    return _with_enumeration(CorpusInstance(name=f"godel_chain({n})", algebra=a, operators=ops))
+        floors.setdefault(godel_floor_table(a, x), f"sigma_le_{a.labels[x]}")
+    del floors[identity_table(a)]
+    return _instance(f"godel_chain({n})", a, {f: verify_operator(a, t) for t, f in floors.items()})
 
 
 def _diag_instance(name: str, base: FiniteBLAlgebra) -> CorpusInstance:
     a = direct_product(base, base)
     ops = {
-        "identity": _identity(a),
         "sigma_diag_left": verify_operator(a, diagonal_operator_table(base, 1)),
         "sigma_diag_right": verify_operator(a, diagonal_operator_table(base, 2)),
     }
-    return _with_enumeration(
-        CorpusInstance(name=name, algebra=a, operators=ops, diag_base=base)
-    )
+    return _instance(name, a, ops, diag_base=base)
 
 
 def _shaped_instance(name: str, n: int, dims: tuple[int, ...]) -> CorpusInstance:
     shape = chain_product_sum(n, dims)
     a = shape.algebra
-    ops = {"identity": _identity(a)}
+    ops = {}
     k = len(dims)
     for mask in range(1 << k):
         js = frozenset(i for i in range(k) if mask >> i & 1)
@@ -143,37 +141,28 @@ def _shaped_instance(name: str, n: int, dims: tuple[int, ...]) -> CorpusInstance
         if a.prod[x][x] != x:
             continue
         t, covered = interval_collapse_table(a, x, shape.local_zero)
-        if covered and t not in {op.table for op in ops.values()}:
+        if covered and t not in {identity_table(a), *(op.table for op in ops.values())}:
             ops[f"sigma_cut_{a.labels[x]}"] = verify_operator(a, t)
-    return _with_enumeration(
-        CorpusInstance(name=name, algebra=a, operators=ops, shape=shape)
-    )
+    return _instance(name, a, ops, shape=shape)
 
 
 def _example_3_4_instance() -> CorpusInstance:
     a, sigma = four_element_example()
-    return _with_enumeration(
-        CorpusInstance(
-            name="example_3_4",
-            algebra=a,
-            operators={"identity": _identity(a), "sigma": verify_operator(a, sigma)},
-        )
-    )
+    return _instance("example_3_4", a, {"sigma": verify_operator(a, sigma)})
 
 
 def _s4xs4_instance() -> CorpusInstance:
+    # 25 elements: above the enumeration limit
     s4 = mv_chain(4)
     a = direct_product(s4, s4)
     cut = pair_index(s4, s4, 0, 4)
     table, covered = interval_collapse_table(a, cut, a.bottom)
     assert not covered
-    rejected = verify_operator(a, table)
     # catalogued witness: x=(3,1), sigma(x*x)=(0,0) != (2,0)=sigma(x)*sigma(x)
-    return CorpusInstance(
-        name="s4xs4",
-        algebra=a,
-        operators={"identity": _identity(a)},
-        rejected={"sigma_cut_(x0,x4)": rejected},
+    return _instance(
+        "s4xs4",
+        a,
+        {"sigma_cut_(x0,x4)": verify_operator(a, table)},
         pinned_rejection=PinnedRejection(
             operator="sigma_cut_(x0,x4)",
             element=pair_index(s4, s4, 3, 1),
@@ -191,14 +180,11 @@ def _godel_product_instance() -> CorpusInstance:
     h = homomorphism(g3, g3, (0, 2, 2))
     a = direct_product(g3, g3)
     ops = {
-        "identity": _identity(a),
         "sigma_h_collapse": verify_operator(a, sigma_h_table(g3, g3, h)),
         "sigma_diag_left": verify_operator(a, diagonal_operator_table(g3, 1)),
         "sigma_diag_right": verify_operator(a, diagonal_operator_table(g3, 2)),
     }
-    return _with_enumeration(
-        CorpusInstance(name="godel3xgodel3", algebra=a, operators=ops, diag_base=g3)
-    )
+    return _instance("godel3xgodel3", a, ops, diag_base=g3)
 
 
 def _sigma_h_instance() -> CorpusInstance:
@@ -208,18 +194,13 @@ def _sigma_h_instance() -> CorpusInstance:
     g4 = godel_chain(4)
     h = homomorphism(g3, g4, (0, 1, 3))
     a = direct_product(g3, g4)
-    ops = {
-        "identity": _identity(a),
-        "sigma_h": verify_operator(a, sigma_h_table(g3, g4, h)),
-    }
-    return _with_enumeration(
-        CorpusInstance(name="godel3xgodel4_h", algebra=a, operators=ops, hom=h)
-    )
+    sigma_h = verify_operator(a, sigma_h_table(g3, g4, h))
+    return _instance("godel3xgodel4_h", a, {"sigma_h": sigma_h}, hom=h)
 
 
 def default_corpus() -> tuple[CorpusInstance, ...]:
     """The built-in corpus, in deterministic order."""
-    instances = [
+    return (
         *(_mv_instance(n) for n in range(1, 6)),
         *(_godel_instance(n) for n in range(3, 6)),
         _example_3_4_instance(),
@@ -230,28 +211,15 @@ def default_corpus() -> tuple[CorpusInstance, ...]:
         _s4xs4_instance(),
         _godel_product_instance(),
         _sigma_h_instance(),
-    ]
-    return tuple(instances)
+    )
 
 
 def load_corpus_dir(path: str | Path) -> tuple[CorpusInstance, ...]:
     """Load a user corpus: every *.json algebra document in the directory."""
-    from .document import parse_algebra, realize_document
-
     base = Path(path)
     files = sorted(base.glob("*.json"))
     if not files:
         raise FileNotFoundError(f"no .json documents in {base}")
-    out = []
-    for f in files:
-        algebra, operators, states = realize_document(parse_algebra(f.read_text()))
-        inst = CorpusInstance(name=f.stem, algebra=algebra)
-        inst.operators["identity"] = _identity(algebra)
-        for name, op in operators.items():
-            if op.is_state:
-                inst.operators[name] = op
-            else:
-                inst.rejected[name] = op
-        inst.states = states
-        out.append(_with_enumeration(inst))
-    return tuple(out)
+    return tuple(
+        _instance(f.stem, *realize_document(parse_algebra(f.read_text()))) for f in files
+    )

@@ -1,15 +1,16 @@
 """State operators: verification, exhaustive enumeration, families.
 
 An operator is a total unary map given as a value table.  ``verify_operator``
-grades a table into the classes none / state / strong / morphism and
-names the witness of each failed axiom when it is first read.  The
-axioms (``AXIOM_LAWS``) and the preservation of each operation
-(``PRESERVES``, which ``is_endomorphism`` reads) are ``algebra.Law``
-data, each with a row kernel that decides it on whole rows with
-``bytes.translate`` (axiom 1 reads one entry): ``algebra.holds``
-decides, and ``algebra.witness`` scans only to name a witness.  The
-MV-operator axioms and additivity (``MV_LAWS``, ``ADDITIVITY``) have no
-kernel: the per-tuple evaluator decides them.
+finds the axioms a table fails, and ``StateOperator`` keeps only those:
+its classes (state / strong / morphism, else none) are read off them
+through ``CLASS_AXIOMS``, and the witness of each failed axiom is named
+when it is first read.  The axioms (``AXIOM_LAWS``) and the
+preservation of each operation (``PRESERVES``, which ``is_endomorphism``
+reads) are ``algebra.Law`` data, each with a row kernel that decides it
+on whole rows with ``bytes.translate`` (axiom 1 reads one entry):
+``algebra.holds`` decides, and ``algebra.witness`` scans only to name a
+witness.  The MV-operator axioms and additivity (``MV_LAWS``,
+``ADDITIVITY``) have no kernel: the per-tuple evaluator decides them.
 
 ``enumerate_operator_tables`` finds every operator of a class by
 backtracking that propagates the class's axioms instance by instance;
@@ -80,6 +81,7 @@ from .algebra import (
     classify_variety,
     holds,
     memoized,
+    translation,
     violation,
     witness,
 )
@@ -113,19 +115,19 @@ class NotMVError(Exception):
 OPERATOR_AXIOMS = ("1", "2", "3", "3s", "4", "5", "6", "7")
 
 
-def _sigma(a: FiniteBLAlgebra, t: Sequence[int]) -> tuple[bytes, bytes]:
+def _sigma(t: Sequence[int]) -> tuple[bytes, bytes]:
     """``(row, s)`` for the row kernels: sigma as ``bytes``, and the same
-    padded to a translation table, so ``r.translate(s)`` maps a whole row
+    as a ``translation`` table, so ``r.translate(s)`` maps a whole row
     ``r`` through sigma (as the kernels of the BL laws compose tables).
-    The kernels read the rows of ``a`` padded once per carrier
+    The kernels read the rows of the carrier padded once per carrier
     (``padded_rows``) and its flat tables (``flat_rows``)."""
     row = bytes(t)
-    return row, row + bytes(256 - a.size)
+    return row, translation(row)
 
 
 def _axiom_2_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
-    row, s = _sigma(a, t)
-    meet, _, _, impl = a.byte_rows
+    row, s = _sigma(t)
+    meet, _, _, impl, _ = a.byte_rows
     through = a.padded_rows[3]
     return all(
         impl[x].translate(s) == meet[x].translate(s).translate(through[v])
@@ -134,9 +136,9 @@ def _axiom_2_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
 
 
 def _axiom_3_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
-    row, s = _sigma(a, t)
+    row, s = _sigma(t)
     prod = a.byte_rows[2]
-    _, _, through_prod, through_impl = a.padded_rows
+    _, _, through_prod, through_impl, _ = a.padded_rows
     return all(
         prod[x].translate(s)
         == prod[x].translate(through_impl[x]).translate(s).translate(through_prod[v])
@@ -145,8 +147,8 @@ def _axiom_3_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
 
 
 def _axiom_3s_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
-    row, s = _sigma(a, t)
-    _, join, prod, _ = a.byte_rows
+    row, s = _sigma(t)
+    _, join, prod, _, _ = a.byte_rows
     through = a.padded_rows[2]
     neg = a.neg_table
     return all(
@@ -158,7 +160,7 @@ def _axiom_3s_rows(a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
 def _closed(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
     """The kernel of axiom 4 (k = 2, prod) or 5 (k = 3, impl): T(sigma(x),
     sigma(y)) is a fixed point, for each image value sigma(x)."""
-    row, s = _sigma(a, t)
+    row, s = _sigma(t)
     through = a.padded_rows[k]
     return all((u := row.translate(through[v])).translate(s) == u for v in set(row))
 
@@ -167,7 +169,7 @@ def _preserved(k: int, a: FiniteBLAlgebra, t: Sequence[int]) -> bool:
     """The kernel of preserving the k-th of meet, join, prod and impl: the
     flat table through sigma equals, row x after row x, sigma through
     row sigma(x)."""
-    row, s = _sigma(a, t)
+    row, s = _sigma(t)
     return a.flat_rows[k].translate(s) == b"".join(
         map(row.translate, map(a.padded_rows[k].__getitem__, row))
     )
@@ -235,28 +237,30 @@ def is_endomorphism(algebra: FiniteBLAlgebra, table: Sequence[int]) -> bool:
 class StateOperator:
     """A graded unary operator on a sealed algebra.
 
-    ``verified_class`` is the strongest fully-holding class; ``failed``
-    lists the axioms that do not hold everywhere, and ``witnesses`` names
-    the first failing pair of each when first read.
+    ``failed`` lists the axioms of ``OPERATOR_AXIOMS`` that do not hold
+    everywhere, and the operator's class is a function of it: ``classes``
+    holds each class of ``CLASS_AXIOMS`` none of whose axioms failed, read
+    once per operator, and ``verified_class`` is the strongest of them.
+    ``witnesses`` names the first failing tuple of each failed axiom.
     """
 
     algebra: FiniteBLAlgebra
     table: tuple[int, ...]
-    is_state: bool
-    is_strong: bool
-    is_morphism: bool
-    preserves_impl: bool
     failed: tuple[str, ...]
+
+    @cached_property
+    def classes(self) -> frozenset[str]:
+        failed = set(self.failed)
+        return frozenset(c for c, axioms in CLASS_AXIOMS.items() if failed.isdisjoint(axioms))
+
+    is_state = property(lambda op: "state" in op.classes)
+    is_strong = property(lambda op: "strong" in op.classes)
+    is_morphism = property(lambda op: "morphism" in op.classes)
+    preserves_impl = property(lambda op: "7" not in op.failed)
 
     @property
     def verified_class(self) -> str:
-        if self.is_morphism:
-            return "morphism"
-        if self.is_strong:
-            return "strong"
-        if self.is_state:
-            return "state"
-        return "none"
+        return next((c for c in ("morphism", "strong", "state") if c in self.classes), "none")
 
     @cached_property
     def witnesses(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -286,11 +290,13 @@ def identity_table(algebra: FiniteBLAlgebra) -> tuple[int, ...]:
 
 
 def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOperator:
-    """Grade a map into its strongest operator class, verdict-carrying.
+    """Grade a map: the operator of the axioms it fails.
 
-    Also asserts the proved implication chain morphism => strong =>
-    state on the computed verdicts; a breach would mean the checker
-    itself is wrong, so it raises ``InternalCheckError``.
+    Then asserts, on the classes read off those axioms, the proved
+    implication chain morphism => strong => state, that a state
+    operator is idempotent, and that an impl-preserving one preserves
+    prod; a breach would mean the checker itself is wrong, so it raises
+    ``InternalCheckError``.
     """
     try:
         t = tuple(map(index, table))
@@ -298,27 +304,18 @@ def verify_operator(algebra: FiniteBLAlgebra, table: Sequence[int]) -> StateOper
         raise ValueError("operator table has a non-integral entry") from None
     if len(t) != algebra.size or any(not (0 <= v < algebra.size) for v in t):
         raise ValueError("operator table must be total on the carrier")
-    verdicts = {ax: holds(AXIOM_LAWS[ax], algebra, t) for ax in OPERATOR_AXIOMS}
-    is_state = all(verdicts[a] for a in CLASS_AXIOMS["state"])
-    is_strong = all(verdicts[a] for a in CLASS_AXIOMS["strong"])
-    is_morphism = all(verdicts[a] for a in CLASS_AXIOMS["morphism"])
-    if is_morphism and not is_strong:
-        raise InternalCheckError("morphism operator failed the strong axioms")
-    if is_strong and not is_state:
-        raise InternalCheckError("strong operator failed the state axioms")
-    if is_state and violation(IDEMPOTENT, algebra, t) is not None:
-        raise InternalCheckError("verified operator is not idempotent")
-    if verdicts["7"] and is_state and not is_morphism:
-        raise InternalCheckError("impl-preserving state operator must preserve prod")
-    return StateOperator(
-        algebra=algebra,
-        table=t,
-        is_state=is_state,
-        is_strong=is_strong,
-        is_morphism=is_morphism,
-        preserves_impl=verdicts["7"],
-        failed=tuple(ax for ax in OPERATOR_AXIOMS if not verdicts[ax]),
+    op = StateOperator(
+        algebra, t, tuple(ax for ax in OPERATOR_AXIOMS if not holds(AXIOM_LAWS[ax], algebra, t))
     )
+    if op.is_morphism and not op.is_strong:
+        raise InternalCheckError("morphism operator failed the strong axioms")
+    if op.is_strong and not op.is_state:
+        raise InternalCheckError("strong operator failed the state axioms")
+    if op.is_state and violation(IDEMPOTENT, algebra, t) is not None:
+        raise InternalCheckError("verified operator is not idempotent")
+    if op.preserves_impl and op.is_state and not op.is_morphism:
+        raise InternalCheckError("impl-preserving state operator must preserve prod")
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +533,7 @@ def _enumerate_backtrack(
     runs and is not counted; a kept leaf that passes adds its orbit."""
     n, meet, join, prod, impl = algebra.size, algebra.meet, algebra.join, algebra.prod, algebra.impl
     leq, neg = algebra.leq, algebra.neg_table
-    bits = [1 << u for u in range(n)]
-    up = [sum(compress(bits, row)) for row in leq]  # bit u of up[x]: x <= u
+    bits, up = [1 << u for u in range(n)], algebra.upset_masks  # bit u of up[x]: x <= u
     down = [sum(compress(bits, column)) for column in zip(*leq)]
     # the maximal earlier elements below each element, the minimal above it
     below = [[u for u in range(e) if up[u] & down[e] & (1 << e) - 1 == 1 << u] for e in range(n)]

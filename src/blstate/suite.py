@@ -7,22 +7,24 @@ records are emitted in (claim, instance) order and timings are excluded
 unless explicitly requested.
 
 Every claim has one check contract.  A check takes one subject: the
-instance, or, for a per-operator claim, the operator, which carries its
-own algebra (``op.algebra``).  It returns None when the claim passes, a
-witness string when it fails, or an ``operators.CheckOutcome`` whose
-``holds`` (True, False or None) makes the record a pass, a failure or a
-``discrepancy``, with the outcome's witness.  ``run_suite`` is the one
-place that turns that value into a ``SuiteRecord``.  A per-operator
-claim's ``over`` names the pool class it covers (``state``, ``strong``
-or ``morphism``); ``_over_pool``, the one loop over the pool, returns
-the first value of that part of the instance's pool that does not pass,
-with the operator named in its witness (``<op>: <witness>``, or
-``<op>: <claim> (<witness>)`` for an outcome).  The claims that read
-``classify_state_algebra`` (``_classified``) return its outcomes.  A
-library cross-check that raises ``InternalCheckError`` fails only its
-claim: ``<operator>: internal cross-check: <message>`` from
-``_over_pool``, ``internal cross-check: <message>`` from ``run_suite``
-(an instance check or an ``applies`` filter).
+instance, a frozen value built once (``corpus``), or, for a per-operator
+claim, the operator, which carries its own algebra (``op.algebra``).  It
+returns None when the claim passes, a witness string when it fails, or
+an ``operators.CheckOutcome`` whose ``holds`` (True, False or None)
+makes the record a pass, a failure or a ``discrepancy``, with the
+outcome's witness.  ``run_suite`` is the one place that turns that value
+into a ``SuiteRecord``.  A per-operator claim's ``over`` names the pool
+class it covers (``state``, ``strong`` or ``morphism``), which each
+pooled operator answers from ``op.classes``; ``_over_pool``, the one
+loop over the pool, returns the first value of that part of the
+instance's pool that does not pass, with the operator named in its
+witness (``<op>: <witness>``, or ``<op>: <claim> (<witness>)`` for an
+outcome).  The claims that read ``classify_state_algebra``
+(``_classified``) return its outcomes.  A library cross-check that
+raises ``InternalCheckError`` fails only its claim: ``<operator>:
+internal cross-check: <message>`` from ``_over_pool``, ``internal
+cross-check: <message>`` from ``run_suite`` (an instance check or an
+``applies`` filter).
 
 A pointwise law (``Prop-2.2-*``, ``S2-*``, most of ``Lemma-3.5``,
 ``Lemma-3.9``, ``Lemma-3.10-1``) is ``algebra.Law`` data, decided by
@@ -31,8 +33,8 @@ A pointwise law (``Prop-2.2-*``, ``S2-*``, most of ``Lemma-3.5``,
 kernels, which decide them on every carrier of at most 256 elements.
 ``_instance_laws`` names the failing elements by index,
 ``_operator_laws`` by label.  Claims about preserving whole operations
-read the verdicts ``verify_operator`` already computed
-(``preserves_impl``, axiom 6 in ``failed``), call ``is_endomorphism``,
+read the axioms the operator fails (``preserves_impl``, axiom 7 not in
+``failed``, and axiom 6 in ``failed``), call ``is_endomorphism``,
 or decide ``operators.PRESERVES["join"]`` (Lemma-3.10-2).  Lemma-3.5-k
 and -l (the image is a subalgebra made of the fixed points) read the
 certificate that seals ``operators.operator_image``.
@@ -62,6 +64,7 @@ from .algebra import (
     _mask,
     _pairs,
     _pairwise,
+    classify_variety,
     holds,
     violation,
 )
@@ -144,12 +147,7 @@ class SuiteReport:
 
 
 def _pool(inst: CorpusInstance, over: str):
-    for name, op in inst.pool():
-        if over == "strong" and not op.is_strong:
-            continue
-        if over == "morphism" and not op.is_morphism:
-            continue
-        yield name, op
+    return ((name, op) for name, op in inst.pool() if over in op.classes)
 
 
 def _over_pool(inst: CorpusInstance, check, over: str = "state"):
@@ -252,10 +250,8 @@ def _uniform_weights(k: int) -> list[Fraction]:
 def _monotone_prod_rows(a, t) -> bool:
     # for each x and c, over the (y, d) grid; the conclusion row depends
     # only on v = prod[x][c], so it is tabulated once per value
-    n, pad = a.size, bytes(256 - a.size)
-    leq = [bytes(row) for row in a.leq]
-    padded, ys = [row + pad for row in leq], _grid(n, 2)[0]
-    flat = b"".join(a.byte_rows[2])
+    n, leq, padded = a.size, a.byte_rows[4], a.padded_rows[4]
+    ys, flat = _grid(n, 2)[0], a.flat_rows[2]
     x_le = [_mask(ys.translate(row)) for row in padded]  # leq[x][y]
     c_le = [_mask(row * n) for row in leq]  # leq[c][d]
     above = {v: _mask(flat.translate(padded[v])) for v in set(flat)}  # leq[v][prod[y][d]]
@@ -274,9 +270,7 @@ _prop_2_2_1 = _instance_laws(Law(
 def _monotone_impl_rows(a, t) -> bool:
     # for each c and x, over y: the conclusion row is impl[c] through
     # leq[impl[c][x]], tabulated once per value of impl[c]
-    pad = bytes(256 - a.size)
-    leq = [bytes(row) for row in a.leq]
-    x_le, padded = list(map(_mask, leq)), [row + pad for row in leq]
+    x_le, padded = list(map(_mask, a.byte_rows[4])), a.padded_rows[4]
     for row in a.byte_rows[3]:
         above = {v: _mask(row.translate(padded[v])) for v in set(row)}
         if any(x_le[x] & ~above[v] for x, v in enumerate(row)):
@@ -298,12 +292,11 @@ _prop_2_2_4 = _instance_laws(Law(
 def _prod_step_rows(a, t) -> bool:
     # for each x, over the (y, c) grid: impl[prod[x][c]][prod[y][c]], then
     # leq from impl[x][y] to it, each one _pairwise lookup
-    n, pad = a.size, bytes(256 - a.size)
-    _, _, prod, impl = a.byte_rows
-    ys, flat = _grid(n, 2)[0], b"".join(prod)  # y and prod[y][c] over the grid
+    n, prod, impl = a.size, a.byte_rows[2], a.padded_rows[3]
+    ys, flat = _grid(n, 2)[0], a.flat_rows[2]  # y and prod[y][c] over the grid
     impl2, leq2, ones = _pairs(a.impl), _pairs(a.leq), b"\1" * (n * n)
     return all(
-        _pairwise(leq2, ys.translate(impl[x] + pad), _pairwise(impl2, prod[x] * n, flat)) == ones
+        _pairwise(leq2, ys.translate(impl[x]), _pairwise(impl2, prod[x] * n, flat)) == ones
         for x in range(n)
     )
 
@@ -317,11 +310,9 @@ _prop_2_2_5 = _instance_laws(Law(
 def _residuation_rows(a, t) -> bool:
     # for each x, over the (y, c) grid: impl[x][impl[y][c]] is the flat
     # impl table through impl[x], impl[prod[x][y]][c] the rows prod[x] picks
-    pad = bytes(256 - a.size)
-    _, _, prod, impl = a.byte_rows
-    flat = b"".join(impl)
+    prod, impl, through = a.byte_rows[2], a.byte_rows[3], a.padded_rows[3]
     return all(
-        flat.translate(impl[x] + pad) == b"".join(map(impl.__getitem__, prod[x]))
+        a.flat_rows[3].translate(through[x]) == b"".join(map(impl.__getitem__, prod[x]))
         for x in range(a.size)
     )
 
@@ -837,7 +828,7 @@ def _nontrivial(inst):
 
 
 def _is_mv(inst):
-    return inst.variety.is_mv
+    return classify_variety(inst.algebra).is_mv
 
 
 def _is_linear(inst):
@@ -845,7 +836,7 @@ def _is_linear(inst):
 
 
 def _is_godel(inst):
-    return inst.variety.is_godel
+    return classify_variety(inst.algebra).is_godel
 
 
 def _is_shaped(inst):
@@ -874,7 +865,8 @@ def _has_hom(inst):
 
 
 def _is_linear_godel(inst):
-    return inst.algebra.is_linear and inst.variety.is_godel and inst.enumerated is not None
+    a = inst.algebra
+    return a.is_linear and classify_variety(a).is_godel and inst.enumerated is not None
 
 
 def build_registry() -> list[Claim]:

@@ -108,8 +108,8 @@ def test_states_on_the_one_element_algebra(capsys, tmp_path):
     assert (code, out) == (0, "0 extremal state(s)\n")
     code, out, _ = run(capsys, "states", str(path), "--operator", "sigma")
     assert (code, out) == (0, "0 extremal state(s)\n")
-    code, _, _ = run(capsys, "states", str(path), "--operator", "nope")
-    assert code == 2
+    code, out, _ = run(capsys, "states", str(path), "--operator", "nope")
+    assert (code, out) == (2, "")
 
 
 def test_verify_parse_error_exit_2(capsys, tmp_path):
@@ -168,6 +168,15 @@ def test_classify_unknown_operator(capsys):
     code, _, err = run(capsys, "classify", "example-3-4", "--operator", "nope")
     assert code == 2
     assert "unknown operator" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "states"])
+def test_an_unknown_operator_is_looked_up_before_any_output(capsys, command):
+    # the message is printed as it is, not as the repr a KeyError would give
+    code, out, err = run(capsys, command, "example-3-4", "--operator", "nope")
+    assert (code, out, err) == (2, "", "error: unknown operator 'nope'; available: sigma\n")
+    code, out, err = run(capsys, command, "mv_chain(2)", "--operator", "nope")
+    assert (code, out, err) == (2, "", "error: unknown operator 'nope'; available: (none)\n")
 
 
 def test_states_command(capsys):

@@ -174,7 +174,7 @@ def test_image_claims_fail_on_a_forged_state_operator(table, message):
     """Lemma-3.5-k and -l read operator_image's certificate: on a table
     that is not a state operator but is marked as one, both fail the
     record through the pool's cross-check witness."""
-    op = StateOperator(M3, table, True, False, False, False, ())
+    op = StateOperator(M3, table, ("3s",))  # failing only 3s: a state operator, not strong
     inst = CorpusInstance("forged", M3, operators={"sigma": op})
     report = run_suite([inst], ["Lemma-3.5-k", "Lemma-3.5-l"])
     assert [(r.claim_id, r.verdict, r.witness) for r in report.records] == [

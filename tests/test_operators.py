@@ -402,7 +402,7 @@ def test_an_image_that_is_not_closed_is_an_internal_check_error():
     # unreachable for a verified state operator: fixed points {0, 1, 4}
     # of the 5-element MV-chain, where 1 -> 0 = 3 is not fixed
     a = mv_chain(4)
-    op = StateOperator(a, (0, 1, 1, 4, 4), True, False, False, False, ())
+    op = StateOperator(a, (0, 1, 1, 4, 4), ("3s",))  # forged as a state operator
     with pytest.raises(InternalCheckError, match="not fixed"):
         operator_image(op)
 

@@ -113,6 +113,19 @@ def test_only_the_law_engine_picks_between_byte_rows_and_tuples():
     assert found and all(site.startswith("algebra.py:") for site in found), sorted(found)
 
 
+def test_only_the_law_engine_pads_rows_to_translation_tables():
+    # algebra.py owns the row kernels' byte format: ``translation`` pads a
+    # row to 256 bytes, and a carrier's rows come padded in ``padded_rows``
+    modules = sorted(Path(blstate.__file__).parent.glob("*.py"))
+    padding = sorted(
+        f"{path.name}:{number}"
+        for path in modules
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "bytes(256" in line.replace(" ", "")
+    )
+    assert padding and all(site.startswith("algebra.py:") for site in padding), padding
+
+
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
 FUNCTION_METRICS = ("calls", "self_s", "incl_s", "per_s", "distinct_ratio")
 

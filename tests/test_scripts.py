@@ -88,6 +88,20 @@ def test_bench_pairs_names_a_tree_without_git(tmp_path):
     assert bench.describe(tmp_path) != f"commit unknown, src/blstate sha256 {digest}"
 
 
+def test_bench_pairs_counts_source_lines_and_passed_tests(tmp_path):
+    bench = _script("bench_pairs")
+    package = tmp_path / "src" / "blstate"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("A = 1\n\n")
+    (package / "b.py").write_text('"""doc\n"""\nB = 2')  # no newline at the end
+    (package / "notes.txt").write_text("not\nsource\n")
+    assert bench.source_lines(tmp_path) == 4  # what cat src/blstate/*.py | wc -l prints
+    assert bench.passed_count("378 passed in 21.02s") == 378
+    assert bench.passed_count("2 failed, 376 passed, 1 warning in 20.1s") == 376
+    assert bench.passed_count("1 failed in 0.5s") == 0
+    assert bench.passed_count("") == 0
+
+
 def test_bench_pairs_compares_traced_layers():
     bench = _script("bench_pairs")
     layers = bench.compare_layers(

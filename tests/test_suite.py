@@ -1,15 +1,26 @@
 """Suite runner: claim coverage, verdicts, deterministic reports."""
 
 import dataclasses
+import gc
 import hashlib
+import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 from blstate import algebra, filters, operators, states, suite
-from blstate.constructors import godel_chain, mv_chain, quotient_by_filter
+from blstate.constructors import direct_product, godel_chain, mv_chain, quotient_by_filter
 from blstate.corpus import CorpusInstance, _mv_instance, default_corpus, load_corpus_dir
-from blstate.document import document_from_algebra, serialize_algebra
+from blstate.document import (
+    document_from_algebra,
+    parse_algebra,
+    realize_document,
+    serialize_algebra,
+)
 from blstate.operators import enumerate_operator_tables, enumerate_state_operators
 from blstate.suite import (
     CLAIM_IDS,
@@ -18,6 +29,8 @@ from blstate.suite import (
     render_text,
     run_suite,
 )
+
+from .test_constructors import RELABELED_CARRIERS, relabel, shuffled_order
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +328,7 @@ def test_a_cold_run_decides_every_large_law_with_a_kernel_on_rows(monkeypatch):
 def test_prop_3_13_fails_when_the_mv_and_state_tables_differ(monkeypatch, enumerated):
     inst = _mv_instance(2)
     if not enumerated:  # as on a carrier above the enumeration limit
-        inst.enumerated = None
+        inst = dataclasses.replace(inst, enumerated=None)
     real = suite.enumerate_operator_tables
     [identity] = real(inst.algebra, "state")
     assert run_suite([inst], ["Prop-3.13"]).failures == []
@@ -331,11 +344,12 @@ def test_prop_3_13_fails_when_the_mv_and_state_tables_differ(monkeypatch, enumer
 def test_prop_3_13_fails_on_a_state_operator_that_is_not_strong(monkeypatch, enumerated):
     inst = _mv_instance(2)
     [op] = enumerate_state_operators(inst.algebra)
-    weak = dataclasses.replace(op, is_strong=False)
+    weak = dataclasses.replace(op, failed=("3s",))  # a state operator that is not strong
+    assert weak.is_state and not weak.is_strong
     if enumerated:
-        inst.enumerated = (weak,)
+        inst = dataclasses.replace(inst, enumerated=(weak,))
     else:  # as on a carrier above the enumeration limit
-        inst.enumerated = None
+        inst = dataclasses.replace(inst, enumerated=None)
         monkeypatch.setattr(suite, "enumerate_state_operators", lambda a: [weak])
     [record] = run_suite([inst], ["Prop-3.13"]).records
     assert (record.verdict, record.witness) == (
@@ -365,30 +379,48 @@ def test_a_cold_run_checks_prop_5_4_in_one_kernel_call_per_operator(monkeypatch)
 def test_pool_is_built_once_and_never_stale():
     [inst] = [i for i in default_corpus() if i.name == "godel3xgodel3"]
 
-    def fresh():  # the pool of an instance that never built one
-        return CorpusInstance(
-            inst.name, inst.algebra, dict(inst.operators), enumerated=inst.enumerated
-        ).pool()
+    def fresh(instance):  # the pool of an equal instance that never built one
+        return dataclasses.replace(instance).pool()
+
+    def replaced(instance, **operators_and_enumerated):
+        ops = operators_and_enumerated.pop("operators", instance.operators)
+        changed = dataclasses.replace(
+            instance, operators=MappingProxyType(ops), **operators_and_enumerated
+        )
+        assert changed.pool() is not instance.pool()  # its own pool
+        return changed
 
     first = inst.pool()
-    assert inst.pool() is first and first == fresh()
+    assert inst.pool() is first and first == fresh(inst)
     names = [name for name, _ in first]
     assert names[:4] == list(inst.operators) and "enum_2" in names
     assert len({op.table for _, op in first}) == len(first)  # deduplicated
     a = inst.algebra
-    inst.operators["top"] = operators.verify_operator(a, [a.top] * a.size)  # not a state
+    top = operators.verify_operator(a, [a.top] * a.size)  # not a state
+    # an instance is a value: editing a field or one of its maps raises
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.enumerated = None
+    for mapping in (inst.operators, inst.rejected, inst.states):
+        with pytest.raises(TypeError):
+            mapping["top"] = top
+    with pytest.raises(TypeError):
+        del inst.operators["identity"]
+    assert inst.pool() is first and list(inst.operators) == names[:4]
+    # a replaced instance builds its own pool from its own fields
+    built, inst = inst, replaced(inst, operators={**inst.operators, "top": top})
     assert inst.pool() == first
     extra = operators.verify_operator(a, operators.identity_table(a))
-    inst.operators["identity"] = extra  # an equal operator, a new object
-    assert inst.pool()[0][1] is extra and inst.pool() == fresh()
-    inst.operators["copy"] = extra
-    assert ("copy", extra) in inst.pool() and inst.pool() == fresh()
-    inst.enumerated = inst.enumerated[:3]
-    assert inst.pool() == fresh() and len(inst.pool()) < len(first)
-    inst.enumerated = None
-    del inst.operators["identity"]
-    assert inst.pool() == fresh()
+    inst = replaced(inst, operators={**inst.operators, "identity": extra})  # a new equal object
+    assert inst.pool()[0][1] is extra and inst.pool() == fresh(inst)
+    inst = replaced(inst, operators={**inst.operators, "copy": extra})
+    assert ("copy", extra) in inst.pool() and inst.pool() == fresh(inst)
+    inst = replaced(inst, enumerated=inst.enumerated[:3])
+    assert inst.pool() == fresh(inst) and len(inst.pool()) < len(first)
+    ops = {name: op for name, op in inst.operators.items() if name != "identity"}
+    inst = replaced(inst, operators=ops, enumerated=None)
+    assert inst.pool() == fresh(inst)
     assert [name for name, _ in inst.pool()][-1] == "copy"
+    assert built.pool() is first and first == fresh(built)
 
 
 def test_classification_claims_do_not_apply_to_the_one_element_algebra():
@@ -410,3 +442,104 @@ def test_thm_2_5_fails_a_document_map_that_is_not_a_state(tmp_path):
         "fail",
         "state m is not a state (bosbach at ('bottom',))",
     )
+
+
+# the names, in order, of each default instance's operators, rejected
+# operators and pool; a passing record's witness is empty, so the report
+# hash cannot see them
+DEFAULT_NAMES = {
+    **{f"mv_chain({n})": (["identity"], [], ["identity"]) for n in range(1, 6)},
+    **{
+        f"godel_chain({n})": (floors, [], floors)
+        for n in range(3, 6)
+        for floors in [["identity", *(f"sigma_le_g{x}" for x in range(n - 2))]]
+    },
+    "example_3_4": (["identity", "sigma"], [], ["identity", "sigma"]),
+    **{
+        name: (diag, [], diag)
+        for name in ("s1xs1", "mv2xmv2")
+        for diag in [["identity", "sigma_diag_left", "sigma_diag_right"]]
+    },
+    "s1_plus_s1xs1": (
+        shaped := ["identity", "sigma_J_none", "sigma_J_1", "sigma_J_2", "sigma_J_12",
+                   "sigma_cut_s1.(x0,x1)", "sigma_cut_s1.(x1,x0)"],
+        [],
+        shaped,
+    ),
+    "s1_plus_s2xs1": (shaped[:-1], [], shaped[:-1]),
+    "s4xs4": (["identity"], ["sigma_cut_(x0,x4)"], ["identity"]),
+    "godel3xgodel3": (
+        named := ["identity", "sigma_h_collapse", "sigma_diag_left", "sigma_diag_right"],
+        [],
+        [*named, *(f"enum_{i}" for i in (2, 4, 5, 6, 8, 9))],
+    ),
+    "godel3xgodel4_h": (["identity", "sigma_h"], [], ["identity", "sigma_h"]),
+}
+
+
+def test_the_default_instances_keep_their_operator_and_pool_names(corpus):
+    got = {
+        inst.name: (list(inst.operators), list(inst.rejected), [name for name, _ in inst.pool()])
+        for inst in corpus
+    }
+    assert list(got) == list(DEFAULT_NAMES) and got == DEFAULT_NAMES
+
+
+def _verdicts(corpus_dir):
+    """Per document of the directory, the multiset of its (claim, verdict)
+    records; witnesses name elements, so they are left out."""
+    report = run_suite(load_corpus_dir(corpus_dir))
+    out = {}
+    for r in report.records:
+        out.setdefault(r.instance, Counter())[r.claim_id, r.verdict] += 1
+    return out
+
+
+def test_suite_verdicts_do_not_depend_on_the_element_numbering(tmp_path):
+    """A document and the same document renumbered, by one fixed
+    renumbering that is no linear extension of the order, get the same
+    verdicts: three constructor carriers and the example, whose operator
+    is renumbered with its carrier."""
+    golden = Path(__file__).parent / "golden" / "example_3_4.json"
+    example, named, _ = realize_document(parse_algebra(golden.read_text(encoding="utf-8")))
+    documents = {"example_3_4": (example, {name: op.table for name, op in named.items()})}
+    for name in ("mv2 x g3", "g3 x g3", "mv2 + (mv1 x mv1)"):
+        documents[name.replace(" ", "")] = (RELABELED_CARRIERS[name], {})
+    for side in ("plain", "renumbered"):
+        (tmp_path / side).mkdir()
+    for stem, (a, tables) in documents.items():
+        perm = shuffled_order(a, random.Random(stem))
+        back = sorted(range(a.size), key=perm.__getitem__)  # back[perm[x]] == x
+        moved = {name: tuple(perm[t[x]] for x in back) for name, t in tables.items()}
+        for side, b, ops in (("plain", a, tables), ("renumbered", relabel(a, perm), moved)):
+            text = serialize_algebra(document_from_algebra(b, ops))
+            (tmp_path / side / f"{stem}.json").write_text(text, encoding="utf-8")
+    plain = _verdicts(tmp_path / "plain")
+    assert set(plain) == set(documents) and plain["example_3_4"]["Prop-5.4", "pass"] == 1
+    assert _verdicts(tmp_path / "renumbered") == plain
+
+
+def test_a_long_run_keeps_blstate_memory_flat(tmp_path):
+    """Rounds of the default corpus and a small user corpus in one
+    process: from the second round on, the memory that blstate's own
+    code holds does not grow, so every memo (an instance's pool, an
+    operator's image, an algebra's filters) is freed with its object.
+    Only allocations made in ``src/blstate`` count: the standard library
+    keeps caches of its own (``io.open`` behind ``Path.read_text``)."""
+    for golden in (Path(__file__).parent / "golden").glob("*.json"):
+        (tmp_path / golden.name).write_text(golden.read_text(encoding="utf-8"), encoding="utf-8")
+    product = document_from_algebra(direct_product(mv_chain(1), godel_chain(3)))
+    (tmp_path / "product.json").write_text(serialize_algebra(product), encoding="utf-8")
+    package = [tracemalloc.Filter(True, str(Path(algebra.__file__).parent / "*"))]
+    held = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            for corpus in (default_corpus(), load_corpus_dir(tmp_path)):
+                assert run_suite(corpus).failures == []
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(package)
+            held.append(sum(stat.size for stat in snapshot.statistics("filename")))
+    finally:
+        tracemalloc.stop()
+    assert held[0] > 0 and max(held[1:]) <= held[1], held
