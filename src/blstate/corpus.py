@@ -4,8 +4,9 @@ Each instance packages a sealed algebra with its named operators (and,
 for small carriers, the fully enumerated state-operator list), plus the
 shape metadata that lets shape-specific claims run.  ``_instance`` is
 the one builder, for the built-in corpus and ``load_corpus_dir`` alike,
-and an instance is a frozen value: its maps are read-only and its pool
-is built once, on first use, and memoized on it.
+and an instance is a frozen value: its maps are read-only copies of
+those it is given, and its pool is built once, on first use, and
+memoized on it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .states import RationalState
 # carriers up to this size get their state operators fully enumerated
 ENUMERATION_LIMIT = 9
 
-_EMPTY = MappingProxyType({})  # the default of every map
+_EMPTY = MappingProxyType({})  # the default of ``_instance``'s maps
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,18 @@ class PinnedRejection:
 class CorpusInstance:
     name: str
     algebra: FiniteBLAlgebra
-    operators: Mapping[str, StateOperator] = field(default_factory=lambda: _EMPTY)
-    rejected: Mapping[str, StateOperator] = field(default_factory=lambda: _EMPTY)
-    states: Mapping[str, RationalState] = field(default_factory=lambda: _EMPTY)
+    operators: Mapping[str, StateOperator] = field(default_factory=dict)
+    rejected: Mapping[str, StateOperator] = field(default_factory=dict)
+    states: Mapping[str, RationalState] = field(default_factory=dict)
     shape: ChainProductSum | None = None
     diag_base: FiniteBLAlgebra | None = None
     hom: Homomorphism | None = None
     pinned_rejection: PinnedRejection | None = None
     enumerated: tuple[StateOperator, ...] | None = None
+
+    def __post_init__(self):
+        for name in ("operators", "rejected", "states"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @memoized
     def pool(self) -> tuple[tuple[str, StateOperator], ...]:
@@ -101,8 +106,7 @@ def _instance(
     if algebra.size <= ENUMERATION_LIMIT:
         enumerated = tuple(enumerate_state_operators(algebra))
     return CorpusInstance(
-        name, algebra, MappingProxyType(operators), MappingProxyType(rejected),
-        MappingProxyType(dict(states)), enumerated=enumerated, **metadata,
+        name, algebra, operators, rejected, states, enumerated=enumerated, **metadata
     )
 
 

@@ -15,6 +15,11 @@ routes to "is a state" and must agree on every map; likewise the four
 extremality criteria (state-morphism, max-join, Lukasiewicz product,
 maximal kernel) must agree on every state.
 
+The states form a simplex whose vertices are the extremal states, and
+``face_barycenters`` (the uniform mixture of each face) is the one set
+of mixtures the state-level claims are checked on; no other code picks
+weights.
+
 Each map is checked once per object: a ``RationalState`` caches its
 ``check_state`` verdict on itself (``verdict``).  The states that
 ``extremal_states``, ``pull_back_state`` and ``mix_states`` build are
@@ -406,7 +411,7 @@ def convex_coefficients(
     """
     if not all(isinstance(s, RationalState) for s in (*points, target)):
         raise ValueError("convex_coefficients takes RationalStates")
-    _carrier((target, *points), "points and target must be on one carrier")
+    _on_carrier(target.algebra, points, "points and target must be on one carrier")
     k = len(points)
     if k == 0:
         return None
@@ -430,13 +435,11 @@ def convex_coefficients(
     return None
 
 
-def _carrier(states: Sequence[RationalState], message: str) -> FiniteBLAlgebra:
-    """The algebra of the nonempty ``states``, which must all be on that
-    object or an equal algebra; else ``ValueError(message)``."""
-    algebra = states[0].algebra
+def _on_carrier(algebra: FiniteBLAlgebra, states: Sequence[RationalState], message: str) -> None:
+    """Raise ``ValueError(message)`` unless every state is on ``algebra``
+    or an equal algebra, the rule of every function of one carrier's states."""
     if any(s.algebra is not algebra and s.algebra != algebra for s in states):
         raise ValueError(message)
-    return algebra
 
 
 def mix_states(
@@ -448,13 +451,28 @@ def mix_states(
     weights = [Fraction(w) for w in weights]
     if sum(weights) != 1 or any(w < 0 for w in weights):
         raise ValueError("weights must be a convex combination")
-    algebra = _carrier(states, "states to mix must be on one carrier")
+    algebra = states[0].algebra
+    _on_carrier(algebra, states, "states to mix must be on one carrier")
     # w_i * p_i / d_i over one denominator: integer coefficients c_i / d
     terms = [(w / s.d, s.p) for s, w in zip(states, weights) if w]
     d = math.lcm(*(c.denominator for c, _ in terms))
     coeffs = [c.numerator * (d // c.denominator) for c, _ in terms]
     p = [sum(map(mul, coeffs, col)) for col in zip(*(q for _, q in terms))]
     return _state(algebra, p, d)
+
+
+def face_barycenters(
+    states: Sequence[RationalState],
+) -> tuple[tuple[tuple[int, ...], RationalState], ...]:
+    """(support, uniform mixture) of each face of the simplex the states span.
+
+    One pair per tuple of two or more indices, by size, then in
+    ``itertools.combinations`` order: k states give 2^k - k - 1 faces."""
+    return tuple(
+        (support, mix_states([states[i] for i in support], [Fraction(1, size)] * size))
+        for size in range(2, len(states) + 1)
+        for support in combinations(range(len(states)), size)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +513,7 @@ def pull_back_state(op: StateOperator, image_state: RationalState) -> RationalSt
 
 def is_compatible(op: StateOperator, state: RationalState) -> bool:
     """Constant on operator fibers: sigma(x)=sigma(y) implies s(x)=s(y)."""
+    _on_carrier(op.algebra, (state,), "state must be on the operator's carrier")
     by_image: dict[int, int] = {}
     for t, v in zip(op.table, state.p):
         if by_image.setdefault(t, v) != v:
@@ -517,6 +536,7 @@ class CorrespondenceReport:
 def restrict_to_image(op: StateOperator, state: RationalState) -> RationalState:
     """The image state that a compatible state restricts to: its map on
     the fixed points, as the image's state object."""
+    _on_carrier(op.algebra, (state,), "state must be on the operator's carrier")
     image, _, fixed = operator_image(op)
     p = state.p
     return _state(image, [p[x] for x in fixed], state.d)
@@ -539,11 +559,13 @@ def sigma_compatible_correspondence(op: StateOperator) -> CorrespondenceReport:
 
     Both directions are computed from their definitions: pushing a
     compatible state down to the image and pulling an image state back
-    through the operator.  The check covers the extremal generators, a
-    deterministic set of rational mixtures, and the affine behaviour of
-    both maps.  Topological content is out of scope: this certifies the
-    bijection and its affineness on finite data only.  The report is
-    memoized on the operator.
+    through the operator.  The check covers the extremal generators and
+    the barycenter of each face of their simplex: the pull-back of an
+    image barycenter must be the barycenter of the same face of the
+    pulled-back states, which restricts back and is compatible.
+    Topological content is out of scope: this certifies the bijection
+    and its affineness on finite data only.  The report is memoized on
+    the operator.
     """
     image, _, _ = operator_image(op)
     image_ext = extremal_states(image)
@@ -553,33 +575,19 @@ def sigma_compatible_correspondence(op: StateOperator) -> CorrespondenceReport:
             raise InternalCheckError("pull-back is not compatible with the operator")
 
     round_trip = all(restrict_to_image(op, st) == src for st, src in zip(pulled, image_ext))
-
-    # mixtures: uniform and a lopsided pair mix, exercised through both maps
-    weights_menu: list[list[Fraction]] = []
-    k = len(image_ext)
-    if k >= 1:
-        weights_menu.append([Fraction(1, k)] * k)
-    if k >= 2:
-        w = [ZERO] * k
-        w[0], w[1] = Fraction(1, 3), Fraction(2, 3)
-        weights_menu.append(w)
-    affine_ok = True
-    for weights in weights_menu:
-        mixed_image = mix_states(image_ext, weights)
-        mixed_pulled = mix_states(pulled, weights)
-        direct = pull_back_state(op, mixed_image)
-        if direct != mixed_pulled:
-            affine_ok = False
-        if restrict_to_image(op, mixed_pulled) != mixed_image:
-            affine_ok = False
-        if not is_compatible(op, mixed_pulled):
-            affine_ok = False
-
-    independent = True
-    for i in range(len(pulled)):
-        others = [s for j, s in enumerate(pulled) if j != i]
-        if others and convex_coefficients(others, pulled[i]) is not None:
-            independent = False
+    # a list, not a generator: every image barycenter is pulled back, so
+    # each is asserted a state (Prop-6.1)
+    affine_ok = all([
+        pull_back_state(op, image_mix) == pulled_mix
+        and restrict_to_image(op, pulled_mix) == image_mix
+        and is_compatible(op, pulled_mix)
+        for (_, image_mix), (_, pulled_mix)
+        in zip(face_barycenters(image_ext), face_barycenters(pulled))
+    ])
+    independent = len(pulled) < 2 or all(
+        convex_coefficients(pulled[:i] + pulled[i + 1:], pulled[i]) is None
+        for i in range(len(pulled))
+    )
     return CorrespondenceReport(
         compatible_extremal=pulled,
         round_trip_ok=round_trip,

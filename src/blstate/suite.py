@@ -39,6 +39,11 @@ or decide ``operators.PRESERVES["join"]`` (Lemma-3.10-2).  Lemma-3.5-k
 and -l (the image is a subalgebra made of the fixed points) read the
 certificate that seals ``operators.operator_image``.
 
+The state-level claims read one set of mixtures, the barycenters of the
+faces of an extremal simplex (``states.face_barycenters``): Thm-2.5 on
+the carrier's, and Prop-6.1, Thm-6.4 and Cor-6.5 through the memoized
+``sigma_compatible_correspondence``, on the image's and its pull-back's.
+
 ``render_json`` writes the canonical report by direct string assembly
 from one record template, ``_RECORD``.  Strings go through
 ``json.encoder.encode_basestring_ascii``, so the text is byte-identical
@@ -50,7 +55,6 @@ uses whenever ``indent`` is set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from time import perf_counter
@@ -99,12 +103,10 @@ from .operators import (
     verify_operator,
 )
 from .states import (
-    RationalState,
-    check_state,
+    check_state,  # not called here: perfbench's tracer test reads suite.check_state
     convex_coefficients,
     extremal_states,
-    mix_states,
-    pull_back_state,
+    face_barycenters,
     pulled_back_extremal_states,
     sigma_compatible_correspondence,
 )
@@ -217,26 +219,6 @@ def _operator_laws(*laws: Law, when=None):
     return check
 
 
-def _sample_states(inst: CorpusInstance) -> list[tuple[str, RationalState]]:
-    """Deterministic named maps for state-level claims: mixtures of the
-    extremal states + the document's state objects (``inst.states``),
-    which need not be states."""
-    a = inst.algebra
-    ext = extremal_states(a)
-    out = []
-    if len(ext) >= 2:
-        out.append(("uniform mixture", mix_states(ext, _uniform_weights(len(ext)))))
-        w = [Fraction(0)] * len(ext)
-        w[0], w[1] = Fraction(1, 4), Fraction(3, 4)
-        out.append(("1/4-3/4 mixture", mix_states(ext, w)))
-    out.extend(inst.states.items())
-    return out
-
-
-def _uniform_weights(k: int) -> list[Fraction]:
-    return [Fraction(1, k)] * k
-
-
 # ---------------------------------------------------------------------------
 # section 2 claims
 
@@ -332,8 +314,20 @@ _s2_partial_sum = _instance_laws(Law(  # x + y = y- -> x--, defined on orthogona
 
 
 def _thm_2_5(inst):
-    # extremal_states asserts .extremal on each extremal state it builds
-    for name, st in _sample_states(inst):
+    """The extremality criteria agree on every face of the extremal
+    simplex, decided by its barycenter, and on the document's maps.
+
+    Each vertex, asserted ``.extremal`` by ``extremal_states``,
+    satisfies s(x -> y) = min(1, 1 - s(x) + s(y)), s(x v y) =
+    max(s(x), s(y)) and s(x * y) = max(0, s(x) + s(y) - 1).  A mixture
+    with strictly positive weights satisfies one exactly when the
+    vertices of its support lie on one linear piece of the right side,
+    and its kernel, the fourth criterion, is the intersection of theirs.
+    So each verdict depends only on the support.
+    """
+    faces = face_barycenters(extremal_states(inst.algebra))
+    named = [(f"face {support}", st) for support, st in faces]
+    for name, st in [*named, *inst.states.items()]:
         verdict = st.verdict
         if not verdict.is_state:
             scan, w = verdict.witnesses[0]
@@ -778,14 +772,9 @@ def _prop_5_9(op):
 
 
 def _prop_6_1(op):
-    # pull_back_state asserts each pull-back is a state; the extremal
-    # image states are pulled back once per operator, their uniform
-    # mixture here
-    pulled_back_extremal_states(op)
-    image, _, _ = operator_image(op)
-    ext = extremal_states(image)
-    if len(ext) >= 2:
-        pull_back_state(op, mix_states(ext, _uniform_weights(len(ext))))
+    # the correspondence pulls back the image's extremal states and face
+    # barycenters, and pull_back_state asserts each pull-back is a state
+    sigma_compatible_correspondence(op)
     return None
 
 
@@ -804,11 +793,7 @@ def _cor_6_5(op):
     # finite-instance content only: compatible mixtures lie in the hull
     # of the extremal compatible states (no topology is certified)
     points = sigma_compatible_correspondence(op).compatible_extremal
-    k = len(points)
-    mixtures = [points[0]] if k == 1 else []
-    if k >= 2:
-        mixtures.append(mix_states(points, _uniform_weights(k)))
-    for target in mixtures:
+    for _, target in face_barycenters(points):
         if convex_coefficients(points, target) is None:
             return "mixture escapes the hull"
     return None
@@ -883,7 +868,8 @@ def build_registry() -> list[Claim]:
     add("Prop-2.2-6", "residuation law a->(b->c) = (a*b)->c", _always, _prop_2_2_6)
     add("S2-orthogonality", "three orthogonality forms coincide", _always, _s2_orthogonality)
     add("S2-partial-sum", "partial sum is symmetric on orthogonal pairs", _always, _s2_partial_sum)
-    add("Thm-2.5", "four extremality criteria agree on sampled states", _always, _thm_2_5)
+    add("Thm-2.5", "four extremality criteria agree on every face of the state simplex",
+        _always, _thm_2_5)
     add("Prop-2.6", "maximal filters match the power criterion", _always,
         _asserts(maximal_filters))  # asserts inclusion order == power criterion
     add("Prop-2.7", "local iff every proper filter is primary", _nontrivial,

@@ -1,7 +1,8 @@
 """Package shape: the library runs single-threaded on the standard library,
 the suite grades library cross-checks and walks the operator pool in one
 place, every check takes one subject, its pointwise laws go
-through the law engine, and the benchmark's layers name code that exists."""
+through the law engine, it picks no mixture weights, and the benchmark's
+layers name code that exists."""
 
 import ast
 import importlib
@@ -82,6 +83,20 @@ def test_only_over_pool_walks_an_operator_pool():
                 if name in callers:
                     callers[name].add(getattr(node, "name", None))
     assert callers == {"pool": {"_pool"}, "_pool": {"_over_pool"}}
+
+
+def test_the_suite_picks_no_weights():
+    # mixtures are built in states.py alone (``face_barycenters``): the
+    # suite imports neither the mixer nor the rationals to weight one with
+    path = Path(blstate.__file__).parent / "suite.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (getattr(node, "module", None), *(alias.name for alias in node.names))
+    }
+    assert not imported & {"mix_states", "Fraction", "fractions"}, imported
 
 
 def test_every_check_takes_one_subject_and_the_suite_has_one_outcome_type():

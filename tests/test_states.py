@@ -3,7 +3,7 @@
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,7 @@ from blstate.constructors import (
     four_element_example,
     godel_chain,
     mv_chain,
+    ordinal_sum,
 )
 from blstate.filters import maximal_filters
 from blstate.operators import identity_table, operator_image, verify_operator
@@ -26,6 +27,7 @@ from blstate.states import (
     check_state,
     convex_coefficients,
     extremal_states,
+    face_barycenters,
     format_fraction,
     is_compatible,
     mix_states,
@@ -38,7 +40,13 @@ from blstate.states import (
 
 from . import oracles
 from .strategies import algebras
-from .test_constructors import RELABELED_CARRIERS, relabel, shuffled_order
+from .test_constructors import (
+    RELABELED_CARRIERS,
+    _factor_lists,
+    _summand_lists,
+    relabel,
+    shuffled_order,
+)
 
 F = Fraction
 ONE = verify_bl_axioms(["0"], [[0]], [[0]], [[0]], [[0]], 0, 0)
@@ -353,6 +361,85 @@ def test_restrict_to_image_round_trip():
     op = verify_operator(a, sigma)
     st = RationalState(a, (F(0), F(1, 2), F(1), F(1)))
     assert restrict_to_image(op, st).values == (F(0), F(1, 2), F(1))
+
+
+@pytest.mark.parametrize("other", [godel_chain(4), mv_chain(1)], ids=["g4", "mv1"])
+@pytest.mark.parametrize("call", [restrict_to_image, is_compatible])
+def test_a_state_of_another_carrier_is_refused(call, other):
+    # as many values as example-3-4 (g4), or fewer (mv1), on another carrier
+    a, sigma = four_element_example()
+    op = verify_operator(a, sigma)
+    with pytest.raises(ValueError, match="operator's carrier"):
+        call(op, extremal_states(other)[0])
+    twin = RationalState(four_element_example()[0], (F(0), F(1, 2), F(1), F(1)))
+    assert twin.algebra == a and call(op, twin)  # an equal algebra is the carrier
+
+
+def _constructor_carriers():
+    m1, m2, g3 = mv_chain(1), mv_chain(2), godel_chain(3)
+    return {
+        **{f"mv{n}": mv_chain(n) for n in (1, 2, 5)},
+        **{f"g{n}": godel_chain(n) for n in (3, 5)},
+        **RELABELED_CARRIERS,
+        **{name: direct_product(*factors) for name, factors in _factor_lists().items()},
+        **{name: ordinal_sum(summands) for name, summands in _summand_lists().items()},
+        "mv1^2": direct_product(m1, m1),
+        "mv1^3": direct_product(m1, m1, m1),
+        "mv2 x mv1 x g3": direct_product(m2, m1, g3),
+        "mv1^4": direct_product(m1, m1, m1, m1),
+        "mv2 x mv2 x mv1": direct_product(m2, m2, m1),
+        "g4 x mv2 x mv1": direct_product(godel_chain(4), m2, m1),
+    }
+
+
+CONSTRUCTOR_CARRIERS = _constructor_carriers()
+# products of three or four chains: three or four extremal states
+SIMPLICES = ("mv1^3", "mv2 x mv1 x g3", "mv1^4", "mv2 x mv2 x mv1", "g4 x mv2 x mv1")
+
+
+def _flags(verdict):
+    return (verdict.bosbach, verdict.state_morphism, verdict.max_join, verdict.luk_mult,
+            verdict.kernel_maximal)
+
+
+@pytest.mark.parametrize("name", CONSTRUCTOR_CARRIERS)
+def test_the_extremal_states_are_affinely_independent(name):
+    # so every state has unique barycentric weights: the states form a simplex
+    ext = extremal_states(CONSTRUCTOR_CARRIERS[name])
+    assert len(ext) >= 3 or name not in SIMPLICES
+    for i, vertex in enumerate(ext):
+        assert convex_coefficients(ext[:i] + ext[i + 1:], vertex) is None
+
+
+@pytest.mark.parametrize("name", CONSTRUCTOR_CARRIERS)
+def test_random_positive_weights_on_a_face_give_its_barycenter_verdicts(name):
+    # the support argument of Thm-2.5: each of the five flags of a strictly
+    # positive mixture depends on its support only, so the face's
+    # barycenter decides it; a proper mixture is a state, never extremal
+    ext = extremal_states(CONSTRUCTOR_CARRIERS[name])
+    rng = random.Random(f"faces {name}")
+    for support, barycenter in face_barycenters(ext):
+        assert _flags(barycenter.verdict) == (True, False, False, False, False)
+        vertices = [ext[i] for i in support]
+        for _ in range(4):
+            raw = [rng.randint(1, 12) for _ in support]
+            mixed = mix_states(vertices, [F(w, sum(raw)) for w in raw])
+            assert _flags(check_state(mixed)) == _flags(barycenter.verdict), (support, raw)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_face_barycenters_are_every_face_by_size_then_in_combinations_order(k):
+    ext = extremal_states(direct_product(*[mv_chain(1)] * 5))[:k]
+    faces = face_barycenters(ext)
+    assert len(faces) == 2**k - k - 1
+    assert [support for support, _ in faces] == [
+        c for size in range(2, k + 1) for c in combinations(range(k), size)
+    ]
+    for support, barycenter in faces:
+        vertices = [ext[i] for i in support]
+        assert barycenter is mix_states(vertices, [F(1, len(support))] * len(support))
+    if k == 3:
+        assert [support for support, _ in faces] == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
 
 def test_format_fraction():

@@ -275,7 +275,7 @@ def test_a_cold_run_checks_states_seals_images_and_walks_powers_once(monkeypatch
         monkeypatch.setattr(module, name, counting)
     report = run_suite(default_corpus())
     assert report.failures == []
-    assert counts["bosbach_witness"] <= 97
+    assert counts["bosbach_witness"] <= 70
     assert counts["find_axiom_violation"] <= 30
     assert counts["has_power_negation_in"] <= 1820
 
@@ -421,6 +421,43 @@ def test_pool_is_built_once_and_never_stale():
     assert inst.pool() == fresh(inst)
     assert [name for name, _ in inst.pool()][-1] == "copy"
     assert built.pool() is first and first == fresh(built)
+
+
+def test_an_instance_keeps_copies_of_the_maps_it_is_given():
+    a = godel_chain(3)
+    ops = {"floor": operators.verify_operator(a, operators.godel_floor_table(a, 1))}
+    doc_states = {"top": states.extremal_states(a)[0]}
+    inst = CorpusInstance("g3", a, operators=ops, states=doc_states)
+    first = inst.pool()
+    ops["floor"] = ops["identity"] = operators.verify_operator(a, operators.identity_table(a))
+    doc_states.clear()
+    assert dict(inst.operators) != ops and list(inst.states) == ["top"]
+    assert inst.pool() is first and [name for name, _ in first][0] == "floor"
+    assert first == dataclasses.replace(inst).pool()
+
+
+def test_thm_2_5_scans_the_barycenter_of_every_face_once(monkeypatch):
+    # three extremal states on a fresh carrier: three vertices, scanned
+    # when built, and four faces; a second run finds every verdict cached
+    a = direct_product(mv_chain(1), mv_chain(1), mv_chain(1))
+    scanned = []
+    real = states.check_state
+    monkeypatch.setattr(states, "check_state", lambda st: scanned.append(st) or real(st))
+    inst = CorpusInstance("mv1^3", a)
+    assert run_suite([inst], ["Thm-2.5"]).failures == []
+    faces = states.face_barycenters(states.extremal_states(a))
+    assert scanned == [*states.extremal_states(a), *(st for _, st in faces)]
+    assert run_suite([inst], ["Thm-2.5"]).failures == [] and len(scanned) == 7
+
+
+def test_thm_2_5_names_the_face_whose_barycenter_fails(monkeypatch):
+    a = mv_chain(2)
+    not_a_state = states._state(a, (0, 1, 1), 2)  # s(1) != 1
+    monkeypatch.setattr(suite, "face_barycenters", lambda ext: (((0, 2), not_a_state),))
+    [record] = run_suite([CorpusInstance("mv2", a)], ["Thm-2.5"]).records
+    assert (record.verdict, record.witness) == (
+        "fail", "state face (0, 2) is not a state (bosbach at ('top',))",
+    )
 
 
 def test_classification_claims_do_not_apply_to_the_one_element_algebra():
